@@ -557,22 +557,15 @@ def homology(M, window, padding=PADDING):
                         ker_low.append(vec)
             else:
                 ker_low = [list(v) for v in ker]
-        rank_im = linalg.modp_rank(im, p) if im else 0
-        joint = [list(c) for c in im] + ker_low
-        rank_joint = linalg.modp_rank(joint, p) if joint else 0
-        dim = rank_joint - rank_im
-        # representatives: greedily extend the image basis by low cycles
+        # representatives: greedily extend the image span by low cycles; the
+        # final span is span(im, ker_low), so the reps count the homology
         reps = []
-        current = [list(c) for c in im]
-        rank = rank_im
+        span = linalg.Subgroup(im, [p] * len(basis))
         for v in ker_low:
-            trial = current + [v]
-            r = linalg.modp_rank(trial, p)
-            if r > rank:
+            if not span.contains(v):
                 reps.append(v)
-                current = trial
-                rank = r
-        out[q] = {"dim": dim, "reps": reps, "basis": basis, "im": [list(c) for c in im]}
+                span = span.extend([v])
+        out[q] = {"dim": len(reps), "reps": reps, "basis": basis, "im": [list(c) for c in im]}
     return out
 
 

@@ -1,22 +1,33 @@
 """Exact linear algebra kernels.
 
 Everything downstream reduces to computations in finitely generated abelian
-groups presented as Z/m_1 x ... x Z/m_D.  Three arithmetic lanes:
+groups presented as Z/m_1 x ... x Z/m_D.  `_lane` picks one of three
+arithmetic lanes from the moduli for `Subgroup`, `congruence_kernel`,
+`congruence_solve` and `quotient_presentation`:
 
 * all moduli equal to one prime p  -> dense mod-p elimination (numpy),
-* general moduli                   -> integer Smith/Hermite normal forms,
-* moduli all zero                  -> exact rational elimination (Fraction).
+* moduli all zero                  -> exact rational elimination (Fraction),
+* any other moduli                 -> integer Smith/Hermite normal forms.
+
+A `Subgroup` is the span of some vectors in such a group, held in the
+canonical form of its lane (reduced echelon rows over a field, the Hermite
+basis of the preimage lattice otherwise), so equal spans compare equal.
 
 Matrices are lists of rows; "columns" arguments are lists of coordinate
 vectors.  All integer results are reduced into [0, m_i) coordinatewise.
+The mod-p lane computes in int64 and refuses primes for which that could
+overflow.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import UnsupportedCoefficients
 
 
 @lru_cache(maxsize=None)
@@ -31,12 +42,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _uniform_prime(moduli):
-    """The prime p if all moduli equal p, else None."""
+def _lane(moduli):
+    """The arithmetic lane for these moduli: the prime p when every modulus is
+    p, 0 when every modulus is 0 (over Q), and None for integer normal forms."""
     ms = set(moduli)
     if len(ms) == 1:
         (m,) = ms
-        if is_prime(m):
+        if m == 0 or is_prime(m):
             return m
     return None
 
@@ -47,8 +59,12 @@ def _uniform_prime(moduli):
 
 def modp_rref(A, p):
     """Row-reduce A mod p.  Returns (R, pivot_columns)."""
-    R = np.array(A, dtype=np.int64).reshape(len(A), -1) % p
+    R = np.array(A, dtype=np.int64).reshape(len(A), -1)
     nr, nc = R.shape
+    # entries stay below p, so a row update stays above -p*p
+    if p * p >= 2 ** 63:
+        raise UnsupportedCoefficients(f"prime {p} too large for int64 elimination")
+    R %= p
     pivots = []
     r = 0
     for c in range(nc):
@@ -300,19 +316,8 @@ def hnf_columns(cols, dim):
     return tuple((prow, tuple(col)) for prow, col in fixed)
 
 
-def lattice_membership(hnf, v):
-    """Is v in the lattice with canonical basis hnf (from hnf_columns)?"""
-    v = list(map(int, v))
-    for prow, col in hnf:
-        if v[prow] % col[prow] != 0:
-            return False
-        q = v[prow] // col[prow]
-        v = [a - q * b for a, b in zip(v, col)]
-    return not any(v)
-
-
 # ---------------------------------------------------------------------------
-# abelian-group operations (dispatching on the moduli)
+# abelian-group operations (lane chosen from the moduli)
 # ---------------------------------------------------------------------------
 
 def _reduce_vec(v, moduli):
@@ -330,62 +335,94 @@ def _moduli_cols(moduli):
     return out
 
 
-def subgroup_basis(cols, moduli):
-    """Canonical basis (HNF key) of the subgroup generated by cols in +Z/m_i."""
-    p = _uniform_prime(moduli)
-    D = len(moduli)
-    if p is not None:
-        if not cols:
-            return tuple()
-        R, pivots = modp_rref([list(c) for c in cols], p)  # rows span = row space of gens
-        rows = [tuple(int(x) for x in R[r]) for r in range(len(pivots))]
-        if not rows:
-            return tuple()
-        return ("rref", p, tuple(rows))
-    return ("hnf", hnf_columns(list(cols) + _moduli_cols(moduli), D))
+class Subgroup:
+    """The subgroup of +Z/m_i generated by some columns; immutable.
 
+    Held in the canonical form of its lane, so equality of two Subgroups is
+    equality of the spans (over the same moduli).
+    """
 
-def subgroup_contains(basis, v, moduli):
-    if not basis:
-        return not any(_reduce_vec(v, moduli))
-    if basis[0] == "rref":
-        _, p, rows = basis
-        v = [x % p for x in v]
-        for row in rows:
-            piv = next(i for i, x in enumerate(row) if x)
-            if v[piv]:
-                f = v[piv]
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-        return not any(v)
-    return lattice_membership(basis[1], v)
+    __slots__ = ("moduli", "_p", "_rows", "_pivots")
 
+    def __init__(self, cols, moduli):
+        self.moduli = tuple(moduli)
+        self._p = p = _lane(self.moduli)
+        cols = [list(c) for c in cols]
+        if p is None:
+            # Hermite basis of the preimage lattice, which holds the moduli
+            hnf = hnf_columns(cols + _moduli_cols(self.moduli), len(self.moduli))
+            self._rows = tuple(col for _, col in hnf)
+            self._pivots = tuple(prow for prow, _ in hnf)
+            return
+        if p:
+            R, pivots = modp_rref(cols, p) if cols else (np.zeros((0, 0), np.int64), [])
+            R = R.tolist()
+        else:
+            R, pivots = frac_rref(cols)
+        self._rows = tuple(map(tuple, R[:len(pivots)]))
+        self._pivots = tuple(pivots)
 
-def subgroup_size(basis, moduli):
-    """Order of the subgroup of +Z/m_i with the given canonical basis."""
-    total = 1
-    for m in moduli:
-        total *= m
-    if not basis:
-        return 1
-    if basis[0] == "rref":
-        _, p, rows = basis
-        return p ** len(rows)
-    # the lattice contains the moduli columns, hence is full rank; its index
-    # in Z^D is the product of the HNF pivots
-    idx = 1
-    for prow, col in basis[1]:
-        idx *= col[prow]
-    return total // idx
+    def contains(self, v):
+        """Is the coordinate vector v in the subgroup?"""
+        v = list(v)
+        for piv, row in zip(self._pivots, self._rows):
+            # echelon rows over a field have pivot 1 and zeros at the other
+            # pivots; a Hermite column leaves a remainder at its pivot row
+            # when v is outside the lattice
+            q = v[piv] // row[piv] if self._p is None else v[piv]
+            if q:
+                v = [a - q * b for a, b in zip(v, row)]
+        return not any(_reduce_vec(v, self.moduli))
+
+    def size(self):
+        """Number of elements; raises for a nonzero span over Q."""
+        if self._p:
+            return self._p ** len(self._rows)
+        if self._p == 0:
+            if self._rows:
+                raise UnsupportedCoefficients("a nonzero rational span is infinite")
+            return 1
+        # the lattice contains the moduli columns, hence is full rank; its
+        # index in Z^D is the product of the Hermite pivots
+        index = math.prod(row[piv] for piv, row in zip(self._pivots, self._rows))
+        return math.prod(self.moduli) // index
+
+    def cols(self):
+        """Canonical generators: echelon rows over a field, otherwise the
+        Hermite columns that are nonzero modulo the moduli."""
+        if self._p is not None:
+            return [list(row) for row in self._rows]
+        return [c for c in (_reduce_vec(row, self.moduli) for row in self._rows) if any(c)]
+
+    @property
+    def rank(self):
+        """Number of canonical generators (the dimension over a field); 0
+        exactly for the zero subgroup."""
+        return len(self.cols())
+
+    def extend(self, cols):
+        """The span of this subgroup together with the given columns."""
+        return Subgroup(self.cols() + [list(c) for c in cols], self.moduli)
+
+    def __eq__(self, other):
+        return isinstance(other, Subgroup) and (self.moduli, self._rows) == (other.moduli, other._rows)
+
+    def __hash__(self):
+        return hash((self.moduli, self._rows))
+
+    def __repr__(self):
+        return f"Subgroup({self.cols()}, moduli={list(self.moduli)})"
 
 
 def congruence_kernel(A, row_moduli, col_moduli):
     """Generators of {x in +Z/col_moduli : A x = 0 in +Z/row_moduli}."""
     nr = len(A)
     nc = len(A[0]) if nr else len(col_moduli)
-    p = _uniform_prime(list(row_moduli) + list(col_moduli))
+    p = _lane(list(row_moduli) + list(col_moduli))
     if p is not None:
-        ker = modp_kernel(A, p) if nr else [[int(i == j) for i in range(nc)] for j in range(nc)]
-        return ker
+        if not nr:
+            return [[int(i == j) for i in range(nc)] for j in range(nc)]
+        return modp_kernel(A, p) if p else frac_kernel(A)
     # integer path: kernel of [A | diag(row_moduli)] projected to x-part
     if nr == 0:
         gens = [[int(i == j) for i in range(nc)] for j in range(nc)]
@@ -421,9 +458,9 @@ def congruence_solve(A, b, row_moduli):
     nc = len(A[0]) if nr else 0
     if nr == 0:
         return [0] * nc
-    p = _uniform_prime(row_moduli)
+    p = _lane(row_moduli)
     if p is not None:
-        return modp_solve(A, b, p)
+        return modp_solve(A, b, p) if p else frac_solve(A, b)
     aug = [list(A[i]) for i in range(nr)]
     width = nc
     for i, m in enumerate(row_moduli):
@@ -459,27 +496,21 @@ def quotient_presentation(rel_cols, moduli):
     lift sends quotient coordinates to ambient representatives.
     """
     D = len(moduli)
-    p = _uniform_prime(moduli)
+    p = _lane(moduli)
     if p is not None:
-        if rel_cols:
-            R, pivots = modp_rref([list(c) for c in rel_cols], p)
-            rows = [[int(x) for x in R[r]] for r in range(len(pivots))]
-            pivset = [next(i for i, x in enumerate(row) if x) for row in rows]
-        else:
-            rows, pivset = [], []
-        free = [i for i in range(D) if i not in pivset]
-        qmoduli = [p] * len(free)
+        S = Subgroup(rel_cols, moduli)
+        free = [i for i in range(D) if i not in S._pivots]
         # reducing v by the echelon rows zeroes the pivot coordinates; the
         # surviving free coordinates are v[f] - sum_ep v[ep] * row_ep[f]
         proj = []
         for f in free:
             row = [0] * D
             row[f] = 1
-            for er, ep in zip(rows, pivset):
-                row[ep] = (-er[f]) % p
+            for er, ep in zip(S._rows, S._pivots):
+                row[ep] = -er[f] % p if p else -er[f]
             proj.append(row)
         lift = [[int(i == f) for f in free] for i in range(D)]
-        return qmoduli, proj, lift
+        return [p] * len(free), proj, lift
     if D == 0:
         return [], [], []
     cols = [list(c) for c in rel_cols] + _moduli_cols(moduli)
@@ -490,9 +521,6 @@ def quotient_presentation(rel_cols, moduli):
         d = diag[i] if i < len(diag) else 0
         if d == 1:
             continue
-        if d == 0:
-            # cannot happen when moduli are all nonzero
-            d = 0
         qmoduli.append(d)
         proj.append([U[i][k] for k in range(D)])
         liftcols.append([Ui[r][i] for r in range(D)])

@@ -64,7 +64,7 @@ class FiniteModule:
     def relation_span(self):
         if "rel_span" not in self._cache:
             cols = self._closure_cols(self.relations)
-            self._cache["rel_span"] = linalg.subgroup_basis(cols, self.ambient_moduli)
+            self._cache["rel_span"] = linalg.Subgroup(cols, self.ambient_moduli)
         return self._cache["rel_span"]
 
     def relation_cols(self):
@@ -91,7 +91,7 @@ class FiniteModule:
         return n
 
     def contains_in_relations(self, vec):
-        return linalg.subgroup_contains(self.relation_span(), vec, self.ambient_moduli)
+        return self.relation_span().contains(vec)
 
     def elements(self, cap=DEFAULT_CAP):
         """All elements, as flattened ambient representatives."""
@@ -162,9 +162,6 @@ class ModuleMap:
             out.append(acc)
         return out
 
-    def apply_flat(self, vec):
-        return self.target.flatten(self.apply_column(self.source.unflatten(vec)))
-
     def compose(self, other):
         """self . other (apply other first)."""
         if other.target is not self.source and other.target.ring != self.source.ring:
@@ -180,12 +177,6 @@ class ModuleMap:
                 row.append(acc)
             rows.append(row)
         return ModuleMap(other.source, self.target, rows, check=False)
-
-    def is_zero_map(self):
-        for col in self.source.generator_columns():
-            if not self.target.contains_in_relations(self.target.flatten(self.apply_column(col))):
-                return False
-        return True
 
     def __repr__(self):
         return f"ModuleMap({self.source.generators} -> {self.target.generators})"
@@ -214,21 +205,15 @@ def submodule_from_additive(M, add_cols):
     Returns (K, include) with include: K -> M.
     """
     R = M.ring
-    target_cols = list(add_cols) + M.relation_cols()
-    target_span = linalg.subgroup_basis(target_cols, M.ambient_moduli)
+    span = M.relation_span()
+    target_span = span.extend(add_cols)
     # greedy module generators
     gens = []
-    span_cols = M.relation_cols()
-    span = linalg.subgroup_basis(span_cols, M.ambient_moduli)
     for v in add_cols:
-        if linalg.subgroup_contains(span, v, M.ambient_moduli):
+        if span.contains(v):
             continue
         gens.append(M.unflatten(v))
-        col = gens[-1]
-        for j in range(R.dim):
-            b = R.basis_element(j)
-            span_cols.append(M.flatten([x * b for x in col]))
-        span = linalg.subgroup_basis(span_cols, M.ambient_moduli)
+        span = span.extend(M._closure_cols([gens[-1]]))
         if span == target_span:
             break
     s = len(gens)
@@ -330,8 +315,7 @@ def _radical_cols(M, cap=DEFAULT_CAP):
 def minimal_generator_count(M, cap=DEFAULT_CAP):
     """dim over the residue field of M / M*m."""
     R = M.ring
-    span = linalg.subgroup_basis(_radical_cols(M, cap), M.ambient_moduli)
-    sub = linalg.subgroup_size(span, M.ambient_moduli)
+    sub = linalg.Subgroup(_radical_cols(M, cap), M.ambient_moduli).size()
     total = 1
     for m in M.ambient_moduli:
         total *= m
@@ -354,18 +338,12 @@ def is_projective(M, cap=DEFAULT_CAP):
 def projective_cover(M, cap=DEFAULT_CAP):
     """Minimal surjection from a free module, kernel inside P*m."""
     R = M.ring
-    rad_cols = _radical_cols(M, cap)
-    span = linalg.subgroup_basis(rad_cols, M.ambient_moduli)
+    span = linalg.Subgroup(_radical_cols(M, cap), M.ambient_moduli)
     chosen = []
     for col in M.generator_columns():
-        v = M.flatten(col)
-        if linalg.subgroup_contains(span, v, M.ambient_moduli):
-            continue
-        chosen.append(col)
-        for j in range(R.dim):
-            b = R.basis_element(j)
-            rad_cols.append(M.flatten([x * b for x in col]))
-        span = linalg.subgroup_basis(rad_cols, M.ambient_moduli)
+        if not span.contains(M.flatten(col)):
+            chosen.append(col)
+            span = span.extend(M._closure_cols([col]))
     P = free_module(R, len(chosen))
     cover = ModuleMap(P, M, _cols_to_matrix(chosen, M.generators), check=False)
     if _span_size(M, cover) != M.size():
@@ -380,11 +358,7 @@ def _span_size(M, cover):
         for j in range(M.ring.dim):
             b = M.ring.basis_element(j)
             cols.append(M.flatten([x * b for x in img]))
-    cols += M.relation_cols()
-    span = linalg.subgroup_basis(cols, M.ambient_moduli)
-    return linalg.subgroup_size(span, M.ambient_moduli) // linalg.subgroup_size(
-        M.relation_span(), M.ambient_moduli
-    )
+    return M.relation_span().extend(cols).size() // M.relation_span().size()
 
 
 def heller_shift(M, cap=DEFAULT_CAP):
@@ -474,16 +448,8 @@ def _chain_invariants(M, cap=DEFAULT_CAP):
         for g in gens:
             for col in current:
                 nxt.append([x * g for x in col])
-        span_cols = M.relation_cols()
-        for col in nxt:
-            for j in range(R.dim):
-                b = R.basis_element(j)
-                span_cols.append(M.flatten([x * b for x in col]))
-        span = linalg.subgroup_basis(span_cols, M.ambient_moduli)
-        size = linalg.subgroup_size(span, M.ambient_moduli) // linalg.subgroup_size(
-            M.relation_span(), M.ambient_moduli
-        )
-        sizes.append(size)
+        span = M.relation_span().extend(M._closure_cols(nxt))
+        sizes.append(span.size() // M.relation_span().size())
         current = nxt
         if len(sizes) > 64:
             raise ShapeMismatch("radical filtration does not terminate")
@@ -634,20 +600,13 @@ def injective_envelope(M, cap=DEFAULT_CAP):
     homs = hom_group(M, Rmod)
     # prune to module generators of Hom(M, R) under post-multiplication
     chosen = []
-    chosen_cols = []
-    span = linalg.subgroup_basis([], _hom_moduli(M, Rmod))
+    span = linalg.Subgroup([], _hom_moduli(M, Rmod))
     for f in homs:
-        v = _hom_coordinates(f)
-        if linalg.subgroup_contains(span, v, _hom_moduli(M, Rmod)):
+        if span.contains(_hom_coordinates(f)):
             continue
         chosen.append(f)
-        for j in range(R.dim):
-            b = R.basis_element(j)
-            scaled = ModuleMap(
-                M, Rmod, [[x * b for x in row] for row in f.matrix], check=False
-            )
-            chosen_cols.append(_hom_coordinates(scaled))
-        span = linalg.subgroup_basis(chosen_cols, _hom_moduli(M, Rmod))
+        multiples = [[[x * R.basis_element(j) for x in row] for row in f.matrix] for j in range(R.dim)]
+        span = span.extend(_hom_coordinates(ModuleMap(M, Rmod, m, check=False)) for m in multiples)
     T = len(chosen)
     I = free_module(R, T)
     rows = []
@@ -809,26 +768,28 @@ def stable_hom(M, N, cap=DEFAULT_CAP):
     R = M.ring
     if not rc.is_quasi_frobenius(R, cap):
         raise NotQuasiFrobenius("stable homs need a quasi-Frobenius ring")
-    moduli = _hom_moduli(M, N)
     homs = hom_group(M, N)
     hom_cols = [_hom_coordinates(f) for f in homs]
-    H = linalg.subgroup_basis(hom_cols, moduli)
-    P, _ = stable_projective_span(M, N, cap)
-    hsize = linalg.subgroup_size(H, moduli)
-    psize = linalg.subgroup_size(P, moduli)
+    P = stable_projective_span(M, N, cap)
+    hsize = linalg.Subgroup(hom_cols, P.moduli).size()
+    psize = P.size()
     ksize = R.size() // rc.m_size_or_one(rc.maximal_ideal(R, cap)) if rc.is_local(R, cap) else None
     quot = hsize // psize
     if ksize is not None:
         dim = _log(ksize, quot)
     else:
         dim = quot  # group order when no single residue field applies
-    reps = _stable_representatives(homs, hom_cols, P, moduli)
+    reps = []
+    span = P
+    for f, v in zip(homs, hom_cols):
+        if not span.contains(v):
+            reps.append(f)
+            span = span.extend([v])
     return dim, reps
 
 
 def stable_projective_span(M, N, cap=DEFAULT_CAP):
-    """Span of hom coordinates of the maps factoring through the embedding."""
-    moduli = _hom_moduli(M, N)
+    """Subgroup of hom coordinates of the maps factoring through the embedding."""
     emb = injective_envelope(M, cap)
     I = emb.target
     proj_cols = []
@@ -837,13 +798,12 @@ def stable_projective_span(M, N, cap=DEFAULT_CAP):
             # map I = R^T -> N sending e_t to vec, composed with the embedding
             g = _free_to_module_map(I, N, t, vec)
             proj_cols.append(_hom_coordinates(g.compose(emb)))
-    return linalg.subgroup_basis(proj_cols, moduli), moduli
+    return linalg.Subgroup(proj_cols, _hom_moduli(M, N))
 
 
 def stable_class_is_zero(f, cap=DEFAULT_CAP):
     """Does f factor through a projective module?"""
-    P, moduli = stable_projective_span(f.source, f.target, cap)
-    return linalg.subgroup_contains(P, _hom_coordinates(f), moduli)
+    return stable_projective_span(f.source, f.target, cap).contains(_hom_coordinates(f))
 
 
 def _module_additive_generators(N):
@@ -864,24 +824,3 @@ def _free_to_module_map(F, N, slot, column):
         row[slot] = column[i]
         rows.append(row)
     return ModuleMap(F, N, rows, check=False)
-
-
-def _stable_representatives(homs, hom_cols, P, moduli):
-    reps = []
-    span_cols = list(_span_of(P))
-    span = P
-    for f, v in zip(homs, hom_cols):
-        if linalg.subgroup_contains(span, v, moduli):
-            continue
-        reps.append(f)
-        span_cols.append(v)
-        span = linalg.subgroup_basis(span_cols, moduli)
-    return reps
-
-
-def _span_of(span_basis):
-    if not span_basis:
-        return []
-    if span_basis[0] == "rref":
-        return [list(r) for r in span_basis[2]]
-    return [list(col) for _, col in span_basis[1]]

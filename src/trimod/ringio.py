@@ -151,13 +151,10 @@ def _find_unit(char, basis, products, periodicity, orders, path):
         for ridx, mt in enumerate(target):
             A.append(rows[ridx])
             b.append(1 if mt == (j, 0) else 0)
-    if char == 0:
-        sol = linalg.frac_solve(A, b)
-    else:
-        moduli = []
-        for j in range(probe.dim):
-            moduli.extend(probe.slice_moduli(probe.slice_terms(probe.degrees[j])))
-        sol = linalg.congruence_solve(A, b, moduli)
+    moduli = []
+    for j in range(probe.dim):
+        moduli.extend(probe.slice_moduli(probe.slice_terms(probe.degrees[j])))
+    sol = linalg.congruence_solve(A, b, moduli)
     if sol is None:
         _fail("structure constants admit no multiplicative unit", path)
     return [(c, i, t) for c, (i, t) in zip(sol, terms0) if c]

@@ -12,6 +12,7 @@ is exact: integers mod the additive orders, or Fractions over Q.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -64,10 +65,6 @@ class GradedRing:
     @property
     def is_finite(self):
         return self.periodicity is None
-
-    @property
-    def is_rational(self):
-        return self.char == 0
 
     def _coeff(self, c, k=None):
         if self.char == 0:
@@ -345,7 +342,6 @@ def validate_ring(ring):
         for o in R.orders:
             if o < 2 or R.char % o != 0:
                 raise RingSpecError(f"additive order {o} does not divide characteristic {R.char}")
-        import math
         lcm = 1
         for o in R.orders:
             lcm = lcm * o // math.gcd(lcm, o)
@@ -411,28 +407,9 @@ def validate_ring(ring):
 # ideals
 # ---------------------------------------------------------------------------
 
-def _field0_span(rows):
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return ("frref", ())
-    R, piv = linalg.frac_rref(rows)
-    return ("frref", tuple(tuple(R[r]) for r in range(len(piv))))
-
-
 def _slice_span(ring, q, cols):
-    """Canonical additive span of column vectors inside the degree-q slice."""
-    if ring.char == 0:
-        return _field0_span(cols)
-    return linalg.subgroup_basis(cols, ring.slice_moduli(ring.slice_terms(q)))
-
-def _field0_contains(span, v):
-    v = [Fraction(x) for x in v]
-    for row in span[1]:
-        piv = next(i for i, x in enumerate(row) if x)
-        if v[piv]:
-            f = v[piv]
-            v = [a - f * b for a, b in zip(v, row)]
-    return not any(v)
+    """Additive span of column vectors inside the degree-q slice."""
+    return linalg.Subgroup(cols, ring.slice_moduli(ring.slice_terms(q)))
 
 
 class Ideal:
@@ -441,7 +418,7 @@ class Ideal:
     def __init__(self, ring, generators, slices):
         self.ring = ring
         self.generators = tuple(generators)
-        self.slices = slices  # degree (representative) -> canonical span basis
+        self.slices = slices  # degree (representative) -> linalg.Subgroup
 
     @classmethod
     def from_generators(cls, ring, generators):
@@ -464,10 +441,6 @@ class Ideal:
             slices[q] = _slice_span(ring, q, cols)
         return cls(ring, gens, slices)
 
-    def slice_basis_of(self, q):
-        key = self._rep_degree(q)
-        return self.slices.get(key)
-
     def _rep_degree(self, q):
         if self.ring.periodicity is None:
             return q
@@ -475,60 +448,25 @@ class Ideal:
         return q % d
 
     def contains(self, x):
-        if x.is_zero:
-            return True
-        for q, comp in x.homogeneous_components().items():
-            terms = self.ring.slice_terms(q)
-            span = self.slices.get(self._rep_degree(q))
-            v = self.ring.slice_coords(comp, q)
-            if span is None:
-                if any(v):
-                    return False
-                continue
-            if self.ring.char == 0:
-                if not _field0_contains(span, v):
-                    return False
-            else:
-                if not linalg.subgroup_contains(span, v, self.ring.slice_moduli(terms)):
-                    return False
-        return True
+        return all(
+            self.slices[self._rep_degree(q)].contains(self.ring.slice_coords(comp, q))
+            for q, comp in x.homogeneous_components().items()
+        )
 
     def is_zero_ideal(self):
-        for q, span in self.slices.items():
-            if span is None or not span:
-                continue
-            if span[0] == "frref":
-                if span[1]:
-                    return False
-            elif span[0] == "rref":
-                if span[2]:
-                    return False
-            else:
-                moduli = self.ring.slice_moduli(self.ring.slice_terms(q))
-                if linalg.subgroup_size(span, moduli) != 1:
-                    return False
-        return True
+        return all(span.rank == 0 for span in self.slices.values())
 
     def size(self):
         """Number of elements (finite rings)."""
         if not self.ring.is_finite or self.ring.char == 0:
             return None
-        n = 1
-        for q in self.ring.degree_support():
-            terms = self.ring.slice_terms(q)
-            moduli = self.ring.slice_moduli(terms)
-            span = self.slices.get(q)
-            if span is None:
-                continue
-            n *= linalg.subgroup_size(span, moduli)
-        return n
+        return math.prod(span.size() for span in self.slices.values())
 
     def __eq__(self, other):
         return (
             isinstance(other, Ideal)
             and self.ring == other.ring
-            and {q: s for q, s in self.slices.items()}
-            == {q: s for q, s in other.slices.items()}
+            and self.slices == other.slices
         )
 
     def __repr__(self):
@@ -542,19 +480,7 @@ class Ideal:
 
 def is_unit(x):
     """Invertibility of a homogeneous element, by exact linear solve."""
-    R = x.ring
-    if x.is_zero:
-        return False
-    q = x.degree
-    one = R.one()
-    if R.is_finite and R.char != 0:
-        A = R.mult_matrix_full(x)
-        return linalg.congruence_solve(A, R.full_coords(one), list(R.orders)) is not None
-    A = R.mult_matrix_slice(x, -q)
-    b = R.slice_coords(one, 0)
-    if R.char == 0:
-        return linalg.frac_solve(A, b) is not None
-    return linalg.modp_solve(A, b, R.char) is not None
+    return inverse(x) is not None
 
 
 def inverse(x):
@@ -568,8 +494,7 @@ def inverse(x):
         sol = linalg.congruence_solve(R.mult_matrix_full(x), R.full_coords(one), list(R.orders))
         return None if sol is None else R.from_full_coords(sol)
     A = R.mult_matrix_slice(x, -q)
-    b = R.slice_coords(one, 0)
-    sol = linalg.frac_solve(A, b) if R.char == 0 else linalg.modp_solve(A, b, R.char)
+    sol = linalg.congruence_solve(A, R.slice_coords(one, 0), [R.char] * len(A))
     return None if sol is None else R.from_slice_coords(-q, sol)
 
 
@@ -646,9 +571,7 @@ def is_local(R, cap=DEFAULT_CAP):
                     nonunits.append(R.slice_coords(x, q))
             if not nonunits:
                 continue
-            span = _slice_span(R, q, nonunits)
-            moduli = R.slice_moduli(R.slice_terms(q))
-            if linalg.subgroup_size(span, moduli) != len(nonunits) + 1:
+            if _slice_span(R, q, nonunits).size() != len(nonunits) + 1:
                 return False
         return True
     if R.char == 0:
@@ -658,10 +581,9 @@ def is_local(R, cap=DEFAULT_CAP):
     nonunits = _nonunit_coords(R, cap)
     if not nonunits:
         return True
-    span = linalg.subgroup_basis(nonunits, list(R.orders))
     # nonunits are closed under negation and contain 0, so they form a
     # subgroup exactly when their count matches the span they generate
-    return linalg.subgroup_size(span, list(R.orders)) == len(nonunits) + 1
+    return linalg.Subgroup(nonunits, R.orders).size() == len(nonunits) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +593,10 @@ def is_local(R, cap=DEFAULT_CAP):
 def idempotents(R, cap=DEFAULT_CAP):
     """All degree-zero idempotent elements."""
     if R.char == 0:
-        return _idempotents_rational(R)
+        # a one-dimensional degree-0 slice is Q * 1, whose idempotents are 0, 1
+        if len(R.slice_terms(0)) != 1:
+            raise UnsupportedCoefficients("rational idempotents need a one-dimensional degree-0 slice")
+        return [R.zero(), R.one()]
     terms = R.slice_terms(0)
     total = 1
     for m in R.slice_moduli(terms):
@@ -684,33 +609,6 @@ def idempotents(R, cap=DEFAULT_CAP):
     for e in R.enumerate_slice(0, cap):
         if e * e == e:
             out.append(e)
-    return out
-
-
-def _idempotents_rational(R):
-    import sympy
-
-    terms = R.slice_terms(0)
-    n = len(terms)
-    xs = sympy.symbols(f"c0:{n}", rational=True)
-    e = R.zero()
-    # symbolic element with Fraction-valued placeholder handled via expansion
-    eqs = []
-    # e*e - e expanded through structure constants
-    acc = {}
-    for a, (i, s) in enumerate(terms):
-        for b, (j, t) in enumerate(terms):
-            for key, c in R._mul_monomials(i, s, j, t).items():
-                acc[key] = acc.get(key, 0) + xs[a] * xs[b] * c
-    for a, mt in enumerate(terms):
-        acc[mt] = acc.get(mt, 0) - xs[a]
-    for expr in acc.values():
-        eqs.append(sympy.expand(expr))
-    sols = sympy.solve(eqs, list(xs), dict=True)
-    out = []
-    for sol in sols:
-        vals = [Fraction(str(sol.get(x, 0))) for x in xs]
-        out.append(R.from_slice_coords(0, vals))
     return out
 
 
@@ -770,7 +668,6 @@ def _corner_ring(R, e):
             w = e * R.from_slice_coords(q, amb)
             basis.append((f"w{offset + j}", q, w))
             orders.append(d)
-    import math
     char = 1
     for o in orders:
         char = char * o // math.gcd(char, o)
@@ -910,35 +807,8 @@ def residue_field(R, cap=DEFAULT_CAP):
 
 def _slice_quotient(R, q, m):
     """Quotient of the degree-q slice by the ideal slice; (qm, proj, lift)."""
-    terms = R.slice_terms(q)
-    moduli = R.slice_moduli(terms)
-    span = m.slices.get(m._rep_degree(q))
-    rel = []
-    if span:
-        if span[0] == "frref":
-            rel = [list(r) for r in span[1]]
-        elif span[0] == "rref":
-            rel = [list(r) for r in span[2]]
-        else:
-            rel = [list(col) for _, col in span[1]]
-    if R.char == 0:
-        # rational slice quotient via a free-coordinate complement
-        if not rel:
-            n = len(terms)
-            ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-            return [0] * n, ident, ident
-        Rr, piv = linalg.frac_rref(rel)
-        free = [c for c in range(len(terms)) if c not in piv]
-        proj = []
-        for f in free:
-            row = [Fraction(0)] * len(terms)
-            row[f] = Fraction(1)
-            for r, c in enumerate(piv):
-                row[c] = -Rr[r][f]
-            proj.append(row)
-        lift = [[Fraction(int(terms_i == f)) for f in free] for terms_i in range(len(terms))]
-        return [0] * len(free), proj, lift
-    return linalg.quotient_presentation(rel, moduli)
+    rel = m.slices[m._rep_degree(q)].cols()
+    return linalg.quotient_presentation(rel, R.slice_moduli(R.slice_terms(q)))
 
 
 def _residue_field_sliced(R, m, cap=DEFAULT_CAP):
@@ -1005,17 +875,8 @@ def _residue_field_mixed(R, m):
     """Residue ring for finite rings of composite characteristic."""
     rel = []
     for q in R.degree_support():
-        terms = R.slice_terms(q)
-        span = m.slices.get(q)
-        if not span:
-            continue
-        cols = []
-        if span[0] == "rref":
-            cols = [list(r) for r in span[2]]
-        elif span[0] == "hnf":
-            cols = [list(col) for _, col in span[1]]
-        pos = [R.slice_terms(q)[i][0] for i in range(len(terms))]
-        for v in cols:
+        pos = [i for i, _ in R.slice_terms(q)]
+        for v in m.slices[q].cols():
             full = [0] * R.dim
             for idx, c in zip(pos, v):
                 full[idx] = c
@@ -1032,7 +893,6 @@ def _residue_field_mixed(R, m):
         img = linalg.apply_matrix(proj, v)
         return {(j, 0): c % qm[j] for j, c in enumerate(img) if c % qm[j]}
 
-    import math
     char = 1
     for d in qm:
         char = char * d // math.gcd(char, d)
@@ -1065,36 +925,9 @@ def is_graded_field(R, cap=DEFAULT_CAP):
 
 def annihilator(R, x, cap=DEFAULT_CAP):
     """The ideal of elements y with x*y = 0, for homogeneous x."""
-    if x.is_zero:
-        return Ideal.from_generators(R, [R.one()])
     if not x.is_homogeneous:
         raise ValueError("annihilator requires a homogeneous element")
-    if R.is_finite and R.char != 0:
-        A = R.mult_matrix_full(x)
-        ker = linalg.congruence_kernel(A, list(R.orders), list(R.orders))
-        gens = _homogeneous_gens_from_coords(R, ker)
-        return Ideal.from_generators(R, gens)
-    # periodic or rational: slice kernels, one period
-    xq = x.degree
-    gens = []
-    slices = {}
-    for q in R.degree_support():
-        terms = R.slice_terms(q)
-        A = R.mult_matrix_slice(x, q)
-        tgt = R.slice_terms(q + xq)
-        if not tgt:
-            n = len(terms)
-            ker = [[int(i == j) for i in range(n)] for j in range(n)]
-        elif R.char == 0:
-            ker = linalg.frac_kernel(A)
-        else:
-            ker = linalg.modp_kernel(A, R.char)
-        slices[q] = _slice_span(R, q, [list(v) for v in ker])
-        for v in ker:
-            g = R.from_slice_coords(q, list(v))
-            if not g.is_zero:
-                gens.append(g)
-    return Ideal(R, gens, slices)
+    return _annihilator_of(R, [x] if not x.is_zero else [])
 
 
 def principal_ideal(R, x):
@@ -1109,15 +942,14 @@ def double_annihilator_holds(R, cap=DEFAULT_CAP):
     for q in R.degree_support():
         for x in R.enumerate_slice(q, cap):
             ann1 = annihilator(R, x, cap)
-            double = _annihilator_of_ideal(R, ann1, cap)
+            double = _annihilator_of(R, list(ann1.generators))
             if double != principal_ideal(R, x):
                 return False, x
     return True, None
 
 
-def _annihilator_of_ideal(R, ideal, cap=DEFAULT_CAP):
-    """Elements killing every generator of the ideal."""
-    gens = list(ideal.generators)
+def _annihilator_of(R, gens):
+    """Elements killing every one of the homogeneous generators."""
     if not gens:
         return Ideal.from_generators(R, [R.one()])
     if R.is_finite and R.char != 0:
@@ -1128,23 +960,13 @@ def _annihilator_of_ideal(R, ideal, cap=DEFAULT_CAP):
             moduli_rows.extend(R.orders)
         ker = linalg.congruence_kernel(stacked, moduli_rows, list(R.orders))
         return Ideal.from_generators(R, _homogeneous_gens_from_coords(R, ker))
+    # periodic or rational: slice kernels, one period
     slices = {}
     out_gens = []
     for q in R.degree_support():
-        terms = R.slice_terms(q)
-        stacked = []
-        for g in gens:
-            stacked.extend(R.mult_matrix_slice(g, q))
-        if R.char == 0:
-            ker = linalg.frac_kernel(stacked) if stacked else [
-                [Fraction(int(i == j)) for i in range(len(terms))] for j in range(len(terms))
-            ]
-        else:
-            if not stacked:
-                ker = [[int(i == j) for i in range(len(terms))] for j in range(len(terms))]
-            else:
-                ker = linalg.modp_kernel(stacked, R.char)
-        slices[q] = _slice_span(R, q, [list(v) for v in ker])
+        stacked = [row for g in gens for row in R.mult_matrix_slice(g, q)]
+        ker = linalg.congruence_kernel(stacked, [R.char] * len(stacked), [R.char] * len(R.slice_terms(q)))
+        slices[q] = _slice_span(R, q, ker)
         for v in ker:
             g = R.from_slice_coords(q, list(v))
             if not g.is_zero:
@@ -1155,7 +977,7 @@ def _annihilator_of_ideal(R, ideal, cap=DEFAULT_CAP):
 def socle(R, cap=DEFAULT_CAP):
     """Elements killed by the maximal ideal (local rings)."""
     m = maximal_ideal(R, cap)
-    return _annihilator_of_ideal(R, m, cap)
+    return _annihilator_of(R, list(m.generators))
 
 
 def is_quasi_frobenius(R, cap=DEFAULT_CAP):

@@ -181,11 +181,6 @@ def _condition2_from(T):
     return holds, report
 
 
-def ggh_condition2(p, n, window=DEFAULT_WINDOW):
-    """Nonvanishing of x on the homotopy of the cofiber of x."""
-    return _condition2_from(tate_ring(p, n, window))
-
-
 def ggh_verdict(p, n, window=DEFAULT_WINDOW):
     """Combined verdict: ring shape (1) and x-action on the cofiber (2)."""
     T = tate_ring(p, n, window)

@@ -285,13 +285,9 @@ def verify_rotation(T):
         gprev, fprev = T.g[q - T.n], T.f[q - T.n]
         if not _is_zero_matrix(_mat_mul(gprev, fprev, p)):
             return {"pass": False, "degree": q, "position": "SB", "detail": "g[n]*f[n] != 0"}
-        if linalg.modp_rank(sfq, p) + linalg.modp_rank(gprev, p) != self_dim_b(T, q - T.n):
+        if linalg.modp_rank(sfq, p) + linalg.modp_rank(gprev, p) != T.dims[q - T.n][1]:
             return {"pass": False, "degree": q, "position": "SB", "detail": "im(-f[n]) != ker g[n]"}
     return {"pass": True, "degree": None, "position": None, "detail": "rotation exact in window"}
-
-
-def self_dim_b(T, q):
-    return T.dims[q][1]
 
 
 def random_map(R, n, rng, max_rank=3, deg_lo=-3, deg_hi=3):

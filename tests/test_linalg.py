@@ -1,8 +1,12 @@
+import itertools
 import random
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from trimod import linalg
+from trimod.errors import UnsupportedCoefficients
 
 
 def test_modp_rref_identity():
@@ -50,42 +54,42 @@ def test_smith_uinv_random(seed):
 
 def test_subgroup_basics_z4():
     moduli = [4, 4]
-    b = linalg.subgroup_basis([[2, 0]], moduli)
-    assert linalg.subgroup_contains(b, [2, 0], moduli)
-    assert linalg.subgroup_contains(b, [6, 0], moduli)
-    assert not linalg.subgroup_contains(b, [1, 0], moduli)
-    assert linalg.subgroup_size(b, moduli) == 2
-    full = linalg.subgroup_basis([[1, 0], [0, 1]], moduli)
-    assert linalg.subgroup_size(full, moduli) == 16
+    b = linalg.Subgroup([[2, 0]], moduli)
+    assert b.contains([2, 0])
+    assert b.contains([6, 0])
+    assert not b.contains([1, 0])
+    assert b.size() == 2
+    full = linalg.Subgroup([[1, 0], [0, 1]], moduli)
+    assert full.size() == 16
 
 
 def test_subgroup_mixed_orders():
     moduli = [2, 4]
-    b = linalg.subgroup_basis([[1, 2]], moduli)
-    assert linalg.subgroup_size(b, moduli) == 2
-    assert linalg.subgroup_contains(b, [1, 2], moduli)
-    assert not linalg.subgroup_contains(b, [1, 0], moduli)
+    b = linalg.Subgroup([[1, 2]], moduli)
+    assert b.size() == 2
+    assert b.contains([1, 2])
+    assert not b.contains([1, 0])
 
 
 def test_subgroup_equality_is_canonical():
     moduli = [4, 4]
-    b1 = linalg.subgroup_basis([[2, 0], [0, 2]], moduli)
-    b2 = linalg.subgroup_basis([[2, 2], [0, 2], [2, 0]], moduli)
+    b1 = linalg.Subgroup([[2, 0], [0, 2]], moduli)
+    b2 = linalg.Subgroup([[2, 2], [0, 2], [2, 0]], moduli)
     assert b1 == b2
 
 
 def test_congruence_kernel_z8():
     # kernel of multiplication by 2 on Z/8 is (4)
     gens = linalg.congruence_kernel([[2]], [8], [8])
-    basis = linalg.subgroup_basis(gens, [8])
-    assert linalg.subgroup_size(basis, [8]) == 2
-    assert linalg.subgroup_contains(basis, [4], [8])
+    basis = linalg.Subgroup(gens, [8])
+    assert basis.size() == 2
+    assert basis.contains([4])
 
 
 def test_congruence_kernel_prime():
     gens = linalg.congruence_kernel([[1, 1]], [5], [5, 5])
-    basis = linalg.subgroup_basis(gens, [5, 5])
-    assert linalg.subgroup_size(basis, [5, 5]) == 5
+    basis = linalg.Subgroup(gens, [5, 5])
+    assert basis.size() == 5
 
 
 def test_congruence_solve_mixed():
@@ -93,6 +97,75 @@ def test_congruence_solve_mixed():
     x = linalg.congruence_solve([[2]], [2], [4])
     assert x is not None and (2 * x[0]) % 4 == 2
     assert linalg.congruence_solve([[2]], [1], [4]) is None
+    # all-zero moduli solve over Q
+    assert linalg.congruence_solve([[2]], [1], [0]) == [Fraction(1, 2)]
+
+
+def test_modp_overflow_guard():
+    # p*p overflows int64, where elimination would return a wrong (empty) kernel
+    p = 4294967311
+    with pytest.raises(UnsupportedCoefficients):
+        linalg.modp_kernel([[p - 1, p - 1], [1, 1]], p)
+    with pytest.raises(UnsupportedCoefficients):
+        linalg.Subgroup([[p - 1, p - 1], [1, 1]], [p, p])
+    # a prime just below the bound is still exact
+    q = 3037000493
+    assert linalg.modp_kernel([[q - 1, q - 1], [1, 1]], q) == [[q - 1, 1]]
+    S = linalg.Subgroup([[q - 1, q - 1], [1, 1]], [q, q])
+    assert S.size() == q and S.contains([2, 2]) and not S.contains([1, 2])
+
+
+# (moduli, coefficient range for generators and test vectors); Q^2 is
+# probed on integer vectors
+SMALL_GROUPS = [([2, 2, 2], 2), ([3, 3], 3), ([4, 2], 4), ([6, 3], 6), ([0, 0], 3)]
+
+
+def _brute_span(gens, moduli):
+    """All elements generated by gens, by closing {0} under adding a generator."""
+    span = {tuple(0 for _ in moduli)}
+    frontier = list(span)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = tuple((a + b) % m for a, b, m in zip(x, g, moduli))
+            if y not in span:
+                span.add(y)
+                frontier.append(y)
+    return span
+
+
+def _rational_contains(gens, v):
+    """Membership in a span in Q^2 through 2x2 determinants."""
+    det = lambda a, b: a[0] * b[1] - a[1] * b[0]
+    nonzero = [g for g in gens if any(g)]
+    if any(det(a, b) for a, b in itertools.combinations(nonzero, 2)):
+        return True
+    if not nonzero:
+        return not any(v)
+    return det(nonzero[0], v) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_subgroup_against_brute_force(data):
+    moduli, r = data.draw(st.sampled_from(SMALL_GROUPS))
+    vec = st.lists(st.integers(-r + 1, r - 1), min_size=len(moduli), max_size=len(moduli))
+    gens = data.draw(st.lists(vec, max_size=3))
+    v = data.draw(vec)
+    S = linalg.Subgroup(gens, moduli)
+    if any(moduli):
+        span = _brute_span(gens, moduli)
+        assert S.size() == len(span)
+        for x in itertools.product(*[range(m) for m in moduli]):
+            assert S.contains(x) == (x in span)
+        assert S.contains(v) == (tuple(x % m for x, m in zip(v, moduli)) in span)
+        assert (S.rank == 0) == (len(span) == 1)
+    else:
+        assert S.contains(v) == _rational_contains(gens, v)
+        assert S.contains([sum(c * g[i] for c, g in zip((1, -2, 3), gens)) for i in range(2)])
+        assert (S.rank == 0) == (not any(map(any, gens)))
+    assert linalg.Subgroup(data.draw(st.permutations(gens)), moduli) == S
+    assert (S.extend([v]) == S) == S.contains(v)
 
 
 def test_quotient_presentation_z4_by_2():
@@ -136,11 +209,11 @@ def test_quotient_presentation_random(seed):
         again = [x % m for x, m in zip(linalg.apply_matrix(proj, amb), qm)]
         assert again == unit
     # sizes multiply out: |ambient| = |subgroup| * |quotient|
-    sub = linalg.subgroup_basis(rels, moduli)
+    sub = linalg.Subgroup(rels, moduli)
     qsize = 1
     for m in qm:
         qsize *= m
     total = 1
     for m in moduli:
         total *= m
-    assert linalg.subgroup_size(sub, moduli) * qsize == total
+    assert sub.size() * qsize == total
