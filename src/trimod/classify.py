@@ -105,21 +105,13 @@ def has_unit_in_degree(R, d, cap=DEFAULT_CAP):
     return False
 
 
-def _principal_generator(R, m):
-    """A single homogeneous generator of the ideal m, or None."""
-    for g in m.generators:
-        if rc.principal_ideal(R, g) == m:
-            return g
-    return None
-
-
 def _local_socle_simple(R, cap):
     soc = rc.socle(R, cap)
     m = rc.maximal_ideal(R, cap)
     if R.periodicity is not None:
         # periodic local: the socle must be a principal ideal whose slices
         # are at most one dimensional; checked via a single generator
-        g = _principal_generator(R, soc)
+        g = rc.principal_generator(R, soc)
         if g is None and soc.generators:
             return False
         return True
@@ -144,7 +136,7 @@ def classify_local(R, n, cap=DEFAULT_CAP):
         return LocalVerdict(NOT_DELTA, reason=RESIDUE_NOT_FIELD)
     if not _local_socle_simple(R, cap):
         return LocalVerdict(NOT_DELTA, reason=NOT_QF)
-    x = _principal_generator(R, m)
+    x = rc.chain_generator(R, cap)
     if x is None:
         return LocalVerdict(NOT_DELTA, reason=M_NOT_PRINCIPAL)
     # ann(x) = (x) subsumes x*x = 0 but is reported first so that rings such

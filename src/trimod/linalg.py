@@ -59,7 +59,7 @@ def _lane(moduli):
 
 def modp_rref(A, p):
     """Row-reduce A mod p.  Returns (R, pivot_columns)."""
-    R = np.array(A, dtype=np.int64).reshape(len(A), -1)
+    R = np.array(A, dtype=np.int64).reshape(len(A), len(A[0]) if len(A) else 0)
     nr, nc = R.shape
     # entries stay below p, so a row update stays above -p*p
     if p * p >= 2 ** 63:
@@ -86,8 +86,6 @@ def modp_rref(A, p):
 
 
 def modp_rank(A, p):
-    if len(A) == 0 or len(A[0]) == 0:
-        return 0
     return len(modp_rref(A, p)[1])
 
 
@@ -355,7 +353,7 @@ class Subgroup:
             self._pivots = tuple(prow for prow, _ in hnf)
             return
         if p:
-            R, pivots = modp_rref(cols, p) if cols else (np.zeros((0, 0), np.int64), [])
+            R, pivots = modp_rref(cols, p)
             R = R.tolist()
         else:
             R, pivots = frac_rref(cols)

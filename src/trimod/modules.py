@@ -1,14 +1,32 @@
 """Finite modules over finite ungraded commutative rings.
 
-A module is a presentation R^g / (column span of relations).  All additive
-bookkeeping happens on flattened coordinate vectors of length g * dim(R),
-with exact subgroup machinery from linalg; ring-linear questions (maps,
-syzygies, homs) reduce to congruence systems on those coordinates.
+A module is presented as R^g / (R-span of the relation columns): the public
+form is `generators`, `relations` and `ring`.  Next to it each module caches
+one additive form, from which every module computation is made:
+
+* `quotient()` = (qmoduli, proj, lift): the additive group as Z/q_1 x ... x
+  Z/q_r, with proj taking the flattened coordinates of R^g (g * dim(R)
+  integers) to these quotient coordinates and lift taking them back;
+* `action()`: one integer matrix per ring basis element, giving how that
+  element acts on the quotient coordinates.
+
+A map M -> N has hom coordinates: the images of M's generators in N's
+quotient coordinates.  Hom(M, N) is the congruence kernel of "every relation
+of M, applied to those images, is zero in N", with no further unknowns.
+Kernels, images and factorizations are congruence systems on the matrix of
+a map on quotient coordinates, and submodule spans are `linalg.Subgroup`s
+extended under the action matrices.  Submodules come minimally presented in
+the greedy sense: a generator or relation is kept only when the R-span of
+those kept before misses it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+
+import numpy as np
 
 from . import linalg
 from . import rings as rc
@@ -21,8 +39,44 @@ from .errors import (
 from .rings import DEFAULT_CAP
 
 
+def _int_dtype(R, terms):
+    """int64 when sums of `terms` products of residues below char cannot
+    overflow it, exact Python integers otherwise."""
+    return np.int64 if R.char ** 2 * terms < 2 ** 62 else object
+
+
+def _reduce(X, moduli):
+    """Reduce the rows (axis -2) of an integer array modulo the given moduli."""
+    return X % np.array(moduli, dtype=X.dtype).reshape(-1, 1)
+
+
+def _ring_action(R):
+    """Matrices of multiplication by each basis element on full coordinates."""
+    if "mult_matrices" not in R._cache:
+        mats = [R.mult_matrix_full(R.basis_element(l)) for l in range(R.dim)]
+        R._cache["mult_matrices"] = np.array(mats, dtype=_int_dtype(R, R.dim)).reshape(R.dim, R.dim, R.dim)
+    return R._cache["mult_matrices"]
+
+
+def _blockwise(mats, V):
+    """mats[l] applied to every block of the columns of V, for each l; the
+    block length is the size of the matrices.  Shape (len(mats), *V.shape)."""
+    b = mats.shape[1]
+    n, m = V.shape
+    return np.matmul(mats[:, None], V.reshape(n // b, b, m)[None]).reshape(len(mats), n, m)
+
+
+def _closure(mats, vecs):
+    """Additive generators of the R-span of vectors made of blocks on which
+    the ring basis acts by mats: every vector times every basis element."""
+    if not vecs:
+        return []
+    V = np.array(vecs, dtype=mats.dtype).T
+    return _blockwise(mats, V).transpose(0, 2, 1).reshape(len(mats) * V.shape[1], V.shape[0]).tolist()
+
+
 class FiniteModule:
-    """R^g modulo the column span of a relations matrix over R."""
+    """R^g modulo the R-span of a relations matrix over R."""
 
     def __init__(self, ring, generators, relations):
         self.ring = ring
@@ -52,55 +106,61 @@ class FiniteModule:
         D = self.ring.dim
         return [self.ring.from_full_coords(vec[i * D:(i + 1) * D]) for i in range(self.generators)]
 
-    def _closure_cols(self, cols):
-        """Additive generators of the R-span of the given columns."""
-        out = []
-        for col in cols:
-            for j in range(self.ring.dim):
-                b = self.ring.basis_element(j)
-                out.append(self.flatten([x * b for x in col]))
-        return out
-
-    def relation_span(self):
-        if "rel_span" not in self._cache:
-            cols = self._closure_cols(self.relations)
-            self._cache["rel_span"] = linalg.Subgroup(cols, self.ambient_moduli)
-        return self._cache["rel_span"]
-
-    def relation_cols(self):
-        """Flattened additive generators of the relation span."""
-        return self._closure_cols(self.relations)
-
     def quotient(self):
         """(qmoduli, proj, lift) for the underlying additive group."""
         if "quotient" not in self._cache:
-            self._cache["quotient"] = linalg.quotient_presentation(
-                self.relation_cols(), self.ambient_moduli
-            )
+            rels = _closure(_ring_action(self.ring), [self.flatten(col) for col in self.relations])
+            self._cache["quotient"] = linalg.quotient_presentation(rels, self.ambient_moduli)
         return self._cache["quotient"]
+
+    def lift_array(self):
+        """lift as an integer array, reduced modulo the ambient moduli."""
+        if "lift" not in self._cache:
+            qm, _, lift = self.quotient()
+            amb = self.ambient_moduli
+            dt = _int_dtype(self.ring, len(amb) + self.ring.dim)
+            self._cache["lift"] = _reduce(np.array(lift, dtype=dt).reshape(len(amb), len(qm)), amb)
+        return self._cache["lift"]
+
+    def action(self):
+        """Array of shape (dim R, r, r): how each ring basis element acts on
+        the r quotient coordinates."""
+        if "action" not in self._cache:
+            qm, proj, _ = self.quotient()
+            amb = self.ambient_moduli
+            L = self.lift_array()
+            P = _reduce(np.array(proj, dtype=L.dtype).reshape(len(qm), len(amb)), qm)
+            moved = _reduce(_blockwise(_ring_action(self.ring).astype(L.dtype), L), amb)
+            self._cache["action"] = _reduce(np.matmul(P, moved), qm)
+        return self._cache["action"]
+
+    def act(self, x):
+        """Matrix of multiplication by the ring element x on quotient coordinates."""
+        A = self.action()
+        c = np.array(self.ring.full_coords(x), dtype=A.dtype)
+        return _reduce(np.tensordot(c, A, 1), self.quotient()[0])
+
+    def coords(self, col):
+        """Quotient coordinates of a column of g ring elements."""
+        qm, proj, _ = self.quotient()
+        return [x % m for x, m in zip(linalg.apply_matrix(proj, self.flatten(col)), qm)]
+
+    def column(self, v):
+        """A column of g ring elements with the quotient coordinates v."""
+        return self.unflatten(linalg.apply_matrix(self.quotient()[2], v))
 
     def canonical_additive(self):
         """Multiset of cyclic orders of the additive group, sorted."""
-        qm, _, _ = self.quotient()
-        return tuple(sorted(m for m in qm))
+        return tuple(sorted(self.quotient()[0]))
 
     def size(self):
-        n = 1
-        for m in self.quotient()[0]:
-            n *= m
-        return n
-
-    def contains_in_relations(self, vec):
-        return self.relation_span().contains(vec)
+        return math.prod(self.quotient()[0])
 
     def elements(self, cap=DEFAULT_CAP):
         """All elements, as flattened ambient representatives."""
         qm, _, lift = self.quotient()
-        total = 1
-        for m in qm:
-            total *= m
-        if total > cap:
-            raise SizeCapExceeded(f"module of size {total} exceeds cap {cap}")
+        if self.size() > cap:
+            raise SizeCapExceeded(f"module of size {self.size()} exceeds cap {cap}")
         for combo in itertools.product(*[range(m) for m in qm]):
             yield linalg.apply_matrix(lift, list(combo))
 
@@ -146,11 +206,11 @@ class ModuleMap:
             raise IllFormedMap("matrix does not map source relations into target relations")
 
     def _respects_relations(self):
-        for col in self.source.relations:
-            img = self.apply_column(col)
-            if not self.target.contains_in_relations(self.target.flatten(img)):
-                return False
-        return True
+        return not any(any(self.target.coords(self.apply_column(col))) for col in self.source.relations)
+
+    def columns(self):
+        """Images of the source generators, as columns over the ring."""
+        return [[row[j] for row in self.matrix] for j in range(self.source.generators)]
 
     def apply_column(self, col):
         R = self.source.ring
@@ -195,93 +255,120 @@ def zero_map(M, N):
 
 
 # ---------------------------------------------------------------------------
-# submodules from additive data
+# maps on quotient coordinates; hom groups
 # ---------------------------------------------------------------------------
-
-def submodule_from_additive(M, add_cols):
-    """The submodule of M additively spanned by the given flattened vectors
-    (must already be closed under the ring action together with relations).
-
-    Returns (K, include) with include: K -> M.
-    """
-    R = M.ring
-    span = M.relation_span()
-    target_span = span.extend(add_cols)
-    # greedy module generators
-    gens = []
-    for v in add_cols:
-        if span.contains(v):
-            continue
-        gens.append(M.unflatten(v))
-        span = span.extend(M._closure_cols([gens[-1]]))
-        if span == target_span:
-            break
-    s = len(gens)
-    # relations of the submodule: additive kernel of R^s -> M / relations
-    qm, proj, _ = M.quotient()
-    amb_s = list(R.orders) * s
-    A = []
-    for r in range(len(qm)):
-        A.append([0] * (s * R.dim))
-    for i in range(s):
-        for j in range(R.dim):
-            b = R.basis_element(j)
-            img = M.flatten([x * b for x in gens[i]])
-            down = linalg.apply_matrix(proj, img)
-            for r in range(len(qm)):
-                A[r][i * R.dim + j] = down[r]
-    ker = linalg.congruence_kernel(A, list(qm), amb_s)
-    K = FiniteModule(R, s, [_unflatten_over(R, s, v) for v in ker])
-    include = ModuleMap(K, M, _cols_to_matrix(gens, M.generators), check=True)
-    return K, include
-
-
-def _unflatten_over(R, g, vec):
-    D = R.dim
-    return [R.from_full_coords(vec[i * D:(i + 1) * D]) for i in range(g)]
-
 
 def _cols_to_matrix(cols, target_gens):
     """Columns (each a list of ring elements) -> row-major matrix."""
-    rows = []
-    for i in range(target_gens):
-        rows.append([col[i] for col in cols])
-    return rows
+    return [[col[i] for col in cols] for i in range(target_gens)]
+
+
+def _hom_coordinates(f):
+    """Images of the source generators in the target's quotient coordinates,
+    concatenated: the coordinates of f in Hom(source, target)."""
+    return [x for col in f.columns() for x in f.target.coords(col)]
+
+
+def _hom_moduli(M, N):
+    return list(N.quotient()[0]) * M.generators
+
+
+def _map_from_images(M, N, v):
+    """The map M -> N with hom coordinates v."""
+    r = len(N.quotient()[0])
+    cols = [N.column(v[j * r:(j + 1) * r]) for j in range(M.generators)]
+    return ModuleMap(M, N, _cols_to_matrix(cols, N.generators), check=False)
+
+
+def _map_matrix(f):
+    """The matrix of f on quotient coordinates: images of the source's
+    additive generators (its quotient unit vectors) in the target's."""
+    M, N = f.source, f.target
+    A = N.action()
+    r, n = A.shape[1], len(M.ambient_moduli)
+    W = np.array(_hom_coordinates(f), dtype=A.dtype).reshape(M.generators, r).T
+    # images of b_l e_j, in column j*dim + l like the flattened coordinates
+    moved = _reduce(np.matmul(A, W).transpose(1, 2, 0).reshape(r, n), N.quotient()[0])
+    return _reduce(moved @ M.lift_array(), N.quotient()[0])
+
+
+def _combination_rows(cols, N):
+    """Matrix of (n_1..n_g) -> sum_j c_j n_j in N's quotient coordinates, with
+    each n_j in quotient coordinates; one block of rows per column c."""
+    A = N.action()
+    empty = np.zeros((A.shape[1], 0), dtype=A.dtype)
+    return [row for c in cols for row in np.hstack([empty] + [N.act(x) for x in c]).tolist()]
+
+
+def _hom_vectors(M, N):
+    """Additive generators of Hom(M, N) as hom coordinates: the images of M's
+    generators in N's quotient coordinates that every relation of M kills."""
+    rows = _combination_rows(M.relations, N)
+    return linalg.congruence_kernel(rows, list(N.quotient()[0]) * len(M.relations), _hom_moduli(M, N))
+
+
+def hom_group(M, N):
+    """Additive generators of Hom(M, N), as ModuleMaps."""
+    return [_map_from_images(M, N, v) for v in _hom_vectors(M, N)]
+
+
+def _image_size(f):
+    """Number of elements of f(source): |target| for a surjection, |source|
+    for an injection."""
+    return linalg.Subgroup(_map_matrix(f).T.tolist(), f.target.quotient()[0]).size()
+
+
+def _module_generators(N, vecs, span=None):
+    """Indices of greedy ring generators of span + <vecs>, for vectors made of
+    blocks of N's quotient coordinates: a vector is kept when the R-span of
+    the kept ones together with span misses it, until that span is whole."""
+    if span is None:
+        span = linalg.Subgroup([], N.quotient()[0])
+    whole = span.extend(vecs)
+    keep = []
+    for i, v in enumerate(vecs):
+        if span == whole:
+            break
+        if not span.contains(v):
+            keep.append(i)
+            span = span.extend(_closure(N.action(), [v]))
+    return keep
 
 
 # ---------------------------------------------------------------------------
-# kernel, image, cokernel
+# submodules, kernel, image, cokernel
 # ---------------------------------------------------------------------------
+
+def submodule_from_additive(M, vecs):
+    """The submodule of M additively spanned by vecs, given in M's quotient
+    coordinates (they must span a subgroup closed under the ring action).
+
+    Returns (K, include) with include: K -> M.  K is presented on greedy
+    generators with greedy relations, each kept only when the R-span of the
+    earlier ones misses it.
+    """
+    R = M.ring
+    gens = [M.column(vecs[i]) for i in _module_generators(M, vecs)]
+    cover = ModuleMap(free_module(R, len(gens)), M, _cols_to_matrix(gens, M.generators), check=False)
+    F = cover.source
+    ker = _kernel_vectors(cover)
+    K = FiniteModule(R, len(gens), [F.column(ker[i]) for i in _module_generators(F, ker)])
+    return K, ModuleMap(K, M, cover.matrix, check=False)
+
+
+def _kernel_vectors(f):
+    """Additive generators of ker f, in the source's quotient coordinates."""
+    return linalg.congruence_kernel(_map_matrix(f).tolist(), f.target.quotient()[0], f.source.quotient()[0])
+
 
 def kernel(f):
     """(K, include) with K -> source exact onto ker f."""
-    M, N = f.source, f.target
-    qmN, projN, _ = N.quotient()
-    A = []
-    for r in range(len(qmN)):
-        A.append([0] * (M.generators * M.ring.dim))
-    for j in range(M.generators):
-        for l in range(M.ring.dim):
-            col = [M.ring.zero()] * M.generators
-            col[j] = M.ring.basis_element(l)
-            img = N.flatten(f.apply_column(col))
-            down = linalg.apply_matrix(projN, img)
-            for r in range(len(qmN)):
-                A[r][j * M.ring.dim + l] = down[r]
-    ker_cols = linalg.congruence_kernel(A, list(qmN), M.ambient_moduli)
-    return submodule_from_additive(M, [list(v) for v in ker_cols])
+    return submodule_from_additive(f.source, _kernel_vectors(f))
 
 
 def image(f):
     """(I, include) with I -> target exact onto im f."""
-    N = f.target
-    cols = []
-    for col in f.source.generator_columns():
-        img = f.apply_column(col)
-        for j in range(N.ring.dim):
-            b = N.ring.basis_element(j)
-            cols.append(N.flatten([x * b for x in img]))
-    return submodule_from_additive(N, cols)
+    return submodule_from_additive(f.target, _map_matrix(f).T.tolist())
 
 
 def cokernel(f):
@@ -295,38 +382,45 @@ def cokernel(f):
     return C, project
 
 
+def _factor_through(g, f):
+    """h with f . h = g, solved generator by generator on the matrix of f."""
+    A = _map_matrix(f).tolist()
+    N = f.target
+    cols = []
+    for col in g.columns():
+        sol = linalg.congruence_solve(A, N.coords(col), N.quotient()[0])
+        if sol is None:
+            raise IllFormedMap("map does not factor through the given map")
+        cols.append(f.source.column(sol))
+    return ModuleMap(g.source, f.source, _cols_to_matrix(cols, f.source.generators), check=False)
+
+
 # ---------------------------------------------------------------------------
-# projectivity and covers (local rings)
+# projectivity, covers and envelopes (local rings)
 # ---------------------------------------------------------------------------
 
-def _radical_cols(M, cap=DEFAULT_CAP):
-    """Additive generators of M * maximal ideal + relations."""
-    m = rc.maximal_ideal(M.ring, cap)
-    cols = M.relation_cols()
-    for g in m.generators:
-        for col in M.generator_columns():
-            scaled = [x * g for x in col]
-            for j in range(M.ring.dim):
-                b = M.ring.basis_element(j)
-                cols.append(M.flatten([x * b for x in scaled]))
-    return cols
+def _per_module(fn):
+    """Compute fn(M, cap) once per module and cap, in M's cache."""
+    @functools.wraps(fn)
+    def once(M, cap=DEFAULT_CAP):
+        key = (fn.__name__, cap)
+        if key not in M._cache:
+            M._cache[key] = fn(M, cap)
+        return M._cache[key]
+    return once
+
+
+def _radical(M, cap=DEFAULT_CAP):
+    """M * maximal ideal, as a subgroup of M's quotient coordinates."""
+    cols = [v for g in rc.maximal_ideal(M.ring, cap).generators for v in M.act(g).T.tolist()]
+    return linalg.Subgroup(cols, M.quotient()[0])
 
 
 def minimal_generator_count(M, cap=DEFAULT_CAP):
     """dim over the residue field of M / M*m."""
     R = M.ring
-    sub = linalg.Subgroup(_radical_cols(M, cap), M.ambient_moduli).size()
-    total = 1
-    for m in M.ambient_moduli:
-        total *= m
     ksize = R.size() // rc.m_size_or_one(rc.maximal_ideal(R, cap))
-    quot = total // sub
-    g0 = 0
-    while ksize ** g0 < quot:
-        g0 += 1
-    if ksize ** g0 != quot:
-        raise ShapeMismatch("top of the module is not a residue-field vector space")
-    return g0
+    return _log(ksize, M.size() // _radical(M, cap).size())
 
 
 def is_projective(M, cap=DEFAULT_CAP):
@@ -335,100 +429,104 @@ def is_projective(M, cap=DEFAULT_CAP):
     return M.size() == M.ring.size() ** g0
 
 
+@_per_module
 def projective_cover(M, cap=DEFAULT_CAP):
     """Minimal surjection from a free module, kernel inside P*m."""
-    R = M.ring
-    span = linalg.Subgroup(_radical_cols(M, cap), M.ambient_moduli)
-    chosen = []
-    for col in M.generator_columns():
-        if not span.contains(M.flatten(col)):
-            chosen.append(col)
-            span = span.extend(M._closure_cols([col]))
-    P = free_module(R, len(chosen))
-    cover = ModuleMap(P, M, _cols_to_matrix(chosen, M.generators), check=False)
-    if _span_size(M, cover) != M.size():
+    cols = M.generator_columns()
+    keep = _module_generators(M, [M.coords(col) for col in cols], _radical(M, cap))
+    P = free_module(M.ring, len(keep))
+    cover = ModuleMap(P, M, _cols_to_matrix([cols[i] for i in keep], M.generators), check=False)
+    if _image_size(cover) != M.size():
         raise ShapeMismatch("cover is not surjective")
     return cover
 
 
-def _span_size(M, cover):
-    cols = []
-    for col in cover.source.generator_columns():
-        img = cover.apply_column(col)
-        for j in range(M.ring.dim):
-            b = M.ring.basis_element(j)
-            cols.append(M.flatten([x * b for x in img]))
-    return M.relation_span().extend(cols).size() // M.relation_span().size()
+@_per_module
+def _syzygy(M, cap=DEFAULT_CAP):
+    """(Omega M, its inclusion into the projective cover)."""
+    return kernel(projective_cover(M, cap))
 
 
 def heller_shift(M, cap=DEFAULT_CAP):
     """Kernel of the projective cover."""
-    cover = projective_cover(M, cap)
-    K, _ = kernel(cover)
-    return K
+    return _syzygy(M, cap)[0]
 
 
 def heller_of_map(f, cap=DEFAULT_CAP):
     """A map Omega(f): Omega(source) -> Omega(target) lifting f through covers."""
     M, N = f.source, f.target
-    cover_M = projective_cover(M, cap)
-    cover_N = projective_cover(N, cap)
-    KM, inc_M = kernel(cover_M)
-    KN, inc_N = kernel(cover_N)
+    _, inc_M = _syzygy(M, cap)
+    _, inc_N = _syzygy(N, cap)
     # lift f . cover_M through cover_N, then restrict to the kernels
-    lifted = _lift_through_surjection(f.compose(cover_M), cover_N)
-    return _factor_through_injection(lifted.compose(inc_M), inc_N)
+    lifted = _factor_through(f.compose(projective_cover(M, cap)), projective_cover(N, cap))
+    return _factor_through(lifted.compose(inc_M), inc_N)
 
 
-def _lift_through_surjection(g, cover):
-    """h with cover . h = g, for cover a surjection from a free module."""
-    P, M = cover.source, cover.target
-    src = g.source
-    cols = []
-    for col in src.generator_columns():
-        target_vec = M.flatten(g.apply_column(col))
-        sol = _solve_module_map(cover, target_vec)
-        if sol is None:
-            raise IllFormedMap("lift through surjection failed")
-        cols.append(sol)
-    return ModuleMap(src, P, _cols_to_matrix(cols, P.generators), check=False)
+@_per_module
+def injective_envelope(M, cap=DEFAULT_CAP):
+    """An embedding of M into a free module, via homs to the ring.
 
-
-def _solve_module_map(f, target_vec):
-    """A column c over the source ring with f(c) = target_vec in the target."""
-    M, N = f.source, f.target
+    Over a quasi-Frobenius ring free modules are injective, so any embedding
+    into a free module serves the stable quotient; the hom list is pruned to
+    module generators of Hom(M, R) to keep the rank small.
+    """
     R = M.ring
-    qmN, projN, _ = N.quotient()
-    A = []
-    for r in range(len(qmN)):
-        A.append([0] * (M.generators * R.dim))
-    for j in range(M.generators):
-        for l in range(R.dim):
-            col = [R.zero()] * M.generators
-            col[j] = R.basis_element(l)
-            img = N.flatten(f.apply_column(col))
-            down = linalg.apply_matrix(projN, img)
-            for r in range(len(qmN)):
-                A[r][j * R.dim + l] = down[r]
-    b = linalg.apply_matrix(projN, target_vec)
-    sol = linalg.congruence_solve(A, b, list(qmN))
+    Rmod = free_module(R, 1)
+    homs = _hom_vectors(M, Rmod)
+    keep = _module_generators(Rmod, homs, linalg.Subgroup([], _hom_moduli(M, Rmod)))
+    rows = [_map_from_images(M, Rmod, homs[i]).matrix[0] for i in keep]
+    emb = ModuleMap(M, free_module(R, len(rows)), rows, check=True)
+    if _image_size(emb) != M.size():
+        raise NotQuasiFrobenius("module does not embed into a free module")
+    return emb
+
+
+@_per_module
+def heller_inverse(M, cap=DEFAULT_CAP):
+    """Cokernel of an embedding into a free module."""
+    return cokernel(injective_envelope(M, cap))[0]
+
+
+def omega_inverse_of_map(f, cap=DEFAULT_CAP):
+    """The map induced on cokernels of the fixed free embeddings.
+
+    Solves g . emb_M = emb_N . f for g between the free modules; g exists
+    because free modules are injective here.
+    """
+    M, N = f.source, f.target
+    emb_M = injective_envelope(M, cap)
+    emb_N = injective_envelope(N, cap)
+    IN = emb_N.target
+    rows = _combination_rows(emb_M.columns(), IN)
+    sol = linalg.congruence_solve(rows, _hom_coordinates(emb_N.compose(f)), _hom_moduli(M, IN))
     if sol is None:
-        return None
-    return _unflatten_over(R, M.generators, sol)
+        raise IllFormedMap("no extension over the free embeddings")
+    g = _map_from_images(emb_M.target, IN, sol)
+    return ModuleMap(heller_inverse(M, cap), heller_inverse(N, cap), g.matrix, check=True)
 
 
-def _factor_through_injection(g, inc):
-    """h with inc . h = g, for inc an inclusion (g must land in the image)."""
-    K = inc.source
-    src = g.source
-    cols = []
-    for col in src.generator_columns():
-        vec = g.target.flatten(g.apply_column(col))
-        sol = _solve_module_map(inc, vec)
-        if sol is None:
-            raise IllFormedMap("map does not land in the submodule")
-        cols.append(sol)
-    return ModuleMap(src, K, _cols_to_matrix(cols, K.generators), check=False)
+def omega_power_of_map(f, j, cap=DEFAULT_CAP):
+    """Iterated shift of a map, negative j through the inverse shift."""
+    current = f
+    if j >= 0:
+        for _ in range(j):
+            current = heller_of_map(current, cap)
+    else:
+        for _ in range(-j):
+            current = omega_inverse_of_map(current, cap)
+    return current
+
+
+def heller_power(M, j, cap=DEFAULT_CAP):
+    """Iterated Heller shift, negative j through embeddings."""
+    current = M
+    if j >= 0:
+        for _ in range(j):
+            current = heller_shift(current, cap)
+    else:
+        for _ in range(-j):
+            current = heller_inverse(current, cap)
+    return current
 
 
 # ---------------------------------------------------------------------------
@@ -438,19 +536,15 @@ def _factor_through_injection(g, inc):
 def _chain_invariants(M, cap=DEFAULT_CAP):
     """Sizes of M * m^j for j = 0, 1, ... over a chain ring (principal m)."""
     R = M.ring
-    m = rc.maximal_ideal(R, cap)
     g = rc.chain_generator(R, cap)
-    gens = [g] if g is not None else list(m.generators)
+    gens = [g] if g is not None else list(rc.maximal_ideal(R, cap).generators)
+    qm, dt = M.quotient()[0], M.action().dtype
     sizes = [M.size()]
-    current = M.generator_columns()
+    current = np.eye(len(qm), dtype=dt)  # rows additively generating M * m^j
     while sizes[-1] > 1:
-        nxt = []
-        for g in gens:
-            for col in current:
-                nxt.append([x * g for x in col])
-        span = M.relation_span().extend(M._closure_cols(nxt))
-        sizes.append(span.size() // M.relation_span().size())
-        current = nxt
+        span = linalg.Subgroup(np.vstack([current @ M.act(x).T for x in gens]).tolist(), qm)
+        sizes.append(span.size())
+        current = np.array(span.cols(), dtype=dt).reshape(-1, len(qm))
         if len(sizes) > 64:
             raise ShapeMismatch("radical filtration does not terminate")
     return tuple(sizes)
@@ -483,219 +577,21 @@ def iso_test(M, N, cap=DEFAULT_CAP):
 def _brute_force_iso(M, N, cap=DEFAULT_CAP):
     if M.size() > cap:
         raise SizeCapExceeded("isomorphism search above the size cap")
-    hom_gens = hom_group(M, N)
-    # search additive combinations of hom generators for a bijective one
-    moduli = [M.ring.char] * len(hom_gens)
-    if len(hom_gens) > 8:
+    homs = _hom_vectors(M, N)
+    if len(homs) > 8:
         raise SizeCapExceeded("hom space too large for brute-force search")
-    for combo in itertools.product(*[range(m) for m in moduli]):
-        F = _combine_maps(M, N, hom_gens, combo)
-        if _map_is_bijective(F):
+    # search additive combinations of hom generators for a bijective one
+    width = len(_hom_moduli(M, N))
+    for combo in itertools.product(range(M.ring.char), repeat=len(homs)):
+        v = [sum(c * h[i] for c, h in zip(combo, homs)) for i in range(width)]
+        if _image_size(_map_from_images(M, N, v)) == N.size():
             return True
     return False
 
 
-def _combine_maps(M, N, maps, coeffs):
-    R = M.ring
-    rows = [[R.zero() for _ in range(M.generators)] for _ in range(N.generators)]
-    for c, f in zip(coeffs, maps):
-        for i in range(N.generators):
-            for j in range(M.generators):
-                rows[i][j] = rows[i][j] + f.matrix[i][j] * c
-    return ModuleMap(M, N, rows, check=False)
-
-
-def _map_is_bijective(f):
-    M, N = f.source, f.target
-    if M.size() != N.size():
-        return False
-    K, _ = kernel(f)
-    return K.size() == 1
-
-
 # ---------------------------------------------------------------------------
-# hom groups and stable homs
+# stable homs
 # ---------------------------------------------------------------------------
-
-def hom_group(M, N):
-    """Additive generators of Hom(M, N), as ModuleMaps.
-
-    Solves for ring matrices F with F * rel(M) inside the relation span of N;
-    auxiliary unknowns absorb the relation-span membership.
-    """
-    R = M.ring
-    D = R.dim
-    nF = N.generators * M.generators * D
-    relN = N.relation_cols()
-    nY = len(relN)
-    rel_cols = M.relations
-    rows = []
-    row_moduli = []
-    ambN = N.ambient_moduli
-    for ci, c in enumerate(rel_cols):
-        # F * c - relN * y_c = 0 in the ambient group of N
-        block = [[0] * (nF + nY * len(rel_cols)) for _ in range(len(ambN))]
-        for i in range(N.generators):
-            for j in range(M.generators):
-                for l in range(D):
-                    # unknown: coefficient of basis l in F[i][j]
-                    prod = R.basis_element(l) * c[j]
-                    coords = R.full_coords(prod)
-                    colidx = (i * M.generators + j) * D + l
-                    for r in range(D):
-                        block[i * D + r][colidx] = coords[r]
-        for yi, rel in enumerate(relN):
-            colidx = nF + ci * nY + yi
-            for r in range(len(ambN)):
-                block[r][colidx] = -rel[r]
-        rows.extend(block)
-        row_moduli.extend(ambN)
-    col_moduli = list(R.orders) * (N.generators * M.generators) + [R.char] * (nY * len(rel_cols))
-    if not rows:
-        sols = [[int(k == j) for k in range(nF)] for j in range(nF)]
-    else:
-        sols = [v[:nF] for v in linalg.congruence_kernel(rows, row_moduli, col_moduli)]
-    out = []
-    for v in sols:
-        rowsF = []
-        for i in range(N.generators):
-            row = []
-            for j in range(M.generators):
-                base = (i * M.generators + j) * D
-                row.append(R.from_full_coords(v[base:base + D]))
-            rowsF.append(row)
-        F = ModuleMap(M, N, rowsF, check=False)
-        if not F._respects_relations():
-            continue
-        out.append(F)
-    return out
-
-
-def _hom_coordinates(F):
-    """Canonical coordinates of a hom: images of the generators in N's form."""
-    N = F.target
-    qm, proj, _ = N.quotient()
-    out = []
-    for col in F.source.generator_columns():
-        img = N.flatten(F.apply_column(col))
-        down = linalg.apply_matrix(proj, img)
-        out.extend(x % m if m else x for x, m in zip(down, qm))
-    return out
-
-
-def _hom_moduli(M, N):
-    qm, _, _ = N.quotient()
-    return list(qm) * M.generators
-
-
-def injective_envelope(M, cap=DEFAULT_CAP):
-    """An embedding of M into a free module, via homs to the ring.
-
-    Over a quasi-Frobenius ring free modules are injective, so any embedding
-    into a free module serves the stable quotient; the hom list is pruned to
-    module generators to keep the rank small.
-    """
-    R = M.ring
-    Rmod = free_module(R, 1)
-    homs = hom_group(M, Rmod)
-    # prune to module generators of Hom(M, R) under post-multiplication
-    chosen = []
-    span = linalg.Subgroup([], _hom_moduli(M, Rmod))
-    for f in homs:
-        if span.contains(_hom_coordinates(f)):
-            continue
-        chosen.append(f)
-        multiples = [[[x * R.basis_element(j) for x in row] for row in f.matrix] for j in range(R.dim)]
-        span = span.extend(_hom_coordinates(ModuleMap(M, Rmod, m, check=False)) for m in multiples)
-    T = len(chosen)
-    I = free_module(R, T)
-    rows = []
-    for t in range(T):
-        rows.append(list(chosen[t].matrix[0]))
-    emb = ModuleMap(M, I, rows, check=True)
-    K, _ = kernel(emb)
-    if K.size() != 1:
-        raise NotQuasiFrobenius("module does not embed into a free module")
-    return emb
-
-
-def heller_inverse(M, cap=DEFAULT_CAP):
-    """Cokernel of an embedding into a free module."""
-    emb = injective_envelope(M, cap)
-    C, _ = cokernel(emb)
-    return C
-
-
-def omega_inverse_of_map(f, cap=DEFAULT_CAP):
-    """The map induced on cokernels of the fixed free embeddings.
-
-    Solves g . emb_M = emb_N . f for g between the free modules; g exists
-    because free modules are injective here.
-    """
-    M, N = f.source, f.target
-    emb_M = injective_envelope(M, cap)
-    emb_N = injective_envelope(N, cap)
-    IM, IN = emb_M.target, emb_N.target
-    R = M.ring
-    amb = IN.ambient_moduli
-    rows_per = len(amb)
-    ncols = IN.generators * IM.generators * R.dim
-    A = [[0] * ncols for _ in range(M.generators * rows_per)]
-    b = []
-    rhs = emb_N.compose(f)
-    for jdx, col in enumerate(M.generator_columns()):
-        acol = emb_M.apply_column(col)
-        b.extend(IN.flatten(rhs.apply_column(col)))
-        for t in range(IN.generators):
-            for s in range(IM.generators):
-                a_s = acol[s]
-                if a_s.is_zero:
-                    continue
-                for l in range(R.dim):
-                    vec = R.full_coords(a_s * R.basis_element(l))
-                    cidx = (t * IM.generators + s) * R.dim + l
-                    for li, cval in enumerate(vec):
-                        A[jdx * rows_per + t * R.dim + li][cidx] += cval
-    row_moduli = list(amb) * M.generators
-    sol = linalg.congruence_solve(A, b, row_moduli)
-    if sol is None:
-        raise IllFormedMap("no extension over the free embeddings")
-    gmat = []
-    for t in range(IN.generators):
-        row = []
-        for s in range(IM.generators):
-            base = (t * IM.generators + s) * R.dim
-            coeffs = sol[base:base + R.dim]
-            row.append(R.from_full_coords(coeffs))
-        gmat.append(row)
-    CM, _ = cokernel(emb_M)
-    CN, _ = cokernel(emb_N)
-    return ModuleMap(CM, CN, gmat, check=True)
-
-
-def omega_power_of_map(f, j, cap=DEFAULT_CAP):
-    """Iterated shift of a map, negative j through the inverse shift."""
-    current = f
-    if j >= 0:
-        for _ in range(j):
-            current = heller_of_map(current, cap)
-    else:
-        for _ in range(-j):
-            current = omega_inverse_of_map(current, cap)
-    return current
-
-
-def heller_power(M, j, cap=DEFAULT_CAP):
-    """Iterated Heller shift, negative j through embeddings."""
-    current = M
-    if j >= 0:
-        for _ in range(j):
-            current = heller_shift(current, cap)
-    else:
-        for _ in range(-j):
-            current = heller_inverse(current, cap)
-    return current
-
 
 def strip_projective_summands(M, cap=DEFAULT_CAP):
     """Remove free direct summands (chain rings: by invariant counts)."""
@@ -768,59 +664,33 @@ def stable_hom(M, N, cap=DEFAULT_CAP):
     R = M.ring
     if not rc.is_quasi_frobenius(R, cap):
         raise NotQuasiFrobenius("stable homs need a quasi-Frobenius ring")
-    homs = hom_group(M, N)
-    hom_cols = [_hom_coordinates(f) for f in homs]
+    homs = _hom_vectors(M, N)
     P = stable_projective_span(M, N, cap)
-    hsize = linalg.Subgroup(hom_cols, P.moduli).size()
-    psize = P.size()
     ksize = R.size() // rc.m_size_or_one(rc.maximal_ideal(R, cap)) if rc.is_local(R, cap) else None
-    quot = hsize // psize
+    quot = P.extend(homs).size() // P.size()
     if ksize is not None:
         dim = _log(ksize, quot)
     else:
         dim = quot  # group order when no single residue field applies
     reps = []
     span = P
-    for f, v in zip(homs, hom_cols):
+    for v in homs:
         if not span.contains(v):
-            reps.append(f)
+            reps.append(_map_from_images(M, N, v))
             span = span.extend([v])
     return dim, reps
 
 
 def stable_projective_span(M, N, cap=DEFAULT_CAP):
-    """Subgroup of hom coordinates of the maps factoring through the embedding."""
-    emb = injective_envelope(M, cap)
-    I = emb.target
-    proj_cols = []
-    for t in range(I.generators):
-        for vec in _module_additive_generators(N):
-            # map I = R^T -> N sending e_t to vec, composed with the embedding
-            g = _free_to_module_map(I, N, t, vec)
-            proj_cols.append(_hom_coordinates(g.compose(emb)))
-    return linalg.Subgroup(proj_cols, _hom_moduli(M, N))
+    """Subgroup of hom coordinates of the maps factoring through the embedding.
+
+    Such a map sends e_t of the free envelope to some y in N, so generator j
+    of M goes to emb[t][j] * y; y runs over N's quotient unit vectors.
+    """
+    cols = [v for row in injective_envelope(M, cap).matrix for v in np.vstack([N.act(x) for x in row]).T.tolist()]
+    return linalg.Subgroup(cols, _hom_moduli(M, N))
 
 
 def stable_class_is_zero(f, cap=DEFAULT_CAP):
     """Does f factor through a projective module?"""
     return stable_projective_span(f.source, f.target, cap).contains(_hom_coordinates(f))
-
-
-def _module_additive_generators(N):
-    """Columns over the ring generating N additively."""
-    out = []
-    for col in N.generator_columns():
-        for j in range(N.ring.dim):
-            b = N.ring.basis_element(j)
-            out.append([x * b for x in col])
-    return out
-
-
-def _free_to_module_map(F, N, slot, column):
-    R = N.ring
-    rows = []
-    for i in range(N.generators):
-        row = [R.zero()] * F.generators
-        row[slot] = column[i]
-        rows.append(row)
-    return ModuleMap(F, N, rows, check=False)

@@ -768,17 +768,19 @@ def _minimal_gen_subset(R, gens, slices):
     return keep
 
 
+def principal_generator(R, ideal):
+    """One of the ideal's generators that generates it alone, or None."""
+    for g in ideal.generators:
+        if principal_ideal(R, g) == ideal:
+            return g
+    return None
+
+
 def chain_generator(R, cap=DEFAULT_CAP):
     """A single generator of the maximal ideal, or None if not principal."""
     key = ("chain_generator", cap)
     if key not in R._cache:
-        m = maximal_ideal(R, cap)
-        found = None
-        for g in m.generators:
-            if Ideal.from_generators(R, [g]) == m:
-                found = g
-                break
-        R._cache[key] = found
+        R._cache[key] = principal_generator(R, maximal_ideal(R, cap))
     return R._cache[key]
 
 

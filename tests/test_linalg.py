@@ -101,6 +101,15 @@ def test_congruence_solve_mixed():
     assert linalg.congruence_solve([[2]], [1], [0]) == [Fraction(1, 2)]
 
 
+def test_modp_empty_matrix():
+    # the empty matrix is handled by the elimination itself, not by callers
+    R, piv = linalg.modp_rref([], 3)
+    assert R.shape == (0, 0) and piv == []
+    assert linalg.modp_solve([], [], 3) == []
+    assert linalg.modp_rank([], 3) == 0
+    assert linalg.Subgroup([], [3, 3]).size() == 1
+
+
 def test_modp_overflow_guard():
     # p*p overflows int64, where elimination would return a wrong (empty) kernel
     p = 4294967311

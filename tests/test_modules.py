@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trimod import constructions as con
+from trimod import linalg
 from trimod import modules as md
 from trimod import rings as rc
 from trimod.errors import IllFormedMap
@@ -112,6 +114,23 @@ def test_ill_formed_map_rejected():
         ModuleMap(M, N, [[R.one()]])  # 1 does not kill the relation 2
 
 
+def test_action_matches_ring_multiplication():
+    # the cached action matrices against ring arithmetic on lifted columns;
+    # char 3**30 takes the exact Python-integer path instead of int64
+    rng = random.Random(0)
+    S, Z = f3t3(), con.z_mod(3 ** 30)
+    t = t_elem(S)
+    cases = [FiniteModule(S, 2, [[t, t * t]]), FiniteModule(Z, 2, [[Z.one() * 3 ** 15, Z.one() * 6]])]
+    assert cases[1].action().dtype == object
+    for M in cases:
+        R, qm = M.ring, M.quotient()[0]
+        for _ in range(20):
+            x = R.from_full_coords([rng.randrange(o) for o in R.orders])
+            v = [rng.randrange(m) for m in qm]
+            got = [a % m for a, m in zip(linalg.apply_matrix(M.act(x).tolist(), v), qm)]
+            assert got == M.coords([x * y for y in M.column(v)])
+
+
 def test_is_projective():
     R = z4()
     assert is_projective(free_module(R, 1))
@@ -156,6 +175,10 @@ def test_heller_period_two_chain():
     o2 = heller_shift(o1)
     assert o1.size() == 9
     assert iso_test(o2, k)
+    # syzygies come minimally presented: one generator, one relation
+    assert (o2.generators, len(o2.relations)) == (1, 1)
+    o2 = heller_power(residue_module(con.group_algebra_cyclic(3, 3)), 2)
+    assert (o2.generators, len(o2.relations)) == (1, 1)
 
 
 def test_iso_test_examples():
@@ -221,3 +244,48 @@ def test_heller_cube_random_sums(seed):
     lengths = [rng.choice([1, 2]) for _ in range(n)]
     M = direct_sum(R, [a if a < 2 else None for a in lengths], powers)
     assert heller_cube_check(R, [M])
+
+
+def _draw_module(data, R):
+    """A cyclic or two-generator module with up to three random relations."""
+    g = data.draw(st.integers(1, 2))
+    coords = st.tuples(*[st.integers(0, o - 1) for o in R.orders])
+    rels = data.draw(st.lists(st.lists(coords, min_size=g, max_size=g), max_size=3))
+    return FiniteModule(R, g, [[R.from_full_coords(list(c)) for c in col] for col in rels])
+
+
+def _relation_span(N):
+    """The relations of N times every ring basis element, as one subgroup."""
+    R = N.ring
+    cols = [N.flatten([x * R.basis_element(l) for x in col]) for col in N.relations for l in range(R.dim)]
+    return linalg.Subgroup(cols, N.ambient_moduli)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([z4, f3t3, f2x]), st.data())
+def test_hom_group_against_brute_force(ring, data):
+    R = ring()
+    M, N = _draw_module(data, R), _draw_module(data, R)
+    assume(N.size() ** M.generators <= 1000)
+    rel_N = _relation_span(N)
+    homs = md.hom_group(M, N)
+    # every returned map sends each relation of M into the relations of N
+    for F in homs:
+        for col in M.relations:
+            assert rel_N.contains(N.flatten(F.apply_column(col)))
+    # the span of the maps, as generator images modulo the relations of N
+    g, width = M.generators, len(N.ambient_moduli)
+    images = [[x for col in M.generator_columns() for x in N.flatten(F.apply_column(col))] for F in homs]
+    rels = [[0] * (j * width) + c + [0] * ((g - 1 - j) * width) for j in range(g) for c in rel_N.cols()]
+    span_size = linalg.Subgroup(images + rels, N.ambient_moduli * g).size() // rel_N.size() ** g
+    # |Hom(M, N)|: every choice of generator images that kills each relation
+    elements = [N.unflatten(v) for v in N.elements()]
+    count = 0
+    for images in itertools.product(elements, repeat=M.generators):
+        count += all(
+            rel_N.contains(N.flatten([
+                sum((c * n[i] for c, n in zip(col, images)), R.zero()) for i in range(N.generators)
+            ]))
+            for col in M.relations
+        )
+    assert span_size == count
