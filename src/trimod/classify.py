@@ -105,20 +105,6 @@ def has_unit_in_degree(R, d, cap=DEFAULT_CAP):
     return False
 
 
-def _local_socle_simple(R, cap):
-    soc = rc.socle(R, cap)
-    m = rc.maximal_ideal(R, cap)
-    if R.periodicity is not None:
-        # periodic local: the socle must be a principal ideal whose slices
-        # are at most one dimensional; checked via a single generator
-        g = rc.principal_generator(R, soc)
-        if g is None and soc.generators:
-            return False
-        return True
-    rsize = R.size() // max(m.size(), 1)
-    return soc.size() == rsize
-
-
 def classify_local(R, n, cap=DEFAULT_CAP):
     """Classification of a local ring against the three admissible shapes."""
     if R.char == 0 and R.periodicity is None:
@@ -134,7 +120,7 @@ def classify_local(R, n, cap=DEFAULT_CAP):
         if rc.is_graded_field(R, cap):
             return LocalVerdict(GRADED_FIELD)
         return LocalVerdict(NOT_DELTA, reason=RESIDUE_NOT_FIELD)
-    if not _local_socle_simple(R, cap):
+    if not rc.socle_is_simple(R, cap):
         return LocalVerdict(NOT_DELTA, reason=NOT_QF)
     x = rc.chain_generator(R, cap)
     if x is None:

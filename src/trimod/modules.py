@@ -22,7 +22,6 @@ those kept before misses it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -39,23 +38,15 @@ from .errors import (
 from .rings import DEFAULT_CAP
 
 
-def _int_dtype(R, terms):
-    """int64 when sums of `terms` products of residues below char cannot
-    overflow it, exact Python integers otherwise."""
-    return np.int64 if R.char ** 2 * terms < 2 ** 62 else object
-
-
 def _reduce(X, moduli):
     """Reduce the rows (axis -2) of an integer array modulo the given moduli."""
     return X % np.array(moduli, dtype=X.dtype).reshape(-1, 1)
 
 
 def _ring_action(R):
-    """Matrices of multiplication by each basis element on full coordinates."""
-    if "mult_matrices" not in R._cache:
-        mats = [R.mult_matrix_full(R.basis_element(l)) for l in range(R.dim)]
-        R._cache["mult_matrices"] = np.array(mats, dtype=_int_dtype(R, R.dim)).reshape(R.dim, R.dim, R.dim)
-    return R._cache["mult_matrices"]
+    """Matrices of multiplication by each basis element on full coordinates
+    (a read-only view of the structure constants)."""
+    return R.structure_constants.transpose(0, 2, 1)
 
 
 def _blockwise(mats, V):
@@ -118,7 +109,7 @@ class FiniteModule:
         if "lift" not in self._cache:
             qm, _, lift = self.quotient()
             amb = self.ambient_moduli
-            dt = _int_dtype(self.ring, len(amb) + self.ring.dim)
+            dt = rc.int_dtype(self.ring, len(amb) + self.ring.dim)
             self._cache["lift"] = _reduce(np.array(lift, dtype=dt).reshape(len(amb), len(qm)), amb)
         return self._cache["lift"]
 
@@ -399,17 +390,6 @@ def _factor_through(g, f):
 # projectivity, covers and envelopes (local rings)
 # ---------------------------------------------------------------------------
 
-def _per_module(fn):
-    """Compute fn(M, cap) once per module and cap, in M's cache."""
-    @functools.wraps(fn)
-    def once(M, cap=DEFAULT_CAP):
-        key = (fn.__name__, cap)
-        if key not in M._cache:
-            M._cache[key] = fn(M, cap)
-        return M._cache[key]
-    return once
-
-
 def _radical(M, cap=DEFAULT_CAP):
     """M * maximal ideal, as a subgroup of M's quotient coordinates."""
     cols = [v for g in rc.maximal_ideal(M.ring, cap).generators for v in M.act(g).T.tolist()]
@@ -429,7 +409,7 @@ def is_projective(M, cap=DEFAULT_CAP):
     return M.size() == M.ring.size() ** g0
 
 
-@_per_module
+@rc.per_object
 def projective_cover(M, cap=DEFAULT_CAP):
     """Minimal surjection from a free module, kernel inside P*m."""
     cols = M.generator_columns()
@@ -441,7 +421,7 @@ def projective_cover(M, cap=DEFAULT_CAP):
     return cover
 
 
-@_per_module
+@rc.per_object
 def _syzygy(M, cap=DEFAULT_CAP):
     """(Omega M, its inclusion into the projective cover)."""
     return kernel(projective_cover(M, cap))
@@ -462,7 +442,7 @@ def heller_of_map(f, cap=DEFAULT_CAP):
     return _factor_through(lifted.compose(inc_M), inc_N)
 
 
-@_per_module
+@rc.per_object
 def injective_envelope(M, cap=DEFAULT_CAP):
     """An embedding of M into a free module, via homs to the ring.
 
@@ -481,7 +461,7 @@ def injective_envelope(M, cap=DEFAULT_CAP):
     return emb
 
 
-@_per_module
+@rc.per_object
 def heller_inverse(M, cap=DEFAULT_CAP):
     """Cokernel of an embedding into a free module."""
     return cokernel(injective_envelope(M, cap))[0]
@@ -550,15 +530,11 @@ def _chain_invariants(M, cap=DEFAULT_CAP):
     return tuple(sizes)
 
 
+@rc.per_object
 def _is_chain_ring(R, cap=DEFAULT_CAP):
-    key = ("chain", cap)
-    if key not in R._cache:
-        if not rc.is_local(R, cap):
-            R._cache[key] = False
-        else:
-            m = rc.maximal_ideal(R, cap)
-            R._cache[key] = not m.generators or rc.chain_generator(R, cap) is not None
-    return R._cache[key]
+    if not rc.is_local(R, cap):
+        return False
+    return not rc.maximal_ideal(R, cap).generators or rc.chain_generator(R, cap) is not None
 
 
 def iso_test(M, N, cap=DEFAULT_CAP):

@@ -149,6 +149,15 @@ def test_cli_qf(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("name", ["f3_laurent_x1_y2.ring", "f3_laurent_x1_y3.ring",
+                                  "f3_laurent_x1_y4.ring"])
+def test_cli_qf_periodic_exterior(name, capsys):
+    # F_3[y, y^-1][x]/(x^2) is self-injective whatever the degrees
+    code, out, _ = _run(["qf", os.path.join(RINGS, name), "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["quasi_frobenius"] is True
+
+
 def test_cli_heller(capsys):
     code, out, _ = _run(
         ["heller", os.path.join(RINGS, "z4.ring"),

@@ -2,7 +2,13 @@ import pytest
 
 from trimod import constructions as con
 from trimod import rings
-from trimod.errors import RingSpecError
+from trimod import modules as md
+from trimod.errors import (
+    AssociativityViolation,
+    CommutativityViolation,
+    RingSpecError,
+    SizeCapExceeded,
+)
 from trimod.rings import (
     GradedRing,
     Ideal,
@@ -38,6 +44,43 @@ def test_validate_rejects_nonassociative():
     R = GradedRing(2, [("e", 0), ("g", 0)], products, [(1, 0, 0)])
     with pytest.raises(RingSpecError):
         validate_ring(R)
+
+
+def _unital(char, basis, products, periodicity=None):
+    """A ring on basis[0] = 1 with the given further products."""
+    table = {(0, j): [(1, j, 0)] for j in range(len(basis))}
+    table.update({(j, 0): [(1, j, 0)] for j in range(len(basis))})
+    table.update(products)
+    return GradedRing(char, basis, table, [(1, 0, 0)], periodicity=periodicity)
+
+
+F2_ABC = [("one", 0), ("a", 0), ("b", 0)]
+F3_XYZ = [("one", 0), ("x", 1), ("y", 1), ("z", 2)]
+
+
+@pytest.mark.parametrize("ring, error, indices", [
+    # a^2 = b, ab = ba = a, b^2 = 0: (aa)b = 0 but a(ab) = b
+    (_unital(2, F2_ABC, {(1, 1): [(1, 2, 0)], (1, 2): [(1, 1, 0)], (2, 1): [(1, 1, 0)]}),
+     AssociativityViolation, (1, 1, 2)),
+    (_unital(2, F2_ABC, {(1, 2): [(1, 1, 0)]}), CommutativityViolation, (1, 2)),
+    # odd-degree x, y must anticommute in characteristic 3: yx = -xy
+    (_unital(3, F3_XYZ, {(1, 2): [(1, 3, 0)], (2, 1): [(1, 3, 0)]}), CommutativityViolation, (1, 2)),
+    # periodic, |x| = 1, |y| = 2: x^2 = y would have to equal -x^2
+    (_unital(3, [("one", 0), ("x", 1)], {(1, 1): [(1, 0, 1)]}, ("y", 2)), CommutativityViolation, (1, 1)),
+    # periodic, |a| = 1, |v| = 1: a^2 = b v^2, ab = ba = a, b^2 = 0
+    (_unital(2, [("one", 0), ("a", 1), ("b", 0)],
+             {(1, 1): [(1, 2, 2)], (1, 2): [(1, 1, 0)], (2, 1): [(1, 1, 0)]}, ("v", 1)),
+     AssociativityViolation, (1, 1, 2)),
+])
+def test_validate_names_first_violation(ring, error, indices):
+    with pytest.raises(error) as info:
+        validate_ring(ring)
+    assert info.value.indices == indices
+
+
+def test_validate_accepts_graded_signs():
+    # the exterior algebra on x, y of degree 1 over F_3: yx = -xy
+    validate_ring(_unital(3, F3_XYZ, {(1, 2): [(1, 3, 0)], (2, 1): [(2, 3, 0)]}))
 
 
 def test_validate_rejects_bad_orders():
@@ -157,6 +200,29 @@ def test_socle_and_qf():
     assert is_quasi_frobenius(con.truncated_polynomial(5, 3))
     assert not is_quasi_frobenius(con.square_zero_two_vars(2))
     assert is_quasi_frobenius(con.product_ring(con.finite_field(2), con.z_mod(4)))
+
+
+def test_ring_predicates_once_per_ring(monkeypatch):
+    calls = []
+    frobenius = rings._local_by_frobenius
+
+    def counted(R):
+        calls.append(R)
+        return frobenius(R)
+
+    monkeypatch.setattr(rings, "_local_by_frobenius", counted)
+    k = md.residue_module(con.truncated_polynomial(3, 3))
+    md.stable_hom(k, k)
+    first = len(calls)
+    md.stable_hom(md.heller_shift(k), k)
+    assert first > 0 and len(calls) == first
+
+
+def test_failed_cap_is_not_cached():
+    R = con.z_mod(16)
+    with pytest.raises(SizeCapExceeded):
+        is_local(R, cap=8)
+    assert is_local(R)
 
 
 def test_periodic_graded_field():
