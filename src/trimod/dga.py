@@ -8,12 +8,19 @@ constructor cross-checks with a generic word rewriter.
 
 Well-definedness of d forces a parity condition on (i, n, char k); the
 constructor raises ParityObstruction when it fails.
+
+Homology is computed slice by slice over F_p.  A module with zero
+differential (a free module, its shifts, the cone of a zero map) takes its
+homology from H(A): its slice complex is a direct sum of slices of A, whose
+homology each algebra computes once per degree.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+
+import numpy as np
 
 from . import linalg
 from .errors import (
@@ -107,6 +114,8 @@ class DGAlgebra:
         self.weight = weight
         self.vdeg = 3 * i + n
         self.adeg = 2 * i + n
+        # padding -> {degree: homology record of A as a module over itself}
+        self.algebra_slices = {}
 
     def monomial_degree(self, t, e, m):
         return t * self.vdeg + e * self.adeg + m * self.i
@@ -492,29 +501,117 @@ def slice_basis(M, q):
     return out
 
 
+def slice_coords(elem, pos, p):
+    """Coordinates of {gen index: A-element} in a slice basis given as
+    {(gen index, monomial): position}; terms off the slice are dropped."""
+    out = [0] * len(pos)
+    for j, x in elem.items():
+        for k, c in x.terms.items():
+            idx = pos.get((j, k))
+            if idx is not None:
+                out[idx] = (out[idx] + c) % p
+    return out
+
+
+def slice_element(alg, basis, vec):
+    """The module element {gen index: A-element} with coordinates vec."""
+    terms = {}
+    for (j, key), c in zip(basis, vec):
+        if c:
+            terms.setdefault(j, {})[key] = c
+    return {j: DGElement(alg, t) for j, t in terms.items()}
+
+
 def _slice_matrix(M, src_basis, tgt_basis):
-    """Matrix of d from the src slice to the tgt slice, over F_p."""
+    """Matrix of d from the src slice to the tgt slice over F_p, as an array
+    of shape (target, source)."""
+    # terms truncated past the weight bound are dropped; the reliability
+    # filter of the homology excludes the affected classes
     pos = {key: idx for idx, key in enumerate(tgt_basis)}
-    cols = []
-    for (j, key) in src_basis:
-        elem = {j: DGElement(M.alg, {key: 1})}
-        img = M.apply_diff(elem)
-        col = [0] * len(tgt_basis)
-        for i, x in img.items():
-            for k, c in x.terms.items():
-                if (i, k) in pos:
-                    col[pos[(i, k)]] = c % M.alg.p
-                # terms truncated past the weight bound are dropped; the
-                # reliability filter below excludes affected classes
-        cols.append(col)
-    return [[cols[j][r] for j in range(len(src_basis))] for r in range(len(tgt_basis))]
+    cols = [slice_coords(M.apply_diff({j: DGElement(M.alg, {key: 1})}), pos, M.alg.p)
+            for j, key in src_basis]
+    return _columns(cols, len(tgt_basis))
+
+
+def _columns(vectors, size):
+    """The matrix with these coordinate vectors of length size as columns."""
+    return np.array(vectors, dtype=np.int64).reshape(len(vectors), size).T
+
+
+def _slice_homology(alg, basis, d_here, d_above, padding):
+    """Homology record of one slice from d_here (to the slice n below) and
+    d_above (from the slice n above), both arrays of shape (target, source).
+
+    Representatives are cycles supported on u-weights <= W - padding; of
+    these, a cycle is kept when it lies outside the span of the boundaries
+    and the cycles kept before it, i.e. when its column is a pivot of one
+    echelon form of [im | ker_low].
+    """
+    p, size = alg.p, len(basis)
+    if d_here.shape[0]:
+        ker = linalg.modp_kernel(d_here.tolist(), p)
+    else:
+        ker = [[int(a == b) for a in range(size)] for b in range(size)]
+    im = [col for col in d_above.T.tolist() if any(col)]
+    # reliability: intersect the cycles with the low-weight coordinates
+    high = [idx for idx, (_, (_, _, m)) in enumerate(basis) if m > alg.weight - padding]
+    ker_low = ker
+    if ker and high:
+        ker_low = []
+        for comb in linalg.modp_kernel([[v[idx] for v in ker] for idx in high], p):
+            vec = [0] * size
+            for c, v in zip(comb, ker):
+                if c:
+                    vec = [(x + c * y) % p for x, y in zip(vec, v)]
+            if any(vec):
+                ker_low.append(vec)
+    reps = []
+    if ker_low:
+        _, pivots = linalg.modp_rref(_columns(im + ker_low, size), p)
+        reps = [ker_low[c - len(im)] for c in pivots if c >= len(im)]
+    return {"dim": len(reps), "reps": reps, "basis": basis, "im": im}
+
+
+def _slices(M, degrees, padding):
+    """Homology records of M at the given degrees; every slice basis and
+    slice differential is built once (d_above at q is d_here at q + n)."""
+    n = M.alg.n
+    near = {q + s for q in degrees for s in (0, n)}
+    bases = {q: slice_basis(M, q) for q in near | {q - n for q in near}}
+    diffs = {q: _slice_matrix(M, bases[q], bases[q - n]) for q in near}
+    return {q: _slice_homology(M.alg, bases[q], diffs[q], diffs[q + n], padding) for q in degrees}
+
+
+def _free_homology(M, window, padding):
+    """Homology of a module with zero differential: its slice complex is the
+    direct sum over generators j of A at degree q - deg(gen_j), so each slice
+    is assembled from H(A), computed once per degree on the algebra."""
+    alg = M.alg
+    lo, hi = window
+    known = alg.algebra_slices.setdefault(padding, {})
+    missing = sorted({q - gd for q in range(lo, hi + 1) for gd in M.gen_degrees} - known.keys())
+    known.update(_slices(DGModule(alg, [0], check=False), missing, padding))
+    out = {}
+    for q in range(lo, hi + 1):
+        blocks = [(j, known[q - gd]) for j, gd in enumerate(M.gen_degrees)]
+        size = sum(len(H["basis"]) for _, H in blocks)
+        basis, reps, im = [], [], []
+        for j, H in blocks:
+            before = [0] * len(basis)
+            after = [0] * (size - len(basis) - len(H["basis"]))
+            reps += [before + v + after for v in H["reps"]]
+            im += [before + v + after for v in H["im"]]
+            basis += [(j, key) for _, key in H["basis"]]
+        out[q] = {"dim": len(reps), "reps": reps, "basis": basis, "im": im}
+    return out
 
 
 def homology(M, window, padding=PADDING):
     """Per-degree homology data in the window.
 
-    Returns {q: (dim, reps, basis, im_basis)} where reps are coordinate
-    vectors of representative cycles supported on reliable u-weights.
+    Returns {q: {"dim", "reps", "basis", "im"}}: reps are coordinate vectors
+    of representative cycles supported on reliable u-weights, im spans the
+    boundaries, both in the monomial basis of the slice.
     """
     alg = M.alg
     lo, hi = window
@@ -524,84 +621,41 @@ def homology(M, window, padding=PADDING):
         raise WindowTooWideForWeightBound(
             f"weight bound {alg.weight} too small for window span {hi - lo}"
         )
-    p = alg.p
-    out = {}
-    for q in range(lo, hi + 1):
-        basis = slice_basis(M, q)
-        below = slice_basis(M, q - alg.n)
-        above = slice_basis(M, q + alg.n)
-        d_here = _slice_matrix(M, basis, below)
-        d_above = _slice_matrix(M, above, basis)
-        ker = linalg.modp_kernel(d_here, p) if basis else []
-        if not below:
-            ker = [[int(a == b) for a in range(len(basis))] for b in range(len(basis))]
-        im = [[row[j] for row in d_above] for j in range(len(above))] if above else []
-        im = [col for col in im if any(col)]
-        # reliability: keep cycles supported on u-weight <= W - padding
-        low_idx = [idx for idx, (j, (t, e, m)) in enumerate(basis) if m <= alg.weight - padding]
-        low_mask = set(low_idx)
-        ker_low = []
-        if ker:
-            # intersect kernel with the low-weight coordinate subspace
-            high = [idx for idx in range(len(basis)) if idx not in low_mask]
-            if high:
-                A = [[v[idx] for v in ker] for idx in high]
-                sol = linalg.modp_kernel(A, p)
-                for comb in sol:
-                    vec = [0] * len(basis)
-                    for ci, v in zip(comb, ker):
-                        if ci:
-                            for r in range(len(basis)):
-                                vec[r] = (vec[r] + ci * v[r]) % p
-                    if any(vec):
-                        ker_low.append(vec)
-            else:
-                ker_low = [list(v) for v in ker]
-        # representatives: greedily extend the image span by low cycles; the
-        # final span is span(im, ker_low), so the reps count the homology
-        reps = []
-        span = linalg.Subgroup(im, [p] * len(basis))
-        for v in ker_low:
-            if not span.contains(v):
-                reps.append(v)
-                span = span.extend([v])
-        out[q] = {"dim": len(reps), "reps": reps, "basis": basis, "im": [list(c) for c in im]}
-    return out
+    if all(x.is_zero for row in M.diff for x in row):
+        return _free_homology(M, window, padding)
+    return _slices(M, range(lo, hi + 1), padding)
 
 
-def homology_class_coordinates(Hq, p, vec):
-    """Coordinates of a cycle in the chosen representative basis of H_q."""
+def class_coordinates(Hq, p, cycles):
+    """Matrix whose column c holds the coordinates of cycles[c] in the chosen
+    representative basis of H_q, from one echelon form of [reps | im | cycles].
+
+    The reps are independent modulo im and come first, so they are the first
+    pivots, and each cycle column of the echelon form starts with its class
+    coordinates.
+    """
     reps, im = Hq["reps"], Hq["im"]
-    cols = [list(r) for r in reps] + [list(c) for c in im]
-    if not cols:
-        return [0] * 0
-    A = [[cols[j][r] for j in range(len(cols))] for r in range(len(vec))]
-    sol = linalg.modp_solve(A, list(vec), p)
-    if sol is None:
+    k, lead = len(reps), len(reps) + len(im)
+    if not cycles or not lead:
+        return [[0] * len(cycles) for _ in range(k)]
+    R, pivots = linalg.modp_rref(_columns(reps + im + cycles, len(Hq["basis"])), p)
+    if pivots and pivots[-1] >= lead:
         raise ShapeMismatch("cycle is not in the span of representatives and boundaries")
-    return sol[: len(reps)]
+    return R[:k, lead:].tolist()
 
 
 def u_action_matrix(M, H, q):
     """Matrix of left multiplication by u: H_q -> H_{q+i}."""
     alg = M.alg
     Hq, Ht = H[q], H[q + alg.i]
-    tgt_basis = Ht["basis"]
-    pos = {key: idx for idx, key in enumerate(tgt_basis)}
-    cols = []
+    pos = {key: idx for idx, key in enumerate(Ht["basis"])}
+    u = alg.gen_u()
+    images = []
     for vec in Hq["reps"]:
-        img = [0] * len(tgt_basis)
-        for idx, c in enumerate(vec):
-            if not c:
-                continue
-            j, key = Hq["basis"][idx]
-            prod = alg.multiply(alg.gen_u(), DGElement(alg, {key: 1}), truncate=True)
-            for k, c2 in prod.terms.items():
-                if (j, k) in pos:
-                    img[pos[(j, k)]] = (img[pos[(j, k)]] + c * c2) % alg.p
-        cols.append(homology_class_coordinates(Ht, alg.p, img))
-    rows = Ht["dim"]
-    return [[cols[j][r] for j in range(len(cols))] for r in range(rows)]
+        elem = slice_element(alg, Hq["basis"], vec)
+        images.append(slice_coords(
+            {j: alg.multiply(u, x, truncate=True) for j, x in elem.items()}, pos, alg.p))
+    return class_coordinates(Ht, alg.p, images)
 
 
 def homology_is_free_rank_one(M, window, padding=PADDING):

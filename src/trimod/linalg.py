@@ -66,22 +66,27 @@ def modp_rref(A, p):
         raise UnsupportedCoefficients(f"prime {p} too large for int64 elimination")
     R %= p
     pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
+    r = c = 0
+    while r < nr and c < nc:
+        # the next pivot is the first nonzero of the trailing block in
+        # column-major order: leftmost column, then topmost row
+        dc, dr = divmod(int((R[r:, c:] != 0).T.argmax()), nr - r)
+        c, i = c + dc, r + dr
+        pivot = int(R[i, c])
+        if not pivot:
             break
-        nz = np.nonzero(R[r:, c])[0]
-        if len(nz) == 0:
-            continue
-        i = r + int(nz[0])
         if i != r:
             R[[r, i]] = R[[i, r]]
-        R[r] = (R[r] * pow(int(R[r, c]), p - 2, p)) % p
-        factors = R[:, c].copy()
-        factors[r] = 0
-        R = (R - np.outer(factors, R[r])) % p
+        if pivot != 1:
+            R[r, c:] = (R[r, c:] * pow(pivot, p - 2, p)) % p
+        # only rows with a nonzero entry in column c change, and the pivot
+        # row is zero left of c
+        rows = R[:, c].nonzero()[0]
+        rows = rows[rows != r]
+        if len(rows):
+            R[rows, c:] = (R[rows, c:] - np.outer(R[rows, c], R[r, c:])) % p
         pivots.append(c)
-        r += 1
+        r, c = r + 1, c + 1
     return R, pivots
 
 
@@ -98,15 +103,11 @@ def modp_kernel(A, p):
     if nr == 0:
         return [[1 if i == j else 0 for i in range(nc)] for j in range(nc)]
     R, pivots = modp_rref(A, p)
-    free = [c for c in range(nc) if c not in pivots]
-    out = []
-    for f in free:
-        v = [0] * nc
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = int(-R[r, f]) % p
-        out.append(v)
-    return out
+    free = sorted(set(range(nc)).difference(pivots))
+    K = np.zeros((len(free), nc), dtype=np.int64)
+    K[np.arange(len(free)), free] = 1
+    K[:, pivots] = (-R[:len(pivots), free].T) % p
+    return K.tolist()
 
 
 def modp_solve(A, b, p):

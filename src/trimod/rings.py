@@ -26,6 +26,7 @@ from .errors import (
     DegreeMismatch,
     NoUnit,
     NotLocal,
+    NotLocalInput,
     NotSemiperfect,
     RingSpecError,
     SizeCapExceeded,
@@ -80,7 +81,12 @@ class GradedRing:
             for (i, j), terms in products.items()
         }
         self.products = {k: v for k, v in self.products.items() if v}
-        self.unit_terms = tuple((self._coeff(c, k), int(k), int(t)) for c, k, t in unit)
+        # duplicate (k, t) unit terms are summed, as product terms are
+        unit_sum = {}
+        for c, k, t in unit:
+            key = (int(k), int(t))
+            unit_sum[key] = self._coeff(unit_sum.get(key, 0) + self._coeff(c, k), k)
+        self.unit_terms = tuple((c, k, t) for (k, t), c in unit_sum.items())
         self._cache = {}
 
     # -- basic structure -------------------------------------------------
@@ -1019,7 +1025,11 @@ def socle_is_simple(R, cap=DEFAULT_CAP):
 def is_quasi_frobenius(R, cap=DEFAULT_CAP):
     """Self-injectivity test: each local factor must have simple socle."""
     if R.periodicity is not None:
-        return is_local(R, cap) and socle_is_simple(R, cap)
+        # periodic rings are not split into factors, so only local ones are
+        # in scope, as in classify
+        if not is_local(R, cap):
+            raise NotLocalInput("quasi-Frobenius test on a periodic ring needs a local ring")
+        return socle_is_simple(R, cap)
     for factor in decompose_product(R, cap):
         if not is_local(factor, cap):
             raise NotSemiperfect("factor of the decomposition is not local")

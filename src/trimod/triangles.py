@@ -58,10 +58,6 @@ def _is_zero_matrix(A):
     return all(not any(row) for row in A)
 
 
-def _neg(A, p):
-    return [[(-x) % p for x in row] for row in A]
-
-
 def _lift_entry(alg, R, x):
     """k[x]/(x^2) element to a cycle in the DG algebra: 1 -> 1, x -> u."""
     out = {}
@@ -98,62 +94,25 @@ def _check_lift_ring(R, n):
     return p, i
 
 
-def _induced_matrix(dgmap, Hsrc, Htgt, q, p):
-    """Matrix of the map induced on homology at degree q."""
+def _induced_matrix(dgmap, Hsrc, Htgt, q, p, twist=0):
+    """Matrix of the map induced on homology at degree q.
+
+    With twist = n it is the connecting map H(A[n])_q -> H(B[n])_q of the
+    cone sequence for f = dgmap.  Lift a cycle of A[n] into the cone and
+    apply the differential: the result is f applied coefficientwise with a
+    (-1)^{n|y|} twist on each monomial y.  This differs from the naively
+    suspended matrix by an invertible sign diagonal, so ranks agree with f,
+    but only this version makes consecutive composites vanish.
+    """
     alg = dgmap.source.alg
     src, tgt = Hsrc[q], Htgt[q]
+    signs = [-1 if (twist * alg.monomial_degree(*key)) % 2 else 1 for _, key in src["basis"]]
     pos = {key: idx for idx, key in enumerate(tgt["basis"])}
-    cols = []
+    images = []
     for vec in src["reps"]:
-        elem = {}
-        for idx, c in enumerate(vec):
-            if not c:
-                continue
-            j, key = src["basis"][idx]
-            piece = dg.DGElement(alg, {key: c})
-            elem[j] = elem.get(j, alg.zero()) + piece
-        img = dgmap.apply(elem)
-        flat = [0] * len(tgt["basis"])
-        for i, x in img.items():
-            for k, c in x.terms.items():
-                if (i, k) in pos:
-                    flat[pos[(i, k)]] = (flat[pos[(i, k)]] + c) % p
-        cols.append(dg.homology_class_coordinates(tgt, p, flat))
-    rows = tgt["dim"]
-    return [[cols[j][r] for j in range(len(cols))] for r in range(rows)]
-
-
-def _connecting_matrix(alg, lifted, Hsrc, Htgt, q, p, n):
-    """Connecting map H(A[n])_q -> H(B[n])_q of the cone sequence.
-
-    Lift a cycle of A[n] into the cone and apply the differential: the result
-    is f applied coefficientwise with a (-1)^{n|y|} twist.  This differs from
-    the naively suspended matrix by an invertible sign diagonal, so ranks
-    agree with f, but only this version makes consecutive composites vanish.
-    """
-    src, tgt = Hsrc[q], Htgt[q]
-    pos = {key: idx for idx, key in enumerate(tgt["basis"])}
-    cols = []
-    for vec in src["reps"]:
-        flat = [0] * len(tgt["basis"])
-        for idx, c in enumerate(vec):
-            if not c:
-                continue
-            j, key = src["basis"][idx]
-            ydeg = alg.monomial_degree(*key)
-            sign = -1 if (n * ydeg) % 2 else 1
-            y = dg.DGElement(alg, {key: c * sign})
-            for i in range(len(lifted)):
-                entry = lifted[i][j]
-                if entry.is_zero:
-                    continue
-                prod = alg.multiply(y, entry, truncate=True)
-                for kk, cc in prod.terms.items():
-                    if (i, kk) in pos:
-                        flat[pos[(i, kk)]] = (flat[pos[(i, kk)]] + cc) % p
-        cols.append(dg.homology_class_coordinates(tgt, p, flat))
-    rows = tgt["dim"]
-    return [[cols[j][r] for j in range(len(cols))] for r in range(rows)]
+        elem = dg.slice_element(alg, src["basis"], [c * s for c, s in zip(vec, signs)])
+        images.append(dg.slice_coords(dgmap.apply(elem), pos, p))
+    return dg.class_coordinates(tgt, p, images)
 
 
 def _generator_degrees(Cmod, H, window, i, vdeg, p):
@@ -161,16 +120,11 @@ def _generator_degrees(Cmod, H, window, i, vdeg, p):
     lo, hi = window
     per_key = {}
     for q in range(lo, hi + 1):
-        dim = H[q]["dim"]
-        if dim == 0:
-            continue
-        if not (lo <= q - i <= hi):
-            continue
-        act = dg.u_action_matrix(Cmod, H, q - i)
-        incoming = linalg.modp_rank(act, p)
-        count = dim - incoming
         key = q % vdeg if vdeg else q
-        if key not in per_key and count > 0:
+        if key in per_key or not H[q]["dim"] or not (lo <= q - i <= hi):
+            continue
+        count = H[q]["dim"] - linalg.modp_rank(dg.u_action_matrix(Cmod, H, q - i), p)
+        if count > 0:
             per_key[key] = (q, count)
     out = []
     for q, count in sorted(per_key.values()):
@@ -232,32 +186,56 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
         fs[q] = _induced_matrix(fmap, HA, HB, q, p)
         gs[q] = _induced_matrix(gmap, HB, HC, q, p)
         hs[q] = _induced_matrix(hmap, HC, HAs, q, p)
-        sfs[q] = _connecting_matrix(alg, lifted, HAs, HBs, q, p, n)
+        sfs[q] = _induced_matrix(fmap, HAs, HBs, q, p, twist=n)
 
     third = _generator_degrees(C, HC, window, i, alg.vdeg, p)
     return Triangle(p, n, window, dims, fs, gs, hs, sfs, third)
 
 
+# position -> (detail when the composite is nonzero, detail when the ranks
+# do not add up); the last map is -f[n], and the sign changes neither
+# kernels, images nor whether a composite vanishes
+_DETAILS = {
+    "B": ("g*f != 0", "im f != ker g"),
+    "C": ("h*g != 0", "im g != ker h"),
+    "SA": ("(-f[n])*h != 0", "im h != ker f[n]"),
+    "SB": ("g[n]*f[n] != 0", "im(-f[n]) != ker g[n]"),
+}
+
+
+def _exact_at(T, q, position):
+    """Report of the first failed exactness check at one position in degree
+    q, or None.  A position is exact when the composite through it vanishes
+    and the ranks of the maps in and out add up to its dimension."""
+    p, n = T.p, T.n
+    if position == "SB":
+        # in by -f[n], out by g[n], which is conjugate to g at q - n; the
+        # composite is checked on the unsuspended maps
+        incoming, outgoing, dim = T.sf[q], T.g[q - n], T.dims[q - n][1]
+        composite = _mat_mul(T.g[q - n], T.f[q - n], p)
+    else:
+        incoming, outgoing, dim = {"B": (T.f[q], T.g[q], T.dims[q][1]),
+                                   "C": (T.g[q], T.h[q], T.dims[q][2]),
+                                   "SA": (T.h[q], T.sf[q], T.dims[q][3])}[position]
+        composite = _mat_mul(outgoing, incoming, p)
+    zero_detail, rank_detail = _DETAILS[position]
+    if not _is_zero_matrix(composite):
+        detail = zero_detail
+    elif linalg.modp_rank(incoming, p) + linalg.modp_rank(outgoing, p) != dim:
+        detail = rank_detail
+    else:
+        return None
+    return {"pass": False, "degree": q, "position": position, "detail": detail}
+
+
 def verify_triangle_exact(T):
     """Slicewise exactness at B, C and A[n]; report PASS or first failure."""
-    p = T.p
     lo, hi = T.window
     for q in range(lo, hi + 1):
-        a, b, c, sa, sb = T.dims[q]
-        fq, gq, hq, sfq = T.f[q], T.g[q], T.h[q], T.sf[q]
-        if not _is_zero_matrix(_mat_mul(gq, fq, p)):
-            return {"pass": False, "degree": q, "position": "B", "detail": "g*f != 0"}
-        if linalg.modp_rank(fq, p) + linalg.modp_rank(gq, p) != b:
-            return {"pass": False, "degree": q, "position": "B", "detail": "im f != ker g"}
-        if not _is_zero_matrix(_mat_mul(hq, gq, p)):
-            return {"pass": False, "degree": q, "position": "C", "detail": "h*g != 0"}
-        if linalg.modp_rank(gq, p) + linalg.modp_rank(hq, p) != c:
-            return {"pass": False, "degree": q, "position": "C", "detail": "im g != ker h"}
-        # last map is -f[n]; the sign does not change kernels or images
-        if not _is_zero_matrix(_mat_mul(_neg(sfq, p), hq, p)):
-            return {"pass": False, "degree": q, "position": "SA", "detail": "(-f[n])*h != 0"}
-        if linalg.modp_rank(hq, p) + linalg.modp_rank(sfq, p) != sa:
-            return {"pass": False, "degree": q, "position": "SA", "detail": "im h != ker f[n]"}
+        for position in ("B", "C", "SA"):
+            failure = _exact_at(T, q, position)
+            if failure:
+                return failure
     return {"pass": True, "degree": None, "position": None, "detail": "exact in window"}
 
 
@@ -267,26 +245,14 @@ def verify_rotation(T):
     The suspension of g is conjugate to g shifted by n, so the check at B[n]
     only needs data already recorded on the original triangle.
     """
-    p = T.p
     lo, hi = T.window
     for q in range(lo, hi + 1):
         if not (lo <= q - T.n <= hi):
             continue
-        a, b, c, sa, sb = T.dims[q]
-        gq, hq, sfq = T.g[q], T.h[q], T.sf[q]
-        if not _is_zero_matrix(_mat_mul(hq, gq, p)):
-            return {"pass": False, "degree": q, "position": "C", "detail": "h*g != 0"}
-        if linalg.modp_rank(gq, p) + linalg.modp_rank(hq, p) != c:
-            return {"pass": False, "degree": q, "position": "C", "detail": "im g != ker h"}
-        if not _is_zero_matrix(_mat_mul(_neg(sfq, p), hq, p)):
-            return {"pass": False, "degree": q, "position": "SA", "detail": "(-f[n])*h != 0"}
-        if linalg.modp_rank(hq, p) + linalg.modp_rank(sfq, p) != sa:
-            return {"pass": False, "degree": q, "position": "SA", "detail": "im h != ker f[n]"}
-        gprev, fprev = T.g[q - T.n], T.f[q - T.n]
-        if not _is_zero_matrix(_mat_mul(gprev, fprev, p)):
-            return {"pass": False, "degree": q, "position": "SB", "detail": "g[n]*f[n] != 0"}
-        if linalg.modp_rank(sfq, p) + linalg.modp_rank(gprev, p) != T.dims[q - T.n][1]:
-            return {"pass": False, "degree": q, "position": "SB", "detail": "im(-f[n]) != ker g[n]"}
+        for position in ("C", "SA", "SB"):
+            failure = _exact_at(T, q, position)
+            if failure:
+                return failure
     return {"pass": True, "degree": None, "position": None, "detail": "rotation exact in window"}
 
 

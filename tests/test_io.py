@@ -7,6 +7,7 @@ import pytest
 from trimod import cli, ringio
 from trimod import constructions as con
 from trimod.errors import ParseError
+from trimod.rings import GradedRing
 
 HERE = os.path.dirname(__file__)
 RINGS = os.path.join(HERE, os.pardir, "rings")
@@ -147,6 +148,17 @@ def test_cli_qf(capsys):
     assert code == 0
     code, _, _ = _run(["qf", os.path.join(RINGS, "f2xy.ring")], capsys)
     assert code == 1
+
+
+def test_cli_qf_periodic_nonlocal_is_input_error(tmp_path, capsys):
+    # F_3[y, y^-1] x F_3[y, y^-1]: periodic rings are only tested when local
+    table = {(0, 0): [(1, 0, 0)], (1, 1): [(1, 1, 0)]}
+    R = GradedRing(3, [("e", 0), ("f", 0)], table, [(1, 0, 0), (1, 1, 0)], periodicity=("y", 2))
+    path = tmp_path / "laurent_square.ring"
+    ringio.save_ring(R, str(path))
+    code, _, err = _run(["qf", str(path), "--json"], capsys)
+    assert code == 2
+    assert "NotLocalInput" in err
 
 
 @pytest.mark.parametrize("name", ["f3_laurent_x1_y2.ring", "f3_laurent_x1_y3.ring",

@@ -6,6 +6,8 @@ from trimod import modules as md
 from trimod.errors import (
     AssociativityViolation,
     CommutativityViolation,
+    NoUnit,
+    NotLocalInput,
     RingSpecError,
     SizeCapExceeded,
 )
@@ -257,3 +259,28 @@ def test_rational_idempotents():
     es = idempotents(R)
     vals = sorted(sum(e.terms.values(), Fraction(0)) for e in es)
     assert vals == [0, 1]
+
+
+def test_duplicate_unit_terms_are_summed():
+    # over F_5 the unit terms 1 + 1 declare the element 2, which is no unit
+    table = {(0, 0): [(1, 0, 0)]}
+    twice = GradedRing(5, [("e", 0)], table, [(1, 0, 0), (1, 0, 0)])
+    assert twice.key() == GradedRing(5, [("e", 0)], table, [(2, 0, 0)]).key()
+    assert twice.one() == twice.basis_element(0, coeff=2)
+    with pytest.raises(NoUnit):
+        validate_ring(twice)
+
+
+def laurent_square(p=3, degree=2):
+    """F_p[y, y^-1] x F_p[y, y^-1] on idempotents e, f with unit e + f."""
+    table = {(0, 0): [(1, 0, 0)], (1, 1): [(1, 1, 0)]}
+    return validate_ring(GradedRing(p, [("e", 0), ("f", 0)], table, [(1, 0, 0), (1, 1, 0)],
+                                    periodicity=("y", degree)))
+
+
+def test_qf_refuses_periodic_nonlocal():
+    # a product of graded fields is self-injective; qf must not answer False
+    R = laurent_square()
+    assert not is_local(R)
+    with pytest.raises(NotLocalInput):
+        is_quasi_frobenius(R)
