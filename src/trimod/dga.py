@@ -28,6 +28,7 @@ from .errors import (
     ParityObstruction,
     ShapeMismatch,
     WeightOverflow,
+    WindowEmpty,
     WindowTooWideForWeightBound,
 )
 
@@ -388,20 +389,6 @@ def shift(M, j):
     return DGModule(M.alg, [d + j for d in M.gen_degrees], diff, check=False)
 
 
-def direct_sum(M, N):
-    alg = M.alg
-    gm, gn = len(M.gen_degrees), len(N.gen_degrees)
-    degs = M.gen_degrees + N.gen_degrees
-    diff = [[alg.zero() for _ in range(gm + gn)] for _ in range(gm + gn)]
-    for i in range(gm):
-        for j in range(gm):
-            diff[i][j] = M.diff[i][j]
-    for i in range(gn):
-        for j in range(gn):
-            diff[gm + i][gm + j] = N.diff[i][j]
-    return DGModule(alg, degs, diff, check=False)
-
-
 class DGMap:
     """Degree-0 chain map between semifree modules, entries in A."""
 
@@ -616,7 +603,7 @@ def homology(M, window, padding=PADDING):
     alg = M.alg
     lo, hi = window
     if lo > hi:
-        raise WindowTooWideForWeightBound("empty window")
+        raise WindowEmpty("empty degree window")
     if alg.i != 0 and alg.weight < (hi - lo) + 2 * padding:
         raise WindowTooWideForWeightBound(
             f"weight bound {alg.weight} too small for window span {hi - lo}"
@@ -689,8 +676,6 @@ def homology_is_free_rank_one(M, window, padding=PADDING):
         if lo <= q0 + 2 * alg.i <= hi:
             A2 = u_action_matrix(M, H, q0 + alg.i)
             # x^2 = 0 on homology
-            comp = [[sum(A2[r][k] * A1[k][c] for k in range(len(A1))) % alg.p
-                     for c in range(len(A1[0]) if A1 else 0)] for r in range(len(A2))]
-            if any(any(row) for row in comp):
+            if any(map(any, linalg.modp_matmul(A2, A1, alg.p))):
                 return False
     return True

@@ -90,6 +90,17 @@ def modp_rref(A, p):
     return R, pivots
 
 
+def modp_matmul(A, B, p):
+    """A B mod p as a list of rows, for A with len(B) columns; either may
+    have no rows or no columns."""
+    k = len(B)
+    if k * (p - 1) ** 2 >= 2 ** 63:
+        raise UnsupportedCoefficients(f"prime {p} too large for int64 products of length {k}")
+    a = np.array(A, dtype=np.int64).reshape(len(A), k) % p
+    b = np.array(B, dtype=np.int64).reshape(k, len(B[0]) if k else 0) % p
+    return (a @ b % p).tolist()
+
+
 def modp_rank(A, p):
     return len(modp_rref(A, p)[1])
 
@@ -334,6 +345,14 @@ def _moduli_cols(moduli):
     return out
 
 
+def _with_moduli(A, row_moduli):
+    """Rows of [A | diag(row_moduli)], zero moduli left out: over Z, the
+    solutions of A x = b in +Z/row_moduli are the x-parts of those of
+    [A | diag] y = b."""
+    extra = _moduli_cols(row_moduli)
+    return [list(row) + [col[i] for col in extra] for i, row in enumerate(A)]
+
+
 class Subgroup:
     """The subgroup of +Z/m_i generated by some columns; immutable.
 
@@ -426,16 +445,7 @@ def congruence_kernel(A, row_moduli, col_moduli):
     if nr == 0:
         gens = [[int(i == j) for i in range(nc)] for j in range(nc)]
     else:
-        aug = [list(A[i]) for i in range(nr)]
-        extra = []
-        for i, m in enumerate(row_moduli):
-            if m:
-                col = [0] * nr
-                col[i] = m
-                extra.append(col)
-        for col in extra:
-            for i in range(nr):
-                aug[i].append(col[i])
+        aug = _with_moduli(A, row_moduli)
         diag, U, V, _ = smith_normal_form(aug)
         rank = sum(1 for d in diag if d != 0)
         total = len(aug[0])
@@ -460,13 +470,8 @@ def congruence_solve(A, b, row_moduli):
     p = _lane(row_moduli)
     if p is not None:
         return modp_solve(A, b, p) if p else frac_solve(A, b)
-    aug = [list(A[i]) for i in range(nr)]
-    width = nc
-    for i, m in enumerate(row_moduli):
-        if m:
-            for r in range(nr):
-                aug[r].append(m if r == i else 0)
-            width += 1
+    aug = _with_moduli(A, row_moduli)
+    width = len(aug[0])
     diag, U, V, _ = smith_normal_form(aug)
     c = [sum(U[i][k] * b[k] for k in range(nr)) for i in range(nr)]
     xprime = [0] * width

@@ -399,7 +399,7 @@ def _radical(M, cap=DEFAULT_CAP):
 def minimal_generator_count(M, cap=DEFAULT_CAP):
     """dim over the residue field of M / M*m."""
     R = M.ring
-    ksize = R.size() // rc.m_size_or_one(rc.maximal_ideal(R, cap))
+    ksize = rc.residue_size(R, cap)
     return _log(ksize, M.size() // _radical(M, cap).size())
 
 
@@ -582,7 +582,7 @@ def strip_projective_summands(M, cap=DEFAULT_CAP):
     # M = sum of R/m^a summands; multiplicities are the discrete second
     # difference of the radical filtration dimensions d_j = dim_k(M m^j)
     sizes = _chain_invariants(M, cap)
-    ksize = R.size() // rc.m_size_or_one(m)
+    ksize = rc.residue_size(R, cap)
     dims = [_log(ksize, s) for s in sizes]
     e = len(_chain_invariants(free_module(R, 1), cap)) - 1  # Loewy length of R
 
@@ -642,7 +642,7 @@ def stable_hom(M, N, cap=DEFAULT_CAP):
         raise NotQuasiFrobenius("stable homs need a quasi-Frobenius ring")
     homs = _hom_vectors(M, N)
     P = stable_projective_span(M, N, cap)
-    ksize = R.size() // rc.m_size_or_one(rc.maximal_ideal(R, cap)) if rc.is_local(R, cap) else None
+    ksize = rc.residue_size(R, cap) if rc.is_local(R, cap) else None
     quot = P.extend(homs).size() // P.size()
     if ksize is not None:
         dim = _log(ksize, quot)

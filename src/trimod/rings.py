@@ -7,6 +7,15 @@ times a power of v; coefficients then lie in a prime field or Q).
 
 Elements are finite sums of terms ``coeff * basis[i] * v**t``.  All arithmetic
 is exact: integers mod the additive orders, or Fractions over Q.
+
+Ring linear algebra works on degree slices: the degree-q slice has one
+coordinate per basis element of degree q (mod d for a periodic ring), taken
+modulo that element's additive order.  Multiplication matrices, inverses,
+ideals, annihilators and the quotient rings R/I (product factors and residue
+fields, built by `_quotient_ring`) are all computed slice by slice.  The one
+exception is the p-power map behind the locality test and the nilradical of
+a finite ring of prime characteristic: it sends degree q to degree p*q, so it
+works on coordinates over the whole basis.
 """
 
 from __future__ import annotations
@@ -81,12 +90,13 @@ class GradedRing:
             for (i, j), terms in products.items()
         }
         self.products = {k: v for k, v in self.products.items() if v}
-        # duplicate (k, t) unit terms are summed, as product terms are
+        # duplicate (k, t) unit terms are summed, as product terms are, and
+        # zero terms dropped
         unit_sum = {}
         for c, k, t in unit:
             key = (int(k), int(t))
             unit_sum[key] = self._coeff(unit_sum.get(key, 0) + self._coeff(c, k), k)
-        self.unit_terms = tuple((c, k, t) for (k, t), c in unit_sum.items())
+        self.unit_terms = tuple((c, k, t) for (k, t), c in unit_sum.items() if c)
         self._cache = {}
 
     # -- basic structure -------------------------------------------------
@@ -194,6 +204,10 @@ class GradedRing:
         d = self.periodicity[1]
         return sorted({deg % d for deg in self.degrees})
 
+    def rep_degree(self, q):
+        """The degree of degree_support() whose slice matches degree q."""
+        return q if self.periodicity is None else q % self.periodicity[1]
+
     def slice_moduli(self, terms):
         if self.char == 0:
             return [0] * len(terms)
@@ -225,27 +239,17 @@ class GradedRing:
     def from_full_coords(self, v):
         return RingElement(self, {(i, 0): c for i, c in enumerate(v) if c})
 
-    def mult_matrix_full(self, x):
-        """Matrix of y -> x*y on full coordinates (finite rings)."""
-        C = self.structure_constants
-        x = np.array(self.full_coords(x), dtype=C.dtype)
-        return _mod_last(self, np.tensordot(x, C, 1)).T.tolist()
-
     def mult_matrix_slice(self, x, q):
-        """Matrix of y -> x*y from the degree-q slice to degree q+|x|."""
-        src = self.slice_terms(q)
-        xq = x.degree
-        tgt_q = q + (xq if xq is not None else 0)
-        tgt = self.slice_terms(tgt_q)
-        pos = {mt: idx for idx, mt in enumerate(tgt)}
-        cols = []
-        for (i, t) in src:
-            y = x * self.basis_element(i, t)
-            col = [0] * len(tgt)
-            for (k, u), c in y.terms.items():
-                col[pos[(k, u)]] = c
-            cols.append(col)
-        return [[cols[j][r] for j in range(len(src))] for r in range(len(tgt))]
+        """Matrix of y -> x*y from the degree-q slice to degree q+|x|, read
+        off the structure constants: a slice holds each basis element at
+        most once, at the v power its degree fixes."""
+        C = self.structure_constants
+        X = np.zeros((self.dim, self.dim), dtype=C.dtype)
+        for (i, _), c in x.terms.items():
+            X += c * C[i]
+        src = [i for i, _ in self.slice_terms(q)]
+        tgt = [k for k, _ in self.slice_terms(q + (x.degree or 0))]
+        return _mod_last(self, X)[np.ix_(src, tgt)].T.tolist()
 
     # -- enumeration -----------------------------------------------------
 
@@ -262,16 +266,6 @@ class GradedRing:
             raise SizeCapExceeded(f"slice of size {total} exceeds cap {cap}")
         for combo in itertools.product(*[range(m) for m in moduli]):
             yield RingElement(self, {mt: c for mt, c in zip(terms, combo) if c})
-
-    def enumerate_elements(self, cap=DEFAULT_CAP):
-        """All elements of a finite ring."""
-        if not self.is_finite or self.char == 0:
-            raise UnsupportedCoefficients("ring is not finite")
-        n = self.size()
-        if n > cap:
-            raise SizeCapExceeded(f"ring of size {n} exceeds cap {cap}")
-        for combo in itertools.product(*[range(o) for o in self.orders]):
-            yield RingElement(self, {(i, 0): c for i, c in enumerate(combo) if c})
 
 
 class RingElement:
@@ -469,6 +463,11 @@ def _slice_span(ring, q, cols):
     return linalg.Subgroup(cols, ring.slice_moduli(ring.slice_terms(q)))
 
 
+def _multiples(ring, g, q):
+    """Columns spanning g * R inside the degree-q slice."""
+    return [list(col) for col in zip(*ring.mult_matrix_slice(g, q - g.degree))]
+
+
 class Ideal:
     """An ideal, stored as echelonized additive spans of its degree slices."""
 
@@ -483,30 +482,13 @@ class Ideal:
         for g in gens:
             if not g.is_homogeneous:
                 raise ValueError("ideal generators must be homogeneous")
-        slices = {}
-        for q in ring.degree_support():
-            terms = ring.slice_terms(q)
-            cols = []
-            for g in gens:
-                gq = g.degree
-                src_q = q - gq
-                if ring.periodicity is None and not ring.slice_terms(src_q):
-                    continue
-                M = ring.mult_matrix_slice(g, src_q)
-                for j in range(len(ring.slice_terms(src_q))):
-                    cols.append([M[r][j] for r in range(len(terms))])
-            slices[q] = _slice_span(ring, q, cols)
+        slices = {q: _slice_span(ring, q, [c for g in gens for c in _multiples(ring, g, q)])
+                  for q in ring.degree_support()}
         return cls(ring, gens, slices)
-
-    def _rep_degree(self, q):
-        if self.ring.periodicity is None:
-            return q
-        d = self.ring.periodicity[1]
-        return q % d
 
     def contains(self, x):
         return all(
-            self.slices[self._rep_degree(q)].contains(self.ring.slice_coords(comp, q))
+            self.slices[self.ring.rep_degree(q)].contains(self.ring.slice_coords(comp, q))
             for q, comp in x.homogeneous_components().items()
         )
 
@@ -541,17 +523,13 @@ def is_unit(x):
 
 
 def inverse(x):
-    """Inverse of a homogeneous unit, or None."""
-    R = x.ring
+    """Inverse of a homogeneous unit, or None: the y in the degree -|x|
+    slice with x*y = 1."""
     if x.is_zero:
         return None
-    q = x.degree
-    one = R.one()
-    if R.is_finite and R.char != 0:
-        sol = linalg.congruence_solve(R.mult_matrix_full(x), R.full_coords(one), list(R.orders))
-        return None if sol is None else R.from_full_coords(sol)
-    A = R.mult_matrix_slice(x, -q)
-    sol = linalg.congruence_solve(A, R.slice_coords(one, 0), [R.char] * len(A))
+    R, q = x.ring, x.degree
+    moduli = R.slice_moduli(R.slice_terms(0))
+    sol = linalg.congruence_solve(R.mult_matrix_slice(x, -q), R.slice_coords(R.one(), 0), moduli)
     return None if sol is None else R.from_slice_coords(-q, sol)
 
 
@@ -602,42 +580,36 @@ def _local_by_frobenius(R):
     return d - linalg.modp_rank(A.tolist(), p) == 1
 
 
-def _nonunit_coords(R, cap):
-    out = []
-    for x in R.enumerate_elements(cap):
-        if not is_unit(x) and not x.is_zero:
-            out.append(R.full_coords(x))
-    return out
+def _slice_nonunits(R, q, cap):
+    """Coordinates of the nonzero nonunits of the degree-q slice."""
+    return [R.slice_coords(x, q) for x in R.enumerate_slice(q, cap) if not x.is_zero and not is_unit(x)]
 
 
 @per_object
 def is_local(R, cap=DEFAULT_CAP):
-    """Whether the nonunits form an ideal."""
-    if R.periodicity is not None:
-        for q in R.degree_support():
-            nonunits = []
-            for x in R.enumerate_slice(q, cap):
-                if not x.is_zero and not is_unit(x):
-                    nonunits.append(R.slice_coords(x, q))
-            if not nonunits:
-                continue
-            if _slice_span(R, q, nonunits).size() != len(nonunits) + 1:
-                return False
-        return True
-    if R.char == 0:
-        raise UnsupportedCoefficients("locality over Q needs a periodic presentation")
-    if linalg.is_prime(R.char):
-        return _local_by_frobenius(R)
-    nonunits = _nonunit_coords(R, cap)
-    if not nonunits:
-        return True
-    # nonunits are closed under negation and contain 0, so they form a
-    # subgroup exactly when their count matches the span they generate
-    return linalg.Subgroup(nonunits, R.orders).size() == len(nonunits) + 1
+    """Whether the nonunits form an ideal.
+
+    Finite rings of prime characteristic go by the p-power map, the others
+    slice by slice.  A homogeneous element of nonzero degree in a finite
+    ring is nilpotent, so R is local exactly when the nonunits of each slice
+    form a subgroup.
+    """
+    if R.is_finite:
+        if R.char == 0:
+            raise UnsupportedCoefficients("locality over Q needs a periodic presentation")
+        if linalg.is_prime(R.char):
+            return _local_by_frobenius(R)
+    for q in R.degree_support():
+        nonunits = _slice_nonunits(R, q, cap)
+        # nonunits are closed under negation and contain 0, so they form a
+        # subgroup exactly when their count matches the span they generate
+        if _slice_span(R, q, nonunits).size() != len(nonunits) + 1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
-# idempotents and product decomposition
+# idempotents, product decomposition and quotient rings
 # ---------------------------------------------------------------------------
 
 def idempotents(R, cap=DEFAULT_CAP):
@@ -681,64 +653,43 @@ def decompose_product(R, cap=DEFAULT_CAP):
         for b in range(a + 1, len(prim)):
             if not (prim[a] * prim[b]).is_zero:
                 raise NotSemiperfect("primitive idempotents are not orthogonal")
-    factors = tuple(_corner_ring(R, e) for e in prim)
+    # ann(e) = (1 - e)R, so the factor eR is R / ann(e)
+    factors = tuple(_quotient_ring(R, _annihilator_cols(R, [e])) for e in prim)
     if math.prod(f.size() for f in factors) != R.size():
         raise NotSemiperfect("factor sizes do not multiply to the ring size")
     return factors
 
 
-def _corner_ring(R, e):
-    """The factor e*R, presented on a homogeneous basis."""
-    # per-degree quotient of the slice by the kernel of multiplication by e
-    basis = []
-    orders = []
-    block = {}  # degree -> (terms, proj, offset)
+def _quotient_ring(R, relations):
+    """R / I on a homogeneous basis, for the ideal I whose degree-q slice is
+    spanned by the columns relations[q], q in R.degree_support().
+
+    The basis lifts the generators of each slice quotient; a product is taken
+    in R and projected back, its v power fixed by its degree.
+    """
+    basis, orders, block = [], [], {}
     for q in R.degree_support():
-        terms = R.slice_terms(q)
-        moduli = R.slice_moduli(terms)
-        M = R.mult_matrix_slice(e, q)
-        ker = linalg.congruence_kernel(M, moduli, moduli)
-        qm, proj, lift = linalg.quotient_presentation(ker, moduli)
-        offset = len(basis)
-        block[q] = (terms, proj, offset, qm)
+        qm, proj, lift = linalg.quotient_presentation(relations[q], R.slice_moduli(R.slice_terms(q)))
+        block[q] = (len(basis), proj)
         for j, d in enumerate(qm):
-            amb = linalg.apply_matrix(lift, [int(k == j) for k in range(len(qm))])
-            w = e * R.from_slice_coords(q, amb)
-            basis.append((f"w{offset + j}", q, w))
+            basis.append((f"r{len(basis)}", q, R.from_slice_coords(q, [row[j] for row in lift])))
             orders.append(d)
-    char = 1
-    for o in orders:
-        char = char * o // math.gcd(char, o)
 
     def down(x):
-        """Coordinates of x in the factor basis."""
-        out = {}
+        """Terms of x on the quotient basis; GradedRing reduces them."""
+        out = []
         for q, comp in x.homogeneous_components().items():
-            terms, proj, offset, qm = block[q]
-            v = R.slice_coords(comp, q)
-            img = linalg.apply_matrix(proj, v)
-            for j, c in enumerate(img):
-                c %= qm[j]
-                if c:
-                    out[(offset + j, 0)] = c
+            rep = R.rep_degree(q)
+            offset, proj = block[rep]
+            vshift = (q - rep) // R.periodicity[1] if R.periodicity else 0
+            # slice coordinates at degree q match those at its representative
+            img = linalg.apply_matrix(proj, R.slice_coords(comp, q))
+            out += [(c, offset + j, vshift) for j, c in enumerate(img)]
         return out
 
-    products = {}
-    for a, (_, qa, wa) in enumerate(basis):
-        for b, (_, qb, wb) in enumerate(basis):
-            prod = wa * wb
-            if prod.is_zero:
-                continue
-            products[(a, b)] = [(c, k, t) for (k, t), c in down(prod).items()]
-    unit = [(c, k, t) for (k, t), c in down(e).items()]
-    return GradedRing(
-        char,
-        [(name, q) for name, q, _ in basis],
-        products,
-        unit,
-        periodicity=None,
-        orders=orders,
-    )
+    products = {(a, b): down(wa * wb) for a, (_, _, wa) in enumerate(basis) for b, (_, _, wb) in enumerate(basis)}
+    return GradedRing(math.lcm(*orders), [(name, q) for name, q, _ in basis], products, down(R.one()),
+                      periodicity=R.periodicity, orders=orders)
 
 
 # ---------------------------------------------------------------------------
@@ -760,42 +711,32 @@ def _homogeneous_gens_from_coords(R, coord_vecs):
 
 @per_object
 def maximal_ideal(R, cap=DEFAULT_CAP):
-    """The ideal of nonunits of a local ring."""
+    """The ideal of nonunits of a local ring: the nilradical of a finite ring
+    of prime characteristic, otherwise the span of each slice's nonunits."""
     if not is_local(R, cap):
         raise NotLocal("ring is not local")
-    if R.periodicity is not None:
-        gens = []
-        slices = {}
-        for q in R.degree_support():
-            nonunits = [
-                R.slice_coords(x, q)
-                for x in R.enumerate_slice(q, cap)
-                if not x.is_zero and not is_unit(x)
-            ]
-            slices[q] = _slice_span(R, q, nonunits)
-            for v in nonunits:
-                gens.append(R.from_slice_coords(q, v))
-        return Ideal(R, _minimal_gen_subset(R, gens, slices), slices)
-    if linalg.is_prime(R.char):
-        coords = _nilradical_coords_prime(R)
+    if R.is_finite and linalg.is_prime(R.char):
+        gens = _homogeneous_gens_from_coords(R, _nilradical_coords_prime(R))
+        slices = Ideal.from_generators(R, gens).slices
     else:
-        coords = _nonunit_coords(R, cap)
-    gens = _homogeneous_gens_from_coords(R, coords)
-    ideal = Ideal.from_generators(R, gens)
-    return Ideal(R, _minimal_gen_subset(R, gens, ideal.slices), ideal.slices)
+        gens, slices = [], {}
+        for q in R.degree_support():
+            nonunits = _slice_nonunits(R, q, cap)
+            slices[q] = _slice_span(R, q, nonunits)
+            gens += [R.from_slice_coords(q, v) for v in nonunits]
+    return Ideal(R, _minimal_gen_subset(R, gens, slices), slices)
 
 
 def _minimal_gen_subset(R, gens, slices):
-    """Prune a generating list: keep only elements not already generated."""
-    keep = []
-    current = Ideal.from_generators(R, keep)
+    """Prune a generating list: keep only elements not already generated,
+    growing the span of the kept ones slice by slice."""
+    keep, spans = [], {q: _slice_span(R, q, []) for q in slices}
     for g in gens:
-        if current.contains(g):
-            continue
-        keep.append(g)
-        current = Ideal.from_generators(R, keep)
-        if current.slices == slices:
+        if spans == slices:
             break
+        if not Ideal(R, keep, spans).contains(g):
+            keep.append(g)
+            spans = {q: span.extend(_multiples(R, g, q)) for q, span in spans.items()}
     return keep
 
 
@@ -831,111 +772,12 @@ def residue_characteristic(R, m=None, cap=DEFAULT_CAP):
 def residue_field(R, cap=DEFAULT_CAP):
     """R modulo its maximal ideal, as a new ring on a homogeneous basis."""
     m = maximal_ideal(R, cap)
-    if R.is_finite and not linalg.is_prime(R.char) and R.char != 0:
-        return _residue_field_mixed(R, m)
-    return _residue_field_sliced(R, m)
+    return validate_ring(_quotient_ring(R, {q: span.cols() for q, span in m.slices.items()}))
 
 
-def _slice_quotient(R, q, m):
-    """Quotient of the degree-q slice by the ideal slice; (qm, proj, lift)."""
-    rel = m.slices[m._rep_degree(q)].cols()
-    return linalg.quotient_presentation(rel, R.slice_moduli(R.slice_terms(q)))
-
-
-def _residue_field_sliced(R, m, cap=DEFAULT_CAP):
-    """Residue ring built degree by degree (prime or rational coefficients)."""
-    basis = []
-    orders = []
-    block = {}
-    for q in R.degree_support():
-        qm, proj, lift = _slice_quotient(R, q, m)
-        offset = len(basis)
-        block[q if R.periodicity is None else q % R.periodicity[1]] = (proj, offset, qm)
-        for j, d in enumerate(qm):
-            amb = linalg.apply_matrix(lift, [int(k == j) for k in range(len(qm))])
-            w = R.from_slice_coords(q, amb)
-            basis.append((f"r{offset + j}", q, w))
-            orders.append(d if d else 0)
-
-    def down(x):
-        out = {}
-        for q, comp in x.homogeneous_components().items():
-            rep = q if R.periodicity is None else q % R.periodicity[1]
-            if rep not in block:
-                continue
-            proj, offset, qm = block[rep]
-            # slice coordinates at degree q match those at the representative
-            v = R.slice_coords(comp, q)
-            img = linalg.apply_matrix(proj, v)
-            vshift = 0 if R.periodicity is None else (q - rep) // R.periodicity[1]
-            for j, c in enumerate(img):
-                if R.char != 0:
-                    c %= qm[j]
-                if c:
-                    out[(offset + j, vshift)] = c
-        return out
-
-    products = {}
-    for a, (_, qa, wa) in enumerate(basis):
-        for b, (_, qb, wb) in enumerate(basis):
-            prod = wa * wb
-            if prod.is_zero:
-                continue
-            terms = [(c, k, t) for (k, t), c in down(prod).items()]
-            if terms:
-                products[(a, b)] = terms
-    unit = [(c, k, t) for (k, t), c in down(R.one()).items()]
-    if R.char == 0:
-        char = 0
-        orders = None
-    else:
-        char = R.char
-        orders = [R.char] * len(basis)
-    out = GradedRing(
-        char,
-        [(name, q) for name, q, _ in basis],
-        products,
-        unit,
-        periodicity=R.periodicity,
-        orders=orders,
-    )
-    return validate_ring(out)
-
-
-def _residue_field_mixed(R, m):
-    """Residue ring for finite rings of composite characteristic."""
-    rel = []
-    for q in R.degree_support():
-        pos = [i for i, _ in R.slice_terms(q)]
-        for v in m.slices[q].cols():
-            full = [0] * R.dim
-            for idx, c in zip(pos, v):
-                full[idx] = c
-            rel.append(full)
-    qm, proj, lift = linalg.quotient_presentation(rel, list(R.orders))
-    basis = []
-    for j, d in enumerate(qm):
-        amb = linalg.apply_matrix(lift, [int(k == j) for k in range(len(qm))])
-        w = R.from_full_coords(amb)
-        basis.append((f"r{j}", 0, w))
-
-    def down(x):
-        v = R.full_coords(x)
-        img = linalg.apply_matrix(proj, v)
-        return {(j, 0): c % qm[j] for j, c in enumerate(img) if c % qm[j]}
-
-    char = 1
-    for d in qm:
-        char = char * d // math.gcd(char, d)
-    products = {}
-    for a, (_, _, wa) in enumerate(basis):
-        for b, (_, _, wb) in enumerate(basis):
-            terms = [(c, k, t) for (k, t), c in down(wa * wb).items()]
-            if terms:
-                products[(a, b)] = terms
-    unit = [(c, k, t) for (k, t), c in down(R.one()).items()]
-    out = GradedRing(char, [(n, q) for n, q, _ in basis], products, unit, orders=list(qm))
-    return validate_ring(out)
+def residue_size(R, cap=DEFAULT_CAP):
+    """Number of elements of the residue field of a finite local ring."""
+    return R.size() // maximal_ideal(R, cap).size()
 
 
 def is_graded_field(R, cap=DEFAULT_CAP):
@@ -979,30 +821,27 @@ def double_annihilator_holds(R, cap=DEFAULT_CAP):
     return True, None
 
 
+def _annihilator_cols(R, gens):
+    """Per degree of R.degree_support(), columns spanning the slice of the
+    elements that kill each of the nonzero homogeneous gens."""
+    out = {}
+    for q in R.degree_support():
+        rows, row_moduli = [], []
+        for g in gens:
+            rows += R.mult_matrix_slice(g, q)
+            row_moduli += R.slice_moduli(R.slice_terms(q + g.degree))
+        moduli = R.slice_moduli(R.slice_terms(q))
+        out[q] = linalg.congruence_kernel(rows, row_moduli, moduli)
+    return out
+
+
 def _annihilator_of(R, gens):
     """Elements killing every one of the homogeneous generators."""
     if not gens:
         return Ideal.from_generators(R, [R.one()])
-    if R.is_finite and R.char != 0:
-        stacked = []
-        moduli_rows = []
-        for g in gens:
-            stacked.extend(R.mult_matrix_full(g))
-            moduli_rows.extend(R.orders)
-        ker = linalg.congruence_kernel(stacked, moduli_rows, list(R.orders))
-        return Ideal.from_generators(R, _homogeneous_gens_from_coords(R, ker))
-    # periodic or rational: slice kernels, one period
-    slices = {}
-    out_gens = []
-    for q in R.degree_support():
-        stacked = [row for g in gens for row in R.mult_matrix_slice(g, q)]
-        ker = linalg.congruence_kernel(stacked, [R.char] * len(stacked), [R.char] * len(R.slice_terms(q)))
-        slices[q] = _slice_span(R, q, ker)
-        for v in ker:
-            g = R.from_slice_coords(q, list(v))
-            if not g.is_zero:
-                out_gens.append(g)
-    return Ideal(R, out_gens, slices)
+    cols = _annihilator_cols(R, gens)
+    out_gens = [g for q, ker in cols.items() for g in (R.from_slice_coords(q, v) for v in ker) if not g.is_zero]
+    return Ideal(R, out_gens, {q: _slice_span(R, q, ker) for q, ker in cols.items()})
 
 
 def socle(R, cap=DEFAULT_CAP):
@@ -1018,7 +857,7 @@ def socle_is_simple(R, cap=DEFAULT_CAP):
         # a principal socle is simple: m kills its generator, so the socle
         # is a copy of the residue field shifted to the generator's degree
         return not soc.generators or principal_generator(R, soc) is not None
-    return soc.size() == R.size() // m_size_or_one(maximal_ideal(R, cap))
+    return soc.size() == residue_size(R, cap)
 
 
 @per_object
@@ -1036,8 +875,3 @@ def is_quasi_frobenius(R, cap=DEFAULT_CAP):
         if not socle_is_simple(factor, cap):
             return False
     return True
-
-
-def m_size_or_one(ideal):
-    n = ideal.size()
-    return n if n else 1

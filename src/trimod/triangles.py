@@ -41,23 +41,6 @@ class Triangle:
         self.third_generator_degrees = third_generator_degrees
 
 
-def _mat_mul(A, B, p):
-    if not A or not B:
-        rows = len(A)
-        cols = len(B[0]) if B else 0
-        return [[0] * cols for _ in range(rows)]
-    if not B[0]:
-        return [[0] * 0 for _ in range(len(A))]
-    return [
-        [sum(A[r][k] * B[k][c] for k in range(len(B))) % p for c in range(len(B[0]))]
-        for r in range(len(A))
-    ]
-
-
-def _is_zero_matrix(A):
-    return all(not any(row) for row in A)
-
-
 def _lift_entry(alg, R, x):
     """k[x]/(x^2) element to a cycle in the DG algebra: 1 -> 1, x -> u."""
     out = {}
@@ -212,14 +195,14 @@ def _exact_at(T, q, position):
         # in by -f[n], out by g[n], which is conjugate to g at q - n; the
         # composite is checked on the unsuspended maps
         incoming, outgoing, dim = T.sf[q], T.g[q - n], T.dims[q - n][1]
-        composite = _mat_mul(T.g[q - n], T.f[q - n], p)
+        composite = linalg.modp_matmul(T.g[q - n], T.f[q - n], p)
     else:
         incoming, outgoing, dim = {"B": (T.f[q], T.g[q], T.dims[q][1]),
                                    "C": (T.g[q], T.h[q], T.dims[q][2]),
                                    "SA": (T.h[q], T.sf[q], T.dims[q][3])}[position]
-        composite = _mat_mul(outgoing, incoming, p)
+        composite = linalg.modp_matmul(outgoing, incoming, p)
     zero_detail, rank_detail = _DETAILS[position]
-    if not _is_zero_matrix(composite):
+    if any(map(any, composite)):
         detail = zero_detail
     elif linalg.modp_rank(incoming, p) + linalg.modp_rank(outgoing, p) != dim:
         detail = rank_detail

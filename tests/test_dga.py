@@ -10,6 +10,7 @@ from trimod.errors import (
     NotChainMap,
     ParityObstruction,
     WeightOverflow,
+    WindowEmpty,
     WindowTooWideForWeightBound,
 )
 
@@ -80,6 +81,13 @@ def test_window_guard():
     A = dg.build_two_generator_dga(3, 1, 1, weight=8)
     with pytest.raises(WindowTooWideForWeightBound):
         dg.homology(dg.algebra_module(A), (-10, 10))
+
+
+def test_empty_window():
+    # the same error as tate_ring, also where the weight bound would pass
+    A = dg.build_two_generator_dga(3, 1, 1, weight=8)
+    with pytest.raises(WindowEmpty):
+        dg.homology(dg.algebra_module(A), (1, 0))
 
 
 def test_cone_of_u_differential():

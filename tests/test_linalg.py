@@ -110,6 +110,17 @@ def test_modp_empty_matrix():
     assert linalg.Subgroup([], [3, 3]).size() == 1
 
 
+@pytest.mark.parametrize("rows,inner,cols", [(0, 2, 3), (2, 0, 3), (3, 2, 0), (0, 0, 0), (3, 4, 2)])
+def test_modp_matmul_shapes(rows, inner, cols):
+    rng = random.Random(rows * 100 + inner * 10 + cols)
+    A = [[rng.randrange(-7, 7) for _ in range(inner)] for _ in range(rows)]
+    B = [[rng.randrange(-7, 7) for _ in range(cols)] for _ in range(inner)]
+    want = [[sum(A[r][k] * B[k][c] for k in range(inner)) % 5 for c in range(cols)] for r in range(rows)]
+    got = linalg.modp_matmul(A, B, 5)
+    # with no inner dimension B has no rows to carry its width
+    assert got == (want if inner else [[] for _ in range(rows)])
+
+
 def test_modp_overflow_guard():
     # p*p overflows int64, where elimination would return a wrong (empty) kernel
     p = 4294967311
@@ -122,6 +133,9 @@ def test_modp_overflow_guard():
     assert linalg.modp_kernel([[q - 1, q - 1], [1, 1]], q) == [[q - 1, 1]]
     S = linalg.Subgroup([[q - 1, q - 1], [1, 1]], [q, q])
     assert S.size() == q and S.contains([2, 2]) and not S.contains([1, 2])
+    assert linalg.modp_matmul([[q - 1]], [[q - 1]], q) == [[1]]
+    with pytest.raises(UnsupportedCoefficients):
+        linalg.modp_matmul([[q - 1, q - 1]], [[q - 1], [q - 1]], q)
 
 
 # (moduli, coefficient range for generators and test vectors); Q^2 is

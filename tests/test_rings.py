@@ -146,6 +146,24 @@ def test_local_big_prime_char():
     assert is_local(R)
 
 
+def test_graded_composite_characteristic():
+    # Z/4[x]/(x^2) with |x| = 1: the nonunits of its slices give m = (2, x)
+    R = validate_ring(_unital(4, [("one", 0), ("x", 1)], {}))
+    x = R.basis_element(1)
+    assert is_local(R) and not is_unit(x) and is_unit(elem(R, 3))
+    assert maximal_ideal(R) == Ideal.from_generators(R, [elem(R, 2), x])
+    assert residue_field(R).size() == 2
+    assert is_quasi_frobenius(R)
+    assert annihilator(R, x) == principal_ideal(R, x)
+    assert socle(R) == principal_ideal(R, elem(R, 2) * x)
+
+
+def test_zero_unit_terms_dropped():
+    R = _unital(3, [("one", 0), ("x", 1)], {})
+    S = GradedRing(3, [("one", 0), ("x", 1)], R.products, [(1, 0, 0), (3, 1, 0)])
+    assert validate_ring(S) == validate_ring(R)
+
+
 def test_maximal_ideal_sizes():
     assert maximal_ideal(con.z_mod(4)).size() == 2
     assert maximal_ideal(con.z_mod(8)).size() == 4
