@@ -8,6 +8,7 @@ deterministic machine-readable report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import random
@@ -191,6 +192,7 @@ def cmd_selftest(args):
 _WINDOW_ARG = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+:-?\d+$")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(prog="trimod",
                                      description="exact computations in triangulated module categories")

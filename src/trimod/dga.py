@@ -9,16 +9,25 @@ constructor cross-checks with a generic word rewriter.
 Well-definedness of d forces a parity condition on (i, n, char k); the
 constructor raises ParityObstruction when it fails.
 
-Homology is computed slice by slice over F_p.  A module with zero
-differential (a free module, its shifts, the cone of a zero map) takes its
-homology from H(A): its slice complex is a direct sum of slices of A, whose
-homology each algebra computes once per degree.
+Modules and maps are seen only through degree slices over F_p, with
+u-weights m <= W.  Each algebra caches the monomial basis of its slice A_s
+and, per slice, the matrices of d_A and of multiplication by a monomial.
+The degree-q slice of a semifree module is the direct sum over generators j
+of A_{q - deg(gen_j)}, so its differential is a block matrix: d_A on the
+diagonal blocks, and in block (i, j) right multiplication by diff[i][j]
+times the Leibniz sign (-1)^{n s}, s being the degree of every coefficient
+in the block.  A chain map's slice matrix is the same assembly without the
+diagonal.  Terms past the weight bound are dropped.
+
+Homology is computed slice by slice.  A module with zero differential (a
+free module, its shifts, the cone of a zero map) takes its homology from
+H(A): its slice complex is a direct sum of slices of A, whose homology each
+algebra computes once per degree.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 
 import numpy as np
 
@@ -117,6 +126,9 @@ class DGAlgebra:
         self.adeg = 2 * i + n
         # padding -> {degree: homology record of A as a module over itself}
         self.algebra_slices = {}
+        # degree s -> monomial basis of A_s; (s, key, left) -> slice matrix
+        self.slice_bases = {}
+        self.slice_matrices = {}
 
     def monomial_degree(self, t, e, m):
         return t * self.vdeg + e * self.adeg + m * self.i
@@ -171,34 +183,35 @@ class DGAlgebra:
             out = {(0, e, m): c for (t_, e, m), c in out.items()}
         return out
 
-    def multiply(self, x, y, truncate=False):
+    def _collect(self, products, truncate):
+        """The element sum c * terms over (c, terms) pairs; u-exponents past
+        the weight bound are dropped or raise WeightOverflow."""
         out = {}
-        for k1, c1 in x.terms.items():
-            for k2, c2 in y.terms.items():
-                for k, c in self._mul_monomials(k1, k2).items():
-                    if k[2] > self.weight:
-                        if truncate:
-                            continue
-                        raise WeightOverflow(f"u-exponent {k[2]} exceeds bound {self.weight}")
-                    out[k] = out.get(k, 0) + c1 * c2 * c
+        for c, terms in products:
+            for k, ck in terms.items():
+                if k[2] > self.weight:
+                    if truncate:
+                        continue
+                    raise WeightOverflow(f"u-exponent {k[2]} exceeds bound {self.weight}")
+                out[k] = out.get(k, 0) + c * ck
         return DGElement(self, out)
+
+    def multiply(self, x, y, truncate=False):
+        return self._collect(((c1 * c2, self._mul_monomials(k1, k2))
+                              for k1, c1 in x.terms.items() for k2, c2 in y.terms.items()),
+                             truncate)
 
     # -- differential ----------------------------------------------------
 
-    def differential(self, x, truncate=False):
+    def _diff_monomial(self, k):
         """d(v^t a u^m) = (-1)^{n * t * |v|} v^t u^{m+2}; d(v^t u^m) = 0."""
-        out = {}
-        for (t, e, m), c in x.terms.items():
-            if e == 0:
-                continue
-            if m + 2 > self.weight:
-                if truncate:
-                    continue
-                raise WeightOverflow(f"u-exponent {m + 2} exceeds bound {self.weight}")
-            sign = -1 if (self.n * t * self.vdeg) % 2 else 1
-            key = (t, 0, m + 2)
-            out[key] = out.get(key, 0) + c * sign
-        return DGElement(self, out)
+        t, e, m = k
+        if not e:
+            return {}
+        return {(t, 0, m + 2): -1 if (self.n * t * self.vdeg) % 2 else 1}
+
+    def differential(self, x, truncate=False):
+        return self._collect(((c, self._diff_monomial(k)) for k, c in x.terms.items()), truncate)
 
     def leibniz_holds(self, x, y):
         lhs = self.differential(self.multiply(x, y, truncate=True), truncate=True)
@@ -289,15 +302,14 @@ def _check_well_defined(alg):
         )
     # confluence: all words of length <= 4 rewrite consistently with the
     # closed-form monomial product
-    letters = ["a", "u"]
+    letters = {"a": alg.gen_a(), "u": alg.gen_u()}
     for length in range(5):
         for word in itertools.product(letters, repeat=length):
             terms = _rewrite_word(alg, 1, 0, list(word))
             # same word evaluated through normal-form multiplication
             acc = alg.one()
             for letter in word:
-                factor = alg.gen_a() if letter == "a" else alg.gen_u()
-                acc = alg.multiply(acc, factor)
+                acc = alg.multiply(acc, letters[letter])
             if terms != acc.terms:
                 raise ShapeMismatch(f"rewriting disagreement on word {''.join(word)}")
 
@@ -312,14 +324,97 @@ def build_two_generator_dga(p, i, n, weight=DEFAULT_WEIGHT):
 
 
 # ---------------------------------------------------------------------------
+# slices of A and their matrices
+# ---------------------------------------------------------------------------
+
+def _algebra_basis(alg, s):
+    """Monomials (t, e, m) of A in degree s with m <= W, ordered by (e, m)."""
+    basis = alg.slice_bases.get(s)
+    if basis is None:
+        basis = []
+        for e in (0, 1):
+            for m in range(alg.weight + 1):
+                r = s - e * alg.adeg - m * alg.i
+                if alg.vdeg != 0:
+                    if r % alg.vdeg == 0:
+                        basis.append((r // alg.vdeg, e, m))
+                elif r == 0:
+                    basis.append((0, e, m))
+        alg.slice_bases[s] = basis
+    return basis
+
+
+def _algebra_matrix(alg, s, key=None, left=False):
+    """Matrix on A_s over F_p, as an array of shape (target, source): d_A
+    when key is None, else x -> x * key, or key * x when left.  Terms past
+    the weight bound are dropped."""
+    mat = alg.slice_matrices.get((s, key, left))
+    if mat is None:
+        src = _algebra_basis(alg, s)
+        if key is None:
+            images = [alg._diff_monomial(k) for k in src]
+            target = s - alg.n
+        else:
+            images = [alg._mul_monomials(key, k) if left else alg._mul_monomials(k, key) for k in src]
+            target = s + alg.monomial_degree(*key)
+        pos = {k: r for r, k in enumerate(_algebra_basis(alg, target))}
+        mat = np.zeros((len(pos), len(src)), dtype=np.int64)
+        for col, terms in enumerate(images):
+            for k, c in terms.items():
+                if k in pos:
+                    mat[pos[k], col] += c
+        mat %= alg.p
+        alg.slice_matrices[(s, key, left)] = mat
+    return mat
+
+
+def _right_multiplication(alg, s, x, sign=1):
+    """sign times the matrix of y -> y * x on A_s, or None when x = 0."""
+    out = None
+    for k, c in x.terms.items():
+        term = c * sign * _algebra_matrix(alg, s, k)
+        out = term if out is None else out + term
+    return None if out is None else out % alg.p
+
+
+def _block_matrix(alg, rows, cols, block):
+    """Block matrix from the sum of A_s over s in cols to the sum over rows;
+    block(i, j) is the array of block (i, j), or None for a zero block."""
+    row_at = list(itertools.accumulate((len(_algebra_basis(alg, r)) for r in rows), initial=0))
+    col_at = list(itertools.accumulate((len(_algebra_basis(alg, s)) for s in cols), initial=0))
+    out = np.zeros((row_at[-1], col_at[-1]), dtype=np.int64)
+    for i in range(len(rows)):
+        for j in range(len(cols)):
+            b = block(i, j)
+            if b is not None:
+                out[row_at[i]:row_at[i + 1], col_at[j]:col_at[j + 1]] = b
+    return out
+
+
+# ---------------------------------------------------------------------------
 # semifree DG modules
 # ---------------------------------------------------------------------------
+
+def _check_degrees(matrix, col_degrees, row_degrees, what):
+    """Entry (i, j) must be zero or of degree col_degrees[j] - row_degrees[i]."""
+    for i, row in enumerate(matrix):
+        for j, x in enumerate(row):
+            want = col_degrees[j] - row_degrees[i]
+            if not x.is_zero and x.degree() != want:
+                raise ShapeMismatch(f"{what} entry ({i},{j}) has degree {x.degree()}, expected {want}")
+
+
+def _unit_column(M, j):
+    """Slice matrices at degree deg(gen_j) hold d(gen_j) or f(gen_j) in this column."""
+    return [slice_basis(M, M.gen_degrees[j]).index((j, (0, 0, 0)))]
+
 
 class DGModule:
     """Free A-module on generators with integer degrees, plus a differential.
 
     d(gen_j) = sum_i diff[i][j] * gen_i with entries in A of the degree
-    forced by deg(gen_j) - n - deg(gen_i); d^2 = 0 checked symbolically.
+    forced by deg(gen_j) - n - deg(gen_i); d^2 = 0 is checked on each
+    generator through the slice differentials.
     """
 
     def __init__(self, alg, gen_degrees, diff=None, check=True):
@@ -334,44 +429,13 @@ class DGModule:
 
     def _validate(self):
         alg = self.alg
-        g = len(self.gen_degrees)
-        for i in range(g):
-            for j in range(g):
-                x = self.diff[i][j]
-                if x.is_zero:
-                    continue
-                want = self.gen_degrees[j] - alg.n - self.gen_degrees[i]
-                if x.degree() != want:
-                    raise ShapeMismatch(
-                        f"differential entry ({i},{j}) has degree {x.degree()}, expected {want}"
-                    )
-        for j in range(g):
-            dd = self.apply_diff({j: alg.one()})
-            ddd = self.apply_diff(dd)
-            if any(not x.is_zero for x in ddd.values()):
+        _check_degrees(self.diff, self.gen_degrees, [gd + alg.n for gd in self.gen_degrees],
+                       "differential")
+        for j, gd in enumerate(self.gen_degrees):
+            dd = linalg.modp_matmul(slice_differential(self, gd - alg.n),
+                                    slice_differential(self, gd)[:, _unit_column(self, j)], alg.p)
+            if any(map(any, dd)):
                 raise ShapeMismatch(f"d^2 != 0 on generator {j}")
-
-    def apply_diff(self, elem, truncate=True):
-        """elem: {gen index: A-element}; returns d(elem) in the same form."""
-        alg = self.alg
-        out = {}
-        for j, x in elem.items():
-            if x.is_zero:
-                continue
-            dx = alg.differential(x, truncate=truncate)
-            if not dx.is_zero:
-                out[j] = out.get(j, alg.zero()) + dx
-            # sign (-1)^{n|x|} from the Leibniz rule on x * gen_j
-            deg = x.degree()
-            sign = -1 if (alg.n * deg) % 2 else 1
-            for i in range(len(self.gen_degrees)):
-                entry = self.diff[i][j]
-                if entry.is_zero:
-                    continue
-                contrib = alg.multiply(x, entry, truncate=truncate) * sign
-                if not contrib.is_zero:
-                    out[i] = out.get(i, alg.zero()) + contrib
-        return {k: v for k, v in out.items() if not v.is_zero}
 
     def __repr__(self):
         return f"DGModule(degrees={self.gen_degrees})"
@@ -400,46 +464,18 @@ class DGMap:
             self._validate()
 
     def _validate(self):
-        alg = self.source.alg
-        gs = len(self.source.gen_degrees)
-        gt = len(self.target.gen_degrees)
-        if len(self.matrix) != gt or any(len(r) != gs for r in self.matrix):
+        source, target, p = self.source, self.target, self.source.alg.p
+        gs = len(source.gen_degrees)
+        if len(self.matrix) != len(target.gen_degrees) or any(len(r) != gs for r in self.matrix):
             raise ShapeMismatch("map matrix shape mismatch")
-        for i in range(gt):
-            for j in range(gs):
-                x = self.matrix[i][j]
-                if x.is_zero:
-                    continue
-                want = self.source.gen_degrees[j] - self.target.gen_degrees[i]
-                if x.degree() != want:
-                    raise ShapeMismatch(f"map entry ({i},{j}) has wrong degree")
-        for j in range(gs):
-            lhs = self.apply(self.source.apply_diff({j: alg.one()}))
-            rhs = self.target.apply_diff(self.apply({j: alg.one()}))
-            if _elem_sub(alg, lhs, rhs):
+        _check_degrees(self.matrix, source.gen_degrees, target.gen_degrees, "map")
+        for j, gd in enumerate(source.gen_degrees):
+            unit = _unit_column(source, j)
+            fd = linalg.modp_matmul(map_slice(self, gd - source.alg.n),
+                                    slice_differential(source, gd)[:, unit], p)
+            df = linalg.modp_matmul(slice_differential(target, gd), map_slice(self, gd)[:, unit], p)
+            if fd != df:
                 raise NotChainMap(f"map does not commute with d on generator {j}")
-
-    def apply(self, elem):
-        alg = self.source.alg
-        out = {}
-        for j, x in elem.items():
-            for i in range(len(self.target.gen_degrees)):
-                entry = self.matrix[i][j]
-                if entry.is_zero:
-                    continue
-                contrib = alg.multiply(x, entry, truncate=True)
-                if not contrib.is_zero:
-                    out[i] = out.get(i, alg.zero()) + contrib
-        return {k: v for k, v in out.items() if not v.is_zero}
-
-
-def _elem_sub(alg, e1, e2):
-    out = {}
-    for k, v in e1.items():
-        out[k] = v
-    for k, v in e2.items():
-        out[k] = out.get(k, alg.zero()) - v
-    return {k: v for k, v in out.items() if not v.is_zero}
 
 
 def cone(f):
@@ -448,76 +484,55 @@ def cone(f):
     D(n', m) = (d_N n' + f(m), (-1)^n d_M m); reproduces the displayed
     differential D(a, b) = (da + ub, (-1)^{i+n} db) for f = u: A[i] -> A.
     """
-    alg = f.source.alg
-    N, M = f.target, f.source
-    Mn = shift(M, alg.n)
-    gn, gm = len(N.gen_degrees), len(M.gen_degrees)
-    degs = list(N.gen_degrees) + list(Mn.gen_degrees)
-    diff = [[alg.zero() for _ in range(gn + gm)] for _ in range(gn + gm)]
-    for i in range(gn):
-        for j in range(gn):
-            diff[i][j] = N.diff[i][j]
-    for i in range(gm):
-        for j in range(gm):
-            diff[gn + i][gn + j] = Mn.diff[i][j]
-    for i in range(gn):
-        for j in range(gm):
-            diff[i][gn + j] = f.matrix[i][j]
-    return DGModule(alg, degs, diff, check=True)
+    alg, N = f.source.alg, f.target
+    Mn = shift(f.source, alg.n)
+    zeros = [alg.zero()] * len(N.gen_degrees)
+    diff = [dn + fn for dn, fn in zip(N.diff, f.matrix)] + [zeros + dm for dm in Mn.diff]
+    return DGModule(alg, N.gen_degrees + Mn.gen_degrees, diff, check=True)
 
 
 # ---------------------------------------------------------------------------
-# degree-slice homology
+# degree-slice matrices and homology
 # ---------------------------------------------------------------------------
 
 def slice_basis(M, q):
     """Monomial basis (gen index, (t, e, m)) of the degree-q slice, m <= W."""
-    alg = M.alg
-    out = []
-    for j, gd in enumerate(M.gen_degrees):
-        rest = q - gd
-        for e in (0, 1):
-            for m in range(alg.weight + 1):
-                r = rest - e * alg.adeg - m * alg.i
-                if alg.vdeg != 0:
-                    if r % alg.vdeg == 0:
-                        out.append((j, (r // alg.vdeg, e, m)))
-                else:
-                    if r == 0:
-                        out.append((j, (0, e, m)))
-    return out
+    return [(j, key) for j, gd in enumerate(M.gen_degrees) for key in _algebra_basis(M.alg, q - gd)]
 
 
-def slice_coords(elem, pos, p):
-    """Coordinates of {gen index: A-element} in a slice basis given as
-    {(gen index, monomial): position}; terms off the slice are dropped."""
-    out = [0] * len(pos)
-    for j, x in elem.items():
-        for k, c in x.terms.items():
-            idx = pos.get((j, k))
-            if idx is not None:
-                out[idx] = (out[idx] + c) % p
-    return out
-
-
-def slice_element(alg, basis, vec):
-    """The module element {gen index: A-element} with coordinates vec."""
-    terms = {}
-    for (j, key), c in zip(basis, vec):
-        if c:
-            terms.setdefault(j, {})[key] = c
-    return {j: DGElement(alg, t) for j, t in terms.items()}
-
-
-def _slice_matrix(M, src_basis, tgt_basis):
-    """Matrix of d from the src slice to the tgt slice over F_p, as an array
-    of shape (target, source)."""
+def slice_differential(M, q):
+    """Matrix of d from the degree-q slice of M to the slice q - n, as an
+    array of shape (target, source)."""
     # terms truncated past the weight bound are dropped; the reliability
     # filter of the homology excludes the affected classes
-    pos = {key: idx for idx, key in enumerate(tgt_basis)}
-    cols = [slice_coords(M.apply_diff({j: DGElement(M.alg, {key: 1})}), pos, M.alg.p)
-            for j, key in src_basis]
-    return _columns(cols, len(tgt_basis))
+    alg = M.alg
+    cols = [q - gd for gd in M.gen_degrees]
+
+    def block(i, j):
+        s = cols[j]
+        out = _right_multiplication(alg, s, M.diff[i][j], -1 if (alg.n * s) % 2 else 1)
+        if i == j:
+            d = _algebra_matrix(alg, s)
+            out = d if out is None else (out + d) % alg.p
+        return out
+
+    return _block_matrix(alg, [s - alg.n for s in cols], cols, block)
+
+
+def map_slice(f, q, twist=0):
+    """Matrix of f from the degree-q slice of its source to that of its
+    target, as an array of shape (target, source).
+
+    With twist, each coefficient y is first multiplied by (-1)^{twist |y|}.
+    Because slice_basis(M[n], q) == slice_basis(M, q - n), map_slice(f,
+    q - n, twist=n) is the connecting map (A[n])_q -> (B[n])_q of the cone
+    sequence: lift a cycle of A[n] into the cone and apply its differential.
+    """
+    alg = f.source.alg
+    cols = [q - gd for gd in f.source.gen_degrees]
+    return _block_matrix(alg, [q - gd for gd in f.target.gen_degrees], cols,
+                         lambda i, j: _right_multiplication(alg, cols[j], f.matrix[i][j],
+                                                            -1 if (twist * cols[j]) % 2 else 1))
 
 
 def _columns(vectors, size):
@@ -544,14 +559,8 @@ def _slice_homology(alg, basis, d_here, d_above, padding):
     high = [idx for idx, (_, (_, _, m)) in enumerate(basis) if m > alg.weight - padding]
     ker_low = ker
     if ker and high:
-        ker_low = []
-        for comb in linalg.modp_kernel([[v[idx] for v in ker] for idx in high], p):
-            vec = [0] * size
-            for c, v in zip(comb, ker):
-                if c:
-                    vec = [(x + c * y) % p for x, y in zip(vec, v)]
-            if any(vec):
-                ker_low.append(vec)
+        combs = linalg.modp_kernel([[v[idx] for v in ker] for idx in high], p)
+        ker_low = linalg.modp_matmul(combs, ker, p)
     reps = []
     if ker_low:
         _, pivots = linalg.modp_rref(_columns(im + ker_low, size), p)
@@ -560,13 +569,12 @@ def _slice_homology(alg, basis, d_here, d_above, padding):
 
 
 def _slices(M, degrees, padding):
-    """Homology records of M at the given degrees; every slice basis and
-    slice differential is built once (d_above at q is d_here at q + n)."""
+    """Homology records of M at the given degrees; every slice differential
+    is built once (d_above at q is d_here at q + n)."""
     n = M.alg.n
-    near = {q + s for q in degrees for s in (0, n)}
-    bases = {q: slice_basis(M, q) for q in near | {q - n for q in near}}
-    diffs = {q: _slice_matrix(M, bases[q], bases[q - n]) for q in near}
-    return {q: _slice_homology(M.alg, bases[q], diffs[q], diffs[q + n], padding) for q in degrees}
+    diffs = {q: slice_differential(M, q) for q in {q + s for q in degrees for s in (0, n)}}
+    return {q: _slice_homology(M.alg, slice_basis(M, q), diffs[q], diffs[q + n], padding)
+            for q in degrees}
 
 
 def _free_homology(M, window, padding):
@@ -631,18 +639,19 @@ def class_coordinates(Hq, p, cycles):
     return R[:k, lead:].tolist()
 
 
+def induced_matrix(mat, Hsrc, Htgt, p):
+    """Matrix on homology of the slice matrix mat, from the representative
+    basis of Hsrc to that of Htgt: one product, then class coordinates."""
+    return class_coordinates(Htgt, p, linalg.modp_matmul(Hsrc["reps"], mat.T, p))
+
+
 def u_action_matrix(M, H, q):
     """Matrix of left multiplication by u: H_q -> H_{q+i}."""
     alg = M.alg
-    Hq, Ht = H[q], H[q + alg.i]
-    pos = {key: idx for idx, key in enumerate(Ht["basis"])}
-    u = alg.gen_u()
-    images = []
-    for vec in Hq["reps"]:
-        elem = slice_element(alg, Hq["basis"], vec)
-        images.append(slice_coords(
-            {j: alg.multiply(u, x, truncate=True) for j, x in elem.items()}, pos, alg.p))
-    return class_coordinates(Ht, alg.p, images)
+    cols = [q - gd for gd in M.gen_degrees]
+    mat = _block_matrix(alg, [s + alg.i for s in cols], cols,
+                        lambda i, j: _algebra_matrix(alg, cols[j], (0, 0, 1), left=True) if i == j else None)
+    return induced_matrix(mat, H[q], H[q + alg.i], alg.p)
 
 
 def homology_is_free_rank_one(M, window, padding=PADDING):

@@ -92,12 +92,14 @@ def modp_rref(A, p):
 
 def modp_matmul(A, B, p):
     """A B mod p as a list of rows, for A with len(B) columns; either may
-    have no rows or no columns."""
+    have no rows or no columns.  A B given as an array keeps its width
+    also when it has no rows."""
     k = len(B)
     if k * (p - 1) ** 2 >= 2 ** 63:
         raise UnsupportedCoefficients(f"prime {p} too large for int64 products of length {k}")
     a = np.array(A, dtype=np.int64).reshape(len(A), k) % p
-    b = np.array(B, dtype=np.int64).reshape(k, len(B[0]) if k else 0) % p
+    b = np.asarray(B, dtype=np.int64)
+    b = b.reshape(k, b.shape[1] if b.ndim == 2 else 0) % p
     return (a @ b % p).tolist()
 
 

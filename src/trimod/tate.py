@@ -33,7 +33,6 @@ class TateRing:
 
 
 def _map_minus(f, g):
-    R = f.source.ring
     mat = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(f.matrix, g.matrix)]
     return md.ModuleMap(f.source, f.target, mat, check=False)
 

@@ -77,27 +77,6 @@ def _check_lift_ring(R, n):
     return p, i
 
 
-def _induced_matrix(dgmap, Hsrc, Htgt, q, p, twist=0):
-    """Matrix of the map induced on homology at degree q.
-
-    With twist = n it is the connecting map H(A[n])_q -> H(B[n])_q of the
-    cone sequence for f = dgmap.  Lift a cycle of A[n] into the cone and
-    apply the differential: the result is f applied coefficientwise with a
-    (-1)^{n|y|} twist on each monomial y.  This differs from the naively
-    suspended matrix by an invertible sign diagonal, so ranks agree with f,
-    but only this version makes consecutive composites vanish.
-    """
-    alg = dgmap.source.alg
-    src, tgt = Hsrc[q], Htgt[q]
-    signs = [-1 if (twist * alg.monomial_degree(*key)) % 2 else 1 for _, key in src["basis"]]
-    pos = {key: idx for idx, key in enumerate(tgt["basis"])}
-    images = []
-    for vec in src["reps"]:
-        elem = dg.slice_element(alg, src["basis"], [c * s for c, s in zip(vec, signs)])
-        images.append(dg.slice_coords(dgmap.apply(elem), pos, p))
-    return dg.class_coordinates(tgt, p, images)
-
-
 def _generator_degrees(Cmod, H, window, i, vdeg, p):
     """Degrees of module generators of H: classes not hit by the x-action."""
     lo, hi = window
@@ -166,10 +145,14 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
     dims, fs, gs, hs, sfs = {}, {}, {}, {}, {}
     for q in range(lo, hi + 1):
         dims[q] = (HA[q]["dim"], HB[q]["dim"], HC[q]["dim"], HAs[q]["dim"], HBs[q]["dim"])
-        fs[q] = _induced_matrix(fmap, HA, HB, q, p)
-        gs[q] = _induced_matrix(gmap, HB, HC, q, p)
-        hs[q] = _induced_matrix(hmap, HC, HAs, q, p)
-        sfs[q] = _induced_matrix(fmap, HAs, HBs, q, p, twist=n)
+        fs[q] = dg.induced_matrix(dg.map_slice(fmap, q), HA[q], HB[q], p)
+        gs[q] = dg.induced_matrix(dg.map_slice(gmap, q), HB[q], HC[q], p)
+        hs[q] = dg.induced_matrix(dg.map_slice(hmap, q), HC[q], HAs[q], p)
+        # the connecting map H(A[n])_q -> H(B[n])_q: f with a (-1)^{n|y|}
+        # twist on each coefficient y.  It differs from the naively suspended
+        # matrix by an invertible sign diagonal, so ranks agree with f, but
+        # only this version makes consecutive composites vanish.
+        sfs[q] = dg.induced_matrix(dg.map_slice(fmap, q - n, twist=n), HAs[q], HBs[q], p)
 
     third = _generator_degrees(C, HC, window, i, alg.vdeg, p)
     return Triangle(p, n, window, dims, fs, gs, hs, sfs, third)

@@ -9,6 +9,7 @@ from trimod import triangles as tr
 from trimod.errors import (
     NotChainMap,
     ParityObstruction,
+    ShapeMismatch,
     WeightOverflow,
     WindowEmpty,
     WindowTooWideForWeightBound,
@@ -98,7 +99,14 @@ def test_cone_of_u_differential():
     C = dg.cone(f)
     assert C.gen_degrees == [0, A.i + A.n]
     assert C.diff[0][1] == A.gen_u()
-    img = C.apply_diff({1: A.gen_a()})
+    # d(a * g_1), read off its column of the slice differential
+    q = C.gen_degrees[1] + A.adeg
+    col = dg.slice_differential(C, q)[:, dg.slice_basis(C, q).index((1, (0, 1, 0)))]
+    terms = {}
+    for (j, key), c in zip(dg.slice_basis(C, q - A.n), col.tolist()):
+        if c:
+            terms.setdefault(j, {})[key] = c
+    img = {j: dg.DGElement(A, t) for j, t in terms.items()}
     sign = -1 if (A.n * A.adeg) % 2 else 1
     assert img[0] == A.gen_a() * A.gen_u() * sign
     assert img[1] == A.differential(A.gen_a())
@@ -111,6 +119,25 @@ def test_cone_of_identity_is_acyclic():
     C = dg.cone(f)
     H = dg.homology(C, (-4, 4))
     assert all(H[q]["dim"] == 0 for q in range(-4, 5))
+
+
+def test_d_squared_nonzero_rejected():
+    # d g2 = g1, d g1 = g0, so d^2 g2 = g0
+    A = dg.build_two_generator_dga(3, 1, 1)
+    one, zero = A.one(), A.zero()
+    diff = [[zero, one, zero], [zero, zero, one], [zero, zero, zero]]
+    with pytest.raises(ShapeMismatch, match="d\\^2"):
+        dg.DGModule(A, [0, 1, 2], diff)
+    # the same generators with d g1 = 0 form a module
+    dg.DGModule(A, [0, 1, 2], [[zero, zero, zero], [zero, zero, one], [zero, zero, zero]])
+
+
+def test_differential_entry_of_wrong_degree_rejected():
+    # d g1 must have coefficient of degree 1 - n - 0 = 0 on g0; u has degree 1
+    A = dg.build_two_generator_dga(3, 1, 1)
+    zero = A.zero()
+    with pytest.raises(ShapeMismatch, match="degree"):
+        dg.DGModule(A, [0, 1], [[zero, A.gen_u()], [zero, zero]])
 
 
 def test_not_chain_map():

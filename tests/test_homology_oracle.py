@@ -1,7 +1,9 @@
 """dga.homology and its elimination kernels against straightforward references.
 
 `reference_homology` computes every slice on its own: both slice
-differentials from scratch, the representatives by a greedy loop that keeps
+differentials from scratch, one monomial at a time through the element-wise
+Leibniz rule (against which `slice_differential` and `map_slice` are also
+compared), the representatives by a greedy loop that keeps
 a low-weight cycle when it is not yet in the span of the boundaries and the
 cycles kept before it.  `homology` must return the same records: modules
 with zero differential take them from H(A), the others from one echelon form
@@ -30,18 +32,62 @@ KEYS = ("dim", "reps", "basis", "im")
 # references
 
 
-def reference_slice_matrix(M, src_basis, tgt_basis):
+def reference_apply_diff(M, elem):
+    """d of the element {gen index: A-element}, in the same form, by the
+    Leibniz rule d(x gen_j) = d(x) gen_j + (-1)^{n|x|} x d(gen_j)."""
+    alg = M.alg
+    out = {}
+    for j, x in elem.items():
+        if x.is_zero:
+            continue
+        dx = alg.differential(x, truncate=True)
+        if not dx.is_zero:
+            out[j] = out.get(j, alg.zero()) + dx
+        sign = -1 if (alg.n * x.degree()) % 2 else 1
+        for i in range(len(M.gen_degrees)):
+            entry = M.diff[i][j]
+            if entry.is_zero:
+                continue
+            contrib = alg.multiply(x, entry, truncate=True) * sign
+            if not contrib.is_zero:
+                out[i] = out.get(i, alg.zero()) + contrib
+    return {k: v for k, v in out.items() if not v.is_zero}
+
+
+def reference_apply_map(f, elem):
+    """f of the element {gen index: A-element}, coefficientwise."""
+    alg = f.source.alg
+    out = {}
+    for j, x in elem.items():
+        for i in range(len(f.target.gen_degrees)):
+            entry = f.matrix[i][j]
+            if entry.is_zero:
+                continue
+            contrib = alg.multiply(x, entry, truncate=True)
+            if not contrib.is_zero:
+                out[i] = out.get(i, alg.zero()) + contrib
+    return {k: v for k, v in out.items() if not v.is_zero}
+
+
+def reference_matrix(apply, alg, src_basis, tgt_basis, twist=0):
+    """Matrix of apply from the src slice to the tgt slice, one monomial at a
+    time; with twist the monomial y is first scaled by (-1)^{twist |y|}."""
     pos = {key: idx for idx, key in enumerate(tgt_basis)}
     cols = []
     for j, key in src_basis:
-        img = M.apply_diff({j: dg.DGElement(M.alg, {key: 1})})
+        sign = -1 if (twist * alg.monomial_degree(*key)) % 2 else 1
+        img = apply({j: dg.DGElement(alg, {key: sign})})
         col = [0] * len(tgt_basis)
         for i, x in img.items():
             for k, c in x.terms.items():
                 if (i, k) in pos:
-                    col[pos[(i, k)]] = c % M.alg.p
+                    col[pos[(i, k)]] = c % alg.p
         cols.append(col)
     return [[cols[j][r] for j in range(len(src_basis))] for r in range(len(tgt_basis))]
+
+
+def reference_slice_matrix(M, src_basis, tgt_basis):
+    return reference_matrix(lambda e: reference_apply_diff(M, e), M.alg, src_basis, tgt_basis)
 
 
 def reference_homology(M, window, padding=dg.PADDING):
@@ -155,15 +201,20 @@ def lift_ring(p, i, n):
     return con.laurent_exterior(p, i, 3 * i + n)
 
 
-def drawn_modules(p, i, n, weight, seed):
-    """A free module, a shift of it, and the cone of a random lifted map."""
-    rng = random.Random(seed)
+def drawn_map(p, i, n, weight, rng):
+    """A random map of free modules, lifted to the DG algebra."""
     alg = dg.build_two_generator_dga(p, i, n, weight)
     R = lift_ring(p, i, n)
     src, tgt, entries = tr.random_map(R, n, rng, max_rank=3, deg_lo=-2, deg_hi=2)
     M, N = dg.DGModule(alg, src), dg.DGModule(alg, tgt)
-    f = dg.DGMap(M, N, [[tr._lift_entry(alg, R, x) for x in row] for row in entries])
-    return [M, dg.shift(N, rng.randint(-2, 2)), dg.cone(f)]
+    return dg.DGMap(M, N, [[tr._lift_entry(alg, R, x) for x in row] for row in entries])
+
+
+def drawn_modules(p, i, n, weight, seed):
+    """A free module, a shift of it, and the cone of a random lifted map."""
+    rng = random.Random(seed)
+    f = drawn_map(p, i, n, weight, rng)
+    return [f.source, dg.shift(f.target, rng.randint(-2, 2)), dg.cone(f)]
 
 
 def same_records(H, ref):
@@ -180,6 +231,28 @@ def test_homology_matches_reference(model, seed):
         # both paddings on one algebra: its cached H(A) slices must not mix
         for padding in (2, 1):
             same_records(dg.homology(M, window, padding), reference_homology(M, window, padding))
+        for q in range(window[0] - 1, window[1] + 2):
+            want = reference_slice_matrix(M, dg.slice_basis(M, q), dg.slice_basis(M, q - n))
+            assert dg.slice_differential(M, q).tolist() == want, f"degree {q}"
+    # the maps of a triangle: f, the inclusion into its cone, the projection
+    # to the shifted source, and the connecting map of the cone sequence
+    f = drawn_map(p, i, n, weight, random.Random(seed))
+    C = dg.cone(f)
+    gn, gm = len(f.target.gen_degrees), len(f.source.gen_degrees)
+    alg = C.alg
+    incl = dg.DGMap(f.target, C, [[alg.one() if r == c else alg.zero() for c in range(gn)]
+                                  for r in range(gn + gm)])
+    proj = dg.DGMap(C, dg.shift(f.source, n), [[alg.one() if c == gn + r else alg.zero()
+                                                for c in range(gn + gm)] for r in range(gm)])
+    for q in range(window[0], window[1] + 1):
+        for g in (f, incl, proj):
+            want = reference_matrix(lambda e: reference_apply_map(g, e), alg,
+                                    dg.slice_basis(g.source, q), dg.slice_basis(g.target, q))
+            assert dg.map_slice(g, q).tolist() == want, f"degree {q}"
+        want = reference_matrix(lambda e: reference_apply_map(f, e), alg,
+                                dg.slice_basis(dg.shift(f.source, n), q),
+                                dg.slice_basis(dg.shift(f.target, n), q), twist=n)
+        assert dg.map_slice(f, q - n, twist=n).tolist() == want, f"degree {q}"
 
 
 def test_homology_of_triangle_modules_matches_reference():

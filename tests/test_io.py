@@ -217,6 +217,9 @@ def test_cli_json_deterministic(capsys):
     argv = ["dg-verify", "--p", "2", "--i", "1", "--n", "1",
             "--window", "-4:4", "--trials", "5", "--seed", "3", "--json"]
     code1, out1, _ = _run(argv, capsys)
+    # another subcommand in between: one parser serves every call
+    code, out, _ = _run(["classify", os.path.join(RINGS, "z4.ring"), "--n", "0", "--json"], capsys)
+    assert code == 0 and json.loads(out)["command"] == "classify"
     code2, out2, _ = _run(argv, capsys)
     assert code1 == code2 == 0
     assert out1 == out2
