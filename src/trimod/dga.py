@@ -23,6 +23,14 @@ Homology is computed slice by slice.  A module with zero differential (a
 free module, its shifts, the cone of a zero map) takes its homology from
 H(A): its slice complex is a direct sum of slices of A, whose homology each
 algebra computes once per degree.
+
+Periodicity: when |v| != 0, the slice bases at q and q + k|v| differ only in
+the v-exponents t, shifted by k, because the basis of A_s depends on t only
+through s, products add t and the weight bound reads only m.  So the slice
+matrices at q + k|v| are those at q, except that d gains the sign
+(-1)^{n|v|k}, which is +1 in every model that builds (for odd p the parity
+check forces i and n odd, so |v| is even).  Homology is therefore eliminated
+once per residue class of degrees mod |v| and transported to the others.
 """
 
 from __future__ import annotations
@@ -404,9 +412,16 @@ def _check_degrees(matrix, col_degrees, row_degrees, what):
                 raise ShapeMismatch(f"{what} entry ({i},{j}) has degree {x.degree()}, expected {want}")
 
 
-def _unit_column(M, j):
-    """Slice matrices at degree deg(gen_j) hold d(gen_j) or f(gen_j) in this column."""
-    return [slice_basis(M, M.gen_degrees[j]).index((j, (0, 0, 0)))]
+def _column(M, q, entries):
+    """Coordinates of sum_i entries[i] * gen_i in the degree-q slice of M, as
+    a one-column array; terms past the weight bound are dropped."""
+    pos = {b: r for r, b in enumerate(slice_basis(M, q))}
+    col = np.zeros((len(pos), 1), dtype=np.int64)
+    for i, x in enumerate(entries):
+        for key, c in x.terms.items():
+            if (i, key) in pos:
+                col[pos[(i, key)], 0] = c
+    return col
 
 
 class DGModule:
@@ -432,9 +447,10 @@ class DGModule:
         _check_degrees(self.diff, self.gen_degrees, [gd + alg.n for gd in self.gen_degrees],
                        "differential")
         for j, gd in enumerate(self.gen_degrees):
-            dd = linalg.modp_matmul(slice_differential(self, gd - alg.n),
-                                    slice_differential(self, gd)[:, _unit_column(self, j)], alg.p)
-            if any(map(any, dd)):
+            # d applied to the column of d(gen_j); a zero column needs no slice matrix
+            d_gen = _column(self, gd - alg.n, [row[j] for row in self.diff])
+            if d_gen.any() and any(map(any, linalg.modp_matmul(
+                    slice_differential(self, gd - alg.n), d_gen, alg.p))):
                 raise ShapeMismatch(f"d^2 != 0 on generator {j}")
 
     def __repr__(self):
@@ -470,10 +486,13 @@ class DGMap:
             raise ShapeMismatch("map matrix shape mismatch")
         _check_degrees(self.matrix, source.gen_degrees, target.gen_degrees, "map")
         for j, gd in enumerate(source.gen_degrees):
-            unit = _unit_column(source, j)
-            fd = linalg.modp_matmul(map_slice(self, gd - source.alg.n),
-                                    slice_differential(source, gd)[:, unit], p)
-            df = linalg.modp_matmul(slice_differential(target, gd), map_slice(self, gd)[:, unit], p)
+            below = gd - source.alg.n
+            d_gen = _column(source, below, [row[j] for row in source.diff])
+            f_gen = _column(target, gd, [row[j] for row in self.matrix])
+            zero = [[0]] * len(slice_basis(target, below))
+            # f(d(gen_j)) and d(f(gen_j)); a zero column needs no slice matrix
+            fd = linalg.modp_matmul(map_slice(self, below), d_gen, p) if d_gen.any() else zero
+            df = linalg.modp_matmul(slice_differential(target, gd), f_gen, p) if f_gen.any() else zero
             if fd != df:
                 raise NotChainMap(f"map does not commute with d on generator {j}")
 
@@ -570,11 +589,17 @@ def _slice_homology(alg, basis, d_here, d_above, padding):
 
 def _slices(M, degrees, padding):
     """Homology records of M at the given degrees; every slice differential
-    is built once (d_above at q is d_here at q + n)."""
-    n = M.alg.n
-    diffs = {q: slice_differential(M, q) for q in {q + s for q in degrees for s in (0, n)}}
-    return {q: _slice_homology(M.alg, slice_basis(M, q), diffs[q], diffs[q + n], padding)
-            for q in degrees}
+    is built once (d_above at q is d_here at q + n).  Only the first degree
+    of each residue class mod |v| is eliminated; the others are transported
+    from it (see the module docstring)."""
+    alg, n, period = M.alg, M.alg.n, M.alg.vdeg
+    first = {}
+    for q in degrees:
+        first.setdefault(q % period if period else q, q)
+    diffs = {q: slice_differential(M, q) for q in {q + s for q in first.values() for s in (0, n)}}
+    out = {q: _slice_homology(alg, slice_basis(M, q), diffs[q], diffs[q + n], padding)
+           for q in first.values()}
+    return {q: out.get(q) or dict(out[first[q % period]], basis=slice_basis(M, q)) for q in degrees}
 
 
 def _free_homology(M, window, padding):

@@ -77,6 +77,15 @@ def _check_lift_ring(R, n):
     return p, i
 
 
+def _model(R, n, weight):
+    """The validated DG model of R at (n, weight), built once per ring and
+    cached in R._cache with its slice bases, slice matrices and H(A)."""
+    key = ("dg_model", n, weight)
+    if key not in R._cache:
+        R._cache[key] = dg.build_two_generator_dga(*_check_lift_ring(R, n), n, weight)
+    return R._cache[key]
+
+
 def _generator_degrees(Cmod, H, window, i, vdeg, p):
     """Degrees of module generators of H: classes not hit by the x-action."""
     lo, hi = window
@@ -85,9 +94,8 @@ def _generator_degrees(Cmod, H, window, i, vdeg, p):
         key = q % vdeg if vdeg else q
         if key in per_key or not H[q]["dim"] or not (lo <= q - i <= hi):
             continue
-        count = H[q]["dim"] - linalg.modp_rank(dg.u_action_matrix(Cmod, H, q - i), p)
-        if count > 0:
-            per_key[key] = (q, count)
+        # the count repeats with period |v|, also when it is 0
+        per_key[key] = (q, H[q]["dim"] - linalg.modp_rank(dg.u_action_matrix(Cmod, H, q - i), p))
     out = []
     for q, count in sorted(per_key.values()):
         out.extend([q] * count)
@@ -105,8 +113,8 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
     """
     if source_relations or target_relations:
         raise NotProjectiveInput("inputs must be finite free graded modules")
-    p, i = _check_lift_ring(R, n)
-    alg = dg.build_two_generator_dga(p, i, n, weight)
+    alg = _model(R, n, weight)
+    p, i = alg.p, alg.i
     for row_idx, row in enumerate(entries):
         for col_idx, x in enumerate(row):
             if x.is_zero:
@@ -143,7 +151,13 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
     hmap = dg.DGMap(C, Mn, proj)
 
     dims, fs, gs, hs, sfs = {}, {}, {}, {}, {}
+    period = abs(alg.vdeg)
     for q in range(lo, hi + 1):
+        if period and q - period >= lo:
+            # slices and records at q are those at q - |v| with t shifted
+            for rec in (dims, fs, gs, hs, sfs):
+                rec[q] = rec[q - period]
+            continue
         dims[q] = (HA[q]["dim"], HB[q]["dim"], HC[q]["dim"], HAs[q]["dim"], HBs[q]["dim"])
         fs[q] = dg.induced_matrix(dg.map_slice(fmap, q), HA[q], HB[q], p)
         gs[q] = dg.induced_matrix(dg.map_slice(gmap, q), HB[q], HC[q], p)

@@ -28,6 +28,22 @@ def test_parity_obstruction():
             dg.build_two_generator_dga(p, i, n)
 
 
+def test_models_that_build_have_even_n_times_period():
+    # homology is transported across periods of v without a sign because
+    # (-1)^{n|v|} = 1 in every model that builds
+    built = 0
+    for p in (3, 5):
+        for i in range(-3, 4):
+            for n in range(-3, 4):
+                try:
+                    A = dg.build_two_generator_dga(p, i, n)
+                except ParityObstruction:
+                    continue
+                built += 1
+                assert n * A.vdeg % 2 == 0, (p, i, n)
+    assert built
+
+
 def test_defining_relations():
     A = dg.build_two_generator_dga(3, 1, 1)
     a, u, v = A.gen_a(), A.gen_u(), A.gen_v()
@@ -171,6 +187,30 @@ def test_triangle_of_zero_map():
     assert rep["pass"], rep
     # cone of 0 splits: third term has two generators
     assert len(T.third_generator_degrees) == 2
+
+
+def triangle_record(T):
+    return T.window, T.dims, T.f, T.g, T.h, T.sf, T.third_generator_degrees
+
+
+def test_dg_model_built_once_per_ring_and_weight(monkeypatch):
+    R = lift_ring()
+    rng = random.Random(8)
+    target, *others = [tr.random_map(R, 1, rng) for _ in range(7)]
+    fresh = triangle_record(tr.triangle_from_map(lift_ring(), 1, *target))
+    builds = []
+    build = dg.build_two_generator_dga
+    monkeypatch.setattr(dg, "build_two_generator_dga", lambda *args: builds.append(args) or build(*args))
+    records = [triangle_record(tr.triangle_from_map(R, 1, *target))]
+    for other in others:
+        tr.triangle_from_map(R, 1, *other)
+    records.append(triangle_record(tr.triangle_from_map(R, 1, *target)))
+    tr.triangle_from_map(R, 1, *target, weight=20)
+    records.append(triangle_record(tr.triangle_from_map(R, 1, *target)))
+    assert records == [fresh] * 3
+    # one model per (n, weight) on the ring
+    assert builds == [(3, 1, 1, dg.DEFAULT_WEIGHT), (3, 1, 1, 20)]
+    assert tr._model(R, 1, 20) is not tr._model(R, 1, dg.DEFAULT_WEIGHT)
 
 
 def _free_slice(R, degs, q):

@@ -7,7 +7,9 @@ compared), the representatives by a greedy loop that keeps
 a low-weight cycle when it is not yet in the span of the boundaries and the
 cycles kept before it.  `homology` must return the same records: modules
 with zero differential take them from H(A), the others from one echelon form
-per representative set.  The class coordinates of a batch of cycles must be
+per representative set, and on windows spanning two periods of v, where
+`homology` eliminates one degree per residue class mod |v| and transports
+the records to the others, every degree must still match.  The class coordinates of a batch of cycles must be
 what one solve per cycle gives, `modp_rref` must agree with a pure-Python
 Gauss-Jordan elimination, and the per-position exactness check of
 `verify_triangle_exact`/`verify_rotation` must report what two loops of
@@ -267,6 +269,50 @@ def test_homology_of_triangle_modules_matches_reference():
         f = dg.DGMap(M, N, [[tr._lift_entry(alg, R, x) for x in row] for row in entries])
         for X in (M, N, dg.shift(M, 1), dg.shift(N, 1), dg.cone(f)):
             same_records(dg.homology(X, (-5, 5)), reference_homology(X, (-5, 5)))
+
+
+# (p, i, n) with |v| = 3i + n > 0, which have a lifted ring, and with |v| < 0,
+# which have none
+POSITIVE_PERIODS = [(3, 1, 1), (3, 1, -1), (5, 1, 1), (2, 2, -1)]
+NEGATIVE_PERIODS = [(3, -1, 1), (5, -1, -1), (2, -2, -1)]
+
+
+def two_periods(i, n):
+    """A window spanning two periods of v, and the least weight bound it allows."""
+    period = abs(3 * i + n)
+    return (-period, period), 2 * period + 2 * dg.PADDING
+
+
+@pytest.mark.parametrize("model", POSITIVE_PERIODS)
+def test_transported_homology_matches_reference(model):
+    # homology eliminates one degree per residue class mod |v|; the
+    # reference eliminates every degree of the window
+    p, i, n = model
+    window, weight = two_periods(i, n)
+    for seed in range(4):
+        for M in drawn_modules(p, i, n, weight, seed):
+            for padding in (2, 1):
+                same_records(dg.homology(M, window, padding), reference_homology(M, window, padding))
+
+
+@pytest.mark.parametrize("model", NEGATIVE_PERIODS)
+def test_transported_homology_matches_reference_negative_period(model):
+    p, i, n = model
+    window, weight = two_periods(i, n)
+    alg = dg.build_two_generator_dga(p, i, n, weight)
+    A = dg.algebra_module(alg)
+    for M in (A, dg.DGModule(alg, [-1, 0, 2]), dg.shift(A, 3), dg.shift(dg.DGModule(alg, [1, 1]), -2)):
+        for padding in (2, 1):
+            same_records(dg.homology(M, window, padding), reference_homology(M, window, padding))
+
+
+def test_one_elimination_per_residue_class(monkeypatch):
+    calls = []
+    eliminate = dg._slice_homology
+    monkeypatch.setattr(dg, "_slice_homology", lambda *args: calls.append(args) or eliminate(*args))
+    alg = dg.build_two_generator_dga(3, 1, 1)
+    H = dg.homology(dg.algebra_module(alg), (-5, 5))
+    assert len(H) == 11 and len(calls) == abs(alg.vdeg)
 
 
 @settings(max_examples=30, deadline=None)
