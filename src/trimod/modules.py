@@ -125,11 +125,16 @@ class FiniteModule:
             self._cache["action"] = _reduce(np.matmul(P, moved), qm)
         return self._cache["action"]
 
+    def act_all(self, xs):
+        """Matrices of multiplication by each ring element of xs on quotient
+        coordinates, from one product: shape (len(xs), r, r)."""
+        A = self.action()
+        C = np.array([self.ring.full_coords(x) for x in xs], dtype=A.dtype).reshape(len(xs), len(A))
+        return _reduce(np.tensordot(C, A, 1), self.quotient()[0])
+
     def act(self, x):
         """Matrix of multiplication by the ring element x on quotient coordinates."""
-        A = self.action()
-        c = np.array(self.ring.full_coords(x), dtype=A.dtype)
-        return _reduce(np.tensordot(c, A, 1), self.quotient()[0])
+        return self.act_all([x])[0]
 
     def coords(self, col):
         """Quotient coordinates of a column of g ring elements."""
@@ -189,6 +194,7 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.matrix = [list(row) for row in matrix]  # target.generators rows
+        self._quotient_matrix = None  # see _map_matrix
         if len(self.matrix) != target.generators or any(
             len(row) != source.generators for row in self.matrix
         ):
@@ -215,7 +221,7 @@ class ModuleMap:
 
     def compose(self, other):
         """self . other (apply other first)."""
-        if other.target is not self.source and other.target.ring != self.source.ring:
+        if not _same_module(other.target, self.source):
             raise ShapeMismatch("composition shape mismatch")
         R = self.source.ring
         rows = []
@@ -231,6 +237,17 @@ class ModuleMap:
 
     def __repr__(self):
         return f"ModuleMap({self.source.generators} -> {self.target.generators})"
+
+
+def _same_module(M, N):
+    """M is N, or the same ring, generator count and relation span: the
+    identity matrix maps each one's relations into the other's."""
+    if M is N:
+        return True
+    if M.ring != N.ring or M.generators != N.generators:
+        return False
+    ident = identity_map(M).matrix
+    return all(ModuleMap(A, B, ident, check=False)._respects_relations() for A, B in ((M, N), (N, M)))
 
 
 def identity_map(M):
@@ -273,22 +290,28 @@ def _map_from_images(M, N, v):
 
 def _map_matrix(f):
     """The matrix of f on quotient coordinates: images of the source's
-    additive generators (its quotient unit vectors) in the target's."""
+    additive generators (its quotient unit vectors) in the target's.
+    Computed once per map (maps are not changed after construction) and
+    returned read-only."""
+    if f._quotient_matrix is not None:
+        return f._quotient_matrix
     M, N = f.source, f.target
     A = N.action()
     r, n = A.shape[1], len(M.ambient_moduli)
     W = np.array(_hom_coordinates(f), dtype=A.dtype).reshape(M.generators, r).T
     # images of b_l e_j, in column j*dim + l like the flattened coordinates
     moved = _reduce(np.matmul(A, W).transpose(1, 2, 0).reshape(r, n), N.quotient()[0])
-    return _reduce(moved @ M.lift_array(), N.quotient()[0])
+    f._quotient_matrix = X = _reduce(moved @ M.lift_array(), N.quotient()[0])
+    X.setflags(write=False)
+    return X
 
 
 def _combination_rows(cols, N):
     """Matrix of (n_1..n_g) -> sum_j c_j n_j in N's quotient coordinates, with
     each n_j in quotient coordinates; one block of rows per column c."""
-    A = N.action()
-    empty = np.zeros((A.shape[1], 0), dtype=A.dtype)
-    return [row for c in cols for row in np.hstack([empty] + [N.act(x) for x in c]).tolist()]
+    r, g = N.action().shape[1], len(cols[0]) if cols else 0
+    blocks = N.act_all([x for c in cols for x in c]).reshape(len(cols), g, r, r)
+    return blocks.transpose(0, 2, 1, 3).reshape(len(cols) * r, g * r).tolist()
 
 
 def _hom_vectors(M, N):
@@ -392,8 +415,9 @@ def _factor_through(g, f):
 
 def _radical(M, cap=DEFAULT_CAP):
     """M * maximal ideal, as a subgroup of M's quotient coordinates."""
-    cols = [v for g in rc.maximal_ideal(M.ring, cap).generators for v in M.act(g).T.tolist()]
-    return linalg.Subgroup(cols, M.quotient()[0])
+    qm = M.quotient()[0]
+    acts = M.act_all(rc.maximal_ideal(M.ring, cap).generators)
+    return linalg.Subgroup(acts.transpose(0, 2, 1).reshape(len(acts) * len(qm), len(qm)).tolist(), qm)
 
 
 def minimal_generator_count(M, cap=DEFAULT_CAP):
@@ -522,7 +546,7 @@ def _chain_invariants(M, cap=DEFAULT_CAP):
     sizes = [M.size()]
     current = np.eye(len(qm), dtype=dt)  # rows additively generating M * m^j
     while sizes[-1] > 1:
-        span = linalg.Subgroup(np.vstack([current @ M.act(x).T for x in gens]).tolist(), qm)
+        span = linalg.Subgroup((current @ M.act_all(gens).transpose(0, 2, 1)).reshape(-1, len(qm)).tolist(), qm)
         sizes.append(span.size())
         current = np.array(span.cols(), dtype=dt).reshape(-1, len(qm))
         if len(sizes) > 64:
@@ -658,13 +682,20 @@ def stable_hom(M, N, cap=DEFAULT_CAP):
 
 
 def stable_projective_span(M, N, cap=DEFAULT_CAP):
-    """Subgroup of hom coordinates of the maps factoring through the embedding.
+    """Subgroup of hom coordinates of the maps factoring through the embedding,
+    computed once per pair and cap (in M's cache).
 
     Such a map sends e_t of the free envelope to some y in N, so generator j
     of M goes to emb[t][j] * y; y runs over N's quotient unit vectors.
     """
-    cols = [v for row in injective_envelope(M, cap).matrix for v in np.vstack([N.act(x) for x in row]).T.tolist()]
-    return linalg.Subgroup(cols, _hom_moduli(M, N))
+    key = ("stable_projective_span", N, cap)
+    if key not in M._cache:
+        rows = injective_envelope(M, cap).matrix
+        r = N.action().shape[1]
+        blocks = N.act_all([x for row in rows for x in row]).reshape(len(rows), M.generators, r, r)
+        cols = blocks.transpose(0, 3, 1, 2).reshape(len(rows) * r, M.generators * r).tolist()
+        M._cache[key] = linalg.Subgroup(cols, _hom_moduli(M, N))
+    return M._cache[key]
 
 
 def stable_class_is_zero(f, cap=DEFAULT_CAP):

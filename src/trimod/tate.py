@@ -5,6 +5,10 @@ Omega^j k -> k.  For odd p this is F_p[y, y^-1] tensor an exterior class x
 with |x| = 1, |y| = 2; for p = 2 it is the graded field F_2[y^{+-1}] with
 |y| = 1.  The generation verdict combines the shape of this ring with the
 nonvanishing of x on the homotopy of the cofiber of x.
+
+The shifts Omega^j x and Omega^j y are kept on Heller ladders: each degree
+is reached from its neighbour toward 0 by one `heller_of_map` or
+`omega_inverse_of_map`, so each shift of a map is computed once per degree.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ DEFAULT_WINDOW = (-6, 6)
 class TateRing:
     """Windowed stable-homotopy ring data for k over F_p[t]/(t^{p^n})."""
 
-    def __init__(self, p, n, window, ring, dims, omegas, pi_reps, x_rep, y_rep):
+    def __init__(self, p, n, window, ring, dims, omegas, pi_reps, x_shifts, y_shifts):
         self.p = p
         self.n = n
         self.window = window
@@ -28,8 +32,10 @@ class TateRing:
         self.dims = dims
         self.omegas = omegas
         self.pi_reps = pi_reps
-        self.x_rep = x_rep
-        self.y_rep = y_rep
+        self.x_shifts = x_shifts  # Heller ladder {j: Omega^j x}, see shifted
+        self.y_shifts = y_shifts
+        self.x_rep = x_shifts[0]
+        self.y_rep = y_shifts[0]
 
 
 def _map_minus(f, g):
@@ -62,6 +68,19 @@ def _build_omegas(k, window):
     return omegas
 
 
+def shifted(ladder, j):
+    """Omega^j f from a Heller ladder {j: Omega^j f} over an interval holding
+    0, first extended one shift at a time until it reaches j."""
+    while j not in ladder:
+        if j > 0:
+            top = max(ladder)
+            ladder[top + 1] = md.heller_of_map(ladder[top])
+        else:
+            bottom = min(ladder)
+            ladder[bottom - 1] = md.omega_inverse_of_map(ladder[bottom])
+    return ladder[j]
+
+
 def tate_ring(p, n, window=DEFAULT_WINDOW):
     """pi_* of the sphere in the window, with its verified ring shape."""
     lo, hi = window
@@ -81,28 +100,29 @@ def tate_ring(p, n, window=DEFAULT_WINDOW):
             raise ShapeMismatch(f"pi_{j} has dimension {d}, expected 1")
     x_rep = reps[1][0]
     y_rep = reps[2][0]
+    xs, ys = {0: x_rep}, {0: y_rep}
 
-    xx = x_rep.compose(md.heller_of_map(x_rep))
+    xx = x_rep.compose(shifted(xs, 1))
     if p == 2 and not md.stable_class_is_zero(xx):
         # the degree-1 class is invertible: graded field F_2[y^{+-1}], |y| = 1
         ring = con.laurent_field(2, 1)
-        return TateRing(p, n, window, ring, dims, omegas, reps, x_rep, y_rep)
+        return TateRing(p, n, window, ring, dims, omegas, reps, xs, ys)
 
     # x^2 = 0 and y * x != 0
     lam = stable_coefficient(xx, y_rep, p)
     if lam != 0:
         raise ShapeMismatch("degree-1 class does not square to zero")
-    yx = y_rep.compose(md.omega_power_of_map(x_rep, 2))
+    yx = y_rep.compose(shifted(xs, 2))
     if md.stable_class_is_zero(yx):
         raise ShapeMismatch("product of the degree-1 and degree-2 classes vanishes")
     # y-periodicity: composing with y is injective on every 1-dim slice
     for j in range(lo, hi - 1):
         c = reps[j][0]
-        prod = c.compose(md.omega_power_of_map(y_rep, j))
+        prod = c.compose(shifted(ys, j))
         if md.stable_class_is_zero(prod):
             raise ShapeMismatch(f"periodicity fails: y * pi_{j} = 0")
     ring = con.laurent_exterior(p, 1, 2)
-    return TateRing(p, n, window, ring, dims, omegas, reps, x_rep, y_rep)
+    return TateRing(p, n, window, ring, dims, omegas, reps, xs, ys)
 
 
 def cofiber_stmod(f):
@@ -157,7 +177,7 @@ def x_action_report(T, C, window=None):
     report = {}
     for j in range(lo, hi + 1):
         dim, reps = piC[j]
-        shifted_x = md.omega_power_of_map(T.x_rep, j)
+        shifted_x = shifted(T.x_shifts, j)
         nonzero = 0
         for c in reps:
             if not md.stable_class_is_zero(c.compose(shifted_x)):
@@ -166,8 +186,7 @@ def x_action_report(T, C, window=None):
     return report
 
 
-def _condition2_from(T):
-    verdict = classify(T.ring, 1)
+def _condition2_from(T, verdict):
     if not verdict.is_delta:
         raise ShapeMismatch("stable homotopy ring is not of the admissible shape")
     kinds = [lv.kind for _, lv in verdict.factors]
@@ -187,7 +206,7 @@ def ggh_verdict(p, n, window=DEFAULT_WINDOW):
     condition1 = verdict.is_delta
     report = {}
     if condition1:
-        condition2, report = _condition2_from(T)
+        condition2, report = _condition2_from(T, verdict)
     else:
         condition2 = False
     return {

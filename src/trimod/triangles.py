@@ -183,27 +183,35 @@ _DETAILS = {
 }
 
 
-def _exact_at(T, q, position):
+def _exact_at(T, q, position, passed):
     """Report of the first failed exactness check at one position in degree
     q, or None.  A position is exact when the composite through it vanishes
-    and the ranks of the maps in and out add up to its dimension."""
+    and the ranks of the maps in and out add up to its dimension.
+
+    Past the first |v| degrees the triangle's matrices are the objects stored
+    a period earlier, so a check is made once: `passed` holds the position,
+    dimension and matrix objects of each check passed so far."""
     p, n = T.p, T.n
     if position == "SB":
         # in by -f[n], out by g[n], which is conjugate to g at q - n; the
         # composite is checked on the unsuspended maps
         incoming, outgoing, dim = T.sf[q], T.g[q - n], T.dims[q - n][1]
-        composite = linalg.modp_matmul(T.g[q - n], T.f[q - n], p)
+        left, right = T.g[q - n], T.f[q - n]
     else:
         incoming, outgoing, dim = {"B": (T.f[q], T.g[q], T.dims[q][1]),
                                    "C": (T.g[q], T.h[q], T.dims[q][2]),
                                    "SA": (T.h[q], T.sf[q], T.dims[q][3])}[position]
-        composite = linalg.modp_matmul(outgoing, incoming, p)
+        left, right = outgoing, incoming
+    key = (position, dim, id(incoming), id(outgoing), id(left), id(right))
+    if key in passed:
+        return None
     zero_detail, rank_detail = _DETAILS[position]
-    if any(map(any, composite)):
+    if any(map(any, linalg.modp_matmul(left, right, p))):
         detail = zero_detail
     elif linalg.modp_rank(incoming, p) + linalg.modp_rank(outgoing, p) != dim:
         detail = rank_detail
     else:
+        passed.add(key)
         return None
     return {"pass": False, "degree": q, "position": position, "detail": detail}
 
@@ -211,9 +219,10 @@ def _exact_at(T, q, position):
 def verify_triangle_exact(T):
     """Slicewise exactness at B, C and A[n]; report PASS or first failure."""
     lo, hi = T.window
+    passed = set()
     for q in range(lo, hi + 1):
         for position in ("B", "C", "SA"):
-            failure = _exact_at(T, q, position)
+            failure = _exact_at(T, q, position, passed)
             if failure:
                 return failure
     return {"pass": True, "degree": None, "position": None, "detail": "exact in window"}
@@ -226,11 +235,12 @@ def verify_rotation(T):
     only needs data already recorded on the original triangle.
     """
     lo, hi = T.window
+    passed = set()
     for q in range(lo, hi + 1):
         if not (lo <= q - T.n <= hi):
             continue
         for position in ("C", "SA", "SB"):
-            failure = _exact_at(T, q, position)
+            failure = _exact_at(T, q, position, passed)
             if failure:
                 return failure
     return {"pass": True, "degree": None, "position": None, "detail": "rotation exact in window"}

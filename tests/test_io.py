@@ -220,12 +220,18 @@ def test_cli_json_deterministic(capsys):
     # another subcommand in between: one parser serves every call
     code, out, _ = _run(["classify", os.path.join(RINGS, "z4.ring"), "--n", "0", "--json"], capsys)
     assert code == 0 and json.loads(out)["command"] == "classify"
+    ggh = ["ggh", "--p", "3", "--n", "2", "--json"]
+    code_g1, out_g1, _ = _run(ggh, capsys)
     code2, out2, _ = _run(argv, capsys)
+    code_g2, out_g2, _ = _run(ggh, capsys)
     assert code1 == code2 == 0
     assert out1 == out2
     data = json.loads(out1)
     assert data["schema_version"] == 1
     assert data["built"] is True
+    assert code_g1 == code_g2 == 1  # the verdict fails for Z/9
+    assert out_g1 == out_g2
+    assert json.loads(out_g1)["verdict"] == "fails"
 
 
 def test_cli_selftest(capsys):

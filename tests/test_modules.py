@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -8,7 +9,7 @@ from trimod import constructions as con
 from trimod import linalg
 from trimod import modules as md
 from trimod import rings as rc
-from trimod.errors import IllFormedMap
+from trimod.errors import IllFormedMap, ShapeMismatch
 from trimod.modules import (
     FiniteModule,
     ModuleMap,
@@ -112,6 +113,51 @@ def test_ill_formed_map_rejected():
     N = free_module(R, 1)
     with pytest.raises(IllFormedMap):
         ModuleMap(M, N, [[R.one()]])  # 1 does not kill the relation 2
+
+
+def test_compose_checks_the_middle_module():
+    R = f3t3()
+    t = t_elem(R)
+    F1, F2 = free_module(R, 1), free_module(R, 2)
+    f = ModuleMap(F1, F2, [[R.one()], [t]])
+    # same ring, other generator count: used to return a 1 -> 1 map
+    with pytest.raises(ShapeMismatch):
+        identity_map(F1).compose(f)
+    # same ring and generator count, other relation span
+    Q, Q_unit, Q_t = (quotient_module(R, [x]) for x in (t * t, t * t * (R.one() + t), t))
+    with pytest.raises(ShapeMismatch):
+        identity_map(Q_t).compose(ModuleMap(Q, Q, [[R.one()]]))
+    # an equal presentation in another object composes
+    g = identity_map(Q_unit).compose(ModuleMap(Q, Q, [[t]]))
+    assert g.source is Q and g.target is Q_unit and g.matrix == [[t]]
+
+
+def test_act_all_matches_per_element_products():
+    # the int64 path and, with char 3**30, the exact Python-integer path
+    rng = random.Random(1)
+    S, Z = f3t3(), con.z_mod(3 ** 30)
+    t = t_elem(S)
+    cases = [FiniteModule(S, 2, [[t, t * t]]), FiniteModule(Z, 2, [[Z.one() * 3 ** 15, Z.one() * 6]])]
+    assert [M.action().dtype for M in cases] == [np.int64, object]
+    for M in cases:
+        R, A, qm = M.ring, M.action(), M.quotient()[0]
+        r = len(qm)
+
+        def act_one(x):
+            # one product per element, as `act` was made before `act_all`
+            c = np.array(R.full_coords(x), dtype=A.dtype)
+            return np.tensordot(c, A, 1) % np.array(qm, dtype=A.dtype).reshape(-1, 1)
+
+        xs = [R.from_full_coords([rng.randrange(o) for o in R.orders]) for _ in range(6)]
+        got = M.act_all(xs)
+        assert got.shape == (6, r, r) and got.dtype == A.dtype
+        for x, mat in zip(xs, got):
+            assert mat.tolist() == act_one(x).tolist() == M.act(x).tolist()
+        assert M.act_all([]).shape == (0, r, r)
+        for cols in ([xs[:2], xs[2:4], xs[4:]], [xs[:3]], [[]], []):
+            old = [row for c in cols for row in np.hstack(
+                [np.zeros((r, 0), dtype=A.dtype)] + [act_one(x) for x in c]).tolist()]
+            assert md._combination_rows(cols, M) == old
 
 
 def test_action_matches_ring_multiplication():

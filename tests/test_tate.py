@@ -126,3 +126,26 @@ def test_long_exact_sequence_slicewise():
         # exact at N and at C
         assert ra + rb == len(rN)
         assert rb + rg == len(rC)
+
+
+@pytest.mark.parametrize("p, n, window", [(3, 1, WINDOW), (3, 2, WINDOW), (2, 3, WINDOW), (3, 1, (0, 2))])
+def test_heller_ladders_match_omega_power(p, n, window):
+    # (0, 2) is the window where hi - 1 < 2: the x ladder still reaches 2
+    lo, hi = window
+    T = tate.tate_ring(p, n, window)
+    for ladder, rep, top in ((T.x_shifts, T.x_rep, max(hi - 1, 2)), (T.y_shifts, T.y_rep, hi - 2)):
+        for j in range(lo, top + 1):
+            got, want = tate.shifted(ladder, j), md.omega_power_of_map(rep, j)
+            assert got.source is want.source and got.target is want.target
+            assert md._hom_coordinates(got) == md._hom_coordinates(want)
+        assert sorted(ladder) == list(range(lo, top + 1))
+
+
+def test_each_shift_of_a_map_computed_once(monkeypatch):
+    calls = []
+    for name in ("heller_of_map", "omega_inverse_of_map"):
+        fn = getattr(md, name)
+        monkeypatch.setattr(md, name, lambda f, *a, fn=fn, name=name: calls.append(name) or fn(f, *a))
+    lo, hi = window = (-6, 6)
+    assert tate.ggh_verdict(3, 2, window)["verdict"] == "fails"
+    assert 0 < len(calls) <= 2 * (hi - lo)
