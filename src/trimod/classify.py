@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from . import rings as rc
 from .errors import NotLocalInput
-from .rings import DEFAULT_CAP
 
 GRADED_FIELD = "GradedField"
 EXTERIOR = "ExteriorAlgebra"
@@ -89,7 +88,7 @@ class Verdict:
         return f"Verdict(is_delta={self.is_delta}, n={self.suspension}, [{inner}])"
 
 
-def has_unit_in_degree(R, d, cap=DEFAULT_CAP):
+def has_unit_in_degree(R, d):
     """Is there an invertible homogeneous element of degree d?"""
     if d == 0:
         return True
@@ -99,44 +98,44 @@ def has_unit_in_degree(R, d, cap=DEFAULT_CAP):
         return False
     if not R.slice_terms(d):
         return False
-    for x in R.enumerate_slice(d, cap):
+    for x in R.enumerate_slice(d):
         if rc.is_unit(x):
             return True
     return False
 
 
-def classify_local(R, n, cap=DEFAULT_CAP):
+def classify_local(R, n):
     """Classification of a local ring against the three admissible shapes."""
     if R.char == 0 and R.periodicity is None:
         # rational coefficients with finite degree support: only the field
         # itself is recognizable without enumeration
-        if rc.is_graded_field(R, cap):
+        if rc.is_graded_field(R):
             return LocalVerdict(GRADED_FIELD)
         raise NotLocalInput("rational non-field input needs a periodic presentation")
-    if not rc.is_local(R, cap):
+    if not rc.is_local(R):
         raise NotLocalInput("classify_local expects a local ring")
-    m = rc.maximal_ideal(R, cap)
+    m = rc.maximal_ideal(R)
     if m.is_zero_ideal():
-        if rc.is_graded_field(R, cap):
+        if rc.is_graded_field(R):
             return LocalVerdict(GRADED_FIELD)
         return LocalVerdict(NOT_DELTA, reason=RESIDUE_NOT_FIELD)
-    if not rc.socle_is_simple(R, cap):
+    if not rc.socle_is_simple(R):
         return LocalVerdict(NOT_DELTA, reason=NOT_QF)
-    x = rc.chain_generator(R, cap)
+    x = rc.chain_generator(R)
     if x is None:
         return LocalVerdict(NOT_DELTA, reason=M_NOT_PRINCIPAL)
     # ann(x) = (x) subsumes x*x = 0 but is reported first so that rings such
     # as Z/8 get the annihilator reason
-    if rc.annihilator(R, x, cap) != rc.principal_ideal(R, x):
+    if rc.annihilator(R, x) != rc.principal_ideal(R, x):
         return LocalVerdict(NOT_DELTA, reason=ANN_NOT_EQUAL)
     if not (x * x).is_zero:
         return LocalVerdict(NOT_DELTA, reason=SQUARE_NONZERO)
-    p = rc.residue_characteristic(R, m, cap)
+    p = rc.residue_characteristic(R, m)
     i = x.degree
     if R.char == p:
         # equal characteristic: R = k[x]/(x**2) over its residue field
         need = 3 * i + n
-        if not has_unit_in_degree(R, need, cap):
+        if not has_unit_in_degree(R, need):
             return LocalVerdict(NOT_DELTA, reason=MISSING_UNIT, reason_detail=need, x_degree=i)
         if i % 2 == 0 and n % 2 == 0 and p != 2:
             return LocalVerdict(NOT_DELTA, reason=WRONG_CHAR, x_degree=i)
@@ -147,21 +146,21 @@ def classify_local(R, n, cap=DEFAULT_CAP):
         two = R.one() + R.one()
         if rc.principal_ideal(R, two) != m:
             return LocalVerdict(NOT_DELTA, reason=M_NOT_PRINCIPAL, x_degree=i)
-        if not has_unit_in_degree(R, n, cap):
+        if not has_unit_in_degree(R, n):
             return LocalVerdict(NOT_DELTA, reason=MISSING_UNIT, reason_detail=n, x_degree=i)
         return LocalVerdict(T_MOD_4, x_degree=i)
     return LocalVerdict(NOT_DELTA, reason=WRONG_CHAR, x_degree=i)
 
 
-def classify(R, n, cap=DEFAULT_CAP):
+def classify(R, n):
     """Product decomposition followed by local classification of each factor."""
     if R.periodicity is None and R.char != 0:
-        factors = rc.decompose_product(R, cap)
+        factors = rc.decompose_product(R)
     else:
         factors = [R]
     pairs = []
     for f in factors:
-        pairs.append((f, classify_local(f, n, cap)))
+        pairs.append((f, classify_local(f, n)))
     confidence = "complete" if n in (0, 1) else _parity_confidence(pairs, n)
     return Verdict(pairs, n, confidence)
 

@@ -605,14 +605,20 @@ def _slices(M, degrees, padding):
 def _free_homology(M, window, padding):
     """Homology of a module with zero differential: its slice complex is the
     direct sum over generators j of A at degree q - deg(gen_j), so each slice
-    is assembled from H(A), computed once per degree on the algebra."""
+    is assembled from H(A), computed once per degree on the algebra.  A
+    record |v| degrees above an assembled one is that record with its own
+    basis (see the module docstring)."""
     alg = M.alg
     lo, hi = window
+    period = abs(alg.vdeg)
     known = alg.algebra_slices.setdefault(padding, {})
     missing = sorted({q - gd for q in range(lo, hi + 1) for gd in M.gen_degrees} - known.keys())
     known.update(_slices(DGModule(alg, [0], check=False), missing, padding))
     out = {}
     for q in range(lo, hi + 1):
+        if period and q - period in out:
+            out[q] = dict(out[q - period], basis=slice_basis(M, q))
+            continue
         blocks = [(j, known[q - gd]) for j, gd in enumerate(M.gen_degrees)]
         size = sum(len(H["basis"]) for _, H in blocks)
         basis, reps, im = [], [], []

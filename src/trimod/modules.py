@@ -10,14 +10,20 @@ one additive form, from which every module computation is made:
 * `action()`: one integer matrix per ring basis element, giving how that
   element acts on the quotient coordinates.
 
-A map M -> N has hom coordinates: the images of M's generators in N's
-quotient coordinates.  Hom(M, N) is the congruence kernel of "every relation
-of M, applied to those images, is zero in N", with no further unknowns.
-Kernels, images and factorizations are congruence systems on the matrix of
-a map on quotient coordinates, and submodule spans are `linalg.Subgroup`s
-extended under the action matrices.  Submodules come minimally presented in
-the greedy sense: a generator or relation is kept only when the R-span of
-those kept before misses it.
+A map M -> N is its image array: column j is the image of M's generator j in
+N's quotient coordinates, and the columns concatenated are its hom
+coordinates.  Hom(M, N) is the congruence kernel of "every relation of M,
+applied to those images, is zero in N", with no further unknowns.
+Composition, kernels, images and factorizations are products and congruence
+systems on these arrays.  A matrix over the ring enters only through the
+`ModuleMap` constructor, and is lifted back from the images only for the
+relation columns of a presentation.  Each array has its module's
+`rings.int_dtype`, and each product sums over one module's coordinates with
+an operand of that module's dtype, so int64 sums cannot overflow.
+
+Submodule spans are `linalg.Subgroup`s extended under the action matrices.
+Submodules come minimally presented in the greedy sense: a generator or
+relation is kept only when the R-span of those kept before misses it.
 """
 
 from __future__ import annotations
@@ -35,9 +41,6 @@ from .errors import (
     ShapeMismatch,
     SizeCapExceeded,
 )
-from .rings import DEFAULT_CAP
-
-
 def _reduce(X, moduli):
     """Reduce the rows (axis -2) of an integer array modulo the given moduli."""
     return X % np.array(moduli, dtype=X.dtype).reshape(-1, 1)
@@ -58,12 +61,12 @@ def _blockwise(mats, V):
 
 
 def _closure(mats, vecs):
-    """Additive generators of the R-span of vectors made of blocks on which
-    the ring basis acts by mats: every vector times every basis element."""
-    if not vecs:
-        return []
-    V = np.array(vecs, dtype=mats.dtype).T
-    return _blockwise(mats, V).transpose(0, 2, 1).reshape(len(mats) * V.shape[1], V.shape[0]).tolist()
+    """Additive generators of the R-span of the rows of vecs, vectors made of
+    blocks on which the ring basis acts by mats: every vector times every
+    basis element."""
+    V = np.asarray(vecs, dtype=mats.dtype)
+    k, n = V.shape
+    return _blockwise(mats, V.T).transpose(0, 2, 1).reshape(len(mats) * k, n).tolist()
 
 
 class FiniteModule:
@@ -86,6 +89,11 @@ class FiniteModule:
     def ambient_moduli(self):
         return list(self.ring.orders) * self.generators
 
+    @property
+    def dtype(self):
+        """The integer dtype of this module's arrays (see the module docstring)."""
+        return rc.int_dtype(self.ring, (self.generators + 1) * self.ring.dim)
+
     def flatten(self, col):
         """Column of g ring elements -> integer vector of length g*dim."""
         out = []
@@ -97,40 +105,46 @@ class FiniteModule:
         D = self.ring.dim
         return [self.ring.from_full_coords(vec[i * D:(i + 1) * D]) for i in range(self.generators)]
 
-    def quotient(self):
-        """(qmoduli, proj, lift) for the underlying additive group."""
-        if "quotient" not in self._cache:
-            rels = _closure(_ring_action(self.ring), [self.flatten(col) for col in self.relations])
-            self._cache["quotient"] = linalg.quotient_presentation(rels, self.ambient_moduli)
-        return self._cache["quotient"]
+    def relation_array(self):
+        """The flattened relation columns, one row each."""
+        if "relations" not in self._cache:
+            flat = [self.flatten(col) for col in self.relations]
+            shape = (len(flat), len(self.ambient_moduli))
+            self._cache["relations"] = np.array(flat, dtype=self.dtype).reshape(shape)
+        return self._cache["relations"]
 
-    def lift_array(self):
-        """lift as an integer array, reduced modulo the ambient moduli."""
-        if "lift" not in self._cache:
-            qm, _, lift = self.quotient()
+    def quotient(self):
+        """(qmoduli, proj, lift) for the underlying additive group, proj and
+        lift as integer arrays reduced modulo qmoduli and the ambient moduli."""
+        if "quotient" not in self._cache:
             amb = self.ambient_moduli
-            dt = rc.int_dtype(self.ring, len(amb) + self.ring.dim)
-            self._cache["lift"] = _reduce(np.array(lift, dtype=dt).reshape(len(amb), len(qm)), amb)
-        return self._cache["lift"]
+            qm, proj, lift = linalg.quotient_presentation(
+                _closure(_ring_action(self.ring), self.relation_array()), amb)
+            # reduced before conversion: Smith transforms can exceed int64
+            P = np.array([[x % m for x in row] for row, m in zip(proj, qm)], dtype=self.dtype)
+            L = np.array([[x % m for x in row] for row, m in zip(lift, amb)], dtype=self.dtype)
+            self._cache["quotient"] = qm, P.reshape(len(qm), len(amb)), L.reshape(len(amb), len(qm))
+        return self._cache["quotient"]
 
     def action(self):
         """Array of shape (dim R, r, r): how each ring basis element acts on
         the r quotient coordinates."""
         if "action" not in self._cache:
-            qm, proj, _ = self.quotient()
-            amb = self.ambient_moduli
-            L = self.lift_array()
-            P = _reduce(np.array(proj, dtype=L.dtype).reshape(len(qm), len(amb)), qm)
-            moved = _reduce(_blockwise(_ring_action(self.ring).astype(L.dtype), L), amb)
+            qm, P, L = self.quotient()
+            moved = _reduce(_blockwise(_ring_action(self.ring).astype(L.dtype), L), self.ambient_moduli)
             self._cache["action"] = _reduce(np.matmul(P, moved), qm)
         return self._cache["action"]
 
+    def act_coords(self, C):
+        """Matrices of multiplication by the ring elements whose full
+        coordinates are the rows of C, from one product: shape (len(C), r, r)."""
+        return _reduce(np.tensordot(C, self.action(), 1), self.quotient()[0])
+
     def act_all(self, xs):
         """Matrices of multiplication by each ring element of xs on quotient
-        coordinates, from one product: shape (len(xs), r, r)."""
-        A = self.action()
-        C = np.array([self.ring.full_coords(x) for x in xs], dtype=A.dtype).reshape(len(xs), len(A))
-        return _reduce(np.tensordot(C, A, 1), self.quotient()[0])
+        coordinates: shape (len(xs), r, r)."""
+        C = np.array([self.ring.full_coords(x) for x in xs], dtype=self.dtype)
+        return self.act_coords(C.reshape(len(xs), self.ring.dim))
 
     def act(self, x):
         """Matrix of multiplication by the ring element x on quotient coordinates."""
@@ -138,12 +152,13 @@ class FiniteModule:
 
     def coords(self, col):
         """Quotient coordinates of a column of g ring elements."""
-        qm, proj, _ = self.quotient()
-        return [x % m for x, m in zip(linalg.apply_matrix(proj, self.flatten(col)), qm)]
+        qm, P, _ = self.quotient()
+        return _reduce(P @ np.array(self.flatten(col), dtype=self.dtype).reshape(P.shape[1], 1), qm)[:, 0].tolist()
 
     def column(self, v):
         """A column of g ring elements with the quotient coordinates v."""
-        return self.unflatten(linalg.apply_matrix(self.quotient()[2], v))
+        L = self.quotient()[2]
+        return self.unflatten((L @ np.array(v, dtype=L.dtype).reshape(L.shape[1])).tolist())
 
     def canonical_additive(self):
         """Multiset of cyclic orders of the additive group, sorted."""
@@ -152,21 +167,13 @@ class FiniteModule:
     def size(self):
         return math.prod(self.quotient()[0])
 
-    def elements(self, cap=DEFAULT_CAP):
+    def elements(self):
         """All elements, as flattened ambient representatives."""
-        qm, _, lift = self.quotient()
-        if self.size() > cap:
-            raise SizeCapExceeded(f"module of size {self.size()} exceeds cap {cap}")
+        qm, _, L = self.quotient()
+        if self.size() > rc.SIZE_CAP:
+            raise SizeCapExceeded(f"module of size {self.size()} exceeds cap {rc.SIZE_CAP}")
         for combo in itertools.product(*[range(m) for m in qm]):
-            yield linalg.apply_matrix(lift, list(combo))
-
-    def generator_columns(self):
-        cols = []
-        for i in range(self.generators):
-            col = [self.ring.zero()] * self.generators
-            col[i] = self.ring.one()
-            cols.append(col)
-        return cols
+            yield (L @ np.array(combo, dtype=L.dtype).reshape(len(qm))).tolist()
 
     def __repr__(self):
         return f"FiniteModule(g={self.generators}, rel={len(self.relations)}, over {self.ring!r})"
@@ -181,111 +188,136 @@ def quotient_module(R, ideal_gens):
     return FiniteModule(R, 1, [[g] for g in ideal_gens])
 
 
-def residue_module(R, cap=DEFAULT_CAP):
+def residue_module(R):
     """R / maximal ideal as a cyclic module."""
-    m = rc.maximal_ideal(R, cap)
-    return quotient_module(R, list(m.generators))
+    return quotient_module(R, list(rc.maximal_ideal(R).generators))
+
+
+def _generator_images(M):
+    """The generators of M in its quotient coordinates, as the columns of an
+    array: the image array of the identity."""
+    R = M.ring
+    one = np.array(R.full_coords(R.one()), dtype=M.dtype)
+    qm, P, _ = M.quotient()
+    return _reduce(P.reshape(len(qm), M.generators, R.dim) @ one, qm)
 
 
 class ModuleMap:
-    """Ring-matrix map between presented modules; checked on relations."""
+    """A map of presented modules, held as its image array `images`: column j
+    is the image of source generator j in the target's quotient coordinates.
+
+    The constructor takes a g_target x g_source matrix over the ring and
+    converts it once; with check, it must map the source relations into the
+    target relations.
+    """
 
     def __init__(self, source, target, matrix, check=True):
+        rows = [list(row) for row in matrix]
+        if len(rows) != target.generators or any(len(row) != source.generators for row in rows):
+            raise ShapeMismatch("map matrix shape must be g_target x g_source")
+        images = [target.coords([row[j] for row in rows]) for j in range(source.generators)]
+        self._hold(source, target, np.array(images).reshape(source.generators, len(target.quotient()[0])).T, check)
+
+    def _hold(self, source, target, images, check):
+        """Take the image array (r_target x g_source), reduced to the target's dtype."""
         self.source = source
         self.target = target
-        self.matrix = [list(row) for row in matrix]  # target.generators rows
+        qm = target.quotient()[0]
+        X = _reduce(np.asarray(images).reshape(len(qm), source.generators), qm).astype(target.dtype)
+        X.setflags(write=False)
+        self.images = X
         self._quotient_matrix = None  # see _map_matrix
-        if len(self.matrix) != target.generators or any(
-            len(row) != source.generators for row in self.matrix
-        ):
-            raise ShapeMismatch("map matrix shape must be g_target x g_source")
-        if check and not self._respects_relations():
+        if check and not _kills_relations(_free_matrix(self), source, qm):
             raise IllFormedMap("matrix does not map source relations into target relations")
 
-    def _respects_relations(self):
-        return not any(any(self.target.coords(self.apply_column(col))) for col in self.source.relations)
+    @property
+    def matrix(self):
+        """A g_target x g_source matrix over the ring with these images."""
+        cols = self.columns()
+        return [[col[i] for col in cols] for i in range(self.target.generators)]
 
     def columns(self):
-        """Images of the source generators, as columns over the ring."""
-        return [[row[j] for row in self.matrix] for j in range(self.source.generators)]
-
-    def apply_column(self, col):
-        R = self.source.ring
-        out = []
-        for i in range(self.target.generators):
-            acc = R.zero()
-            for j in range(self.source.generators):
-                acc = acc + self.matrix[i][j] * col[j]
-            out.append(acc)
-        return out
+        """Columns over the ring lifted from the images, one per source generator."""
+        return [self.target.unflatten(v) for v in _lifted(self).T.tolist()]
 
     def compose(self, other):
         """self . other (apply other first)."""
-        if not _same_module(other.target, self.source):
+        M = self.source
+        if not _same_module(other.target, M):
             raise ShapeMismatch("composition shape mismatch")
-        R = self.source.ring
-        rows = []
-        for i in range(self.target.generators):
-            row = []
-            for j in range(other.source.generators):
-                acc = R.zero()
-                for k in range(self.source.generators):
-                    acc = acc + self.matrix[i][k] * other.matrix[k][j]
-                row.append(acc)
-            rows.append(row)
-        return ModuleMap(other.source, self.target, rows, check=False)
+        X = other.images
+        if other.target is not M:  # an equal presentation: change to M's coordinates
+            X = _reduce(M.quotient()[1] @ _lifted(other), M.quotient()[0])
+        return _map_from_images(other.source, self.target, _map_matrix(self) @ X)
 
     def __repr__(self):
         return f"ModuleMap({self.source.generators} -> {self.target.generators})"
 
 
+def _map_from_images(M, N, X, check=False):
+    """The map M -> N with the image array X (r_N x g_M)."""
+    f = ModuleMap.__new__(ModuleMap)
+    f._hold(M, N, X, check)
+    return f
+
+
+def _map_from_hom(M, N, v):
+    """The map M -> N with hom coordinates v (the images concatenated)."""
+    return _map_from_images(M, N, np.asarray(v).reshape(M.generators, len(N.quotient()[0])).T)
+
+
+def _lifted(f):
+    """Flattened ambient coordinates of representatives of f's images, one
+    column per source generator."""
+    N = f.target
+    return _reduce(N.quotient()[2] @ f.images, N.ambient_moduli)
+
+
+def _kills_relations(F, M, moduli):
+    """Whether F, a matrix on M's flattened coordinates, sends every relation
+    of M to zero modulo the moduli of its rows."""
+    return not _reduce(F @ M.relation_array().T, moduli).any()
+
+
 def _same_module(M, N):
     """M is N, or the same ring, generator count and relation span: the
-    identity matrix maps each one's relations into the other's."""
+    projection of each one kills the relations of the other."""
     if M is N:
         return True
     if M.ring != N.ring or M.generators != N.generators:
         return False
-    ident = identity_map(M).matrix
-    return all(ModuleMap(A, B, ident, check=False)._respects_relations() for A, B in ((M, N), (N, M)))
+    return all(_kills_relations(B.quotient()[1], A, B.quotient()[0]) for A, B in ((M, N), (N, M)))
 
 
 def identity_map(M):
-    R = M.ring
-    rows = [[R.one() if i == j else R.zero() for j in range(M.generators)] for i in range(M.generators)]
-    return ModuleMap(M, M, rows, check=False)
+    return _map_from_images(M, M, _generator_images(M))
 
 
 def zero_map(M, N):
-    R = M.ring
-    rows = [[R.zero() for _ in range(M.generators)] for _ in range(N.generators)]
-    return ModuleMap(M, N, rows, check=False)
+    return _map_from_images(M, N, np.zeros((len(N.quotient()[0]), M.generators), dtype=N.dtype))
 
 
 # ---------------------------------------------------------------------------
 # maps on quotient coordinates; hom groups
 # ---------------------------------------------------------------------------
 
-def _cols_to_matrix(cols, target_gens):
-    """Columns (each a list of ring elements) -> row-major matrix."""
-    return [[col[i] for col in cols] for i in range(target_gens)]
-
-
 def _hom_coordinates(f):
-    """Images of the source generators in the target's quotient coordinates,
-    concatenated: the coordinates of f in Hom(source, target)."""
-    return [x for col in f.columns() for x in f.target.coords(col)]
+    """The images of the source generators concatenated: the coordinates of
+    f in Hom(source, target)."""
+    return f.images.T.ravel().tolist()
 
 
 def _hom_moduli(M, N):
     return list(N.quotient()[0]) * M.generators
 
 
-def _map_from_images(M, N, v):
-    """The map M -> N with hom coordinates v."""
-    r = len(N.quotient()[0])
-    cols = [N.column(v[j * r:(j + 1) * r]) for j in range(M.generators)]
-    return ModuleMap(M, N, _cols_to_matrix(cols, N.generators), check=False)
+def _free_matrix(f):
+    """The matrix of f on the flattened coordinates of the source's free
+    cover: the image of b_l e_j in column j*dim + l."""
+    N = f.target
+    A = N.action()
+    r, n = A.shape[1], len(f.source.ambient_moduli)
+    return _reduce(np.matmul(A, f.images).transpose(1, 2, 0).reshape(r, n), N.quotient()[0])
 
 
 def _map_matrix(f):
@@ -293,37 +325,33 @@ def _map_matrix(f):
     additive generators (its quotient unit vectors) in the target's.
     Computed once per map (maps are not changed after construction) and
     returned read-only."""
-    if f._quotient_matrix is not None:
-        return f._quotient_matrix
-    M, N = f.source, f.target
-    A = N.action()
-    r, n = A.shape[1], len(M.ambient_moduli)
-    W = np.array(_hom_coordinates(f), dtype=A.dtype).reshape(M.generators, r).T
-    # images of b_l e_j, in column j*dim + l like the flattened coordinates
-    moved = _reduce(np.matmul(A, W).transpose(1, 2, 0).reshape(r, n), N.quotient()[0])
-    f._quotient_matrix = X = _reduce(moved @ M.lift_array(), N.quotient()[0])
-    X.setflags(write=False)
-    return X
+    if f._quotient_matrix is None:
+        X = _reduce(_free_matrix(f) @ f.source.quotient()[2], f.target.quotient()[0])
+        X.setflags(write=False)
+        f._quotient_matrix = X
+    return f._quotient_matrix
 
 
-def _combination_rows(cols, N):
+def _combination_rows(C, N):
     """Matrix of (n_1..n_g) -> sum_j c_j n_j in N's quotient coordinates, with
-    each n_j in quotient coordinates; one block of rows per column c."""
-    r, g = N.action().shape[1], len(cols[0]) if cols else 0
-    blocks = N.act_all([x for c in cols for x in c]).reshape(len(cols), g, r, r)
-    return blocks.transpose(0, 2, 1, 3).reshape(len(cols) * r, g * r).tolist()
+    each n_j in quotient coordinates; one block of rows per column c, given
+    by the flattened full coordinates of its g ring elements (a row of C)."""
+    D, r = N.ring.dim, len(N.quotient()[0])
+    k, g = C.shape[0], C.shape[1] // D
+    blocks = N.act_coords(C.reshape(k * g, D)).reshape(k, g, r, r)
+    return blocks.transpose(0, 2, 1, 3).reshape(k * r, g * r)
 
 
 def _hom_vectors(M, N):
     """Additive generators of Hom(M, N) as hom coordinates: the images of M's
     generators in N's quotient coordinates that every relation of M kills."""
-    rows = _combination_rows(M.relations, N)
+    rows = _combination_rows(M.relation_array(), N).tolist()
     return linalg.congruence_kernel(rows, list(N.quotient()[0]) * len(M.relations), _hom_moduli(M, N))
 
 
 def hom_group(M, N):
     """Additive generators of Hom(M, N), as ModuleMaps."""
-    return [_map_from_images(M, N, v) for v in _hom_vectors(M, N)]
+    return [_map_from_hom(M, N, v) for v in _hom_vectors(M, N)]
 
 
 def _image_size(f):
@@ -361,13 +389,12 @@ def submodule_from_additive(M, vecs):
     generators with greedy relations, each kept only when the R-span of the
     earlier ones misses it.
     """
-    R = M.ring
-    gens = [M.column(vecs[i]) for i in _module_generators(M, vecs)]
-    cover = ModuleMap(free_module(R, len(gens)), M, _cols_to_matrix(gens, M.generators), check=False)
+    keep = _module_generators(M, vecs)
+    cover = _map_from_hom(free_module(M.ring, len(keep)), M, [x for i in keep for x in vecs[i]])
     F = cover.source
     ker = _kernel_vectors(cover)
-    K = FiniteModule(R, len(gens), [F.column(ker[i]) for i in _module_generators(F, ker)])
-    return K, ModuleMap(K, M, cover.matrix, check=False)
+    K = FiniteModule(M.ring, len(keep), [F.column(ker[i]) for i in _module_generators(F, ker)])
+    return K, _map_from_images(K, M, cover.images)
 
 
 def _kernel_vectors(f):
@@ -388,86 +415,75 @@ def image(f):
 def cokernel(f):
     """(C, project) with target -> C the quotient by im f."""
     N = f.target
-    rels = [list(col) for col in N.relations]
-    for col in f.source.generator_columns():
-        rels.append(f.apply_column(col))
-    C = FiniteModule(N.ring, N.generators, rels)
-    project = ModuleMap(N, C, identity_map(N).matrix, check=False)
-    return C, project
+    C = FiniteModule(N.ring, N.generators, N.relations + f.columns())
+    return C, _map_from_images(N, C, _generator_images(C))
 
 
 def _factor_through(g, f):
-    """h with f . h = g, solved generator by generator on the matrix of f."""
-    A = _map_matrix(f).tolist()
-    N = f.target
-    cols = []
-    for col in g.columns():
-        sol = linalg.congruence_solve(A, N.coords(col), N.quotient()[0])
-        if sol is None:
-            raise IllFormedMap("map does not factor through the given map")
-        cols.append(f.source.column(sol))
-    return ModuleMap(g.source, f.source, _cols_to_matrix(cols, f.source.generators), check=False)
+    """h with f . h = g, solved generator by generator on the matrix of f
+    (any h when the target of f is zero)."""
+    A, qm = _map_matrix(f).tolist(), f.target.quotient()[0]
+    if not A:
+        return zero_map(g.source, f.source)
+    sols = [linalg.congruence_solve(A, b, qm) for b in g.images.T.tolist()]
+    if None in sols:
+        raise IllFormedMap("map does not factor through the given map")
+    return _map_from_hom(g.source, f.source, [x for sol in sols for x in sol])
 
 
 # ---------------------------------------------------------------------------
 # projectivity, covers and envelopes (local rings)
 # ---------------------------------------------------------------------------
 
-def _radical(M, cap=DEFAULT_CAP):
+def _radical(M):
     """M * maximal ideal, as a subgroup of M's quotient coordinates."""
     qm = M.quotient()[0]
-    acts = M.act_all(rc.maximal_ideal(M.ring, cap).generators)
+    acts = M.act_all(rc.maximal_ideal(M.ring).generators)
     return linalg.Subgroup(acts.transpose(0, 2, 1).reshape(len(acts) * len(qm), len(qm)).tolist(), qm)
 
 
-def minimal_generator_count(M, cap=DEFAULT_CAP):
+def minimal_generator_count(M):
     """dim over the residue field of M / M*m."""
-    R = M.ring
-    ksize = rc.residue_size(R, cap)
-    return _log(ksize, M.size() // _radical(M, cap).size())
+    return _log(rc.residue_size(M.ring), M.size() // _radical(M).size())
 
 
-def is_projective(M, cap=DEFAULT_CAP):
+def is_projective(M):
     """Free test over a local ring: minimal generators and a size count."""
-    g0 = minimal_generator_count(M, cap)
-    return M.size() == M.ring.size() ** g0
+    return M.size() == M.ring.size() ** minimal_generator_count(M)
 
 
 @rc.per_object
-def projective_cover(M, cap=DEFAULT_CAP):
+def projective_cover(M):
     """Minimal surjection from a free module, kernel inside P*m."""
-    cols = M.generator_columns()
-    keep = _module_generators(M, [M.coords(col) for col in cols], _radical(M, cap))
-    P = free_module(M.ring, len(keep))
-    cover = ModuleMap(P, M, _cols_to_matrix([cols[i] for i in keep], M.generators), check=False)
+    gens = _generator_images(M)
+    keep = _module_generators(M, gens.T.tolist(), _radical(M))
+    cover = _map_from_images(free_module(M.ring, len(keep)), M, gens[:, keep])
     if _image_size(cover) != M.size():
         raise ShapeMismatch("cover is not surjective")
     return cover
 
 
 @rc.per_object
-def _syzygy(M, cap=DEFAULT_CAP):
+def _syzygy(M):
     """(Omega M, its inclusion into the projective cover)."""
-    return kernel(projective_cover(M, cap))
+    return kernel(projective_cover(M))
 
 
-def heller_shift(M, cap=DEFAULT_CAP):
+def heller_shift(M):
     """Kernel of the projective cover."""
-    return _syzygy(M, cap)[0]
+    return _syzygy(M)[0]
 
 
-def heller_of_map(f, cap=DEFAULT_CAP):
+def heller_of_map(f):
     """A map Omega(f): Omega(source) -> Omega(target) lifting f through covers."""
     M, N = f.source, f.target
-    _, inc_M = _syzygy(M, cap)
-    _, inc_N = _syzygy(N, cap)
     # lift f . cover_M through cover_N, then restrict to the kernels
-    lifted = _factor_through(f.compose(projective_cover(M, cap)), projective_cover(N, cap))
-    return _factor_through(lifted.compose(inc_M), inc_N)
+    lifted = _factor_through(f.compose(projective_cover(M)), projective_cover(N))
+    return _factor_through(lifted.compose(_syzygy(M)[1]), _syzygy(N)[1])
 
 
 @rc.per_object
-def injective_envelope(M, cap=DEFAULT_CAP):
+def injective_envelope(M):
     """An embedding of M into a free module, via homs to the ring.
 
     Over a quasi-Frobenius ring free modules are injective, so any embedding
@@ -478,58 +494,73 @@ def injective_envelope(M, cap=DEFAULT_CAP):
     Rmod = free_module(R, 1)
     homs = _hom_vectors(M, Rmod)
     keep = _module_generators(Rmod, homs, linalg.Subgroup([], _hom_moduli(M, Rmod)))
-    rows = [_map_from_images(M, Rmod, homs[i]).matrix[0] for i in keep]
-    emb = ModuleMap(M, free_module(R, len(rows)), rows, check=True)
+    # the kept homs, lifted to R, are the rows of the embedding into R^len(keep)
+    rows = np.array([_lifted(_map_from_hom(M, Rmod, homs[i])) for i in keep], dtype=Rmod.dtype)
+    F = free_module(R, len(keep))
+    emb = _map_from_images(M, F, F.quotient()[1] @ rows.reshape(len(keep) * R.dim, M.generators), check=True)
     if _image_size(emb) != M.size():
         raise NotQuasiFrobenius("module does not embed into a free module")
     return emb
 
 
 @rc.per_object
-def heller_inverse(M, cap=DEFAULT_CAP):
+def _cosyzygy(M):
+    """(Omega^-1 M, its projection from the target of the injective envelope)."""
+    return cokernel(injective_envelope(M))
+
+
+def heller_inverse(M):
     """Cokernel of an embedding into a free module."""
-    return cokernel(injective_envelope(M, cap))[0]
+    return _cosyzygy(M)[0]
 
 
-def omega_inverse_of_map(f, cap=DEFAULT_CAP):
+def _through_envelope(M, N):
+    """Matrix of psi -> psi . emb on hom coordinates, for emb the injective
+    envelope of M and psi a map from its free target to N, given by the images
+    of the free generators: generator j of M goes to sum_t emb[t][j] psi(e_t)."""
+    return _combination_rows(_lifted(injective_envelope(M)).T, N)
+
+
+def omega_inverse_of_map(f):
     """The map induced on cokernels of the fixed free embeddings.
 
     Solves g . emb_M = emb_N . f for g between the free modules; g exists
-    because free modules are injective here.
+    because free modules are injective here.  Omega^-1 M has the generators
+    of emb_M's target, so the induced map has the images of project_N . g.
     """
     M, N = f.source, f.target
-    emb_M = injective_envelope(M, cap)
-    emb_N = injective_envelope(N, cap)
+    emb_N = injective_envelope(N)
     IN = emb_N.target
-    rows = _combination_rows(emb_M.columns(), IN)
-    sol = linalg.congruence_solve(rows, _hom_coordinates(emb_N.compose(f)), _hom_moduli(M, IN))
+    sol = linalg.congruence_solve(_through_envelope(M, IN).tolist(), _hom_coordinates(emb_N.compose(f)),
+                                  _hom_moduli(M, IN))
     if sol is None:
         raise IllFormedMap("no extension over the free embeddings")
-    g = _map_from_images(emb_M.target, IN, sol)
-    return ModuleMap(heller_inverse(M, cap), heller_inverse(N, cap), g.matrix, check=True)
+    C_N, project = _cosyzygy(N)
+    g = project.compose(_map_from_hom(injective_envelope(M).target, IN, sol))
+    return _map_from_images(heller_inverse(M), C_N, g.images, check=True)
 
 
-def omega_power_of_map(f, j, cap=DEFAULT_CAP):
+def omega_power_of_map(f, j):
     """Iterated shift of a map, negative j through the inverse shift."""
     current = f
     if j >= 0:
         for _ in range(j):
-            current = heller_of_map(current, cap)
+            current = heller_of_map(current)
     else:
         for _ in range(-j):
-            current = omega_inverse_of_map(current, cap)
+            current = omega_inverse_of_map(current)
     return current
 
 
-def heller_power(M, j, cap=DEFAULT_CAP):
+def heller_power(M, j):
     """Iterated Heller shift, negative j through embeddings."""
     current = M
     if j >= 0:
         for _ in range(j):
-            current = heller_shift(current, cap)
+            current = heller_shift(current)
     else:
         for _ in range(-j):
-            current = heller_inverse(current, cap)
+            current = heller_inverse(current)
     return current
 
 
@@ -537,11 +568,11 @@ def heller_power(M, j, cap=DEFAULT_CAP):
 # isomorphism testing
 # ---------------------------------------------------------------------------
 
-def _chain_invariants(M, cap=DEFAULT_CAP):
+def _chain_invariants(M):
     """Sizes of M * m^j for j = 0, 1, ... over a chain ring (principal m)."""
     R = M.ring
-    g = rc.chain_generator(R, cap)
-    gens = [g] if g is not None else list(rc.maximal_ideal(R, cap).generators)
+    g = rc.chain_generator(R)
+    gens = [g] if g is not None else list(rc.maximal_ideal(R).generators)
     qm, dt = M.quotient()[0], M.action().dtype
     sizes = [M.size()]
     current = np.eye(len(qm), dtype=dt)  # rows additively generating M * m^j
@@ -555,27 +586,23 @@ def _chain_invariants(M, cap=DEFAULT_CAP):
 
 
 @rc.per_object
-def _is_chain_ring(R, cap=DEFAULT_CAP):
-    if not rc.is_local(R, cap):
+def _is_chain_ring(R):
+    if not rc.is_local(R):
         return False
-    return not rc.maximal_ideal(R, cap).generators or rc.chain_generator(R, cap) is not None
+    return not rc.maximal_ideal(R).generators or rc.chain_generator(R) is not None
 
 
-def iso_test(M, N, cap=DEFAULT_CAP):
+def iso_test(M, N):
     """Isomorphism of finite modules over the same ring."""
-    if M.ring != N.ring:
+    if M.ring != N.ring or M.canonical_additive() != N.canonical_additive():
         return False
-    if M.size() != N.size():
-        return False
-    if M.canonical_additive() != N.canonical_additive():
-        return False
-    if _is_chain_ring(M.ring, cap):
-        return _chain_invariants(M, cap) == _chain_invariants(N, cap)
-    return _brute_force_iso(M, N, cap)
+    if _is_chain_ring(M.ring):
+        return _chain_invariants(M) == _chain_invariants(N)
+    return _brute_force_iso(M, N)
 
 
-def _brute_force_iso(M, N, cap=DEFAULT_CAP):
-    if M.size() > cap:
+def _brute_force_iso(M, N):
+    if M.size() > rc.SIZE_CAP:
         raise SizeCapExceeded("isomorphism search above the size cap")
     homs = _hom_vectors(M, N)
     if len(homs) > 8:
@@ -584,7 +611,7 @@ def _brute_force_iso(M, N, cap=DEFAULT_CAP):
     width = len(_hom_moduli(M, N))
     for combo in itertools.product(range(M.ring.char), repeat=len(homs)):
         v = [sum(c * h[i] for c, h in zip(combo, homs)) for i in range(width)]
-        if _image_size(_map_from_images(M, N, v)) == N.size():
+        if _image_size(_map_from_hom(M, N, v)) == N.size():
             return True
     return False
 
@@ -593,43 +620,33 @@ def _brute_force_iso(M, N, cap=DEFAULT_CAP):
 # stable homs
 # ---------------------------------------------------------------------------
 
-def strip_projective_summands(M, cap=DEFAULT_CAP):
+def strip_projective_summands(M):
     """Remove free direct summands (chain rings: by invariant counts)."""
     R = M.ring
-    if not _is_chain_ring(R, cap):
+    if not _is_chain_ring(R):
         raise ShapeMismatch("summand stripping implemented for chain rings only")
-    m = rc.maximal_ideal(R, cap)
-    gen = rc.chain_generator(R, cap)
+    m = rc.maximal_ideal(R)
+    gen = rc.chain_generator(R)
     if gen is None or not m.generators:
         # field: everything is free
         return free_module(R, 0)
     # M = sum of R/m^a summands; multiplicities are the discrete second
     # difference of the radical filtration dimensions d_j = dim_k(M m^j)
-    sizes = _chain_invariants(M, cap)
-    ksize = rc.residue_size(R, cap)
+    sizes = _chain_invariants(M)
+    ksize = rc.residue_size(R)
     dims = [_log(ksize, s) for s in sizes]
-    e = len(_chain_invariants(free_module(R, 1), cap)) - 1  # Loewy length of R
+    e = len(_chain_invariants(free_module(R, 1))) - 1  # Loewy length of R
 
     def d(j):
         return dims[j] if j < len(dims) else 0
 
-    mults = {a: (d(a - 1) - d(a)) - (d(a) - d(a + 1)) for a in range(1, e + 1)}
-    # rebuild without the full-length (free) summands
-    total_gens = sum(mults.get(a, 0) for a in range(1, e))
-    power = {}
-    acc = R.one()
-    for a in range(e + 1):
-        power[a] = acc
-        acc = acc * gen
-    out_rels = []
-    idx = 0
-    for a in range(1, e):
-        for _ in range(mults.get(a, 0)):
-            col = [R.zero()] * total_gens
-            col[idx] = power[a]
-            out_rels.append(col)
-            idx += 1
-    return FiniteModule(R, total_gens, out_rels)
+    # rebuild without the full-length (free) summands: one R/m^a per entry
+    lengths = [a for a in range(1, e) for _ in range((d(a - 1) - d(a)) - (d(a) - d(a + 1)))]
+    power = [R.one()]
+    while len(power) < e:
+        power.append(power[-1] * gen)
+    rels = [[power[a] if i == k else R.zero() for i in range(len(lengths))] for k, a in enumerate(lengths)]
+    return FiniteModule(R, len(lengths), rels)
 
 
 def _log(base, value):
@@ -641,63 +658,53 @@ def _log(base, value):
     return d
 
 
-def stable_iso_test(M, N, cap=DEFAULT_CAP):
+def stable_iso_test(M, N):
     """Isomorphism after removing free summands from both sides."""
-    return iso_test(strip_projective_summands(M, cap), strip_projective_summands(N, cap), cap)
+    return iso_test(strip_projective_summands(M), strip_projective_summands(N))
 
 
-def heller_cube_check(R, sample, cap=DEFAULT_CAP):
+def heller_cube_check(R, sample):
     """Omega^3 M stably isomorphic to M for every module in the sample."""
     for M in sample:
-        cube = heller_power(M, 3, cap)
-        if not stable_iso_test(cube, M, cap):
+        cube = heller_power(M, 3)
+        if not stable_iso_test(cube, M):
             return False
     return True
 
 
-def stable_hom(M, N, cap=DEFAULT_CAP):
+def stable_hom(M, N):
     """(dimension over the residue field, representatives).
 
     The stable group is Hom(M, N) modulo maps factoring through the fixed
     embedding of M into a free module.
     """
     R = M.ring
-    if not rc.is_quasi_frobenius(R, cap):
+    if not rc.is_quasi_frobenius(R):
         raise NotQuasiFrobenius("stable homs need a quasi-Frobenius ring")
     homs = _hom_vectors(M, N)
-    P = stable_projective_span(M, N, cap)
-    ksize = rc.residue_size(R, cap) if rc.is_local(R, cap) else None
+    P = stable_projective_span(M, N)
     quot = P.extend(homs).size() // P.size()
-    if ksize is not None:
-        dim = _log(ksize, quot)
-    else:
-        dim = quot  # group order when no single residue field applies
+    # the group order when no single residue field applies
+    dim = _log(rc.residue_size(R), quot) if rc.is_local(R) else quot
     reps = []
     span = P
     for v in homs:
         if not span.contains(v):
-            reps.append(_map_from_images(M, N, v))
+            reps.append(_map_from_hom(M, N, v))
             span = span.extend([v])
     return dim, reps
 
 
-def stable_projective_span(M, N, cap=DEFAULT_CAP):
-    """Subgroup of hom coordinates of the maps factoring through the embedding,
-    computed once per pair and cap (in M's cache).
-
-    Such a map sends e_t of the free envelope to some y in N, so generator j
-    of M goes to emb[t][j] * y; y runs over N's quotient unit vectors.
-    """
-    key = ("stable_projective_span", N, cap)
+def stable_projective_span(M, N):
+    """Subgroup of hom coordinates of the maps factoring through the
+    embedding, computed once per pair (in M's cache): the column span of
+    `_through_envelope`, psi running over the maps from the free module."""
+    key = ("stable_projective_span", N)
     if key not in M._cache:
-        rows = injective_envelope(M, cap).matrix
-        r = N.action().shape[1]
-        blocks = N.act_all([x for row in rows for x in row]).reshape(len(rows), M.generators, r, r)
-        cols = blocks.transpose(0, 3, 1, 2).reshape(len(rows) * r, M.generators * r).tolist()
-        M._cache[key] = linalg.Subgroup(cols, _hom_moduli(M, N))
+        M._cache[key] = linalg.Subgroup(_through_envelope(M, N).T.tolist(), _hom_moduli(M, N))
     return M._cache[key]
 
 
-def stable_class_is_zero(f, cap=DEFAULT_CAP):
+def stable_class_is_zero(f):
     """Does f factor through a projective module?"""
-    return stable_projective_span(f.source, f.target, cap).contains(_hom_coordinates(f))
+    return stable_projective_span(f.source, f.target).contains(_hom_coordinates(f))

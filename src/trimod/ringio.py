@@ -35,14 +35,18 @@ def _load_json(text, path=None):
         _fail(f"{e.msg} (line {e.lineno}, column {e.colno})", path)
 
 
-def _coeff_in(raw, path):
+def _coeff_in(raw, char, path):
+    """An integer, or a rational written as a string (characteristic 0 only)."""
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
     if isinstance(raw, str):
         try:
-            return Fraction(raw)
+            c = Fraction(raw)
         except (ValueError, ZeroDivisionError):
             _fail(f"bad coefficient {raw!r}", path)
+        if char and c.denominator != 1:
+            _fail(f"non-integer coefficient {raw!r} in characteristic {char}", path)
+        return c
     _fail(f"bad coefficient {raw!r}", path)
 
 
@@ -112,7 +116,7 @@ def ring_from_obj(obj, path=None):
                 _fail("vpow must be an integer", path)
             if vpow != 0 and periodicity is None:
                 _fail("vpow requires a periodicity unit", path)
-            out.append((_coeff_in(term["coeff"], path), index[term["basis"]], vpow))
+            out.append((_coeff_in(term["coeff"], char, path), index[term["basis"]], vpow))
         return out
 
     products = {}
@@ -236,8 +240,11 @@ def module_from_obj(obj, path=None, base_dir=None):
                     _fail("terms need coeff and basis (optional vpow)", path)
                 if term["basis"] not in index:
                     _fail(f"unknown basis name {term['basis']!r}", path)
-                key = (index[term["basis"]], term.get("vpow", 0))
-                terms[key] = terms.get(key, 0) + _coeff_in(term["coeff"], path)
+                vpow = term.get("vpow", 0)
+                if not isinstance(vpow, int) or vpow != 0:
+                    _fail("module relations take no vpow: modules are over ungraded rings", path)
+                key = (index[term["basis"]], 0)
+                terms[key] = terms.get(key, 0) + _coeff_in(term["coeff"], R.char, path)
             col.append(R.element(terms))
         rels.append(col)
     return FiniteModule(R, gens, rels)

@@ -42,20 +42,19 @@ from .errors import (
     UnsupportedCoefficients,
 )
 
-DEFAULT_CAP = 4096
+SIZE_CAP = 4096  # most elements any enumeration may visit
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
 def per_object(fn):
-    """Compute fn(obj, cap) once per immutable object and cap, in obj._cache.
-    A call that raises caches nothing, so a too small cap spoils no other."""
+    """Compute fn(obj) once per immutable object, in obj._cache.  A call that
+    raises caches nothing."""
     @functools.wraps(fn)
-    def once(obj, cap=DEFAULT_CAP):
-        key = (fn.__name__, cap)
-        if key not in obj._cache:
-            obj._cache[key] = fn(obj, cap)
-        return obj._cache[key]
+    def once(obj):
+        if fn.__name__ not in obj._cache:
+            obj._cache[fn.__name__] = fn(obj)
+        return obj._cache[fn.__name__]
     return once
 
 
@@ -253,7 +252,7 @@ class GradedRing:
 
     # -- enumeration -----------------------------------------------------
 
-    def enumerate_slice(self, q, cap=DEFAULT_CAP):
+    def enumerate_slice(self, q):
         """All homogeneous elements of degree q (finite coefficient ring)."""
         if self.char == 0:
             raise UnsupportedCoefficients("cannot enumerate over Q")
@@ -262,8 +261,8 @@ class GradedRing:
         total = 1
         for m in moduli:
             total *= m
-        if total > cap:
-            raise SizeCapExceeded(f"slice of size {total} exceeds cap {cap}")
+        if total > SIZE_CAP:
+            raise SizeCapExceeded(f"slice of size {total} exceeds cap {SIZE_CAP}")
         for combo in itertools.product(*[range(m) for m in moduli]):
             yield RingElement(self, {mt: c for mt, c in zip(terms, combo) if c})
 
@@ -580,13 +579,13 @@ def _local_by_frobenius(R):
     return d - linalg.modp_rank(A.tolist(), p) == 1
 
 
-def _slice_nonunits(R, q, cap):
+def _slice_nonunits(R, q):
     """Coordinates of the nonzero nonunits of the degree-q slice."""
-    return [R.slice_coords(x, q) for x in R.enumerate_slice(q, cap) if not x.is_zero and not is_unit(x)]
+    return [R.slice_coords(x, q) for x in R.enumerate_slice(q) if not x.is_zero and not is_unit(x)]
 
 
 @per_object
-def is_local(R, cap=DEFAULT_CAP):
+def is_local(R):
     """Whether the nonunits form an ideal.
 
     Finite rings of prime characteristic go by the p-power map, the others
@@ -600,7 +599,7 @@ def is_local(R, cap=DEFAULT_CAP):
         if linalg.is_prime(R.char):
             return _local_by_frobenius(R)
     for q in R.degree_support():
-        nonunits = _slice_nonunits(R, q, cap)
+        nonunits = _slice_nonunits(R, q)
         # nonunits are closed under negation and contain 0, so they form a
         # subgroup exactly when their count matches the span they generate
         if _slice_span(R, q, nonunits).size() != len(nonunits) + 1:
@@ -612,7 +611,7 @@ def is_local(R, cap=DEFAULT_CAP):
 # idempotents, product decomposition and quotient rings
 # ---------------------------------------------------------------------------
 
-def idempotents(R, cap=DEFAULT_CAP):
+def idempotents(R):
     """All degree-zero idempotent elements."""
     if R.char == 0:
         # a one-dimensional degree-0 slice is Q * 1, whose idempotents are 0, 1
@@ -620,21 +619,21 @@ def idempotents(R, cap=DEFAULT_CAP):
             raise UnsupportedCoefficients("rational idempotents need a one-dimensional degree-0 slice")
         return [R.zero(), R.one()]
     total = math.prod(R.slice_moduli(R.slice_terms(0)))
-    if total > cap:
-        if linalg.is_prime(R.char) and R.is_finite and is_local(R, cap):
+    if total > SIZE_CAP:
+        if linalg.is_prime(R.char) and R.is_finite and is_local(R):
             return [R.zero(), R.one()]
-        raise SizeCapExceeded(f"degree-zero slice of size {total} exceeds cap {cap}")
-    return [e for e in R.enumerate_slice(0, cap) if e * e == e]
+        raise SizeCapExceeded(f"degree-zero slice of size {total} exceeds cap {SIZE_CAP}")
+    return [e for e in R.enumerate_slice(0) if e * e == e]
 
 
 @per_object
-def decompose_product(R, cap=DEFAULT_CAP):
+def decompose_product(R):
     """Split R along its primitive degree-zero idempotents.
 
     Returns a tuple of rings whose product is isomorphic to R; checked by a
     cardinality count for finite rings.
     """
-    E = idempotents(R, cap)
+    E = idempotents(R)
     zero = R.zero()
     nonzero = [e for e in E if e != zero]
     if len(nonzero) <= 1:
@@ -710,10 +709,10 @@ def _homogeneous_gens_from_coords(R, coord_vecs):
 
 
 @per_object
-def maximal_ideal(R, cap=DEFAULT_CAP):
+def maximal_ideal(R):
     """The ideal of nonunits of a local ring: the nilradical of a finite ring
     of prime characteristic, otherwise the span of each slice's nonunits."""
-    if not is_local(R, cap):
+    if not is_local(R):
         raise NotLocal("ring is not local")
     if R.is_finite and linalg.is_prime(R.char):
         gens = _homogeneous_gens_from_coords(R, _nilradical_coords_prime(R))
@@ -721,7 +720,7 @@ def maximal_ideal(R, cap=DEFAULT_CAP):
     else:
         gens, slices = [], {}
         for q in R.degree_support():
-            nonunits = _slice_nonunits(R, q, cap)
+            nonunits = _slice_nonunits(R, q)
             slices[q] = _slice_span(R, q, nonunits)
             gens += [R.from_slice_coords(q, v) for v in nonunits]
     return Ideal(R, _minimal_gen_subset(R, gens, slices), slices)
@@ -749,15 +748,15 @@ def principal_generator(R, ideal):
 
 
 @per_object
-def chain_generator(R, cap=DEFAULT_CAP):
+def chain_generator(R):
     """A single generator of the maximal ideal, or None if not principal."""
-    return principal_generator(R, maximal_ideal(R, cap))
+    return principal_generator(R, maximal_ideal(R))
 
 
-def residue_characteristic(R, m=None, cap=DEFAULT_CAP):
+def residue_characteristic(R, m=None):
     """Additive order of 1 in R modulo its maximal ideal (0 over Q)."""
     if m is None:
-        m = maximal_ideal(R, cap)
+        m = maximal_ideal(R)
     one = R.one()
     if R.char == 0:
         return 0
@@ -769,24 +768,24 @@ def residue_characteristic(R, m=None, cap=DEFAULT_CAP):
     raise NotLocal("characteristic of the residue field not found")
 
 
-def residue_field(R, cap=DEFAULT_CAP):
+def residue_field(R):
     """R modulo its maximal ideal, as a new ring on a homogeneous basis."""
-    m = maximal_ideal(R, cap)
+    m = maximal_ideal(R)
     return validate_ring(_quotient_ring(R, {q: span.cols() for q, span in m.slices.items()}))
 
 
-def residue_size(R, cap=DEFAULT_CAP):
+def residue_size(R):
     """Number of elements of the residue field of a finite local ring."""
-    return R.size() // maximal_ideal(R, cap).size()
+    return R.size() // maximal_ideal(R).size()
 
 
-def is_graded_field(R, cap=DEFAULT_CAP):
+def is_graded_field(R):
     """Every nonzero homogeneous element invertible."""
     if R.char == 0 and R.periodicity is None:
         # rational, finite support: field iff one dimensional in degree 0
         return R.dim == 1 and R.degrees == (0,) and is_unit(R.basis_element(0))
     for q in R.degree_support():
-        for x in R.enumerate_slice(q, cap):
+        for x in R.enumerate_slice(q):
             if not x.is_zero and not is_unit(x):
                 return False
     return True
@@ -796,7 +795,7 @@ def is_graded_field(R, cap=DEFAULT_CAP):
 # annihilators, socle, quasi-Frobenius
 # ---------------------------------------------------------------------------
 
-def annihilator(R, x, cap=DEFAULT_CAP):
+def annihilator(R, x):
     """The ideal of elements y with x*y = 0, for homogeneous x."""
     if not x.is_homogeneous:
         raise ValueError("annihilator requires a homogeneous element")
@@ -807,14 +806,14 @@ def principal_ideal(R, x):
     return Ideal.from_generators(R, [x] if not x.is_zero else [])
 
 
-def double_annihilator_holds(R, cap=DEFAULT_CAP):
+def double_annihilator_holds(R):
     """Check ann(ann(x)) == (x) for every homogeneous x; witness on failure.
 
     Returns (True, None) or (False, x).
     """
     for q in R.degree_support():
-        for x in R.enumerate_slice(q, cap):
-            ann1 = annihilator(R, x, cap)
+        for x in R.enumerate_slice(q):
+            ann1 = annihilator(R, x)
             double = _annihilator_of(R, list(ann1.generators))
             if double != principal_ideal(R, x):
                 return False, x
@@ -844,34 +843,34 @@ def _annihilator_of(R, gens):
     return Ideal(R, out_gens, {q: _slice_span(R, q, ker) for q, ker in cols.items()})
 
 
-def socle(R, cap=DEFAULT_CAP):
+def socle(R):
     """Elements killed by the maximal ideal (local rings)."""
-    m = maximal_ideal(R, cap)
+    m = maximal_ideal(R)
     return _annihilator_of(R, list(m.generators))
 
 
-def socle_is_simple(R, cap=DEFAULT_CAP):
+def socle_is_simple(R):
     """Whether the socle of a local ring is a simple module."""
-    soc = socle(R, cap)
+    soc = socle(R)
     if R.periodicity is not None:
         # a principal socle is simple: m kills its generator, so the socle
         # is a copy of the residue field shifted to the generator's degree
         return not soc.generators or principal_generator(R, soc) is not None
-    return soc.size() == residue_size(R, cap)
+    return soc.size() == residue_size(R)
 
 
 @per_object
-def is_quasi_frobenius(R, cap=DEFAULT_CAP):
+def is_quasi_frobenius(R):
     """Self-injectivity test: each local factor must have simple socle."""
     if R.periodicity is not None:
         # periodic rings are not split into factors, so only local ones are
         # in scope, as in classify
-        if not is_local(R, cap):
+        if not is_local(R):
             raise NotLocalInput("quasi-Frobenius test on a periodic ring needs a local ring")
-        return socle_is_simple(R, cap)
-    for factor in decompose_product(R, cap):
-        if not is_local(factor, cap):
+        return socle_is_simple(R)
+    for factor in decompose_product(R):
+        if not is_local(factor):
             raise NotSemiperfect("factor of the decomposition is not local")
-        if not socle_is_simple(factor, cap):
+        if not socle_is_simple(factor):
             return False
     return True

@@ -39,15 +39,11 @@ class TateRing:
 
 
 def _map_minus(f, g):
-    mat = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(f.matrix, g.matrix)]
-    return md.ModuleMap(f.source, f.target, mat, check=False)
+    return md._map_from_images(f.source, f.target, f.images - g.images)
 
 
 def _map_scale(f, c):
-    R = f.source.ring
-    scal = R.one() * c if c != 1 else R.one()
-    mat = [[a * scal for a in row] for row in f.matrix]
-    return md.ModuleMap(f.source, f.target, mat, check=False)
+    return md._map_from_images(f.source, f.target, f.images * c)
 
 
 def stable_coefficient(f, rep, p):
@@ -132,27 +128,20 @@ def cofiber_stmod(f):
     emb = md.injective_envelope(M)
     I = emb.target
     g_total = I.generators + N.generators
-    rels = []
-    for col in N.relations:
-        rels.append([R.zero()] * I.generators + list(col))
-    D = md.FiniteModule(R, g_total, rels)
-    phi_cols = []
-    for col in M.generator_columns():
-        phi_cols.append(list(emb.apply_column(col)) + list(f.apply_column(col)))
-    phi_mat = [[phi_cols[j][i] for j in range(M.generators)] for i in range(g_total)]
-    phi = md.ModuleMap(M, D, phi_mat, check=False)
-    C, project = md.cokernel(phi)
+    # the relations of I(M) + N, then the columns of (emb, f)
+    rels = [[R.zero()] * I.generators + col for col in N.relations]
+    rels += [a + b for a, b in zip(emb.columns(), f.columns())]
+    C = md.FiniteModule(R, g_total, rels)
     # N -> C: include into the sum, then project
     inc_mat = [[R.zero()] * N.generators for _ in range(g_total)]
     for i in range(N.generators):
         inc_mat[I.generators + i][i] = R.one()
     n_to_c = md.ModuleMap(N, C, inc_mat, check=True)
     # C -> Omega^-1 M: forget N, land in I(M)/M
-    OmegaInv, _ = md.cokernel(emb)
     out_mat = [[R.zero()] * g_total for _ in range(I.generators)]
     for i in range(I.generators):
         out_mat[i][i] = R.one()
-    c_to_omega = md.ModuleMap(C, OmegaInv, out_mat, check=True)
+    c_to_omega = md.ModuleMap(C, md.heller_inverse(M), out_mat, check=True)
     return C, n_to_c, c_to_omega
 
 

@@ -237,7 +237,7 @@ def test_criterion_6_generation_dichotomy():
 
 
 def _elements(R):
-    return list(R.enumerate_slice(0, cap=R.size() + 1))
+    return list(R.enumerate_slice(0))
 
 
 class _Factor:

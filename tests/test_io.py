@@ -192,6 +192,35 @@ def test_cli_malformed_file_exits_2(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_cli_non_integer_coefficient_exits_2(tmp_path, capsys):
+    # over F_3, "1/2" is no integer: x * x = (1/2) c0 must not read as x * x = 0
+    with open(os.path.join(RINGS, "f3x.ring"), "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["products"].append({"left": "x", "right": "x",
+                            "terms": [{"coeff": "1/2", "basis": "c0", "vpow": 0}]})
+    bad = tmp_path / "f3x_half.ring"
+    bad.write_text(json.dumps(obj))
+    code, _, err = _run(["classify", str(bad)], capsys)
+    assert code == 2
+    assert "non-integer coefficient" in err
+    module = tmp_path / "half.module"
+    module.write_text(json.dumps({"ring": os.path.abspath(os.path.join(RINGS, "z4.ring")), "generators": 1,
+                                  "relations": [[[{"coeff": "1/3", "basis": "e"}]]]}))
+    code, _, err = _run(["heller", os.path.join(RINGS, "z4.ring"), str(module)], capsys)
+    assert code == 2
+    assert "non-integer coefficient" in err
+
+
+@pytest.mark.parametrize("vpow", [1, "0", 0.5])
+def test_cli_module_vpow_exits_2(tmp_path, capsys, vpow):
+    module = tmp_path / "vpow.module"
+    module.write_text(json.dumps({"ring": os.path.abspath(os.path.join(RINGS, "z4.ring")), "generators": 1,
+                                  "relations": [[[{"coeff": 2, "basis": "e", "vpow": vpow}]]]}))
+    code, _, err = _run(["heller", os.path.join(RINGS, "z4.ring"), str(module)], capsys)
+    assert code == 2
+    assert "vpow" in err
+
+
 def test_cli_ggh_exit_codes(capsys):
     code, out, _ = _run(["ggh", "--p", "3", "--n", "1", "--window", "-4:4"], capsys)
     assert code == 0

@@ -9,6 +9,7 @@ from trimod import constructions as con
 from trimod import linalg
 from trimod import modules as md
 from trimod import rings as rc
+from trimod import tate
 from trimod.errors import IllFormedMap, ShapeMismatch
 from trimod.modules import (
     FiniteModule,
@@ -48,6 +49,29 @@ def f3t3():
 def t_elem(R):
     # generator of the maximal ideal of a truncated polynomial ring
     return R.basis_element(1)
+
+
+def apply_column(R, matrix, col):
+    """Reference: a matrix over R applied to a column, term by term."""
+    out = []
+    for row in matrix:
+        acc = R.zero()
+        for x, c in zip(row, col):
+            acc = acc + x * c
+        out.append(acc)
+    return out
+
+
+def unit_columns(M):
+    """The generators of M as columns over the ring."""
+    R = M.ring
+    return [[R.one() if i == j else R.zero() for i in range(M.generators)] for j in range(M.generators)]
+
+
+def compose(R, g, f):
+    """Reference: the columns of g . f over R, g's matrix times each column of f."""
+    G = g.matrix
+    return [apply_column(R, G, col) for col in f.columns()]
 
 
 def direct_sum(R, lengths, powers):
@@ -130,6 +154,15 @@ def test_compose_checks_the_middle_module():
     # an equal presentation in another object composes
     g = identity_map(Q_unit).compose(ModuleMap(Q, Q, [[t]]))
     assert g.source is Q and g.target is Q_unit and g.matrix == [[t]]
+    # over Z/4 an equal presentation can carry other quotient coordinates,
+    # which the composite must be read in
+    Z = z4()
+    one, zero = Z.one(), Z.zero()
+    A = FiniteModule(Z, 2, [[one * 3, one * 3]])
+    B = FiniteModule(Z, 2, [[one * 3, one * 3], [one * 2, one * 2]])
+    assert A.quotient()[1].tolist() != B.quotient()[1].tolist()
+    h = identity_map(B).compose(ModuleMap(A, A, [[one, zero], [zero, one]]))
+    assert h.target is B and h.images.T.tolist() == [B.coords([one, zero]), B.coords([zero, one])]
 
 
 def test_act_all_matches_per_element_products():
@@ -157,17 +190,21 @@ def test_act_all_matches_per_element_products():
         for cols in ([xs[:2], xs[2:4], xs[4:]], [xs[:3]], [[]], []):
             old = [row for c in cols for row in np.hstack(
                 [np.zeros((r, 0), dtype=A.dtype)] + [act_one(x) for x in c]).tolist()]
-            assert md._combination_rows(cols, M) == old
+            width = len(cols[0]) * R.dim if cols else 0
+            C = np.array([M.flatten(c) for c in cols], dtype=A.dtype).reshape(len(cols), width)
+            assert md._combination_rows(C, M).tolist() == old
 
 
 def test_action_matches_ring_multiplication():
     # the cached action matrices against ring arithmetic on lifted columns;
-    # char 3**30 takes the exact Python-integer path instead of int64
+    # char 3**30 takes the exact Python-integer path instead of int64, and
+    # the Smith transforms of the Z/(3 * 2**28) presentation exceed int64
     rng = random.Random(0)
-    S, Z = f3t3(), con.z_mod(3 ** 30)
+    S, Z, W = f3t3(), con.z_mod(3 ** 30), con.z_mod(3 * 2 ** 28)
     t = t_elem(S)
-    cases = [FiniteModule(S, 2, [[t, t * t]]), FiniteModule(Z, 2, [[Z.one() * 3 ** 15, Z.one() * 6]])]
-    assert cases[1].action().dtype == object
+    cases = [FiniteModule(S, 2, [[t, t * t]]), FiniteModule(Z, 2, [[Z.one() * 3 ** 15, Z.one() * 6]]),
+             FiniteModule(W, 2, [[W.one() * 21, W.one() * 2051]])]
+    assert [M.action().dtype for M in cases] == [np.int64, object, np.int64]
     for M in cases:
         R, qm = M.ring, M.quotient()[0]
         for _ in range(20):
@@ -318,10 +355,10 @@ def test_hom_group_against_brute_force(ring, data):
     # every returned map sends each relation of M into the relations of N
     for F in homs:
         for col in M.relations:
-            assert rel_N.contains(N.flatten(F.apply_column(col)))
+            assert rel_N.contains(N.flatten(apply_column(R, F.matrix, col)))
     # the span of the maps, as generator images modulo the relations of N
     g, width = M.generators, len(N.ambient_moduli)
-    images = [[x for col in M.generator_columns() for x in N.flatten(F.apply_column(col))] for F in homs]
+    images = [[x for col in unit_columns(M) for x in N.flatten(apply_column(R, F.matrix, col))] for F in homs]
     rels = [[0] * (j * width) + c + [0] * ((g - 1 - j) * width) for j in range(g) for c in rel_N.cols()]
     span_size = linalg.Subgroup(images + rels, N.ambient_moduli * g).size() // rel_N.size() ** g
     # |Hom(M, N)|: every choice of generator images that kills each relation
@@ -335,3 +372,60 @@ def test_hom_group_against_brute_force(ring, data):
             for col in M.relations
         )
     assert span_size == count
+
+
+def _random_hom(data, M, N):
+    """An element of Hom(M, N): a random combination of its generators."""
+    homs = md._hom_vectors(M, N)
+    coeffs = data.draw(st.lists(st.integers(0, M.ring.char - 1), min_size=len(homs), max_size=len(homs)))
+    width = len(md._hom_moduli(M, N))
+    return md._map_from_hom(M, N, [sum(c * h[i] for c, h in zip(coeffs, homs)) for i in range(width)])
+
+
+def _images(N, cols):
+    """Columns over the ring in N's quotient coordinates, one list each."""
+    return [N.coords(col) for col in cols]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([z4, f3t3, f2x]), st.data())
+def test_map_arrays_against_ring_arithmetic(ring, data):
+    R = ring()
+    M, N, P = (_draw_module(data, R) for _ in range(3))
+    coords = st.tuples(*[st.integers(0, o - 1) for o in R.orders])
+    # a matrix over the ring is a map exactly when it sends the relations of
+    # M into those of N, and then its images are those of its columns
+    mat = [[R.from_full_coords(list(data.draw(coords))) for _ in range(M.generators)] for _ in range(N.generators)]
+    cols = [[row[j] for row in mat] for j in range(M.generators)]
+    if all(not any(N.coords(apply_column(R, mat, col))) for col in M.relations):
+        assert ModuleMap(M, N, mat).images.T.tolist() == _images(N, cols)
+    else:
+        with pytest.raises(IllFormedMap):
+            ModuleMap(M, N, mat)
+    f, f2, g = _random_hom(data, M, N), _random_hom(data, M, N), _random_hom(data, N, P)
+    assert g.compose(f).images.T.tolist() == _images(P, compose(R, g, f))
+    c = data.draw(st.integers(0, R.char - 1))
+    minus = [[a - b for a, b in zip(x, y)] for x, y in zip(f.columns(), f2.columns())]
+    assert tate._map_minus(f, f2).images.T.tolist() == _images(N, minus)
+    scaled = [[a * (R.one() * c) for a in x] for x in f.columns()]
+    assert tate._map_scale(f, c).images.T.tolist() == _images(N, scaled)
+    # g . f factors through g, and the factor h has g . h = g . f
+    gf_cols = compose(R, g, f)
+    gf = ModuleMap(M, P, [[col[i] for col in gf_cols] for i in range(P.generators)])
+    h = md._factor_through(gf, g)
+    assert h.source is M and h.target is N
+    assert _images(P, compose(R, g, h)) == _images(P, gf_cols)
+    # a map that does not factor through g is not g . h for any h
+    k = _random_hom(data, M, P)
+    try:
+        h = md._factor_through(k, g)
+    except IllFormedMap:
+        homs = [H.columns() for H in md.hom_group(M, N)]
+        assume(R.char ** len(homs) <= 256)
+        G = g.matrix
+        for combo in itertools.product(range(R.char), repeat=len(homs)):
+            cols = [[sum((H[j][i] * c for c, H in zip(combo, homs)), R.zero()) for i in range(N.generators)]
+                    for j in range(M.generators)]
+            assert _images(P, [apply_column(R, G, col) for col in cols]) != k.images.T.tolist()
+    else:
+        assert _images(P, compose(R, g, h)) == k.images.T.tolist()

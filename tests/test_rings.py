@@ -238,10 +238,12 @@ def test_ring_predicates_once_per_ring(monkeypatch):
     assert first > 0 and len(calls) == first
 
 
-def test_failed_cap_is_not_cached():
+def test_failed_cap_is_not_cached(monkeypatch):
     R = con.z_mod(16)
+    monkeypatch.setattr(rings, "SIZE_CAP", 8)
     with pytest.raises(SizeCapExceeded):
-        is_local(R, cap=8)
+        is_local(R)
+    monkeypatch.undo()
     assert is_local(R)
 
 
