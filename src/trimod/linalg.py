@@ -464,9 +464,10 @@ def congruence_kernel(A, row_moduli, col_moduli):
 
 
 def congruence_solve(A, b, row_moduli):
-    """One x with A x = b in +Z/row_moduli, or None."""
+    """One x with A x = b in +Z/row_moduli, or None.  A given as an array
+    keeps its width also when it has no rows."""
     nr = len(A)
-    nc = len(A[0]) if nr else 0
+    nc = np.shape(A)[1] if isinstance(A, np.ndarray) else len(A[0]) if nr else 0
     if nr == 0:
         return [0] * nc
     p = _lane(row_moduli)

@@ -24,6 +24,12 @@ an operand of that module's dtype, so int64 sums cannot overflow.
 Submodule spans are `linalg.Subgroup`s extended under the action matrices.
 Submodules come minimally presented in the greedy sense: a generator or
 relation is kept only when the R-span of those kept before misses it.
+
+Omega M is the kernel of the projective cover P_M -> M.  Over a
+quasi-Frobenius ring P_M is injective, so when the cover keeps M's
+generators the kernel inclusion is an injective envelope of Omega M with
+cokernel M, and Omega^-1(Omega M) is M itself.  Every embedding into a free
+module spans the same maps through projectives: stable homs are unchanged.
 """
 
 from __future__ import annotations
@@ -422,9 +428,7 @@ def cokernel(f):
 def _factor_through(g, f):
     """h with f . h = g, solved generator by generator on the matrix of f
     (any h when the target of f is zero)."""
-    A, qm = _map_matrix(f).tolist(), f.target.quotient()[0]
-    if not A:
-        return zero_map(g.source, f.source)
+    A, qm = _map_matrix(f), f.target.quotient()[0]
     sols = [linalg.congruence_solve(A, b, qm) for b in g.images.T.tolist()]
     if None in sols:
         raise IllFormedMap("map does not factor through the given map")
@@ -465,8 +469,14 @@ def projective_cover(M):
 
 @rc.per_object
 def _syzygy(M):
-    """(Omega M, its inclusion into the projective cover)."""
-    return kernel(projective_cover(M))
+    """(Omega M, its inclusion into the projective cover).  Over a QF ring,
+    a cover sending generator i to M's generator i also gives Omega M's
+    envelope and cokernel (see the module docstring)."""
+    cover = projective_cover(M)
+    K, inc = kernel(cover)
+    if cover.source.generators == M.generators and rc.is_quasi_frobenius(M.ring):
+        K._cache["injective_envelope"], K._cache["_cosyzygy"] = inc, (M, cover)
+    return K, inc
 
 
 def heller_shift(M):
@@ -488,7 +498,9 @@ def injective_envelope(M):
 
     Over a quasi-Frobenius ring free modules are injective, so any embedding
     into a free module serves the stable quotient; the hom list is pruned to
-    module generators of Hom(M, R) to keep the rank small.
+    module generators of Hom(M, R) to keep the rank small.  `_syzygy` gives
+    a syzygy Omega N its inclusion into N's cover instead, so that
+    Omega^-1(Omega N) is N on the cover's generators.
     """
     R = M.ring
     Rmod = free_module(R, 1)
@@ -531,7 +543,7 @@ def omega_inverse_of_map(f):
     M, N = f.source, f.target
     emb_N = injective_envelope(N)
     IN = emb_N.target
-    sol = linalg.congruence_solve(_through_envelope(M, IN).tolist(), _hom_coordinates(emb_N.compose(f)),
+    sol = linalg.congruence_solve(_through_envelope(M, IN), _hom_coordinates(emb_N.compose(f)),
                                   _hom_moduli(M, IN))
     if sol is None:
         raise IllFormedMap("no extension over the free embeddings")

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -240,3 +241,8 @@ def test_quotient_presentation_random(seed):
     for m in moduli:
         total *= m
     assert sub.size() * qsize == total
+
+
+def test_congruence_solve_zero_rows_keeps_width():
+    for moduli in ([4], [5]):
+        assert linalg.congruence_solve(np.zeros((0, 3), dtype=np.int64), [], moduli) == [0, 0, 0]

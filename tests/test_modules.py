@@ -429,3 +429,59 @@ def test_map_arrays_against_ring_arithmetic(ring, data):
             assert _images(P, [apply_column(R, G, col) for col in cols]) != k.images.T.tolist()
     else:
         assert _images(P, compose(R, g, h)) == k.images.T.tolist()
+
+
+def f2_klein():
+    """F_2[x, y]/(x^2, y^2), the group algebra of Z/2 x Z/2."""
+    products = {(0, j): [(1, j, 0)] for j in range(4)}
+    products.update({(j, 0): [(1, j, 0)] for j in range(1, 4)})
+    products.update({(1, 2): [(1, 3, 0)], (2, 1): [(1, 3, 0)]})
+    R = rc.GradedRing(2, [("one", 0), ("x", 0), ("y", 0), ("xy", 0)], products, [(1, 0, 0)])
+    return rc.validate_ring(R)
+
+
+def _span_through(emb, N):
+    """The maps from emb.source to N that factor through emb, as a subgroup
+    of hom coordinates (what `stable_projective_span` holds for emb)."""
+    return linalg.Subgroup(md._combination_rows(md._lifted(emb).T, N).T.tolist(),
+                           md._hom_moduli(emb.source, N))
+
+
+QF_RINGS = [lambda: con.group_algebra_cyclic(2, 1), lambda: con.group_algebra_cyclic(2, 2),
+            lambda: con.group_algebra_cyclic(3, 1), lambda: con.group_algebra_cyclic(2, 3), z4, f2x, f2_klein]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(QF_RINGS), st.data())
+def test_seeded_envelope_of_a_syzygy_matches_the_hom_envelope(ring, data):
+    R = ring()
+    assert rc.is_quasi_frobenius(R)
+    M = _draw_module(data, R)
+    K, inc = md._syzygy(M)
+    assume(md.injective_envelope(K) is inc)
+    assert md.heller_inverse(K) is M
+    hom_env = md.injective_envelope.__wrapped__(K)
+    for N in (residue_module(R), M, K):
+        P = _span_through(hom_env, N)
+        assert md.stable_projective_span(K, N) == P
+        homs = md._hom_vectors(K, N)
+        quot = P.extend(homs).size() // P.size()
+        assert rc.residue_size(R) ** stable_hom(K, N)[0] == quot
+
+
+def test_heller_inverse_undoes_heller_shift_on_minimal_modules():
+    R = con.group_algebra_cyclic(3, 2)
+    t = t_elem(R)
+    for M in (residue_module(R), FiniteModule(R, 2, [[t * t, R.zero()], [R.zero(), t]])):
+        assert heller_inverse(heller_shift(M)) is M
+    # not quasi-Frobenius: the envelope of Omega k is built from homs
+    S = con.square_zero_two_vars(2)
+    omega = heller_shift(residue_module(S))
+    back = heller_inverse(omega)
+    assert (omega.generators, back.generators, back.size()) == (2, 4, 2 ** 10)
+    # a redundant generator: the cover has rank 1, so Omega M gets no seed
+    M = FiniteModule(R, 2, [[R.zero(), R.one()]])
+    assert projective_cover(M).source.generators == 1
+    omega = heller_shift(M)
+    assert "injective_envelope" not in omega._cache and "_cosyzygy" not in omega._cache
+    assert heller_inverse(omega) is not M

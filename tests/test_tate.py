@@ -1,7 +1,10 @@
+import functools
+
 import pytest
 
 from trimod import constructions as con
 from trimod import modules as md
+from trimod import rings as rc
 from trimod import tate
 from trimod.classify import classify
 from trimod.errors import ShapeMismatch, WindowEmpty
@@ -149,3 +152,25 @@ def test_each_shift_of_a_map_computed_once(monkeypatch):
     lo, hi = window = (-6, 6)
     assert tate.ggh_verdict(3, 2, window)["verdict"] == "fails"
     assert 0 < len(calls) <= 2 * (hi - lo)
+
+
+def test_heller_ladders_stay_on_the_omegas(monkeypatch):
+    computed, made = [], []
+    inner = md.injective_envelope.__wrapped__
+    # count the envelopes actually computed, not the cache hits
+    monkeypatch.setattr(md, "injective_envelope", rc.per_object(functools.wraps(inner)(
+        lambda M: computed.append(M) or inner(M))))
+    build = tate.tate_ring
+    monkeypatch.setattr(tate, "tate_ring", lambda *a: made.append(build(*a)) or made[-1])
+    lo, hi = window = (-6, 6)
+    assert tate.ggh_verdict(3, 2, window)["verdict"] == "fails"
+    (T,) = made
+    omegas = list(T.omegas.values())
+    for ladder in (T.x_shifts, T.y_shifts):
+        assert min(ladder) == lo
+        for f in ladder.values():
+            assert any(f.source is M for M in omegas) and any(f.target is M for M in omegas)
+    assert all(md.heller_inverse(T.omegas[j]) is T.omegas[j - 1] for j in range(1, hi + 1))
+    # the cofiber of x is built on the rank-1 cover of k
+    assert md.injective_envelope(T.x_rep.source) is md._syzygy(T.omegas[0])[1]
+    assert len(computed) <= hi - lo + 1
