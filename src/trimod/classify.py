@@ -8,6 +8,8 @@ maximal ideal is generated by 2.
 
 from __future__ import annotations
 
+import math
+
 from . import rings as rc
 from .errors import NotLocalInput
 
@@ -23,7 +25,6 @@ ANN_NOT_EQUAL = "AnnihilatorNotPrincipalEqual"
 MISSING_UNIT = "MissingUnitDegree"
 WRONG_CHAR = "WrongCharacteristic"
 ODD_SUSPENSION_CLASH = "OddSuspensionCharacteristicClash"
-RESIDUE_NOT_FIELD = "ResidueNotGradedField"
 
 
 class LocalVerdict:
@@ -89,19 +90,10 @@ class Verdict:
 
 
 def has_unit_in_degree(R, d):
-    """Is there an invertible homogeneous element of degree d?"""
-    if d == 0:
-        return True
-    if R.periodicity is None:
-        # a finite ring cannot carry a unit of nonzero degree: its powers
-        # would occupy infinitely many degrees
-        return False
-    if not R.slice_terms(d):
-        return False
-    for x in R.enumerate_slice(d):
-        if rc.is_unit(x):
-            return True
-    return False
+    """Is there an invertible homogeneous element of degree d?  (R local: the
+    units of degree d are the elements of the slice outside m.)"""
+    m_d = rc.maximal_ideal(R).slices.get(R.rep_degree(d))
+    return m_d is not None and m_d.size() < math.prod(R.slice_moduli(R.slice_terms(d)))
 
 
 def classify_local(R, n):
@@ -116,9 +108,7 @@ def classify_local(R, n):
         raise NotLocalInput("classify_local expects a local ring")
     m = rc.maximal_ideal(R)
     if m.is_zero_ideal():
-        if rc.is_graded_field(R):
-            return LocalVerdict(GRADED_FIELD)
-        return LocalVerdict(NOT_DELTA, reason=RESIDUE_NOT_FIELD)
+        return LocalVerdict(GRADED_FIELD)
     if not rc.socle_is_simple(R):
         return LocalVerdict(NOT_DELTA, reason=NOT_QF)
     x = rc.chain_generator(R)
@@ -130,7 +120,7 @@ def classify_local(R, n):
         return LocalVerdict(NOT_DELTA, reason=ANN_NOT_EQUAL)
     if not (x * x).is_zero:
         return LocalVerdict(NOT_DELTA, reason=SQUARE_NONZERO)
-    p = rc.residue_characteristic(R, m)
+    p = rc.residue_characteristic(R)
     i = x.degree
     if R.char == p:
         # equal characteristic: R = k[x]/(x**2) over its residue field

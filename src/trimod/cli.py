@@ -22,7 +22,7 @@ from . import ringio
 from . import tate
 from . import triangles as tr
 from .classify import classify
-from .errors import ParseError, TrimodError
+from .errors import ParityObstruction, ParseError, TrimodError
 
 SCHEMA_VERSION = 1
 
@@ -105,7 +105,7 @@ def cmd_dg_verify(args):
               "trials": args.trials, "seed": args.seed}
     try:
         alg = dg.build_two_generator_dga(args.p, args.i, args.n, args.weight)
-    except TrimodError as e:
+    except ParityObstruction as e:
         report["built"] = False
         report["obstruction"] = str(e)
         report["lines"] = [f"build: FAIL ({e})"]

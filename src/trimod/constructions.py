@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+from . import linalg
 from .errors import RingSpecError, UnsupportedCoefficients
 from .rings import GradedRing, validate_ring
 
@@ -18,6 +19,8 @@ def z_mod(m: int) -> GradedRing:
 
 def truncated_polynomial(p: int, e: int, name: str = "t", degree: int = 0) -> GradedRing:
     """k[t]/(t**e) over the prime field of order p, with |t| = degree."""
+    if not linalg.is_prime(p) or e < 1:
+        raise RingSpecError(f"need a prime p and e >= 1, got p={p}, e={e}")
     basis = [(f"{name}{j}" if j else "one", j * degree) for j in range(e)]
     products = {}
     for i in range(e):
@@ -136,4 +139,6 @@ def laurent_exterior(p: int, x_degree: int, y_degree: int, unit_name: str = "y")
 
 def group_algebra_cyclic(p: int, n: int) -> GradedRing:
     """F_p[Z/p**n], presented as F_p[t]/(t**(p**n)) with t = g - 1."""
+    if n < 0:
+        raise RingSpecError(f"group order p**n needs n >= 0, got n={n}")
     return truncated_polynomial(p, p ** n)

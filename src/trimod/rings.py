@@ -12,10 +12,14 @@ Ring linear algebra works on degree slices: the degree-q slice has one
 coordinate per basis element of degree q (mod d for a periodic ring), taken
 modulo that element's additive order.  Multiplication matrices, inverses,
 ideals, annihilators and the quotient rings R/I (product factors and residue
-fields, built by `_quotient_ring`) are all computed slice by slice.  The one
-exception is the p-power map behind the locality test and the nilradical of
-a finite ring of prime characteristic: it sends degree q to degree p*q, so it
-works on coordinates over the whole basis.
+fields, built by `_quotient_ring`) are all computed slice by slice.
+
+Locality and the maximal ideal m come from the degree-0 slice R0.  For
+characteristic p**k, the p-power map on R0 mod p is linear: R is local when
+its fixed space is a line, and then m0 is pR0 plus the lift of its
+nilradical.  A homogeneous x of degree q is a unit exactly when x*y is a unit
+of R0 for some y of degree -q, so m_q = {x : x R_{-q} in m0}.  Graded fields
+(m = 0), homogeneous units and the residue characteristic are read from m.
 """
 
 from __future__ import annotations
@@ -42,7 +46,10 @@ from .errors import (
     UnsupportedCoefficients,
 )
 
-SIZE_CAP = 4096  # most elements any enumeration may visit
+# most elements any enumeration may visit; only the idempotents of a non-local
+# ring, module elements, brute-force module isomorphism and the test-only
+# double_annihilator_holds still enumerate
+SIZE_CAP = 4096
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -532,79 +539,61 @@ def inverse(x):
     return None if sol is None else R.from_slice_coords(-q, sol)
 
 
-def _frobenius_matrix(R):
-    """Array of x -> x**p on full coordinates (finite rings of prime char)."""
-    C, p = R.structure_constants, R.char
-    cols = []
-    for i in range(R.dim):
-        y = np.array(R.full_coords(R.one()), dtype=C.dtype)
-        for _ in range(p):
-            y = y @ C[:, i] % p
-        cols.append(y)
-    return np.array(cols, dtype=C.dtype).reshape(R.dim, R.dim).T
+def _prime_power_base(c):
+    """The prime p with c = p**k, or None."""
+    p = next((q for q in range(2, math.isqrt(c) + 1) if c % q == 0), c)
+    while c % p == 0:
+        c //= p
+    return p if c == 1 else None
 
 
-def _nilradical_coords_prime(R):
-    """Basis vectors of the nilradical of a finite ring of prime characteristic.
+@per_object
+def _local_degree_zero(R):
+    """(p, columns spanning m0) when the degree-0 slice R0 is a local ring
+    with maximal ideal m0, otherwise None.
 
-    The p-power map is linear in characteristic p, so the nilradical is the
-    kernel of a high enough iterate.
+    A finite local ring has characteristic p**k, and then p is nilpotent, so
+    R0 is local exactly when R0/p is.  Every additive order is a power of p,
+    so R0/p has R0's basis and structure constants mod p.  The p-power map F
+    is linear over F_p, and its fixed points a**p = a number p per local
+    factor, so R0/p is local iff ker(F - 1) is a line.  Then its maximal
+    ideal is its nilradical ker F**k (p**k >= dim), and m0 is pR0 plus the
+    lift of it.
     """
-    p = R.char
-    F = _frobenius_matrix(R)
-    k = 1
-    while p ** k <= R.dim:
-        k += 1
-    M = F
-    for _ in range(k - 1):
-        M = M @ F % p
-    return linalg.modp_kernel(M.tolist(), p)
-
-
-def _local_by_frobenius(R):
-    """Locality test for finite rings of prime characteristic.
-
-    R is local iff R modulo its nilradical is a single field, i.e. the fixed
-    space of the induced p-power map is one dimensional.
-    """
-    p = R.char
-    nil = _nilradical_coords_prime(R)
-    qm, proj, lift = linalg.quotient_presentation(nil, list(R.orders))
-    F = _frobenius_matrix(R)
-    d = len(qm)
-    P = np.array(proj, dtype=F.dtype).reshape(d, R.dim) % p
-    L = np.array(lift, dtype=F.dtype).reshape(R.dim, d) % p
-    # induced map proj . F . lift minus identity
-    A = (P @ (F @ L % p) - np.eye(d, dtype=F.dtype)) % p
-    return d - linalg.modp_rank(A.tolist(), p) == 1
-
-
-def _slice_nonunits(R, q):
-    """Coordinates of the nonzero nonunits of the degree-q slice."""
-    return [R.slice_coords(x, q) for x in R.enumerate_slice(q) if not x.is_zero and not is_unit(x)]
+    if R.char == 0:
+        raise UnsupportedCoefficients("locality over Q is not supported")
+    p = _prime_power_base(R.char)
+    if p is None:
+        return None
+    zero = [i for i, _ in R.slice_terms(0)]
+    n = len(zero)
+    # L[j] is the matrix of y -> b_j * y on row vectors, and b_j**p is row j
+    # of L[j]**(p - 1), taken by repeated squaring of the whole stack
+    L = R.structure_constants[np.ix_(zero, zero, zero)] % p
+    P = L
+    for bit in bin(p - 1)[3:]:
+        P = P @ P % p
+        if bit == "1":
+            P = P @ L % p
+    F = P[np.arange(n), np.arange(n)].T  # column j is b_j**p
+    if n - linalg.modp_rank((F - np.eye(n, dtype=F.dtype)).tolist(), p) != 1:
+        return None
+    Fk, reach = F, p
+    while reach < n:
+        Fk, reach = Fk @ F % p, reach * p
+    cols = linalg.modp_kernel(Fk.tolist(), p)
+    cols += [[p * (a == j) for a in range(n)] for j in range(n) if R.orders[zero[j]] > p]
+    return p, cols
 
 
 @per_object
 def is_local(R):
     """Whether the nonunits form an ideal.
 
-    Finite rings of prime characteristic go by the p-power map, the others
-    slice by slice.  A homogeneous element of nonzero degree in a finite
-    ring is nilpotent, so R is local exactly when the nonunits of each slice
-    form a subgroup.
+    A homogeneous x of degree q is a unit exactly when x*y is a unit of R0
+    for some y of degree -q, so R is local exactly when R0 is.
     """
-    if R.is_finite:
-        if R.char == 0:
-            raise UnsupportedCoefficients("locality over Q needs a periodic presentation")
-        if linalg.is_prime(R.char):
-            return _local_by_frobenius(R)
-    for q in R.degree_support():
-        nonunits = _slice_nonunits(R, q)
-        # nonunits are closed under negation and contain 0, so they form a
-        # subgroup exactly when their count matches the span they generate
-        if _slice_span(R, q, nonunits).size() != len(nonunits) + 1:
-            return False
-    return True
+    return _local_degree_zero(R) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -618,11 +607,8 @@ def idempotents(R):
         if len(R.slice_terms(0)) != 1:
             raise UnsupportedCoefficients("rational idempotents need a one-dimensional degree-0 slice")
         return [R.zero(), R.one()]
-    total = math.prod(R.slice_moduli(R.slice_terms(0)))
-    if total > SIZE_CAP:
-        if linalg.is_prime(R.char) and R.is_finite and is_local(R):
-            return [R.zero(), R.one()]
-        raise SizeCapExceeded(f"degree-zero slice of size {total} exceeds cap {SIZE_CAP}")
+    if is_local(R):
+        return [R.zero(), R.one()]
     return [e for e in R.enumerate_slice(0) if e * e == e]
 
 
@@ -695,34 +681,32 @@ def _quotient_ring(R, relations):
 # maximal ideal, residue field, socle
 # ---------------------------------------------------------------------------
 
-def _homogeneous_gens_from_coords(R, coord_vecs):
-    gens = []
-    seen = set()
-    for v in coord_vecs:
-        x = R.from_full_coords(v)
-        for comp in x.homogeneous_components().values():
-            key = frozenset(comp.terms.items())
-            if key not in seen and not comp.is_zero:
-                seen.add(key)
-                gens.append(comp)
-    return gens
-
-
 @per_object
 def maximal_ideal(R):
-    """The ideal of nonunits of a local ring: the nilradical of a finite ring
-    of prime characteristic, otherwise the span of each slice's nonunits."""
-    if not is_local(R):
+    """The ideal of nonunits of a local ring.
+
+    A homogeneous x of degree q is a nonunit exactly when x*y lies in m0 for
+    every y of degree -q, so m_q = {x : x R_{-q} in m0}: one congruence
+    kernel per slice, into R0/m0.
+    """
+    local = _local_degree_zero(R)
+    if local is None:
         raise NotLocal("ring is not local")
-    if R.is_finite and linalg.is_prime(R.char):
-        gens = _homogeneous_gens_from_coords(R, _nilradical_coords_prime(R))
-        slices = Ideal.from_generators(R, gens).slices
-    else:
-        gens, slices = [], {}
-        for q in R.degree_support():
-            nonunits = _slice_nonunits(R, q)
-            slices[q] = _slice_span(R, q, nonunits)
-            gens += [R.from_slice_coords(q, v) for v in nonunits]
+    p, m0 = local
+    zero = [i for i, _ in R.slice_terms(0)]
+    qm, proj, _ = linalg.quotient_presentation(m0, R.slice_moduli(R.slice_terms(0)))
+    C = R.structure_constants
+    # R0/m0 is a vector space over F_p, so its coordinates are taken mod p
+    P = (np.array(proj, dtype=object) % p).astype(C.dtype)
+    gens, slices = [], {}
+    for q in R.degree_support():
+        terms = R.slice_terms(q)
+        dual = [i for i, _ in R.slice_terms(-q)]
+        # row (s, r), column a: coordinate r in R0/m0 of b_a * b_s, |b_s| = -q
+        X = np.tensordot(C[np.ix_([i for i, _ in terms], dual, zero)], P.T, 1) % p
+        rows = X.transpose(1, 2, 0).reshape(-1, len(terms)).tolist()
+        slices[q] = _slice_span(R, q, linalg.congruence_kernel(rows, qm * len(dual), R.slice_moduli(terms)))
+        gens += [R.from_slice_coords(q, v) for v in slices[q].cols()]
     return Ideal(R, _minimal_gen_subset(R, gens, slices), slices)
 
 
@@ -753,19 +737,12 @@ def chain_generator(R):
     return principal_generator(R, maximal_ideal(R))
 
 
-def residue_characteristic(R, m=None):
-    """Additive order of 1 in R modulo its maximal ideal (0 over Q)."""
-    if m is None:
-        m = maximal_ideal(R)
-    one = R.one()
-    if R.char == 0:
-        return 0
-    acc = R.zero()
-    for k in range(1, R.char + 1):
-        acc = acc + one
-        if m.contains(acc):
-            return k
-    raise NotLocal("characteristic of the residue field not found")
+def residue_characteristic(R):
+    """The prime p with char R = p**k, the characteristic of R/m (R local)."""
+    local = _local_degree_zero(R)
+    if local is None:
+        raise NotLocal("ring is not local")
+    return local[0]
 
 
 def residue_field(R):
@@ -780,15 +757,11 @@ def residue_size(R):
 
 
 def is_graded_field(R):
-    """Every nonzero homogeneous element invertible."""
+    """Every nonzero homogeneous element invertible: R local with m = 0."""
     if R.char == 0 and R.periodicity is None:
         # rational, finite support: field iff one dimensional in degree 0
         return R.dim == 1 and R.degrees == (0,) and is_unit(R.basis_element(0))
-    for q in R.degree_support():
-        for x in R.enumerate_slice(q):
-            if not x.is_zero and not is_unit(x):
-                return False
-    return True
+    return is_local(R) and maximal_ideal(R).is_zero_ideal()
 
 
 # ---------------------------------------------------------------------------

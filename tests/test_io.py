@@ -242,6 +242,22 @@ def test_cli_dg_verify(capsys):
     assert "build: FAIL" in out
 
 
+@pytest.mark.parametrize("argv", [["--p", "4", "--i", "1", "--n", "1"],
+                                  ["--p", "3", "--i", "1", "--n", "1", "--weight", "2"]])
+def test_cli_dg_verify_input_errors_exit_2(argv, capsys):
+    # a composite p or a too small weight bound is no parity obstruction
+    code, out, err = _run(["dg-verify", *argv, "--trials", "2"], capsys)
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("p, n", [(2, -1), (4, 1), (1, 1)])
+def test_cli_ggh_bad_group_exits_2(p, n, capsys):
+    code, _, err = _run(["ggh", "--p", str(p), "--n", str(n)], capsys)
+    assert code == 2
+    assert "RingSpecError" in err
+
+
 def test_cli_json_deterministic(capsys):
     argv = ["dg-verify", "--p", "2", "--i", "1", "--n", "1",
             "--window", "-4:4", "--trials", "5", "--seed", "3", "--json"]

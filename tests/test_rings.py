@@ -1,16 +1,24 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_classify import _permuted_rescaled
 
 from trimod import constructions as con
+from trimod import linalg
 from trimod import rings
 from trimod import modules as md
 from trimod.errors import (
     AssociativityViolation,
     CommutativityViolation,
     NoUnit,
+    NotLocal,
     NotLocalInput,
     RingSpecError,
     SizeCapExceeded,
+    UnsupportedCoefficients,
 )
+from trimod.classify import ANN_NOT_EQUAL, EXTERIOR, classify, has_unit_in_degree
 from trimod.rings import (
     GradedRing,
     Ideal,
@@ -78,6 +86,13 @@ def test_validate_names_first_violation(ring, error, indices):
     with pytest.raises(error) as info:
         validate_ring(ring)
     assert info.value.indices == indices
+
+
+@pytest.mark.parametrize("build", [lambda: con.truncated_polynomial(4, 2), lambda: con.truncated_polynomial(3, 0),
+                                   lambda: con.group_algebra_cyclic(2, -1), lambda: con.group_algebra_cyclic(6, 1)])
+def test_bad_group_parameters_rejected(build):
+    with pytest.raises(RingSpecError):
+        build()
 
 
 def test_validate_accepts_graded_signs():
@@ -224,13 +239,13 @@ def test_socle_and_qf():
 
 def test_ring_predicates_once_per_ring(monkeypatch):
     calls = []
-    frobenius = rings._local_by_frobenius
+    degree_zero = rings._local_degree_zero
 
     def counted(R):
         calls.append(R)
-        return frobenius(R)
+        return degree_zero(R)
 
-    monkeypatch.setattr(rings, "_local_by_frobenius", counted)
+    monkeypatch.setattr(rings, "_local_degree_zero", counted)
     k = md.residue_module(con.truncated_polynomial(3, 3))
     md.stable_hom(k, k)
     first = len(calls)
@@ -239,12 +254,13 @@ def test_ring_predicates_once_per_ring(monkeypatch):
 
 
 def test_failed_cap_is_not_cached(monkeypatch):
-    R = con.z_mod(16)
+    # the idempotents of a non-local ring are still found by enumeration
+    R = con.product_ring(con.z_mod(4), con.z_mod(4))
     monkeypatch.setattr(rings, "SIZE_CAP", 8)
     with pytest.raises(SizeCapExceeded):
-        is_local(R)
+        decompose_product(R)
     monkeypatch.undo()
-    assert is_local(R)
+    assert len(decompose_product(R)) == 2
 
 
 def test_periodic_graded_field():
@@ -303,4 +319,91 @@ def test_qf_refuses_periodic_nonlocal():
     R = laurent_square()
     assert not is_local(R)
     with pytest.raises(NotLocalInput):
+        is_quasi_frobenius(R)
+
+
+# ---------------------------------------------------------------------------
+# locality and the maximal ideal against enumeration
+# ---------------------------------------------------------------------------
+
+def _small_finite():
+    rings_ = [con.z_mod(m) for m in (2, 3, 4, 6, 8, 9, 12, 16, 25, 27)]
+    rings_ += [con.galois_ring_4_2(), con.finite_field(4), con.square_zero_two_vars(2),
+               con.truncated_polynomial(3, 3), con.exterior_on_field(con.finite_field(4), 1)]
+    # Z/q[x]/(x^2) with graded x
+    rings_ += [validate_ring(_unital(q, [("one", 0), ("x", d)], {})) for q in (2, 3, 4, 8, 9) for d in (0, 1, 2)]
+    return rings_
+
+
+def _small_periodic():
+    rings_ = []
+    for p in (2, 3, 5):
+        rings_ += [con.laurent_field(p, d) for d in (1, 2, 3)]
+        rings_ += [con.laurent_exterior(p, i, d) for i in (0, 1, 2) for d in (1, 2, 4)]
+        rings_ += [laurent_square(p, 2),
+                   # x^2 = y: x is a unit of degree 2
+                   validate_ring(_unital(p, [("one", 0), ("x", 2)], {(1, 1): [(1, 0, 1)]}, ("y", 4))),
+                   # x^2 = -1 in degree 0: a field for p = 3, split for p = 5
+                   validate_ring(_unital(p, [("one", 0), ("x", 0)], {(1, 1): [(p - 1, 0, 0)]}, ("y", 2)))]
+    return rings_
+
+
+FINITE, PERIODIC = _small_finite(), _small_periodic()
+
+
+def _random_ring(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice(PERIODIC)
+    small = [R for R in FINITE if R.size() <= 16]
+    R = con.product_ring(rng.choice(small), rng.choice(small)) if kind == 1 else rng.choice(FINITE)
+    return _permuted_rescaled(R, rng) if rng.random() < 0.5 else R
+
+
+def _nonunits_by_enumeration(R, q):
+    """Coordinates of the nonzero nonunits of the degree-q slice."""
+    return [R.slice_coords(x, q) for x in R.enumerate_slice(q) if not x.is_zero and not is_unit(x)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_locality_matches_enumeration(seed):
+    R = _random_ring(random.Random(seed))
+    spans, local = {}, True
+    for q in R.degree_support():
+        nonunits = _nonunits_by_enumeration(R, q)
+        spans[q] = linalg.Subgroup(nonunits, R.slice_moduli(R.slice_terms(q)))
+        # nonunits contain 0 and are closed under negation, so they form a
+        # subgroup exactly when they are as many as their span
+        local = local and spans[q].size() == len(nonunits) + 1
+    assert is_local(R) == local
+    assert is_graded_field(R) == (local and all(span.rank == 0 for span in spans.values()))
+    if not local:
+        with pytest.raises(NotLocal):
+            maximal_ideal(R)
+        return
+    assert maximal_ideal(R).slices == spans
+    assert residue_characteristic(R) == next(k for k in range(1, R.char + 1) if not is_unit(elem(R, k)))
+    assert idempotents(R) == [R.zero(), R.one()]
+    assert [e for e in R.enumerate_slice(0) if e * e == e] == [R.zero(), R.one()]
+    for d in range(-4, 5):
+        assert has_unit_in_degree(R, d) == any(is_unit(x) for x in R.enumerate_slice(d))
+
+
+def test_periodic_exterior_past_the_enumeration_cap():
+    # every slice has 4099 elements
+    R = con.laurent_exterior(4099, 1, 2)
+    assert [lv.kind for _, lv in classify(R, 1).factors] == [EXTERIOR]
+    assert is_quasi_frobenius(R)
+
+
+def test_z_mod_past_the_enumeration_cap():
+    assert classify(con.z_mod(2 ** 13), 0).first_reason == ANN_NOT_EQUAL
+
+
+def test_rational_periodic_is_unsupported():
+    R = con.laurent_exterior(0, 1, 4)
+    with pytest.raises(UnsupportedCoefficients):
+        classify(R, 1)
+    with pytest.raises(UnsupportedCoefficients):
         is_quasi_frobenius(R)
