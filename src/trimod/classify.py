@@ -144,13 +144,7 @@ def classify_local(R, n):
 
 def classify(R, n):
     """Product decomposition followed by local classification of each factor."""
-    if R.periodicity is None and R.char != 0:
-        factors = rc.decompose_product(R)
-    else:
-        factors = [R]
-    pairs = []
-    for f in factors:
-        pairs.append((f, classify_local(f, n)))
+    pairs = [(f, classify_local(f, n)) for f in rc.decompose_product(R)]
     confidence = "complete" if n in (0, 1) else _parity_confidence(pairs, n)
     return Verdict(pairs, n, confidence)
 

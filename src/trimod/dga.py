@@ -158,11 +158,6 @@ class DGAlgebra:
     def gen_a(self):
         return self.monomial(e=1)
 
-    def gen_v(self):
-        if self.vdeg == 0:
-            return self.one()
-        return self.monomial(t=1)
-
     # -- products --------------------------------------------------------
 
     def _mul_monomials(self, k1, k2):

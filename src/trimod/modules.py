@@ -47,6 +47,11 @@ from .errors import (
     ShapeMismatch,
     SizeCapExceeded,
 )
+
+# most elements a module enumeration or brute-force isomorphism search visits
+SIZE_CAP = 4096
+
+
 def _reduce(X, moduli):
     """Reduce the rows (axis -2) of an integer array modulo the given moduli."""
     return X % np.array(moduli, dtype=X.dtype).reshape(-1, 1)
@@ -152,10 +157,6 @@ class FiniteModule:
         C = np.array([self.ring.full_coords(x) for x in xs], dtype=self.dtype)
         return self.act_coords(C.reshape(len(xs), self.ring.dim))
 
-    def act(self, x):
-        """Matrix of multiplication by the ring element x on quotient coordinates."""
-        return self.act_all([x])[0]
-
     def coords(self, col):
         """Quotient coordinates of a column of g ring elements."""
         qm, P, _ = self.quotient()
@@ -176,8 +177,8 @@ class FiniteModule:
     def elements(self):
         """All elements, as flattened ambient representatives."""
         qm, _, L = self.quotient()
-        if self.size() > rc.SIZE_CAP:
-            raise SizeCapExceeded(f"module of size {self.size()} exceeds cap {rc.SIZE_CAP}")
+        if self.size() > SIZE_CAP:
+            raise SizeCapExceeded(f"module of size {self.size()} exceeds cap {SIZE_CAP}")
         for combo in itertools.product(*[range(m) for m in qm]):
             yield (L @ np.array(combo, dtype=L.dtype).reshape(len(qm))).tolist()
 
@@ -446,16 +447,6 @@ def _radical(M):
     return linalg.Subgroup(acts.transpose(0, 2, 1).reshape(len(acts) * len(qm), len(qm)).tolist(), qm)
 
 
-def minimal_generator_count(M):
-    """dim over the residue field of M / M*m."""
-    return _log(rc.residue_size(M.ring), M.size() // _radical(M).size())
-
-
-def is_projective(M):
-    """Free test over a local ring: minimal generators and a size count."""
-    return M.size() == M.ring.size() ** minimal_generator_count(M)
-
-
 @rc.per_object
 def projective_cover(M):
     """Minimal surjection from a free module, kernel inside P*m."""
@@ -614,7 +605,7 @@ def iso_test(M, N):
 
 
 def _brute_force_iso(M, N):
-    if M.size() > rc.SIZE_CAP:
+    if M.size() > SIZE_CAP:
         raise SizeCapExceeded("isomorphism search above the size cap")
     homs = _hom_vectors(M, N)
     if len(homs) > 8:

@@ -14,16 +14,27 @@ modulo that element's additive order.  Multiplication matrices, inverses,
 ideals, annihilators and the quotient rings R/I (product factors and residue
 fields, built by `_quotient_ring`) are all computed slice by slice.
 
-Locality and the maximal ideal m come from the degree-0 slice R0.  For
-characteristic p**k, the p-power map on R0 mod p is linear: R is local when
-its fixed space is a line, and then m0 is pR0 plus the lift of its
-nilradical.  A homogeneous x of degree q is a unit exactly when x*y is a unit
-of R0 for some y of degree -q, so m_q = {x : x R_{-q} in m0}.  Graded fields
-(m = 0), homogeneous units and the residue characteristic are read from m.
+Locality, the idempotents and the maximal ideal m come from the degree-0
+slice R0, by linear algebra alone: no ring code enumerates elements.  For
+each prime power p**k exactly dividing the characteristic, the p-power map F
+on R0 mod p is linear, and its fixed space B = ker(F - 1) is F_p**s, one
+coordinate per local factor.  B splits into lines by eigenvalues: the
+eigenspaces of multiplication by (b + c)**((p-1)/2), b in B, c in F_p, are
+ideals of B, and its eigenvalues are 0, 1 and -1 (Euler's criterion).  Each
+line holds one primitive idempotent of R0 mod p; multiplied by the CRT
+integer that is 1 mod p**k and 0 mod char/p**k, it lifts by Newton's step
+e <- 3e**2 - 2e**3 to the unique idempotent of R above it.  R is local when
+one prime divides the characteristic and B is a line, and then m0 is pR0
+plus the lift of the nilradical of R0 mod p.  A homogeneous x of degree q is
+a unit exactly when x*y is a unit of R0 for some y of degree -q, so m_q =
+{x : x R_{-q} in m0}.  Graded fields (m = 0), homogeneous units and the
+residue characteristic are read from m.  A product R splits into the rings
+R/ann(e), periodic rings included.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -39,17 +50,10 @@ from .errors import (
     DegreeMismatch,
     NoUnit,
     NotLocal,
-    NotLocalInput,
     NotSemiperfect,
     RingSpecError,
-    SizeCapExceeded,
     UnsupportedCoefficients,
 )
-
-# most elements any enumeration may visit; only the idempotents of a non-local
-# ring, module elements, brute-force module isomorphism and the test-only
-# double_annihilator_holds still enumerate
-SIZE_CAP = 4096
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -256,22 +260,6 @@ class GradedRing:
         src = [i for i, _ in self.slice_terms(q)]
         tgt = [k for k, _ in self.slice_terms(q + (x.degree or 0))]
         return _mod_last(self, X)[np.ix_(src, tgt)].T.tolist()
-
-    # -- enumeration -----------------------------------------------------
-
-    def enumerate_slice(self, q):
-        """All homogeneous elements of degree q (finite coefficient ring)."""
-        if self.char == 0:
-            raise UnsupportedCoefficients("cannot enumerate over Q")
-        terms = self.slice_terms(q)
-        moduli = self.slice_moduli(terms)
-        total = 1
-        for m in moduli:
-            total *= m
-        if total > SIZE_CAP:
-            raise SizeCapExceeded(f"slice of size {total} exceeds cap {SIZE_CAP}")
-        for combo in itertools.product(*[range(m) for m in moduli]):
-            yield RingElement(self, {mt: c for mt, c in zip(terms, combo) if c})
 
 
 class RingElement:
@@ -539,51 +527,86 @@ def inverse(x):
     return None if sol is None else R.from_slice_coords(-q, sol)
 
 
-def _prime_power_base(c):
-    """The prime p with c = p**k, or None."""
-    p = next((q for q in range(2, math.isqrt(c) + 1) if c % q == 0), c)
-    while c % p == 0:
-        c //= p
-    return p if c == 1 else None
+def _prime_powers(c):
+    """[(p, p**k)] for the prime powers exactly dividing c, p increasing."""
+    out, p = [], 2
+    while c > 1:
+        p = p if p * p <= c else c
+        if c % p == 0:
+            out.append((p, math.gcd(c, p ** c.bit_length())))
+            c //= out[-1][1]
+        p += 1
+    return out
+
+
+def _mod_power(X, e, p):
+    """X**e mod p, e >= 1, for a square matrix or a stack of them."""
+    Y = X
+    for bit in bin(e)[3:]:
+        Y = Y @ Y % p
+        if bit == "1":
+            Y = Y @ X % p
+    return Y
+
+
+# R0 mod p for one prime p dividing char R = p**k * (coprime part): the
+# degree-0 slice positions spanning it, its p-power map (column j is b_j**p)
+# and its primitive idempotents, as coordinates on those positions
+_ModP = collections.namedtuple("_ModP", "p pk pos frobenius idempotents")
 
 
 @per_object
-def _local_degree_zero(R):
-    """(p, columns spanning m0) when the degree-0 slice R0 is a local ring
-    with maximal ideal m0, otherwise None.
-
-    A finite local ring has characteristic p**k, and then p is nilpotent, so
-    R0 is local exactly when R0/p is.  Every additive order is a power of p,
-    so R0/p has R0's basis and structure constants mod p.  The p-power map F
-    is linear over F_p, and its fixed points a**p = a number p per local
-    factor, so R0/p is local iff ker(F - 1) is a line.  Then its maximal
-    ideal is its nilradical ker F**k (p**k >= dim), and m0 is pR0 plus the
-    lift of it.
-    """
+def _degree_zero_mod_p(R):
+    """One _ModP per prime p dividing char R.  R0/p is spanned by the
+    degree-0 basis elements whose additive order p divides, with R's
+    structure constants mod p."""
     if R.char == 0:
         raise UnsupportedCoefficients("locality over Q is not supported")
-    p = _prime_power_base(R.char)
-    if p is None:
-        return None
     zero = [i for i, _ in R.slice_terms(0)]
-    n = len(zero)
-    # L[j] is the matrix of y -> b_j * y on row vectors, and b_j**p is row j
-    # of L[j]**(p - 1), taken by repeated squaring of the whole stack
-    L = R.structure_constants[np.ix_(zero, zero, zero)] % p
-    P = L
-    for bit in bin(p - 1)[3:]:
-        P = P @ P % p
-        if bit == "1":
-            P = P @ L % p
-    F = P[np.arange(n), np.arange(n)].T  # column j is b_j**p
-    if n - linalg.modp_rank((F - np.eye(n, dtype=F.dtype)).tolist(), p) != 1:
-        return None
-    Fk, reach = F, p
-    while reach < n:
-        Fk, reach = Fk @ F % p, reach * p
-    cols = linalg.modp_kernel(Fk.tolist(), p)
-    cols += [[p * (a == j) for a in range(n)] for j in range(n) if R.orders[zero[j]] > p]
-    return p, cols
+    out = []
+    for p, pk in _prime_powers(R.char):
+        pos = [j for j, i in enumerate(zero) if R.orders[i] % p == 0]
+        idx = [zero[j] for j in pos]
+        n = len(idx)
+        # L[j] is the matrix of y -> b_j * y on row vectors, and b_j**p is
+        # row j of L[j]**(p - 1), taken by repeated squaring of the stack
+        L = R.structure_constants[np.ix_(idx, idx, idx)] % p
+        F = _mod_power(L, p - 1, p)[np.arange(n), np.arange(n)].T
+        fixed = linalg.modp_kernel((F - np.eye(n, dtype=F.dtype)).tolist(), p)
+        out.append(_ModP(p, pk, pos, F, _split_into_lines(L, fixed, p)))
+    return tuple(out)
+
+
+def _split_into_lines(L, fixed, p):
+    """The primitive idempotents of R0/p, from a basis of B = ker(F - 1).
+
+    Multiplication by b in B = F_p**s is diagonal, so an ideal of B holding
+    coordinates i != j is split by the eigenvalues of (b + c)**((p-1)/2)
+    with c = -b_i, for a basis element b with b_i != b_j.  A line F_p v
+    holds the one idempotent v/lam, where v*v = lam v.
+    """
+    n = len(L)
+    pieces, lines = [np.array(fixed, dtype=L.dtype).reshape(-1, n)], []
+    while pieces:
+        P = pieces.pop()
+        if len(P) == 1:
+            # coordinate t of v*v is v.L[:, :, t].v, and v[t] != 0
+            v, t = P[0], int(np.argmax(P[0]))
+            lam = int((v @ L[:, :, t] % p) @ v) * pow(int(v[t]), -1, p)
+            lines.append(tuple(int(a) * pow(lam, -1, p) % p for a in v))
+            continue
+        for b, c in ((b, c) for c in range(p) for b in fixed):
+            A = np.tensordot(np.array(b, dtype=L.dtype), L, 1) + c * np.eye(n, dtype=L.dtype)
+            # (b + c)**((p-1)/2), or b + c itself for p = 2: eigenvalues 0, 1, -1
+            image = P @ _mod_power(A % p, (p - 1) // 2 or 1, p) % p
+            parts = [np.array(z, dtype=L.dtype) @ P % p for lam in sorted({0, 1, p - 1})
+                     if (z := linalg.modp_kernel(((image - lam * P) % p).T.tolist(), p))]
+            if len(parts) > 1:
+                pieces += parts
+                break
+        else:
+            raise NotSemiperfect("the fixed space of Frobenius does not split into lines")
+    return lines
 
 
 @per_object
@@ -591,9 +614,11 @@ def is_local(R):
     """Whether the nonunits form an ideal.
 
     A homogeneous x of degree q is a unit exactly when x*y is a unit of R0
-    for some y of degree -q, so R is local exactly when R0 is.
+    for some y of degree -q, so R is local exactly when R0 is: when one
+    prime p divides char R (p is then nilpotent) and R0/p is local.
     """
-    return _local_degree_zero(R) is not None
+    split = _degree_zero_mod_p(R)
+    return len(split) == 1 and len(split[0].idempotents) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -601,46 +626,43 @@ def is_local(R):
 # ---------------------------------------------------------------------------
 
 def idempotents(R):
-    """All degree-zero idempotent elements."""
+    """The primitive idempotents, in the order of their degree-0 slice
+    coordinates.  Each one of R0/p, times the CRT integer c, is idempotent
+    modulo the nilpotent ideal pcR0, and lifts to a unique idempotent of R
+    (R is commutative in degree 0)."""
     if R.char == 0:
-        # a one-dimensional degree-0 slice is Q * 1, whose idempotents are 0, 1
+        # a one-dimensional degree-0 slice is Q * 1, whose only nonzero
+        # idempotent is 1
         if len(R.slice_terms(0)) != 1:
             raise UnsupportedCoefficients("rational idempotents need a one-dimensional degree-0 slice")
-        return [R.zero(), R.one()]
-    if is_local(R):
-        return [R.zero(), R.one()]
-    return [e for e in R.enumerate_slice(0) if e * e == e]
+        return [R.one()]
+    out, terms = [], R.slice_terms(0)
+    for p, pk, pos, _, lines in _degree_zero_mod_p(R):
+        rest = R.char // pk
+        c = rest * pow(rest, -1, pk)
+        for v in lines:
+            e = R.element({terms[j]: c * a for j, a in zip(pos, v)})
+            while e * e != e:
+                e = 3 * e * e - 2 * e * e * e
+            out.append(e)
+    return sorted(out, key=lambda e: R.slice_coords(e, 0))
 
 
 @per_object
 def decompose_product(R):
-    """Split R along its primitive degree-zero idempotents.
-
-    Returns a tuple of rings whose product is isomorphic to R; checked by a
-    cardinality count for finite rings.
-    """
-    E = idempotents(R)
-    zero = R.zero()
-    nonzero = [e for e in E if e != zero]
-    if len(nonzero) <= 1:
+    """Split R along its primitive idempotents e into the rings eR = R/ann(e),
+    as ann(e) = (1 - e)R: a tuple of rings whose product is isomorphic to R,
+    checked by the sum and orthogonality of the idempotents, and for finite
+    rings by a cardinality count."""
+    prim = idempotents(R)
+    if len(prim) == 1:
         return (R,)
-    if R.periodicity is not None:
-        raise UnsupportedCoefficients("periodic rings with nontrivial idempotents are not supported")
-    if R.char == 0:
-        raise UnsupportedCoefficients("rational product splitting is not supported")
-    prim = []
-    for e in nonzero:
-        if all(f == zero or f == e or f * e != f for f in E):
-            prim.append(e)
-    if sum(prim, zero) != R.one():
+    if sum(prim, R.zero()) != R.one():
         raise NotSemiperfect("primitive idempotents do not sum to 1")
-    for a in range(len(prim)):
-        for b in range(a + 1, len(prim)):
-            if not (prim[a] * prim[b]).is_zero:
-                raise NotSemiperfect("primitive idempotents are not orthogonal")
-    # ann(e) = (1 - e)R, so the factor eR is R / ann(e)
+    if any(not (e * f).is_zero for e, f in itertools.combinations(prim, 2)):
+        raise NotSemiperfect("primitive idempotents are not orthogonal")
     factors = tuple(_quotient_ring(R, _annihilator_cols(R, [e])) for e in prim)
-    if math.prod(f.size() for f in factors) != R.size():
+    if R.size() is not None and math.prod(f.size() for f in factors) != R.size():
         raise NotSemiperfect("factor sizes do not multiply to the ring size")
     return factors
 
@@ -689,11 +711,18 @@ def maximal_ideal(R):
     every y of degree -q, so m_q = {x : x R_{-q} in m0}: one congruence
     kernel per slice, into R0/m0.
     """
-    local = _local_degree_zero(R)
-    if local is None:
+    if not is_local(R):
         raise NotLocal("ring is not local")
-    p, m0 = local
+    # every additive order is a power of p, and the maximal ideal of the
+    # local R0/p is its nilradical ker F**j, p**j >= dim; m0 is pR0 plus it
+    ((p, _, _, F, _),) = _degree_zero_mod_p(R)
     zero = [i for i, _ in R.slice_terms(0)]
+    n = len(zero)
+    Fk, reach = F, p
+    while reach < n:
+        Fk, reach = Fk @ F % p, reach * p
+    m0 = linalg.modp_kernel(Fk.tolist(), p)
+    m0 += [[p * (a == j) for a in range(n)] for j in range(n) if R.orders[zero[j]] > p]
     qm, proj, _ = linalg.quotient_presentation(m0, R.slice_moduli(R.slice_terms(0)))
     C = R.structure_constants
     # R0/m0 is a vector space over F_p, so its coordinates are taken mod p
@@ -739,10 +768,9 @@ def chain_generator(R):
 
 def residue_characteristic(R):
     """The prime p with char R = p**k, the characteristic of R/m (R local)."""
-    local = _local_degree_zero(R)
-    if local is None:
+    if not is_local(R):
         raise NotLocal("ring is not local")
-    return local[0]
+    return _degree_zero_mod_p(R)[0].p
 
 
 def residue_field(R):
@@ -779,20 +807,6 @@ def principal_ideal(R, x):
     return Ideal.from_generators(R, [x] if not x.is_zero else [])
 
 
-def double_annihilator_holds(R):
-    """Check ann(ann(x)) == (x) for every homogeneous x; witness on failure.
-
-    Returns (True, None) or (False, x).
-    """
-    for q in R.degree_support():
-        for x in R.enumerate_slice(q):
-            ann1 = annihilator(R, x)
-            double = _annihilator_of(R, list(ann1.generators))
-            if double != principal_ideal(R, x):
-                return False, x
-    return True, None
-
-
 def _annihilator_cols(R, gens):
     """Per degree of R.degree_support(), columns spanning the slice of the
     elements that kill each of the nonzero homogeneous gens."""
@@ -823,24 +837,19 @@ def socle(R):
 
 
 def socle_is_simple(R):
-    """Whether the socle of a local ring is a simple module."""
-    soc = socle(R)
-    if R.periodicity is not None:
-        # a principal socle is simple: m kills its generator, so the socle
-        # is a copy of the residue field shifted to the generator's degree
-        return not soc.generators or principal_generator(R, soc) is not None
-    return soc.size() == residue_size(R)
+    """Whether the socle of a local ring is a simple module, that is,
+    principal.  m kills the socle, so each homogeneous g != 0 in it spans
+    gR = R/m shifted: the socle is gR exactly when it is as large as R/m,
+    counted over one period of degrees."""
+    def size(ideal):
+        return math.prod(span.size() for span in ideal.slices.values())
+    whole = math.prod(m for q in R.degree_support() for m in R.slice_moduli(R.slice_terms(q)))
+    return size(socle(R)) * size(maximal_ideal(R)) == whole
 
 
 @per_object
 def is_quasi_frobenius(R):
     """Self-injectivity test: each local factor must have simple socle."""
-    if R.periodicity is not None:
-        # periodic rings are not split into factors, so only local ones are
-        # in scope, as in classify
-        if not is_local(R):
-            raise NotLocalInput("quasi-Frobenius test on a periodic ring needs a local ring")
-        return socle_is_simple(R)
     for factor in decompose_product(R):
         if not is_local(factor):
             raise NotSemiperfect("factor of the decomposition is not local")

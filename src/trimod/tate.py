@@ -18,7 +18,7 @@ from __future__ import annotations
 from . import constructions as con
 from .classify import EXTERIOR, classify
 from . import modules as md
-from .errors import ShapeMismatch, WindowEmpty
+from .errors import RingSpecError, ShapeMismatch, WindowEmpty
 
 DEFAULT_WINDOW = (-6, 6)
 
@@ -81,6 +81,9 @@ def shifted(ladder, j):
 
 def tate_ring(p, n, window=DEFAULT_WINDOW):
     """pi_* of the sphere in the window, with its verified ring shape."""
+    if n < 1:
+        raise RingSpecError(f"need n >= 1, got n={n}: for n = 0 the group is trivial, "
+                            "and its stable module category is zero")
     lo, hi = window
     if lo > hi:
         raise WindowEmpty("empty degree window")

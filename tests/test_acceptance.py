@@ -11,6 +11,7 @@ import os
 import random
 
 import pytest
+from brute_force import enumerate_slice, oracle_is_delta
 
 from trimod import constructions as con
 from trimod import dga as dg
@@ -201,7 +202,7 @@ def test_criterion_4_random_triangles():
 def _random_module(R, rng):
     gens = rng.randint(1, 3)
     n_rels = rng.randint(0, 3)
-    elems = list(R.enumerate_slice(0))
+    elems = list(enumerate_slice(R, 0))
     rels = [[rng.choice(elems) for _ in range(gens)] for _ in range(n_rels)]
     return FiniteModule(R, gens, rels)
 
@@ -236,69 +237,6 @@ def test_criterion_6_generation_dichotomy():
 # 7. corpus verdicts vs a brute-force membership oracle
 
 
-def _elements(R):
-    return list(R.enumerate_slice(0))
-
-
-class _Factor:
-    """Corner ring e * R for an idempotent e, with brute-force arithmetic."""
-
-    def __init__(self, R, e, elements):
-        self.unit = e
-        self.elements = []
-        for r in elements:
-            x = e * r
-            if not any(x == y for y in self.elements):
-                self.elements.append(x)
-
-    def is_unit(self, a):
-        return any(a * b == self.unit for b in self.elements)
-
-    def nonunits(self):
-        return [a for a in self.elements if not self.is_unit(a)]
-
-    def unit_additive_order(self):
-        acc = self.unit
-        for m in range(1, len(self.elements) + 1):
-            if acc.is_zero:
-                return m
-            acc = acc + self.unit
-        return None
-
-
-def _primitive_idempotents(R, elements):
-    idems = [x for x in elements if x * x == x and not x.is_zero]
-    prim = []
-    for e in idems:
-        proper = [f for f in idems if not (f == e) and e * f == f]
-        if not proper:
-            prim.append(e)
-    return prim
-
-
-def _factor_positive(F):
-    nonunits = F.nonunits()
-    if len(nonunits) == 1:
-        return True  # field: only 0 fails to invert
-    order = F.unit_additive_order()
-    if order == 2:
-        # exterior shape: square-zero radical of k-dimension one
-        products_vanish = all((a * b).is_zero for a in nonunits for b in nonunits)
-        return products_vanish and len(nonunits) ** 2 == len(F.elements)
-    if order == 4:
-        doubles = [r + r for r in F.elements]
-        same = all(any(a == d for d in doubles) for a in nonunits) and all(
-            any(d == a for a in nonunits) for d in doubles)
-        return same
-    return False
-
-
-def _oracle_is_delta(R):
-    elements = _elements(R)
-    prims = _primitive_idempotents(R, elements)
-    return all(_factor_positive(_Factor(R, e, elements)) for e in prims)
-
-
 def test_criterion_7_corpus_vs_oracle():
     checked = 0
     agree = 0
@@ -307,7 +245,7 @@ def test_criterion_7_corpus_vs_oracle():
         if R.periodicity is not None or R.size() > 16:
             continue
         checked += 1
-        if classify(R, 0).is_delta == _oracle_is_delta(R):
+        if classify(R, 0).is_delta == oracle_is_delta(R):
             agree += 1
     _report(7, f"corpus verdicts vs brute-force oracle ({checked} rings)",
             checked >= 10 and agree == checked)

@@ -130,7 +130,7 @@ def _permuted_rescaled(R, rng):
     unit = [(c * uinv[inv[k]], inv[k], t) for c, k, t in R.unit_terms]
     basis = [(R.basis_names[old], R.degrees[old]) for old in perm]
     orders = [R.orders[old] for old in perm]
-    return validate_ring(GradedRing(R.char, basis, products, unit, orders=orders))
+    return validate_ring(GradedRing(R.char, basis, products, unit, periodicity=R.periodicity, orders=orders))
 
 
 def _coprime(a, b):

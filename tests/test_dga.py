@@ -46,7 +46,8 @@ def test_models_that_build_have_even_n_times_period():
 
 def test_defining_relations():
     A = dg.build_two_generator_dga(3, 1, 1)
-    a, u, v = A.gen_a(), A.gen_u(), A.gen_v()
+    # v is the periodicity generator, of degree 3i + n = 4
+    a, u, v = A.gen_a(), A.gen_u(), A.monomial(t=1)
     assert (a * a).is_zero
     assert u * a == -(a * u) - v
     assert A.differential(a) == u * u

@@ -151,14 +151,15 @@ def test_cli_qf(capsys):
 
 
 def test_cli_qf_periodic_nonlocal_is_input_error(tmp_path, capsys):
-    # F_3[y, y^-1] x F_3[y, y^-1]: periodic rings are only tested when local
+    # F_3[y, y^-1] x F_3[y, y^-1]: a periodic product of graded fields is
+    # split into its factors, each self-injective
     table = {(0, 0): [(1, 0, 0)], (1, 1): [(1, 1, 0)]}
     R = GradedRing(3, [("e", 0), ("f", 0)], table, [(1, 0, 0), (1, 1, 0)], periodicity=("y", 2))
     path = tmp_path / "laurent_square.ring"
     ringio.save_ring(R, str(path))
-    code, _, err = _run(["qf", str(path), "--json"], capsys)
-    assert code == 2
-    assert "NotLocalInput" in err
+    code, out, _ = _run(["qf", str(path), "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["quasi_frobenius"] is True
 
 
 @pytest.mark.parametrize("name", ["f3_laurent_x1_y2.ring", "f3_laurent_x1_y3.ring",
@@ -256,6 +257,14 @@ def test_cli_ggh_bad_group_exits_2(p, n, capsys):
     code, _, err = _run(["ggh", "--p", str(p), "--n", str(n)], capsys)
     assert code == 2
     assert "RingSpecError" in err
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cli_ggh_trivial_group_exits_2(p, capsys):
+    # n = 0 is the trivial group: a scope error before any module is built
+    code, out, err = _run(["ggh", "--p", str(p), "--n", "0"], capsys)
+    assert code == 2 and out == ""
+    assert "RingSpecError" in err and "trivial" in err and "stable module category is zero" in err
 
 
 def test_cli_json_deterministic(capsys):

@@ -1,7 +1,8 @@
 """rings._quotient_ring against the three quotient builders it replaced.
 
 `reference_corner_ring` builds the product factor eR on lifts multiplied by
-e, `reference_residue_sliced` the residue ring slice by slice and
+e, for the primitive idempotents e found by enumeration,
+`reference_residue_sliced` the residue ring slice by slice and
 `reference_residue_mixed` the residue ring of a finite ring of composite
 characteristic from one quotient of the whole additive group.  The factors
 of `decompose_product` and the rings of `residue_field` must equal theirs in
@@ -16,6 +17,7 @@ import os
 from fractions import Fraction
 
 import pytest
+from brute_force import primitive_idempotents
 
 from trimod import constructions as con
 from trimod import linalg
@@ -70,15 +72,17 @@ def reference_corner_ring(R, e):
     def down(x):
         out = {}
         for q, comp in x.homogeneous_components().items():
-            proj, offset, qm = block[q]
+            rep = R.rep_degree(q)
+            proj, offset, qm = block[rep]
+            vshift = 0 if R.periodicity is None else (q - rep) // R.periodicity[1]
             for j, c in enumerate(linalg.apply_matrix(proj, R.slice_coords(comp, q))):
                 if c % qm[j]:
-                    out[(offset + j, 0)] = c % qm[j]
+                    out[(offset + j, vshift)] = c % qm[j]
         return out
 
     char = math.lcm(*orders)
     unit = [(c, k, t) for (k, t), c in down(e).items()]
-    return GradedRing(char, names, _product_table(basis, down), unit, orders=orders)
+    return GradedRing(char, names, _product_table(basis, down), unit, periodicity=R.periodicity, orders=orders)
 
 
 def reference_residue_sliced(R, m):
@@ -136,12 +140,6 @@ def reference_residue_field(R):
     if R.is_finite and R.char != 0 and not linalg.is_prime(R.char):
         return reference_residue_mixed(R, m)
     return reference_residue_sliced(R, m)
-
-
-def primitive_idempotents(R):
-    E = rings.idempotents(R)
-    nonzero = [e for e in E if not e.is_zero]
-    return [e for e in nonzero if all(f.is_zero or f == e or f * e != f for f in E)]
 
 
 def key_without_names(R):
@@ -203,14 +201,11 @@ def test_factors_and_residue_fields_match_references(R):
         for x in xs:
             for src in R.degree_support():
                 assert R.mult_matrix_slice(x, src) == reference_mult_matrix_slice(R, x, src)
-    if R.is_finite:
-        prim = primitive_idempotents(R)
-        factors = rings.decompose_product(R)
-        if len(prim) > 1:
-            assert [key_without_names(f) for f in factors] == \
-                [key_without_names(reference_corner_ring(R, e)) for e in prim]
-    else:
-        factors = (R,)
+    prim = primitive_idempotents(R)
+    factors = rings.decompose_product(R)
+    if len(prim) > 1:
+        assert [key_without_names(f) for f in factors] == \
+            [key_without_names(reference_corner_ring(R, e)) for e in prim]
     for F in factors:
         if rings.is_local(F):
             assert key_without_names(rings.residue_field(F)) == key_without_names(reference_residue_field(F))

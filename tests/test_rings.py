@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from brute_force import Factor, double_annihilator_holds, enumerate_slice, oracle_is_delta, primitive_idempotents
 from hypothesis import given, settings, strategies as st
 from test_classify import _permuted_rescaled
+from test_quotient_oracle import key_without_names, reference_corner_ring
 
 from trimod import constructions as con
 from trimod import linalg
@@ -13,18 +15,15 @@ from trimod.errors import (
     CommutativityViolation,
     NoUnit,
     NotLocal,
-    NotLocalInput,
     RingSpecError,
-    SizeCapExceeded,
     UnsupportedCoefficients,
 )
-from trimod.classify import ANN_NOT_EQUAL, EXTERIOR, classify, has_unit_in_degree
+from trimod.classify import ANN_NOT_EQUAL, EXTERIOR, GRADED_FIELD, classify, has_unit_in_degree
 from trimod.rings import (
     GradedRing,
     Ideal,
     annihilator,
     decompose_product,
-    double_annihilator_holds,
     idempotents,
     is_graded_field,
     is_local,
@@ -115,8 +114,8 @@ def test_units_z4():
 
 def test_idempotents_z6():
     R = con.z_mod(6)
-    vals = sorted(sum(c for c in e.terms.values()) % 6 for e in idempotents(R))
-    assert vals == [0, 1, 3, 4]
+    # the primitive ones: 3 for the factor Z/2, 4 for Z/3
+    assert [sum(e.terms.values()) % 6 for e in idempotents(R)] == [3, 4]
 
 
 def test_decompose_z6():
@@ -239,13 +238,13 @@ def test_socle_and_qf():
 
 def test_ring_predicates_once_per_ring(monkeypatch):
     calls = []
-    degree_zero = rings._local_degree_zero
+    degree_zero = rings._degree_zero_mod_p
 
     def counted(R):
         calls.append(R)
         return degree_zero(R)
 
-    monkeypatch.setattr(rings, "_local_degree_zero", counted)
+    monkeypatch.setattr(rings, "_degree_zero_mod_p", counted)
     k = md.residue_module(con.truncated_polynomial(3, 3))
     md.stable_hom(k, k)
     first = len(calls)
@@ -253,14 +252,12 @@ def test_ring_predicates_once_per_ring(monkeypatch):
     assert first > 0 and len(calls) == first
 
 
-def test_failed_cap_is_not_cached(monkeypatch):
-    # the idempotents of a non-local ring are still found by enumeration
-    R = con.product_ring(con.z_mod(4), con.z_mod(4))
-    monkeypatch.setattr(rings, "SIZE_CAP", 8)
-    with pytest.raises(SizeCapExceeded):
-        decompose_product(R)
-    monkeypatch.undo()
-    assert len(decompose_product(R)) == 2
+def test_failed_cap_is_not_cached():
+    # a per-object call that raises leaves nothing in the ring's cache
+    R = con.z_mod(6)
+    with pytest.raises(NotLocal):
+        maximal_ideal(R)
+    assert "maximal_ideal" not in R._cache
 
 
 def test_periodic_graded_field():
@@ -292,9 +289,7 @@ def test_rational_idempotents():
     from fractions import Fraction
 
     R = validate_ring(GradedRing(0, [("e", 0)], {(0, 0): [(1, 0, 0)]}, [(1, 0, 0)]))
-    es = idempotents(R)
-    vals = sorted(sum(e.terms.values(), Fraction(0)) for e in es)
-    assert vals == [0, 1]
+    assert [sum(e.terms.values(), Fraction(0)) for e in idempotents(R)] == [1]
 
 
 def test_duplicate_unit_terms_are_summed():
@@ -314,12 +309,18 @@ def laurent_square(p=3, degree=2):
                                     periodicity=("y", degree)))
 
 
+def laurent_x2_plus_1(p):
+    """F_p[y, y^-1][x]/(x^2 + 1), |x| = 0, |y| = 2: a graded field for p = 3,
+    a product of two for p = 5."""
+    return validate_ring(_unital(p, [("one", 0), ("x", 0)], {(1, 1): [(p - 1, 0, 0)]}, ("y", 2)))
+
+
 def test_qf_refuses_periodic_nonlocal():
-    # a product of graded fields is self-injective; qf must not answer False
+    # a product of graded fields is self-injective, and periodic rings split
     R = laurent_square()
     assert not is_local(R)
-    with pytest.raises(NotLocalInput):
-        is_quasi_frobenius(R)
+    assert is_quasi_frobenius(R)
+    assert [lv.kind for _, lv in classify(R, 0).factors] == [GRADED_FIELD, GRADED_FIELD]
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +344,7 @@ def _small_periodic():
         rings_ += [laurent_square(p, 2),
                    # x^2 = y: x is a unit of degree 2
                    validate_ring(_unital(p, [("one", 0), ("x", 2)], {(1, 1): [(1, 0, 1)]}, ("y", 4))),
-                   # x^2 = -1 in degree 0: a field for p = 3, split for p = 5
-                   validate_ring(_unital(p, [("one", 0), ("x", 0)], {(1, 1): [(p - 1, 0, 0)]}, ("y", 2)))]
+                   laurent_x2_plus_1(p)]
     return rings_
 
 
@@ -362,7 +362,7 @@ def _random_ring(rng):
 
 def _nonunits_by_enumeration(R, q):
     """Coordinates of the nonzero nonunits of the degree-q slice."""
-    return [R.slice_coords(x, q) for x in R.enumerate_slice(q) if not x.is_zero and not is_unit(x)]
+    return [R.slice_coords(x, q) for x in enumerate_slice(R, q) if not x.is_zero and not is_unit(x)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -384,10 +384,10 @@ def test_locality_matches_enumeration(seed):
         return
     assert maximal_ideal(R).slices == spans
     assert residue_characteristic(R) == next(k for k in range(1, R.char + 1) if not is_unit(elem(R, k)))
-    assert idempotents(R) == [R.zero(), R.one()]
-    assert [e for e in R.enumerate_slice(0) if e * e == e] == [R.zero(), R.one()]
+    assert idempotents(R) == [R.one()]
+    assert [e for e in enumerate_slice(R, 0) if e * e == e] == [R.zero(), R.one()]
     for d in range(-4, 5):
-        assert has_unit_in_degree(R, d) == any(is_unit(x) for x in R.enumerate_slice(d))
+        assert has_unit_in_degree(R, d) == any(is_unit(x) for x in enumerate_slice(R, d))
 
 
 def test_periodic_exterior_past_the_enumeration_cap():
@@ -407,3 +407,74 @@ def test_rational_periodic_is_unsupported():
         classify(R, 1)
     with pytest.raises(UnsupportedCoefficients):
         is_quasi_frobenius(R)
+
+
+# ---------------------------------------------------------------------------
+# idempotents and products against enumeration
+# ---------------------------------------------------------------------------
+
+def laurent_field_times_exterior():
+    """F_3[y, y^-1] x F_3[y, y^-1][x]/(x^2), |x| = 1, |y| = 2, on e, f, fx."""
+    table = {(0, 0): [(1, 0, 0)], (1, 1): [(1, 1, 0)], (1, 2): [(1, 2, 0)], (2, 1): [(1, 2, 0)]}
+    return validate_ring(GradedRing(3, [("e", 0), ("f", 0), ("x", 1)], table, [(1, 0, 0), (1, 1, 0)],
+                                    periodicity=("y", 2)))
+
+
+SMALL = [R for R in FINITE if R.size() <= 9]
+PERIODIC_PRODUCTS = [laurent_square(3), laurent_square(5, 1), laurent_x2_plus_1(3), laurent_x2_plus_1(5),
+                     laurent_field_times_exterior()]
+
+
+def _random_product(rng):
+    """A permuted, rescaled product of two or three small rings, or a
+    periodic ring with idempotents in degree 0."""
+    if rng.random() < 0.2:
+        R = rng.choice(PERIODIC_PRODUCTS)
+    else:
+        R = rng.choice(SMALL)
+        for _ in range(rng.choice((1, 2))):
+            R = con.product_ring(R, rng.choice(SMALL))
+    return _permuted_rescaled(R, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_products_split_as_enumeration(seed):
+    R = _random_product(random.Random(seed))
+    prim = primitive_idempotents(R)
+    assert idempotents(R) == prim
+    if len(prim) > 1:
+        assert [key_without_names(F) for F in decompose_product(R)] == \
+            [key_without_names(reference_corner_ring(R, e)) for e in prim]
+    if any(R.degrees):
+        return
+    # R is R0, or R0[y, y^-1]: its corner rings by enumeration are its factors
+    assert is_quasi_frobenius(R) == all(Factor(R, e).socle_is_simple() for e in prim)
+    if R.is_finite and R.size() <= 16:
+        for n in (0, 1):
+            assert classify(R, n).is_delta == oracle_is_delta(R, n)
+
+
+@pytest.mark.parametrize("R, verdict", [
+    # degree-0 slices of 39366 and 32768 elements
+    (con.product_ring(con.truncated_polynomial(3, 9), con.finite_field(2)),
+     ["GradedField", "NotDelta(AnnihilatorNotPrincipalEqual)"]),
+    (con.product_ring(con.z_mod(4), con.truncated_polynomial(2, 13)),
+     ["NotDelta(AnnihilatorNotPrincipalEqual)", "TMod4"]),
+    # a large prime: the split tries c = 0, 1, ... one at a time
+    (con.product_ring(con.z_mod(10 ** 9 + 7), con.z_mod(10 ** 9 + 7)), ["GradedField", "GradedField"]),
+], ids=["F3[t]/t^9 x F2", "Z/4 x F2[t]/t^13", "F_p x F_p, p = 10^9 + 7"])
+def test_products_past_the_enumeration_cap(R, verdict):
+    assert [repr(lv) for _, lv in classify(R, 0).factors] == verdict
+    assert is_quasi_frobenius(R)
+
+
+@pytest.mark.parametrize("R, n, kinds", [
+    (laurent_x2_plus_1(5), 0, [GRADED_FIELD, GRADED_FIELD]),
+    (laurent_x2_plus_1(5), 1, [GRADED_FIELD, GRADED_FIELD]),
+    # the unit y^2 has degree 3|x| + 1
+    (laurent_field_times_exterior(), 1, [EXTERIOR, GRADED_FIELD]),
+], ids=["F5[y^-1, y][x]/(x^2+1), n=0", "F5[y^-1, y][x]/(x^2+1), n=1", "F3[y^-1, y] x F3[y^-1, y][x]/x^2, n=1"])
+def test_periodic_products_split(R, n, kinds):
+    assert [lv.kind for _, lv in classify(R, n).factors] == kinds
+    assert is_quasi_frobenius(R)
