@@ -19,10 +19,14 @@ times the Leibniz sign (-1)^{n s}, s being the degree of every coefficient
 in the block.  A chain map's slice matrix is the same assembly without the
 diagonal.  Terms past the weight bound are dropped.
 
-Homology is computed slice by slice.  A module with zero differential (a
-free module, its shifts, the cone of a zero map) takes its homology from
-H(A): its slice complex is a direct sum of slices of A, whose homology each
-algebra computes once per degree.
+Homology is computed slice by slice.  The one elimination of a slice that
+picks the representative cycles also yields the slice's coordinate map, so
+class coordinates and induced matrices on homology are products, with no
+further elimination.  A module with zero differential (a free module, its
+shifts, the cone of a zero map) takes its homology from H(A): its slice
+complex is a direct sum of slices of A, whose homology each algebra computes
+once per degree, and its coordinate map is assembled block-diagonally from
+those of H(A).
 
 Periodicity: when |v| != 0, the slice bases at q and q + k|v| differ only in
 the v-exponents t, shifted by k, because the basis of A_s depends on t only
@@ -558,28 +562,33 @@ def _slice_homology(alg, basis, d_here, d_above, padding):
     """Homology record of one slice from d_here (to the slice n below) and
     d_above (from the slice n above), both arrays of shape (target, source).
 
-    Representatives are cycles supported on u-weights <= W - padding; of
-    these, a cycle is kept when it lies outside the span of the boundaries
-    and the cycles kept before it, i.e. when its column is a pivot of one
-    echelon form of [im | ker_low].
+    Representatives are cycles supported on u-weights <= W - padding: the
+    columns of ker_low are the reduced-echelon kernel basis of d_here on the
+    low-weight coordinates, padded with zeros (the reduced-echelon basis of a
+    subspace is unique, so this is that of the low-weight cycles).  Of these,
+    a cycle is kept when it lies outside the span of the boundaries and the
+    cycles kept before it, i.e. when its column is a pivot of the echelon
+    form T [im | ker_low].  The same elimination, run on [im | ker_low | I]
+    with pivots only in the first block, yields T and so the coordinate map
+    (P, Z): P is the rows of T at the pivots of the reps, Z the rows past the
+    rank.  A vector z lies in span(reps, im) iff Z z = 0, and then P z holds
+    its coordinates in the reps.
     """
     p, size = alg.p, len(basis)
-    if d_here.shape[0]:
-        ker = linalg.modp_kernel(d_here.tolist(), p)
-    else:
-        ker = [[int(a == b) for a in range(size)] for b in range(size)]
-    im = [col for col in d_above.T.tolist() if any(col)]
-    # reliability: intersect the cycles with the low-weight coordinates
-    high = [idx for idx, (_, (_, _, m)) in enumerate(basis) if m > alg.weight - padding]
-    ker_low = ker
-    if ker and high:
-        combs = linalg.modp_kernel([[v[idx] for v in ker] for idx in high], p)
-        ker_low = linalg.modp_matmul(combs, ker, p)
-    reps = []
-    if ker_low:
-        _, pivots = linalg.modp_rref(_columns(im + ker_low, size), p)
-        reps = [ker_low[c - len(im)] for c in pivots if c >= len(im)]
-    return {"dim": len(reps), "reps": reps, "basis": basis, "im": im}
+    # reliability: the cycles supported on the low-weight coordinates
+    low = [idx for idx, (_, (_, _, m)) in enumerate(basis) if m <= alg.weight - padding]
+    ker = linalg.modp_kernel(d_here[:, low], p)
+    ker_low = np.zeros((size, len(ker)), dtype=np.int64)
+    ker_low[low] = _columns(ker, len(low))
+    im = d_above[:, d_above.any(axis=0)]
+    k, lead = im.shape[1], im.shape[1] + len(ker)
+    R, pivots = linalg.modp_rref(np.hstack((im, ker_low, np.eye(size, dtype=np.int64))), p, bound=lead)
+    # the boundaries come first, so the pivots of the reps are the last ones
+    first = sum(c < k for c in pivots)
+    reps = ker_low[:, [c - k for c in pivots[first:]]].T.tolist()
+    T = R[:, lead:]
+    return {"dim": len(reps), "reps": reps, "basis": basis, "im": im.T.tolist(),
+            "coords": (T[first:len(pivots)], T[len(pivots):])}
 
 
 def _slices(M, degrees, padding):
@@ -600,9 +609,10 @@ def _slices(M, degrees, padding):
 def _free_homology(M, window, padding):
     """Homology of a module with zero differential: its slice complex is the
     direct sum over generators j of A at degree q - deg(gen_j), so each slice
-    is assembled from H(A), computed once per degree on the algebra.  A
-    record |v| degrees above an assembled one is that record with its own
-    basis (see the module docstring)."""
+    is assembled from H(A), computed once per degree on the algebra, and so
+    is its coordinate map, block-diagonally.  A record |v| degrees above an
+    assembled one is that record with its own basis (see the module
+    docstring)."""
     alg = M.alg
     lo, hi = window
     period = abs(alg.vdeg)
@@ -623,16 +633,28 @@ def _free_homology(M, window, padding):
             reps += [before + v + after for v in H["reps"]]
             im += [before + v + after for v in H["im"]]
             basis += [(j, key) for _, key in H["basis"]]
-        out[q] = {"dim": len(reps), "reps": reps, "basis": basis, "im": im}
+        coords = tuple(_block_diagonal([H["coords"][k] for _, H in blocks], size) for k in (0, 1))
+        out[q] = {"dim": len(reps), "reps": reps, "basis": basis, "im": im, "coords": coords}
+    return out
+
+
+def _block_diagonal(blocks, width):
+    """The arrays of blocks along the diagonal of one array of this width."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), width), dtype=np.int64)
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
     return out
 
 
 def homology(M, window, padding=PADDING):
     """Per-degree homology data in the window.
 
-    Returns {q: {"dim", "reps", "basis", "im"}}: reps are coordinate vectors
-    of representative cycles supported on reliable u-weights, im spans the
-    boundaries, both in the monomial basis of the slice.
+    Returns {q: {"dim", "reps", "basis", "im", "coords"}}: reps are
+    coordinate vectors of representative cycles supported on reliable
+    u-weights, im spans the boundaries, both in the monomial basis of the
+    slice, and coords is the coordinate map (P, Z) of class_coordinates.
     """
     alg = M.alg
     lo, hi = window
@@ -649,20 +671,13 @@ def homology(M, window, padding=PADDING):
 
 def class_coordinates(Hq, p, cycles):
     """Matrix whose column c holds the coordinates of cycles[c] in the chosen
-    representative basis of H_q, from one echelon form of [reps | im | cycles].
-
-    The reps are independent modulo im and come first, so they are the first
-    pivots, and each cycle column of the echelon form starts with its class
-    coordinates.
-    """
-    reps, im = Hq["reps"], Hq["im"]
-    k, lead = len(reps), len(reps) + len(im)
-    if not cycles or not lead:
-        return [[0] * len(cycles) for _ in range(k)]
-    R, pivots = linalg.modp_rref(_columns(reps + im + cycles, len(Hq["basis"])), p)
-    if pivots and pivots[-1] >= lead:
+    representative basis of H_q: P C for the record's coordinate map (P, Z)
+    and C the matrix with the cycles as columns, after checking Z C = 0."""
+    P, Z = Hq["coords"]
+    C = _columns(cycles, len(Hq["basis"]))
+    if any(map(any, linalg.modp_matmul(Z, C, p))):
         raise ShapeMismatch("cycle is not in the span of representatives and boundaries")
-    return R[:k, lead:].tolist()
+    return linalg.modp_matmul(P, C, p)
 
 
 def induced_matrix(mat, Hsrc, Htgt, p):

@@ -57,20 +57,25 @@ def _lane(moduli):
 # mod-p lane (numpy)
 # ---------------------------------------------------------------------------
 
-def modp_rref(A, p):
-    """Row-reduce A mod p.  Returns (R, pivot_columns)."""
+def modp_rref(A, p, bound=None):
+    """Row-reduce A mod p.  Returns (R, pivot_columns).
+
+    With bound, pivots are taken only in the first bound columns; the later
+    columns undergo the same row operations, so for A = [E | I] and bound
+    the width of E, R = [T E | T] with T invertible."""
     R = np.array(A, dtype=np.int64).reshape(len(A), len(A[0]) if len(A) else 0)
     nr, nc = R.shape
+    bound = nc if bound is None else min(bound, nc)
     # entries stay below p, so a row update stays above -p*p
     if p * p >= 2 ** 63:
         raise UnsupportedCoefficients(f"prime {p} too large for int64 elimination")
     R %= p
     pivots = []
     r = c = 0
-    while r < nr and c < nc:
+    while r < nr and c < bound:
         # the next pivot is the first nonzero of the trailing block in
         # column-major order: leftmost column, then topmost row
-        dc, dr = divmod(int((R[r:, c:] != 0).T.argmax()), nr - r)
+        dc, dr = divmod(int((R[r:, c:bound] != 0).T.argmax()), nr - r)
         c, i = c + dc, r + dr
         pivot = int(R[i, c])
         if not pivot:
@@ -104,13 +109,17 @@ def modp_matmul(A, B, p):
 
 
 def modp_rank(A, p):
+    if not len(A) or not len(A[0]):
+        return 0
     return len(modp_rref(A, p)[1])
 
 
 def modp_kernel(A, p):
-    """Columns spanning {x : A x = 0 mod p}."""
+    """Columns spanning {x : A x = 0 mod p}, in reduced echelon form: one per
+    non-pivot column f, with 1 at f and 0 at the other non-pivot columns.
+    A given as an array keeps its width also when it has no rows."""
     nr = len(A)
-    nc = len(A[0]) if nr else 0
+    nc = np.shape(A)[1] if isinstance(A, np.ndarray) else len(A[0]) if nr else 0
     if nc == 0:
         return []
     if nr == 0:

@@ -111,6 +111,18 @@ def test_modp_empty_matrix():
     assert linalg.Subgroup([], [3, 3]).size() == 1
 
 
+def test_modp_rank_of_empty_shapes_eliminates_nothing(monkeypatch):
+    monkeypatch.setattr(linalg, "modp_rref", None)
+    for A in ([], [[]], [[], []], np.zeros((0, 3), dtype=np.int64), np.zeros((2, 0), dtype=np.int64)):
+        assert linalg.modp_rank(A, 3) == 0
+
+
+def test_modp_kernel_zero_rows_keeps_width():
+    # with no equations every vector is in the kernel
+    assert linalg.modp_kernel(np.zeros((0, 3), dtype=np.int64), 5) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert linalg.modp_kernel([], 5) == []
+
+
 @pytest.mark.parametrize("rows,inner,cols", [(0, 2, 3), (2, 0, 3), (3, 2, 0), (0, 0, 0), (3, 4, 2)])
 def test_modp_matmul_shapes(rows, inner, cols):
     rng = random.Random(rows * 100 + inner * 10 + cols)
