@@ -137,7 +137,7 @@ def cmd_dg_verify(args):
     if vdeg != 0:
         R = con.laurent_exterior(args.p, args.i, vdeg)
         trial = tr.run_random_trials(R, args.n, args.trials, args.seed,
-                                     weight=args.weight)
+                                     window=window, weight=args.weight)
         triangles_ok = trial["pass"]
         lines.append(f"random triangles ({args.trials}): "
                      + ("PASS" if triangles_ok else "FAIL"))

@@ -1,13 +1,15 @@
 """Exact linear algebra kernels.
 
 Everything downstream reduces to computations in finitely generated abelian
-groups presented as Z/m_1 x ... x Z/m_D.  `_lane` picks one of three
-arithmetic lanes from the moduli for `Subgroup`, `congruence_kernel`,
+groups presented as Z/m_1 x ... x Z/m_D.  `_lane` picks one of two
+eliminations from the moduli for `Subgroup`, `congruence_kernel`,
 `congruence_solve` and `quotient_presentation`:
 
-* all moduli equal to one prime p  -> dense mod-p elimination (numpy),
-* moduli all zero                  -> exact rational elimination (Fraction),
-* any other moduli                 -> integer Smith/Hermite normal forms.
+* all moduli equal to one prime p, or all zero -> one Gauss-Jordan over the
+  field, `modp_rref`: F_p in numpy int64, or Q (p = 0) in object arrays of
+  exact numbers,
+* any other moduli                             -> integer Smith/Hermite
+  normal forms.
 
 A `Subgroup` is the span of some vectors in such a group, held in the
 canonical form of its lane (reduced echelon rows over a field, the Hermite
@@ -54,22 +56,24 @@ def _lane(moduli):
 
 
 # ---------------------------------------------------------------------------
-# mod-p lane (numpy)
+# field lane: F_p (numpy int64) and Q (p = 0, object arrays)
 # ---------------------------------------------------------------------------
 
 def modp_rref(A, p, bound=None):
-    """Row-reduce A mod p.  Returns (R, pivot_columns).
+    """Gauss-Jordan elimination of A over F_p, or over Q for p = 0.  Returns
+    (R, pivot_columns): R reduced mod p in int64, or exact numbers in an
+    object array over Q.
 
     With bound, pivots are taken only in the first bound columns; the later
     columns undergo the same row operations, so for A = [E | I] and bound
     the width of E, R = [T E | T] with T invertible."""
-    R = np.array(A, dtype=np.int64).reshape(len(A), len(A[0]) if len(A) else 0)
-    nr, nc = R.shape
-    bound = nc if bound is None else min(bound, nc)
+    shape = (len(A), len(A[0]) if len(A) else 0)
     # entries stay below p, so a row update stays above -p*p
     if p * p >= 2 ** 63:
         raise UnsupportedCoefficients(f"prime {p} too large for int64 elimination")
-    R %= p
+    R = np.array(A, dtype=np.int64).reshape(shape) % p if p else np.array(A, dtype=object).reshape(shape)
+    nr, nc = shape
+    bound = nc if bound is None else min(bound, nc)
     pivots = []
     r = c = 0
     while r < nr and c < bound:
@@ -77,19 +81,20 @@ def modp_rref(A, p, bound=None):
         # column-major order: leftmost column, then topmost row
         dc, dr = divmod(int((R[r:, c:bound] != 0).T.argmax()), nr - r)
         c, i = c + dc, r + dr
-        pivot = int(R[i, c])
+        pivot = R[i, c]
         if not pivot:
             break
         if i != r:
             R[[r, i]] = R[[i, r]]
         if pivot != 1:
-            R[r, c:] = (R[r, c:] * pow(pivot, p - 2, p)) % p
+            R[r, c:] = R[r, c:] * pow(int(pivot), p - 2, p) % p if p else R[r, c:] * (1 / Fraction(pivot))
         # only rows with a nonzero entry in column c change, and the pivot
         # row is zero left of c
         rows = R[:, c].nonzero()[0]
         rows = rows[rows != r]
         if len(rows):
-            R[rows, c:] = (R[rows, c:] - np.outer(R[rows, c], R[r, c:])) % p
+            update = R[rows, c:] - np.outer(R[rows, c], R[r, c:])
+            R[rows, c:] = update % p if p else update
         pivots.append(c)
         r, c = r + 1, c + 1
     return R, pivots
@@ -114,26 +119,32 @@ def modp_rank(A, p):
     return len(modp_rref(A, p)[1])
 
 
-def modp_kernel(A, p):
-    """Columns spanning {x : A x = 0 mod p}, in reduced echelon form: one per
-    non-pivot column f, with 1 at f and 0 at the other non-pivot columns.
-    A given as an array keeps its width also when it has no rows."""
-    nr = len(A)
-    nc = np.shape(A)[1] if isinstance(A, np.ndarray) else len(A[0]) if nr else 0
-    if nc == 0:
-        return []
-    if nr == 0:
-        return [[1 if i == j else 0 for i in range(nc)] for j in range(nc)]
-    R, pivots = modp_rref(A, p)
+def _kernel_basis(A, nc, p):
+    """(K, free) for the nc-column matrix A over F_p, or Q for p = 0: the
+    rows of K are the reduced echelon basis of {x : A x = 0}, one per
+    non-pivot column f in free, with 1 at f and 0 at the other free columns.
+    A matrix with no rows or no columns is not eliminated."""
+    R, pivots = modp_rref(A, p) if len(A) and nc else (None, [])
     free = sorted(set(range(nc)).difference(pivots))
-    K = np.zeros((len(free), nc), dtype=np.int64)
+    K = np.zeros((len(free), nc), dtype=np.int64 if p else object)
     K[np.arange(len(free)), free] = 1
-    K[:, pivots] = (-R[:len(pivots), free].T) % p
-    return K.tolist()
+    if pivots:
+        K[:, pivots] = -R[:len(pivots), free].T % p if p else -R[:len(pivots), free].T
+    return K, free
+
+
+def modp_kernel(A, p):
+    """Columns spanning {x : A x = 0} over F_p, or over Q for p = 0, in
+    reduced echelon form: one per non-pivot column f, with 1 at f and 0 at
+    the other non-pivot columns.  A given as an array keeps its width also
+    when it has no rows."""
+    nc = np.shape(A)[1] if isinstance(A, np.ndarray) else len(A[0]) if len(A) else 0
+    return _kernel_basis(A, nc, p)[0].tolist()
 
 
 def modp_solve(A, b, p):
-    """One solution of A x = b mod p, or None."""
+    """One solution of A x = b, or None: Python ints reduced mod p, or exact
+    rationals over Q for p = 0."""
     nr = len(A)
     nc = len(A[0]) if nr else 0
     aug = [list(A[i]) + [b[i]] for i in range(nr)]
@@ -142,67 +153,7 @@ def modp_solve(A, b, p):
         return None
     x = [0] * nc
     for r, c in enumerate(pivots):
-        x[c] = int(R[r, nc]) % p
-    return x
-
-
-# ---------------------------------------------------------------------------
-# rational lane (Fraction)
-# ---------------------------------------------------------------------------
-
-def frac_rref(A):
-    R = [[Fraction(x) for x in row] for row in A]
-    nr = len(R)
-    nc = len(R[0]) if nr else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        pr = next((i for i in range(r, nr) if R[i][c] != 0), None)
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        inv = 1 / R[r][c]
-        R[r] = [x * inv for x in R[r]]
-        for i in range(nr):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-    return R, pivots
-
-
-def frac_kernel(A):
-    nr = len(A)
-    nc = len(A[0]) if nr else 0
-    if nc == 0:
-        return []
-    if nr == 0:
-        return [[Fraction(int(i == j)) for i in range(nc)] for j in range(nc)]
-    R, pivots = frac_rref(A)
-    free = [c for c in range(nc) if c not in pivots]
-    out = []
-    for f in free:
-        v = [Fraction(0)] * nc
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -R[r][f]
-        out.append(v)
-    return out
-
-
-def frac_solve(A, b):
-    nr = len(A)
-    nc = len(A[0]) if nr else 0
-    aug = [list(A[i]) + [b[i]] for i in range(nr)]
-    R, pivots = frac_rref(aug)
-    if nc in pivots:
-        return None
-    x = [Fraction(0)] * nc
-    for r, c in enumerate(pivots):
-        x[c] = R[r][nc]
+        x[c] = int(R[r, nc]) % p if p else R[r, nc]
     return x
 
 
@@ -383,12 +334,8 @@ class Subgroup:
             self._rows = tuple(col for _, col in hnf)
             self._pivots = tuple(prow for prow, _ in hnf)
             return
-        if p:
-            R, pivots = modp_rref(cols, p)
-            R = R.tolist()
-        else:
-            R, pivots = frac_rref(cols)
-        self._rows = tuple(map(tuple, R[:len(pivots)]))
+        R, pivots = modp_rref(cols, p)
+        self._rows = tuple(map(tuple, R[:len(pivots)].tolist()))
         self._pivots = tuple(pivots)
 
     def contains(self, v):
@@ -449,9 +396,7 @@ def congruence_kernel(A, row_moduli, col_moduli):
     nc = len(A[0]) if nr else len(col_moduli)
     p = _lane(list(row_moduli) + list(col_moduli))
     if p is not None:
-        if not nr:
-            return [[int(i == j) for i in range(nc)] for j in range(nc)]
-        return modp_kernel(A, p) if p else frac_kernel(A)
+        return _kernel_basis(A, nc, p)[0].tolist()
     # integer path: kernel of [A | diag(row_moduli)] projected to x-part
     if nr == 0:
         gens = [[int(i == j) for i in range(nc)] for j in range(nc)]
@@ -481,7 +426,7 @@ def congruence_solve(A, b, row_moduli):
         return [0] * nc
     p = _lane(row_moduli)
     if p is not None:
-        return modp_solve(A, b, p) if p else frac_solve(A, b)
+        return modp_solve(A, b, p)
     aug = _with_moduli(A, row_moduli)
     width = len(aug[0])
     diag, U, V, _ = smith_normal_form(aug)
@@ -509,24 +454,17 @@ def quotient_presentation(rel_cols, moduli):
 
     Returns (qmoduli, proj, lift): qmoduli lists the cyclic orders (> 1),
     proj is a matrix sending ambient coordinates to quotient coordinates,
-    lift sends quotient coordinates to ambient representatives.
+    lift sends quotient coordinates to ambient representatives.  Over a
+    field (F_p, or Q for all moduli 0) proj is the reduced echelon kernel
+    basis of the relation rows: reducing v by the echelon rows of the
+    relations leaves v[f] - sum_ep v[ep] * row_ep[f] at each free column f,
+    and lift is the inclusion of the free columns.
     """
     D = len(moduli)
     p = _lane(moduli)
     if p is not None:
-        S = Subgroup(rel_cols, moduli)
-        free = [i for i in range(D) if i not in S._pivots]
-        # reducing v by the echelon rows zeroes the pivot coordinates; the
-        # surviving free coordinates are v[f] - sum_ep v[ep] * row_ep[f]
-        proj = []
-        for f in free:
-            row = [0] * D
-            row[f] = 1
-            for er, ep in zip(S._rows, S._pivots):
-                row[ep] = -er[f] % p if p else -er[f]
-            proj.append(row)
-        lift = [[int(i == f) for f in free] for i in range(D)]
-        return [p] * len(free), proj, lift
+        proj, free = _kernel_basis(rel_cols, D, p)
+        return [p] * len(free), proj.tolist(), [[int(i == f) for f in free] for i in range(D)]
     if D == 0:
         return [], [], []
     cols = [list(c) for c in rel_cols] + _moduli_cols(moduli)

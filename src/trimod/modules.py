@@ -48,7 +48,7 @@ from .errors import (
     SizeCapExceeded,
 )
 
-# most elements a module enumeration or brute-force isomorphism search visits
+# most elements a brute-force isomorphism search visits
 SIZE_CAP = 4096
 
 
@@ -168,19 +168,13 @@ class FiniteModule:
         return self.unflatten((L @ np.array(v, dtype=L.dtype).reshape(L.shape[1])).tolist())
 
     def canonical_additive(self):
-        """Multiset of cyclic orders of the additive group, sorted."""
-        return tuple(sorted(self.quotient()[0]))
+        """The elementary divisors of the additive group, sorted: each cyclic
+        order split into its prime-power parts, since the Smith form of the
+        quotient keeps no divisibility chain (Z/6 may come out as Z/2 x Z/3)."""
+        return tuple(sorted(pk for m in self.quotient()[0] for _, pk in rc._prime_powers(m)))
 
     def size(self):
         return math.prod(self.quotient()[0])
-
-    def elements(self):
-        """All elements, as flattened ambient representatives."""
-        qm, _, L = self.quotient()
-        if self.size() > SIZE_CAP:
-            raise SizeCapExceeded(f"module of size {self.size()} exceeds cap {SIZE_CAP}")
-        for combo in itertools.product(*[range(m) for m in qm]):
-            yield (L @ np.array(combo, dtype=L.dtype).reshape(len(qm))).tolist()
 
     def __repr__(self):
         return f"FiniteModule(g={self.generators}, rel={len(self.relations)}, over {self.ring!r})"

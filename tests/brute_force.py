@@ -1,12 +1,16 @@
-"""Brute-force references on enumerated ring elements, for tests only.
+"""Brute-force references on enumerated ring and module elements, for tests
+only.
 
 The library decides locality, idempotents, products and socles by linear
-algebra on degree slices.  These references visit every element of a slice
-instead, so they serve only small rings: the degree-0 slices they enumerate
-have at most a few thousand elements.
+algebra on degree slices, and Hom groups by congruence kernels.  These
+references visit every element of a slice or a module instead, so they
+serve only small rings and modules: the sets they enumerate have at most a
+few thousand elements.
 """
 
 import itertools
+
+import numpy as np
 
 from trimod.rings import RingElement, _annihilator_of, annihilator, principal_ideal
 
@@ -37,6 +41,14 @@ def double_annihilator_holds(R):
             if double != principal_ideal(R, x):
                 return False, x
     return True, None
+
+
+def module_elements(M):
+    """All elements of a finite module, as flattened ambient representatives:
+    the lifts of every quotient coordinate vector."""
+    qm, _, L = M.quotient()
+    for combo in itertools.product(*[range(m) for m in qm]):
+        yield (L @ np.array(combo, dtype=L.dtype).reshape(len(qm))).tolist()
 
 
 class Factor:

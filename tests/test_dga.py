@@ -7,6 +7,7 @@ from trimod import dga as dg
 from trimod import linalg
 from trimod import triangles as tr
 from trimod.errors import (
+    LiftFailure,
     NotChainMap,
     ParityObstruction,
     ShapeMismatch,
@@ -188,6 +189,22 @@ def test_triangle_of_zero_map():
     assert rep["pass"], rep
     # cone of 0 splits: third term has two generators
     assert len(T.third_generator_degrees) == 2
+
+
+@pytest.mark.parametrize("ring, n, message", [
+    (lambda: con.laurent_exterior(3, 1, 2), 1, "need an invertible element of degree 4"),
+    (lambda: con.z_mod(4), 1, "expected a rank-2 exterior algebra"),
+    (lambda: con.laurent_field(3, 2), 1, "expected a rank-2 exterior algebra"),
+    (lambda: con.exterior_on_field(con.finite_field(4)), 1, "expected a rank-2 exterior algebra"),
+    (con.galois_ring_4_2, 0, "coefficient field must be a prime field"),
+    (lambda: con.finite_field(4), 0, "generator does not square to zero"),
+])
+def test_triangle_scope_limits_raise_lift_failure(ring, n, message):
+    # rings outside the DG model's scope: k[x]/(x^2) over a prime field with
+    # a unit of degree 3|x| + n
+    R = ring()
+    with pytest.raises(LiftFailure, match=message):
+        tr.triangle_from_map(R, n, [0], [0], [[R.one()]])
 
 
 def triangle_record(T):

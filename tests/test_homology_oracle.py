@@ -11,12 +11,13 @@ per representative set, and on windows spanning two periods of v, where
 `homology` eliminates one degree per residue class mod |v| and transports
 the records to the others, every degree must still match.  The class coordinates of a batch of cycles must be
 what one solve per cycle gives, `modp_rref` must agree with a pure-Python
-Gauss-Jordan elimination, and the per-position exactness check of
+Gauss-Jordan elimination over F_p and over Q, and the per-position exactness check of
 `verify_triangle_exact`/`verify_rotation` must report what two loops of
 explicit checks report, also on corrupted triangles.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -126,8 +127,10 @@ def reference_homology(M, window, padding=dg.PADDING):
 
 def reference_rref(A, p, bound=None):
     """Gauss-Jordan with pivots in the first bound columns (all by default);
-    the row operations act on whole rows."""
-    R = [[x % p for x in row] for row in A]
+    the row operations act on whole rows.  Over F_p, or over Q in Fraction
+    arithmetic for p = 0."""
+    red = (lambda x: x % p) if p else Fraction
+    R = [[red(x) for x in row] for row in A]
     nr, nc = len(R), len(R[0]) if R else 0
     pivots, r = [], 0
     for c in range(nc if bound is None else min(bound, nc)):
@@ -135,12 +138,12 @@ def reference_rref(A, p, bound=None):
         if i is None:
             continue
         R[r], R[i] = R[i], R[r]
-        inv = pow(R[r][c], p - 2, p)
-        R[r] = [x * inv % p for x in R[r]]
+        inv = pow(R[r][c], p - 2, p) if p else 1 / R[r][c]
+        R[r] = [red(x * inv) for x in R[r]]
         for i in range(nr):
             if i != r and R[i][c]:
                 f = R[i][c]
-                R[i] = [(x - f * y) % p for x, y in zip(R[i], R[r])]
+                R[i] = [red(x - f * y) for x, y in zip(R[i], R[r])]
         pivots.append(c)
         r += 1
     return R, pivots
@@ -371,26 +374,29 @@ def test_class_coordinates_match_per_vector_solve(model, seed):
 
 
 # ---------------------------------------------------------------------------
-# modp_rref against Gauss-Jordan over Python integers
+# modp_rref against Gauss-Jordan over Python integers and Fractions
 
 
 @st.composite
 def matrices(draw):
-    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    """(A, p): a small matrix over F_p, or over Q with fraction entries for
+    p = 0; random, zero, or of deficient rank."""
+    p = draw(st.sampled_from([0, 2, 3, 5, 7, 101]))
+    entry = st.integers(-2 * p, 2 * p) if p else st.fractions(-5, 5, max_denominator=4)
+    coeff = st.integers(0, p - 1) if p else st.integers(-3, 3)
     nr, nc = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     kind = draw(st.sampled_from(["random", "zero", "deficient"]))
     if kind == "zero" or nr == 0:
         A = [[0] * nc for _ in range(nr)]
     elif kind == "random":
-        A = draw(st.lists(st.lists(st.integers(-2 * p, 2 * p), min_size=nc, max_size=nc),
-                          min_size=nr, max_size=nr))
+        A = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
     else:
         # rows combined from a few base rows: rank at most len(base)
-        base = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=nc, max_size=nc),
+        base = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
                              min_size=1, max_size=max(1, min(nr, nc) - 1)))
         A = []
         for _ in range(nr):
-            coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(base), max_size=len(base)))
+            coeffs = draw(st.lists(coeff, min_size=len(base), max_size=len(base)))
             A.append([sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(nc)])
     return A, p
 
@@ -410,8 +416,9 @@ def test_modp_rref_matches_reference(case, bound):
 
 def test_modp_rref_empty_shapes():
     for A in ([], [[]], [[], []]):
-        R, pivots = linalg.modp_rref(A, 3)
-        assert pivots == [] and R.size == 0
+        for p in (3, 0):
+            R, pivots = linalg.modp_rref(A, p)
+            assert pivots == [] and R.size == 0
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,16 @@ def test_cli_dg_verify(capsys):
     assert "build: FAIL" in out
 
 
+def test_cli_dg_verify_triangles_keep_the_window(capsys):
+    # the random triangles use the command's window: at n = 3 a map spanning
+    # degrees -3..3 would otherwise widen it past the default weight bound
+    code, out, err = _run(["dg-verify", "--p", "3", "--i", "1", "--n", "3",
+                           "--trials", "10", "--seed", "4", "--json"], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["window"] == [-6, 6] and report["triangles"] is True
+
+
 @pytest.mark.parametrize("argv", [["--p", "4", "--i", "1", "--n", "1"],
                                   ["--p", "3", "--i", "1", "--n", "1", "--weight", "2"]])
 def test_cli_dg_verify_input_errors_exit_2(argv, capsys):

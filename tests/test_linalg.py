@@ -151,6 +151,48 @@ def test_modp_overflow_guard():
         linalg.modp_matmul([[q - 1, q - 1]], [[q - 1], [q - 1]], q)
 
 
+@st.composite
+def rational_systems(draw):
+    """(A, b): a small matrix of fractions, often of deficient rank, and a
+    right-hand side that is either A y for a drawn y or arbitrary."""
+    frac = st.fractions(-4, 4, max_denominator=3)
+    nr, nc, rank = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    # rows are combinations of `rank` base rows
+    base = draw(st.lists(st.lists(frac, min_size=nc, max_size=nc), min_size=rank, max_size=rank))
+    A = [[sum((c * row[j] for c, row in zip(coeffs, base)), Fraction(0)) for j in range(nc)]
+         for coeffs in draw(st.lists(st.lists(frac, min_size=rank, max_size=rank),
+                                     min_size=nr, max_size=nr))]
+    if draw(st.booleans()):
+        y = draw(st.lists(frac, min_size=nc, max_size=nc))
+        b = [sum((a * x for a, x in zip(row, y)), Fraction(0)) for row in A]
+    else:
+        b = draw(st.lists(frac, min_size=nr, max_size=nr))
+    return A, b
+
+
+def _times(A, x):
+    return [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in A]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_systems())
+def test_rational_kernel_and_solve(system):
+    # over Q (p = 0) the field lane is exact: no entry is reduced
+    A, b = system
+    nc = len(A[0]) if A else 0
+    rank = linalg.modp_rank(A, 0)
+    K = linalg.modp_kernel(A, 0)
+    assert all(not any(_times(A, v)) for v in K)
+    if A:
+        assert len(K) == nc - rank
+        assert linalg.modp_rank(K, 0) == len(K)
+    x = linalg.modp_solve(A, b, 0)
+    inconsistent = nc in linalg.modp_rref([row + [c] for row, c in zip(A, b)], 0)[1]
+    assert (x is None) == inconsistent
+    if x is not None:
+        assert _times(A, x) == b
+
+
 # (moduli, coefficient range for generators and test vectors); Q^2 is
 # probed on integer vectors
 SMALL_GROUPS = [([2, 2, 2], 2), ([3, 3], 3), ([4, 2], 4), ([6, 3], 6), ([0, 0], 3)]

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from brute_force import module_elements
+
 from trimod import constructions as con
 from trimod import linalg
 from trimod import modules as md
@@ -284,6 +286,12 @@ def test_iso_test_examples():
     aug = ModuleMap(free_module(S, 1), residue_module(S), [[S.one()]])
     K, _ = kernel(aug)
     assert iso_test(K, sub)
+    # cyclic against split: the Smith form may give Z/6 or Z/2 x Z/3
+    for m, a, b in ((6, 3, 2), (12, 3, 4)):
+        Zm = con.z_mod(m)
+        split = FiniteModule(Zm, 2, [[Zm.one() * a, Zm.zero()], [Zm.zero(), Zm.one() * b]])
+        assert iso_test(free_module(Zm, 1), split)
+        assert md._brute_force_iso(free_module(Zm, 1), split)
 
 
 def test_strip_projective_summands():
@@ -368,7 +376,7 @@ def test_hom_group_against_brute_force(ring, data):
     rels = [[0] * (j * width) + c + [0] * ((g - 1 - j) * width) for j in range(g) for c in rel_N.cols()]
     span_size = linalg.Subgroup(images + rels, N.ambient_moduli * g).size() // rel_N.size() ** g
     # |Hom(M, N)|: every choice of generator images that kills each relation
-    elements = [N.unflatten(v) for v in N.elements()]
+    elements = [N.unflatten(v) for v in module_elements(N)]
     count = 0
     for images in itertools.product(elements, repeat=M.generators):
         count += all(
