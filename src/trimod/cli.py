@@ -135,7 +135,7 @@ def cmd_dg_verify(args):
     triangles_ok = None
     vdeg = 3 * args.i + args.n
     if vdeg != 0:
-        R = con.laurent_exterior(args.p, args.i, vdeg)
+        R = con.laurent_exterior(args.p, args.i, abs(vdeg))
         trial = tr.run_random_trials(R, args.n, args.trials, args.seed,
                                      window=window, weight=args.weight)
         triangles_ok = trial["pass"]

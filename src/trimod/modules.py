@@ -30,10 +30,18 @@ quasi-Frobenius ring P_M is injective, so when the cover keeps M's
 generators the kernel inclusion is an injective envelope of Omega M with
 cokernel M, and Omega^-1(Omega M) is M itself.  Every embedding into a free
 module spans the same maps through projectives: stable homs are unchanged.
+
+A module is its presentation.  Constructing one with the ring, generator
+count and relation columns of an existing module returns that object, from a
+table in the ring's cache that is freed with the ring; so equal
+presentations share one cache per ring.  Covers, syzygies, envelopes, stable
+homs and the shifts of maps are computed once per presentation, and a Heller
+ladder with Omega^2 k = k (as over F_p[t]/(t^{p^n})) closes after two steps.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -71,6 +79,29 @@ def _blockwise(mats, V):
     return np.matmul(mats[:, None], V.reshape(n // b, b, m)[None]).reshape(len(mats), n, m)
 
 
+def _per_pair(fn):
+    """Compute fn(M, N) once per pair of modules, in M._cache."""
+    @functools.wraps(fn)
+    def once(M, N):
+        key = (fn.__name__, N)
+        if key not in M._cache:
+            M._cache[key] = fn(M, N)
+        return M._cache[key]
+    return once
+
+
+def _per_map(fn):
+    """Compute fn(f) once per map, in f.source._cache: a map is its source,
+    target and image array."""
+    @functools.wraps(fn)
+    def once(f):
+        key = (fn.__name__, f.target, tuple(f.images.ravel().tolist()))
+        if key not in f.source._cache:
+            f.source._cache[key] = fn(f)
+        return f.source._cache[key]
+    return once
+
+
 def _closure(mats, vecs):
     """Additive generators of the R-span of the rows of vecs, vectors made of
     blocks on which the ring basis acts by mats: every vector times every
@@ -81,18 +112,25 @@ def _closure(mats, vecs):
 
 
 class FiniteModule:
-    """R^g modulo the R-span of a relations matrix over R."""
+    """R^g modulo the R-span of a relations matrix over R, one object per
+    presentation (see the module docstring)."""
 
-    def __init__(self, ring, generators, relations):
-        self.ring = ring
+    def __new__(cls, ring, generators, relations):
         if ring.periodicity is not None or ring.char == 0 or any(ring.degrees):
             raise ShapeMismatch("modules require a finite ungraded coefficient ring")
-        self.generators = int(generators)
-        self.relations = [list(col) for col in relations]
-        for col in self.relations:
-            if len(col) != self.generators:
-                raise ShapeMismatch("relation column length must match generator count")
-        self._cache = {}
+        g = int(generators)
+        relations = [list(col) for col in relations]
+        if any(len(col) != g for col in relations):
+            raise ShapeMismatch("relation column length must match generator count")
+        flat = tuple(tuple(c for x in col for c in ring.full_coords(x)) for col in relations)
+        table = ring._cache.setdefault("modules", {})
+        if (g, flat) not in table:
+            M = table[g, flat] = super().__new__(cls)
+            M.ring, M.generators, M.relations, M._cache = ring, g, relations, {}
+            # the flattened relation columns, one row each
+            M.relation_array = np.array(flat, dtype=M.dtype).reshape(len(flat), g * ring.dim)
+            M.relation_array.setflags(write=False)
+        return table[g, flat]
 
     # -- coordinates -----------------------------------------------------
 
@@ -116,21 +154,13 @@ class FiniteModule:
         D = self.ring.dim
         return [self.ring.from_full_coords(vec[i * D:(i + 1) * D]) for i in range(self.generators)]
 
-    def relation_array(self):
-        """The flattened relation columns, one row each."""
-        if "relations" not in self._cache:
-            flat = [self.flatten(col) for col in self.relations]
-            shape = (len(flat), len(self.ambient_moduli))
-            self._cache["relations"] = np.array(flat, dtype=self.dtype).reshape(shape)
-        return self._cache["relations"]
-
     def quotient(self):
         """(qmoduli, proj, lift) for the underlying additive group, proj and
         lift as integer arrays reduced modulo qmoduli and the ambient moduli."""
         if "quotient" not in self._cache:
             amb = self.ambient_moduli
             qm, proj, lift = linalg.quotient_presentation(
-                _closure(_ring_action(self.ring), self.relation_array()), amb)
+                _closure(_ring_action(self.ring), self.relation_array), amb)
             # reduced before conversion: Smith transforms can exceed int64
             P = np.array([[x % m for x in row] for row, m in zip(proj, qm)], dtype=self.dtype)
             L = np.array([[x % m for x in row] for row, m in zip(lift, amb)], dtype=self.dtype)
@@ -247,7 +277,7 @@ class ModuleMap:
         if not _same_module(other.target, M):
             raise ShapeMismatch("composition shape mismatch")
         X = other.images
-        if other.target is not M:  # an equal presentation: change to M's coordinates
+        if other.target is not M:  # the same relation span: change to M's coordinates
             X = _reduce(M.quotient()[1] @ _lifted(other), M.quotient()[0])
         return _map_from_images(other.source, self.target, _map_matrix(self) @ X)
 
@@ -277,7 +307,7 @@ def _lifted(f):
 def _kills_relations(F, M, moduli):
     """Whether F, a matrix on M's flattened coordinates, sends every relation
     of M to zero modulo the moduli of its rows."""
-    return not _reduce(F @ M.relation_array().T, moduli).any()
+    return not _reduce(F @ M.relation_array.T, moduli).any()
 
 
 def _same_module(M, N):
@@ -346,7 +376,7 @@ def _combination_rows(C, N):
 def _hom_vectors(M, N):
     """Additive generators of Hom(M, N) as hom coordinates: the images of M's
     generators in N's quotient coordinates that every relation of M kills."""
-    rows = _combination_rows(M.relation_array(), N).tolist()
+    rows = _combination_rows(M.relation_array, N).tolist()
     return linalg.congruence_kernel(rows, list(N.quotient()[0]) * len(M.relations), _hom_moduli(M, N))
 
 
@@ -456,11 +486,13 @@ def projective_cover(M):
 def _syzygy(M):
     """(Omega M, its inclusion into the projective cover).  Over a QF ring,
     a cover sending generator i to M's generator i also gives Omega M's
-    envelope and cokernel (see the module docstring)."""
+    envelope and cokernel (see the module docstring), unless Omega M, an
+    equal presentation met before, already has an envelope."""
     cover = projective_cover(M)
     K, inc = kernel(cover)
     if cover.source.generators == M.generators and rc.is_quasi_frobenius(M.ring):
-        K._cache["injective_envelope"], K._cache["_cosyzygy"] = inc, (M, cover)
+        if K._cache.setdefault("injective_envelope", inc) is inc:
+            K._cache.setdefault("_cosyzygy", (M, cover))
     return K, inc
 
 
@@ -469,6 +501,7 @@ def heller_shift(M):
     return _syzygy(M)[0]
 
 
+@_per_map
 def heller_of_map(f):
     """A map Omega(f): Omega(source) -> Omega(target) lifting f through covers."""
     M, N = f.source, f.target
@@ -518,6 +551,7 @@ def _through_envelope(M, N):
     return _combination_rows(_lifted(injective_envelope(M)).T, N)
 
 
+@_per_map
 def omega_inverse_of_map(f):
     """The map induced on cokernels of the fixed free embeddings.
 
@@ -669,8 +703,9 @@ def heller_cube_check(R, sample):
     return True
 
 
+@_per_pair
 def stable_hom(M, N):
-    """(dimension over the residue field, representatives).
+    """(dimension over the residue field, tuple of representatives).
 
     The stable group is Hom(M, N) modulo maps factoring through the fixed
     embedding of M into a free module.
@@ -689,17 +724,15 @@ def stable_hom(M, N):
         if not span.contains(v):
             reps.append(_map_from_hom(M, N, v))
             span = span.extend([v])
-    return dim, reps
+    return dim, tuple(reps)
 
 
+@_per_pair
 def stable_projective_span(M, N):
     """Subgroup of hom coordinates of the maps factoring through the
-    embedding, computed once per pair (in M's cache): the column span of
-    `_through_envelope`, psi running over the maps from the free module."""
-    key = ("stable_projective_span", N)
-    if key not in M._cache:
-        M._cache[key] = linalg.Subgroup(_through_envelope(M, N).T.tolist(), _hom_moduli(M, N))
-    return M._cache[key]
+    embedding: the column span of `_through_envelope`, psi running over the
+    maps from the free module."""
+    return linalg.Subgroup(_through_envelope(M, N).T.tolist(), _hom_moduli(M, N))
 
 
 def stable_class_is_zero(f):

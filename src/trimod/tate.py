@@ -8,9 +8,10 @@ nonvanishing of x on the homotopy of the cofiber of x.
 
 The shifts Omega^j x and Omega^j y are kept on Heller ladders: each degree
 is reached from its neighbour toward 0 by one `heller_of_map` or
-`omega_inverse_of_map`, so each shift of a map is computed once per degree.
-The ladders stay on the objects of `omegas`, since Omega^-1 of a syzygy is
-the module it came from (see `modules`).
+`omega_inverse_of_map`, each computed once per map.  The ladders stay on the
+objects of `omegas`, since Omega^-1 of a syzygy is the module it came from,
+and Omega^2 k comes out as k itself: `omegas` holds at most two modules
+(see `modules`).
 """
 
 from __future__ import annotations

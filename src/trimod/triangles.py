@@ -42,11 +42,14 @@ class Triangle:
 
 
 def _lift_entry(alg, R, x):
-    """k[x]/(x^2) element to a cycle in the DG algebra: 1 -> 1, x -> u."""
+    """k[x]/(x^2) element to a cycle in the DG algebra: 1 -> 1, x -> u, and
+    y^t -> v^-t when |v| = -|y|."""
     out = {}
     for (bidx, t), c in x.terms.items():
         if alg.vdeg == 0 and t != 0:
             raise LiftFailure("periodic coefficient in a non-periodic model")
+        if alg.vdeg < 0:
+            t = -t
         if bidx == 0:
             out[(t, 0, 0)] = c
         elif bidx == 1:
@@ -57,7 +60,8 @@ def _lift_entry(alg, R, x):
 
 
 def _check_lift_ring(R, n):
-    """The ring must be k[x]/(x^2) with a unit of degree 3|x| + n."""
+    """The ring must be k[x]/(x^2) with a unit of degree 3|x| + n, or of its
+    negative: y^-1 is then that unit."""
     if R.dim != 2 or R.degrees[0] != 0:
         raise LiftFailure("expected a rank-2 exterior algebra over a graded field")
     i = R.degrees[1]
@@ -66,7 +70,7 @@ def _check_lift_ring(R, n):
         if R.periodicity is not None:
             raise LiftFailure("unexpected periodicity: 3|x| + n = 0 needs none")
     else:
-        if R.periodicity is None or R.periodicity[1] != vdeg:
+        if R.periodicity is None or R.periodicity[1] != abs(vdeg):
             raise LiftFailure(f"need an invertible element of degree {vdeg}")
     p = R.char
     if p == 0 or not linalg.is_prime(p):

@@ -253,6 +253,15 @@ def test_cli_dg_verify_triangles_keep_the_window(capsys):
     assert report["window"] == [-6, 6] and report["triangles"] is True
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cli_dg_verify_negative_period(p, capsys):
+    # 3i + n = -2: the random triangles run over the ring with |y| = 2,
+    # whose y^-1 is the model's unit v of degree -2
+    code, out, err = _run(["dg-verify", "--p", str(p), "--i", "-1", "--n", "1", "--json"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["triangles"] is True
+
+
 @pytest.mark.parametrize("argv", [["--p", "4", "--i", "1", "--n", "1"],
                                   ["--p", "3", "--i", "1", "--n", "1", "--weight", "2"]])
 def test_cli_dg_verify_input_errors_exit_2(argv, capsys):

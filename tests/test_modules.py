@@ -499,3 +499,33 @@ def test_heller_inverse_undoes_heller_shift_on_minimal_modules():
     omega = heller_shift(M)
     assert "injective_envelope" not in omega._cache and "_cosyzygy" not in omega._cache
     assert heller_inverse(omega) is not M
+
+
+def test_equal_presentations_are_one_module():
+    R = f3t3()
+    t = t_elem(R)
+    M = FiniteModule(R, 2, [[t, R.zero()]])
+    assert FiniteModule(R, 2, [[t, R.zero()]]) is M
+    assert quotient_module(R, [t]) is FiniteModule(R, 1, [[t]])
+    # the same relation coordinates over another ring, or another generator count
+    S = con.truncated_polynomial(5, 3)
+    N = FiniteModule(S, 2, [[t_elem(S), S.zero()]])
+    assert N is not M and (N.size(), M.size()) == (5 ** 4, 3 ** 4)
+    assert FiniteModule(R, 3, [[t, R.zero(), R.zero()]]) is not M
+    # a separate but equal ring keeps its own modules
+    R2 = f3t3()
+    assert R2 == R and FiniteModule(R2, 2, [[t_elem(R2), R2.zero()]]) is not M
+
+
+def test_interned_syzygy_keeps_an_earlier_envelope():
+    R = con.group_algebra_cyclic(3, 2)
+    k = residue_module(R)
+    emb = md.injective_envelope(k)
+    inv = heller_inverse(k)
+    assert heller_shift(heller_shift(k)) is k
+    assert md.injective_envelope(k) is emb and heller_inverse(k) is inv
+    # with no envelope before, Omega(Omega k) = k seeds it: Omega^-1 k is Omega k
+    R = con.group_algebra_cyclic(3, 2)
+    k = residue_module(R)
+    omega = heller_shift(k)
+    assert heller_shift(omega) is k and heller_inverse(k) is omega

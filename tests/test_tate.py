@@ -174,3 +174,35 @@ def test_heller_ladders_stay_on_the_omegas(monkeypatch):
     # the cofiber of x is built on the rank-1 cover of k
     assert md.injective_envelope(T.x_rep.source) is md._syzygy(T.omegas[0])[1]
     assert len(computed) <= hi - lo + 1
+
+
+def test_generation_verdict_folds_onto_the_period(monkeypatch):
+    # Omega^2 k = k over F_3[t]/t^9: the ladders close after two syzygies
+    syzygies, shifts, made = [], [], []
+    inner = md._syzygy.__wrapped__
+    monkeypatch.setattr(md, "_syzygy", rc.per_object(functools.wraps(inner)(
+        lambda M: syzygies.append(M) or inner(M))))
+    for name in ("heller_of_map", "omega_inverse_of_map"):
+        body = getattr(md, name).__wrapped__
+        monkeypatch.setattr(md, name, md._per_map(functools.wraps(body)(
+            lambda f, body=body: shifts.append(f) or body(f))))
+    build = tate.tate_ring
+    monkeypatch.setattr(tate, "tate_ring", lambda *a: made.append(build(*a)) or made[-1])
+    assert tate.ggh_verdict(3, 2, (-6, 6))["verdict"] == "fails"
+    (T,) = made
+    assert len(syzygies) == 2
+    assert len({id(M) for M in T.omegas.values()}) == 2
+    assert len(shifts) == 8  # one per distinct map, where one per degree would be 2 * (hi - lo)
+
+
+def bccm_holds(p, n):
+    """Benson, Chebolu, Christensen and Minac: for a p-group G, generation
+    holds in stmod(kG) exactly when G is C_2 or C_3."""
+    return p ** n in (2, 3)
+
+
+@pytest.mark.parametrize("p, n", [(5, 1), (7, 1), (5, 2), (2, 5)])
+def test_ggh_regression_verdicts(p, n):
+    v = tate.ggh_verdict(p, n)
+    assert (v["verdict"] == "holds") == bccm_holds(p, n)
+    assert v["condition1"] and not v["condition2"]
