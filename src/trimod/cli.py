@@ -100,6 +100,8 @@ def cmd_heller(args):
 
 def cmd_dg_verify(args):
     window = _parse_window(args.window)
+    if args.trials < 0:
+        raise ParseError(f"bad trial count {args.trials}, expected at least 0")
     report = {"command": "dg-verify", "p": args.p, "i": args.i, "n": args.n,
               "window": list(window), "weight": args.weight,
               "trials": args.trials, "seed": args.seed}

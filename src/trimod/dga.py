@@ -3,21 +3,23 @@
 A = k<a, u> / (a^2, au + ua + v) with |u| = i, |a| = 2i + n, |v| = 3i + n,
 da = u^2, du = 0, and the signed Leibniz rule d(xy) = d(x)y + (-1)^{n|x|}xd(y).
 Normal-form monomials are v^t a^eps u^m with eps in {0, 1}; the rewriting
-rules a*a -> 0 and u*a -> -a*u - v terminate and are confluent, which the
-constructor cross-checks with a generic word rewriter.
+rules a*a -> 0 and u*a -> -a*u - v terminate and are confluent, and the
+products of normal forms are stated in closed form (`_mul_monomials`).
 
-Well-definedness of d forces a parity condition on (i, n, char k); the
-constructor raises ParityObstruction when it fails.
+d is well defined when it kills both relations: d(a^2) = (1 + (-1)^n) a u^2
+and d(ua + au + v) = (1 + (-1)^{ni}) u^3.  So for odd p both n and i must be
+odd, and the constructor raises ParityObstruction otherwise.
 
 Modules and maps are seen only through degree slices over F_p, with
-u-weights m <= W.  Each algebra caches the monomial basis of its slice A_s
-and, per slice, the matrices of d_A and of multiplication by a monomial.
-The degree-q slice of a semifree module is the direct sum over generators j
-of A_{q - deg(gen_j)}, so its differential is a block matrix: d_A on the
-diagonal blocks, and in block (i, j) right multiplication by diff[i][j]
-times the Leibniz sign (-1)^{n s}, s being the degree of every coefficient
-in the block.  A chain map's slice matrix is the same assembly without the
-diagonal.  Terms past the weight bound are dropped.
+u-weights m <= W, where W >= 4.  Each algebra caches the monomial basis of
+its slice A_s and, per slice, the matrices of d_A and of multiplication by a
+monomial (`rings.per_object`).  The degree-q slice of a semifree module is
+the direct sum over generators j of A_{q - deg(gen_j)}, so its differential
+is a block matrix: d_A on the diagonal blocks, and in block (i, j) right
+multiplication by diff[i][j] times the Leibniz sign (-1)^{n s}, s being the
+degree of every coefficient in the block.  A chain map's slice matrix is the
+same assembly without the diagonal.  Terms past the weight bound are
+dropped.
 
 Homology is computed slice by slice.  The one elimination of a slice that
 picks the representative cycles also yields the slice's coordinate map, so
@@ -44,6 +46,7 @@ import itertools
 import numpy as np
 
 from . import linalg
+from . import rings as rc
 from .errors import (
     NotChainMap,
     ParityObstruction,
@@ -138,9 +141,8 @@ class DGAlgebra:
         self.adeg = 2 * i + n
         # padding -> {degree: homology record of A as a module over itself}
         self.algebra_slices = {}
-        # degree s -> monomial basis of A_s; (s, key, left) -> slice matrix
-        self.slice_bases = {}
-        self.slice_matrices = {}
+        # slice bases and slice matrices, see rings.per_object
+        self._cache = {}
 
     def monomial_degree(self, t, e, m):
         return t * self.vdeg + e * self.adeg + m * self.i
@@ -239,140 +241,60 @@ class DGAlgebra:
         return f"DGAlgebra(p={self.p}, i={self.i}, n={self.n})"
 
 
-# ---------------------------------------------------------------------------
-# generic word rewriting, used to validate the closed forms
-# ---------------------------------------------------------------------------
-
-def _rewrite_word(alg, coeff, vpow, word):
-    """Rewrite a word in letters 'a', 'u' to normal-form terms.
-
-    Rules: 'aa' -> 0, 'ua' -> -'au' - v.  Returns {(t, e, m): coeff}.
-    """
-    out = {}
-    stack = [(coeff, vpow, list(word))]
-    while stack:
-        c, t, w = stack.pop()
-        changed = False
-        for pos in range(len(w) - 1):
-            if w[pos] == "a" and w[pos + 1] == "a":
-                changed = True
-                break  # term dies
-            if w[pos] == "u" and w[pos + 1] == "a":
-                w1 = w[:pos] + ["a", "u"] + w[pos + 2:]
-                w2 = w[:pos] + w[pos + 2:]
-                stack.append((-c, t, w1))
-                stack.append((-c, t + 1, w2))
-                changed = True
-                break
-        if changed:
-            continue
-        e = w.count("a")
-        m = w.count("u")
-        if alg.vdeg == 0:
-            t = 0
-        key = (t, e, m)
-        out[key] = (out.get(key, 0) + c) % alg.p
-    return {k: c for k, c in out.items() if c}
-
-
-def _word_differential(alg, coeff, vpow, word):
-    """Formal Leibniz differential of a word; returns rewritten terms."""
-    out = {}
-    prefix_deg = vpow * alg.vdeg
-    for pos, letter in enumerate(word):
-        if letter != "a":
-            prefix_deg += alg.i
-            continue
-        sign = -1 if (alg.n * prefix_deg) % 2 else 1
-        new_word = word[:pos] + ["u", "u"] + word[pos + 1:]
-        for k, c in _rewrite_word(alg, coeff * sign, vpow, new_word).items():
-            out[k] = (out.get(k, 0) + c) % alg.p
-        prefix_deg += alg.adeg
-    return {k: c for k, c in out.items() if c}
-
-
-def _check_well_defined(alg):
-    """d must kill both defining relations, and rewriting must be confluent."""
-    # d(a*a) = 0
-    if _word_differential(alg, 1, 0, ["a", "a"]):
-        raise ParityObstruction(
-            f"differential not well-defined at (p={alg.p}, i={alg.i}, n={alg.n}): d(a*a) != 0"
-        )
-    # d(u*a + a*u + v) = d(u*a) + d(a*u) (dv = 0)
-    acc = {}
-    for w in (["u", "a"], ["a", "u"]):
-        for k, c in _word_differential(alg, 1, 0, w).items():
-            acc[k] = (acc.get(k, 0) + c) % alg.p
-    if any(c for c in acc.values()):
-        raise ParityObstruction(
-            f"differential not well-defined at (p={alg.p}, i={alg.i}, n={alg.n}): d(ua+au+v) != 0"
-        )
-    # confluence: all words of length <= 4 rewrite consistently with the
-    # closed-form monomial product
-    letters = {"a": alg.gen_a(), "u": alg.gen_u()}
-    for length in range(5):
-        for word in itertools.product(letters, repeat=length):
-            terms = _rewrite_word(alg, 1, 0, list(word))
-            # same word evaluated through normal-form multiplication
-            acc = alg.one()
-            for letter in word:
-                acc = alg.multiply(acc, letters[letter])
-            if terms != acc.terms:
-                raise ShapeMismatch(f"rewriting disagreement on word {''.join(word)}")
-
-
 def build_two_generator_dga(p, i, n, weight=DEFAULT_WEIGHT):
-    """Validated algebra; raises ParityObstruction when d is ill-defined."""
+    """Validated algebra; raises ParityObstruction when d is ill-defined (see
+    the module docstring), and WeightOverflow when the weight bound is below
+    4, so that every product of four generators, up to u^4, is kept."""
     if p < 2 or not linalg.is_prime(p):
         raise ShapeMismatch("coefficient field must be a prime field")
-    alg = DGAlgebra(p, i, n, weight)
-    _check_well_defined(alg)
-    return alg
+    where = f"differential not well-defined at (p={p}, i={i}, n={n})"
+    if p != 2 and n % 2 == 0:
+        raise ParityObstruction(f"{where}: d(a*a) != 0")
+    if p != 2 and n * i % 2 == 0:
+        raise ParityObstruction(f"{where}: d(ua+au+v) != 0")
+    if weight < 4:
+        raise WeightOverflow(f"u-exponent {max(weight + 1, 0)} exceeds bound {weight}")
+    return DGAlgebra(p, i, n, weight)
 
 
 # ---------------------------------------------------------------------------
 # slices of A and their matrices
 # ---------------------------------------------------------------------------
 
+@rc.per_object
 def _algebra_basis(alg, s):
     """Monomials (t, e, m) of A in degree s with m <= W, ordered by (e, m)."""
-    basis = alg.slice_bases.get(s)
-    if basis is None:
-        basis = []
-        for e in (0, 1):
-            for m in range(alg.weight + 1):
-                r = s - e * alg.adeg - m * alg.i
-                if alg.vdeg != 0:
-                    if r % alg.vdeg == 0:
-                        basis.append((r // alg.vdeg, e, m))
-                elif r == 0:
-                    basis.append((0, e, m))
-        alg.slice_bases[s] = basis
+    basis = []
+    for e in (0, 1):
+        for m in range(alg.weight + 1):
+            r = s - e * alg.adeg - m * alg.i
+            if alg.vdeg != 0:
+                if r % alg.vdeg == 0:
+                    basis.append((r // alg.vdeg, e, m))
+            elif r == 0:
+                basis.append((0, e, m))
     return basis
 
 
+@rc.per_object
 def _algebra_matrix(alg, s, key=None, left=False):
     """Matrix on A_s over F_p, as an array of shape (target, source): d_A
     when key is None, else x -> x * key, or key * x when left.  Terms past
     the weight bound are dropped."""
-    mat = alg.slice_matrices.get((s, key, left))
-    if mat is None:
-        src = _algebra_basis(alg, s)
-        if key is None:
-            images = [alg._diff_monomial(k) for k in src]
-            target = s - alg.n
-        else:
-            images = [alg._mul_monomials(key, k) if left else alg._mul_monomials(k, key) for k in src]
-            target = s + alg.monomial_degree(*key)
-        pos = {k: r for r, k in enumerate(_algebra_basis(alg, target))}
-        mat = np.zeros((len(pos), len(src)), dtype=np.int64)
-        for col, terms in enumerate(images):
-            for k, c in terms.items():
-                if k in pos:
-                    mat[pos[k], col] += c
-        mat %= alg.p
-        alg.slice_matrices[(s, key, left)] = mat
-    return mat
+    src = _algebra_basis(alg, s)
+    if key is None:
+        images = [alg._diff_monomial(k) for k in src]
+        target = s - alg.n
+    else:
+        images = [alg._mul_monomials(key, k) if left else alg._mul_monomials(k, key) for k in src]
+        target = s + alg.monomial_degree(*key)
+    pos = {k: r for r, k in enumerate(_algebra_basis(alg, target))}
+    mat = np.zeros((len(pos), len(src)), dtype=np.int64)
+    for col, terms in enumerate(images):
+        for k, c in terms.items():
+            if k in pos:
+                mat[pos[k], col] += c
+    return mat % alg.p
 
 
 def _right_multiplication(alg, s, x, sign=1):
@@ -691,7 +613,7 @@ def u_action_matrix(M, H, q):
     alg = M.alg
     cols = [q - gd for gd in M.gen_degrees]
     mat = _block_matrix(alg, [s + alg.i for s in cols], cols,
-                        lambda i, j: _algebra_matrix(alg, cols[j], (0, 0, 1), left=True) if i == j else None)
+                        lambda i, j: _algebra_matrix(alg, cols[j], (0, 0, 1), True) if i == j else None)
     return induced_matrix(mat, H[q], H[q + alg.i], alg.p)
 
 

@@ -34,9 +34,12 @@ module spans the same maps through projectives: stable homs are unchanged.
 A module is its presentation.  Constructing one with the ring, generator
 count and relation columns of an existing module returns that object, from a
 table in the ring's cache that is freed with the ring; so equal
-presentations share one cache per ring.  Covers, syzygies, envelopes, stable
-homs and the shifts of maps are computed once per presentation, and a Heller
-ladder with Omega^2 k = k (as over F_p[t]/(t^{p^n})) closes after two steps.
+presentations share one cache per ring.  The quotient form, covers,
+syzygies, envelopes and stable homs are computed once per presentation
+(`rings.per_object`, keyed by the function and its further arguments), the
+shifts of a map once per source, target and image array (`_per_map`), so
+the Heller shifts of a module with Omega^2 k = k (as over F_p[t]/(t^{p^n}))
+close after two steps.
 """
 
 from __future__ import annotations
@@ -77,17 +80,6 @@ def _blockwise(mats, V):
     b = mats.shape[1]
     n, m = V.shape
     return np.matmul(mats[:, None], V.reshape(n // b, b, m)[None]).reshape(len(mats), n, m)
-
-
-def _per_pair(fn):
-    """Compute fn(M, N) once per pair of modules, in M._cache."""
-    @functools.wraps(fn)
-    def once(M, N):
-        key = (fn.__name__, N)
-        if key not in M._cache:
-            M._cache[key] = fn(M, N)
-        return M._cache[key]
-    return once
 
 
 def _per_map(fn):
@@ -154,27 +146,25 @@ class FiniteModule:
         D = self.ring.dim
         return [self.ring.from_full_coords(vec[i * D:(i + 1) * D]) for i in range(self.generators)]
 
+    @rc.per_object
     def quotient(self):
         """(qmoduli, proj, lift) for the underlying additive group, proj and
         lift as integer arrays reduced modulo qmoduli and the ambient moduli."""
-        if "quotient" not in self._cache:
-            amb = self.ambient_moduli
-            qm, proj, lift = linalg.quotient_presentation(
-                _closure(_ring_action(self.ring), self.relation_array), amb)
-            # reduced before conversion: Smith transforms can exceed int64
-            P = np.array([[x % m for x in row] for row, m in zip(proj, qm)], dtype=self.dtype)
-            L = np.array([[x % m for x in row] for row, m in zip(lift, amb)], dtype=self.dtype)
-            self._cache["quotient"] = qm, P.reshape(len(qm), len(amb)), L.reshape(len(amb), len(qm))
-        return self._cache["quotient"]
+        amb = self.ambient_moduli
+        qm, proj, lift = linalg.quotient_presentation(
+            _closure(_ring_action(self.ring), self.relation_array), amb)
+        # reduced before conversion: Smith transforms can exceed int64
+        P = np.array([[x % m for x in row] for row, m in zip(proj, qm)], dtype=self.dtype)
+        L = np.array([[x % m for x in row] for row, m in zip(lift, amb)], dtype=self.dtype)
+        return qm, P.reshape(len(qm), len(amb)), L.reshape(len(amb), len(qm))
 
+    @rc.per_object
     def action(self):
         """Array of shape (dim R, r, r): how each ring basis element acts on
         the r quotient coordinates."""
-        if "action" not in self._cache:
-            qm, P, L = self.quotient()
-            moved = _reduce(_blockwise(_ring_action(self.ring).astype(L.dtype), L), self.ambient_moduli)
-            self._cache["action"] = _reduce(np.matmul(P, moved), qm)
-        return self._cache["action"]
+        qm, P, L = self.quotient()
+        moved = _reduce(_blockwise(_ring_action(self.ring).astype(L.dtype), L), self.ambient_moduli)
+        return _reduce(np.matmul(P, moved), qm)
 
     def act_coords(self, C):
         """Matrices of multiplication by the ring elements whose full
@@ -257,7 +247,7 @@ class ModuleMap:
         X = _reduce(np.asarray(images).reshape(len(qm), source.generators), qm).astype(target.dtype)
         X.setflags(write=False)
         self.images = X
-        self._quotient_matrix = None  # see _map_matrix
+        self._cache = {}
         if check and not _kills_relations(_free_matrix(self), source, qm):
             raise IllFormedMap("matrix does not map source relations into target relations")
 
@@ -351,16 +341,15 @@ def _free_matrix(f):
     return _reduce(np.matmul(A, f.images).transpose(1, 2, 0).reshape(r, n), N.quotient()[0])
 
 
+@rc.per_object
 def _map_matrix(f):
     """The matrix of f on quotient coordinates: images of the source's
     additive generators (its quotient unit vectors) in the target's.
     Computed once per map (maps are not changed after construction) and
     returned read-only."""
-    if f._quotient_matrix is None:
-        X = _reduce(_free_matrix(f) @ f.source.quotient()[2], f.target.quotient()[0])
-        X.setflags(write=False)
-        f._quotient_matrix = X
-    return f._quotient_matrix
+    X = _reduce(_free_matrix(f) @ f.source.quotient()[2], f.target.quotient()[0])
+    X.setflags(write=False)
+    return X
 
 
 def _combination_rows(C, N):
@@ -491,8 +480,8 @@ def _syzygy(M):
     cover = projective_cover(M)
     K, inc = kernel(cover)
     if cover.source.generators == M.generators and rc.is_quasi_frobenius(M.ring):
-        if K._cache.setdefault("injective_envelope", inc) is inc:
-            K._cache.setdefault("_cosyzygy", (M, cover))
+        if K._cache.setdefault(("injective_envelope",), inc) is inc:
+            K._cache.setdefault(("_cosyzygy",), (M, cover))
     return K, inc
 
 
@@ -703,7 +692,7 @@ def heller_cube_check(R, sample):
     return True
 
 
-@_per_pair
+@rc.per_object
 def stable_hom(M, N):
     """(dimension over the residue field, tuple of representatives).
 
@@ -727,7 +716,7 @@ def stable_hom(M, N):
     return dim, tuple(reps)
 
 
-@_per_pair
+@rc.per_object
 def stable_projective_span(M, N):
     """Subgroup of hom coordinates of the maps factoring through the
     embedding: the column span of `_through_envelope`, psi running over the

@@ -59,13 +59,14 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
 def per_object(fn):
-    """Compute fn(obj) once per immutable object, in obj._cache.  A call that
-    raises caches nothing."""
+    """Compute fn(obj, *args) once per immutable object and arguments, in
+    obj._cache under (fn.__name__, *args).  A call that raises caches nothing."""
     @functools.wraps(fn)
-    def once(obj):
-        if fn.__name__ not in obj._cache:
-            obj._cache[fn.__name__] = fn(obj)
-        return obj._cache[fn.__name__]
+    def once(obj, *args):
+        key = (fn.__name__, *args)
+        if key not in obj._cache:
+            obj._cache[key] = fn(obj, *args)
+        return obj._cache[key]
     return once
 
 

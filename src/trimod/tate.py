@@ -6,12 +6,11 @@ with |x| = 1, |y| = 2; for p = 2 it is the graded field F_2[y^{+-1}] with
 |y| = 1.  The generation verdict combines the shape of this ring with the
 nonvanishing of x on the homotopy of the cofiber of x.
 
-The shifts Omega^j x and Omega^j y are kept on Heller ladders: each degree
-is reached from its neighbour toward 0 by one `heller_of_map` or
-`omega_inverse_of_map`, each computed once per map.  The ladders stay on the
-objects of `omegas`, since Omega^-1 of a syzygy is the module it came from,
-and Omega^2 k comes out as k itself: `omegas` holds at most two modules
-(see `modules`).
+The shifts Omega^j x and Omega^j y are read from `omega_power_of_map`,
+whose steps `heller_of_map` and `omega_inverse_of_map` are each computed once
+per map and cached on the modules.  They stay on the objects of `omegas`,
+since Omega^-1 of a syzygy is the module it came from, and Omega^2 k comes
+out as k itself: `omegas` holds at most two modules (see `modules`).
 """
 
 from __future__ import annotations
@@ -27,37 +26,21 @@ DEFAULT_WINDOW = (-6, 6)
 class TateRing:
     """Windowed stable-homotopy ring data for k over F_p[t]/(t^{p^n})."""
 
-    def __init__(self, p, n, window, ring, dims, omegas, pi_reps, x_shifts, y_shifts):
+    def __init__(self, p, n, window, ring, dims, omegas, x_rep, y_rep):
         self.p = p
         self.n = n
         self.window = window
         self.ring = ring
         self.dims = dims
         self.omegas = omegas
-        self.pi_reps = pi_reps
-        self.x_shifts = x_shifts  # Heller ladder {j: Omega^j x}, see shifted
-        self.y_shifts = y_shifts
-        self.x_rep = x_shifts[0]
-        self.y_rep = y_shifts[0]
-
-
-def _map_minus(f, g):
-    return md._map_from_images(f.source, f.target, f.images - g.images)
-
-
-def _map_scale(f, c):
-    return md._map_from_images(f.source, f.target, f.images * c)
-
-
-def stable_coefficient(f, rep, p):
-    """lambda with f = lambda * rep stably, for a 1-dimensional group."""
-    for lam in range(p):
-        if md.stable_class_is_zero(_map_minus(f, _map_scale(rep, lam))):
-            return lam
-    raise ShapeMismatch("class not proportional to the chosen representative")
+        self.x_rep = x_rep
+        self.y_rep = y_rep
 
 
 def _build_omegas(k, window):
+    """Omega^j k over the window.  The syzygies come first: each seeds its
+    own envelope with its inclusion into the cover, so that no inverse shift
+    computes an envelope from Hom."""
     lo, hi = window
     omegas = {0: k}
     for j in range(1, hi + 1):
@@ -65,19 +48,6 @@ def _build_omegas(k, window):
     for j in range(-1, lo - 1, -1):
         omegas[j] = md.heller_inverse(omegas[j + 1])
     return omegas
-
-
-def shifted(ladder, j):
-    """Omega^j f from a Heller ladder {j: Omega^j f} over an interval holding
-    0, first extended one shift at a time until it reaches j."""
-    while j not in ladder:
-        if j > 0:
-            top = max(ladder)
-            ladder[top + 1] = md.heller_of_map(ladder[top])
-        else:
-            bottom = min(ladder)
-            ladder[bottom - 1] = md.omega_inverse_of_map(ladder[bottom])
-    return ladder[j]
 
 
 def tate_ring(p, n, window=DEFAULT_WINDOW):
@@ -102,29 +72,26 @@ def tate_ring(p, n, window=DEFAULT_WINDOW):
             raise ShapeMismatch(f"pi_{j} has dimension {d}, expected 1")
     x_rep = reps[1][0]
     y_rep = reps[2][0]
-    xs, ys = {0: x_rep}, {0: y_rep}
 
-    xx = x_rep.compose(shifted(xs, 1))
+    xx = x_rep.compose(md.omega_power_of_map(x_rep, 1))
     if p == 2 and not md.stable_class_is_zero(xx):
         # the degree-1 class is invertible: graded field F_2[y^{+-1}], |y| = 1
         ring = con.laurent_field(2, 1)
-        return TateRing(p, n, window, ring, dims, omegas, reps, xs, ys)
+        return TateRing(p, n, window, ring, dims, omegas, x_rep, y_rep)
 
-    # x^2 = 0 and y * x != 0
-    lam = stable_coefficient(xx, y_rep, p)
-    if lam != 0:
+    # x^2 = 0 (pi_2 is 1-dimensional) and y * x != 0
+    if not md.stable_class_is_zero(xx):
         raise ShapeMismatch("degree-1 class does not square to zero")
-    yx = y_rep.compose(shifted(xs, 2))
+    yx = y_rep.compose(md.omega_power_of_map(x_rep, 2))
     if md.stable_class_is_zero(yx):
         raise ShapeMismatch("product of the degree-1 and degree-2 classes vanishes")
     # y-periodicity: composing with y is injective on every 1-dim slice
     for j in range(lo, hi - 1):
-        c = reps[j][0]
-        prod = c.compose(shifted(ys, j))
+        prod = reps[j][0].compose(md.omega_power_of_map(y_rep, j))
         if md.stable_class_is_zero(prod):
             raise ShapeMismatch(f"periodicity fails: y * pi_{j} = 0")
     ring = con.laurent_exterior(p, 1, 2)
-    return TateRing(p, n, window, ring, dims, omegas, reps, xs, ys)
+    return TateRing(p, n, window, ring, dims, omegas, x_rep, y_rep)
 
 
 def cofiber_stmod(f):
@@ -151,28 +118,14 @@ def cofiber_stmod(f):
     return C, n_to_c, c_to_omega
 
 
-def homotopy_of(T, M, window=None):
-    """pi_j M = stable maps Omega^j k -> M for j in the window."""
-    if window is None:
-        window = T.window
-    lo, hi = window
-    out = {}
-    for j in range(lo, hi + 1):
-        out[j] = md.stable_hom(T.omegas[j], M)
-    return out
-
-
-def x_action_report(T, C, window=None):
-    """Rank of multiplication by x on pi_j C for each usable degree j."""
-    if window is None:
-        lo, hi = T.window
-        window = (lo, hi - 1)
-    lo, hi = window
-    piC = homotopy_of(T, C, (lo, hi))
+def x_action_report(T, C):
+    """Rank of multiplication by x on pi_j C = stable maps Omega^j k -> C, for
+    each usable degree j."""
+    lo, hi = T.window
     report = {}
-    for j in range(lo, hi + 1):
-        dim, reps = piC[j]
-        shifted_x = shifted(T.x_shifts, j)
+    for j in range(lo, hi):
+        dim, reps = md.stable_hom(T.omegas[j], C)
+        shifted_x = md.omega_power_of_map(T.x_rep, j)
         nonzero = 0
         for c in reps:
             if not md.stable_class_is_zero(c.compose(shifted_x)):

@@ -13,6 +13,7 @@ import random
 
 from . import dga as dg
 from . import linalg
+from . import rings as rc
 from .errors import (
     LiftFailure,
     NotProjectiveInput,
@@ -81,13 +82,11 @@ def _check_lift_ring(R, n):
     return p, i
 
 
+@rc.per_object
 def _model(R, n, weight):
     """The validated DG model of R at (n, weight), built once per ring and
-    cached in R._cache with its slice bases, slice matrices and H(A)."""
-    key = ("dg_model", n, weight)
-    if key not in R._cache:
-        R._cache[key] = dg.build_two_generator_dga(*_check_lift_ring(R, n), n, weight)
-    return R._cache[key]
+    cached with its slice bases, slice matrices and H(A)."""
+    return dg.build_two_generator_dga(*_check_lift_ring(R, n), n, weight)
 
 
 def _generator_degrees(Cmod, H, window, i, vdeg, p):

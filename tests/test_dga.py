@@ -1,5 +1,6 @@
 import random
 
+import brute_force
 import pytest
 
 from trimod import constructions as con
@@ -85,6 +86,28 @@ def test_weight_overflow():
     u5 = A.monomial(m=5)
     with pytest.raises(WeightOverflow):
         _ = A.multiply(u5, u5)
+
+
+def _outcome(build, *args):
+    """None when the build passes, else the exception's type and message."""
+    try:
+        build(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+def test_build_matches_the_word_rewriter():
+    # the closed-form parity and weight checks against the generic rewriter
+    def reference(p, i, n, weight):
+        brute_force._check_well_defined(dg.DGAlgebra(p, i, n, weight))
+
+    for p in (2, 3, 5, 7):
+        for i in range(-4, 5):
+            for n in range(-4, 5):
+                for weight in (-2, -1, 0, 1, 2, 3, 4, 8):
+                    args = (p, i, n, weight)
+                    assert _outcome(dg.build_two_generator_dga, *args) == _outcome(reference, *args), args
 
 
 def test_homology_of_algebra_is_exterior():

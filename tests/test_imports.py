@@ -56,3 +56,38 @@ def test_traced_functions_exist():
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert not missing, f"functions the tracer wraps are gone: {missing}"
     assert callable(vars(importlib.import_module("trimod.rings").RingElement).get("__mul__"))
+
+
+def _library_functions():
+    """(module, name) of each top-level function under src/trimod/, and every
+    name the library refers to outside the function of that name (a call, a
+    decorator or a reference through a module)."""
+    defs, refs = [], set()
+    for path in sorted((ROOT / "src" / "trimod").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = top.name if isinstance(top, ast.FunctionDef) else None
+            if own:
+                defs.append((f"trimod.{path.stem}", own))
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if name and name != own:
+                    refs.add(name)
+    return defs, refs
+
+
+def _exported():
+    """The names the package's __init__ imports."""
+    tree = ast.parse((ROOT / "src" / "trimod" / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_every_function_has_a_library_caller():
+    defs, refs = _library_functions()
+    exported, traced = _exported(), set(_traced_functions())
+    uncalled = [(module, name) for module, name in defs if name not in refs and name not in exported]
+    assert [f"{m}.{n}" for m, n in uncalled if (m, n) not in traced] == []
+    # the tracer wraps these two, and nothing in the library calls them
+    assert {name for _, name in uncalled} == {"hom_group", "residue_field"}

@@ -271,6 +271,18 @@ def test_cli_dg_verify_input_errors_exit_2(argv, capsys):
     assert out == "" and "error:" in err
 
 
+def test_cli_dg_verify_negative_trials_exit_2(capsys):
+    argv = ["dg-verify", "--p", "3", "--i", "1", "--n", "1", "--trials", "-2"]
+    with pytest.raises(ParseError, match="bad trial count -2"):
+        cli.cmd_dg_verify(cli.build_parser().parse_args(argv))
+    code, out, err = _run(argv, capsys)
+    assert code == 2
+    assert out == "" and "input error: bad trial count -2" in err
+    # no trial at all is a valid, if empty, check
+    code, out, _ = _run(["dg-verify", "--p", "3", "--i", "1", "--n", "1", "--trials", "0"], capsys)
+    assert code == 0 and "differential calculus (0 random pairs): PASS" in out
+
+
 @pytest.mark.parametrize("p, n", [(2, -1), (4, 1), (1, 1)])
 def test_cli_ggh_bad_group_exits_2(p, n, capsys):
     code, _, err = _run(["ggh", "--p", str(p), "--n", str(n)], capsys)

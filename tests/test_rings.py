@@ -257,7 +257,7 @@ def test_failed_cap_is_not_cached():
     R = con.z_mod(6)
     with pytest.raises(NotLocal):
         maximal_ideal(R)
-    assert "maximal_ideal" not in R._cache
+    assert ("maximal_ideal",) not in R._cache
 
 
 def test_periodic_graded_field():
