@@ -26,9 +26,9 @@ picks the representative cycles also yields the slice's coordinate map, so
 class coordinates and induced matrices on homology are products, with no
 further elimination.  A module with zero differential (a free module, its
 shifts, the cone of a zero map) takes its homology from H(A): its slice
-complex is a direct sum of slices of A, whose homology each algebra computes
-once per degree, and its coordinate map is assembled block-diagonally from
-those of H(A).
+complex is a direct sum of slices of A, whose homology each algebra
+eliminates once per degree mod |v| and padding (`_algebra_homology`), and
+its coordinate map is assembled block-diagonally from those of H(A).
 
 Periodicity: when |v| != 0, the slice bases at q and q + k|v| differ only in
 the v-exponents t, shifted by k, because the basis of A_s depends on t only
@@ -139,9 +139,7 @@ class DGAlgebra:
         self.weight = weight
         self.vdeg = 3 * i + n
         self.adeg = 2 * i + n
-        # padding -> {degree: homology record of A as a module over itself}
-        self.algebra_slices = {}
-        # slice bases and slice matrices, see rings.per_object
+        # slice bases, slice matrices and H(A), see rings.per_object
         self._cache = {}
 
     def monomial_degree(self, t, e, m):
@@ -528,25 +526,33 @@ def _slices(M, degrees, padding):
     return {q: out.get(q) or dict(out[first[q % period]], basis=slice_basis(M, q)) for q in degrees}
 
 
+@rc.per_object
+def _algebra_homology(alg, s, padding):
+    """Homology record of A as a module over itself in degree s, eliminated
+    at s mod |v| and carried to s with its own basis (see the module
+    docstring)."""
+    A = DGModule(alg, [0], check=False)
+    r = s % alg.vdeg if alg.vdeg else s
+    if r != s:
+        return dict(_algebra_homology(alg, r, padding), basis=slice_basis(A, s))
+    return _slices(A, [s], padding)[s]
+
+
 def _free_homology(M, window, padding):
     """Homology of a module with zero differential: its slice complex is the
     direct sum over generators j of A at degree q - deg(gen_j), so each slice
-    is assembled from H(A), computed once per degree on the algebra, and so
-    is its coordinate map, block-diagonally.  A record |v| degrees above an
-    assembled one is that record with its own basis (see the module
-    docstring)."""
+    is assembled from H(A) (`_algebra_homology`), and so is its coordinate
+    map, block-diagonally.  A record |v| degrees above an assembled one is
+    that record with its own basis (see the module docstring)."""
     alg = M.alg
     lo, hi = window
     period = abs(alg.vdeg)
-    known = alg.algebra_slices.setdefault(padding, {})
-    missing = sorted({q - gd for q in range(lo, hi + 1) for gd in M.gen_degrees} - known.keys())
-    known.update(_slices(DGModule(alg, [0], check=False), missing, padding))
     out = {}
     for q in range(lo, hi + 1):
         if period and q - period in out:
             out[q] = dict(out[q - period], basis=slice_basis(M, q))
             continue
-        blocks = [(j, known[q - gd]) for j, gd in enumerate(M.gen_degrees)]
+        blocks = [(j, _algebra_homology(alg, q - gd, padding)) for j, gd in enumerate(M.gen_degrees)]
         size = sum(len(H["basis"]) for _, H in blocks)
         basis, reps, im = [], [], []
         for j, H in blocks:

@@ -8,8 +8,14 @@ eliminations from the moduli for `Subgroup`, `congruence_kernel`,
 * all moduli equal to one prime p, or all zero -> one Gauss-Jordan over the
   field, `modp_rref`: F_p in numpy int64, or Q (p = 0) in object arrays of
   exact numbers,
-* any other moduli                             -> integer Smith/Hermite
-  normal forms.
+* any other moduli                             -> integer normal forms:
+  - `Subgroup`: the Hermite form `hnf_columns` of the preimage lattice,
+  - `congruence_kernel`: the Hermite columns of the graph {(A x, x)} that
+    vanish on the A block,
+  - `congruence_solve`: the remainder of (b, 0) against that graph, which
+    is (0, -x) exactly when A x = b,
+  - `quotient_presentation`: the Smith form `smith_normal_form`, the one
+    elimination that splits a quotient into cyclic factors.
 
 A `Subgroup` is the span of some vectors in such a group, held in the
 canonical form of its lane (reduced echelon rows over a field, the Hermite
@@ -161,88 +167,47 @@ def modp_solve(A, b, p):
 # integer lane: Smith and Hermite normal forms
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(A, want_uinv=False):
+def smith_normal_form(A):
     """Diagonalize A over Z.
 
-    Returns (diag, U, V, Uinv) with U A V diagonal (nonnegative entries,
-    no divisibility chain enforced).  Uinv is None unless requested.
+    Returns (diag, U, Uinv) with U A V diagonal for some unimodular V
+    (nonnegative entries, no divisibility chain enforced).
     """
     nr = len(A)
     nc = len(A[0]) if nr else 0
     S = [list(map(int, row)) for row in A]
     U = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    V = [[int(i == j) for j in range(nc)] for i in range(nc)]
-    Ui = [[int(i == j) for j in range(nr)] for i in range(nr)] if want_uinv else None
-
-    def row_sub(i, k, q):  # row_i -= q*row_k ; Uinv: col_k += q*col_i
-        S[i] = [a - q * b for a, b in zip(S[i], S[k])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
-        if Ui is not None:
-            for r in range(nr):
-                Ui[r][k] += q * Ui[r][i]
-
-    def col_sub(j, k, q):  # col_j -= q*col_k
-        for r in range(nr):
-            S[r][j] -= q * S[r][k]
-        for r in range(nc):
-            V[r][j] -= q * V[r][k]
-
-    def row_swap(i, k):
-        S[i], S[k] = S[k], S[i]
-        U[i], U[k] = U[k], U[i]
-        if Ui is not None:
-            for r in range(nr):
-                Ui[r][i], Ui[r][k] = Ui[r][k], Ui[r][i]
-
-    def col_swap(j, k):
-        for r in range(nr):
-            S[r][j], S[r][k] = S[r][k], S[r][j]
-        for r in range(nc):
-            V[r][j], V[r][k] = V[r][k], V[r][j]
-
-    def row_neg(i):
-        S[i] = [-a for a in S[i]]
-        U[i] = [-a for a in U[i]]
-        if Ui is not None:
-            for r in range(nr):
-                Ui[r][i] = -Ui[r][i]
-
+    # Uinv transposed: a row operation on U is a row operation on it too
+    Uit = [row[:] for row in U]
     t = 0
     while t < min(nr, nc):
-        # locate a minimal nonzero entry in the trailing block
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if S[i][j] != 0 and (best is None or abs(S[i][j]) < abs(S[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+        # a minimal nonzero entry of the trailing block moves to (t, t)
+        nonzero = [(abs(S[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if S[i][j]]
+        if not nonzero:
             break
-        i, j = best
-        if i != t:
-            row_swap(i, t)
-        if j != t:
-            col_swap(j, t)
+        _, i, j = min(nonzero)
+        for X in (S, U, Uit):
+            X[i], X[t] = X[t], X[i]
+        for row in S:
+            row[j], row[t] = row[t], row[j]
         if S[t][t] < 0:
-            row_neg(t)
-        dirty = False
+            for X in (S, U, Uit):
+                X[t] = [-a for a in X[t]]
         for i in range(t + 1, nr):
-            if S[i][t] != 0:
-                q = S[i][t] // S[t][t]
-                row_sub(i, t, q)
-                if S[i][t] != 0:
-                    dirty = True
+            q = S[i][t] // S[t][t]
+            if q:  # row_i -= q row_t, so Uinv gains q col_i in col_t
+                S[i] = [a - q * b for a, b in zip(S[i], S[t])]
+                U[i] = [a - q * b for a, b in zip(U[i], U[t])]
+                Uit[t] = [a + q * b for a, b in zip(Uit[t], Uit[i])]
         for j in range(t + 1, nc):
-            if S[t][j] != 0:
-                q = S[t][j] // S[t][t]
-                col_sub(j, t, q)
-                if S[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        t += 1
-
-    diag = [S[i][i] for i in range(min(nr, nc))]
-    return diag, U, V, Ui
+            q = S[t][j] // S[t][t]
+            if q:
+                for row in S:
+                    row[j] -= q * row[t]
+        # remainders left in row or column t start another round
+        if not any(S[i][t] for i in range(t + 1, nr)) and not any(S[t][t + 1:]):
+            t += 1
+    return [S[i][i] for i in range(min(nr, nc))], U, [list(col) for col in zip(*Uit)]
 
 
 def hnf_columns(cols, dim):
@@ -307,14 +272,6 @@ def _moduli_cols(moduli):
     return out
 
 
-def _with_moduli(A, row_moduli):
-    """Rows of [A | diag(row_moduli)], zero moduli left out: over Z, the
-    solutions of A x = b in +Z/row_moduli are the x-parts of those of
-    [A | diag] y = b."""
-    extra = _moduli_cols(row_moduli)
-    return [list(row) + [col[i] for col in extra] for i, row in enumerate(A)]
-
-
 class Subgroup:
     """The subgroup of +Z/m_i generated by some columns; immutable.
 
@@ -338,8 +295,9 @@ class Subgroup:
         self._rows = tuple(map(tuple, R[:len(pivots)].tolist()))
         self._pivots = tuple(pivots)
 
-    def contains(self, v):
-        """Is the coordinate vector v in the subgroup?"""
+    def remainder(self, v):
+        """v reduced by the canonical rows, modulo the moduli: zero exactly
+        when v is in the subgroup."""
         v = list(v)
         for piv, row in zip(self._pivots, self._rows):
             # echelon rows over a field have pivot 1 and zeros at the other
@@ -348,7 +306,11 @@ class Subgroup:
             q = v[piv] // row[piv] if self._p is None else v[piv]
             if q:
                 v = [a - q * b for a, b in zip(v, row)]
-        return not any(_reduce_vec(v, self.moduli))
+        return _reduce_vec(v, self.moduli)
+
+    def contains(self, v):
+        """Is the coordinate vector v in the subgroup?"""
+        return not any(self.remainder(v))
 
     def size(self):
         """Number of elements; raises for a nonzero span over Q."""
@@ -390,6 +352,13 @@ class Subgroup:
         return f"Subgroup({self.cols()}, moduli={list(self.moduli)})"
 
 
+def _graph(A, nc, row_moduli, col_moduli):
+    """The graph {(A x, x)} of the nc-column matrix A, a subgroup of
+    +Z/row_moduli x +Z/col_moduli."""
+    cols = [[row[j] for row in A] + [int(i == j) for i in range(nc)] for j in range(nc)]
+    return Subgroup(cols, list(row_moduli) + list(col_moduli))
+
+
 def congruence_kernel(A, row_moduli, col_moduli):
     """Generators of {x in +Z/col_moduli : A x = 0 in +Z/row_moduli}."""
     nr = len(A)
@@ -397,24 +366,11 @@ def congruence_kernel(A, row_moduli, col_moduli):
     p = _lane(list(row_moduli) + list(col_moduli))
     if p is not None:
         return _kernel_basis(A, nc, p)[0].tolist()
-    # integer path: kernel of [A | diag(row_moduli)] projected to x-part
-    if nr == 0:
-        gens = [[int(i == j) for i in range(nc)] for j in range(nc)]
-    else:
-        aug = _with_moduli(A, row_moduli)
-        diag, U, V, _ = smith_normal_form(aug)
-        rank = sum(1 for d in diag if d != 0)
-        total = len(aug[0])
-        gens = []
-        for j in range(total):
-            if j >= rank or (j < len(diag) and diag[j] == 0):
-                col = [V[r][j] for r in range(total)]
-                x = col[:nc]
-                if any(x):
-                    gens.append(x)
-    gens += [[int(i == j) * m for i in range(nc)] for j, m in enumerate(col_moduli) if m]
-    gens = [_reduce_vec(g, col_moduli) for g in gens]
-    return [g for g in gens if any(g)] or []
+    # the Hermite columns of the graph that vanish on the A block span the
+    # kernel, since each column is zero above its pivot
+    G = _graph(A, nc, row_moduli, col_moduli)
+    gens = [_reduce_vec(row[nr:], col_moduli) for piv, row in zip(G._pivots, G._rows) if piv >= nr]
+    return [g for g in gens if any(g)]
 
 
 def congruence_solve(A, b, row_moduli):
@@ -427,26 +383,13 @@ def congruence_solve(A, b, row_moduli):
     p = _lane(row_moduli)
     if p is not None:
         return modp_solve(A, b, p)
-    aug = _with_moduli(A, row_moduli)
-    width = len(aug[0])
-    diag, U, V, _ = smith_normal_form(aug)
-    c = [sum(U[i][k] * b[k] for k in range(nr)) for i in range(nr)]
-    xprime = [0] * width
-    for i in range(nr):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if i < len(c) and c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            if i < width:
-                xprime[i] = c[i] // d
-    for i in range(min(nr, len(diag)), nr):
-        if c[i] != 0:
-            return None
-    z = [sum(V[r][k] * xprime[k] for k in range(width)) for r in range(width)]
-    return z[:nc]
+    # A x depends on x only modulo N; (b, 0) reduces by the graph to (0, -x)
+    # exactly when A x = b
+    N = math.lcm(*row_moduli)
+    r = _graph(A, nc, row_moduli, [N] * nc).remainder(list(b) + [0] * nc)
+    if any(r[:nr]):
+        return None
+    return [-x % N if N else -x for x in r[nr:]]
 
 
 def quotient_presentation(rel_cols, moduli):
@@ -465,21 +408,12 @@ def quotient_presentation(rel_cols, moduli):
     if p is not None:
         proj, free = _kernel_basis(rel_cols, D, p)
         return [p] * len(free), proj.tolist(), [[int(i == f) for f in free] for i in range(D)]
-    if D == 0:
-        return [], [], []
     cols = [list(c) for c in rel_cols] + _moduli_cols(moduli)
-    A = [[cols[j][i] for j in range(len(cols))] for i in range(D)]
-    diag, U, V, Ui = smith_normal_form(A, want_uinv=True)
-    qmoduli, proj, liftcols = [], [], []
-    for i in range(D):
-        d = diag[i] if i < len(diag) else 0
-        if d == 1:
-            continue
-        qmoduli.append(d)
-        proj.append([U[i][k] for k in range(D)])
-        liftcols.append([Ui[r][i] for r in range(D)])
-    lift = [[liftcols[j][r] for j in range(len(liftcols))] for r in range(D)]
-    return qmoduli, proj, lift
+    diag, U, Ui = smith_normal_form([[c[i] for c in cols] for i in range(D)])
+    # cyclic factors of order 1 are dropped
+    keep = [i for i in range(D) if i >= len(diag) or diag[i] != 1]
+    lift = [[Ui[r][i] for i in keep] for r in range(D)]
+    return [diag[i] if i < len(diag) else 0 for i in keep], [U[i] for i in keep], lift
 
 
 def apply_matrix(M, v):

@@ -39,7 +39,9 @@ syzygies, envelopes and stable homs are computed once per presentation
 (`rings.per_object`, keyed by the function and its further arguments), the
 shifts of a map once per source, target and image array (`_per_map`), so
 the Heller shifts of a module with Omega^2 k = k (as over F_p[t]/(t^{p^n}))
-close after two steps.
+close after two steps.  The powers Omega^j f of a map are kept per map
+object and j (`rings.per_object` on the map's `_cache`), each the shift of
+the power one step nearer to f.
 """
 
 from __future__ import annotations
@@ -560,16 +562,15 @@ def omega_inverse_of_map(f):
     return _map_from_images(heller_inverse(M), C_N, g.images, check=True)
 
 
+@rc.per_object
 def omega_power_of_map(f, j):
-    """Iterated shift of a map, negative j through the inverse shift."""
-    current = f
-    if j >= 0:
-        for _ in range(j):
-            current = heller_of_map(current)
-    else:
-        for _ in range(-j):
-            current = omega_inverse_of_map(current)
-    return current
+    """Iterated shift of a map, negative j through the inverse shift; each
+    power is the shift of the power one step nearer to f."""
+    if j > 0:
+        return heller_of_map(omega_power_of_map(f, j - 1))
+    if j < 0:
+        return omega_inverse_of_map(omega_power_of_map(f, j + 1))
+    return f
 
 
 def heller_power(M, j):

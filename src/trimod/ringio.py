@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from fractions import Fraction
 
 from . import linalg
 from .errors import ParseError
 from .modules import FiniteModule
-from .rings import GradedRing, validate_ring
+from .rings import _NAME_RE, GradedRing, validate_ring
 
-NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 RING_KEYS = {"characteristic", "basis", "periodicity", "products"}
 MODULE_KEYS = {"ring", "generators", "relations"}
 
@@ -50,6 +48,25 @@ def _coeff_in(raw, char, path):
     _fail(f"bad coefficient {raw!r}", path)
 
 
+def _element_terms(raw, index, char, path, vpow_error):
+    """(coeff, basis index, vpow) for each term of an element; vpow_error is
+    the message for a nonzero vpow, or None where one is allowed."""
+    out = []
+    for term in raw:
+        if not isinstance(term, dict) or not {"coeff", "basis"} <= set(term) \
+                or not set(term) <= {"coeff", "basis", "vpow"}:
+            _fail("terms need coeff and basis (optional vpow)", path)
+        if term["basis"] not in index:
+            _fail(f"unknown basis name {term['basis']!r}", path)
+        vpow = term.get("vpow", 0)
+        if vpow != 0 and vpow_error:
+            _fail(vpow_error, path)
+        if not isinstance(vpow, int):
+            _fail("vpow must be an integer", path)
+        out.append((_coeff_in(term["coeff"], char, path), index[term["basis"]], vpow))
+    return out
+
+
 def _coeff_out(c):
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else str(c)
@@ -74,10 +91,10 @@ def ring_from_obj(obj, path=None):
         per = obj["periodicity"]
         if not isinstance(per, dict) or set(per) != {"unit", "degree"}:
             _fail("periodicity needs exactly the keys unit and degree", path)
-        if not isinstance(per["unit"], str) or not NAME_RE.match(per["unit"]):
+        if not isinstance(per["unit"], str) or not _NAME_RE.match(per["unit"]):
             _fail(f"bad periodicity unit name {per['unit']!r}", path)
-        if not isinstance(per["degree"], int) or per["degree"] == 0:
-            _fail("periodicity degree must be a nonzero integer", path)
+        if not isinstance(per["degree"], int) or per["degree"] <= 0:
+            _fail("periodicity degree must be a positive integer", path)
         periodicity = (per["unit"], per["degree"])
 
     basis = []
@@ -88,7 +105,7 @@ def ring_from_obj(obj, path=None):
                 or not set(entry) <= {"name", "degree", "order"}:
             _fail("basis entries need name and degree (optional order)", path)
         name = entry["name"]
-        if not isinstance(name, str) or not NAME_RE.match(name):
+        if not isinstance(name, str) or not _NAME_RE.match(name):
             _fail(f"bad basis name {name!r}", path)
         if name in index or (periodicity and name == periodicity[0]):
             _fail(f"duplicate name {name!r}", path)
@@ -103,22 +120,6 @@ def ring_from_obj(obj, path=None):
     if not basis:
         _fail("basis must be nonempty", path)
 
-    def element_terms(raw):
-        out = []
-        for term in raw:
-            if not isinstance(term, dict) or not {"coeff", "basis"} <= set(term) \
-                    or not set(term) <= {"coeff", "basis", "vpow"}:
-                _fail("terms need coeff and basis (optional vpow)", path)
-            if term["basis"] not in index:
-                _fail(f"unknown basis name {term['basis']!r}", path)
-            vpow = term.get("vpow", 0)
-            if not isinstance(vpow, int):
-                _fail("vpow must be an integer", path)
-            if vpow != 0 and periodicity is None:
-                _fail("vpow requires a periodicity unit", path)
-            out.append((_coeff_in(term["coeff"], char, path), index[term["basis"]], vpow))
-        return out
-
     products = {}
     for entry in obj["products"]:
         if not isinstance(entry, dict) or set(entry) != {"left", "right", "terms"}:
@@ -129,7 +130,8 @@ def ring_from_obj(obj, path=None):
         key = (index[entry["left"]], index[entry["right"]])
         if key in products:
             _fail(f"duplicate product {entry['left']} * {entry['right']}", path)
-        products[key] = element_terms(entry["terms"])
+        products[key] = _element_terms(entry["terms"], index, char, path,
+                                       None if periodicity else "vpow requires a periodicity unit")
 
     unit = _find_unit(char, basis, products, periodicity, orders, path)
     ring = GradedRing(char, basis, products, unit, periodicity=periodicity, orders=orders)
@@ -234,17 +236,9 @@ def module_from_obj(obj, path=None, base_dir=None):
         col = []
         for raw in row:
             terms = {}
-            for term in raw:
-                if not isinstance(term, dict) or not {"coeff", "basis"} <= set(term) \
-                        or not set(term) <= {"coeff", "basis", "vpow"}:
-                    _fail("terms need coeff and basis (optional vpow)", path)
-                if term["basis"] not in index:
-                    _fail(f"unknown basis name {term['basis']!r}", path)
-                vpow = term.get("vpow", 0)
-                if not isinstance(vpow, int) or vpow != 0:
-                    _fail("module relations take no vpow: modules are over ungraded rings", path)
-                key = (index[term["basis"]], 0)
-                terms[key] = terms.get(key, 0) + _coeff_in(term["coeff"], R.char, path)
+            for c, k, _ in _element_terms(raw, index, R.char, path,
+                                          "module relations take no vpow: modules are over ungraded rings"):
+                terms[k, 0] = terms.get((k, 0), 0) + c
             col.append(R.element(terms))
         rels.append(col)
     return FiniteModule(R, gens, rels)

@@ -71,6 +71,19 @@ def test_reject_vpow_without_periodicity():
         ringio.ring_from_obj(obj)
 
 
+@pytest.mark.parametrize("degree", [0, -2])
+def test_reject_nonpositive_periodicity_degree(degree):
+    # a negative period is a parse error, not a RingSpecError from validation
+    obj = {
+        "characteristic": 2,
+        "basis": [{"name": "e", "degree": 0}],
+        "periodicity": {"unit": "v", "degree": degree},
+        "products": [{"left": "e", "right": "e", "terms": [{"coeff": 1, "basis": "e"}]}],
+    }
+    with pytest.raises(ParseError, match="periodicity degree must be a positive integer"):
+        ringio.ring_from_obj(obj)
+
+
 def test_reject_unitless_structure_constants():
     obj = {
         "characteristic": 2,

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -27,16 +28,21 @@ def test_modp_kernel_and_solve():
     assert linalg.modp_solve([[2], [1]], [1, 2], 5) is None
 
 
+def _diagonal_column_lattice(diag, nr):
+    return linalg.hnf_columns([[d * (i == j) for i in range(nr)] for j, d in enumerate(diag)], nr)
+
+
+def _column_lattice(UA, nc):
+    return linalg.hnf_columns([[row[j] for row in UA] for j in range(nc)], len(UA))
+
+
 def test_smith_diagonalizes():
+    # U A V = diag for a unimodular V: U A and diag span the same columns
     A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    diag, U, V, _ = linalg.smith_normal_form(A)
+    diag, U, _ = linalg.smith_normal_form(A)
     n = len(A)
     UA = [[sum(U[i][k] * A[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    UAV = [[sum(UA[i][k] * V[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            expect = diag[i] if i == j else 0
-            assert UAV[i][j] == expect
+    assert _column_lattice(UA, n) == _diagonal_column_lattice(diag, n)
 
 
 @settings(max_examples=50, deadline=None)
@@ -45,12 +51,14 @@ def test_smith_uinv_random(seed):
     rng = random.Random(seed)
     nr, nc = rng.randint(1, 4), rng.randint(1, 4)
     A = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-    diag, U, V, Ui = linalg.smith_normal_form(A, want_uinv=True)
+    diag, U, Ui = linalg.smith_normal_form(A)
     # U * Ui == I
     for i in range(nr):
         for j in range(nr):
             s = sum(U[i][k] * Ui[k][j] for k in range(nr))
             assert s == (1 if i == j else 0)
+    UA = [[sum(U[i][k] * A[k][j] for k in range(nr)) for j in range(nc)] for i in range(nr)]
+    assert _column_lattice(UA, nc) == _diagonal_column_lattice(diag, nr)
 
 
 def test_subgroup_basics_z4():
@@ -100,6 +108,45 @@ def test_congruence_solve_mixed():
     assert linalg.congruence_solve([[2]], [1], [4]) is None
     # all-zero moduli solve over Q
     assert linalg.congruence_solve([[2]], [1], [0]) == [Fraction(1, 2)]
+
+
+@st.composite
+def _congruence_systems(draw):
+    """A homomorphism A: +Z/col_moduli -> +Z/row_moduli, at most 3 x 3:
+    A[i][j] * col_moduli[j] vanishes modulo row_moduli[i]."""
+    moduli = st.sampled_from([2, 3, 4, 6, 8, 9])
+    nr, nc = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rm = draw(st.lists(moduli, min_size=nr, max_size=nr))
+    cm = draw(st.lists(moduli, min_size=nc, max_size=nc))
+    A = [[r // math.gcd(r, c) * draw(st.integers(0, 8)) for c in cm] for r in rm]
+    return A, rm, cm
+
+
+def _apply(A, x, rm):
+    return tuple(sum(a * v for a, v in zip(row, x)) % r for row, r in zip(A, rm))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_congruence_systems(), st.data())
+def test_congruence_kernel_and_solve_against_enumeration(system, data):
+    A, rm, cm = system
+    domain = list(itertools.product(*(range(c) for c in cm)))
+    kernel = {x for x in domain if not any(_apply(A, x, rm))}
+    image = {_apply(A, x, rm) for x in domain}
+    # the kernel generators span exactly the enumerated kernel
+    gens = linalg.congruence_kernel(A, rm, cm)
+    span = {tuple([0] * len(cm))}
+    for g in gens:
+        assert tuple(g) in kernel
+        span |= {tuple((a + k * b) % c for a, b, c in zip(s, g, cm)) for s in span for k in range(math.lcm(*cm))}
+    assert span == kernel
+    # a right-hand side is solved exactly when it is in the image
+    for b in (data.draw(st.sampled_from(sorted(image))),
+              tuple(data.draw(st.integers(0, r - 1)) for r in rm)):
+        x = linalg.congruence_solve(A, list(b), rm)
+        assert (x is not None) == (b in image)
+        if x is not None:
+            assert _apply(A, x, rm) == b
 
 
 def test_modp_empty_matrix():

@@ -161,6 +161,20 @@ def test_each_shift_of_a_map_computed_once(monkeypatch):
     assert 0 < len(calls) <= 2 * (hi - lo)
 
 
+def test_each_power_of_a_map_is_one_shift_call(monkeypatch):
+    # Omega^j of a map is the shift of Omega^{j -+ 1}, computed once per
+    # map and j: x needs j in [lo, hi - 1], y needs j in [lo, hi - 2], less
+    # j = 0 each, so every shift call is counted, cache hits included
+    calls = []
+    for name in ("heller_of_map", "omega_inverse_of_map"):
+        shift = getattr(md, name)
+        monkeypatch.setattr(md, name, lambda f, shift=shift: calls.append(f) or shift(f))
+    for lo, hi in [(-4, 4), (-6, 6)]:
+        calls.clear()
+        assert tate.ggh_verdict(3, 2, (lo, hi))["verdict"] == "fails"
+        assert len(calls) == 2 * (hi - lo) - 3
+
+
 def test_heller_ladders_stay_on_the_omegas(monkeypatch):
     computed, made = [], []
     inner = md.injective_envelope.__wrapped__
