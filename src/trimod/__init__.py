@@ -35,7 +35,6 @@ from .errors import (
     LiftFailure,
     NotChainMap,
     NotLocalInput,
-    NotProjectiveInput,
     NotQuasiFrobenius,
     ParityObstruction,
     ParseError,

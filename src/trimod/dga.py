@@ -628,19 +628,10 @@ def homology_is_free_rank_one(M, window, padding=PADDING):
     alg = M.alg
     H = homology(M, window, padding)
     lo, hi = window
-    # expected slice dimensions of one exterior generator placed in degree 0
+    # one exterior generator in degree 0: the classes 1 and u, each in its
+    # degree mod |v|
     def expected(q):
-        if alg.vdeg != 0:
-            if q % alg.vdeg == 0:
-                hits = 1
-            else:
-                hits = 0
-            if (q - alg.i) % alg.vdeg == 0:
-                hits += 1
-            return hits
-        if alg.i == 0:
-            return 2 if q == 0 else 0
-        return 1 if q in (0, alg.i) else 0
+        return sum((q - d) % alg.vdeg == 0 if alg.vdeg else q == d for d in (0, alg.i))
 
     for q in range(lo, hi + 1):
         if H[q]["dim"] != expected(q):

@@ -73,10 +73,6 @@ class NotChainMap(TrimodError):
     pass
 
 
-class NotProjectiveInput(TrimodError):
-    pass
-
-
 class LiftFailure(TrimodError):
     pass
 

@@ -313,17 +313,17 @@ class Subgroup:
         return not any(self.remainder(v))
 
     def size(self):
-        """Number of elements; raises for a nonzero span over Q."""
+        """Number of elements; raises for an infinite span, one nonzero at a
+        coordinate of modulus 0 (over Q, any nonzero span)."""
         if self._p:
             return self._p ** len(self._rows)
-        if self._p == 0:
-            if self._rows:
-                raise UnsupportedCoefficients("a nonzero rational span is infinite")
-            return 1
-        # the lattice contains the moduli columns, hence is full rank; its
-        # index in Z^D is the product of the Hermite pivots
+        free = [i for i, m in enumerate(self.moduli) if not m]
+        if any(row[i] for row in self._rows for i in free):
+            raise UnsupportedCoefficients("a span nonzero at a coordinate of modulus 0 is infinite")
+        # the lattice holds the columns of the nonzero moduli and lies in
+        # their coordinates, where its index is the product of the pivots
         index = math.prod(row[piv] for piv, row in zip(self._pivots, self._rows))
-        return math.prod(self.moduli) // index
+        return math.prod(m for m in self.moduli if m) // index
 
     def cols(self):
         """Canonical generators: echelon rows over a field, otherwise the

@@ -2,9 +2,11 @@
 
 A map f between finite free graded modules over k[x]/(x^2) lifts to the
 two-generator DG algebra (1 -> 1, x -> u); the third term of the triangle is
-the degreewise homology of the cone of the lift.  Everything is recorded as
-per-degree slice data over the prime field, which is what exactness checks
-consume.
+the degreewise homology of the cone of the lift.  Only f is a constructed
+chain map: g and h are the cone's slice inclusion of B and projection onto
+A[n], and A[n], B[n] are read off A and B n degrees lower.  Everything is
+recorded as per-degree slice data over the prime field, which is what
+exactness checks consume.
 """
 
 from __future__ import annotations
@@ -14,11 +16,7 @@ import random
 from . import dga as dg
 from . import linalg
 from . import rings as rc
-from .errors import (
-    LiftFailure,
-    NotProjectiveInput,
-    ShapeMismatch,
-)
+from .errors import LiftFailure
 
 
 class Triangle:
@@ -106,34 +104,24 @@ def _generator_degrees(Cmod, H, window, i, vdeg, p):
 
 
 def triangle_from_map(R, n, source_degrees, target_degrees, entries,
-                      window=None, weight=dg.DEFAULT_WEIGHT,
-                      source_relations=None, target_relations=None):
+                      window=None, weight=dg.DEFAULT_WEIGHT):
     """Complete f: A -> B between free graded modules to a triangle.
 
     source_degrees/target_degrees list generator degrees; entries is the
     matrix of f with entries[i][j] homogeneous of degree
-    source_degrees[j] - target_degrees[i].
+    source_degrees[j] - target_degrees[i] (checked on the lift, as a chain
+    map).  The cone's generators are B's followed by A's shifted by n, so its
+    degree-q slice is B_q followed by (A[n])_q: g and h are read off the
+    cone's records as that slice inclusion and projection.  A[n] and B[n]
+    are free, so their records at q are those of A and B at q - n.
     """
-    if source_relations or target_relations:
-        raise NotProjectiveInput("inputs must be finite free graded modules")
     alg = _model(R, n, weight)
     p, i = alg.p, alg.i
-    for row_idx, row in enumerate(entries):
-        for col_idx, x in enumerate(row):
-            if x.is_zero:
-                continue
-            want = source_degrees[col_idx] - target_degrees[row_idx]
-            if x.degree != want:
-                raise ShapeMismatch(
-                    f"entry ({row_idx},{col_idx}) has degree {x.degree}, expected {want}"
-                )
     M = dg.DGModule(alg, source_degrees)
     N = dg.DGModule(alg, target_degrees)
     lifted = [[_lift_entry(alg, R, x) for x in row] for row in entries]
     fmap = dg.DGMap(M, N, lifted)
     C = dg.cone(fmap)
-    Mn = dg.shift(M, n)
-    Nn = dg.shift(N, n)
 
     if window is None:
         degs = list(source_degrees) + list(target_degrees) or [0]
@@ -144,14 +132,10 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
     HA = dg.homology(M, window)
     HB = dg.homology(N, window)
     HC = dg.homology(C, window)
-    HAs = dg.homology(Mn, window)
-    HBs = dg.homology(Nn, window)
-
-    gn, gm = len(target_degrees), len(source_degrees)
-    incl = [[alg.one() if (r == c) else alg.zero() for c in range(gn)] for r in range(gn + gm)]
-    proj = [[alg.one() if (c == gn + r) else alg.zero() for c in range(gn + gm)] for r in range(gm)]
-    gmap = dg.DGMap(N, C, incl)
-    hmap = dg.DGMap(C, Mn, proj)
+    # A[n] and B[n] at q are A and B at q - n; the window keeps its span,
+    # so the weight-bound check is the same
+    HAs = dg.homology(M, (lo - n, hi - n))
+    HBs = dg.homology(N, (lo - n, hi - n))
 
     dims, fs, gs, hs, sfs = {}, {}, {}, {}, {}
     period = abs(alg.vdeg)
@@ -161,15 +145,16 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
             for rec in (dims, fs, gs, hs, sfs):
                 rec[q] = rec[q - period]
             continue
-        dims[q] = (HA[q]["dim"], HB[q]["dim"], HC[q]["dim"], HAs[q]["dim"], HBs[q]["dim"])
+        b, c = len(HB[q]["basis"]), len(HC[q]["basis"])
+        dims[q] = (HA[q]["dim"], HB[q]["dim"], HC[q]["dim"], HAs[q - n]["dim"], HBs[q - n]["dim"])
         fs[q] = dg.induced_matrix(dg.map_slice(fmap, q), HA[q], HB[q], p)
-        gs[q] = dg.induced_matrix(dg.map_slice(gmap, q), HB[q], HC[q], p)
-        hs[q] = dg.induced_matrix(dg.map_slice(hmap, q), HC[q], HAs[q], p)
+        gs[q] = dg.class_coordinates(HC[q], p, [r + [0] * (c - b) for r in HB[q]["reps"]])
+        hs[q] = dg.class_coordinates(HAs[q - n], p, [r[b:] for r in HC[q]["reps"]])
         # the connecting map H(A[n])_q -> H(B[n])_q: f with a (-1)^{n|y|}
         # twist on each coefficient y.  It differs from the naively suspended
         # matrix by an invertible sign diagonal, so ranks agree with f, but
         # only this version makes consecutive composites vanish.
-        sfs[q] = dg.induced_matrix(dg.map_slice(fmap, q - n, twist=n), HAs[q], HBs[q], p)
+        sfs[q] = dg.induced_matrix(dg.map_slice(fmap, q - n, twist=n), HAs[q - n], HBs[q - n], p)
 
     third = _generator_degrees(C, HC, window, i, alg.vdeg, p)
     return Triangle(p, n, window, dims, fs, gs, hs, sfs, third)

@@ -1,6 +1,7 @@
 import random
 
 import brute_force
+import numpy as np
 import pytest
 
 from trimod import constructions as con
@@ -228,6 +229,58 @@ def test_triangle_scope_limits_raise_lift_failure(ring, n, message):
     R = ring()
     with pytest.raises(LiftFailure, match=message):
         tr.triangle_from_map(R, n, [0], [0], [[R.one()]])
+
+
+@pytest.mark.parametrize("p, period, n", [(2, 4, 1), (3, 4, 1), (5, 4, 1), (3, 2, -1)])
+def test_g_and_h_match_the_explicit_inclusion_and_projection(p, period, n):
+    # reference: g and h as checked chain maps B -> C(f) and C(f) -> A[n]
+    R = con.laurent_exterior(p, 1, period)
+    alg = tr._model(R, n, dg.DEFAULT_WEIGHT)
+    rng = random.Random(p * period)
+    for _ in range(4):
+        src, tgt, entries = tr.random_map(R, n, rng)
+        T = tr.triangle_from_map(R, n, src, tgt, entries)
+        M, N = dg.DGModule(alg, src), dg.DGModule(alg, tgt)
+        C = dg.cone(dg.DGMap(M, N, [[tr._lift_entry(alg, R, x) for x in row] for row in entries]))
+        Mn, gn, gm = dg.shift(M, n), len(tgt), len(src)
+        incl = [[alg.one() if r == c else alg.zero() for c in range(gn)] for r in range(gn + gm)]
+        proj = [[alg.one() if c == gn + r else alg.zero() for c in range(gn + gm)] for r in range(gm)]
+        gmap, hmap = dg.DGMap(N, C, incl, check=True), dg.DGMap(C, Mn, proj, check=True)
+        HB, HC, HAs = (dg.homology(X, T.window) for X in (N, C, Mn))
+        lo, hi = T.window
+        for q in range(lo, hi + 1):
+            assert np.array_equal(T.g[q], dg.induced_matrix(dg.map_slice(gmap, q), HB[q], HC[q], p))
+            assert np.array_equal(T.h[q], dg.induced_matrix(dg.map_slice(hmap, q), HC[q], HAs[q], p))
+
+
+def test_triangle_input_errors():
+    R = lift_ring()
+    x = R.basis_element(1)
+    with pytest.raises(ShapeMismatch, match="degree"):
+        tr.triangle_from_map(R, 1, [0], [0], [[x]])
+    with pytest.raises(ValueError, match="not homogeneous"):
+        tr.triangle_from_map(R, 1, [0], [0], [[R.one() + x]])
+    # two rows for one target generator
+    with pytest.raises(ShapeMismatch):
+        tr.triangle_from_map(R, 1, [0], [0], [[R.one()], [R.one()]])
+
+
+def test_completion_builds_only_f_and_the_cone_shift(monkeypatch):
+    R = lift_ring()
+    rng = random.Random(11)
+    maps = [tr.random_map(R, 1, rng) for _ in range(3)]
+    tr.triangle_from_map(R, 1, *maps[0])  # the DG model is cached before counting
+    calls = []
+
+    def counted(name):
+        original = getattr(dg, name)
+        return lambda *args, **kw: calls.append(name) or original(*args, **kw)
+
+    for name in ("DGMap", "shift"):
+        monkeypatch.setattr(dg, name, counted(name))
+    for src, tgt, entries in maps:
+        tr.triangle_from_map(R, 1, src, tgt, entries)
+    assert calls == ["DGMap", "shift"] * len(maps)
 
 
 def triangle_record(T):

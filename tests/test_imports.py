@@ -91,3 +91,19 @@ def test_every_function_has_a_library_caller():
     assert [f"{m}.{n}" for m, n in uncalled if (m, n) not in traced] == []
     # the tracer wraps these two, and nothing in the library calls them
     assert {name for _, name in uncalled} == {"hom_group", "residue_field"}
+
+
+def test_every_error_is_raised():
+    # an error type outlives its last raise only as dead public API
+    root = ROOT / "src" / "trimod"
+    errors = [node.name for node in ast.parse((root / "errors.py").read_text(encoding="utf-8")).body
+              if isinstance(node, ast.ClassDef)]
+    used = set()
+    for path in root.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                used.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+            elif isinstance(node, ast.ClassDef):
+                used.update(getattr(base, "id", None) or getattr(base, "attr", None) for base in node.bases)
+    assert errors and [name for name in errors if name not in used] == []

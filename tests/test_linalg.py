@@ -80,6 +80,16 @@ def test_subgroup_mixed_orders():
     assert not b.contains([1, 0])
 
 
+def test_subgroup_size_with_a_zero_modulus():
+    # a span nonzero at a coordinate of modulus 0 is infinite; otherwise it
+    # is counted in the coordinates of nonzero modulus
+    with pytest.raises(UnsupportedCoefficients):
+        linalg.Subgroup([[1, 0]], [0, 4]).size()
+    assert linalg.Subgroup([[0, 1]], [0, 4]).size() == 4
+    assert linalg.Subgroup([[0, 2]], [0, 4]).size() == 2
+    assert linalg.Subgroup([], [0, 4]).size() == 1
+
+
 def test_subgroup_equality_is_canonical():
     moduli = [4, 4]
     b1 = linalg.Subgroup([[2, 0], [0, 2]], moduli)
