@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 
 from . import linalg
-from .errors import RingSpecError, UnsupportedCoefficients
-from .rings import GradedRing, validate_ring
+from .errors import RingSpecError, SizeCapExceeded, UnsupportedCoefficients
+from .rings import MAX_TABLE_DIM, GradedRing, validate_ring
 
 
 def z_mod(m: int) -> GradedRing:
@@ -21,6 +21,8 @@ def truncated_polynomial(p: int, e: int, name: str = "t", degree: int = 0) -> Gr
     """k[t]/(t**e) over the prime field of order p, with |t| = degree."""
     if not linalg.is_prime(p) or e < 1:
         raise RingSpecError(f"need a prime p and e >= 1, got p={p}, e={e}")
+    if e > MAX_TABLE_DIM:
+        raise SizeCapExceeded(f"k[t]/(t**{e}) has dimension above {MAX_TABLE_DIM}")
     basis = [(f"{name}{j}" if j else "one", j * degree) for j in range(e)]
     products = {}
     for i in range(e):
@@ -141,4 +143,9 @@ def group_algebra_cyclic(p: int, n: int) -> GradedRing:
     """F_p[Z/p**n], presented as F_p[t]/(t**(p**n)) with t = g - 1."""
     if n < 0:
         raise RingSpecError(f"group order p**n needs n >= 0, got n={n}")
+    if not linalg.is_prime(p):
+        raise RingSpecError(f"need a prime p, got p={p}")
+    # p**n >= 2**n, so p**n is only computed when it can be small
+    if n >= MAX_TABLE_DIM.bit_length() or p ** n > MAX_TABLE_DIM:
+        raise SizeCapExceeded(f"F_{p}[Z/{p}**{n}] has dimension above {MAX_TABLE_DIM}")
     return truncated_polynomial(p, p ** n)

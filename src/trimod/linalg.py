@@ -6,8 +6,10 @@ eliminations from the moduli for `Subgroup`, `congruence_kernel`,
 `congruence_solve` and `quotient_presentation`:
 
 * all moduli equal to one prime p, or all zero -> one Gauss-Jordan over the
-  field, `modp_rref`: F_p in numpy int64, or Q (p = 0) in object arrays of
-  exact numbers,
+  field, `modp_rref`, on sparse rows ({column: nonzero entry}, Python ints
+  mod p or exact numbers over Q), so a pivot costs in proportion to the
+  nonzeros it touches; the result is an int64 array over F_p, an object
+  array over Q (p = 0),
 * any other moduli                             -> integer normal forms:
   - `Subgroup`: the Hermite form `hnf_columns` of the preimage lattice,
   - `congruence_kernel`: the Hermite columns of the graph {(A x, x)} that
@@ -23,8 +25,8 @@ basis of the preimage lattice otherwise), so equal spans compare equal.
 
 Matrices are lists of rows; "columns" arguments are lists of coordinate
 vectors.  All integer results are reduced into [0, m_i) coordinatewise.
-The mod-p lane computes in int64 and refuses primes for which that could
-overflow.
+The mod-p lane returns int64 arrays and refuses primes for which products
+of two residues could overflow them.
 """
 
 from __future__ import annotations
@@ -72,37 +74,74 @@ def modp_rref(A, p, bound=None):
 
     With bound, pivots are taken only in the first bound columns; the later
     columns undergo the same row operations, so for A = [E | I] and bound
-    the width of E, R = [T E | T] with T invertible."""
-    shape = (len(A), len(A[0]) if len(A) else 0)
-    # entries stay below p, so a row update stays above -p*p
+    the width of E, R = [T E | T] with T invertible.
+
+    The rows are held sparse, as {column: nonzero entry}, and each column
+    left of bound knows the rows nonzero there; the next pivot is the
+    leftmost such column with a row at or below the current one, and the
+    topmost of those rows is swapped into place."""
+    nr = len(A)
+    nc = len(A[0]) if nr else 0
+    # the int64 result keeps a product of two of its entries exact
     if p * p >= 2 ** 63:
         raise UnsupportedCoefficients(f"prime {p} too large for int64 elimination")
-    R = np.array(A, dtype=np.int64).reshape(shape) % p if p else np.array(A, dtype=object).reshape(shape)
-    nr, nc = shape
+    if isinstance(A, np.ndarray):
+        ii, jj = A.nonzero()
+        entries = zip(ii.tolist(), jj.tolist(), A[ii, jj].tolist())
+    else:
+        entries = ((i, j, x) for i, row in enumerate(A) for j, x in enumerate(row) if x)
     bound = nc if bound is None else min(bound, nc)
+    rows = [{} for _ in range(nr)]
+    holders = [set() for _ in range(bound)]
+    for i, j, x in entries:
+        x = int(x) % p if p else x
+        if x:
+            rows[i][j] = x
+            if j < bound:
+                holders[j].add(i)
+    # rows keep their index in rows and holders; at[k] is the row at
+    # position k and pos its inverse, so a swap moves no entries
+    at, pos = list(range(nr)), list(range(nr))
     pivots = []
-    r = c = 0
-    while r < nr and c < bound:
-        # the next pivot is the first nonzero of the trailing block in
-        # column-major order: leftmost column, then topmost row
-        dc, dr = divmod(int((R[r:, c:bound] != 0).T.argmax()), nr - r)
-        c, i = c + dc, r + dr
-        pivot = R[i, c]
-        if not pivot:
+    for c in range(bound):
+        r = len(pivots)
+        if r == nr:
             break
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        if pivot != 1:
-            R[r, c:] = R[r, c:] * pow(int(pivot), p - 2, p) % p if p else R[r, c:] * (1 / Fraction(pivot))
-        # only rows with a nonzero entry in column c change, and the pivot
-        # row is zero left of c
-        rows = R[:, c].nonzero()[0]
-        rows = rows[rows != r]
-        if len(rows):
-            update = R[rows, c:] - np.outer(R[rows, c], R[r, c:])
-            R[rows, c:] = update % p if p else update
+        below = [pos[i] for i in holders[c] if pos[i] >= r]
+        if not below:
+            continue
+        k = min(below)
+        top, other = at[k], at[r]
+        at[r], at[k], pos[top], pos[other] = top, other, r, k
+        row = rows[top]
+        if row[c] != 1:
+            inv = pow(row[c], p - 2, p) if p else 1 / Fraction(row[c])
+            row = rows[top] = {j: x * inv % p if p else x * inv for j, x in row.items()}
+        # the pivot row is zero left of c, so only columns >= c change
+        others, holders[c] = holders[c], {top}
+        for i in others:
+            if i == top:
+                continue
+            target = rows[i]
+            f = target[c]
+            for j, y in row.items():
+                x = target.get(j, 0) - f * y
+                if p:
+                    x %= p
+                if x:
+                    if j < bound and j not in target:
+                        holders[j].add(i)
+                    target[j] = x
+                else:
+                    del target[j]
+                    if j < bound:
+                        holders[j].discard(i)
         pivots.append(c)
-        r, c = r + 1, c + 1
+    R = np.zeros((nr, nc), dtype=np.int64 if p else object)
+    cells = [(k, j, x) for k, i in enumerate(at) for j, x in rows[i].items()]
+    if cells:
+        rr, cc, vv = zip(*cells)
+        R[rr, cc] = vv
     return R, pivots
 
 

@@ -52,10 +52,14 @@ from .errors import (
     NotLocal,
     NotSemiperfect,
     RingSpecError,
+    SizeCapExceeded,
     UnsupportedCoefficients,
 )
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# the largest ring dimension whose dim**3 structure-constant table is built
+# (256**3 int64 entries take 134 MB)
+MAX_TABLE_DIM = 256
 
 
 def per_object(fn):
@@ -176,6 +180,8 @@ class GradedRing:
         orders[k].  The degrees fix each term's v power, so once validate_ring
         has checked them C is the whole product table."""
         n = self.dim
+        if n > MAX_TABLE_DIM:
+            raise SizeCapExceeded(f"ring dimension {n} above {MAX_TABLE_DIM} for a structure-constant table")
         C = np.zeros((n, n, n), dtype=int_dtype(self, n))
         for (i, j), terms in self.products.items():
             for c, k, _ in terms:

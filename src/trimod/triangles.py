@@ -104,7 +104,7 @@ def _generator_degrees(Cmod, H, window, i, vdeg, p):
 
 
 def triangle_from_map(R, n, source_degrees, target_degrees, entries,
-                      window=None, weight=dg.DEFAULT_WEIGHT):
+                      window=None, weight=None):
     """Complete f: A -> B between free graded modules to a triangle.
 
     source_degrees/target_degrees list generator degrees; entries is the
@@ -114,20 +114,24 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
     degree-q slice is B_q followed by (A[n])_q: g and h are read off the
     cone's records as that slice inclusion and projection.  A[n] and B[n]
     are free, so their records at q are those of A and B at q - n.
-    """
-    alg = _model(R, n, weight)
-    p, i = alg.p, alg.i
-    M = dg.DGModule(alg, source_degrees)
-    N = dg.DGModule(alg, target_degrees)
-    lifted = [[_lift_entry(alg, R, x) for x in row] for row in entries]
-    fmap = dg.DGMap(M, N, lifted)
-    C = dg.cone(fmap)
 
+    With no weight, the model's weight is dg.DEFAULT_WEIGHT, raised where
+    the window needs more (dg.homology bounds the window when |x| != 0).
+    """
+    p, i = _check_lift_ring(R, n)
     if window is None:
         degs = list(source_degrees) + list(target_degrees) or [0]
         margin = abs(n) + max(abs(i), 1)
         window = (min(degs) - margin, max(degs) + margin)
     lo, hi = window
+    if weight is None:
+        weight = max(dg.DEFAULT_WEIGHT, hi - lo + 2 * dg.PADDING) if i else dg.DEFAULT_WEIGHT
+    alg = _model(R, n, weight)
+    M = dg.DGModule(alg, source_degrees)
+    N = dg.DGModule(alg, target_degrees)
+    lifted = [[_lift_entry(alg, R, x) for x in row] for row in entries]
+    fmap = dg.DGMap(M, N, lifted)
+    C = dg.cone(fmap)
 
     HA = dg.homology(M, window)
     HB = dg.homology(N, window)
@@ -252,7 +256,7 @@ def _random_homogeneous(R, d, rng):
     return R.from_slice_coords(d, [rng.randint(0, R.char - 1) for _ in terms])
 
 
-def run_random_trials(R, n, trials, seed, window=None, weight=dg.DEFAULT_WEIGHT):
+def run_random_trials(R, n, trials, seed, window=None, weight=None):
     """Build and verify `trials` seeded random triangles; returns a report."""
     rng = random.Random(seed)
     results = []

@@ -307,6 +307,22 @@ def test_dg_model_built_once_per_ring_and_weight(monkeypatch):
     assert tr._model(R, 1, 20) is not tr._model(R, 1, dg.DEFAULT_WEIGHT)
 
 
+def test_default_weight_holds_the_default_window():
+    # at n = -3 the default window pads the map's degrees by 4 on each side,
+    # wider than the default weight holds
+    R = con.exterior_on_field(con.finite_field(2), 1)
+    rng = random.Random(0)
+    spans = []
+    for _ in range(25):
+        T = tr.triangle_from_map(R, -3, *tr.random_map(R, -3, rng))
+        assert tr.verify_triangle_exact(T)["pass"] and tr.verify_rotation(T)["pass"]
+        spans.append(T.window[1] - T.window[0])
+    assert max(spans) + 2 * dg.PADDING > dg.DEFAULT_WEIGHT
+    # an explicit weight too small for the window still raises
+    with pytest.raises(WindowTooWideForWeightBound, match="weight bound 16 too small for window span 13"):
+        tr.triangle_from_map(R, -3, [0], [0], [[R.one()]], window=(-6, 7), weight=dg.DEFAULT_WEIGHT)
+
+
 def _free_slice(R, degs, q):
     out = []
     for j, d in enumerate(degs):

@@ -19,6 +19,7 @@ explicit checks report, also on corrupted triangles.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -379,38 +380,57 @@ def test_class_coordinates_match_per_vector_solve(model, seed):
 
 @st.composite
 def matrices(draw):
-    """(A, p): a small matrix over F_p, or over Q with fraction entries for
-    p = 0; random, zero, or of deficient rank."""
+    """(A, p, bound): a matrix over F_p, or over Q with fraction entries for
+    p = 0, and a pivot bound or None.  Either small (random, zero, or of
+    deficient rank) or shaped like a DG slice: [E | I] with E sparse (about
+    3% nonzero) and bound the width of E.  A comes in a form the callers
+    pass: a list of rows, an int64 array (an object array over Q), or over
+    F_p a list of rows of numpy int64 scalars."""
     p = draw(st.sampled_from([0, 2, 3, 5, 7, 101]))
     entry = st.integers(-2 * p, 2 * p) if p else st.fractions(-5, 5, max_denominator=4)
     coeff = st.integers(0, p - 1) if p else st.integers(-3, 3)
-    nr, nc = draw(st.integers(0, 7)), draw(st.integers(0, 7))
-    kind = draw(st.sampled_from(["random", "zero", "deficient"]))
-    if kind == "zero" or nr == 0:
-        A = [[0] * nc for _ in range(nr)]
-    elif kind == "random":
-        A = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        nr, width = draw(st.integers(1, 50)), draw(st.integers(1, 50))
+        value = (lambda: rng.randrange(1, p)) if p else (lambda: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)))
+        A = [[value() if rng.random() < 0.03 else 0 for _ in range(width)] + [int(r == c) for c in range(nr)]
+             for r in range(nr)]
+        bound = width
     else:
-        # rows combined from a few base rows: rank at most len(base)
-        base = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
-                             min_size=1, max_size=max(1, min(nr, nc) - 1)))
-        A = []
-        for _ in range(nr):
-            coeffs = draw(st.lists(coeff, min_size=len(base), max_size=len(base)))
-            A.append([sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(nc)])
-    return A, p
+        nr, nc = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+        kind = draw(st.sampled_from(["random", "zero", "deficient"]))
+        if kind == "zero" or nr == 0:
+            A = [[0] * nc for _ in range(nr)]
+        elif kind == "random":
+            A = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+        else:
+            # rows combined from a few base rows: rank at most len(base)
+            base = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                                 min_size=1, max_size=max(1, min(nr, nc) - 1)))
+            A = []
+            for _ in range(nr):
+                coeffs = draw(st.lists(coeff, min_size=len(base), max_size=len(base)))
+                A.append([sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(nc)])
+        bound = draw(st.one_of(st.none(), st.integers(0, 8)))
+    form = draw(st.sampled_from(["list", "array", "numpy scalars"]))
+    if form == "array":
+        A = np.array(A, dtype=np.int64 if p else object).reshape(len(A), len(A[0]) if A else 0)
+    elif form == "numpy scalars" and p:
+        A = [[np.int64(x) for x in row] for row in A]
+    return A, p, bound
 
 
 @settings(max_examples=300, deadline=None)
-@given(matrices(), st.one_of(st.none(), st.integers(0, 8)))
-def test_modp_rref_matches_reference(case, bound):
+@given(matrices())
+def test_modp_rref_matches_reference(case):
     # with a bound, pivots only in the first bound columns, and the later
     # columns carried by the same row operations
-    A, p = case
+    A, p, bound = case
     R, pivots = linalg.modp_rref(A, p, bound=bound)
-    want_R, want_pivots = reference_rref(A, p, bound)
+    want_R, want_pivots = reference_rref([[x if p == 0 else int(x) for x in row] for row in A], p, bound)
     assert pivots == want_pivots
     assert bound is None or all(c < bound for c in pivots)
+    assert R.dtype == (np.int64 if p else object)
     assert R.tolist() == want_R
 
 

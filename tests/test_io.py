@@ -1,6 +1,9 @@
 import glob
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -303,6 +306,19 @@ def test_cli_ggh_bad_group_exits_2(p, n, capsys):
     assert "RingSpecError" in err
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--p", "2", "--n", "12", "--json"], "SizeCapExceeded"),
+    (["--p", "3", "--n", "6"], "SizeCapExceeded"),
+    # 4**10000 has more digits than int() may print: p is refused first
+    (["--p", "4", "--n", "10000"], "RingSpecError"),
+])
+def test_cli_ggh_oversized_group_exits_2_at_once(argv, error, capsys):
+    start = time.perf_counter()
+    code, out, err = _run(["ggh"] + argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and error in err
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_cli_ggh_trivial_group_exits_2(p, capsys):
     # n = 0 is the trivial group: a scope error before any module is built
@@ -336,3 +352,13 @@ def test_cli_selftest(capsys):
     code, out, _ = _run(["selftest"], capsys)
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    # the package runs from a checkout, with src on the path
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "trimod", "selftest", "--json"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    code, out, _ = _run(["selftest", "--json"], capsys)
+    assert (proc.returncode, proc.stdout) == (code, out)

@@ -28,6 +28,21 @@ def test_modp_kernel_and_solve():
     assert linalg.modp_solve([[2], [1]], [1, 2], 5) is None
 
 
+def test_solves_on_numpy_array_rows():
+    # the matrix of a map is an int64 array: its rows are arrays and their
+    # entries numpy scalars, and pivots such as 3 need an inverse mod p
+    A = np.array([[3, 2, 0], [0, 0, -2], [3, 2, -2]], dtype=np.int64)
+    b = [1, 4, 5]
+    for m in (2, 3, 5, 7, 6):
+        x = linalg.congruence_solve(A, b, [m] * 3)
+        assert all(type(v) is int for v in x)
+        assert ((A @ x - b) % m == 0).all()
+        assert linalg.congruence_solve(A, [1, 0, 0], [m] * 3) is None
+        if linalg.is_prime(m):
+            assert linalg.modp_solve(A, b, m) == x
+            assert linalg.modp_solve(A, [1, 0, 0], m) is None
+
+
 def _diagonal_column_lattice(diag, nr):
     return linalg.hnf_columns([[d * (i == j) for i in range(nr)] for j, d in enumerate(diag)], nr)
 

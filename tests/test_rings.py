@@ -16,6 +16,7 @@ from trimod.errors import (
     NoUnit,
     NotLocal,
     RingSpecError,
+    SizeCapExceeded,
     UnsupportedCoefficients,
 )
 from trimod.classify import ANN_NOT_EQUAL, EXTERIOR, GRADED_FIELD, classify, has_unit_in_degree
@@ -88,7 +89,8 @@ def test_validate_names_first_violation(ring, error, indices):
 
 
 @pytest.mark.parametrize("build", [lambda: con.truncated_polynomial(4, 2), lambda: con.truncated_polynomial(3, 0),
-                                   lambda: con.group_algebra_cyclic(2, -1), lambda: con.group_algebra_cyclic(6, 1)])
+                                   lambda: con.group_algebra_cyclic(2, -1), lambda: con.group_algebra_cyclic(6, 1),
+                                   lambda: con.group_algebra_cyclic(4, 10 ** 4)])
 def test_bad_group_parameters_rejected(build):
     with pytest.raises(RingSpecError):
         build()
@@ -478,3 +480,15 @@ def test_products_past_the_enumeration_cap(R, verdict):
 def test_periodic_products_split(R, n, kinds):
     assert [lv.kind for _, lv in classify(R, n).factors] == kinds
     assert is_quasi_frobenius(R)
+
+
+def test_structure_constant_tables_above_the_cap_are_refused():
+    cap = rings.MAX_TABLE_DIM
+    # refused before the e**2 product table or the e**3 tensor is built
+    with pytest.raises(SizeCapExceeded):
+        con.truncated_polynomial(2, cap + 1)
+    with pytest.raises(SizeCapExceeded):
+        con.group_algebra_cyclic(2, 9)
+    R = GradedRing(2, [(f"b{j}", 0) for j in range(cap + 1)], {}, [(1, 0, 0)])
+    with pytest.raises(SizeCapExceeded):
+        R.structure_constants
