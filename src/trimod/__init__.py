@@ -4,7 +4,7 @@ The package decides when stable module categories and their relatives admit
 the expected triangulation, and certifies the positive cases by explicit
 construction: syzygy functors over quasi-Frobenius rings, a two-generator
 differential graded model whose cone construction produces distinguished
-triangles, and windowed stable-homotopy rings for cyclic group algebras.
+triangles, and stable-homotopy rings for cyclic group algebras.
 """
 
 from .classify import Verdict, classify, classify_local

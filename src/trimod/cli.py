@@ -177,7 +177,7 @@ def cmd_selftest(args):
     checks.append(("classify z9 negative", not classify(con.z_mod(9), 0).is_delta))
     checks.append(("qf z4", rc.is_quasi_frobenius(R)))
     k = md.residue_module(R)
-    checks.append(("heller cube z4", md.heller_cube_check(R, [k])))
+    checks.append(("heller cube z4", md.heller_cube_check([k])))
     alg = dg.build_two_generator_dga(3, 1, 1)
     checks.append(("dg homology", dg.homology_is_free_rank_one(dg.algebra_module(alg), (-4, 4))))
     v = tate.ggh_verdict(3, 1, (-4, 4))

@@ -40,15 +40,26 @@ import numpy as np
 from .errors import UnsupportedCoefficients
 
 
+# Miller-Rabin on the primes up to 41 decides primality below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin on the primes up to 41, proven below
+    _MR_BOUND; a number at or above it that passes every base raises."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 2 ** i, n) != n - 1 for i in range(s)):
             return False
-        d += 1
+    if n >= _MR_BOUND:
+        raise UnsupportedCoefficients(f"{n} passes Miller-Rabin on the primes up to 41, which decide "
+                                      f"primality only below {_MR_BOUND}")
     return True
 
 

@@ -684,7 +684,7 @@ def stable_iso_test(M, N):
     return iso_test(strip_projective_summands(M), strip_projective_summands(N))
 
 
-def heller_cube_check(R, sample):
+def heller_cube_check(sample):
     """Omega^3 M stably isomorphic to M for every module in the sample."""
     for M in sample:
         cube = heller_power(M, 3)

@@ -60,6 +60,9 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 # the largest ring dimension whose dim**3 structure-constant table is built
 # (256**3 int64 entries take 134 MB)
 MAX_TABLE_DIM = 256
+# `_prime_powers` takes a prime cofactor at once, and refuses a composite
+# one with no prime factor below this bound
+TRIAL_BOUND = 2 ** 16
 
 
 def per_object(fn):
@@ -536,14 +539,16 @@ def inverse(x):
 
 def _prime_powers(c):
     """[(p, p**k)] for the prime powers exactly dividing c, p increasing."""
-    out, p = [], 2
-    while c > 1:
-        p = p if p * p <= c else c
+    out, p, char = [], 2, c
+    while c > 1 and not linalg.is_prime(c):
+        if p > TRIAL_BOUND:
+            raise UnsupportedCoefficients(f"characteristic {char}: the cofactor {c} is composite "
+                                          f"with no prime factor below {TRIAL_BOUND}")
         if c % p == 0:
             out.append((p, math.gcd(c, p ** c.bit_length())))
             c //= out[-1][1]
         p += 1
-    return out
+    return out + [(c, c)] * (c > 1)
 
 
 def _mod_power(X, e, p):

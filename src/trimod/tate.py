@@ -2,15 +2,16 @@
 
 For R = F_p[t]/(t^{p^n}) and k the trivial module, pi_j S = stable maps
 Omega^j k -> k.  For odd p this is F_p[y, y^-1] tensor an exterior class x
-with |x| = 1, |y| = 2; for p = 2 it is the graded field F_2[y^{+-1}] with
+with |x| = 1, |y| = 2; for G = C_2 it is the graded field F_2[y^{+-1}] with
 |y| = 1.  The generation verdict combines the shape of this ring with the
 nonvanishing of x on the homotopy of the cofiber of x.
 
-The shifts Omega^j x and Omega^j y are read from `omega_power_of_map`,
-whose steps `heller_of_map` and `omega_inverse_of_map` are each computed once
-per map and cached on the modules.  They stay on the objects of `omegas`,
-since Omega^-1 of a syzygy is the module it came from, and Omega^2 k comes
-out as k itself: `omegas` holds at most two modules (see `modules`).
+Everything is computed on one Heller period: Omega^2 k comes out as k
+itself (see `modules`), so Omega^j k, pi_j and the x-action on pi_j of the
+cofiber depend on j mod 2 only, and the verdict holds in every degree.  The
+window only sets the printed range, over which `TateRing.omegas`,
+`TateRing.dims` and the x-action report are laid out by parity.  The shifts
+Omega x and Omega^2 x come from `omega_power_of_map`, cached on the modules.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ DEFAULT_WINDOW = (-6, 6)
 
 
 class TateRing:
-    """Windowed stable-homotopy ring data for k over F_p[t]/(t^{p^n})."""
+    """Stable-homotopy ring data for k over F_p[t]/(t^{p^n}), on one period."""
 
     def __init__(self, p, n, window, ring, dims, omegas, x_rep, y_rep):
         self.p = p
@@ -37,21 +38,8 @@ class TateRing:
         self.y_rep = y_rep
 
 
-def _build_omegas(k, window):
-    """Omega^j k over the window.  The syzygies come first: each seeds its
-    own envelope with its inclusion into the cover, so that no inverse shift
-    computes an envelope from Hom."""
-    lo, hi = window
-    omegas = {0: k}
-    for j in range(1, hi + 1):
-        omegas[j] = md.heller_shift(omegas[j - 1])
-    for j in range(-1, lo - 1, -1):
-        omegas[j] = md.heller_inverse(omegas[j + 1])
-    return omegas
-
-
 def tate_ring(p, n, window=DEFAULT_WINDOW):
-    """pi_* of the sphere in the window, with its verified ring shape."""
+    """pi_* of the sphere, with its verified ring shape, printed on the window."""
     if n < 1:
         raise RingSpecError(f"need n >= 1, got n={n}: for n = 0 the group is trivial, "
                             "and its stable module category is zero")
@@ -62,35 +50,36 @@ def tate_ring(p, n, window=DEFAULT_WINDOW):
         raise WindowEmpty("window must contain degrees 0..2 to see x and y")
     R = con.group_algebra_cyclic(p, n)
     k = md.residue_module(R)
-    omegas = _build_omegas(k, window)
-    dims, reps = {}, {}
-    for j in range(lo, hi + 1):
-        d, r = md.stable_hom(omegas[j], k)
-        dims[j] = d
-        reps[j] = r
+    # both syzygies come first: each seeds the envelope of the module it
+    # returns, so no inverse shift computes an envelope from Hom
+    period = (k, md.heller_shift(k))
+    if md.heller_shift(period[1]) is not k:
+        raise ShapeMismatch("Omega^2 k is not k: the Heller shifts do not close after one period")
+    reps = []
+    for j, omega in enumerate(period):
+        d, r = md.stable_hom(omega, k)
         if d != 1:
             raise ShapeMismatch(f"pi_{j} has dimension {d}, expected 1")
-    x_rep = reps[1][0]
-    y_rep = reps[2][0]
+        reps.append(r[0])
+    # Omega^2 k is k, so pi_2 = pi_0 and y is the class of pi_0
+    y_rep, x_rep = reps
+    omegas = {j: period[j % 2] for j in range(lo, hi + 1)}
+    dims = dict.fromkeys(omegas, 1)
 
     xx = x_rep.compose(md.omega_power_of_map(x_rep, 1))
     if p == 2 and not md.stable_class_is_zero(xx):
         # the degree-1 class is invertible: graded field F_2[y^{+-1}], |y| = 1
         ring = con.laurent_field(2, 1)
-        return TateRing(p, n, window, ring, dims, omegas, x_rep, y_rep)
-
-    # x^2 = 0 (pi_2 is 1-dimensional) and y * x != 0
-    if not md.stable_class_is_zero(xx):
-        raise ShapeMismatch("degree-1 class does not square to zero")
-    yx = y_rep.compose(md.omega_power_of_map(x_rep, 2))
-    if md.stable_class_is_zero(yx):
-        raise ShapeMismatch("product of the degree-1 and degree-2 classes vanishes")
-    # y-periodicity: composing with y is injective on every 1-dim slice
-    for j in range(lo, hi - 1):
-        prod = reps[j][0].compose(md.omega_power_of_map(y_rep, j))
-        if md.stable_class_is_zero(prod):
-            raise ShapeMismatch(f"periodicity fails: y * pi_{j} = 0")
-    ring = con.laurent_exterior(p, 1, 2)
+    else:
+        # x^2 = 0 (pi_2 is 1-dimensional) and y * x != 0.  pi_0 = F_p y, so y
+        # is a stable automorphism of Omega^2 k = k, and composing with y is
+        # injective in every degree
+        if not md.stable_class_is_zero(xx):
+            raise ShapeMismatch("degree-1 class does not square to zero")
+        yx = y_rep.compose(md.omega_power_of_map(x_rep, 2))
+        if md.stable_class_is_zero(yx):
+            raise ShapeMismatch("product of the degree-1 and degree-2 classes vanishes")
+        ring = con.laurent_exterior(p, 1, 2)
     return TateRing(p, n, window, ring, dims, omegas, x_rep, y_rep)
 
 
@@ -119,19 +108,17 @@ def cofiber_stmod(f):
 
 
 def x_action_report(T, C):
-    """Rank of multiplication by x on pi_j C = stable maps Omega^j k -> C, for
-    each usable degree j."""
-    lo, hi = T.window
-    report = {}
-    for j in range(lo, hi):
+    """Rank of multiplication by x on pi_j C = stable maps Omega^j k -> C over
+    the window, read off j mod 2: Omega^j k has period 2, and Omega^{j+2} x is
+    a nonzero multiple of Omega^j x, pi_1 being 1-dimensional."""
+    period = []
+    for j in (0, 1):
         dim, reps = md.stable_hom(T.omegas[j], C)
         shifted_x = md.omega_power_of_map(T.x_rep, j)
-        nonzero = 0
-        for c in reps:
-            if not md.stable_class_is_zero(c.compose(shifted_x)):
-                nonzero += 1
-        report[j] = {"dim": dim, "x_nonzero_on": nonzero}
-    return report
+        nonzero = sum(not md.stable_class_is_zero(c.compose(shifted_x)) for c in reps)
+        period.append({"dim": dim, "x_nonzero_on": nonzero})
+    lo, hi = T.window
+    return {j: period[j % 2] for j in range(lo, hi)}
 
 
 def _condition2_from(T, verdict):

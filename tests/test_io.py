@@ -311,6 +311,8 @@ def test_cli_ggh_bad_group_exits_2(p, n, capsys):
     (["--p", "3", "--n", "6"], "SizeCapExceeded"),
     # 4**10000 has more digits than int() may print: p is refused first
     (["--p", "4", "--n", "10000"], "RingSpecError"),
+    # a prime near 10**18: primality is decided before the group order
+    (["--p", "1000000000000000003", "--n", "1"], "SizeCapExceeded"),
 ])
 def test_cli_ggh_oversized_group_exits_2_at_once(argv, error, capsys):
     start = time.perf_counter()
@@ -325,6 +327,21 @@ def test_cli_ggh_trivial_group_exits_2(p, capsys):
     code, out, err = _run(["ggh", "--p", str(p), "--n", "0"], capsys)
     assert code == 2 and out == ""
     assert "RingSpecError" in err and "trivial" in err and "stable module category is zero" in err
+
+
+@pytest.mark.parametrize("argv", [["classify", "--n", "0"], ["classify", "--n", "1"], ["qf"]])
+def test_cli_periodic_ring_of_huge_prime_characteristic_exits_2_at_once(argv, tmp_path, capsys):
+    path = tmp_path / "big.ring"
+    path.write_text(json.dumps({
+        "characteristic": 10 ** 18 + 3,
+        "basis": [{"name": "one", "degree": 0}],
+        "periodicity": {"unit": "y", "degree": 2},
+        "products": [{"left": "one", "right": "one", "terms": [{"coeff": 1, "basis": "one", "vpow": 0}]}],
+    }))
+    start = time.perf_counter()
+    code, out, err = _run(argv[:1] + [str(path)] + argv[1:], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "UnsupportedCoefficients" in err
 
 
 def test_cli_json_deterministic(capsys):

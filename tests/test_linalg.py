@@ -206,6 +206,24 @@ def test_modp_matmul_shapes(rows, inner, cols):
     assert got == (want if inner else [[] for _ in range(rows)])
 
 
+def test_is_prime_is_deterministic_miller_rabin():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    assert all(linalg.is_prime(n) == trial(n) for n in range(-3, 20000))
+    # strong pseudoprimes to the first 2, 3, ..., 12 prime bases, and Carmichael numbers
+    pseudo = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461, 561, 41041]
+    assert not any(linalg.is_prime(n) for n in pseudo)
+    assert linalg.is_prime(10 ** 18 + 3) and linalg.is_prime(2 ** 61 - 1)
+    assert not linalg.is_prime((10 ** 9 + 7) * (10 ** 9 + 9))
+    # the smallest strong pseudoprime to every base up to 41, and a prime past
+    # it: where the bases are not proven, a number passing them all is refused
+    for n in (3317044064679887385961981, 2 ** 89 - 1):
+        with pytest.raises(UnsupportedCoefficients):
+            linalg.is_prime(n)
+    assert not linalg.is_prime(2 ** 89 + 1)
+
+
 def test_modp_overflow_guard():
     # p*p overflows int64, where elimination would return a wrong (empty) kernel
     p = 4294967311

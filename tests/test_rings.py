@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from brute_force import Factor, double_annihilator_holds, enumerate_slice, oracle_is_delta, primitive_idempotents
@@ -160,6 +161,18 @@ def test_local_big_prime_char():
     # size 3^27 is far past brute force; exercised through the p-power map
     R = con.group_algebra_cyclic(3, 3)
     assert is_local(R)
+
+
+def test_characteristic_past_trial_division_answers_at_once():
+    # two primes near 10**9: the composite cofactor has no factor below the
+    # trial bound, so locality refuses it by name instead of dividing to 10**9
+    c = (10 ** 9 + 7) * (10 ** 9 + 9)
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedCoefficients, match=str(c)):
+        classify(con.z_mod(c), 0)
+    assert time.perf_counter() - start < 1
+    # a prime cofactor is taken at once
+    assert rings._prime_powers(8 * (10 ** 9 + 7)) == [(2, 8), (10 ** 9 + 7, 10 ** 9 + 7)]
 
 
 def test_graded_composite_characteristic():

@@ -12,6 +12,8 @@ from trimod.linalg import modp_rank
 
 
 WINDOW = (-4, 4)
+# the count pins hold in every window, however wide
+PIN_WINDOWS = [(-4, 4), (-6, 6), (-40, 40)]
 
 
 def test_window_validation():
@@ -28,6 +30,14 @@ def test_tate_ring_shape_p3():
         v = classify(T.ring, 1)
         assert v.is_delta
         assert v.factors[0][1].kind == "ExteriorAlgebra"
+
+
+def test_period_that_does_not_close_is_refused(monkeypatch):
+    # the period (k, Omega k) is the scope: a shift that does not come back
+    # to k is a typed limit, not a fallback to the window
+    monkeypatch.setattr(md, "heller_shift", lambda M: md.free_module(M.ring, 0))
+    with pytest.raises(ShapeMismatch, match="Omega\\^2 k is not k"):
+        tate.tate_ring(3, 1, WINDOW)
 
 
 def test_pi0_is_ground_field():
@@ -162,17 +172,16 @@ def test_each_shift_of_a_map_computed_once(monkeypatch):
 
 
 def test_each_power_of_a_map_is_one_shift_call(monkeypatch):
-    # Omega^j of a map is the shift of Omega^{j -+ 1}, computed once per
-    # map and j: x needs j in [lo, hi - 1], y needs j in [lo, hi - 2], less
-    # j = 0 each, so every shift call is counted, cache hits included
+    # the verdict reads Omega x and Omega^2 x, each the shift of the power
+    # before it: two shift calls, cache hits included, in every window
     calls = []
     for name in ("heller_of_map", "omega_inverse_of_map"):
         shift = getattr(md, name)
         monkeypatch.setattr(md, name, lambda f, shift=shift: calls.append(f) or shift(f))
-    for lo, hi in [(-4, 4), (-6, 6)]:
+    for window in PIN_WINDOWS:
         calls.clear()
-        assert tate.ggh_verdict(3, 2, (lo, hi))["verdict"] == "fails"
-        assert len(calls) == 2 * (hi - lo) - 3
+        assert tate.ggh_verdict(3, 2, window)["verdict"] == "fails"
+        assert len(calls) == 2
 
 
 def test_heller_ladders_stay_on_the_omegas(monkeypatch):
@@ -211,11 +220,33 @@ def test_generation_verdict_folds_onto_the_period(monkeypatch):
     shifts = _count_bodies(monkeypatch, ("heller_of_map", "omega_inverse_of_map"))
     build = tate.tate_ring
     monkeypatch.setattr(tate, "tate_ring", lambda *a: made.append(build(*a)) or made[-1])
-    assert tate.ggh_verdict(3, 2, (-6, 6))["verdict"] == "fails"
-    (T,) = made
-    assert len(syzygies) == 2
-    assert len({id(M) for M in T.omegas.values()}) == 2
-    assert len(shifts) == 8  # one per distinct map, where one per degree would be 2 * (hi - lo)
+    for window in PIN_WINDOWS:
+        syzygies.clear()
+        shifts.clear()
+        made.clear()
+        assert tate.ggh_verdict(3, 2, window)["verdict"] == "fails"
+        (T,) = made
+        assert len(syzygies) == 2
+        assert len({id(M) for M in T.omegas.values()}) == 2
+        assert len(shifts) == 2  # Omega x and Omega^2 x, whatever the window
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1)])
+def test_period_matches_the_per_degree_computation(p, n):
+    # the reference computes each degree of the window on its own: Omega^j k
+    # by j shifts of k, pi_j of k and of the cofiber, and Omega^j x
+    for lo, hi in [(-6, 6), (-9, 4), (-3, 7)]:
+        T = tate.tate_ring(p, n, (lo, hi))
+        k = T.omegas[0]
+        assert T.dims == {j: md.stable_hom(md.heller_power(k, j), k)[0] for j in range(lo, hi + 1)}
+        C, _, _ = tate.cofiber_stmod(T.x_rep)
+        report = {}
+        for j in range(lo, hi):
+            dim, reps = md.stable_hom(md.heller_power(k, j), C)
+            shifted_x = md.omega_power_of_map(T.x_rep, j)
+            nonzero = sum(not md.stable_class_is_zero(c.compose(shifted_x)) for c in reps)
+            report[j] = {"dim": dim, "x_nonzero_on": nonzero}
+        assert tate.ggh_verdict(p, n, (lo, hi))["x_action"] == report
 
 
 def bccm_holds(p, n):
