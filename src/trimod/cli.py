@@ -83,12 +83,8 @@ def cmd_heller(args):
         M = ringio.load_module(mpath)
         if M.ring != R:
             raise ParseError(f"module {mpath} is not over the given ring", mpath)
-        sizes = []
-        current = M
-        for _ in range(3):
-            current = md.heller_shift(current)
-            sizes.append(current.size())
-        ok = md.stable_iso_test(current, M)
+        sizes = [md.heller_power(M, j).size() for j in (1, 2, 3)]
+        ok = md.heller_cube_check([M])
         all_ok = all_ok and ok
         results.append({"module": mpath, "shift_sizes": sizes, "cube_returns": ok})
         lines.append(f"{mpath}: sizes {sizes} cube_returns={str(ok).lower()}")

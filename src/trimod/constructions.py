@@ -6,7 +6,7 @@ import math
 
 from . import linalg
 from .errors import RingSpecError, SizeCapExceeded, UnsupportedCoefficients
-from .rings import MAX_TABLE_DIM, GradedRing, validate_ring
+from .rings import MAX_TABLE_DIM, GradedRing, is_graded_field, validate_ring
 
 
 def z_mod(m: int) -> GradedRing:
@@ -45,12 +45,14 @@ def finite_field(q: int) -> GradedRing:
         }
         R = GradedRing(2, [("one", 0), ("g", 0)], products, [(1, 0, 0)])
         return validate_ring(R)
+    if not linalg.is_prime(q):
+        raise RingSpecError(f"need q prime or 4, got q={q}")
     return z_mod(q)
 
 
 def exterior_on_field(k: GradedRing, x_degree: int = 0, name: str = "x") -> GradedRing:
     """k[x]/(x**2) on an ungraded finite field k, with |x| = x_degree."""
-    if not k.is_finite or k.char == 0 or any(k.degrees):
+    if not k.is_finite or k.char == 0 or any(k.degrees) or not is_graded_field(k):
         raise UnsupportedCoefficients("base must be an ungraded finite field")
     n = k.dim
     basis = [(f"c{i}", 0) for i in range(n)] + [(f"{name}{i}" if i else name, x_degree) for i in range(n)]
@@ -68,6 +70,8 @@ def exterior_on_field(k: GradedRing, x_degree: int = 0, name: str = "x") -> Grad
 
 def square_zero_two_vars(p: int) -> GradedRing:
     """k[x, y]/(x**2, x*y, y**2) over the prime field of order p."""
+    if not linalg.is_prime(p):
+        raise RingSpecError(f"need a prime p, got p={p}")
     products = {
         (0, 0): [(1, 0, 0)],
         (0, 1): [(1, 1, 0)],

@@ -36,17 +36,15 @@ count and relation columns of an existing module returns that object, from a
 table in the ring's cache that is freed with the ring; so equal
 presentations share one cache per ring.  The quotient form, covers,
 syzygies, envelopes and stable homs are computed once per presentation
-(`rings.per_object`, keyed by the function and its further arguments), the
-shifts of a map once per source, target and image array (`_per_map`), so
+(`rings.per_object`, keyed by the function and its further arguments), so
 the Heller shifts of a module with Omega^2 k = k (as over F_p[t]/(t^{p^n}))
-close after two steps.  The powers Omega^j f of a map are kept per map
-object and j (`rings.per_object` on the map's `_cache`), each the shift of
-the power one step nearer to f.
+close after two steps.  A map is kept the same way: its shifts Omega f and
+Omega^-1 f, and its powers Omega^j f, each the shift of the power one step
+nearer to f, are computed once per map object.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -82,18 +80,6 @@ def _blockwise(mats, V):
     b = mats.shape[1]
     n, m = V.shape
     return np.matmul(mats[:, None], V.reshape(n // b, b, m)[None]).reshape(len(mats), n, m)
-
-
-def _per_map(fn):
-    """Compute fn(f) once per map, in f.source._cache: a map is its source,
-    target and image array."""
-    @functools.wraps(fn)
-    def once(f):
-        key = (fn.__name__, f.target, tuple(f.images.ravel().tolist()))
-        if key not in f.source._cache:
-            f.source._cache[key] = fn(f)
-        return f.source._cache[key]
-    return once
 
 
 def _closure(mats, vecs):
@@ -482,8 +468,8 @@ def _syzygy(M):
     cover = projective_cover(M)
     K, inc = kernel(cover)
     if cover.source.generators == M.generators and rc.is_quasi_frobenius(M.ring):
-        if K._cache.setdefault(("injective_envelope",), inc) is inc:
-            K._cache.setdefault(("_cosyzygy",), (M, cover))
+        if injective_envelope.seed(K, inc) is inc:
+            _cosyzygy.seed(K, (M, cover))
     return K, inc
 
 
@@ -492,7 +478,7 @@ def heller_shift(M):
     return _syzygy(M)[0]
 
 
-@_per_map
+@rc.per_object
 def heller_of_map(f):
     """A map Omega(f): Omega(source) -> Omega(target) lifting f through covers."""
     M, N = f.source, f.target
@@ -542,7 +528,7 @@ def _through_envelope(M, N):
     return _combination_rows(_lifted(injective_envelope(M)).T, N)
 
 
-@_per_map
+@rc.per_object
 def omega_inverse_of_map(f):
     """The map induced on cokernels of the fixed free embeddings.
 

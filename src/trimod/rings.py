@@ -67,13 +67,20 @@ TRIAL_BOUND = 2 ** 16
 
 def per_object(fn):
     """Compute fn(obj, *args) once per immutable object and arguments, in
-    obj._cache under (fn.__name__, *args).  A call that raises caches nothing."""
+    obj._cache under (fn.__name__, *args).  A call that raises caches nothing.
+    `seed(obj, value, *args)` stores value as that result unless one is
+    stored already, and returns the stored result."""
     @functools.wraps(fn)
     def once(obj, *args):
         key = (fn.__name__, *args)
         if key not in obj._cache:
             obj._cache[key] = fn(obj, *args)
         return obj._cache[key]
+
+    def seed(obj, value, *args):
+        return obj._cache.setdefault((fn.__name__, *args), value)
+
+    once.seed = seed
     return once
 
 

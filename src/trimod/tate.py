@@ -6,12 +6,13 @@ with |x| = 1, |y| = 2; for G = C_2 it is the graded field F_2[y^{+-1}] with
 |y| = 1.  The generation verdict combines the shape of this ring with the
 nonvanishing of x on the homotopy of the cofiber of x.
 
-Everything is computed on one Heller period: Omega^2 k comes out as k
-itself (see `modules`), so Omega^j k, pi_j and the x-action on pi_j of the
-cofiber depend on j mod 2 only, and the verdict holds in every degree.  The
-window only sets the printed range, over which `TateRing.omegas`,
-`TateRing.dims` and the x-action report are laid out by parity.  The shifts
-Omega x and Omega^2 x come from `omega_power_of_map`, cached on the modules.
+Everything is computed on one Heller period (k, Omega k): Omega^2 k comes
+out as k itself (see `modules`), so Omega^j k, pi_j and the x-action on pi_j
+of the cofiber depend on j mod 2 only, and the verdict holds in every degree.
+The window only sets the printed range, over which `TateRing.omegas`,
+`TateRing.dims` and the x-action report are laid out by parity; any nonempty
+window gives the same verdict.  The shifts Omega x and Omega^2 x come from
+`omega_power_of_map`, cached on the map x.
 """
 
 from __future__ import annotations
@@ -25,15 +26,18 @@ DEFAULT_WINDOW = (-6, 6)
 
 
 class TateRing:
-    """Stable-homotopy ring data for k over F_p[t]/(t^{p^n}), on one period."""
+    """Stable-homotopy ring data for k over F_p[t]/(t^{p^n}), on the period
+    (k, Omega k) and laid out over the window by parity."""
 
-    def __init__(self, p, n, window, ring, dims, omegas, x_rep, y_rep):
+    def __init__(self, p, n, window, ring, period, x_rep, y_rep):
         self.p = p
         self.n = n
         self.window = window
         self.ring = ring
-        self.dims = dims
-        self.omegas = omegas
+        self.period = period
+        lo, hi = window
+        self.omegas = {j: period[j % 2] for j in range(lo, hi + 1)}
+        self.dims = dict.fromkeys(self.omegas, 1)
         self.x_rep = x_rep
         self.y_rep = y_rep
 
@@ -46,8 +50,6 @@ def tate_ring(p, n, window=DEFAULT_WINDOW):
     lo, hi = window
     if lo > hi:
         raise WindowEmpty("empty degree window")
-    if lo > 0 or hi < 2:
-        raise WindowEmpty("window must contain degrees 0..2 to see x and y")
     R = con.group_algebra_cyclic(p, n)
     k = md.residue_module(R)
     # both syzygies come first: each seeds the envelope of the module it
@@ -63,8 +65,6 @@ def tate_ring(p, n, window=DEFAULT_WINDOW):
         reps.append(r[0])
     # Omega^2 k is k, so pi_2 = pi_0 and y is the class of pi_0
     y_rep, x_rep = reps
-    omegas = {j: period[j % 2] for j in range(lo, hi + 1)}
-    dims = dict.fromkeys(omegas, 1)
 
     xx = x_rep.compose(md.omega_power_of_map(x_rep, 1))
     if p == 2 and not md.stable_class_is_zero(xx):
@@ -80,7 +80,7 @@ def tate_ring(p, n, window=DEFAULT_WINDOW):
         if md.stable_class_is_zero(yx):
             raise ShapeMismatch("product of the degree-1 and degree-2 classes vanishes")
         ring = con.laurent_exterior(p, 1, 2)
-    return TateRing(p, n, window, ring, dims, omegas, x_rep, y_rep)
+    return TateRing(p, n, window, ring, period, x_rep, y_rep)
 
 
 def cofiber_stmod(f):
@@ -108,50 +108,40 @@ def cofiber_stmod(f):
 
 
 def x_action_report(T, C):
-    """Rank of multiplication by x on pi_j C = stable maps Omega^j k -> C over
-    the window, read off j mod 2: Omega^j k has period 2, and Omega^{j+2} x is
-    a nonzero multiple of Omega^j x, pi_1 being 1-dimensional."""
-    period = []
-    for j in (0, 1):
-        dim, reps = md.stable_hom(T.omegas[j], C)
+    """Rank of multiplication by x on pi_j C = stable maps Omega^j k -> C, for
+    j = 0 and 1.  These two entries are every degree's, by parity: Omega^j k
+    has period 2, and Omega^{j+2} x is a nonzero multiple of Omega^j x, pi_1
+    being 1-dimensional."""
+    report = []
+    for j, omega in enumerate(T.period):
+        dim, reps = md.stable_hom(omega, C)
         shifted_x = md.omega_power_of_map(T.x_rep, j)
         nonzero = sum(not md.stable_class_is_zero(c.compose(shifted_x)) for c in reps)
-        period.append({"dim": dim, "x_nonzero_on": nonzero})
-    lo, hi = T.window
-    return {j: period[j % 2] for j in range(lo, hi)}
-
-
-def _condition2_from(T, verdict):
-    if not verdict.is_delta:
-        raise ShapeMismatch("stable homotopy ring is not of the admissible shape")
-    kinds = [lv.kind for _, lv in verdict.factors]
-    if EXTERIOR not in kinds:
-        # graded field case: no exterior factor, nothing to test
-        return True, {}
-    C, _, _ = cofiber_stmod(T.x_rep)
-    report = x_action_report(T, C)
-    holds = any(entry["x_nonzero_on"] > 0 for entry in report.values())
-    return holds, report
+        report.append({"dim": dim, "x_nonzero_on": nonzero})
+    return report
 
 
 def ggh_verdict(p, n, window=DEFAULT_WINDOW):
-    """Combined verdict: ring shape (1) and x-action on the cofiber (2)."""
+    """Combined verdict: ring shape (1) and x-action on the cofiber (2),
+    decided on the period; the x-action is printed over the window."""
     T = tate_ring(p, n, window)
     verdict = classify(T.ring, 1)
-    condition1 = verdict.is_delta
-    report = {}
-    if condition1:
-        condition2, report = _condition2_from(T, verdict)
+    period = []
+    if verdict.is_delta and EXTERIOR in [lv.kind for _, lv in verdict.factors]:
+        period = x_action_report(T, cofiber_stmod(T.x_rep)[0])
+        condition2 = any(entry["x_nonzero_on"] > 0 for entry in period)
     else:
-        condition2 = False
+        # a graded field has no exterior class: nothing to test
+        condition2 = verdict.is_delta
+    lo, hi = window
     return {
         "p": p,
         "n": n,
         "window": list(window),
-        "condition1": condition1,
+        "condition1": verdict.is_delta,
         "condition2": condition2,
-        "verdict": "holds" if (condition1 and condition2) else "fails",
+        "verdict": "holds" if condition2 else "fails",
         # the p = 3 family is the independently cross-checked reference case
         "computed_extrapolation": p != 3,
-        "x_action": report,
+        "x_action": {j: period[j % 2] for j in range(lo, hi)} if period else {},
     }

@@ -107,3 +107,35 @@ def test_every_error_is_raised():
             elif isinstance(node, ast.ClassDef):
                 used.update(getattr(base, "id", None) or getattr(base, "attr", None) for base in node.bases)
     assert errors and [name for name in errors if name not in used] == []
+
+
+def _cache_writes(tree):
+    """(enclosing scope, line) of each subscript store into, or setdefault
+    on, an attribute named `_cache`; the scope is the names of the enclosing
+    classes and functions."""
+    def is_cache(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_cache"
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)) and is_cache(node.value):
+            yield scope, node.lineno
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "setdefault" and is_cache(node.func.value):
+            yield scope, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return visit(tree, ())
+
+
+def test_only_per_object_writes_caches():
+    # a memo entry is written by rings.per_object (a call or its seed), and
+    # a module is interned by FiniteModule.__new__; nothing else writes a cache
+    allowed = {("rings", "per_object"), ("modules", "FiniteModule", "__new__")}
+    stray = [f"{path.name}:{line} in {'.'.join(scope) or '<module>'}"
+             for path in sorted((ROOT / "src" / "trimod").glob("*.py"))
+             for scope, line in _cache_writes(ast.parse(path.read_text(encoding="utf-8")))
+             if not any((path.stem, *scope)[:len(a)] == a for a in allowed)]
+    assert stray == []

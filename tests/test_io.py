@@ -247,6 +247,17 @@ def test_cli_ggh_exit_codes(capsys):
     assert "verdict: fails" in out
 
 
+def test_cli_ggh_window_without_degrees_0_to_2(capsys):
+    # the verdict is read off the period (k, Omega k): any nonempty window gives it
+    code, out, _ = _run(["ggh", "--p", "3", "--n", "2", "--window", "3:5"], capsys)
+    assert code == 1
+    assert "verdict: fails" in out
+    code, out, _ = _run(["ggh", "--p", "3", "--n", "1", "--window", "0:0", "--json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "holds" and report["x_action"] == {}
+
+
 def test_cli_dg_verify(capsys):
     code, out, _ = _run(
         ["dg-verify", "--p", "3", "--i", "1", "--n", "1",

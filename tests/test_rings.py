@@ -145,6 +145,27 @@ def test_decompose_f3_times_f2x():
     assert sizes == [3, 4]
 
 
+@pytest.mark.parametrize("q", [6, 8, 9, 1])
+def test_finite_field_refuses_an_order_with_no_constructor(q):
+    # z_mod(q) is no field here: F_8 would come out as Z/8, F_6 as Z/6
+    with pytest.raises(RingSpecError, match=f"q={q}"):
+        con.finite_field(q)
+
+
+@pytest.mark.parametrize("p", [4, 6, 1])
+def test_square_zero_two_vars_refuses_a_composite_characteristic(p):
+    with pytest.raises(RingSpecError, match=f"p={p}"):
+        con.square_zero_two_vars(p)
+
+
+@pytest.mark.parametrize("base", [lambda: con.z_mod(6), lambda: con.z_mod(4),
+                                  lambda: con.square_zero_two_vars(2)])
+def test_exterior_on_field_refuses_a_base_that_is_no_field(base):
+    # over Z/6 the result classified as [ExteriorAlgebra, NotDelta]
+    with pytest.raises(UnsupportedCoefficients, match="finite field"):
+        con.exterior_on_field(base())
+
+
 def test_local_cases():
     assert is_local(con.z_mod(4))
     assert is_local(con.z_mod(8))

@@ -19,8 +19,8 @@ PIN_WINDOWS = [(-4, 4), (-6, 6), (-40, 40)]
 def test_window_validation():
     with pytest.raises(WindowEmpty):
         tate.tate_ring(3, 1, (2, -2))
-    with pytest.raises(WindowEmpty):
-        tate.tate_ring(3, 1, (1, 2))
+    # a window without degrees 0..2 is laid out from the period like any other
+    assert tate.tate_ring(3, 1, (1, 2)).dims == {1: 1, 2: 1}
 
 
 def test_tate_ring_shape_p3():
@@ -159,7 +159,7 @@ def _count_bodies(monkeypatch, names):
     calls = []
     for name in names:
         body = getattr(md, name).__wrapped__
-        monkeypatch.setattr(md, name, md._per_map(functools.wraps(body)(
+        monkeypatch.setattr(md, name, rc.per_object(functools.wraps(body)(
             lambda f, body=body: calls.append(f) or body(f))))
     return calls
 
@@ -234,10 +234,11 @@ def test_generation_verdict_folds_onto_the_period(monkeypatch):
 @pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1)])
 def test_period_matches_the_per_degree_computation(p, n):
     # the reference computes each degree of the window on its own: Omega^j k
-    # by j shifts of k, pi_j of k and of the cofiber, and Omega^j x
-    for lo, hi in [(-6, 6), (-9, 4), (-3, 7)]:
+    # by j shifts of k, pi_j of k and of the cofiber, and Omega^j x.  The
+    # verdict is read off the period, so windows without degrees 0..2 give it too
+    for lo, hi in [(-6, 6), (-9, 4), (-3, 7), (3, 5), (1, 2), (0, 0), (-3, -1)]:
         T = tate.tate_ring(p, n, (lo, hi))
-        k = T.omegas[0]
+        k = T.period[0]
         assert T.dims == {j: md.stable_hom(md.heller_power(k, j), k)[0] for j in range(lo, hi + 1)}
         C, _, _ = tate.cofiber_stmod(T.x_rep)
         report = {}
@@ -246,7 +247,9 @@ def test_period_matches_the_per_degree_computation(p, n):
             shifted_x = md.omega_power_of_map(T.x_rep, j)
             nonzero = sum(not md.stable_class_is_zero(c.compose(shifted_x)) for c in reps)
             report[j] = {"dim": dim, "x_nonzero_on": nonzero}
-        assert tate.ggh_verdict(p, n, (lo, hi))["x_action"] == report
+        verdict = tate.ggh_verdict(p, n, (lo, hi))
+        assert verdict["x_action"] == report
+        assert (verdict["verdict"] == "holds") == bccm_holds(p, n)
 
 
 def bccm_holds(p, n):
