@@ -56,6 +56,7 @@ from .modules import (
     identity_map,
     image,
     injective_envelope,
+    iso_test,
     kernel,
     residue_module,
     stable_class_is_zero,

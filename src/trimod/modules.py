@@ -31,6 +31,12 @@ generators the kernel inclusion is an injective envelope of Omega M with
 cokernel M, and Omega^-1(Omega M) is M itself.  Every embedding into a free
 module spans the same maps through projectives: stable homs are unchanged.
 
+Over a chain ring (local, with principal maximal ideal m) a module is a sum
+of cyclic modules R/m^a, and the lengths a are read off the radical
+filtration M m^j.  Isomorphism compares them, and stable isomorphism those
+below the Loewy length of R, since R/m^e is free.  Elsewhere isomorphism is a
+search capped at SIZE_CAP maps, and stable isomorphism a typed limit.
+
 A module is its presentation.  Constructing one with the ring, generator
 count and relation columns of an existing module returns that object, from a
 table in the ring's cache that is freed with the ring; so equal
@@ -231,8 +237,10 @@ class ModuleMap:
         """Take the image array (r_target x g_source), reduced to the target's dtype."""
         self.source = source
         self.target = target
-        qm = target.quotient()[0]
-        X = _reduce(np.asarray(images).reshape(len(qm), source.generators), qm).astype(target.dtype)
+        qm, X = target.quotient()[0], np.asarray(images)
+        # reduced in a dtype that holds the target's moduli and the images
+        X = _reduce(X.astype(np.result_type(X.dtype, target.dtype)).reshape(len(qm), source.generators), qm)
+        X = X.astype(target.dtype)
         X.setflags(write=False)
         self.images = X
         self._cache = {}
@@ -441,11 +449,16 @@ def _factor_through(g, f):
 # projectivity, covers and envelopes (local rings)
 # ---------------------------------------------------------------------------
 
-def _radical(M):
-    """M * maximal ideal, as a subgroup of M's quotient coordinates."""
+def _radical(M, span=None):
+    """span * maximal ideal, for span a submodule of M (all of M by default),
+    as a subgroup of M's quotient coordinates."""
     qm = M.quotient()[0]
-    acts = M.act_all(rc.maximal_ideal(M.ring).generators)
-    return linalg.Subgroup(acts.transpose(0, 2, 1).reshape(len(acts) * len(qm), len(qm)).tolist(), qm)
+    # rows (x v)^T for x a generator of m and v a unit vector or a row of span
+    rows = M.act_all(rc.maximal_ideal(M.ring).generators).transpose(0, 2, 1)
+    if span is not None:
+        cols = span.cols()
+        rows = np.array(cols, dtype=rows.dtype).reshape(len(cols), len(qm)) @ rows
+    return linalg.Subgroup(rows.reshape(rows.shape[0] * rows.shape[1], len(qm)).tolist(), qm)
 
 
 @rc.per_object
@@ -575,21 +588,20 @@ def heller_power(M, j):
 # isomorphism testing
 # ---------------------------------------------------------------------------
 
-def _chain_invariants(M):
-    """Sizes of M * m^j for j = 0, 1, ... over a chain ring (principal m)."""
-    R = M.ring
-    g = rc.chain_generator(R)
-    gens = [g] if g is not None else list(rc.maximal_ideal(R).generators)
-    qm, dt = M.quotient()[0], M.action().dtype
-    sizes = [M.size()]
-    current = np.eye(len(qm), dtype=dt)  # rows additively generating M * m^j
+@rc.per_object
+def _cyclic_lengths(M):
+    """The sorted lengths a with M = sum of R/m^a over a chain ring: a occurs
+    d_{a-1} - 2 d_a + d_{a+1} times, d_j the length of M m^j over the residue
+    field (for R/m^a, d_j = a - j down to 0)."""
+    sizes, span = [M.size()], None
     while sizes[-1] > 1:
-        span = linalg.Subgroup((current @ M.act_all(gens).transpose(0, 2, 1)).reshape(-1, len(qm)).tolist(), qm)
+        span = _radical(M, span)
         sizes.append(span.size())
-        current = np.array(span.cols(), dtype=dt).reshape(-1, len(qm))
-        if len(sizes) > 64:
+        if sizes[-1] == sizes[-2]:
             raise ShapeMismatch("radical filtration does not terminate")
-    return tuple(sizes)
+    q = rc.residue_size(M.ring)
+    d = [_log(q, s) for s in sizes] + [0]
+    return tuple(a for a in range(1, len(sizes)) for _ in range(d[a - 1] - 2 * d[a] + d[a + 1]))
 
 
 @rc.per_object
@@ -600,60 +612,27 @@ def _is_chain_ring(R):
 
 
 def iso_test(M, N):
-    """Isomorphism of finite modules over the same ring."""
+    """Isomorphism of finite modules over the same ring: equal cyclic lengths
+    over a chain ring, a capped search elsewhere."""
     if M.ring != N.ring or M.canonical_additive() != N.canonical_additive():
         return False
     if _is_chain_ring(M.ring):
-        return _chain_invariants(M) == _chain_invariants(N)
+        return _cyclic_lengths(M) == _cyclic_lengths(N)
     return _brute_force_iso(M, N)
 
 
 def _brute_force_iso(M, N):
-    if M.size() > SIZE_CAP:
+    """Search the combinations of Hom(M, N)'s additive generators, each up to
+    its order, for a bijection; at most SIZE_CAP of them."""
+    homs, moduli = _hom_vectors(M, N), _hom_moduli(M, N)
+    orders = [math.lcm(*(m // math.gcd(x, m) for x, m in zip(h, moduli))) for h in homs]
+    if math.prod(orders) > SIZE_CAP:
         raise SizeCapExceeded("isomorphism search above the size cap")
-    homs = _hom_vectors(M, N)
-    if len(homs) > 8:
-        raise SizeCapExceeded("hom space too large for brute-force search")
-    # search additive combinations of hom generators for a bijective one
-    width = len(_hom_moduli(M, N))
-    for combo in itertools.product(range(M.ring.char), repeat=len(homs)):
-        v = [sum(c * h[i] for c, h in zip(combo, homs)) for i in range(width)]
+    for combo in itertools.product(*map(range, orders)):
+        v = [sum(c * h[i] for c, h in zip(combo, homs)) % m for i, m in enumerate(moduli)]
         if _image_size(_map_from_hom(M, N, v)) == N.size():
             return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# stable homs
-# ---------------------------------------------------------------------------
-
-def strip_projective_summands(M):
-    """Remove free direct summands (chain rings: by invariant counts)."""
-    R = M.ring
-    if not _is_chain_ring(R):
-        raise ShapeMismatch("summand stripping implemented for chain rings only")
-    m = rc.maximal_ideal(R)
-    gen = rc.chain_generator(R)
-    if gen is None or not m.generators:
-        # field: everything is free
-        return free_module(R, 0)
-    # M = sum of R/m^a summands; multiplicities are the discrete second
-    # difference of the radical filtration dimensions d_j = dim_k(M m^j)
-    sizes = _chain_invariants(M)
-    ksize = rc.residue_size(R)
-    dims = [_log(ksize, s) for s in sizes]
-    e = len(_chain_invariants(free_module(R, 1))) - 1  # Loewy length of R
-
-    def d(j):
-        return dims[j] if j < len(dims) else 0
-
-    # rebuild without the full-length (free) summands: one R/m^a per entry
-    lengths = [a for a in range(1, e) for _ in range((d(a - 1) - d(a)) - (d(a) - d(a + 1)))]
-    power = [R.one()]
-    while len(power) < e:
-        power.append(power[-1] * gen)
-    rels = [[power[a] if i == k else R.zero() for i in range(len(lengths))] for k, a in enumerate(lengths)]
-    return FiniteModule(R, len(lengths), rels)
 
 
 def _log(base, value):
@@ -665,9 +644,19 @@ def _log(base, value):
     return d
 
 
+# ---------------------------------------------------------------------------
+# stable homs
+# ---------------------------------------------------------------------------
+
 def stable_iso_test(M, N):
-    """Isomorphism after removing free summands from both sides."""
-    return iso_test(strip_projective_summands(M), strip_projective_summands(N))
+    """Isomorphism after removing free summands: over a chain ring of Loewy
+    length e the free summands are the R/m^e, so compare the shorter ones."""
+    if M.ring != N.ring:
+        return False
+    if not _is_chain_ring(M.ring):
+        raise ShapeMismatch("stable isomorphism implemented for chain rings only")
+    e = max(_cyclic_lengths(free_module(M.ring, 1)))
+    return [a for a in _cyclic_lengths(M) if a < e] == [a for a in _cyclic_lengths(N) if a < e]
 
 
 def heller_cube_check(sample):

@@ -195,6 +195,18 @@ def test_cli_heller(capsys):
     assert "cube_returns=true" in out
 
 
+def test_cli_heller_past_int64(tmp_path, capsys):
+    # over Z/2**63, Omega^3 k = Omega k = R/m^62: a negative verdict, exit 1
+    ring = tmp_path / "z2_63.ring"
+    ringio.save_ring(con.z_mod(2 ** 63), str(ring))
+    module = tmp_path / "k.module"
+    module.write_text(json.dumps({"ring": str(ring), "generators": 1,
+                                  "relations": [[[{"coeff": 2, "basis": "e"}]]]}))
+    code, out, err = _run(["heller", str(ring), str(module)], capsys)
+    assert (code, err) == (1, "")
+    assert out == f"{module}: sizes [{2 ** 62}, 2, {2 ** 62}] cube_returns=false\n"
+
+
 def test_cli_missing_file_exits_2(capsys):
     code, _, err = _run(["classify", os.path.join(RINGS, "missing.ring")], capsys)
     assert code == 2

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from trimod import constructions as con
 from trimod import linalg
 from trimod import modules as md
 from trimod import rings as rc
-from trimod.errors import IllFormedMap, NotQuasiFrobenius, ShapeMismatch
+from trimod.errors import IllFormedMap, NotQuasiFrobenius, ShapeMismatch, SizeCapExceeded
 from trimod.modules import (
     FiniteModule,
     ModuleMap,
@@ -30,7 +31,6 @@ from trimod.modules import (
     residue_module,
     stable_hom,
     stable_iso_test,
-    strip_projective_summands,
 )
 
 
@@ -72,19 +72,6 @@ def compose(R, g, f):
     """Reference: the columns of g . f over R, g's matrix times each column of f."""
     G = g.matrix
     return [apply_column(R, G, col) for col in f.columns()]
-
-
-def direct_sum(R, lengths, powers):
-    """Module with one generator per entry, relation gen * powers[i]."""
-    g = len(lengths)
-    rels = []
-    for i, a in enumerate(lengths):
-        if a is None:
-            continue
-        col = [R.zero()] * g
-        col[i] = powers[a]
-        rels.append(col)
-    return FiniteModule(R, g, rels)
 
 
 def test_mult_by_two_on_z4():
@@ -293,14 +280,48 @@ def test_iso_test_examples():
         assert md._brute_force_iso(free_module(Zm, 1), split)
 
 
-def test_strip_projective_summands():
+def test_stable_iso_drops_free_summands():
     R = z4()
     two = R.one() + R.one()
     M = FiniteModule(R, 2, [[two, R.zero()]])  # Z/2 + R
-    S = strip_projective_summands(M)
-    assert S.size() == 2
-    assert iso_test(S, quotient_module(R, [two]))
-    assert strip_projective_summands(free_module(R, 3)).size() == 1
+    assert stable_iso_test(M, quotient_module(R, [two]))
+    assert not stable_iso_test(M, free_module(R, 0))
+    assert stable_iso_test(free_module(R, 3), free_module(R, 0))
+
+
+def test_stable_iso_limits():
+    # local but not a chain ring: a typed limit
+    R = con.square_zero_two_vars(2)
+    with pytest.raises(ShapeMismatch):
+        stable_iso_test(residue_module(R), residue_module(R))
+    assert not stable_iso_test(residue_module(z4()), residue_module(con.z_mod(8)))
+    # Loewy length 70; Omega^3 k = Omega k = R/m^69 is not stably k
+    R = con.z_mod(2 ** 70)
+    assert stable_iso_test(free_module(R, 1), free_module(R, 0))
+    assert not heller_cube_check([residue_module(R)])
+
+
+def test_heller_shift_past_int64():
+    # moduli of 2**63 and more are held as exact Python numbers
+    k = residue_module(con.z_mod(2 ** 63))
+    assert [heller_power(k, j).size() for j in (1, 2, 3)] == [2 ** 62, 2, 2 ** 62]
+    assert heller_shift(residue_module(con.z_mod(2 ** 70))).size() == 2 ** 69
+
+
+def test_brute_force_iso_ranges_over_hom_orders():
+    # (Z/2)^2 against its swapped presentation over Z/(2 * 4099), not local:
+    # each Hom generator has order 2, so the search visits 16 maps
+    Z = con.z_mod(2 * 4099)
+    two = Z.one() * 2
+    A = FiniteModule(Z, 2, [[two, Z.zero()], [Z.zero(), two]])
+    B = FiniteModule(Z, 2, [[Z.zero(), two], [two, Z.zero()]])
+    start = time.perf_counter()
+    assert iso_test(A, B)
+    assert time.perf_counter() - start < 1
+    # (Z/4099)^2: 4099**4 maps, past the cap
+    C = FiniteModule(Z, 2, [[Z.one() * 4099, Z.zero()], [Z.zero(), Z.one() * 4099]])
+    with pytest.raises(SizeCapExceeded):
+        iso_test(C, C)
 
 
 def test_stable_hom_examples():
@@ -329,17 +350,38 @@ def test_heller_cube_over_delta_rings():
         assert heller_cube_check([free_module(R, 1), k])
 
 
+def _chain_sum(rng, R, lengths):
+    """The sum of R/m^a over the lengths, under a random unitriangular change
+    of basis: relation i is g^a_i times column i of the change of basis."""
+    g, n = rc.chain_generator(R), len(lengths)
+    rels = []
+    for i, a in enumerate(lengths):
+        col = [R.from_full_coords([rng.randrange(o) for o in R.orders]) for _ in range(i)]
+        col += [R.one()] + [R.zero()] * (n - i - 1)
+        for _ in range(a):
+            col = [x * g for x in col]
+        rels.append(col)
+    return FiniteModule(R, n, rels)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10**6))
 def test_heller_cube_random_sums(seed):
+    # a module over a chain ring of Loewy length e is a sum of R/m^a, a <= e;
+    # R/m^e is free, and Omega(R/m^a) = R/m^(e-a)
     rng = random.Random(seed)
-    R = rng.choice([z4(), f2x()])
-    g = rc.chain_generator(R)
-    powers = {0: R.one(), 1: g, 2: g * g}
-    n = rng.randint(1, 3)
-    lengths = [rng.choice([1, 2]) for _ in range(n)]
-    M = direct_sum(R, [a if a < 2 else None for a in lengths], powers)
-    assert heller_cube_check([M])
+    R, e = rng.choice([(z4(), 2), (con.z_mod(8), 3), (con.z_mod(9), 2), (f2x(), 2), (f3t3(), 3),
+                       (con.galois_ring_4_2(), 2)])
+    lengths = [rng.randint(1, e) for _ in range(rng.randint(1, 3))]
+    M = _chain_sum(rng, R, lengths)
+    assert md._cyclic_lengths(M) == tuple(sorted(lengths))
+    stable = sorted(a for a in lengths if a < e)
+    other = stable + [e] * rng.randint(0, 1) if rng.random() < 0.5 else \
+        [rng.randint(1, e) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(other)
+    N = _chain_sum(rng, R, other)
+    assert stable_iso_test(M, N) == (stable == sorted(b for b in other if b < e))
+    assert heller_cube_check([M]) == (stable == sorted(e - a for a in stable))
 
 
 def _draw_module(data, R):
