@@ -9,7 +9,7 @@ eliminations from the moduli for `Subgroup`, `congruence_kernel`,
   field, `modp_rref`, on sparse rows ({column: nonzero entry}, Python ints
   mod p or exact numbers over Q), so a pivot costs in proportion to the
   nonzeros it touches; the result is an int64 array over F_p, an object
-  array over Q (p = 0),
+  array over Q (p = 0); a `Subgroup` keeps its rows in Python numbers,
 * any other moduli                             -> integer normal forms:
   - `Subgroup`: the Hermite form `hnf_columns` of the preimage lattice,
   - `congruence_kernel`: the Hermite columns of the graph {(A x, x)} that
@@ -21,7 +21,9 @@ eliminations from the moduli for `Subgroup`, `congruence_kernel`,
 
 A `Subgroup` is the span of some vectors in such a group, held in the
 canonical form of its lane (reduced echelon rows over a field, the Hermite
-basis of the preimage lattice otherwise), so equal spans compare equal.
+basis of the preimage lattice otherwise), so equal spans compare equal.  It
+grows by insertion into that basis, `hnf_columns(cols, dim, start)` on the
+integer lane: `extend` reduces only the new vectors.
 
 Matrices are lists of rows; "columns" arguments are lists of coordinate
 vectors.  All integer results are reduced into [0, m_i) coordinatewise.
@@ -31,13 +33,14 @@ of two residues could overflow them.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import UnsupportedCoefficients
+from .errors import ShapeMismatch, UnsupportedCoefficients
 
 
 # Miller-Rabin on the primes up to 41 decides primality below this bound
@@ -260,45 +263,41 @@ def smith_normal_form(A):
     return [S[i][i] for i in range(min(nr, nc))], U, [list(col) for col in zip(*Uit)]
 
 
-def hnf_columns(cols, dim):
-    """Canonical column Hermite form of the lattice spanned by cols in Z^dim.
+def hnf_columns(cols, dim, start=()):
+    """Canonical column Hermite form of the lattice spanned by cols and by
+    start, a form this function returned, in Z^dim.
 
     Returns a tuple of pivot columns (each a tuple), in echelon order with
     positive pivots and reduced off-pivot entries; usable as a canonical key.
+    Each column is inserted row by row: Euclid steps at a pivot row leave
+    the gcd in the pivot column, and a row without one takes the column.
     """
-    work = [list(map(int, c)) for c in cols if any(c)]
-    fixed = []  # (pivot_row, column)
-    for row in range(dim):
-        live = [c for c in work if c[row] != 0]
-        rest = [c for c in work if c[row] == 0 and any(c)]
-        if not live:
-            work = rest
-            continue
-        # gcd all live columns into one via euclid
-        while len(live) > 1:
-            live.sort(key=lambda c: abs(c[row]))
-            a = live[0]
-            new_live = [a]
-            for b in live[1:]:
-                q = b[row] // a[row]
-                nb = [x - q * y for x, y in zip(b, a)]
-                if nb[row] != 0:
-                    new_live.append(nb)
-                elif any(nb):
-                    rest.append(nb)
-            live = new_live
-        piv = live[0]
-        if piv[row] < 0:
-            piv = [-x for x in piv]
-        fixed.append((row, piv))
-        work = rest
+    basis = {prow: list(col) for prow, col in start}
+    for c in cols:
+        c = list(map(int, c))
+        for row in range(dim):
+            if not c[row]:
+                continue
+            a = basis.get(row)
+            if a is None:
+                basis[row] = c if c[row] > 0 else [-x for x in c]
+                break
+            # floor division leaves 0 <= c[row] < a[row], so pivots stay positive
+            while True:
+                q = c[row] // a[row]
+                if q:
+                    c = [x - q * y for x, y in zip(c, a)]
+                if not c[row]:
+                    break
+                a, c = c, a
+            basis[row] = a
     # final reduction: entries of each pivot column at later pivot rows mod pivot
-    fixed.sort(key=lambda t: t[0])
+    fixed = sorted(basis.items())
     for idx, (prow, pcol) in enumerate(fixed):
         for jdx in range(idx):
             qrow, qcol = fixed[jdx]
-            if qcol[prow] != 0:
-                q = qcol[prow] // pcol[prow]
+            q = qcol[prow] // pcol[prow]
+            if q:
                 fixed[jdx] = (qrow, [x - q * y for x, y in zip(qcol, pcol)])
     return tuple((prow, tuple(col)) for prow, col in fixed)
 
@@ -311,15 +310,13 @@ def _reduce_vec(v, moduli):
     return [x % m if m else x for x, m in zip(v, moduli)]
 
 
+def _axpy(v, f, row, p):
+    """v - f row over F_p, or over Q for p = 0."""
+    return [(x - f * y) % p if p else x - f * y for x, y in zip(v, row)]
+
+
 def _moduli_cols(moduli):
-    D = len(moduli)
-    out = []
-    for i, m in enumerate(moduli):
-        if m:
-            col = [0] * D
-            col[i] = m
-            out.append(col)
-    return out
+    return [[m * (i == j) for i in range(len(moduli))] for j, m in enumerate(moduli) if m]
 
 
 class Subgroup:
@@ -334,21 +331,52 @@ class Subgroup:
     def __init__(self, cols, moduli):
         self.moduli = tuple(moduli)
         self._p = p = _lane(self.moduli)
+        # modp_rref's bound: a span and the kernels of its lane take the same primes
+        if p and p * p >= 2 ** 63:
+            raise UnsupportedCoefficients(f"prime {p} too large for int64 elimination")
+        self._rows, self._pivots = (), ()
+        # the preimage lattice of the integer lane holds the moduli
+        self._insert(list(cols) + (_moduli_cols(self.moduli) if p is None else []))
+
+    def _insert(self, cols):
+        """Insert cols into the held basis; over a field each column, reduced
+        and scaled to a leading 1, is cleared from the rows and joins them."""
         cols = [list(c) for c in cols]
+        self._check(cols)
+        p = self._p
         if p is None:
-            # Hermite basis of the preimage lattice, which holds the moduli
-            hnf = hnf_columns(cols + _moduli_cols(self.moduli), len(self.moduli))
+            hnf = hnf_columns(cols, len(self.moduli), tuple(zip(self._pivots, self._rows)))
             self._rows = tuple(col for _, col in hnf)
             self._pivots = tuple(prow for prow, _ in hnf)
             return
-        R, pivots = modp_rref(cols, p)
-        self._rows = tuple(map(tuple, R[:len(pivots)].tolist()))
-        self._pivots = tuple(pivots)
+        rows, pivots = list(self._rows), list(self._pivots)
+        for v in cols:
+            # exact Python numbers: int64 entries over Q would wrap on overflow
+            v = [int(x) % p for x in v] if p else [Fraction(x.item() if isinstance(x, np.generic) else x) for x in v]
+            for piv, row in zip(pivots, rows):
+                if v[piv]:
+                    v = _axpy(v, v[piv], row, p)
+            lead = next((j for j, x in enumerate(v) if x), None)
+            if lead is None:
+                continue
+            if v[lead] != 1:
+                inv = pow(v[lead], p - 2, p) if p else 1 / v[lead]
+                v = [x * inv % p if p else x * inv for x in v]
+            rows = [_axpy(row, row[lead], v, p) if row[lead] else row for row in rows]
+            k = bisect.bisect(pivots, lead)
+            pivots.insert(k, lead)
+            rows.insert(k, v)
+        self._rows, self._pivots = tuple(map(tuple, rows)), tuple(pivots)
+
+    def _check(self, vecs):
+        if any(len(v) != len(self.moduli) for v in vecs):
+            raise ShapeMismatch(f"vectors need {len(self.moduli)} coordinates, one per modulus")
 
     def remainder(self, v):
         """v reduced by the canonical rows, modulo the moduli: zero exactly
         when v is in the subgroup."""
         v = list(v)
+        self._check([v])
         for piv, row in zip(self._pivots, self._rows):
             # echelon rows over a field have pivot 1 and zeros at the other
             # pivots; a Hermite column leaves a remainder at its pivot row
@@ -390,7 +418,10 @@ class Subgroup:
 
     def extend(self, cols):
         """The span of this subgroup together with the given columns."""
-        return Subgroup(self.cols() + [list(c) for c in cols], self.moduli)
+        grown = object.__new__(Subgroup)
+        grown.moduli, grown._p, grown._rows, grown._pivots = self.moduli, self._p, self._rows, self._pivots
+        grown._insert(cols)
+        return grown
 
     def __eq__(self, other):
         return isinstance(other, Subgroup) and (self.moduli, self._rows) == (other.moduli, other._rows)

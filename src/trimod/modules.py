@@ -21,7 +21,8 @@ relation columns of a presentation.  Each array has its module's
 `rings.int_dtype`, and each product sums over one module's coordinates with
 an operand of that module's dtype, so int64 sums cannot overflow.
 
-Submodule spans are `linalg.Subgroup`s extended under the action matrices.
+Submodule spans are `linalg.Subgroup`s extended under the action matrices,
+each extension reducing only the new vectors against the basis held.
 Submodules come minimally presented in the greedy sense: a generator or
 relation is kept only when the R-span of those kept before misses it.
 
@@ -678,17 +679,16 @@ def stable_hom(M, N):
     R = M.ring
     if not rc.is_quasi_frobenius(R):
         raise NotQuasiFrobenius("stable homs need a quasi-Frobenius ring")
-    homs = _hom_vectors(M, N)
     P = stable_projective_span(M, N)
-    quot = P.extend(homs).size() // P.size()
-    # the group order when no single residue field applies
-    dim = _log(rc.residue_size(R), quot) if rc.is_local(R) else quot
     reps = []
     span = P
-    for v in homs:
+    for v in _hom_vectors(M, N):
         if not span.contains(v):
             reps.append(_map_from_hom(M, N, v))
             span = span.extend([v])
+    quot = span.size() // P.size()
+    # the group order when no single residue field applies
+    dim = _log(rc.residue_size(R), quot) if rc.is_local(R) else quot
     return dim, tuple(reps)
 
 

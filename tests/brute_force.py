@@ -195,3 +195,43 @@ def _check_well_defined(alg):
                 acc = alg.multiply(acc, letters[letter])
             if terms != acc.terms:
                 raise ShapeMismatch(f"rewriting disagreement on word {''.join(word)}")
+
+
+def batch_hnf_columns(cols, dim):
+    """Column Hermite form of the lattice spanned by cols in Z^dim, in the
+    form of `linalg.hnf_columns`, by batch elimination: row by row, Euclid
+    merges every column nonzero there into one pivot column."""
+    work = [list(map(int, c)) for c in cols if any(c)]
+    fixed = []  # (pivot_row, column)
+    for row in range(dim):
+        live = [c for c in work if c[row] != 0]
+        rest = [c for c in work if c[row] == 0 and any(c)]
+        if not live:
+            work = rest
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda c: abs(c[row]))
+            a = live[0]
+            new_live = [a]
+            for b in live[1:]:
+                q = b[row] // a[row]
+                nb = [x - q * y for x, y in zip(b, a)]
+                if nb[row] != 0:
+                    new_live.append(nb)
+                elif any(nb):
+                    rest.append(nb)
+            live = new_live
+        piv = live[0]
+        if piv[row] < 0:
+            piv = [-x for x in piv]
+        fixed.append((row, piv))
+        work = rest
+    # entries of each pivot column at later pivot rows, reduced mod the pivot
+    fixed.sort(key=lambda t: t[0])
+    for idx, (prow, pcol) in enumerate(fixed):
+        for jdx in range(idx):
+            qrow, qcol = fixed[jdx]
+            if qcol[prow] != 0:
+                q = qcol[prow] // pcol[prow]
+                fixed[jdx] = (qrow, [x - q * y for x, y in zip(qcol, pcol)])
+    return tuple((prow, tuple(col)) for prow, col in fixed)

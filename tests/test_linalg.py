@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brute_force import batch_hnf_columns
 from trimod import linalg
-from trimod.errors import UnsupportedCoefficients
+from trimod.errors import ShapeMismatch, UnsupportedCoefficients
 
 
 def test_modp_rref_identity():
@@ -334,6 +335,87 @@ def test_subgroup_against_brute_force(data):
         assert (S.rank == 0) == (not any(map(any, gens)))
     assert linalg.Subgroup(data.draw(st.permutations(gens)), moduli) == S
     assert (S.extend([v]) == S) == S.contains(v)
+    more = data.draw(st.lists(vec, max_size=3))
+    T = S.extend(more)
+    if any(moduli):
+        span = _brute_span(gens + more, moduli)
+        assert T.size() == len(span)
+        assert all(T.contains(x) == (x in span) for x in itertools.product(*[range(m) for m in moduli]))
+    else:
+        assert T.contains(v) == _rational_contains(gens + more, v)
+
+
+# moduli of the F_p, Q and integer lanes, the last with moduli 0 among others
+INSERTION_MODULI = [[2] * 4, [5] * 3, [0] * 3, [4, 2, 8], [6, 0, 9], [0, 4], [12, 18, 3]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_insertion_matches_batch_elimination(data):
+    moduli = data.draw(st.sampled_from(INSERTION_MODULI))
+    D, p = len(moduli), linalg._lane(moduli)
+    vec = st.lists(st.integers(-20, 20), min_size=D, max_size=D)
+    a, b, c = (data.draw(st.lists(vec, max_size=4)) for _ in range(3))
+    # Hermite insertion into a returned form is the batch form of all columns
+    assert linalg.hnf_columns(b, D, linalg.hnf_columns(a, D)) == batch_hnf_columns(a + b, D)
+    S = linalg.Subgroup(a + b + c, moduli)
+    if p is None:
+        assert tuple(zip(S._pivots, S._rows)) == batch_hnf_columns(a + b + c + linalg._moduli_cols(moduli), D)
+    else:
+        R, pivots = linalg.modp_rref(a + b + c, p)
+        assert (S._rows, S._pivots) == (tuple(map(tuple, R[:len(pivots)].tolist())), tuple(pivots))
+    # one extension, chained extensions and one vector at a time
+    assert linalg.Subgroup(a, moduli).extend(b + c) == S
+    assert linalg.Subgroup(a, moduli).extend(b).extend(c) == S
+    T = linalg.Subgroup([], moduli)
+    for v in a + b + c:
+        T = T.extend([v])
+    assert T == S and hash(T) == hash(S)
+
+
+def test_extend_inserts_into_the_held_basis(monkeypatch):
+    # a field-lane extension eliminates no matrix; an integer-lane one makes
+    # one Hermite insertion, into the basis the span holds
+    calls = []
+    rref, hnf = linalg.modp_rref, linalg.hnf_columns
+    monkeypatch.setattr(linalg, "modp_rref", lambda *a, **kw: calls.append(("rref", a, kw)) or rref(*a, **kw))
+    monkeypatch.setattr(linalg, "hnf_columns", lambda *a, **kw: calls.append(("hnf", a, kw)) or hnf(*a, **kw))
+    for p in (3, 0):
+        S = linalg.Subgroup([[1, 2, 0]], [p] * 3)
+        calls.clear()
+        T = S.extend([[0, 1, 1], [1, 3, 1]])
+        assert calls == [] and T.rank == 2
+    S = linalg.Subgroup([[2, 0, 1]], [4, 4, 2])
+    held = tuple(zip(S._pivots, S._rows))
+    calls.clear()
+    T = S.extend([[0, 2, 0]])
+    assert len(calls) == 1
+    name, args, kw = calls[0]
+    start = kw["start"] if "start" in kw else args[2] if len(args) > 2 else None
+    assert name == "hnf" and start is not None and tuple(start) == held
+    assert T == linalg.Subgroup([[2, 0, 1], [0, 2, 0]], [4, 4, 2])
+
+
+def test_rational_span_of_int64_rows_is_exact():
+    # int64 entries over Q become exact numbers: 2**32 * 2**32 would wrap to 0
+    A = np.array([[1, 2 ** 32], [2 ** 32, 0]], dtype=np.int64)
+    S = linalg.Subgroup(A, [0, 0])
+    assert S.rank == 2 and all(type(x) is Fraction for row in S._rows for x in row)
+    assert S.extend(A) == S == linalg.Subgroup([[1, 0], [0, 1]], [0, 0])
+
+
+def test_subgroup_refuses_vectors_of_the_wrong_length():
+    # every vector has one coordinate per modulus, on every lane
+    for moduli in ([3, 3], [4, 4], [0, 0]):
+        with pytest.raises(ShapeMismatch):
+            linalg.Subgroup([[1]], moduli)
+        S = linalg.Subgroup([[1, 0]], moduli)
+        with pytest.raises(ShapeMismatch):
+            S.contains([1])
+        with pytest.raises(ShapeMismatch):
+            S.remainder([1, 0, 0])
+        with pytest.raises(ShapeMismatch):
+            S.extend([[0, 1], [1]])
 
 
 def test_quotient_presentation_z4_by_2():
