@@ -21,14 +21,15 @@ degree of every coefficient in the block.  A chain map's slice matrix is the
 same assembly without the diagonal.  Terms past the weight bound are
 dropped.
 
-Homology is computed slice by slice.  The one elimination of a slice that
-picks the representative cycles also yields the slice's coordinate map, so
-class coordinates and induced matrices on homology are products, with no
-further elimination.  A module with zero differential (a free module, its
-shifts, the cone of a zero map) takes its homology from H(A): its slice
-complex is a direct sum of slices of A, whose homology each algebra
-eliminates once per degree mod |v| and padding (`_algebra_homology`), and
-its coordinate map is assembled block-diagonally from those of H(A).
+Homology is computed slice by slice.  One echelon basis per slice, grown by
+inserting the boundaries and then the low-weight cycles, picks the
+representative cycles and yields the slice's coordinate map, so class
+coordinates and induced matrices on homology are products.  A module with
+zero differential (a free module, its shifts, the cone of a zero map) takes
+its homology from H(A): its slice complex is a direct sum of slices of A,
+whose homology each algebra eliminates once per degree mod |v| and padding
+(`_algebra_homology`), and its coordinate map is assembled block-diagonally
+from those of H(A).
 
 Periodicity: when |v| != 0, the slice bases at q and q + k|v| differ only in
 the v-exponents t, shifted by k, because the basis of A_s depends on t only
@@ -483,32 +484,35 @@ def _slice_homology(alg, basis, d_here, d_above, padding):
     d_above (from the slice n above), both arrays of shape (target, source).
 
     Representatives are cycles supported on u-weights <= W - padding: the
-    columns of ker_low are the reduced-echelon kernel basis of d_here on the
-    low-weight coordinates, padded with zeros (the reduced-echelon basis of a
-    subspace is unique, so this is that of the low-weight cycles).  Of these,
-    a cycle is kept when it lies outside the span of the boundaries and the
-    cycles kept before it, i.e. when its column is a pivot of the echelon
-    form T [im | ker_low].  The same elimination, run on [im | ker_low | I]
-    with pivots only in the first block, yields T and so the coordinate map
-    (P, Z): P is the rows of T at the pivots of the reps, Z the rows past the
-    rank.  A vector z lies in span(reps, im) iff Z z = 0, and then P z holds
-    its coordinates in the reps.
+    reduced-echelon kernel basis of d_here on the low-weight coordinates
+    (unique, so that of the low-weight cycles).  One echelon basis takes the
+    boundaries, then each cycle k tagged by a 1 at column size + k
+    (`linalg._echelon_insert`), and keeps it when it gets a pivot below
+    size: when it lies outside the span of the boundaries and the cycles
+    kept before it.  A held row (x, t) has x = sum_k t_k cycle_k modulo the
+    boundaries, so the coordinate map (P, Z) is P, the tags at the pivots,
+    and Z, the kernel basis of the rows x: z lies in span(reps, im) iff
+    Z z = 0, and then P z holds its coordinates in the reps.
     """
     p, size = alg.p, len(basis)
     # reliability: the cycles supported on the low-weight coordinates
     low = [idx for idx, (_, (_, _, m)) in enumerate(basis) if m <= alg.weight - padding]
     ker = linalg.modp_kernel(d_here[:, low], p)
-    ker_low = np.zeros((size, len(ker)), dtype=np.int64)
-    ker_low[low] = _columns(ker, len(low))
+    ker_low = np.zeros((len(ker), size), dtype=np.int64)
+    ker_low[:, low] = _columns(ker, len(low)).T
     im = d_above[:, d_above.any(axis=0)]
-    k, lead = im.shape[1], im.shape[1] + len(ker)
-    R, pivots = linalg.modp_rref(np.hstack((im, ker_low, np.eye(size, dtype=np.int64))), p, bound=lead)
-    # the boundaries come first, so the pivots of the reps are the last ones
-    first = sum(c < k for c in pivots)
-    reps = ker_low[:, [c - k for c in pivots[first:]]].T.tolist()
-    T = R[:, lead:]
+    held, kept = {}, []
+    for row in linalg._sparse_rows(im.T, p):
+        linalg._echelon_insert(held, row, p, size)
+    for k, row in enumerate(linalg._sparse_rows(np.hstack((ker_low, np.eye(len(ker), dtype=np.int64))), p)):
+        if linalg._echelon_insert(held, row, p, size) is not None:
+            kept.append(k)
+    pivots, R = sorted(held), linalg._echelon_matrix(held, len(held), size + len(ker), p)
+    P = np.zeros((len(kept), size), dtype=np.int64)
+    P[:, pivots] = R[:, [size + k for k in kept]].T
+    reps = ker_low[kept].tolist()
     return {"dim": len(reps), "reps": reps, "basis": basis, "im": im.T.tolist(),
-            "coords": (T[first:len(pivots)], T[len(pivots):])}
+            "coords": (P, linalg._null_basis(R, pivots, size, p)[0])}
 
 
 def _slices(M, degrees, padding):

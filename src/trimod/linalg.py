@@ -5,11 +5,12 @@ groups presented as Z/m_1 x ... x Z/m_D.  `_lane` picks one of two
 eliminations from the moduli for `Subgroup`, `congruence_kernel`,
 `congruence_solve` and `quotient_presentation`:
 
-* all moduli equal to one prime p, or all zero -> one Gauss-Jordan over the
-  field, `modp_rref`, on sparse rows ({column: nonzero entry}, Python ints
-  mod p or exact numbers over Q), so a pivot costs in proportion to the
-  nonzeros it touches; the result is an int64 array over F_p, an object
-  array over Q (p = 0); a `Subgroup` keeps its rows in Python numbers,
+* all moduli equal to one prime p, or all zero -> one sparse echelon
+  insertion over F_p or Q, `_echelon_insert`: a row {column: nonzero entry}
+  (Python ints mod p, or Fractions over Q, made in `_sparse_rows`) joins a
+  reduced echelon basis {pivot: row}; `modp_rref` (int64 over F_p, object
+  arrays over Q) and the kernels and solves on it, `Subgroup` and the
+  homology of a DG slice all insert through it,
 * any other moduli                             -> integer normal forms:
   - `Subgroup`: the Hermite form `hnf_columns` of the preimage lattice,
   - `congruence_kernel`: the Hermite columns of the graph {(A x, x)} that
@@ -23,7 +24,8 @@ A `Subgroup` is the span of some vectors in such a group, held in the
 canonical form of its lane (reduced echelon rows over a field, the Hermite
 basis of the preimage lattice otherwise), so equal spans compare equal.  It
 grows by insertion into that basis, `hnf_columns(cols, dim, start)` on the
-integer lane: `extend` reduces only the new vectors.
+integer lane: `extend` reduces only the new vectors, and shares untouched
+rows with the span it extends.
 
 Matrices are lists of rows; "columns" arguments are lists of coordinate
 vectors.  All integer results are reduced into [0, m_i) coordinatewise.
@@ -33,7 +35,6 @@ of two residues could overflow them.
 
 from __future__ import annotations
 
-import bisect
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -81,82 +82,85 @@ def _lane(moduli):
 # field lane: F_p (numpy int64) and Q (p = 0, object arrays)
 # ---------------------------------------------------------------------------
 
-def modp_rref(A, p, bound=None):
-    """Gauss-Jordan elimination of A over F_p, or over Q for p = 0.  Returns
-    (R, pivot_columns): R reduced mod p in int64, or exact numbers in an
-    object array over Q.
-
-    With bound, pivots are taken only in the first bound columns; the later
-    columns undergo the same row operations, so for A = [E | I] and bound
-    the width of E, R = [T E | T] with T invertible.
-
-    The rows are held sparse, as {column: nonzero entry}, and each column
-    left of bound knows the rows nonzero there; the next pivot is the
-    leftmost such column with a row at or below the current one, and the
-    topmost of those rows is swapped into place."""
-    nr = len(A)
-    nc = len(A[0]) if nr else 0
-    # the int64 result keeps a product of two of its entries exact
+def _sparse_rows(A, p):
+    """The rows of A as {column: nonzero entry} in exact Python numbers: ints
+    mod p, or Fractions over Q, where int64 products would wrap."""
+    # the int64 results of the lane keep a product of two entries exact
     if p * p >= 2 ** 63:
         raise UnsupportedCoefficients(f"prime {p} too large for int64 elimination")
     if isinstance(A, np.ndarray):
-        ii, jj = A.nonzero()
-        entries = zip(ii.tolist(), jj.tolist(), A[ii, jj].tolist())
-    else:
-        entries = ((i, j, x) for i, row in enumerate(A) for j, x in enumerate(row) if x)
-    bound = nc if bound is None else min(bound, nc)
-    rows = [{} for _ in range(nr)]
-    holders = [set() for _ in range(bound)]
-    for i, j, x in entries:
-        x = int(x) % p if p else x
-        if x:
+        # reduced into int64 over F_p, whose tolist gives Python ints
+        B = (A % p).astype(np.int64) if p else A
+        rows = [{} for _ in range(len(B))]
+        ii, jj = B.nonzero()
+        for i, j, x in zip(ii.tolist(), jj.tolist(), B[ii, jj].tolist()):
             rows[i][j] = x
-            if j < bound:
-                holders[j].add(i)
-    # rows keep their index in rows and holders; at[k] is the row at
-    # position k and pos its inverse, so a swap moves no entries
-    at, pos = list(range(nr)), list(range(nr))
-    pivots = []
-    for c in range(bound):
-        r = len(pivots)
-        if r == nr:
-            break
-        below = [pos[i] for i in holders[c] if pos[i] >= r]
-        if not below:
-            continue
-        k = min(below)
-        top, other = at[k], at[r]
-        at[r], at[k], pos[top], pos[other] = top, other, r, k
-        row = rows[top]
-        if row[c] != 1:
-            inv = pow(row[c], p - 2, p) if p else 1 / Fraction(row[c])
-            row = rows[top] = {j: x * inv % p if p else x * inv for j, x in row.items()}
-        # the pivot row is zero left of c, so only columns >= c change
-        others, holders[c] = holders[c], {top}
-        for i in others:
-            if i == top:
-                continue
-            target = rows[i]
-            f = target[c]
-            for j, y in row.items():
-                x = target.get(j, 0) - f * y
-                if p:
-                    x %= p
-                if x:
-                    if j < bound and j not in target:
-                        holders[j].add(i)
-                    target[j] = x
-                else:
-                    del target[j]
-                    if j < bound:
-                        holders[j].discard(i)
-        pivots.append(c)
+        if p:
+            return rows
+        pairs = [row.items() for row in rows]
+    else:
+        pairs = map(enumerate, A)
+    if p:
+        return [{j: y for j, x in row if x and (y := int(x) % p)} for row in pairs]
+    return [{j: Fraction(x.item() if isinstance(x, np.generic) else x) for j, x in row if x} for row in pairs]
+
+
+def _subtract(target, f, row, p):
+    """target - f row, in place, over F_p or over Q for p = 0."""
+    for j, y in row.items():
+        x = target.get(j, 0) - f * y
+        if p:
+            x %= p
+        if x:
+            target[j] = x
+        else:
+            del target[j]
+    return target
+
+
+def _echelon_insert(held, row, p, width):
+    """Insert the sparse row into held, a reduced echelon basis {pivot: row}
+    over F_p, or over Q for p = 0: reduce it by the held rows at its pivots,
+    scale it to a leading 1 and clear that column from the held rows.
+    Returns the new pivot, or None, leaving held as it was, when the reduced
+    row has no entry left of width.  The row becomes held; a held row that
+    changes is replaced, never changed in place, so a shallow copy of held
+    shares its untouched rows with the original."""
+    # held rows are zero at the other pivots: one pass reduces the row
+    for c in [c for c in row if c in held]:
+        _subtract(row, row[c], held[c], p)
+    lead = min(row) if row else width
+    if lead >= width:
+        return None
+    if row[lead] != 1:
+        inv = pow(row[lead], p - 2, p) if p else 1 / row[lead]
+        row = {j: x * inv % p if p else x * inv for j, x in row.items()}
+    for c, old in [(c, old) for c, old in held.items() if lead in old]:
+        held[c] = _subtract(dict(old), old[lead], row, p)
+    held[lead] = row
+    return lead
+
+
+def modp_rref(A, p):
+    """Gauss-Jordan elimination of A over F_p, or over Q for p = 0, by
+    inserting its rows (`_echelon_insert`).  Returns (R, pivot_columns): the
+    held rows in pivot order, padded with zero rows (`_echelon_matrix`)."""
+    nr = len(A)
+    nc = len(A[0]) if nr else 0
+    held = {}
+    for row in filter(None, _sparse_rows(A, p)):
+        _echelon_insert(held, row, p, nc)
+    return _echelon_matrix(held, nr, nc, p), sorted(held)
+
+
+def _echelon_matrix(held, nr, nc, p):
+    """nr rows: those held in pivot order, then zeros; int64 over F_p, object over Q."""
     R = np.zeros((nr, nc), dtype=np.int64 if p else object)
-    cells = [(k, j, x) for k, i in enumerate(at) for j, x in rows[i].items()]
+    cells = [(k, j, x) for k, c in enumerate(sorted(held)) for j, x in held[c].items()]
     if cells:
         rr, cc, vv = zip(*cells)
         R[rr, cc] = vv
-    return R, pivots
+    return R
 
 
 def modp_matmul(A, B, p):
@@ -183,7 +187,11 @@ def _kernel_basis(A, nc, p):
     rows of K are the reduced echelon basis of {x : A x = 0}, one per
     non-pivot column f in free, with 1 at f and 0 at the other free columns.
     A matrix with no rows or no columns is not eliminated."""
-    R, pivots = modp_rref(A, p) if len(A) and nc else (None, [])
+    return _null_basis(*(modp_rref(A, p) if len(A) and nc else (None, [])), nc, p)
+
+
+def _null_basis(R, pivots, nc, p):
+    """`_kernel_basis` of R, reduced echelon rows with these pivots."""
     free = sorted(set(range(nc)).difference(pivots))
     K = np.zeros((len(free), nc), dtype=np.int64 if p else object)
     K[np.arange(len(free)), free] = 1
@@ -310,11 +318,6 @@ def _reduce_vec(v, moduli):
     return [x % m if m else x for x, m in zip(v, moduli)]
 
 
-def _axpy(v, f, row, p):
-    """v - f row over F_p, or over Q for p = 0."""
-    return [(x - f * y) % p if p else x - f * y for x, y in zip(v, row)]
-
-
 def _moduli_cols(moduli):
     return [[m * (i == j) for i in range(len(moduli))] for j, m in enumerate(moduli) if m]
 
@@ -326,47 +329,34 @@ class Subgroup:
     equality of the spans (over the same moduli).
     """
 
-    __slots__ = ("moduli", "_p", "_rows", "_pivots")
+    __slots__ = ("moduli", "_p", "_rows", "_pivots", "_held")
 
     def __init__(self, cols, moduli):
         self.moduli = tuple(moduli)
         self._p = p = _lane(self.moduli)
-        # modp_rref's bound: a span and the kernels of its lane take the same primes
-        if p and p * p >= 2 ** 63:
-            raise UnsupportedCoefficients(f"prime {p} too large for int64 elimination")
-        self._rows, self._pivots = (), ()
+        self._rows, self._pivots, self._held = (), (), {}
         # the preimage lattice of the integer lane holds the moduli
         self._insert(list(cols) + (_moduli_cols(self.moduli) if p is None else []))
 
     def _insert(self, cols):
-        """Insert cols into the held basis; over a field each column, reduced
-        and scaled to a leading 1, is cleared from the rows and joins them."""
+        """Insert cols into the held basis; canonical rows it leaves untouched are kept."""
         cols = [list(c) for c in cols]
         self._check(cols)
-        p = self._p
+        p, D = self._p, len(self.moduli)
+        if not cols:
+            return
         if p is None:
-            hnf = hnf_columns(cols, len(self.moduli), tuple(zip(self._pivots, self._rows)))
+            hnf = hnf_columns(cols, D, tuple(zip(self._pivots, self._rows)))
             self._rows = tuple(col for _, col in hnf)
             self._pivots = tuple(prow for prow, _ in hnf)
             return
-        rows, pivots = list(self._rows), list(self._pivots)
-        for v in cols:
-            # exact Python numbers: int64 entries over Q would wrap on overflow
-            v = [int(x) % p for x in v] if p else [Fraction(x.item() if isinstance(x, np.generic) else x) for x in v]
-            for piv, row in zip(pivots, rows):
-                if v[piv]:
-                    v = _axpy(v, v[piv], row, p)
-            lead = next((j for j, x in enumerate(v) if x), None)
-            if lead is None:
-                continue
-            if v[lead] != 1:
-                inv = pow(v[lead], p - 2, p) if p else 1 / v[lead]
-                v = [x * inv % p if p else x * inv for x in v]
-            rows = [_axpy(row, row[lead], v, p) if row[lead] else row for row in rows]
-            k = bisect.bisect(pivots, lead)
-            pivots.insert(k, lead)
-            rows.insert(k, v)
-        self._rows, self._pivots = tuple(map(tuple, rows)), tuple(pivots)
+        before, dense, zeros = self._held, dict(zip(self._pivots, self._rows)), [0 if p else Fraction(0)] * D
+        held = self._held = dict(before)
+        for row in _sparse_rows(cols, p):
+            _echelon_insert(held, row, p, D)
+        self._pivots = tuple(sorted(held))
+        self._rows = tuple(dense[c] if held[c] is before.get(c) else tuple(map(held[c].get, range(D), zeros))
+                           for c in self._pivots)
 
     def _check(self, vecs):
         if any(len(v) != len(self.moduli) for v in vecs):
@@ -419,7 +409,8 @@ class Subgroup:
     def extend(self, cols):
         """The span of this subgroup together with the given columns."""
         grown = object.__new__(Subgroup)
-        grown.moduli, grown._p, grown._rows, grown._pivots = self.moduli, self._p, self._rows, self._pivots
+        grown.moduli, grown._p, grown._rows, grown._pivots, grown._held = (
+            self.moduli, self._p, self._rows, self._pivots, self._held)
         grown._insert(cols)
         return grown
 
@@ -440,10 +431,16 @@ def _graph(A, nc, row_moduli, col_moduli):
     return Subgroup(cols, list(row_moduli) + list(col_moduli))
 
 
+def _check_system(A, nc, *per_row):
+    """ShapeMismatch unless A has rows of nc entries and each of per_row one entry per row."""
+    if any(len(row) != nc for row in A) or any(len(v) != len(A) for v in per_row):
+        raise ShapeMismatch(f"{len(A)} congruences need as many moduli and right-hand sides, and rows of {nc}")
+
+
 def congruence_kernel(A, row_moduli, col_moduli):
     """Generators of {x in +Z/col_moduli : A x = 0 in +Z/row_moduli}."""
-    nr = len(A)
-    nc = len(A[0]) if nr else len(col_moduli)
+    nr, nc = len(A), len(col_moduli)
+    _check_system(A, nc, row_moduli)
     p = _lane(list(row_moduli) + list(col_moduli))
     if p is not None:
         return _kernel_basis(A, nc, p)[0].tolist()
@@ -459,8 +456,11 @@ def congruence_solve(A, b, row_moduli):
     keeps its width also when it has no rows."""
     nr = len(A)
     nc = np.shape(A)[1] if isinstance(A, np.ndarray) else len(A[0]) if nr else 0
+    _check_system(A, nc, b)
     if nr == 0:
         return [0] * nc
+    # moduli of a system with no congruences are not read
+    _check_system(A, nc, row_moduli)
     p = _lane(row_moduli)
     if p is not None:
         return modp_solve(A, b, p)

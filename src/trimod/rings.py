@@ -507,9 +507,8 @@ class Ideal:
         return all(span.rank == 0 for span in self.slices.values())
 
     def size(self):
-        """Number of elements (finite rings)."""
-        if not self.ring.is_finite or self.ring.char == 0:
-            return None
+        """Number of elements over one period of degrees (`degree_support`),
+        so all of them on a finite ring; raises for an infinite slice."""
         return math.prod(span.size() for span in self.slices.values())
 
     def __eq__(self, other):
@@ -860,10 +859,8 @@ def socle_is_simple(R):
     principal.  m kills the socle, so each homogeneous g != 0 in it spans
     gR = R/m shifted: the socle is gR exactly when it is as large as R/m,
     counted over one period of degrees."""
-    def size(ideal):
-        return math.prod(span.size() for span in ideal.slices.values())
     whole = math.prod(m for q in R.degree_support() for m in R.slice_moduli(R.slice_terms(q)))
-    return size(socle(R)) * size(maximal_ideal(R)) == whole
+    return socle(R).size() * maximal_ideal(R).size() == whole
 
 
 @per_object

@@ -6,8 +6,8 @@ Leibniz rule (against which `slice_differential` and `map_slice` are also
 compared), the representatives by a greedy loop that keeps
 a low-weight cycle when it is not yet in the span of the boundaries and the
 cycles kept before it.  `homology` must return the same records: modules
-with zero differential take them from H(A), the others from one echelon form
-per representative set, and on windows spanning two periods of v, where
+with zero differential take them from H(A), the others from one echelon
+basis per slice grown by insertion, and on windows spanning two periods of v, where
 `homology` eliminates one degree per residue class mod |v| and transports
 the records to the others, every degree must still match.  The class coordinates of a batch of cycles must be
 what one solve per cycle gives, `modp_rref` must agree with a pure-Python
@@ -126,15 +126,14 @@ def reference_homology(M, window, padding=dg.PADDING):
     return out
 
 
-def reference_rref(A, p, bound=None):
-    """Gauss-Jordan with pivots in the first bound columns (all by default);
-    the row operations act on whole rows.  Over F_p, or over Q in Fraction
-    arithmetic for p = 0."""
+def reference_rref(A, p):
+    """Gauss-Jordan on whole rows, column by column.  Over F_p, or over Q in
+    Fraction arithmetic for p = 0."""
     red = (lambda x: x % p) if p else Fraction
     R = [[red(x) for x in row] for row in A]
     nr, nc = len(R), len(R[0]) if R else 0
     pivots, r = [], 0
-    for c in range(nc if bound is None else min(bound, nc)):
+    for c in range(nc):
         i = next((i for i in range(r, nr) if R[i][c]), None)
         if i is None:
             continue
@@ -324,24 +323,27 @@ def test_one_elimination_per_residue_class(monkeypatch):
 
 
 def test_two_eliminations_per_slice_and_none_on_homology(monkeypatch):
-    # the elimination of a slice yields its coordinate map: after homology,
-    # induced matrices and class coordinates are products only
-    slices, rrefs = [], []
-    eliminate, rref = dg._slice_homology, linalg.modp_rref
+    # a slice eliminates its kernel with one modp_rref, and one echelon
+    # basis grown by insertion yields its reps and coordinate map: after
+    # homology, induced matrices and class coordinates are products only
+    slices, rrefs, inserts = [], [], []
+    eliminate, rref, insert = dg._slice_homology, linalg.modp_rref, linalg._echelon_insert
     monkeypatch.setattr(dg, "_slice_homology", lambda *args: slices.append(args) or eliminate(*args))
-    monkeypatch.setattr(linalg, "modp_rref", lambda *args, **kw: rrefs.append(args) or rref(*args, **kw))
+    monkeypatch.setattr(linalg, "modp_rref", lambda *args: rrefs.append(args) or rref(*args))
+    monkeypatch.setattr(linalg, "_echelon_insert", lambda *args: inserts.append(args) or insert(*args))
     f = drawn_map(3, 1, 1, dg.DEFAULT_WEIGHT, random.Random(7))
     C, window = dg.cone(f), (-4, 4)
     H = {X: dg.homology(X, window) for X in (f.source, f.target, C)}
-    assert slices and len(rrefs) == 2 * len(slices)
+    assert slices and len(rrefs) == len(slices) and inserts
     rrefs.clear()
+    inserts.clear()
     for q in range(window[0], window[1] + 1):
         dg.induced_matrix(dg.map_slice(f, q), H[f.source][q], H[f.target][q], 3)
         for X in (f.source, f.target, C):
             dg.class_coordinates(H[X][q], 3, H[X][q]["reps"] + H[X][q]["im"])
             if q + 1 <= window[1]:
                 dg.u_action_matrix(X, H[X], q)
-    assert rrefs == []
+    assert rrefs == [] and inserts == []
 
 
 @settings(max_examples=30, deadline=None)
@@ -380,10 +382,9 @@ def test_class_coordinates_match_per_vector_solve(model, seed):
 
 @st.composite
 def matrices(draw):
-    """(A, p, bound): a matrix over F_p, or over Q with fraction entries for
-    p = 0, and a pivot bound or None.  Either small (random, zero, or of
-    deficient rank) or shaped like a DG slice: [E | I] with E sparse (about
-    3% nonzero) and bound the width of E.  A comes in a form the callers
+    """(A, p): a matrix over F_p, or over Q with fraction entries for p = 0.
+    Either small (random, zero, or of deficient rank) or shaped like a DG
+    slice: [E | I] with E sparse (about 3% nonzero).  A comes in a form the callers
     pass: a list of rows, an int64 array (an object array over Q), or over
     F_p a list of rows of numpy int64 scalars."""
     p = draw(st.sampled_from([0, 2, 3, 5, 7, 101]))
@@ -395,7 +396,6 @@ def matrices(draw):
         value = (lambda: rng.randrange(1, p)) if p else (lambda: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)))
         A = [[value() if rng.random() < 0.03 else 0 for _ in range(width)] + [int(r == c) for c in range(nr)]
              for r in range(nr)]
-        bound = width
     else:
         nr, nc = draw(st.integers(0, 7)), draw(st.integers(0, 7))
         kind = draw(st.sampled_from(["random", "zero", "deficient"]))
@@ -411,25 +411,21 @@ def matrices(draw):
             for _ in range(nr):
                 coeffs = draw(st.lists(coeff, min_size=len(base), max_size=len(base)))
                 A.append([sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(nc)])
-        bound = draw(st.one_of(st.none(), st.integers(0, 8)))
     form = draw(st.sampled_from(["list", "array", "numpy scalars"]))
     if form == "array":
         A = np.array(A, dtype=np.int64 if p else object).reshape(len(A), len(A[0]) if A else 0)
     elif form == "numpy scalars" and p:
         A = [[np.int64(x) for x in row] for row in A]
-    return A, p, bound
+    return A, p
 
 
 @settings(max_examples=300, deadline=None)
 @given(matrices())
 def test_modp_rref_matches_reference(case):
-    # with a bound, pivots only in the first bound columns, and the later
-    # columns carried by the same row operations
-    A, p, bound = case
-    R, pivots = linalg.modp_rref(A, p, bound=bound)
-    want_R, want_pivots = reference_rref([[x if p == 0 else int(x) for x in row] for row in A], p, bound)
+    A, p = case
+    R, pivots = linalg.modp_rref(A, p)
+    want_R, want_pivots = reference_rref([[x if p == 0 else int(x) for x in row] for row in A], p)
     assert pivots == want_pivots
-    assert bound is None or all(c < bound for c in pivots)
     assert R.dtype == (np.int64 if p else object)
     assert R.tolist() == want_R
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -402,6 +403,67 @@ def test_rational_span_of_int64_rows_is_exact():
     S = linalg.Subgroup(A, [0, 0])
     assert S.rank == 2 and all(type(x) is Fraction for row in S._rows for x in row)
     assert S.extend(A) == S == linalg.Subgroup([[1, 0], [0, 1]], [0, 0])
+
+
+def test_rational_lane_of_int64_list_rows_is_exact():
+    # list rows of int64 scalars over Q: 2**32 * 2**32 would wrap to 0
+    A = list(np.array([[1, 2 ** 32], [2 ** 32, 0]], dtype=np.int64))
+    assert linalg.modp_rank(A, 0) == 2 == linalg.modp_rank(np.array(A), 0)
+    R, pivots = linalg.modp_rref(A, 0)
+    assert R.tolist() == [[1, 0], [0, 1]] and pivots == [0, 1]
+    assert linalg.modp_kernel(A, 0) == [] == linalg.congruence_kernel(A, [0, 0], [0, 0])
+    x = linalg.modp_solve(A, [1, 0], 0)
+    assert x == [0, Fraction(1, 2 ** 32)] == linalg.congruence_solve(A, [1, 0], [0, 0])
+
+
+def test_congruence_systems_refuse_mismatched_shapes():
+    # A, b and the moduli agree in shape on every lane
+    A = [[1, 0], [0, 1]]
+    for m in (3, 0, 4, 6):
+        for b, rm in (([1, 0, 5], [m, m]), ([1], [m, m]), ([1, 0], [m, m, m]), ([1, 0], [m])):
+            with pytest.raises(ShapeMismatch):
+                linalg.congruence_solve(A, b, rm)
+        with pytest.raises(ShapeMismatch):
+            linalg.congruence_solve([[1, 0], [0]], [1, 0], [m, m])
+        for rm, cm in (([m, m], [m, m, m]), ([m, m], [m]), ([m], [m, m]), ([m, m, m], [m, m])):
+            with pytest.raises(ShapeMismatch):
+                linalg.congruence_kernel(A, rm, cm)
+        with pytest.raises(ShapeMismatch):
+            linalg.congruence_kernel([[1, 0], [0, 1, 1]], [m, m], [m, m])
+        assert linalg.congruence_solve(A, [1, 0], [m, m]) == [1, 0]
+        assert linalg.congruence_kernel(A, [m, m], [m, m]) == []
+
+
+def _extend_leaves_parent_alone(gens, vs, moduli):
+    """S.extend(vs), after checking that S answers as before it."""
+    S = linalg.Subgroup(gens, moduli)
+    probes = [list(v) for v in itertools.product([0, 1], repeat=len(moduli))] + vs
+    before = (S._rows, S._pivots, copy.deepcopy(S._held), hash(S), [S.remainder(v) for v in probes])
+    T = S.extend(vs)
+    assert T == linalg.Subgroup(gens + vs, moduli)
+    assert (S._rows, S._pivots, S._held, hash(S), [S.remainder(v) for v in probes]) == before
+    return S, T
+
+
+PARENT_MODULI = [[3] * 4, [0] * 4, [4, 2, 4, 8], [5] * 4]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PARENT_MODULI), st.data())
+def test_extension_leaves_its_parent_alone(moduli, data):
+    vec = st.lists(st.integers(-9, 9), min_size=4, max_size=4)
+    _extend_leaves_parent_alone(data.draw(st.lists(vec, max_size=4)), data.draw(st.lists(vec, max_size=4)), moduli)
+
+
+def test_extension_that_clears_held_columns_leaves_its_parent_alone():
+    # the new vectors take pivots where the held rows are nonzero, so the
+    # extension replaces those rows; it shares the rows at the pivots in shared
+    for gens, vs, shared in (([[1, 2, 0, 1], [0, 0, 1, 2]], [[0, 1, 0, 0], [0, 0, 0, 1]], set()),
+                             ([[1, 1, 1, 1], [0, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 1, 0], [2, 0, 1, 3]], {1})):
+        for moduli in PARENT_MODULI:
+            S, T = _extend_leaves_parent_alone(gens, vs, moduli)
+            if linalg._lane(moduli) is not None:
+                assert {c for c, row in S._held.items() if T._held[c] is row} == shared
 
 
 def test_subgroup_refuses_vectors_of_the_wrong_length():

@@ -272,6 +272,16 @@ def test_socle_and_qf():
     assert is_quasi_frobenius(con.product_ring(con.finite_field(2), con.z_mod(4)))
 
 
+def test_ideal_size_counts_one_period():
+    # a periodic ring is infinite; its ideals are counted over degree_support,
+    # as socle_is_simple compares them with one period of the ring
+    for p in (3, 5):
+        R = con.laurent_exterior(p, 1, 4)
+        assert R.size() is None and R.degree_support() == [0, 1]
+        assert maximal_ideal(R).size() == p == socle(R).size()
+        assert is_quasi_frobenius(R)
+
+
 def test_ring_predicates_once_per_ring(monkeypatch):
     calls = []
     degree_zero = rings._degree_zero_mod_p
