@@ -211,9 +211,10 @@ def modp_kernel(A, p):
 
 def modp_solve(A, b, p):
     """One solution of A x = b, or None: Python ints reduced mod p, or exact
-    rationals over Q for p = 0."""
+    rationals over Q for p = 0; ShapeMismatch unless A and b fit."""
     nr = len(A)
     nc = len(A[0]) if nr else 0
+    _check_system(A, nc, b)
     aug = [list(A[i]) + [b[i]] for i in range(nr)]
     R, pivots = modp_rref(aug, p)
     if nc in pivots:

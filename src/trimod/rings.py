@@ -14,6 +14,10 @@ modulo that element's additive order.  Multiplication matrices, inverses,
 ideals, annihilators and the quotient rings R/I (product factors and residue
 fields, built by `_quotient_ring`) are all computed slice by slice.
 
+`validate_ring` checks associativity on the basis elements whose left
+multiplications spin the unit to all of R (`algebra_generators`; t alone
+for F_p[t]/(t^e)), which is exact and reads only the nonzero products.
+
 Locality, the idempotents and the maximal ideal m come from the degree-0
 slice R0, by linear algebra alone: no ring code enumerates elements.  For
 each prime power p**k exactly dividing the characteristic, the p-power map F
@@ -380,10 +384,15 @@ def validate_ring(ring):
     subclass naming the first offending basis indices.
 
     Unit, graded commutativity and associativity are identities of the
-    structure constants C modulo the additive orders: u.C[:, i] = e_i =
-    C[i].u, C[i, j] = (-1)^(|i||j|) C[j, i], and C[i].C = C.C[i] for each i
-    in turn (memory dim**3).  Failures come in the order of a loop over i,
-    then (i, j), then (i, j, k).
+    structure constants modulo the additive orders: 1 b_i = b_i = b_i 1,
+    b_i b_j = (-1)^(|i||j|) b_j b_i, and [b_i, b_j, b_k] = (b_i b_j) b_k -
+    b_i (b_j b_k) = 0 for i in `algebra_generators` alone.  That is exact:
+    the associator is additive in each slot, [1, ., .] = 0, and [s, ., .] =
+    0 = [y, ., .] give [s y, ., .] = 0 (Teichmueller's identity), so the a
+    with [a, ., .] = 0 hold the spin of 1, all of R.  Unit and associators
+    sum over the nonzero products only; after a generator fails, every b_i
+    is checked, so failures come in the order of a loop over i, then
+    (i, j), then (i, j, k).
     """
     R = ring
     if R.char < 0 or R.char == 1:
@@ -437,32 +446,90 @@ def validate_ring(ring):
         raise NoUnit("unit element must be homogeneous of degree 0")
     if R.periodicity is None and any(t for _, t in one.terms):
         raise NoUnit("unit element has v powers but the ring has no periodicity")
-    C, n = R.structure_constants, R.dim
-    u = np.zeros(n, dtype=C.dtype)
-    for (k, _), c in one.terms.items():
-        u[k] = c
-    eye = np.eye(n, dtype=C.dtype)
-
-    def first_bad(X):
-        """Indices of the first entry of X that is not zero in the ring."""
-        hits = np.argwhere(_mod_last(R, X) != 0)
-        return tuple(int(h) for h in hits[0]) if len(hits) else None
-
-    left, right = np.tensordot(u, C, 1), np.tensordot(C, u, ([1], [0]))
-    bad = first_bad(np.stack([left - eye, right - eye], axis=1))
+    # 1 b_i and b_i 1 less b_i, named (i, 0) and (i, 1)
+    n = R.dim
+    diff = collections.defaultdict(int, {((i, side), i): -1 for i in range(n) for side in (0, 1)})
+    for c, k, _ in R.unit_terms:
+        _times(R, k, (((i, 0), i, c) for i in range(n)), diff)
+    for i in range(n):
+        _times(R, i, (((i, 1), k, c) for c, k, _ in R.unit_terms), diff)
+    bad = _first_nonzero(R, diff)
     if bad:
         raise NoUnit(f"1 * basis[{bad[0]}] != basis[{bad[0]}]")
+    C = R.structure_constants
     odd = np.array(R.degrees, dtype=np.int64) % 2
     sign = 1 - 2 * np.outer(odd, odd)
-    bad = first_bad(C - sign[:, :, None] * C.transpose(1, 0, 2))
-    if bad:
-        raise CommutativityViolation(*bad[:2])
-    flat = C.reshape(n, n * n)
-    for i in range(n):
-        bad = first_bad((C[i] @ flat).reshape(n, n, n) - C @ C[i])
-        if bad:
-            raise AssociativityViolation(i, *bad[:2])
+    hits = np.argwhere(_mod_last(R, C - sign[:, :, None] * C.transpose(1, 0, 2)) != 0)
+    if len(hits):
+        raise CommutativityViolation(*(int(h) for h in hits[0][:2]))
+    try:
+        gens = algebra_generators(R)
+    except UnsupportedCoefficients:
+        # a prime too large for the span's elimination: every b_i generates
+        gens = range(n)
+    if any(_associator(R, s) for s in gens):
+        # some associator fails: the first b_i whose check fails names it
+        i, bad = next((i, bad) for i in range(n) if (bad := _associator(R, i)))
+        raise AssociativityViolation(i, *bad)
     return R
+
+
+def _times(R, s, y, out):
+    """Add b_s y into out over the nonzero products of R, unreduced: y
+    yields the terms (name, l, x), x b_l, of the elements of each name, and
+    out maps (name, m) to a coefficient of b_m."""
+    get = R.products.get
+    for name, l, x in y:
+        for c, m, _ in get((s, l), ()):
+            out[name, m] += x * c
+    return out
+
+
+def _first_nonzero(R, diff):
+    """The least name whose element in diff is not zero in R, or None."""
+    return min((name for (name, m), x in diff.items() if x and R._coeff(x, m)), default=None)
+
+
+def _associator(R, s):
+    """The first (j, k) with (b_s b_j) b_k != b_s (b_j b_k), or None."""
+    n = R.dim
+    diff, left = collections.defaultdict(int), collections.defaultdict(int)
+    _times(R, s, ((jk, l, -c) for jk, terms in R.products.items() for c, l, _ in terms), diff)
+    # (b_s b_j) b_k is the sum of x b_l b_k over the terms x b_l of b_s b_j
+    for (j, l), x in _times(R, s, ((j, j, 1) for j in range(n)), left).items():
+        _times(R, l, (((j, k), k, x) for k in range(n)), diff)
+    return _first_nonzero(R, diff)
+
+
+@per_object
+def algebra_generators(R):
+    """Basis indices S whose left multiplications spin the unit to the
+    whole additive group, greedy: b_i joins S when the spin under the
+    earlier ones misses it (S is [] for Z/m, [1] for F_p[t]/(t^e)).  The
+    spin grows in one Subgroup over the additive orders, which refuses a
+    prime p with p * p >= 2**63 (UnsupportedCoefficients)."""
+    n = R.dim
+
+    def times(s, y):
+        out = [0] * n
+        for (_, m), x in _times(R, s, ((0, l, x) for l, x in enumerate(y) if x), collections.defaultdict(int)).items():
+            out[m] = R._coeff(x, m)
+        return out
+
+    u = [sum(c for c, k, _ in R.unit_terms if k == i) for i in range(n)]
+    # todo holds the products b_s y still to be taken, as pairs (s, y)
+    gens, kept, span, todo = [], [u], linalg.Subgroup([u], R.orders), []
+    for i in range(n):
+        while todo:
+            y = times(*todo.pop())
+            if any(y) and (grown := span.extend([y])) != span:
+                span = grown
+                kept.append(y)
+                todo += [(s, y) for s in gens]
+        if not span.contains([int(a == i) for a in range(n)]):
+            gens.append(i)
+            todo = [(i, y) for y in kept]
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -798,8 +865,10 @@ def residue_field(R):
 
 
 def residue_size(R):
-    """Number of elements of the residue field of a finite local ring."""
-    return R.size() // maximal_ideal(R).size()
+    """Number of elements of the residue field of a local ring: one period
+    of R over one period of m (`Ideal.size`), all of them when R is finite.
+    Over Q, `maximal_ideal` raises UnsupportedCoefficients."""
+    return math.prod(R.orders) // maximal_ideal(R).size()
 
 
 def is_graded_field(R):
@@ -859,8 +928,7 @@ def socle_is_simple(R):
     principal.  m kills the socle, so each homogeneous g != 0 in it spans
     gR = R/m shifted: the socle is gR exactly when it is as large as R/m,
     counted over one period of degrees."""
-    whole = math.prod(m for q in R.degree_support() for m in R.slice_moduli(R.slice_terms(q)))
-    return socle(R).size() * maximal_ideal(R).size() == whole
+    return socle(R).size() == residue_size(R)
 
 
 @per_object

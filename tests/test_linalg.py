@@ -466,6 +466,17 @@ def test_extension_that_clears_held_columns_leaves_its_parent_alone():
                 assert {c for c, row in S._held.items() if T._held[c] is row} == shared
 
 
+def test_modp_solve_refuses_mismatched_shapes():
+    # a long b was cut to the rows of A, and a short one raised IndexError
+    for p in (3, 0):
+        for b in ([1, 0, 5], [1]):
+            with pytest.raises(ShapeMismatch):
+                linalg.modp_solve([[1, 0], [0, 1]], b, p)
+        with pytest.raises(ShapeMismatch):
+            linalg.modp_solve([[1, 0], [0]], [1, 0], p)
+        assert linalg.modp_solve([[1, 0], [0, 1]], [1, 0], p) == [1, 0]
+
+
 def test_subgroup_refuses_vectors_of_the_wrong_length():
     # every vector has one coordinate per modulus, on every lane
     for moduli in ([3, 3], [4, 4], [0, 0]):

@@ -6,6 +6,7 @@ from brute_force import Factor, double_annihilator_holds, enumerate_slice, oracl
 from hypothesis import given, settings, strategies as st
 from test_classify import _permuted_rescaled
 from test_quotient_oracle import key_without_names, reference_corner_ring
+from test_validate_oracle import RINGS as VALIDATE_RINGS
 
 from trimod import constructions as con
 from trimod import linalg
@@ -24,6 +25,7 @@ from trimod.classify import ANN_NOT_EQUAL, EXTERIOR, GRADED_FIELD, classify, has
 from trimod.rings import (
     GradedRing,
     Ideal,
+    algebra_generators,
     annihilator,
     decompose_product,
     idempotents,
@@ -35,6 +37,7 @@ from trimod.rings import (
     principal_ideal,
     residue_characteristic,
     residue_field,
+    residue_size,
     socle,
     validate_ring,
 )
@@ -98,8 +101,34 @@ def test_bad_group_parameters_rejected(build):
 
 
 def test_validate_accepts_graded_signs():
-    # the exterior algebra on x, y of degree 1 over F_3: yx = -xy
-    validate_ring(_unital(3, F3_XYZ, {(1, 2): [(1, 3, 0)], (2, 1): [(2, 3, 0)]}))
+    # the exterior algebra on x, y of degree 1 over F_3: yx = -xy, and the
+    # checks of the generators x and y pass with that sign
+    R = validate_ring(_unital(3, F3_XYZ, {(1, 2): [(1, 3, 0)], (2, 1): [(2, 3, 0)]}))
+    assert algebra_generators(R) == [1, 2]
+    assert [rings._associator(R, s) for s in (1, 2)] == [None, None]
+
+
+def test_generator_check_sums_modulo_the_orders():
+    # F_3[x, y]/(x^2, y^3) on z = 2xy, w = y^2, u = xy^2: (xy)y = 2z.y = 4u
+    # and x(yy) = x.w = u agree modulo 3 only
+    products = {(1, 2): [(2, 3, 0)], (2, 1): [(2, 3, 0)], (2, 2): [(1, 4, 0)], (1, 4): [(1, 5, 0)],
+                (4, 1): [(1, 5, 0)], (2, 3): [(2, 5, 0)], (3, 2): [(2, 5, 0)]}
+    R = validate_ring(_unital(3, [(name, 0) for name in ("one", "x", "y", "z", "w", "u")], products))
+    assert algebra_generators(R) == [1, 2]
+    assert [rings._associator(R, s) for s in (1, 2)] == [None, None]
+
+
+def test_validate_rings_over_a_prime_too_large_for_the_spin():
+    # Subgroup refuses p * p >= 2**63, so every basis element is checked
+    p = 2 ** 61 - 1
+    assert con.z_mod(p).dim == 1 and con.truncated_polynomial(p, 2).dim == 2
+    with pytest.raises(UnsupportedCoefficients):
+        algebra_generators(con.truncated_polynomial(p, 3))
+    # a a = b, b b = a and a b = 0: (a a) b = a, but a (a b) = 0
+    R = _unital(p, [("one", 0), ("a", 0), ("b", 0)], {(1, 1): [(1, 2, 0)], (2, 2): [(1, 1, 0)]})
+    with pytest.raises(AssociativityViolation) as e:
+        validate_ring(R)
+    assert e.value.indices == (1, 1, 2)
 
 
 def test_validate_rejects_bad_orders():
@@ -230,6 +259,17 @@ def test_residue_field_basics():
     assert is_graded_field(k)
     k = residue_field(con.square_zero_two_vars(3))
     assert k.size() == 3
+
+
+def test_residue_size_counts_one_period():
+    # a periodic ring has no size, and its residue field is counted over one
+    # period of degrees, as the maximal ideal is
+    assert residue_size(con.laurent_exterior(3, 1, 4)) == 3
+    assert residue_size(con.laurent_field(5, 2)) == 5
+    assert residue_size(con.z_mod(9)) == 3
+    # over Q the residue field is infinite
+    with pytest.raises(UnsupportedCoefficients):
+        residue_size(con.laurent_field(0, 2))
 
 
 def test_residue_characteristic():
@@ -404,6 +444,41 @@ def _random_ring(rng):
     small = [R for R in FINITE if R.size() <= 16]
     R = con.product_ring(rng.choice(small), rng.choice(small)) if kind == 1 else rng.choice(FINITE)
     return _permuted_rescaled(R, rng) if rng.random() < 0.5 else R
+
+
+def _coords(x):
+    """Basis coordinates of a homogeneous element, its v powers dropped."""
+    v = [0] * x.ring.dim
+    for (k, _), c in x.terms.items():
+        v[k] = c
+    return v
+
+
+def _spin_by_elements(R, gens):
+    """The additive span of the words b_s1 (b_s2 (... 1)), s_i in gens, by
+    element arithmetic."""
+    span, todo = linalg.Subgroup([], R.orders), [R.one()]
+    while todo:
+        x = todo.pop()
+        if not span.contains(_coords(x)):
+            span = span.extend([_coords(x)])
+            todo += [R.basis_element(s) * x for s in gens]
+    return span
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.data())
+def test_algebra_generators_spin_the_unit_to_the_ring(seed, data):
+    R = data.draw(st.sampled_from(VALIDATE_RINGS)) if data.draw(st.booleans()) else _random_ring(random.Random(seed))
+    gens = algebra_generators(R)
+    # R is a ring, so every generator check passes without the full loop
+    assert all(rings._associator(R, s) is None for s in gens)
+    products = [_coords(R.basis_element(i) * R.basis_element(j)) for i in range(R.dim) for j in range(R.dim)]
+    assert _spin_by_elements(R, gens) == linalg.Subgroup(products, R.orders)
+    # greedy in basis order: b_i joins exactly when the earlier ones miss it
+    for i in range(R.dim):
+        earlier = _spin_by_elements(R, [s for s in gens if s < i])
+        assert (i in gens) == (not earlier.contains(_coords(R.basis_element(i))))
 
 
 def _nonunits_by_enumeration(R, q):

@@ -1,6 +1,7 @@
 import functools
 
 import pytest
+from test_ggh_golden import CASES as GOLDEN_CASES
 
 from trimod import constructions as con
 from trimod import modules as md
@@ -258,8 +259,17 @@ def bccm_holds(p, n):
     return p ** n in (2, 3)
 
 
-@pytest.mark.parametrize("p, n", [(5, 1), (7, 1), (5, 2), (2, 5)])
+REGRESSION_CASES = [(5, 1), (7, 1), (5, 2), (2, 5), (3, 4), (2, 6)]
+
+
+@pytest.mark.parametrize("p, n", REGRESSION_CASES)
 def test_ggh_regression_verdicts(p, n):
     v = tate.ggh_verdict(p, n)
     assert (v["verdict"] == "holds") == bccm_holds(p, n)
     assert v["condition1"] and not v["condition2"]
+
+
+@pytest.mark.parametrize("p, n", sorted(set(GOLDEN_CASES + REGRESSION_CASES)))
+def test_group_algebra_is_generated_by_t(p, n):
+    # validation checks associativity for t alone
+    assert rc.algebra_generators(con.group_algebra_cyclic(p, n)) == [1]

@@ -2,8 +2,9 @@
 
 The reference checks the unit, graded commutativity and associativity by
 multiplying basis elements one tuple at a time; validate_ring checks the same
-identities on the structure-constant tensor.  Both must accept the same rings
-and reject the others with the same error and the same first indices.
+identities on the structure constants, associativity on the algebra
+generators first.  Both must accept the same rings and reject the others with
+the same error and the same first indices.
 """
 
 import math
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from trimod import constructions as con
 from trimod import linalg
+from trimod import rings
 from trimod.errors import (
     AssociativityViolation,
     CommutativityViolation,
@@ -117,6 +119,10 @@ RINGS = [
     con.laurent_exterior(3, 1, 2),
     con.laurent_exterior(2, 1, 3),
     con.laurent_exterior(5, 2, 4),
+    # one generator, t: a corrupted table fails its check, and the loop over
+    # every basis element then names the first violation
+    con.group_algebra_cyclic(2, 3),
+    con.truncated_polynomial(3, 9),
 ]
 
 
@@ -153,3 +159,13 @@ def test_tensor_validation_matches_reference(data):
     basis = list(zip(R.basis_names, R.degrees))
     corrupted = GradedRing(R.char, basis, products, R.unit_terms, R.periodicity, R.orders)
     assert _outcome(validate_ring, corrupted) == _outcome(reference_validate, corrupted)
+
+
+def test_group_algebra_validates_on_its_one_generator(monkeypatch):
+    # F_3[t]/t^81 is spun from 1 by t alone, so one generator check passes
+    # and decides associativity, and no loop over the basis runs
+    checks = []
+    inner = rings._associator
+    monkeypatch.setattr(rings, "_associator", lambda R, s: checks.append((s, inner(R, s))) or checks[-1][1])
+    con.group_algebra_cyclic(3, 4)
+    assert checks == [(1, None)]
