@@ -112,16 +112,15 @@ def cmd_dg_verify(args):
     report["built"] = True
     lines = ["build: PASS"]
 
+    # each trial checks the calculus on the slice of a random monomial x,
+    # against a random monomial y
     rng = random.Random(args.seed)
-    ok_rules = True
-    for _ in range(args.trials):
-        x, y = alg.random_monomial(rng), alg.random_monomial(rng)
-        if not alg.leibniz_holds(x, y):
-            ok_rules = False
-            break
-        if not alg.differential(alg.differential(x, truncate=True), truncate=True).is_zero:
-            ok_rules = False
-            break
+
+    def monomial():
+        return rng.randint(-2, 2) if alg.vdeg else 0, rng.randint(0, 1), rng.randint(0, alg.weight)
+
+    ok_rules = all(dg.calculus_holds(alg, alg.monomial_degree(*monomial()), monomial())
+                   for _ in range(args.trials))
     report["calculus"] = ok_rules
     lines.append(f"differential calculus ({args.trials} random pairs): "
                  + ("PASS" if ok_rules else "FAIL"))

@@ -10,16 +10,25 @@ d is well defined when it kills both relations: d(a^2) = (1 + (-1)^n) a u^2
 and d(ua + au + v) = (1 + (-1)^{ni}) u^3.  So for odd p both n and i must be
 odd, and the constructor raises ParityObstruction otherwise.
 
-Modules and maps are seen only through degree slices over F_p, with
-u-weights m <= W, where W >= 4.  Each algebra caches the monomial basis of
-its slice A_s and, per slice, the matrices of d_A and of multiplication by a
-monomial (`rings.per_object`).  The degree-q slice of a semifree module is
-the direct sum over generators j of A_{q - deg(gen_j)}, so its differential
-is a block matrix: d_A on the diagonal blocks, and in block (i, j) right
-multiplication by diff[i][j] times the Leibniz sign (-1)^{n s}, s being the
-degree of every coefficient in the block.  A chain map's slice matrix is the
-same assembly without the diagonal.  Terms past the weight bound are
-dropped.
+The algebra has one representation: its degree slices over F_p, with
+u-weights m <= W, where W >= 4.  Elements appear only as term dicts
+{(t, eps, m): c} (`DGElement`), the entries of module differentials and
+maps; every product and differential acts through slice matrices.  Each
+algebra caches the monomial basis of its slice A_s and, per slice, the
+matrices of d_A and of multiplication by a monomial (`rings.per_object`).
+The degree-q slice of a semifree module is the direct sum over generators j
+of A_{q - deg(gen_j)}, so its differential is a block matrix: d_A on the
+diagonal blocks, and in block (i, j) right multiplication by diff[i][j]
+times the Leibniz sign (-1)^{n s}, s being the degree of every coefficient
+in the block.  A chain map's slice matrix is the same assembly without the
+diagonal.  Terms past the weight bound are dropped.
+
+`calculus_holds` checks the Leibniz rule and d^2 = 0 as identities of these
+matrices on one slice: D R_y = R_y D + (-1)^{ns} R_{dy} on A_s, R_y being
+right multiplication by a monomial y.  Truncation drops the terms of d(x)
+past W, and multiplying by y lowers the u-weight by at most 1, through
+u^m a = -a u^m - v u^{m-1}; so both sides are exact on the target monomials
+of weight below W, and only there.
 
 Homology is computed slice by slice.  One echelon basis per slice, grown by
 inserting the boundaries and then the low-weight cycles, picks the
@@ -62,76 +71,23 @@ PADDING = 2
 
 
 class DGElement:
-    """Finite sum of monomials v^t a^eps u^m with coefficients mod p."""
+    """Finite sum of monomials v^t a^eps u^m: the term dict {(t, eps, m): c}
+    with coefficients reduced mod p."""
 
     __slots__ = ("alg", "terms")
 
     def __init__(self, alg, terms):
         self.alg = alg
-        p = alg.p
-        clean = {}
-        for key, c in terms.items():
-            c %= p
-            if c:
-                clean[key] = c
-        self.terms = clean
+        self.terms = {key: c % alg.p for key, c in terms.items() if c % alg.p}
 
     @property
     def is_zero(self):
         return not self.terms
 
-    def degree(self):
-        degs = {self.alg.monomial_degree(*k) for k in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("element is not homogeneous")
-        return degs.pop()
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return DGElement(self.alg, out)
-
-    def __neg__(self):
-        return DGElement(self.alg, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return DGElement(self.alg, {k: c * other for k, c in self.terms.items()})
-        return self.alg.multiply(self, other)
-
-    def __rmul__(self, scalar):
-        return self * scalar
-
-    def __eq__(self, other):
-        return isinstance(other, DGElement) and self.alg is other.alg and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (t, e, m), c in sorted(self.terms.items()):
-            s = [] if c == 1 else [str(c)]
-            if t:
-                s.append(f"v^{t}" if t != 1 else "v")
-            if e:
-                s.append("a")
-            if m:
-                s.append(f"u^{m}" if m != 1 else "u")
-            bits.append("*".join(s) or "1")
-        return " + ".join(bits)
-
 
 class DGAlgebra:
-    """Normal-form arithmetic for the two-generator algebra at parameters (p, i, n)."""
+    """The two-generator algebra at parameters (p, i, n): degrees and the
+    closed-form product and differential of normal-form monomials."""
 
     def __init__(self, p, i, n, weight=DEFAULT_WEIGHT):
         self.p = p
@@ -145,25 +101,6 @@ class DGAlgebra:
 
     def monomial_degree(self, t, e, m):
         return t * self.vdeg + e * self.adeg + m * self.i
-
-    def zero(self):
-        return DGElement(self, {})
-
-    def one(self):
-        return DGElement(self, {(0, 0, 0): 1})
-
-    def monomial(self, t=0, e=0, m=0, c=1):
-        if self.vdeg == 0 and t != 0:
-            raise ShapeMismatch("no periodicity unit when 3i+n = 0")
-        return DGElement(self, {(t, e, m): c})
-
-    def gen_u(self):
-        return self.monomial(m=1)
-
-    def gen_a(self):
-        return self.monomial(e=1)
-
-    # -- products --------------------------------------------------------
 
     def _mul_monomials(self, k1, k2):
         """Product of two normal-form monomials as a term dict.
@@ -191,53 +128,12 @@ class DGAlgebra:
             out = {(0, e, m): c for (t_, e, m), c in out.items()}
         return out
 
-    def _collect(self, products, truncate):
-        """The element sum c * terms over (c, terms) pairs; u-exponents past
-        the weight bound are dropped or raise WeightOverflow."""
-        out = {}
-        for c, terms in products:
-            for k, ck in terms.items():
-                if k[2] > self.weight:
-                    if truncate:
-                        continue
-                    raise WeightOverflow(f"u-exponent {k[2]} exceeds bound {self.weight}")
-                out[k] = out.get(k, 0) + c * ck
-        return DGElement(self, out)
-
-    def multiply(self, x, y, truncate=False):
-        return self._collect(((c1 * c2, self._mul_monomials(k1, k2))
-                              for k1, c1 in x.terms.items() for k2, c2 in y.terms.items()),
-                             truncate)
-
-    # -- differential ----------------------------------------------------
-
     def _diff_monomial(self, k):
         """d(v^t a u^m) = (-1)^{n * t * |v|} v^t u^{m+2}; d(v^t u^m) = 0."""
         t, e, m = k
         if not e:
             return {}
         return {(t, 0, m + 2): -1 if (self.n * t * self.vdeg) % 2 else 1}
-
-    def differential(self, x, truncate=False):
-        return self._collect(((c, self._diff_monomial(k)) for k, c in x.terms.items()), truncate)
-
-    def leibniz_holds(self, x, y):
-        lhs = self.differential(self.multiply(x, y, truncate=True), truncate=True)
-        sign = -1 if (self.n * x.degree()) % 2 else 1
-        rhs = self.multiply(self.differential(x, truncate=True), y, truncate=True) + (
-            self.multiply(x, self.differential(y, truncate=True), truncate=True) * sign
-        )
-        return lhs == rhs
-
-    def random_monomial(self, rng, max_m=6, max_t=2):
-        t = rng.randint(-max_t, max_t) if self.vdeg != 0 else 0
-        e = rng.randint(0, 1)
-        m = rng.randint(0, max_m)
-        c = rng.randint(1, self.p - 1)
-        return self.monomial(t, e, m, c)
-
-    def __repr__(self):
-        return f"DGAlgebra(p={self.p}, i={self.i}, n={self.n})"
 
 
 def build_two_generator_dga(p, i, n, weight=DEFAULT_WEIGHT):
@@ -296,13 +192,30 @@ def _algebra_matrix(alg, s, key=None, left=False):
     return mat % alg.p
 
 
-def _right_multiplication(alg, s, x, sign=1):
-    """sign times the matrix of y -> y * x on A_s, or None when x = 0."""
+def _right_multiplication(alg, s, terms, sign=1):
+    """sign times the matrix of y -> y * x on A_s for x the term dict terms,
+    or None when x = 0."""
     out = None
-    for k, c in x.terms.items():
+    for k, c in terms.items():
         term = c * sign * _algebra_matrix(alg, s, k)
         out = term if out is None else out + term
     return None if out is None else out % alg.p
+
+
+def calculus_holds(alg, s, key):
+    """The Leibniz rule d(xy) = d(x) y + (-1)^{ns} x d(y) for every x in A_s
+    and y the monomial key, and d(d(x)) = 0, as identities of slice matrices:
+    D R_y = R_y D + (-1)^{ns} R_{dy}, and D D = 0.  Leibniz is compared on the
+    target monomials of u-weight below W, where truncated products are exact
+    (see the module docstring)."""
+    p, n, deg = alg.p, alg.n, alg.monomial_degree(*key)
+    d = _algebra_matrix(alg, s)
+    gap = _algebra_matrix(alg, s + deg) @ _algebra_matrix(alg, s, key) - _algebra_matrix(alg, s - n, key) @ d
+    dy = _right_multiplication(alg, s, alg._diff_monomial(key), -1 if (n * s) % 2 else 1)
+    if dy is not None:
+        gap -= dy
+    low = [r for r, (_, _, m) in enumerate(_algebra_basis(alg, s + deg - n)) if m < alg.weight]
+    return not (gap[low] % p).any() and not (_algebra_matrix(alg, s - n) @ d % p).any()
 
 
 def _block_matrix(alg, rows, cols, block):
@@ -324,12 +237,14 @@ def _block_matrix(alg, rows, cols, block):
 # ---------------------------------------------------------------------------
 
 def _check_degrees(matrix, col_degrees, row_degrees, what):
-    """Entry (i, j) must be zero or of degree col_degrees[j] - row_degrees[i]."""
+    """Every term of entry (i, j) must have degree col_degrees[j] - row_degrees[i]."""
     for i, row in enumerate(matrix):
         for j, x in enumerate(row):
             want = col_degrees[j] - row_degrees[i]
-            if not x.is_zero and x.degree() != want:
-                raise ShapeMismatch(f"{what} entry ({i},{j}) has degree {x.degree()}, expected {want}")
+            for key in x.terms:
+                got = x.alg.monomial_degree(*key)
+                if got != want:
+                    raise ShapeMismatch(f"{what} entry ({i},{j}) has a term of degree {got}, expected {want}")
 
 
 def _column(M, q, entries):
@@ -357,7 +272,7 @@ class DGModule:
         self.gen_degrees = list(gen_degrees)
         g = len(self.gen_degrees)
         if diff is None:
-            diff = [[alg.zero() for _ in range(g)] for _ in range(g)]
+            diff = [[DGElement(alg, {}) for _ in range(g)] for _ in range(g)]
         self.diff = [list(row) for row in diff]
         if check:
             self._validate()
@@ -385,7 +300,7 @@ def algebra_module(alg):
 def shift(M, j):
     """Degrees shifted by j; differential scaled by (-1)^j."""
     sign = -1 if j % 2 else 1
-    diff = [[x * sign for x in row] for row in M.diff]
+    diff = [[DGElement(M.alg, {k: c * sign for k, c in x.terms.items()}) for x in row] for row in M.diff]
     return DGModule(M.alg, [d + j for d in M.gen_degrees], diff, check=False)
 
 
@@ -425,7 +340,7 @@ def cone(f):
     """
     alg, N = f.source.alg, f.target
     Mn = shift(f.source, alg.n)
-    zeros = [alg.zero()] * len(N.gen_degrees)
+    zeros = [DGElement(alg, {})] * len(N.gen_degrees)
     diff = [dn + fn for dn, fn in zip(N.diff, f.matrix)] + [zeros + dm for dm in Mn.diff]
     return DGModule(alg, N.gen_degrees + Mn.gen_degrees, diff, check=True)
 
@@ -449,7 +364,7 @@ def slice_differential(M, q):
 
     def block(i, j):
         s = cols[j]
-        out = _right_multiplication(alg, s, M.diff[i][j], -1 if (alg.n * s) % 2 else 1)
+        out = _right_multiplication(alg, s, M.diff[i][j].terms, -1 if (alg.n * s) % 2 else 1)
         if i == j:
             d = _algebra_matrix(alg, s)
             out = d if out is None else (out + d) % alg.p
@@ -470,7 +385,7 @@ def map_slice(f, q, twist=0):
     alg = f.source.alg
     cols = [q - gd for gd in f.source.gen_degrees]
     return _block_matrix(alg, [q - gd for gd in f.target.gen_degrees], cols,
-                         lambda i, j: _right_multiplication(alg, cols[j], f.matrix[i][j],
+                         lambda i, j: _right_multiplication(alg, cols[j], f.matrix[i][j].terms,
                                                             -1 if (twist * cols[j]) % 2 else 1))
 
 

@@ -6,14 +6,16 @@ algebra on degree slices, and Hom groups by congruence kernels.  These
 references visit every element of a slice or a module instead, so they
 serve only small rings and modules: the sets they enumerate have at most a
 few thousand elements.  The DG model's closed forms are checked against a
-generic word rewriter in the same way.
+generic word rewriter in the same way, and its elements are multiplied and
+differentiated here as term dicts {(t, e, m): c}, with no weight bound, for
+tests that compare the slice matrices with element arithmetic.
 """
 
 import itertools
 
 import numpy as np
 
-from trimod.errors import ParityObstruction, ShapeMismatch
+from trimod.errors import ParityObstruction, ShapeMismatch, WeightOverflow
 from trimod.rings import RingElement, _annihilator_of, annihilator, principal_ideal
 
 
@@ -119,6 +121,54 @@ def oracle_is_delta(R, n=0):
 # the closed-form products and parity check of trimod.dga
 # ---------------------------------------------------------------------------
 
+def dg_add(alg, x, y, c=1):
+    """x + c y for term dicts of the DG algebra, reduced mod p."""
+    out = {k: cx % alg.p for k, cx in x.items()}
+    for k, cy in y.items():
+        out[k] = (out.get(k, 0) + c * cy) % alg.p
+    return {k: ck for k, ck in out.items() if ck}
+
+
+def dg_multiply(alg, x, y):
+    """x y through the closed-form product of monomials."""
+    out = {}
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            out = dg_add(alg, out, alg._mul_monomials(k1, k2), c1 * c2)
+    return out
+
+
+def dg_differential(alg, x):
+    """d(x) through the closed-form differential of monomials."""
+    out = {}
+    for k, c in x.items():
+        out = dg_add(alg, out, alg._diff_monomial(k), c)
+    return out
+
+
+def dg_degree(alg, x):
+    """Degree of a nonzero homogeneous term dict."""
+    (deg,) = {alg.monomial_degree(*k) for k in x}
+    return deg
+
+
+def dg_leibniz_holds(alg, x, y):
+    """d(xy) = d(x) y + (-1)^{n|x|} x d(y)."""
+    sign = -1 if (alg.n * dg_degree(alg, x)) % 2 else 1
+    rhs = dg_add(alg, dg_multiply(alg, dg_differential(alg, x), y),
+                 dg_multiply(alg, x, dg_differential(alg, y)), sign)
+    return dg_differential(alg, dg_multiply(alg, x, y)) == rhs
+
+
+def dg_random_monomial(alg, rng, max_m=6, max_t=2):
+    """c v^t a^e u^m with t in [-max_t, max_t] (0 when |v| = 0), m <= max_m
+    and c a unit mod p."""
+    t = rng.randint(-max_t, max_t) if alg.vdeg != 0 else 0
+    e = rng.randint(0, 1)
+    m = rng.randint(0, max_m)
+    return {(t, e, m): rng.randint(1, alg.p - 1)}
+
+
 def _rewrite_word(alg, coeff, vpow, word):
     """Rewrite a word in letters 'a', 'u' to normal-form terms.
 
@@ -184,16 +234,19 @@ def _check_well_defined(alg):
             f"differential not well-defined at (p={alg.p}, i={alg.i}, n={alg.n}): d(ua+au+v) != 0"
         )
     # confluence: all words of length <= 4 rewrite consistently with the
-    # closed-form monomial product
-    letters = {"a": alg.gen_a(), "u": alg.gen_u()}
+    # closed-form monomial product, and their normal forms fit the weight bound
+    letters = {"a": {(0, 1, 0): 1}, "u": {(0, 0, 1): 1}}
     for length in range(5):
         for word in itertools.product(letters, repeat=length):
             terms = _rewrite_word(alg, 1, 0, list(word))
             # same word evaluated through normal-form multiplication
-            acc = alg.one()
+            acc = {(0, 0, 0): 1}
             for letter in word:
-                acc = alg.multiply(acc, letters[letter])
-            if terms != acc.terms:
+                acc = dg_multiply(alg, acc, letters[letter])
+                for _, _, m in acc:
+                    if m > alg.weight:
+                        raise WeightOverflow(f"u-exponent {m} exceeds bound {alg.weight}")
+            if terms != acc:
                 raise ShapeMismatch(f"rewriting disagreement on word {''.join(word)}")
 
 

@@ -2,9 +2,10 @@
 
 The README promises that `--json` output is byte-identical for identical
 inputs.  The fixture holds the stdout and exit code of `classify --n 0`,
-`classify --n 1` and `qf` on every ring of the corpus, and of `heller` on
-every module of the corpus, all with `--json`; this test reruns them from the
-repository root.  Regenerate (only after an intended change of the reports)
+`classify --n 1` and `qf` on every ring of the corpus, of `heller` on every
+module of the corpus, and of `dg-verify` on the README command at p = 2, 3
+and 5, at (p, i, n) = (5, -1, 1) and on the build failure (3, 0, 0), all with
+`--json`; this test reruns them from the repository root.  Regenerate (only after an intended change of the reports)
 with:
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
@@ -34,6 +35,9 @@ def commands():
         ring = json.loads(module.read_text(encoding="utf-8"))["ring"]
         ring = os.path.relpath(module.parent / ring, ROOT)
         out.append(["heller", ring, f"modules/{module.name}", "--json"])
+    for p, i, n in ((2, 1, 1), (3, 1, 1), (5, 1, 1), (5, -1, 1), (3, 0, 0)):
+        out.append(["dg-verify", "--p", str(p), "--i", str(i), "--n", str(n), "--window", "-6:6",
+                    "--trials", "20", "--seed", "0", "--json"])
     return out
 
 

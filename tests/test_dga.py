@@ -13,7 +13,6 @@ from trimod.errors import (
     NotChainMap,
     ParityObstruction,
     ShapeMismatch,
-    WeightOverflow,
     WindowEmpty,
     WindowTooWideForWeightBound,
 )
@@ -21,6 +20,14 @@ from trimod.errors import (
 
 PARAMS_OK = [(3, 1, 1), (2, 0, 0), (2, 1, 1), (5, 1, 1), (3, 1, 3)]
 PARAMS_BAD = [(3, 0, 0), (5, 0, 0), (5, 1, 0), (3, 1, 2)]
+
+# normal-form monomials (t, e, m) of v^t a^e u^m
+ONE, U, A_GEN, V = (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)
+
+
+def element(A, key=None):
+    """The monomial key as an entry of a module differential or map, or 0."""
+    return dg.DGElement(A, {} if key is None else {key: 1})
 
 
 def test_parity_obstruction():
@@ -50,19 +57,22 @@ def test_models_that_build_have_even_n_times_period():
 def test_defining_relations():
     A = dg.build_two_generator_dga(3, 1, 1)
     # v is the periodicity generator, of degree 3i + n = 4
-    a, u, v = A.gen_a(), A.gen_u(), A.monomial(t=1)
-    assert (a * a).is_zero
-    assert u * a == -(a * u) - v
-    assert A.differential(a) == u * u
-    assert A.differential(u).is_zero
+    a, u, v = {A_GEN: 1}, {U: 1}, {V: 1}
+    mul, d = brute_force.dg_multiply, brute_force.dg_differential
+    assert not mul(A, a, a)
+    # u a = -a u - v
+    assert not brute_force.dg_add(A, brute_force.dg_add(A, mul(A, u, a), mul(A, a, u)), v)
+    assert d(A, a) == mul(A, u, u)
+    assert not d(A, u)
 
 
 def test_product_associative_random():
     A = dg.build_two_generator_dga(3, 1, 1, weight=40)
+    mul = brute_force.dg_multiply
     rng = random.Random(7)
     for _ in range(200):
-        x, y, z = (A.random_monomial(rng) for _ in range(3))
-        assert (x * y) * z == x * (y * z)
+        x, y, z = (brute_force.dg_random_monomial(A, rng) for _ in range(3))
+        assert mul(A, mul(A, x, y), z) == mul(A, x, mul(A, y, z))
 
 
 def test_leibniz_random_pairs():
@@ -70,23 +80,39 @@ def test_leibniz_random_pairs():
     for p, i, n in PARAMS_OK:
         A = dg.build_two_generator_dga(p, i, n, weight=40)
         for _ in range(200 // len(PARAMS_OK) + 1):
-            x, y = A.random_monomial(rng), A.random_monomial(rng)
-            assert A.leibniz_holds(x, y)
+            x, y = brute_force.dg_random_monomial(A, rng), brute_force.dg_random_monomial(A, rng)
+            assert brute_force.dg_leibniz_holds(A, x, y)
 
 
 def test_d_squared_zero():
     A = dg.build_two_generator_dga(2, 1, 1, weight=40)
     rng = random.Random(3)
     for _ in range(50):
-        x = A.random_monomial(rng)
-        assert A.differential(A.differential(x)).is_zero
+        x = brute_force.dg_random_monomial(A, rng)
+        assert not brute_force.dg_differential(A, brute_force.dg_differential(A, x))
 
 
-def test_weight_overflow():
-    A = dg.build_two_generator_dga(3, 1, 1, weight=8)
-    u5 = A.monomial(m=5)
-    with pytest.raises(WeightOverflow):
-        _ = A.multiply(u5, u5)
+def test_calculus_holds_on_every_slice_and_monomial():
+    for p, i, n in PARAMS_OK:
+        A = dg.build_two_generator_dga(p, i, n, weight=4)
+        keys = [(t, e, m) for t in ((-1, 0, 1) if A.vdeg else (0,)) for e in (0, 1) for m in range(5)]
+        assert all(dg.calculus_holds(A, s, key) for s in range(-8, 9) for key in keys), (p, i, n)
+
+
+def test_calculus_check_rejects_a_wrong_product_sign(monkeypatch):
+    # a * u^m for even m with its sign flipped breaks the Leibniz rule
+    right = dg.DGAlgebra._mul_monomials
+
+    def wrong(alg, k1, k2):
+        out = right(alg, k1, k2)
+        if (k1[1], k2[1], k1[2] % 2) == (0, 1, 0):
+            out[(k1[0] + k2[0], 1, k1[2] + k2[2])] = -1
+        return out
+
+    monkeypatch.setattr(dg.DGAlgebra, "_mul_monomials", wrong)
+    for p in (3, 5):
+        A = dg.build_two_generator_dga(p, 1, 1)
+        assert not all(dg.calculus_holds(A, s, (0, e, m)) for s in range(-4, 5) for e in (0, 1) for m in range(4))
 
 
 def _outcome(build, *args):
@@ -137,10 +163,10 @@ def test_cone_of_u_differential():
     # cone of u: A[i] -> A couples the two slots through multiplication by u
     A = dg.build_two_generator_dga(3, 1, 1)
     M = dg.algebra_module(A)
-    f = dg.DGMap(dg.shift(M, A.i), M, [[A.gen_u()]])
+    f = dg.DGMap(dg.shift(M, A.i), M, [[element(A, U)]])
     C = dg.cone(f)
     assert C.gen_degrees == [0, A.i + A.n]
-    assert C.diff[0][1] == A.gen_u()
+    assert C.diff[0][1].terms == {U: 1}
     # d(a * g_1), read off its column of the slice differential
     q = C.gen_degrees[1] + A.adeg
     col = dg.slice_differential(C, q)[:, dg.slice_basis(C, q).index((1, (0, 1, 0)))]
@@ -148,16 +174,15 @@ def test_cone_of_u_differential():
     for (j, key), c in zip(dg.slice_basis(C, q - A.n), col.tolist()):
         if c:
             terms.setdefault(j, {})[key] = c
-    img = {j: dg.DGElement(A, t) for j, t in terms.items()}
     sign = -1 if (A.n * A.adeg) % 2 else 1
-    assert img[0] == A.gen_a() * A.gen_u() * sign
-    assert img[1] == A.differential(A.gen_a())
+    assert terms[0] == brute_force.dg_add(A, {}, brute_force.dg_multiply(A, {A_GEN: 1}, {U: 1}), sign)
+    assert terms[1] == brute_force.dg_differential(A, {A_GEN: 1})
 
 
 def test_cone_of_identity_is_acyclic():
     A = dg.build_two_generator_dga(3, 1, 1)
     M = dg.algebra_module(A)
-    f = dg.DGMap(M, M, [[A.one()]])
+    f = dg.DGMap(M, M, [[element(A, ONE)]])
     C = dg.cone(f)
     H = dg.homology(C, (-4, 4))
     assert all(H[q]["dim"] == 0 for q in range(-4, 5))
@@ -166,7 +191,7 @@ def test_cone_of_identity_is_acyclic():
 def test_d_squared_nonzero_rejected():
     # d g2 = g1, d g1 = g0, so d^2 g2 = g0
     A = dg.build_two_generator_dga(3, 1, 1)
-    one, zero = A.one(), A.zero()
+    one, zero = element(A, ONE), element(A)
     diff = [[zero, one, zero], [zero, zero, one], [zero, zero, zero]]
     with pytest.raises(ShapeMismatch, match="d\\^2"):
         dg.DGModule(A, [0, 1, 2], diff)
@@ -177,9 +202,9 @@ def test_d_squared_nonzero_rejected():
 def test_differential_entry_of_wrong_degree_rejected():
     # d g1 must have coefficient of degree 1 - n - 0 = 0 on g0; u has degree 1
     A = dg.build_two_generator_dga(3, 1, 1)
-    zero = A.zero()
+    zero = element(A)
     with pytest.raises(ShapeMismatch, match="degree"):
-        dg.DGModule(A, [0, 1], [[zero, A.gen_u()], [zero, zero]])
+        dg.DGModule(A, [0, 1], [[zero, element(A, U)], [zero, zero]])
 
 
 def test_not_chain_map():
@@ -187,7 +212,7 @@ def test_not_chain_map():
     M = dg.DGModule(A, [A.adeg])
     N = dg.DGModule(A, [0])
     with pytest.raises(NotChainMap):
-        dg.DGMap(M, N, [[A.gen_a()]])
+        dg.DGMap(M, N, [[element(A, A_GEN)]])
 
 
 def lift_ring():
@@ -243,8 +268,8 @@ def test_g_and_h_match_the_explicit_inclusion_and_projection(p, period, n):
         M, N = dg.DGModule(alg, src), dg.DGModule(alg, tgt)
         C = dg.cone(dg.DGMap(M, N, [[tr._lift_entry(alg, R, x) for x in row] for row in entries]))
         Mn, gn, gm = dg.shift(M, n), len(tgt), len(src)
-        incl = [[alg.one() if r == c else alg.zero() for c in range(gn)] for r in range(gn + gm)]
-        proj = [[alg.one() if c == gn + r else alg.zero() for c in range(gn + gm)] for r in range(gm)]
+        incl = [[element(alg, ONE if r == c else None) for c in range(gn)] for r in range(gn + gm)]
+        proj = [[element(alg, ONE if c == gn + r else None) for c in range(gn + gm)] for r in range(gm)]
         gmap, hmap = dg.DGMap(N, C, incl, check=True), dg.DGMap(C, Mn, proj, check=True)
         HB, HC, HAs = (dg.homology(X, T.window) for X in (N, C, Mn))
         lo, hi = T.window
@@ -258,11 +283,17 @@ def test_triangle_input_errors():
     x = R.basis_element(1)
     with pytest.raises(ShapeMismatch, match="degree"):
         tr.triangle_from_map(R, 1, [0], [0], [[x]])
-    with pytest.raises(ValueError, match="not homogeneous"):
-        tr.triangle_from_map(R, 1, [0], [0], [[R.one() + x]])
     # two rows for one target generator
     with pytest.raises(ShapeMismatch):
         tr.triangle_from_map(R, 1, [0], [0], [[R.one()], [R.one()]])
+
+
+def test_non_homogeneous_map_entry_raises_shape_mismatch():
+    # the lift of 1 + x has terms of degrees 0 and 1
+    R = lift_ring()
+    x = R.basis_element(1)
+    with pytest.raises(ShapeMismatch, match="map entry \\(0,0\\) has a term of degree 1, expected 0"):
+        tr.triangle_from_map(R, 1, [0], [0], [[R.one() + x]])
 
 
 def test_completion_builds_only_f_and_the_cone_shift(monkeypatch):

@@ -282,6 +282,17 @@ def test_cli_dg_verify(capsys):
     assert "build: FAIL" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--p", "3", "--i", "1", "--n", "1", "--window", "0:0", "--weight", "4", "--trials", "20", "--seed", "1"],
+    ["--p", "2", "--i", "0", "--n", "1", "--window", "-2:2", "--weight", "4", "--seed", "1"]])
+def test_cli_dg_verify_calculus_at_the_smallest_weight(argv, capsys):
+    # products reach past the weight bound, and the calculus is compared
+    # where truncation keeps them exact
+    code, out, err = _run(["dg-verify", *argv], capsys)
+    assert code == 0, err
+    assert "differential calculus (20 random pairs): PASS" in out
+
+
 def test_cli_dg_verify_triangles_keep_the_window(capsys):
     # the random triangles use the command's window: at n = 3 a map spanning
     # degrees -3..3 would otherwise widen it past the default weight bound
