@@ -7,8 +7,8 @@ one additive form, from which every module computation is made:
 * `quotient()` = (qmoduli, proj, lift): the additive group as Z/q_1 x ... x
   Z/q_r, with proj taking the flattened coordinates of R^g (g * dim(R)
   integers) to these quotient coordinates and lift taking them back;
-* `action()`: one integer matrix per ring basis element, giving how that
-  element acts on the quotient coordinates.
+* `action()`: one integer matrix per ring basis element, its action on the
+  quotient coordinates, read off the ring's action table (`_ring_action`).
 
 A map M -> N is its image array: column j is the image of M's generator j in
 N's quotient coordinates, and the columns concatenated are its hom
@@ -75,10 +75,20 @@ def _reduce(X, moduli):
     return X % np.array(moduli, dtype=X.dtype).reshape(-1, 1)
 
 
+@rc.per_object
 def _ring_action(R):
-    """Matrices of multiplication by each basis element on full coordinates
-    (a read-only view of the structure constants)."""
-    return R.structure_constants.transpose(0, 2, 1)
+    """Matrices of multiplication by each basis element on full coordinates:
+    one dim**3 table per ring, filled from its products, shared read-only."""
+    n = R.dim
+    if n > rc.MAX_TABLE_DIM:
+        raise SizeCapExceeded(f"ring dimension {n} above {rc.MAX_TABLE_DIM} for a module action table")
+    A = np.zeros((n, n, n), dtype=rc.int_dtype(R, n))
+    for (i, j), terms in R.products.items():
+        for c, k, _ in terms:
+            A[i, k, j] += c
+    A = _reduce(A, R.orders)
+    A.flags.writeable = False
+    return A
 
 
 def _blockwise(mats, V):

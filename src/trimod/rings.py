@@ -1,4 +1,4 @@
-"""Graded commutative rings presented by homogeneous basis and structure constants.
+"""Graded commutative rings presented by a homogeneous basis and a product table.
 
 A ring is either *finite* (supported on finitely many degrees, additive group
 a finite product of cyclic groups) or *periodic* (a distinguished central unit
@@ -6,7 +6,9 @@ v of positive degree d, with every homogeneous element a basis combination
 times a power of v; coefficients then lie in a prime field or Q).
 
 Elements are finite sums of terms ``coeff * basis[i] * v**t``.  All arithmetic
-is exact: integers mod the additive orders, or Fractions over Q.
+is exact: integers mod the additive orders, or Fractions over Q.  The sparse
+`products` dict {(i, j): terms of b_i b_j} is the one multiplication table:
+products, slice matrices and every check below read its nonzero entries.
 
 Ring linear algebra works on degree slices: the degree-q slice has one
 coordinate per basis element of degree q (mod d for a periodic ring), taken
@@ -21,19 +23,20 @@ for F_p[t]/(t^e)), which is exact and reads only the nonzero products.
 Locality, the idempotents and the maximal ideal m come from the degree-0
 slice R0, by linear algebra alone: no ring code enumerates elements.  For
 each prime power p**k exactly dividing the characteristic, the p-power map F
-on R0 mod p is linear, and its fixed space B = ker(F - 1) is F_p**s, one
-coordinate per local factor.  B splits into lines by eigenvalues: the
-eigenspaces of multiplication by (b + c)**((p-1)/2), b in B, c in F_p, are
-ideals of B, and its eigenvalues are 0, 1 and -1 (Euler's criterion).  Each
-line holds one primitive idempotent of R0 mod p; multiplied by the CRT
-integer that is 1 mod p**k and 0 mod char/p**k, it lifts by Newton's step
-e <- 3e**2 - 2e**3 to the unique idempotent of R above it.  R is local when
-one prime divides the characteristic and B is a line, and then m0 is pR0
-plus the lift of the nilradical of R0 mod p.  A homogeneous x of degree q is
-a unit exactly when x*y is a unit of R0 for some y of degree -q, so m_q =
-{x : x R_{-q} in m0}.  Graded fields (m = 0), homogeneous units and the
-residue characteristic are read from m.  A product R splits into the rings
-R/ann(e), periodic rings included.
+on R0 mod p (b -> b**p by square-and-multiply) is linear, and its fixed
+space B = ker(F - 1) is F_p**s, one coordinate per local factor.  B splits
+into lines by eigenvalues: the eigenspaces of multiplication by the power
+(b + c)**((p-1)/2), b in B, c in F_p, are ideals of B, and its eigenvalues
+are 0, 1 and -1 (Euler's criterion).  Each line holds one primitive
+idempotent of R0 mod p; multiplied by the CRT integer that is 1 mod p**k
+and 0 mod char/p**k, it lifts by Newton's step e <- 3e**2 - 2e**3 to the
+unique idempotent of R above it.  R is local when one prime divides the
+characteristic and B is a line, and then m0 is pR0 plus the lift of the
+nilradical of R0 mod p.  A homogeneous x of degree q is a unit exactly when
+x*y is a unit of R0 for some y of degree -q, so m_q = {x : x R_{-q} in m0}.
+Graded fields (m = 0), homogeneous units and the residue characteristic are
+read from m.  A product R splits into the rings R/ann(e), periodic rings
+included.
 """
 
 from __future__ import annotations
@@ -56,13 +59,13 @@ from .errors import (
     NotLocal,
     NotSemiperfect,
     RingSpecError,
-    SizeCapExceeded,
     UnsupportedCoefficients,
 )
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-# the largest ring dimension whose dim**3 structure-constant table is built
-# (256**3 int64 entries take 134 MB)
+# the largest ring dimension whose dim**3 module action table is built
+# (`modules._ring_action`; 256**3 int64 entries take 134 MB), and the largest
+# the group-algebra constructors build
 MAX_TABLE_DIM = 256
 # `_prime_powers` takes a prime cofactor at once, and refuses a composite
 # one with no prime factor below this bound
@@ -92,12 +95,6 @@ def int_dtype(R, terms):
     """int64 when sums of `terms` products of residues below char cannot
     overflow it, exact Python numbers otherwise (always over Q)."""
     return np.int64 if 0 < R.char ** 2 * terms < 2 ** 62 else object
-
-
-def _mod_last(R, X):
-    """Reduce the last axis of an array of basis coefficients modulo the
-    additive orders (no reduction over Q)."""
-    return X % np.array(R.orders, dtype=X.dtype) if R.char else X
 
 
 class GradedRing:
@@ -188,22 +185,6 @@ class GradedRing:
     def element(self, terms):
         return RingElement(self, dict(terms))
 
-    @functools.cached_property
-    def structure_constants(self):
-        """C[i, j, k] = coefficient of basis[k] in basis[i] * basis[j], modulo
-        orders[k].  The degrees fix each term's v power, so once validate_ring
-        has checked them C is the whole product table."""
-        n = self.dim
-        if n > MAX_TABLE_DIM:
-            raise SizeCapExceeded(f"ring dimension {n} above {MAX_TABLE_DIM} for a structure-constant table")
-        C = np.zeros((n, n, n), dtype=int_dtype(self, n))
-        for (i, j), terms in self.products.items():
-            for c, k, _ in terms:
-                C[i, j, k] += c
-        C = _mod_last(self, C)
-        C.flags.writeable = False  # shared by every caller
-        return C
-
     def _mul_monomials(self, i, s, j, t):
         """(basis_i v^s)(basis_j v^t) as a term dict."""
         out = {}
@@ -272,15 +253,16 @@ class GradedRing:
 
     def mult_matrix_slice(self, x, q):
         """Matrix of y -> x*y from the degree-q slice to degree q+|x|, read
-        off the structure constants: a slice holds each basis element at
-        most once, at the v power its degree fixes."""
-        C = self.structure_constants
-        X = np.zeros((self.dim, self.dim), dtype=C.dtype)
-        for (i, _), c in x.terms.items():
-            X += c * C[i]
+        off the products: a slice holds each basis element at most once, at
+        the v power its degree fixes, so only the nonzero cells are filled."""
         src = [i for i, _ in self.slice_terms(q)]
-        tgt = [k for k, _ in self.slice_terms(q + (x.degree or 0))]
-        return _mod_last(self, X)[np.ix_(src, tgt)].T.tolist()
+        tgt = {k: r for r, (k, _) in enumerate(self.slice_terms(q + (x.degree or 0)))}
+        out, cells = [[0] * len(src) for _ in tgt], collections.defaultdict(int)
+        for (i, _), c in x.terms.items():
+            _times(self, i, ((col, j, c) for col, j in enumerate(src)), cells)
+        for (col, k), c in cells.items():
+            out[tgt[k]][col] = self._coeff(c, k)
+        return out
 
 
 class RingElement:
@@ -384,13 +366,13 @@ def validate_ring(ring):
     subclass naming the first offending basis indices.
 
     Unit, graded commutativity and associativity are identities of the
-    structure constants modulo the additive orders: 1 b_i = b_i = b_i 1,
+    products modulo the additive orders: 1 b_i = b_i = b_i 1,
     b_i b_j = (-1)^(|i||j|) b_j b_i, and [b_i, b_j, b_k] = (b_i b_j) b_k -
     b_i (b_j b_k) = 0 for i in `algebra_generators` alone.  That is exact:
     the associator is additive in each slot, [1, ., .] = 0, and [s, ., .] =
     0 = [y, ., .] give [s y, ., .] = 0 (Teichmueller's identity), so the a
-    with [a, ., .] = 0 hold the spin of 1, all of R.  Unit and associators
-    sum over the nonzero products only; after a generator fails, every b_i
+    with [a, ., .] = 0 hold the spin of 1, all of R.  All three checks sum
+    over the nonzero products only; after a generator fails, every b_i
     is checked, so failures come in the order of a loop over i, then
     (i, j), then (i, j, k).
     """
@@ -453,15 +435,16 @@ def validate_ring(ring):
         _times(R, k, (((i, 0), i, c) for i in range(n)), diff)
     for i in range(n):
         _times(R, i, (((i, 1), k, c) for c, k, _ in R.unit_terms), diff)
-    bad = _first_nonzero(R, diff)
-    if bad:
+    if bad := _first_nonzero(R, diff):
         raise NoUnit(f"1 * basis[{bad[0]}] != basis[{bad[0]}]")
-    C = R.structure_constants
-    odd = np.array(R.degrees, dtype=np.int64) % 2
-    sign = 1 - 2 * np.outer(odd, odd)
-    hits = np.argwhere(_mod_last(R, C - sign[:, :, None] * C.transpose(1, 0, 2)) != 0)
-    if len(hits):
-        raise CommutativityViolation(*(int(h) for h in hits[0][:2]))
+    # b_i b_j less the signed b_j b_i, named (i, j)
+    diff = collections.defaultdict(int)
+    for (i, j), terms in R.products.items():
+        for c, k, _ in terms:
+            diff[(i, j), k] += c
+            diff[(j, i), k] -= (1 - 2 * (R.degrees[i] * R.degrees[j] % 2)) * c
+    if bad := _first_nonzero(R, diff):
+        raise CommutativityViolation(*bad)
     try:
         gens = algebra_generators(R)
     except UnsupportedCoefficients:
@@ -624,14 +607,14 @@ def _prime_powers(c):
     return out + [(c, c)] * (c > 1)
 
 
-def _mod_power(X, e, p):
-    """X**e mod p, e >= 1, for a square matrix or a stack of them."""
-    Y = X
+def _power(times, x, e):
+    """x**e, e >= 1, by square-and-multiply under the product times."""
+    y = x
     for bit in bin(e)[3:]:
-        Y = Y @ Y % p
+        y = times(y, y)
         if bit == "1":
-            Y = Y @ X % p
-    return Y
+            y = times(y, x)
+    return y
 
 
 # R0 mod p for one prime p dividing char R = p**k * (coprime part): the
@@ -644,7 +627,7 @@ _ModP = collections.namedtuple("_ModP", "p pk pos frobenius idempotents")
 def _degree_zero_mod_p(R):
     """One _ModP per prime p dividing char R.  R0/p is spanned by the
     degree-0 basis elements whose additive order p divides, with R's
-    structure constants mod p."""
+    products mod p; its elements are lists of exact coordinates on them."""
     if R.char == 0:
         raise UnsupportedCoefficients("locality over Q is not supported")
     zero = [i for i, _ in R.slice_terms(0)]
@@ -652,39 +635,41 @@ def _degree_zero_mod_p(R):
     for p, pk in _prime_powers(R.char):
         pos = [j for j, i in enumerate(zero) if R.orders[i] % p == 0]
         idx = [zero[j] for j in pos]
-        n = len(idx)
-        # L[j] is the matrix of y -> b_j * y on row vectors, and b_j**p is
-        # row j of L[j]**(p - 1), taken by repeated squaring of the stack
-        L = R.structure_constants[np.ix_(idx, idx, idx)] % p
-        F = _mod_power(L, p - 1, p)[np.arange(n), np.arange(n)].T
-        fixed = linalg.modp_kernel((F - np.eye(n, dtype=F.dtype)).tolist(), p)
-        out.append(_ModP(p, pk, pos, F, _split_into_lines(L, fixed, p)))
+
+        def times(u, w):
+            cells = collections.defaultdict(int)
+            for i, a in zip(idx, u):
+                if a:
+                    _times(R, i, ((0, l, a * b) for l, b in zip(idx, w) if b), cells)
+            return [cells[0, m] % p for m in idx]
+
+        F = [_power(times, [int(l == i) for l in idx], p) for i in idx]
+        fixed = linalg.modp_kernel([[x - (a == j) for j, x in enumerate(row)] for a, row in enumerate(zip(*F))], p)
+        lines = _split_into_lines(times, [sum(c for c, k, _ in R.unit_terms if k == i) % p for i in idx], fixed, p)
+        out.append(_ModP(p, pk, pos, np.array(F, dtype=int_dtype(R, len(idx))).T, lines))
     return tuple(out)
 
 
-def _split_into_lines(L, fixed, p):
-    """The primitive idempotents of R0/p, from a basis of B = ker(F - 1).
-
-    Multiplication by b in B = F_p**s is diagonal, so an ideal of B holding
-    coordinates i != j is split by the eigenvalues of (b + c)**((p-1)/2)
-    with c = -b_i, for a basis element b with b_i != b_j.  A line F_p v
-    holds the one idempotent v/lam, where v*v = lam v.
-    """
-    n = len(L)
-    pieces, lines = [np.array(fixed, dtype=L.dtype).reshape(-1, n)], []
+def _split_into_lines(times, one, fixed, p):
+    """The primitive idempotents of R0/p, from a basis of B = ker(F - 1),
+    under the product times of R0/p, whose unit is one.  Multiplication by
+    b in B = F_p**s is diagonal, so an ideal of B holding coordinates i != j
+    is split by the eigenvalues of (b + c)**((p-1)/2) with c = -b_i, for a
+    basis element b with b_i != b_j.  A line F_p v holds the one idempotent
+    v/lam, where v*v = lam v."""
+    pieces, lines = [np.array(fixed, dtype=object)], []
     while pieces:
         P = pieces.pop()
         if len(P) == 1:
-            # coordinate t of v*v is v.L[:, :, t].v, and v[t] != 0
-            v, t = P[0], int(np.argmax(P[0]))
-            lam = int((v @ L[:, :, t] % p) @ v) * pow(int(v[t]), -1, p)
-            lines.append(tuple(int(a) * pow(lam, -1, p) % p for a in v))
+            # v*v = lam v, read at a coordinate where v is not zero
+            lam = next(x * pow(a, -1, p) for x, a in zip(times(P[0], P[0]), P[0]) if a)
+            lines.append(tuple(a * pow(lam, -1, p) % p for a in P[0]))
             continue
         for b, c in ((b, c) for c in range(p) for b in fixed):
-            A = np.tensordot(np.array(b, dtype=L.dtype), L, 1) + c * np.eye(n, dtype=L.dtype)
             # (b + c)**((p-1)/2), or b + c itself for p = 2: eigenvalues 0, 1, -1
-            image = P @ _mod_power(A % p, (p - 1) // 2 or 1, p) % p
-            parts = [np.array(z, dtype=L.dtype) @ P % p for lam in sorted({0, 1, p - 1})
+            w = _power(times, [(x + c * y) % p for x, y in zip(b, one)], (p - 1) // 2 or 1)
+            image = np.array([times(v, w) for v in P], dtype=object)
+            parts = [np.array(z, dtype=object) @ P % p for lam in sorted({0, 1, p - 1})
                      if (z := linalg.modp_kernel(((image - lam * P) % p).T.tolist(), p))]
             if len(parts) > 1:
                 pieces += parts
@@ -809,16 +794,19 @@ def maximal_ideal(R):
     m0 = linalg.modp_kernel(Fk.tolist(), p)
     m0 += [[p * (a == j) for a in range(n)] for j in range(n) if R.orders[zero[j]] > p]
     qm, proj, _ = linalg.quotient_presentation(m0, R.slice_moduli(R.slice_terms(0)))
-    C = R.structure_constants
-    # R0/m0 is a vector space over F_p, so its coordinates are taken mod p
-    P = (np.array(proj, dtype=object) % p).astype(C.dtype)
+    # column k of proj is b_k in R0/m0, a vector space over F_p
+    proj = dict(zip(zero, zip(*proj)))
     gens, slices = [], {}
     for q in R.degree_support():
         terms = R.slice_terms(q)
-        dual = [i for i, _ in R.slice_terms(-q)]
+        dual = R.slice_terms(-q)
         # row (s, r), column a: coordinate r in R0/m0 of b_a * b_s, |b_s| = -q
-        X = np.tensordot(C[np.ix_([i for i, _ in terms], dual, zero)], P.T, 1) % p
-        rows = X.transpose(1, 2, 0).reshape(-1, len(terms)).tolist()
+        rows, cells = [[0] * len(terms) for _ in range(len(dual) * len(qm))], collections.defaultdict(int)
+        for a, (i, _) in enumerate(terms):
+            _times(R, i, (((s, a), l, 1) for s, (l, _) in enumerate(dual)), cells)
+        for ((s, a), k), x in cells.items():
+            for r, y in enumerate(proj[k]):
+                rows[s * len(qm) + r][a] = (rows[s * len(qm) + r][a] + x * y) % p
         slices[q] = _slice_span(R, q, linalg.congruence_kernel(rows, qm * len(dual), R.slice_moduli(terms)))
         gens += [R.from_slice_coords(q, v) for v in slices[q].cols()]
     return Ideal(R, _minimal_gen_subset(R, gens, slices), slices)

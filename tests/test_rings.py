@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from brute_force import Factor, double_annihilator_holds, enumerate_slice, oracle_is_delta, primitive_idempotents
@@ -601,13 +602,54 @@ def test_periodic_products_split(R, n, kinds):
     assert is_quasi_frobenius(R)
 
 
-def test_structure_constant_tables_above_the_cap_are_refused():
+def test_module_action_tables_above_the_cap_are_refused():
     cap = rings.MAX_TABLE_DIM
-    # refused before the e**2 product table or the e**3 tensor is built
+    # refused before the e**2 product table or the e**3 action table is built
     with pytest.raises(SizeCapExceeded):
         con.truncated_polynomial(2, cap + 1)
     with pytest.raises(SizeCapExceeded):
         con.group_algebra_cyclic(2, 9)
     R = GradedRing(2, [(f"b{j}", 0) for j in range(cap + 1)], {}, [(1, 0, 0)])
     with pytest.raises(SizeCapExceeded):
-        R.structure_constants
+        md.free_module(R, 1).size()
+
+
+def test_rings_above_the_table_cap_validate_and_classify():
+    # F_2[t]/(t^257), |t| = 1: the ring layer reads the products alone
+    e = rings.MAX_TABLE_DIM + 1
+    R = validate_ring(GradedRing(
+        2, [(f"t{j}" if j else "one", j) for j in range(e)],
+        {(i, j): [(1, i + j, 0)] for i in range(e) for j in range(e - i)}, [(1, 0, 0)]))
+    for n in (0, 1):
+        assert [lv.reason for _, lv in classify(R, n).factors] == [ANN_NOT_EQUAL]
+    assert is_quasi_frobenius(R)
+
+
+def test_ring_predicates_build_no_dense_table():
+    # a dim**3 table of dimension 81 alone would take 4.3 MB as int64
+    tracemalloc.start()
+    try:
+        R = con.group_algebra_cyclic(3, 4)
+        assert [lv.reason for _, lv in classify(R, 1).factors] == [ANN_NOT_EQUAL]
+        assert is_quasi_frobenius(R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+
+
+BOUNDARY_PRIME = 3037000493  # the largest prime p with p * p < 2**63
+
+
+@pytest.mark.parametrize("build, kinds", [
+    (lambda p: con.z_mod(p), ["GradedField"]),
+    (lambda p: con.truncated_polynomial(p, 2), ["NotDelta(MissingUnitDegree(1))"]),
+    (lambda p: con.laurent_exterior(p, 1, 4), ["ExteriorAlgebra"]),
+    (lambda p: con.exterior_on_field(con.z_mod(p), 1), ["NotDelta(MissingUnitDegree(4))"]),
+    (lambda p: con.product_ring(con.z_mod(p), con.truncated_polynomial(p, 2)),
+     ["NotDelta(MissingUnitDegree(1))", "GradedField"]),
+], ids=["Z/p", "F_p[t]/t^2", "laurent_exterior", "exterior_on_field", "product"])
+def test_rings_at_the_int64_boundary_prime(build, kinds):
+    R = build(BOUNDARY_PRIME)
+    assert [repr(lv) for _, lv in classify(R, 1).factors] == kinds
+    assert is_quasi_frobenius(R)
