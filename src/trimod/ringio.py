@@ -4,11 +4,13 @@ Ring files carry `characteristic`, `basis` (name/degree, optional additive
 `order` when it differs from the characteristic), optional `periodicity`
 (unit/degree), and `products` as explicit structure constants; unlisted
 products are zero.  The multiplicative unit is not stored: it is recovered by
-solving u * b = b over the degree-0 slice.
+solving u * b = b over the degree-0 slice, a system whose products are taken
+by `rings._times`, the one loop that multiplies through the table.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import os
 from fractions import Fraction
@@ -16,7 +18,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import ParseError
 from .modules import FiniteModule
-from .rings import _NAME_RE, GradedRing, validate_ring
+from .rings import _NAME_RE, GradedRing, _times, validate_ring
 
 RING_KEYS = {"characteristic", "basis", "periodicity", "products"}
 MODULE_KEYS = {"ring", "generators", "relations"}
@@ -139,27 +141,26 @@ def ring_from_obj(obj, path=None):
 
 
 def _find_unit(char, basis, products, periodicity, orders, path):
-    """Solve u * b_j = b_j over the degree-0 slice."""
-    probe = GradedRing(char, basis, products, [(1, 0, 0)],
-                       periodicity=periodicity, orders=orders)
+    """Solve u * b_j = b_j over the degree-0 slice: column (i, t) of the
+    system is b_i v**t times b_j, one row per monomial of the slice of b_j.
+    The probe ring keeps the product terms of the right degree alone, so
+    an ill-graded term cannot change the unit before validation meets it."""
+    deg, d = [q for _, q in basis], periodicity[1] if periodicity else 0
+    graded = {(i, j): [(c, k, t) for c, k, t in terms if deg[k] + t * d == deg[i] + deg[j]]
+              for (i, j), terms in products.items()}
+    probe = GradedRing(char, basis, graded, [(1, 0, 0)], periodicity=periodicity, orders=orders)
     terms0 = probe.slice_terms(0)
     if not terms0:
         _fail("degree-0 slice is empty: no unit", path)
-    A, b = [], []
+    cells = collections.defaultdict(int)
+    for col, (i, _) in enumerate(terms0):
+        _times(probe, i, (((j, col), j, 1) for j in range(probe.dim)), cells)
+    A, b, moduli = [], [], []
     for j in range(probe.dim):
         target = probe.slice_terms(probe.degrees[j])
-        pos = {mt: idx for idx, mt in enumerate(target)}
-        rows = [[0] * len(terms0) for _ in target]
-        for cidx, (i, t) in enumerate(terms0):
-            for (k, u), c in probe._mul_monomials(i, t, j, 0).items():
-                if c and (k, u) in pos:
-                    rows[pos[(k, u)]][cidx] += c
-        for ridx, mt in enumerate(target):
-            A.append(rows[ridx])
-            b.append(1 if mt == (j, 0) else 0)
-    moduli = []
-    for j in range(probe.dim):
-        moduli.extend(probe.slice_moduli(probe.slice_terms(probe.degrees[j])))
+        A += [[cells[(j, col), k] for col in range(len(terms0))] for k, _ in target]
+        b += [int(mt == (j, 0)) for mt in target]
+        moduli += probe.slice_moduli(target)
     sol = linalg.congruence_solve(A, b, moduli)
     if sol is None:
         _fail("structure constants admit no multiplicative unit", path)
@@ -189,10 +190,10 @@ def ring_to_obj(R):
     if R.periodicity is not None:
         obj["periodicity"] = {"unit": R.periodicity[0], "degree": R.periodicity[1]}
     obj["products"] = []
-    for (i, j) in sorted(R.products):
+    for (i, j), product in sorted(R.products.items()):
         terms = [
             {"coeff": _coeff_out(c), "basis": R.basis_names[k], "vpow": t}
-            for c, k, t in R.products[(i, j)]
+            for c, k, t in product
         ]
         obj["products"].append({
             "left": R.basis_names[i], "right": R.basis_names[j], "terms": terms,

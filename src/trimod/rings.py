@@ -7,8 +7,9 @@ times a power of v; coefficients then lie in a prime field or Q).
 
 Elements are finite sums of terms ``coeff * basis[i] * v**t``.  All arithmetic
 is exact: integers mod the additive orders, or Fractions over Q.  The sparse
-`products` dict {(i, j): terms of b_i b_j} is the one multiplication table:
-products, slice matrices and every check below read its nonzero entries.
+`products` dict {(i, j): terms of b_i b_j} is the one multiplication table,
+and `_times` the one loop that multiplies through it: element products,
+slice matrices and every check below read its nonzero entries there.
 
 Ring linear algebra works on degree slices: the degree-q slice has one
 coordinate per basis element of degree q (mod d for a periodic ring), taken
@@ -116,13 +117,13 @@ class GradedRing:
             for (i, j), terms in products.items()
         }
         self.products = {k: v for k, v in self.products.items() if v}
-        # duplicate (k, t) unit terms are summed, as product terms are, and
-        # zero terms dropped
+        # duplicate (k, t) unit terms are summed and zero terms dropped; the
+        # rest are sorted by (k, t), so equal units give equal keys
         unit_sum = {}
         for c, k, t in unit:
             key = (int(k), int(t))
             unit_sum[key] = self._coeff(unit_sum.get(key, 0) + self._coeff(c, k), k)
-        self.unit_terms = tuple((c, k, t) for (k, t), c in unit_sum.items() if c)
+        self.unit_terms = tuple((c, k, t) for (k, t), c in sorted(unit_sum.items()) if c)
         self._cache = {}
 
     # -- basic structure -------------------------------------------------
@@ -184,14 +185,6 @@ class GradedRing:
 
     def element(self, terms):
         return RingElement(self, dict(terms))
-
-    def _mul_monomials(self, i, s, j, t):
-        """(basis_i v^s)(basis_j v^t) as a term dict."""
-        out = {}
-        for c, k, u in self.products.get((i, j), ()):
-            key = (k, s + t + u)
-            out[key] = out.get(key, 0) + c
-        return out
 
     # -- degree slices ---------------------------------------------------
 
@@ -326,12 +319,14 @@ class RingElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return RingElement(self.ring, {k: c * other for k, c in self.terms.items()})
-        out = {}
-        for (i, s), c1 in self.terms.items():
-            for (j, t), c2 in other.terms.items():
-                for key, c in self.ring._mul_monomials(i, s, j, t).items():
-                    out[key] = out.get(key, 0) + c1 * c2 * c
-        return RingElement(self.ring, out)
+        # each term is named by its degree, which fixes its v power
+        R, cells = self.ring, collections.defaultdict(int)
+        ys = [(other._term_degree(j, t), j, d) for (j, t), d in other.terms.items()]
+        for (i, s), c in self.terms.items():
+            q = self._term_degree(i, s)
+            _times(R, i, ((q + qy, j, c * d) for qy, j, d in ys), cells)
+        return RingElement(R, {(k, (q - R.degrees[k]) // R.periodicity[1] if R.periodicity else 0): c
+                               for (q, k), c in cells.items()})
 
     def __rmul__(self, scalar):
         return self * scalar

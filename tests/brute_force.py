@@ -5,7 +5,9 @@ The library decides locality, idempotents, products and socles by linear
 algebra on degree slices, and Hom groups by congruence kernels.  These
 references visit every element of a slice or a module instead, so they
 serve only small rings and modules: the sets they enumerate have at most a
-few thousand elements.  The DG model's closed forms are checked against a
+few thousand elements.  Their ring elements are multiplied by
+`ring_multiply`, pair by pair of terms, not by the library's product loop
+`rings._times`.  The DG model's closed forms are checked against a
 generic word rewriter in the same way, and its elements are multiplied and
 differentiated here as term dicts {(t, e, m): c}, with no weight bound, for
 tests that compare the slice matrices with element arithmetic.
@@ -19,6 +21,18 @@ from trimod.errors import ParityObstruction, ShapeMismatch, WeightOverflow
 from trimod.rings import RingElement, _annihilator_of, annihilator, principal_ideal
 
 
+def ring_multiply(x, y):
+    """x y pair by pair of terms: (b_i v^s)(b_j v^t) is the sum of
+    c b_k v^(s+t+u) over the terms (c, k, u) of b_i b_j in the product
+    table, the v powers added explicitly."""
+    out = {}
+    for (i, s), c1 in x.terms.items():
+        for (j, t), c2 in y.terms.items():
+            for c, k, u in x.ring.products.get((i, j), ()):
+                out[k, s + t + u] = out.get((k, s + t + u), 0) + c1 * c2 * c
+    return RingElement(x.ring, out)
+
+
 def enumerate_slice(R, q):
     """All homogeneous elements of degree q, in the lexicographic order of
     their slice coordinates (finite coefficient ring)."""
@@ -30,8 +44,8 @@ def enumerate_slice(R, q):
 def primitive_idempotents(R):
     """The nonzero degree-0 idempotents with no smaller nonzero idempotent
     below them, in enumeration order."""
-    idems = [x for x in enumerate_slice(R, 0) if x * x == x and not x.is_zero]
-    return [e for e in idems if not any(f != e and e * f == f for f in idems)]
+    idems = [x for x in enumerate_slice(R, 0) if ring_multiply(x, x) == x and not x.is_zero]
+    return [e for e in idems if not any(f != e and ring_multiply(e, f) == f for f in idems)]
 
 
 def double_annihilator_holds(R):
@@ -62,12 +76,12 @@ class Factor:
         self.unit = e
         self.elements = []
         for r in enumerate_slice(R, 0):
-            x = e * r
+            x = ring_multiply(e, r)
             if not any(x == y for y in self.elements):
                 self.elements.append(x)
 
     def is_unit(self, a):
-        return any(a * b == self.unit for b in self.elements)
+        return any(ring_multiply(a, b) == self.unit for b in self.elements)
 
     def nonunits(self):
         return [a for a in self.elements if not self.is_unit(a)]
@@ -84,7 +98,7 @@ class Factor:
         """The elements killed by every nonunit are as many as the residue
         field's."""
         nonunits = self.nonunits()
-        socle = [a for a in self.elements if all((a * x).is_zero for x in nonunits)]
+        socle = [a for a in self.elements if all(ring_multiply(a, x).is_zero for x in nonunits)]
         return len(socle) * len(nonunits) == len(self.elements)
 
 
@@ -101,7 +115,7 @@ def factor_positive(F, n):
     order = F.unit_additive_order()
     if order == 2:
         # exterior shape: square-zero radical of k-dimension one
-        products_vanish = all((a * b).is_zero for a in nonunits for b in nonunits)
+        products_vanish = all(ring_multiply(a, b).is_zero for a in nonunits for b in nonunits)
         return products_vanish and len(nonunits) ** 2 == len(F.elements)
     if order == 4:
         doubles = [r + r for r in F.elements]

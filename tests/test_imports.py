@@ -109,33 +109,59 @@ def test_every_error_is_raised():
     assert errors and [name for name in errors if name not in used] == []
 
 
+def _scoped_nodes(node, scope=()):
+    """Each node of the tree with its scope, the names of the classes and
+    functions that enclose it."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        scope = scope + (node.name,)
+    yield scope, node
+    for child in ast.iter_child_nodes(node):
+        yield from _scoped_nodes(child, scope)
+
+
+def _stray(find, allowed):
+    """file:line in scope of each (scope, line) that find(tree) yields for a
+    module under src/trimod/, unless (module stem, *scope) starts with one
+    of the allowed tuples."""
+    return [f"{path.name}:{line} in {'.'.join(scope) or '<module>'}"
+            for path in sorted((ROOT / "src" / "trimod").glob("*.py"))
+            for scope, line in find(ast.parse(path.read_text(encoding="utf-8")))
+            if not any((path.stem, *scope)[:len(a)] == a for a in allowed)]
+
+
 def _cache_writes(tree):
-    """(enclosing scope, line) of each subscript store into, or setdefault
-    on, an attribute named `_cache`; the scope is the names of the enclosing
-    classes and functions."""
+    """(scope, line) of each subscript store into, or setdefault on, an
+    attribute named `_cache`."""
     def is_cache(node):
         return isinstance(node, ast.Attribute) and node.attr == "_cache"
 
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            scope = scope + (node.name,)
+    for scope, node in _scoped_nodes(tree):
         if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)) and is_cache(node.value):
             yield scope, node.lineno
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
                 and node.func.attr == "setdefault" and is_cache(node.func.value):
             yield scope, node.lineno
-        for child in ast.iter_child_nodes(node):
-            yield from visit(child, scope)
-
-    return visit(tree, ())
 
 
 def test_only_per_object_writes_caches():
     # a memo entry is written by rings.per_object (a call or its seed), and
     # a module is interned by FiniteModule.__new__; nothing else writes a cache
-    allowed = {("rings", "per_object"), ("modules", "FiniteModule", "__new__")}
-    stray = [f"{path.name}:{line} in {'.'.join(scope) or '<module>'}"
-             for path in sorted((ROOT / "src" / "trimod").glob("*.py"))
-             for scope, line in _cache_writes(ast.parse(path.read_text(encoding="utf-8")))
-             if not any((path.stem, *scope)[:len(a)] == a for a in allowed)]
-    assert stray == []
+    assert _stray(_cache_writes, {("rings", "per_object"), ("modules", "FiniteModule", "__new__")}) == []
+
+
+def _product_lookups(tree):
+    """(scope, line) of each subscript read of, or `.get` on, an attribute
+    named `products`: a lookup of one product b_i b_j."""
+    def is_table(node):
+        return isinstance(node, ast.Attribute) and node.attr == "products"
+
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load) and is_table(node.value) \
+                or isinstance(node, ast.Attribute) and node.attr == "get" and is_table(node.value):
+            yield scope, node.lineno
+
+
+def test_only_times_looks_up_products():
+    # rings._times is the one loop that multiplies through GradedRing.products;
+    # every other reader walks the whole table
+    assert _stray(_product_lookups, {("rings", "_times")}) == []

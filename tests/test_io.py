@@ -9,7 +9,7 @@ import pytest
 
 from trimod import cli, ringio
 from trimod import constructions as con
-from trimod.errors import ParseError
+from trimod.errors import DegreeMismatch, ParseError
 from trimod.rings import GradedRing
 
 HERE = os.path.dirname(__file__)
@@ -96,6 +96,34 @@ def test_reject_unitless_structure_constants():
     with pytest.raises(ParseError) as exc:
         ringio.ring_from_obj(obj)
     assert "unit" in str(exc.value)
+
+
+def _periodic_f3(one_one, one_x):
+    """F_3 on one (degree 0) and x (degree 1), period 2, with the given
+    terms of one * one and one * x; x * one = x."""
+    def terms(ts):
+        return [{"coeff": 1, "basis": b, "vpow": v} for b, v in ts]
+    return {
+        "characteristic": 3,
+        "basis": [{"name": "one", "degree": 0}, {"name": "x", "degree": 1}],
+        "periodicity": {"unit": "y", "degree": 2},
+        "products": [{"left": "one", "right": "one", "terms": terms(one_one)},
+                     {"left": "one", "right": "x", "terms": terms(one_x)},
+                     {"left": "x", "right": "one", "terms": terms([("x", 0)])}],
+    }
+
+
+@pytest.mark.parametrize("one_one, one_x, error, message", [
+    # a term of the right basis element at the wrong v power is no part of
+    # the unit's system, so the system has no solution
+    ([("one", 1)], [("x", 0)], ParseError, "admit no multiplicative unit"),
+    ([("one", 0)], [("x", 1)], ParseError, "admit no multiplicative unit"),
+    # here it has one, and validation meets the ill-graded term
+    ([("one", 0), ("one", 1)], [("x", 0)], DegreeMismatch, "term 0 has degree 2, expected 0"),
+])
+def test_ill_graded_products_in_degree_zero(one_one, one_x, error, message):
+    with pytest.raises(error, match=message):
+        ringio.ring_from_obj(_periodic_f3(one_one, one_x))
 
 
 def test_unit_recovery_nontrivial():

@@ -8,7 +8,8 @@ characteristic from one quotient of the whole additive group.  The factors
 of `decompose_product` and the rings of `residue_field` must equal theirs in
 everything `GradedRing.key()` holds apart from the basis names.  The slice
 multiplication matrices read off the structure constants must equal those
-built from element products.
+built from element products, and every reference multiplies its elements by
+`brute_force.ring_multiply`, not by the library's product loop.
 """
 
 import glob
@@ -17,7 +18,7 @@ import os
 from fractions import Fraction
 
 import pytest
-from brute_force import primitive_idempotents
+from brute_force import primitive_idempotents, ring_multiply
 
 from trimod import constructions as con
 from trimod import linalg
@@ -37,7 +38,7 @@ def reference_mult_matrix_slice(R, x, q):
     cols = []
     for i, t in src:
         col = [0] * len(tgt)
-        for mt, c in (x * R.basis_element(i, t)).terms.items():
+        for mt, c in ring_multiply(x, R.basis_element(i, t)).terms.items():
             col[pos[mt]] = c
         cols.append(col)
     return [[cols[j][r] for j in range(len(src))] for r in range(len(tgt))]
@@ -51,7 +52,7 @@ def _product_table(basis, down):
     table = {}
     for a, wa in enumerate(basis):
         for b, wb in enumerate(basis):
-            terms = [(c, k, t) for (k, t), c in down(wa * wb).items()]
+            terms = [(c, k, t) for (k, t), c in down(ring_multiply(wa, wb)).items()]
             if terms:
                 table[(a, b)] = terms
     return table
@@ -65,7 +66,7 @@ def reference_corner_ring(R, e):
         qm, proj, lift = linalg.quotient_presentation(ker, moduli)
         block[q] = (proj, len(basis), qm)
         for j in range(len(qm)):
-            basis.append(e * R.from_slice_coords(q, linalg.apply_matrix(lift, _unit_vector(j, len(qm)))))
+            basis.append(ring_multiply(e, R.from_slice_coords(q, linalg.apply_matrix(lift, _unit_vector(j, len(qm))))))
             names.append((f"w{len(names)}", q))
         orders += qm
 

@@ -1,9 +1,17 @@
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
-from brute_force import Factor, double_annihilator_holds, enumerate_slice, oracle_is_delta, primitive_idempotents
+from brute_force import (
+    Factor,
+    double_annihilator_holds,
+    enumerate_slice,
+    oracle_is_delta,
+    primitive_idempotents,
+    ring_multiply,
+)
 from hypothesis import given, settings, strategies as st
 from test_classify import _permuted_rescaled
 from test_quotient_oracle import key_without_names, reference_corner_ring
@@ -23,6 +31,7 @@ from trimod.errors import (
     UnsupportedCoefficients,
 )
 from trimod.classify import ANN_NOT_EQUAL, EXTERIOR, GRADED_FIELD, classify, has_unit_in_degree
+from trimod.ringio import parse_ring, serialize_ring
 from trimod.rings import (
     GradedRing,
     Ideal,
@@ -373,8 +382,6 @@ def test_periodic_odd_period():
 
 
 def test_rational_idempotents():
-    from fractions import Fraction
-
     R = validate_ring(GradedRing(0, [("e", 0)], {(0, 0): [(1, 0, 0)]}, [(1, 0, 0)]))
     assert [sum(e.terms.values(), Fraction(0)) for e in idempotents(R)] == [1]
 
@@ -457,13 +464,13 @@ def _coords(x):
 
 def _spin_by_elements(R, gens):
     """The additive span of the words b_s1 (b_s2 (... 1)), s_i in gens, by
-    element arithmetic."""
+    element arithmetic through `brute_force.ring_multiply`."""
     span, todo = linalg.Subgroup([], R.orders), [R.one()]
     while todo:
         x = todo.pop()
         if not span.contains(_coords(x)):
             span = span.extend([_coords(x)])
-            todo += [R.basis_element(s) * x for s in gens]
+            todo += [ring_multiply(R.basis_element(s), x) for s in gens]
     return span
 
 
@@ -474,12 +481,59 @@ def test_algebra_generators_spin_the_unit_to_the_ring(seed, data):
     gens = algebra_generators(R)
     # R is a ring, so every generator check passes without the full loop
     assert all(rings._associator(R, s) is None for s in gens)
-    products = [_coords(R.basis_element(i) * R.basis_element(j)) for i in range(R.dim) for j in range(R.dim)]
+    products = [_coords(ring_multiply(R.basis_element(i), R.basis_element(j)))
+                for i in range(R.dim) for j in range(R.dim)]
     assert _spin_by_elements(R, gens) == linalg.Subgroup(products, R.orders)
     # greedy in basis order: b_i joins exactly when the earlier ones miss it
     for i in range(R.dim):
         earlier = _spin_by_elements(R, [s for s in gens if s < i])
         assert (i in gens) == (not earlier.contains(_coords(R.basis_element(i))))
+
+
+def test_ring_equality_ignores_the_order_of_unit_terms():
+    # F_2 x F_2 on e, f with the unit e + f listed both ways
+    table = {(0, 0): [(1, 0, 0)], (1, 1): [(1, 1, 0)]}
+    R, S = (validate_ring(GradedRing(2, [("e", 0), ("f", 0)], table, unit))
+            for unit in ([(1, 0, 0), (1, 1, 0)], [(1, 1, 0), (1, 0, 0)]))
+    assert R == S and hash(R) == hash(S)
+    assert R.one().terms == S.one().terms
+    assert md.iso_test(md.free_module(R, 1), md.free_module(S, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_random_rings_round_trip_through_ring_files(seed):
+    # the unit is solved for again on parsing, and is not always a basis element
+    R = _random_ring(random.Random(seed))
+    assert parse_ring(serialize_ring(R)) == R
+
+
+def _random_homogeneous(R, q, rng):
+    """A random element of the degree-q slice of R."""
+    if R.char == 0:
+        return R.from_slice_coords(q, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in R.slice_terms(q)])
+    return R.from_slice_coords(q, [rng.randrange(m) for m in R.slice_moduli(R.slice_terms(q))])
+
+
+# Q[z^-1, z] over y = z^2, |z| = 2, z * z = y / 2: the product of z with
+# itself carries a v power
+RATIONAL_PERIODIC = validate_ring(_unital(0, [("one", 0), ("z", 2)], {(1, 1): [(Fraction(1, 2), 0, 1)]}, ("y", 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_products_with_v_powers_match_pairwise_products(seed):
+    rng = random.Random(seed)
+    R = rng.choice(PERIODIC + [RATIONAL_PERIODIC])
+    d = R.periodicity[1]
+    for _ in range(5):
+        # degrees over four periods, v powers of both signs
+        qx, qy = rng.randint(-2 * d, 2 * d), rng.randint(-2 * d, 2 * d)
+        x, y = _random_homogeneous(R, qx, rng), _random_homogeneous(R, qy, rng)
+        assert x * y == ring_multiply(x, y)
+        # v commutes strictly, so the graded sign needs |v| even or char 2
+        if d % 2 == 0 or R.char == 2:
+            assert x * y == y * x * (-1 if qx * qy % 2 else 1)
 
 
 def _nonunits_by_enumeration(R, q):
@@ -507,7 +561,7 @@ def test_locality_matches_enumeration(seed):
     assert maximal_ideal(R).slices == spans
     assert residue_characteristic(R) == next(k for k in range(1, R.char + 1) if not is_unit(elem(R, k)))
     assert idempotents(R) == [R.one()]
-    assert [e for e in enumerate_slice(R, 0) if e * e == e] == [R.zero(), R.one()]
+    assert [e for e in enumerate_slice(R, 0) if ring_multiply(e, e) == e] == [R.zero(), R.one()]
     for d in range(-4, 5):
         assert has_unit_in_degree(R, d) == any(is_unit(x) for x in enumerate_slice(R, d))
 
