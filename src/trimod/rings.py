@@ -14,8 +14,8 @@ slice matrices and every check below read its nonzero entries there.
 Ring linear algebra works on degree slices: the degree-q slice has one
 coordinate per basis element of degree q (mod d for a periodic ring), taken
 modulo that element's additive order.  Multiplication matrices, inverses,
-ideals, annihilators and the quotient rings R/I (product factors and residue
-fields, built by `_quotient_ring`) are all computed slice by slice.
+ideals, annihilator kernels and the quotient rings R/I (product factors and
+residue fields, built by `_quotient_ring`) are all computed slice by slice.
 
 `validate_ring` checks associativity on the basis elements whose left
 multiplications spin the unit to all of R (`algebra_generators`; t alone
@@ -37,7 +37,9 @@ nilradical of R0 mod p.  A homogeneous x of degree q is a unit exactly when
 x*y is a unit of R0 for some y of degree -q, so m_q = {x : x R_{-q} in m0}.
 Graded fields (m = 0), homogeneous units and the residue characteristic are
 read from m.  A product R splits into the rings R/ann(e), periodic rings
-included.
+included.  The local conditions are sizes, counted over one period of
+degrees: m is principal when one generator spans an ideal as large as m, and
+the socle is simple when it is as large as R/m.
 """
 
 from __future__ import annotations
@@ -112,18 +114,8 @@ class GradedRing:
         if orders is None:
             orders = [self.char] * len(basis)
         self.orders = tuple(int(o) for o in orders)
-        self.products = {
-            (int(i), int(j)): tuple((self._coeff(c, k), int(k), int(t)) for c, k, t in terms if self._coeff(c, k) != 0)
-            for (i, j), terms in products.items()
-        }
-        self.products = {k: v for k, v in self.products.items() if v}
-        # duplicate (k, t) unit terms are summed and zero terms dropped; the
-        # rest are sorted by (k, t), so equal units give equal keys
-        unit_sum = {}
-        for c, k, t in unit:
-            key = (int(k), int(t))
-            unit_sum[key] = self._coeff(unit_sum.get(key, 0) + self._coeff(c, k), k)
-        self.unit_terms = tuple((c, k, t) for (k, t), c in sorted(unit_sum.items()) if c)
+        self.products = {(int(i), int(j)): ts for (i, j), terms in products.items() if (ts := self._terms(terms))}
+        self.unit_terms = self._terms(unit)
         self._cache = {}
 
     # -- basic structure -------------------------------------------------
@@ -135,6 +127,14 @@ class GradedRing:
     @property
     def is_finite(self):
         return self.periodicity is None
+
+    def _terms(self, terms):
+        """Terms (c, k, t) summed by (k, t), reduced, without zeros and
+        sorted by (k, t), so that equal elements give equal keys."""
+        out = collections.defaultdict(int)
+        for c, k, t in terms:
+            out[int(k), int(t)] += self._coeff(c, k)
+        return tuple((c, k, t) for (k, t), x in sorted(out.items()) if (c := self._coeff(x, k)))
 
     def _coeff(self, c, k=None):
         if self.char == 0:
@@ -556,13 +556,6 @@ class Ideal:
         so all of them on a finite ring; raises for an infinite slice."""
         return math.prod(span.size() for span in self.slices.values())
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Ideal)
-            and self.ring == other.ring
-            and self.slices == other.slices
-        )
-
     def __repr__(self):
         gens = ", ".join(repr(g) for g in self.generators) or "0"
         return f"Ideal({gens})"
@@ -765,7 +758,7 @@ def _quotient_ring(R, relations):
 
 
 # ---------------------------------------------------------------------------
-# maximal ideal, residue field, socle
+# maximal ideal, its single generator and the residue field
 # ---------------------------------------------------------------------------
 
 @per_object
@@ -820,18 +813,12 @@ def _minimal_gen_subset(R, gens, slices):
     return keep
 
 
-def principal_generator(R, ideal):
-    """One of the ideal's generators that generates it alone, or None."""
-    for g in ideal.generators:
-        if principal_ideal(R, g) == ideal:
-            return g
-    return None
-
-
 @per_object
 def chain_generator(R):
-    """A single generator of the maximal ideal, or None if not principal."""
-    return principal_generator(R, maximal_ideal(R))
+    """The first generator g of the maximal ideal with (g) = m, or None if m
+    is not principal: (g) lies in m, so it is m exactly when it is as large."""
+    m = maximal_ideal(R)
+    return next((g for g in m.generators if Ideal.from_generators(R, [g]).size() == m.size()), None)
 
 
 def residue_characteristic(R):
@@ -863,19 +850,8 @@ def is_graded_field(R):
 
 
 # ---------------------------------------------------------------------------
-# annihilators, socle, quasi-Frobenius
+# socle and quasi-Frobenius
 # ---------------------------------------------------------------------------
-
-def annihilator(R, x):
-    """The ideal of elements y with x*y = 0, for homogeneous x."""
-    if not x.is_homogeneous:
-        raise ValueError("annihilator requires a homogeneous element")
-    return _annihilator_of(R, [x] if not x.is_zero else [])
-
-
-def principal_ideal(R, x):
-    return Ideal.from_generators(R, [x] if not x.is_zero else [])
-
 
 def _annihilator_cols(R, gens):
     """Per degree of R.degree_support(), columns spanning the slice of the
@@ -891,27 +867,13 @@ def _annihilator_cols(R, gens):
     return out
 
 
-def _annihilator_of(R, gens):
-    """Elements killing every one of the homogeneous generators."""
-    if not gens:
-        return Ideal.from_generators(R, [R.one()])
-    cols = _annihilator_cols(R, gens)
-    out_gens = [g for q, ker in cols.items() for g in (R.from_slice_coords(q, v) for v in ker) if not g.is_zero]
-    return Ideal(R, out_gens, {q: _slice_span(R, q, ker) for q, ker in cols.items()})
-
-
-def socle(R):
-    """Elements killed by the maximal ideal (local rings)."""
-    m = maximal_ideal(R)
-    return _annihilator_of(R, list(m.generators))
-
-
 def socle_is_simple(R):
-    """Whether the socle of a local ring is a simple module, that is,
+    """Whether the socle ann(m) of a local ring is a simple module, that is,
     principal.  m kills the socle, so each homogeneous g != 0 in it spans
     gR = R/m shifted: the socle is gR exactly when it is as large as R/m,
-    counted over one period of degrees."""
-    return socle(R).size() == residue_size(R)
+    counted slice by slice over one period of degrees."""
+    ann = _annihilator_cols(R, maximal_ideal(R).generators)
+    return math.prod(_slice_span(R, q, cols).size() for q, cols in ann.items()) == residue_size(R)
 
 
 @per_object

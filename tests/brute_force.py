@@ -2,10 +2,13 @@
 only.
 
 The library decides locality, idempotents, products and socles by linear
-algebra on degree slices, and Hom groups by congruence kernels.  These
-references visit every element of a slice or a module instead, so they
-serve only small rings and modules: the sets they enumerate have at most a
-few thousand elements.  Their ring elements are multiplied by
+algebra on degree slices, and Hom groups by congruence kernels; its local
+conditions (principal maximal ideal, simple socle, ann(x) = (x)) are sizes.
+These references visit every element of a slice or a module instead, so
+they serve only small rings and modules: the sets they enumerate have at
+most a few thousand elements.  Annihilators and principal ideals are built
+here as `Ideal`s from the enumerated elements, and two ideals are equal when
+their slices are.  Their ring elements are multiplied by
 `ring_multiply`, pair by pair of terms, not by the library's product loop
 `rings._times`.  The DG model's closed forms are checked against a
 generic word rewriter in the same way, and its elements are multiplied and
@@ -17,8 +20,9 @@ import itertools
 
 import numpy as np
 
+from trimod import linalg
 from trimod.errors import ParityObstruction, ShapeMismatch, WeightOverflow
-from trimod.rings import RingElement, _annihilator_of, annihilator, principal_ideal
+from trimod.rings import Ideal, RingElement, maximal_ideal
 
 
 def ring_multiply(x, y):
@@ -48,6 +52,39 @@ def primitive_idempotents(R):
     return [e for e in idems if not any(f != e and ring_multiply(e, f) == f for f in idems)]
 
 
+def _ideal_of(R, members):
+    """The ideal whose degree-q slice, q in R.degree_support(), is spanned
+    by the elements members(q) of that slice."""
+    slices = {q: linalg.Subgroup([R.slice_coords(y, q) for y in members(q)], R.slice_moduli(R.slice_terms(q)))
+              for q in R.degree_support()}
+    return Ideal(R, [R.from_slice_coords(q, v) for q, span in slices.items() for v in span.cols()], slices)
+
+
+def annihilator(R, gens):
+    """The elements y with g y = 0 for each homogeneous g in gens (one
+    element or a list), by enumeration of each slice."""
+    gens = [gens] if isinstance(gens, RingElement) else list(gens)
+    return _ideal_of(R, lambda q: [y for y in enumerate_slice(R, q)
+                                   if all(ring_multiply(g, y).is_zero for g in gens)])
+
+
+def principal_ideal(R, x):
+    """(x) for homogeneous x: its degree-q slice holds x r for every r of
+    degree q - |x|."""
+    return _ideal_of(R, lambda q: [] if x.is_zero else
+                     [ring_multiply(x, r) for r in enumerate_slice(R, q - x.degree)])
+
+
+def socle(R):
+    """The elements killed by the maximal ideal of a local ring."""
+    return annihilator(R, maximal_ideal(R).generators)
+
+
+def same_ideal(I, J):
+    """Ideals of one ring are equal when their slices are."""
+    return I.ring == J.ring and I.slices == J.slices
+
+
 def double_annihilator_holds(R):
     """Check ann(ann(x)) == (x) for every homogeneous x; witness on failure.
 
@@ -55,8 +92,7 @@ def double_annihilator_holds(R):
     """
     for q in R.degree_support():
         for x in enumerate_slice(R, q):
-            double = _annihilator_of(R, list(annihilator(R, x).generators))
-            if double != principal_ideal(R, x):
+            if not same_ideal(annihilator(R, annihilator(R, x).generators), principal_ideal(R, x)):
                 return False, x
     return True, None
 

@@ -6,11 +6,15 @@ from fractions import Fraction
 import pytest
 from brute_force import (
     Factor,
+    annihilator,
     double_annihilator_holds,
     enumerate_slice,
     oracle_is_delta,
     primitive_idempotents,
+    principal_ideal,
     ring_multiply,
+    same_ideal,
+    socle,
 )
 from hypothesis import given, settings, strategies as st
 from test_classify import _permuted_rescaled
@@ -36,7 +40,6 @@ from trimod.rings import (
     GradedRing,
     Ideal,
     algebra_generators,
-    annihilator,
     decompose_product,
     idempotents,
     is_graded_field,
@@ -44,11 +47,9 @@ from trimod.rings import (
     is_quasi_frobenius,
     is_unit,
     maximal_ideal,
-    principal_ideal,
     residue_characteristic,
     residue_field,
     residue_size,
-    socle,
     validate_ring,
 )
 
@@ -240,11 +241,11 @@ def test_graded_composite_characteristic():
     R = validate_ring(_unital(4, [("one", 0), ("x", 1)], {}))
     x = R.basis_element(1)
     assert is_local(R) and not is_unit(x) and is_unit(elem(R, 3))
-    assert maximal_ideal(R) == Ideal.from_generators(R, [elem(R, 2), x])
+    assert same_ideal(maximal_ideal(R), Ideal.from_generators(R, [elem(R, 2), x]))
     assert residue_field(R).size() == 2
     assert is_quasi_frobenius(R)
-    assert annihilator(R, x) == principal_ideal(R, x)
-    assert socle(R) == principal_ideal(R, elem(R, 2) * x)
+    assert same_ideal(annihilator(R, x), principal_ideal(R, x))
+    assert same_ideal(socle(R), principal_ideal(R, elem(R, 2) * x))
 
 
 def test_zero_unit_terms_dropped():
@@ -294,13 +295,13 @@ def test_annihilators_z8():
     assert annihilator(R, two).size() == 2
     assert annihilator(R, two).contains(four)
     assert annihilator(R, four).size() == 4
-    assert annihilator(R, four) == principal_ideal(R, two)
+    assert same_ideal(annihilator(R, four), principal_ideal(R, two))
 
 
 def test_annihilator_equality_z4():
     R = con.z_mod(4)
     two = elem(R, 2)
-    assert annihilator(R, two) == principal_ideal(R, two)
+    assert same_ideal(annihilator(R, two), principal_ideal(R, two))
 
 
 def test_double_annihilator():
@@ -368,7 +369,7 @@ def test_periodic_graded_field():
 def test_periodic_annihilator():
     E = con.laurent_exterior(3, 1, 2)
     x = E.basis_element(1)
-    assert annihilator(E, x) == principal_ideal(E, x)
+    assert same_ideal(annihilator(E, x), principal_ideal(E, x))
     assert double_annihilator_holds(E) == (True, None)
 
 
@@ -498,6 +499,18 @@ def test_ring_equality_ignores_the_order_of_unit_terms():
     assert R == S and hash(R) == hash(S)
     assert R.one().terms == S.one().terms
     assert md.iso_test(md.free_module(R, 1), md.free_module(S, 1))
+
+
+def test_ring_equality_sums_and_sorts_product_terms():
+    # F_4 = F_2[g]/(g^2 + g + 1) with g*g = g + 1 listed both ways, and with
+    # the 1 written three times
+    table = {(0, 0): [(1, 0, 0)], (0, 1): [(1, 1, 0)], (1, 0): [(1, 1, 0)]}
+    R, S, T = (validate_ring(GradedRing(2, [("one", 0), ("g", 0)], {**table, (1, 1): gg}, [(1, 0, 0)]))
+               for gg in ([(1, 1, 0), (1, 0, 0)], [(1, 0, 0), (1, 1, 0)], [(1, 1, 0)] + [(1, 0, 0)] * 3))
+    for X in (S, T):
+        assert X == R and hash(X) == hash(R)
+        assert serialize_ring(X) == serialize_ring(R)
+        assert md.iso_test(md.free_module(R, 1), md.free_module(X, 1))
 
 
 @settings(max_examples=100, deadline=None)
