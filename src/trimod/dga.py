@@ -427,7 +427,7 @@ def _slice_homology(alg, basis, d_here, d_above, padding):
     P[:, pivots] = R[:, [size + k for k in kept]].T
     reps = ker_low[kept].tolist()
     return {"dim": len(reps), "reps": reps, "basis": basis, "im": im.T.tolist(),
-            "coords": (P, linalg._null_basis(R, pivots, size, p)[0])}
+            "coords": (P, _columns(linalg._kernel_basis(held, size, p)[0], size).T)}
 
 
 def _slices(M, degrees, padding):

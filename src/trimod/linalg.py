@@ -6,11 +6,12 @@ eliminations from the moduli for `Subgroup`, `congruence_kernel`,
 `congruence_solve` and `quotient_presentation`:
 
 * all moduli equal to one prime p, or all zero -> one sparse echelon
-  insertion over F_p or Q, `_echelon_insert`: a row {column: nonzero entry}
+  basis over F_p or Q, `_echelon_basis`: each row {column: nonzero entry}
   (Python ints mod p, or Fractions over Q, made in `_sparse_rows`) joins a
-  reduced echelon basis {pivot: row}; `modp_rref` (int64 over F_p, object
-  arrays over Q) and the kernels and solves on it, `Subgroup` and the
-  homology of a DG slice all insert through it,
+  reduced echelon basis {pivot: row} by `_echelon_insert`.  Ranks count its
+  pivots, and kernels and quotients are read off its rows as lists
+  (`_kernel_basis`, also for the homology of a DG slice); only `modp_rref`
+  and the solves on it pad the rows into an array,
 * any other moduli                             -> integer normal forms:
   - `Subgroup`: the Hermite form `hnf_columns` of the preimage lattice,
   - `congruence_kernel`: the Hermite columns of the graph {(A x, x)} that
@@ -21,16 +22,18 @@ eliminations from the moduli for `Subgroup`, `congruence_kernel`,
     elimination that splits a quotient into cyclic factors.
 
 A `Subgroup` is the span of some vectors in such a group, held in the
-canonical form of its lane (reduced echelon rows over a field, the Hermite
-basis of the preimage lattice otherwise), so equal spans compare equal.  It
-grows by insertion into that basis, `hnf_columns(cols, dim, start)` on the
-integer lane: `extend` reduces only the new vectors, and shares untouched
-rows with the span it extends.
+canonical form of its lane (sparse reduced echelon rows over a field, the
+Hermite basis of the preimage lattice otherwise), so equal spans compare
+equal.  It grows by insertion into that basis, `hnf_columns(cols, dim,
+start)` on the integer lane: `extend` reduces only the new vectors, and
+shares untouched rows with the span it extends.  Over a field it holds no
+dense rows; `cols()` makes them.
 
 Matrices are lists of rows; "columns" arguments are lists of coordinate
 vectors.  All integer results are reduced into [0, m_i) coordinatewise.
-The mod-p lane returns int64 arrays and refuses primes for which products
-of two residues could overflow them.
+Only `modp_rref` returns arrays (int64 over F_p, object over Q); the field
+lane refuses to eliminate over primes for which products of two residues
+could overflow int64.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ def _lane(moduli):
 def _sparse_rows(A, p):
     """The rows of A as {column: nonzero entry} in exact Python numbers: ints
     mod p, or Fractions over Q, where int64 products would wrap."""
-    # the int64 results of the lane keep a product of two entries exact
+    # int64 arrays of the lane's results keep a product of two entries exact
     if p * p >= 2 ** 63:
         raise UnsupportedCoefficients(f"prime {p} too large for int64 elimination")
     if isinstance(A, np.ndarray):
@@ -141,15 +144,24 @@ def _echelon_insert(held, row, p, width):
     return lead
 
 
+def _echelon_basis(A, p, nc, held=()):
+    """The reduced echelon basis {pivot: row} of the rows of the nc-column
+    matrix A over F_p, or Q for p = 0, inserted into a copy of held.  A
+    matrix with no rows or no columns is not eliminated."""
+    held = dict(held)
+    if len(A) and nc:
+        for row in filter(None, _sparse_rows(A, p)):
+            _echelon_insert(held, row, p, nc)
+    return held
+
+
 def modp_rref(A, p):
-    """Gauss-Jordan elimination of A over F_p, or over Q for p = 0, by
-    inserting its rows (`_echelon_insert`).  Returns (R, pivot_columns): the
-    held rows in pivot order, padded with zero rows (`_echelon_matrix`)."""
+    """Gauss-Jordan elimination of A over F_p, or over Q for p = 0.
+    Returns (R, pivot_columns): the held rows of `_echelon_basis` in pivot
+    order, padded with zero rows (`_echelon_matrix`)."""
     nr = len(A)
     nc = len(A[0]) if nr else 0
-    held = {}
-    for row in filter(None, _sparse_rows(A, p)):
-        _echelon_insert(held, row, p, nc)
+    held = _echelon_basis(A, p, nc)
     return _echelon_matrix(held, nr, nc, p), sorted(held)
 
 
@@ -177,27 +189,24 @@ def modp_matmul(A, B, p):
 
 
 def modp_rank(A, p):
-    if not len(A) or not len(A[0]):
-        return 0
-    return len(modp_rref(A, p)[1])
+    """The rank of A over F_p, or Q for p = 0: the pivots of its echelon basis."""
+    return len(_echelon_basis(A, p, len(A[0]) if len(A) else 0))
 
 
-def _kernel_basis(A, nc, p):
-    """(K, free) for the nc-column matrix A over F_p, or Q for p = 0: the
-    rows of K are the reduced echelon basis of {x : A x = 0}, one per
-    non-pivot column f in free, with 1 at f and 0 at the other free columns.
-    A matrix with no rows or no columns is not eliminated."""
-    return _null_basis(*(modp_rref(A, p) if len(A) and nc else (None, [])), nc, p)
-
-
-def _null_basis(R, pivots, nc, p):
-    """`_kernel_basis` of R, reduced echelon rows with these pivots."""
-    free = sorted(set(range(nc)).difference(pivots))
-    K = np.zeros((len(free), nc), dtype=np.int64 if p else object)
-    K[np.arange(len(free)), free] = 1
-    if pivots:
-        K[:, pivots] = -R[:len(pivots), free].T % p if p else -R[:len(pivots), free].T
-    return K, free
+def _kernel_basis(held, nc, p):
+    """(K, free) for a reduced echelon basis held over F_p, or Q for p = 0,
+    with its pivots below nc: the rows of K, lists, are the reduced echelon
+    basis of the x in nc coordinates on which the held rows, cut to their
+    first nc entries, vanish; one per non-pivot column f in free, with 1 at
+    f and 0 at the other free columns."""
+    K = {f: [0] * nc for f in range(nc) if f not in held}
+    for f, row in K.items():
+        row[f] = 1
+    for c, row in held.items():
+        for j, x in row.items():
+            if j in K:
+                K[j][c] = -x % p if p else -x
+    return list(K.values()), list(K)
 
 
 def modp_kernel(A, p):
@@ -206,7 +215,7 @@ def modp_kernel(A, p):
     the other non-pivot columns.  A given as an array keeps its width also
     when it has no rows."""
     nc = np.shape(A)[1] if isinstance(A, np.ndarray) else len(A[0]) if len(A) else 0
-    return _kernel_basis(A, nc, p)[0].tolist()
+    return _kernel_basis(_echelon_basis(A, p, nc), nc, p)[0]
 
 
 def modp_solve(A, b, p):
@@ -327,15 +336,17 @@ class Subgroup:
     """The subgroup of +Z/m_i generated by some columns; immutable.
 
     Held in the canonical form of its lane, so equality of two Subgroups is
-    equality of the spans (over the same moduli).
+    equality of the spans (over the same moduli): `_held` maps each pivot
+    to its row, a sparse reduced echelon row {column: entry} over a field
+    and a Hermite column of the preimage lattice otherwise.
     """
 
-    __slots__ = ("moduli", "_p", "_rows", "_pivots", "_held")
+    __slots__ = ("moduli", "_p", "_held")
 
     def __init__(self, cols, moduli):
         self.moduli = tuple(moduli)
         self._p = p = _lane(self.moduli)
-        self._rows, self._pivots, self._held = (), (), {}
+        self._held = {}
         # the preimage lattice of the integer lane holds the moduli
         self._insert(list(cols) + (_moduli_cols(self.moduli) if p is None else []))
 
@@ -347,17 +358,9 @@ class Subgroup:
         if not cols:
             return
         if p is None:
-            hnf = hnf_columns(cols, D, tuple(zip(self._pivots, self._rows)))
-            self._rows = tuple(col for _, col in hnf)
-            self._pivots = tuple(prow for prow, _ in hnf)
-            return
-        before, dense, zeros = self._held, dict(zip(self._pivots, self._rows)), [0 if p else Fraction(0)] * D
-        held = self._held = dict(before)
-        for row in _sparse_rows(cols, p):
-            _echelon_insert(held, row, p, D)
-        self._pivots = tuple(sorted(held))
-        self._rows = tuple(dense[c] if held[c] is before.get(c) else tuple(map(held[c].get, range(D), zeros))
-                           for c in self._pivots)
+            self._held = dict(hnf_columns(cols, D, self._held.items()))
+        else:
+            self._held = _echelon_basis(cols, p, D, self._held)
 
     def _check(self, vecs):
         if any(len(v) != len(self.moduli) for v in vecs):
@@ -368,13 +371,22 @@ class Subgroup:
         when v is in the subgroup."""
         v = list(v)
         self._check([v])
-        for piv, row in zip(self._pivots, self._rows):
-            # echelon rows over a field have pivot 1 and zeros at the other
-            # pivots; a Hermite column leaves a remainder at its pivot row
-            # when v is outside the lattice
-            q = v[piv] // row[piv] if self._p is None else v[piv]
-            if q:
-                v = [a - q * b for a, b in zip(v, row)]
+        p = self._p
+        if p is None:
+            for piv, row in self._held.items():
+                # a Hermite column leaves a remainder at its pivot row when
+                # v is outside the lattice
+                q = v[piv] // row[piv]
+                if q:
+                    v = [a - q * b for a, b in zip(v, row)]
+        else:
+            # in exact numbers: an echelon row over a field has pivot 1 and
+            # zeros at the other pivots, so v's entry there is its factor
+            v = [int(x) % p if p else x.item() if isinstance(x, np.generic) else x for x in v]
+            for c, row in self._held.items():
+                if f := v[c]:
+                    for j, y in row.items():
+                        v[j] -= f * y
         return _reduce_vec(v, self.moduli)
 
     def contains(self, v):
@@ -384,42 +396,44 @@ class Subgroup:
     def size(self):
         """Number of elements; raises for an infinite span, one nonzero at a
         coordinate of modulus 0 (over Q, any nonzero span)."""
-        if self._p:
-            return self._p ** len(self._rows)
+        p, held = self._p, self._held
+        if p:
+            return p ** len(held)
         free = [i for i, m in enumerate(self.moduli) if not m]
-        if any(row[i] for row in self._rows for i in free):
+        if held and (p == 0 or any(row[i] for row in held.values() for i in free)):
             raise UnsupportedCoefficients("a span nonzero at a coordinate of modulus 0 is infinite")
         # the lattice holds the columns of the nonzero moduli and lies in
         # their coordinates, where its index is the product of the pivots
-        index = math.prod(row[piv] for piv, row in zip(self._pivots, self._rows))
+        index = math.prod(row[piv] for piv, row in held.items())
         return math.prod(m for m in self.moduli if m) // index
 
     def cols(self):
-        """Canonical generators: echelon rows over a field, otherwise the
-        Hermite columns that are nonzero modulo the moduli."""
-        if self._p is not None:
-            return [list(row) for row in self._rows]
-        return [c for c in (_reduce_vec(row, self.moduli) for row in self._rows) if any(c)]
+        """Canonical generators: echelon rows over a field (in pivot order,
+        dense), otherwise the Hermite columns that are nonzero modulo the
+        moduli."""
+        if self._p is None:
+            return [c for c in (_reduce_vec(row, self.moduli) for row in self._held.values()) if any(c)]
+        zero = 0 if self._p else Fraction(0)
+        return [[row.get(j, zero) for j in range(len(self.moduli))] for _, row in sorted(self._held.items())]
 
     @property
     def rank(self):
         """Number of canonical generators (the dimension over a field); 0
         exactly for the zero subgroup."""
-        return len(self.cols())
+        return len(self._held) if self._p is not None else len(self.cols())
 
     def extend(self, cols):
         """The span of this subgroup together with the given columns."""
         grown = object.__new__(Subgroup)
-        grown.moduli, grown._p, grown._rows, grown._pivots, grown._held = (
-            self.moduli, self._p, self._rows, self._pivots, self._held)
+        grown.moduli, grown._p, grown._held = self.moduli, self._p, self._held
         grown._insert(cols)
         return grown
 
     def __eq__(self, other):
-        return isinstance(other, Subgroup) and (self.moduli, self._rows) == (other.moduli, other._rows)
+        return isinstance(other, Subgroup) and (self.moduli, self._held) == (other.moduli, other._held)
 
     def __hash__(self):
-        return hash((self.moduli, self._rows))
+        return hash((self.moduli, tuple(map(tuple, self.cols()))))
 
     def __repr__(self):
         return f"Subgroup({self.cols()}, moduli={list(self.moduli)})"
@@ -444,11 +458,11 @@ def congruence_kernel(A, row_moduli, col_moduli):
     _check_system(A, nc, row_moduli)
     p = _lane(list(row_moduli) + list(col_moduli))
     if p is not None:
-        return _kernel_basis(A, nc, p)[0].tolist()
+        return _kernel_basis(_echelon_basis(A, p, nc), nc, p)[0]
     # the Hermite columns of the graph that vanish on the A block span the
     # kernel, since each column is zero above its pivot
     G = _graph(A, nc, row_moduli, col_moduli)
-    gens = [_reduce_vec(row[nr:], col_moduli) for piv, row in zip(G._pivots, G._rows) if piv >= nr]
+    gens = [_reduce_vec(row[nr:], col_moduli) for piv, row in G._held.items() if piv >= nr]
     return [g for g in gens if any(g)]
 
 
@@ -488,8 +502,8 @@ def quotient_presentation(rel_cols, moduli):
     D = len(moduli)
     p = _lane(moduli)
     if p is not None:
-        proj, free = _kernel_basis(rel_cols, D, p)
-        return [p] * len(free), proj.tolist(), [[int(i == f) for f in free] for i in range(D)]
+        proj, free = _kernel_basis(_echelon_basis(rel_cols, p, D), D, p)
+        return [p] * len(free), proj, [[int(i == f) for f in free] for i in range(D)]
     cols = [list(c) for c in rel_cols] + _moduli_cols(moduli)
     diag, U, Ui = smith_normal_form([[c[i] for c in cols] for i in range(D)])
     # cyclic factors of order 1 are dropped

@@ -310,19 +310,27 @@ def test_one_elimination_per_residue_class(monkeypatch):
 
 
 def test_two_eliminations_per_slice_and_none_on_homology(monkeypatch):
-    # a slice eliminates its kernel with one modp_rref, and one echelon
-    # basis grown by insertion yields its reps and coordinate map: after
+    # a slice builds two held echelon bases, that of its kernel and the one
+    # grown by insertion that yields its reps and coordinate map: after
     # homology, induced matrices and class coordinates are products only
-    slices, rrefs, inserts = [], [], []
-    eliminate, rref, insert = dg._slice_homology, linalg.modp_rref, linalg._echelon_insert
-    monkeypatch.setattr(dg, "_slice_homology", lambda *args: slices.append(args) or eliminate(*args))
-    monkeypatch.setattr(linalg, "modp_rref", lambda *args: rrefs.append(args) or rref(*args))
+    builds, bases, inserts = [], [], []
+    eliminate, basis, insert = dg._slice_homology, linalg._echelon_basis, linalg._echelon_insert
+
+    def counted(*args):
+        start = len(inserts)
+        record = eliminate(*args)
+        # the recorded inserts keep their held bases alive, so no id is reused
+        builds.append(len({id(held) for held, *_ in inserts[start:]}))
+        return record
+
+    monkeypatch.setattr(dg, "_slice_homology", counted)
+    monkeypatch.setattr(linalg, "_echelon_basis", lambda *args: bases.append(args) or basis(*args))
     monkeypatch.setattr(linalg, "_echelon_insert", lambda *args: inserts.append(args) or insert(*args))
     f = drawn_map(3, 1, 1, dg.DEFAULT_WEIGHT, random.Random(7))
     C, window = dg.cone(f), (-4, 4)
     H = {X: dg.homology(X, window) for X in (f.source, f.target, C)}
-    assert slices and len(rrefs) == len(slices) and inserts
-    rrefs.clear()
+    assert builds and builds == [2] * len(builds)
+    bases.clear()
     inserts.clear()
     for q in range(window[0], window[1] + 1):
         dg.induced_matrix(dg.map_slice(f, q), H[f.source][q], H[f.target][q], 3)
@@ -330,7 +338,7 @@ def test_two_eliminations_per_slice_and_none_on_homology(monkeypatch):
             dg.class_coordinates(H[X][q], 3, H[X][q]["reps"] + H[X][q]["im"])
             if q + 1 <= window[1]:
                 dg.u_action_matrix(X, H[X], q)
-    assert rrefs == [] and inserts == []
+    assert bases == [] and inserts == []
 
 
 @settings(max_examples=30, deadline=None)

@@ -236,6 +236,12 @@ def test_modp_overflow_guard():
     # a prime just below the bound is still exact
     q = 3037000493
     assert linalg.modp_kernel([[q - 1, q - 1], [1, 1]], q) == [[q - 1, 1]]
+    # a span that holds nothing answers exactly also where insertion refuses
+    E = linalg.Subgroup([], [p, p])
+    assert not E.contains([1, 0]) and E.contains([p, 0]) and E.remainder([1, p + 2]) == [1, 2]
+    assert E.size() == 1 and E == linalg.Subgroup([], [p, p]) == E.extend([])
+    with pytest.raises(UnsupportedCoefficients):
+        E.extend([[1, 0]])
     S = linalg.Subgroup([[q - 1, q - 1], [1, 1]], [q, q])
     assert S.size() == q and S.contains([2, 2]) and not S.contains([1, 2])
     assert linalg.modp_matmul([[q - 1]], [[q - 1]], q) == [[1]]
@@ -334,7 +340,14 @@ def test_subgroup_against_brute_force(data):
         assert S.contains(v) == _rational_contains(gens, v)
         assert S.contains([sum(c * g[i] for c, g in zip((1, -2, 3), gens)) for i in range(2)])
         assert (S.rank == 0) == (not any(map(any, gens)))
-    assert linalg.Subgroup(data.draw(st.permutations(gens)), moduli) == S
+    # the span of the same vectors in another order, one at a time and by a
+    # chain of extensions compares equal, hashes equal and has equal cols
+    perm = data.draw(st.permutations(gens))
+    chained = linalg.Subgroup([], moduli)
+    for g in perm:
+        chained = chained.extend([g])
+    for U in (linalg.Subgroup(perm, moduli), chained, linalg.Subgroup(perm[:1], moduli).extend(perm[1:])):
+        assert U == S and hash(U) == hash(S) and U.cols() == S.cols()
     assert (S.extend([v]) == S) == S.contains(v)
     more = data.draw(st.lists(vec, max_size=3))
     T = S.extend(more)
@@ -361,10 +374,10 @@ def test_insertion_matches_batch_elimination(data):
     assert linalg.hnf_columns(b, D, linalg.hnf_columns(a, D)) == batch_hnf_columns(a + b, D)
     S = linalg.Subgroup(a + b + c, moduli)
     if p is None:
-        assert tuple(zip(S._pivots, S._rows)) == batch_hnf_columns(a + b + c + linalg._moduli_cols(moduli), D)
+        assert tuple(S._held.items()) == batch_hnf_columns(a + b + c + linalg._moduli_cols(moduli), D)
     else:
         R, pivots = linalg.modp_rref(a + b + c, p)
-        assert (S._rows, S._pivots) == (tuple(map(tuple, R[:len(pivots)].tolist())), tuple(pivots))
+        assert (S.cols(), sorted(S._held)) == (R[:len(pivots)].tolist(), pivots)
     # one extension, chained extensions and one vector at a time
     assert linalg.Subgroup(a, moduli).extend(b + c) == S
     assert linalg.Subgroup(a, moduli).extend(b).extend(c) == S
@@ -387,7 +400,7 @@ def test_extend_inserts_into_the_held_basis(monkeypatch):
         T = S.extend([[0, 1, 1], [1, 3, 1]])
         assert calls == [] and T.rank == 2
     S = linalg.Subgroup([[2, 0, 1]], [4, 4, 2])
-    held = tuple(zip(S._pivots, S._rows))
+    held = tuple(S._held.items())
     calls.clear()
     T = S.extend([[0, 2, 0]])
     assert len(calls) == 1
@@ -401,7 +414,7 @@ def test_rational_span_of_int64_rows_is_exact():
     # int64 entries over Q become exact numbers: 2**32 * 2**32 would wrap to 0
     A = np.array([[1, 2 ** 32], [2 ** 32, 0]], dtype=np.int64)
     S = linalg.Subgroup(A, [0, 0])
-    assert S.rank == 2 and all(type(x) is Fraction for row in S._rows for x in row)
+    assert S.rank == 2 and all(type(x) is Fraction for row in S.cols() for x in row)
     assert S.extend(A) == S == linalg.Subgroup([[1, 0], [0, 1]], [0, 0])
 
 
@@ -438,10 +451,10 @@ def _extend_leaves_parent_alone(gens, vs, moduli):
     """S.extend(vs), after checking that S answers as before it."""
     S = linalg.Subgroup(gens, moduli)
     probes = [list(v) for v in itertools.product([0, 1], repeat=len(moduli))] + vs
-    before = (S._rows, S._pivots, copy.deepcopy(S._held), hash(S), [S.remainder(v) for v in probes])
+    before = (S.cols(), copy.deepcopy(S._held), hash(S), [S.remainder(v) for v in probes])
     T = S.extend(vs)
     assert T == linalg.Subgroup(gens + vs, moduli)
-    assert (S._rows, S._pivots, S._held, hash(S), [S.remainder(v) for v in probes]) == before
+    assert (S.cols(), S._held, hash(S), [S.remainder(v) for v in probes]) == before
     return S, T
 
 
