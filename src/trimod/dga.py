@@ -30,15 +30,17 @@ past W, and multiplying by y lowers the u-weight by at most 1, through
 u^m a = -a u^m - v u^{m-1}; so both sides are exact on the target monomials
 of weight below W, and only there.
 
+Every F_p matrix here, from a slice matrix to a homology record and the
+matrices induced on homology, is a 2-D int64 array with entries in [0, p).
 Homology is computed slice by slice.  One echelon basis per slice, grown by
 inserting the boundaries and then the low-weight cycles, picks the
 representative cycles and yields the slice's coordinate map, so class
-coordinates and induced matrices on homology are products.  A module with
-zero differential (a free module, its shifts, the cone of a zero map) takes
-its homology from H(A): its slice complex is a direct sum of slices of A,
-whose homology each algebra eliminates once per degree mod |v| and padding
-(`_algebra_homology`), and its coordinate map is assembled block-diagonally
-from those of H(A).
+coordinates and induced matrices on homology are products (`modp_matmul`).
+A module with zero differential (a free module, its shifts, the cone of a
+zero map) takes its homology from H(A): its slice complex is a direct sum
+of slices of A, whose homology each algebra eliminates once per degree mod
+|v| (`_algebra_homology`), and its record is assembled block-diagonally from
+those of H(A).
 
 Periodicity: when |v| != 0, the slice bases at q and q + k|v| differ only in
 the v-exponents t, shifted by k, because the basis of A_s depends on t only
@@ -46,7 +48,9 @@ through s, products add t and the weight bound reads only m.  So the slice
 matrices at q + k|v| are those at q, except that d gains the sign
 (-1)^{n|v|k}, which is +1 in every model that builds (for odd p the parity
 check forces i and n odd, so |v| is even).  Homology is therefore eliminated
-once per residue class of degrees mod |v| and transported to the others.
+once per residue class of degrees mod |v|, and the record of degree q is
+shared by every degree q + k|v|: a record holds arrays over the slice basis,
+not the basis itself, so transport is sharing.
 """
 
 from __future__ import annotations
@@ -284,8 +288,7 @@ class DGModule:
         for j, gd in enumerate(self.gen_degrees):
             # d applied to the column of d(gen_j); a zero column needs no slice matrix
             d_gen = _column(self, gd - alg.n, [row[j] for row in self.diff])
-            if d_gen.any() and any(map(any, linalg.modp_matmul(
-                    slice_differential(self, gd - alg.n), d_gen, alg.p))):
+            if d_gen.any() and linalg.modp_matmul(slice_differential(self, gd - alg.n), d_gen, alg.p).any():
                 raise ShapeMismatch(f"d^2 != 0 on generator {j}")
 
     def __repr__(self):
@@ -324,11 +327,10 @@ class DGMap:
             below = gd - source.alg.n
             d_gen = _column(source, below, [row[j] for row in source.diff])
             f_gen = _column(target, gd, [row[j] for row in self.matrix])
-            zero = [[0]] * len(slice_basis(target, below))
             # f(d(gen_j)) and d(f(gen_j)); a zero column needs no slice matrix
-            fd = linalg.modp_matmul(map_slice(self, below), d_gen, p) if d_gen.any() else zero
-            df = linalg.modp_matmul(slice_differential(target, gd), f_gen, p) if f_gen.any() else zero
-            if fd != df:
+            fd = linalg.modp_matmul(map_slice(self, below), d_gen, p) if d_gen.any() else 0
+            df = linalg.modp_matmul(slice_differential(target, gd), f_gen, p) if f_gen.any() else 0
+            if np.any(fd != df):
                 raise NotChainMap(f"map does not commute with d on generator {j}")
 
 
@@ -389,16 +391,11 @@ def map_slice(f, q, twist=0):
                                                             -1 if (twist * cols[j]) % 2 else 1))
 
 
-def _columns(vectors, size):
-    """The matrix with these coordinate vectors of length size as columns."""
-    return np.array(vectors, dtype=np.int64).reshape(len(vectors), size).T
-
-
-def _slice_homology(alg, basis, d_here, d_above, padding):
+def _slice_homology(alg, basis, d_here, d_above):
     """Homology record of one slice from d_here (to the slice n below) and
     d_above (from the slice n above), both arrays of shape (target, source).
 
-    Representatives are cycles supported on u-weights <= W - padding: the
+    Representatives are cycles supported on u-weights <= W - PADDING: the
     reduced-echelon kernel basis of d_here on the low-weight coordinates
     (unique, so that of the low-weight cycles).  One echelon basis takes the
     boundaries, then each cycle k tagged by a 1 at column size + k
@@ -411,13 +408,14 @@ def _slice_homology(alg, basis, d_here, d_above, padding):
     """
     p, size = alg.p, len(basis)
     # reliability: the cycles supported on the low-weight coordinates
-    low = [idx for idx, (_, (_, _, m)) in enumerate(basis) if m <= alg.weight - padding]
+    low = [idx for idx, (_, (_, _, m)) in enumerate(basis) if m <= alg.weight - PADDING]
     ker = linalg.modp_kernel(d_here[:, low], p)
     ker_low = np.zeros((len(ker), size), dtype=np.int64)
-    ker_low[:, low] = _columns(ker, len(low)).T
-    im = d_above[:, d_above.any(axis=0)]
+    if ker:
+        ker_low[:, low] = ker
+    im = d_above[:, d_above.any(axis=0)].T
     held, kept = {}, []
-    for row in linalg._sparse_rows(im.T, p):
+    for row in linalg._sparse_rows(im, p):
         linalg._echelon_insert(held, row, p, size)
     for k, row in enumerate(linalg._sparse_rows(np.hstack((ker_low, np.eye(len(ker), dtype=np.int64))), p)):
         if linalg._echelon_insert(held, row, p, size) is not None:
@@ -425,69 +423,60 @@ def _slice_homology(alg, basis, d_here, d_above, padding):
     pivots, R = sorted(held), linalg._echelon_matrix(held, len(held), size + len(ker), p)
     P = np.zeros((len(kept), size), dtype=np.int64)
     P[:, pivots] = R[:, [size + k for k in kept]].T
-    reps = ker_low[kept].tolist()
-    return {"dim": len(reps), "reps": reps, "basis": basis, "im": im.T.tolist(),
-            "coords": (P, _columns(linalg._kernel_basis(held, size, p)[0], size).T)}
+    K = linalg._kernel_basis(held, size, p)[0]
+    Z = np.array(K, dtype=np.int64).reshape(len(K), size)
+    return {"dim": len(kept), "reps": ker_low[kept], "im": im, "coords": (P, Z)}
 
 
-def _slices(M, degrees, padding):
+def _slices(M, degrees):
     """Homology records of M at the given degrees; every slice differential
     is built once (d_above at q is d_here at q + n).  Only the first degree
-    of each residue class mod |v| is eliminated; the others are transported
-    from it (see the module docstring)."""
+    of each residue class mod |v| is eliminated, and the others share its
+    record (see the module docstring)."""
     alg, n, period = M.alg, M.alg.n, M.alg.vdeg
     first = {}
     for q in degrees:
         first.setdefault(q % period if period else q, q)
     diffs = {q: slice_differential(M, q) for q in {q + s for q in first.values() for s in (0, n)}}
-    out = {q: _slice_homology(alg, slice_basis(M, q), diffs[q], diffs[q + n], padding)
-           for q in first.values()}
-    return {q: out.get(q) or dict(out[first[q % period]], basis=slice_basis(M, q)) for q in degrees}
+    out = {key: _slice_homology(alg, slice_basis(M, q), diffs[q], diffs[q + n])
+           for key, q in first.items()}
+    return {q: out[q % period if period else q] for q in degrees}
 
 
 @rc.per_object
-def _algebra_homology(alg, s, padding):
-    """Homology record of A as a module over itself in degree s, eliminated
-    at s mod |v| and carried to s with its own basis (see the module
-    docstring)."""
-    A = DGModule(alg, [0], check=False)
+def _algebra_homology(alg, s):
+    """Homology record of A as a module over itself in degree s: the record
+    of degree s mod |v| (see the module docstring)."""
     r = s % alg.vdeg if alg.vdeg else s
     if r != s:
-        return dict(_algebra_homology(alg, r, padding), basis=slice_basis(A, s))
-    return _slices(A, [s], padding)[s]
+        return _algebra_homology(alg, r)
+    return _slices(DGModule(alg, [0], check=False), [s])[s]
 
 
-def _free_homology(M, window, padding):
+def _free_homology(M, window):
     """Homology of a module with zero differential: its slice complex is the
-    direct sum over generators j of A at degree q - deg(gen_j), so each slice
-    is assembled from H(A) (`_algebra_homology`), and so is its coordinate
-    map, block-diagonally.  A record |v| degrees above an assembled one is
-    that record with its own basis (see the module docstring)."""
+    direct sum over generators j of A at degree q - deg(gen_j), so each
+    record is assembled block-diagonally from those of H(A)
+    (`_algebra_homology`).  The record |v| degrees above an assembled one is
+    that record (see the module docstring)."""
     alg = M.alg
     lo, hi = window
     period = abs(alg.vdeg)
     out = {}
     for q in range(lo, hi + 1):
         if period and q - period in out:
-            out[q] = dict(out[q - period], basis=slice_basis(M, q))
+            out[q] = out[q - period]
             continue
-        blocks = [(j, _algebra_homology(alg, q - gd, padding)) for j, gd in enumerate(M.gen_degrees)]
-        size = sum(len(H["basis"]) for _, H in blocks)
-        basis, reps, im = [], [], []
-        for j, H in blocks:
-            before = [0] * len(basis)
-            after = [0] * (size - len(basis) - len(H["basis"]))
-            reps += [before + v + after for v in H["reps"]]
-            im += [before + v + after for v in H["im"]]
-            basis += [(j, key) for _, key in H["basis"]]
-        coords = tuple(_block_diagonal([H["coords"][k] for _, H in blocks], size) for k in (0, 1))
-        out[q] = {"dim": len(reps), "reps": reps, "basis": basis, "im": im, "coords": coords}
+        blocks = [_algebra_homology(alg, q - gd) for gd in M.gen_degrees]
+        reps, im = (_block_diagonal([H[key] for H in blocks]) for key in ("reps", "im"))
+        coords = tuple(_block_diagonal([H["coords"][k] for H in blocks]) for k in (0, 1))
+        out[q] = {"dim": len(reps), "reps": reps, "im": im, "coords": coords}
     return out
 
 
-def _block_diagonal(blocks, width):
-    """The arrays of blocks along the diagonal of one array of this width."""
-    out = np.zeros((sum(b.shape[0] for b in blocks), width), dtype=np.int64)
+def _block_diagonal(blocks):
+    """The arrays of blocks along the diagonal of one array."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=np.int64)
     r = c = 0
     for b in blocks:
         out[r:r + b.shape[0], c:c + b.shape[1]] = b
@@ -495,41 +484,44 @@ def _block_diagonal(blocks, width):
     return out
 
 
-def homology(M, window, padding=PADDING):
+def homology(M, window):
     """Per-degree homology data in the window.
 
-    Returns {q: {"dim", "reps", "basis", "im", "coords"}}: reps are
-    coordinate vectors of representative cycles supported on reliable
-    u-weights, im spans the boundaries, both in the monomial basis of the
-    slice, and coords is the coordinate map (P, Z) of class_coordinates.
+    Returns {q: {"dim", "reps", "im", "coords"}}.  reps, of shape
+    (dim, size) for size = len(slice_basis(M, q)), holds representative
+    cycles supported on reliable u-weights as rows, and im, of width size,
+    rows spanning the boundaries; coords is the coordinate map (P, Z) of
+    class_coordinates.  Degrees |v| apart share one record.
     """
     alg = M.alg
     lo, hi = window
     if lo > hi:
         raise WindowEmpty("empty degree window")
-    if alg.i != 0 and alg.weight < (hi - lo) + 2 * padding:
+    if alg.i != 0 and alg.weight < (hi - lo) + 2 * PADDING:
         raise WindowTooWideForWeightBound(
             f"weight bound {alg.weight} too small for window span {hi - lo}"
         )
     if all(x.is_zero for row in M.diff for x in row):
-        return _free_homology(M, window, padding)
-    return _slices(M, range(lo, hi + 1), padding)
+        return _free_homology(M, window)
+    return _slices(M, range(lo, hi + 1))
 
 
 def class_coordinates(Hq, p, cycles):
-    """Matrix whose column c holds the coordinates of cycles[c] in the chosen
+    """Array of shape (dim, len(cycles)) whose column c holds the
+    coordinates of the cycle cycles[c], a row of the array cycles, in the
     representative basis of H_q: P C for the record's coordinate map (P, Z)
-    and C the matrix with the cycles as columns, after checking Z C = 0."""
+    and C = cycles.T, after checking Z C = 0."""
     P, Z = Hq["coords"]
-    C = _columns(cycles, len(Hq["basis"]))
-    if any(map(any, linalg.modp_matmul(Z, C, p))):
+    C = cycles.T
+    if linalg.modp_matmul(Z, C, p).any():
         raise ShapeMismatch("cycle is not in the span of representatives and boundaries")
     return linalg.modp_matmul(P, C, p)
 
 
 def induced_matrix(mat, Hsrc, Htgt, p):
-    """Matrix on homology of the slice matrix mat, from the representative
-    basis of Hsrc to that of Htgt: one product, then class coordinates."""
+    """Array of shape (Htgt dim, Hsrc dim): the matrix on homology of the
+    slice matrix mat, from the representative basis of Hsrc to that of Htgt;
+    one product, then class coordinates."""
     return class_coordinates(Htgt, p, linalg.modp_matmul(Hsrc["reps"], mat.T, p))
 
 
@@ -542,10 +534,10 @@ def u_action_matrix(M, H, q):
     return induced_matrix(mat, H[q], H[q + alg.i], alg.p)
 
 
-def homology_is_free_rank_one(M, window, padding=PADDING):
+def homology_is_free_rank_one(M, window):
     """H(M) free of rank 1 over k[x]/(x^2), x acting as the class of u."""
     alg = M.alg
-    H = homology(M, window, padding)
+    H = homology(M, window)
     lo, hi = window
     # one exterior generator in degree 0: the classes 1 and u, each in its
     # degree mod |v|
@@ -564,6 +556,6 @@ def homology_is_free_rank_one(M, window, padding=PADDING):
         if lo <= q0 + 2 * alg.i <= hi:
             A2 = u_action_matrix(M, H, q0 + alg.i)
             # x^2 = 0 on homology
-            if any(map(any, linalg.modp_matmul(A2, A1, alg.p))):
+            if linalg.modp_matmul(A2, A1, alg.p).any():
                 return False
     return True

@@ -29,11 +29,12 @@ start)` on the integer lane: `extend` reduces only the new vectors, and
 shares untouched rows with the span it extends.  Over a field it holds no
 dense rows; `cols()` makes them.
 
-Matrices are lists of rows; "columns" arguments are lists of coordinate
-vectors.  All integer results are reduced into [0, m_i) coordinatewise.
-Only `modp_rref` returns arrays (int64 over F_p, object over Q); the field
-lane refuses to eliminate over primes for which products of two residues
-could overflow int64.
+Matrices are lists of rows or arrays; "columns" arguments are lists of
+coordinate vectors.  All integer results are reduced into [0, m_i)
+coordinatewise.  `modp_rref` returns arrays (int64 over F_p, object over
+Q), and `modp_matmul`, the one F_p product, takes and returns 2-D int64
+arrays; the field lane refuses to eliminate or multiply over primes for
+which its int64 arithmetic could overflow.
 """
 
 from __future__ import annotations
@@ -176,16 +177,12 @@ def _echelon_matrix(held, nr, nc, p):
 
 
 def modp_matmul(A, B, p):
-    """A B mod p as a list of rows, for A with len(B) columns; either may
-    have no rows or no columns.  A B given as an array keeps its width
-    also when it has no rows."""
-    k = len(B)
+    """A B mod p as an int64 array, for 2-D int64 arrays A and B with A as
+    wide as B is tall; either may have no rows or no columns."""
+    k = B.shape[0]
     if k * (p - 1) ** 2 >= 2 ** 63:
         raise UnsupportedCoefficients(f"prime {p} too large for int64 products of length {k}")
-    a = np.array(A, dtype=np.int64).reshape(len(A), k) % p
-    b = np.asarray(B, dtype=np.int64)
-    b = b.reshape(k, b.shape[1] if b.ndim == 2 else 0) % p
-    return (a @ b % p).tolist()
+    return A % p @ (B % p) % p
 
 
 def modp_rank(A, p):

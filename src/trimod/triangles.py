@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from . import dga as dg
 from . import linalg
 from . import rings as rc
@@ -22,10 +24,12 @@ from .errors import LiftFailure
 class Triangle:
     """Slicewise record of A -> B -> C -> A[n].
 
-    For each degree q in the window:
+    For each degree q in the window, int64 arrays over F_p in the
+    representative bases of the homology records:
       f[q]: A_q -> B_q, g[q]: B_q -> C_q, h[q]: C_q -> (A[n])_q,
-      sf[q]: (A[n])_q -> (B[n])_q  (the suspended map, used for exactness).
-    dims[q] = (a, b, c, sa, sb) with sa = dim (A[n])_q, sb = dim (B[n])_q.
+      sf[q]: (A[n])_q -> (B[n])_q  (the suspended map, used for exactness),
+    of shapes (b, a), (c, b), (sa, c) and (sb, sa) for the homology
+    dimensions dims[q] = (a, b, c, sa, sb), sa = dim (A[n])_q, sb = dim (B[n])_q.
     """
 
     def __init__(self, p, n, window, dims, f, g, h, sf, third_generator_degrees):
@@ -149,11 +153,12 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
             for rec in (dims, fs, gs, hs, sfs):
                 rec[q] = rec[q - period]
             continue
-        b, c = len(HB[q]["basis"]), len(HC[q]["basis"])
+        reps_b, reps_c = HB[q]["reps"], HC[q]["reps"]
+        b = reps_b.shape[1]
         dims[q] = (HA[q]["dim"], HB[q]["dim"], HC[q]["dim"], HAs[q - n]["dim"], HBs[q - n]["dim"])
         fs[q] = dg.induced_matrix(dg.map_slice(fmap, q), HA[q], HB[q], p)
-        gs[q] = dg.class_coordinates(HC[q], p, [r + [0] * (c - b) for r in HB[q]["reps"]])
-        hs[q] = dg.class_coordinates(HAs[q - n], p, [r[b:] for r in HC[q]["reps"]])
+        gs[q] = dg.class_coordinates(HC[q], p, np.pad(reps_b, ((0, 0), (0, reps_c.shape[1] - b))))
+        hs[q] = dg.class_coordinates(HAs[q - n], p, reps_c[:, b:])
         # the connecting map H(A[n])_q -> H(B[n])_q: f with a (-1)^{n|y|}
         # twist on each coefficient y.  It differs from the naively suspended
         # matrix by an invertible sign diagonal, so ranks agree with f, but
@@ -198,7 +203,7 @@ def _exact_at(T, q, position, passed):
     if key in passed:
         return None
     zero_detail, rank_detail = _DETAILS[position]
-    if any(map(any, linalg.modp_matmul(left, right, p))):
+    if linalg.modp_matmul(left, right, p).any():
         detail = zero_detail
     elif linalg.modp_rank(incoming, p) + linalg.modp_rank(outgoing, p) != dim:
         detail = rank_detail

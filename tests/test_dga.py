@@ -315,7 +315,9 @@ def test_completion_builds_only_f_and_the_cone_shift(monkeypatch):
 
 
 def triangle_record(T):
-    return T.window, T.dims, T.f, T.g, T.h, T.sf, T.third_generator_degrees
+    # the maps are arrays, compared by shape and entries
+    maps = [{q: (m.shape, m.tolist()) for q, m in mats.items()} for mats in (T.f, T.g, T.h, T.sf)]
+    return T.window, T.dims, *maps, T.third_generator_degrees
 
 
 def test_dg_model_built_once_per_ring_and_weight(monkeypatch):

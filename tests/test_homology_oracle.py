@@ -30,9 +30,6 @@ from trimod import linalg
 from trimod import triangles as tr
 from trimod.errors import ShapeMismatch
 
-KEYS = ("dim", "reps", "basis", "im")
-
-
 # ---------------------------------------------------------------------------
 # references
 
@@ -81,7 +78,7 @@ def reference_slice_matrix(M, src_basis, tgt_basis):
     return reference_matrix(lambda e: reference_apply_diff(M, e), M.alg, src_basis, tgt_basis)
 
 
-def reference_homology(M, window, padding=dg.PADDING):
+def reference_homology(M, window):
     alg, p = M.alg, M.alg.p
     out = {}
     for q in range(window[0], window[1] + 1):
@@ -95,7 +92,7 @@ def reference_homology(M, window, padding=dg.PADDING):
             ker = [[int(a == b) for a in range(len(basis))] for b in range(len(basis))]
         im = [[row[j] for row in d_above] for j in range(len(above))] if above else []
         im = [col for col in im if any(col)]
-        high = [idx for idx, (_, (_, _, m)) in enumerate(basis) if m > alg.weight - padding]
+        high = [idx for idx, (_, (_, _, m)) in enumerate(basis) if m > alg.weight - dg.PADDING]
         ker_low = [list(v) for v in ker]
         if ker and high:
             ker_low = []
@@ -138,7 +135,7 @@ def reference_rref(A, p):
 
 def composite_is_zero(A, B, p):
     """Is A B = 0 mod p?  B has len(B) rows, A has that many columns."""
-    cols = len(B[0]) if B else 0
+    cols = len(B[0]) if len(B) else 0
     return all(sum(row[k] * B[k][c] for k in range(len(B))) % p == 0 for row in A for c in range(cols))
 
 
@@ -216,7 +213,11 @@ def drawn_modules(p, i, n, weight, seed):
 def same_records(H, ref):
     assert H.keys() == ref.keys()
     for q in ref:
-        assert {k: H[q][k] for k in KEYS} == ref[q], f"degree {q}"
+        got = H[q]
+        assert (got["dim"], got["reps"].tolist(), got["im"].tolist()) == \
+            (ref[q]["dim"], ref[q]["reps"], ref[q]["im"]), f"degree {q}"
+        # reps and im are coordinate rows over the slice basis
+        assert got["reps"].shape[1] == got["im"].shape[1] == len(ref[q]["basis"]), f"degree {q}"
 
 
 @settings(max_examples=40, deadline=None)
@@ -224,9 +225,7 @@ def same_records(H, ref):
 def test_homology_matches_reference(model, seed):
     p, i, n, weight, window = model
     for M in drawn_modules(p, i, n, weight, seed):
-        # both paddings on one algebra: its cached H(A) slices must not mix
-        for padding in (2, 1):
-            same_records(dg.homology(M, window, padding), reference_homology(M, window, padding))
+        same_records(dg.homology(M, window), reference_homology(M, window))
         for q in range(window[0] - 1, window[1] + 2):
             want = reference_slice_matrix(M, dg.slice_basis(M, q), dg.slice_basis(M, q - n))
             assert dg.slice_differential(M, q).tolist() == want, f"degree {q}"
@@ -285,8 +284,7 @@ def test_transported_homology_matches_reference(model):
     window, weight = two_periods(i, n)
     for seed in range(4):
         for M in drawn_modules(p, i, n, weight, seed):
-            for padding in (2, 1):
-                same_records(dg.homology(M, window, padding), reference_homology(M, window, padding))
+            same_records(dg.homology(M, window), reference_homology(M, window))
 
 
 @pytest.mark.parametrize("model", NEGATIVE_PERIODS)
@@ -296,8 +294,7 @@ def test_transported_homology_matches_reference_negative_period(model):
     alg = dg.build_two_generator_dga(p, i, n, weight)
     A = dg.algebra_module(alg)
     for M in (A, dg.DGModule(alg, [-1, 0, 2]), dg.shift(A, 3), dg.shift(dg.DGModule(alg, [1, 1]), -2)):
-        for padding in (2, 1):
-            same_records(dg.homology(M, window, padding), reference_homology(M, window, padding))
+        same_records(dg.homology(M, window), reference_homology(M, window))
 
 
 def test_one_elimination_per_residue_class(monkeypatch):
@@ -307,6 +304,19 @@ def test_one_elimination_per_residue_class(monkeypatch):
     alg = dg.build_two_generator_dga(3, 1, 1)
     H = dg.homology(dg.algebra_module(alg), (-5, 5))
     assert len(H) == 11 and len(calls) == abs(alg.vdeg)
+
+
+def test_transported_degrees_share_their_record():
+    # a record holds arrays over the slice basis, not the basis, so the
+    # degrees |v| apart share one record object
+    alg = dg.build_two_generator_dga(3, 1, 1)
+    period, window = abs(alg.vdeg), (-5, 5)
+    f = drawn_map(3, 1, 1, dg.DEFAULT_WEIGHT, random.Random(3))
+    for M in (dg.cone(f), dg.DGModule(alg, [-1, 0, 2])):
+        H = dg.homology(M, window)
+        shared = [q for q in H if q + period in H]
+        assert shared and all(H[q] is H[q + period] for q in shared)
+        assert not any("basis" in record for record in H.values())
 
 
 def test_two_eliminations_per_slice_and_none_on_homology(monkeypatch):
@@ -335,7 +345,7 @@ def test_two_eliminations_per_slice_and_none_on_homology(monkeypatch):
     for q in range(window[0], window[1] + 1):
         dg.induced_matrix(dg.map_slice(f, q), H[f.source][q], H[f.target][q], 3)
         for X in (f.source, f.target, C):
-            dg.class_coordinates(H[X][q], 3, H[X][q]["reps"] + H[X][q]["im"])
+            dg.class_coordinates(H[X][q], 3, np.vstack((H[X][q]["reps"], H[X][q]["im"])))
             if q + 1 <= window[1]:
                 dg.u_action_matrix(X, H[X], q)
     assert bases == [] and inserts == []
@@ -348,27 +358,27 @@ def test_class_coordinates_match_per_vector_solve(model, seed):
     rng = random.Random(seed)
     for M in drawn_modules(p, i, n, weight, seed):
         for Hq in dg.homology(M, window).values():
-            reps, im = Hq["reps"], Hq["im"]
-            size = len(Hq["basis"])
+            reps, im = Hq["reps"].tolist(), Hq["im"].tolist()
+            size = Hq["reps"].shape[1]
             gens = reps + im
             cycles = []
             for _ in range(3):
                 coeffs = [rng.randrange(p) for _ in gens]
                 cycles.append([sum(c * v[r] for c, v in zip(coeffs, gens)) % p
                                for r in range(size)])
-            got = dg.class_coordinates(Hq, p, cycles)
-            assert len(got) == len(reps) and all(len(row) == len(cycles) for row in got)
+            got = dg.class_coordinates(Hq, p, np.array(cycles, dtype=np.int64).reshape(3, size))
+            assert got.shape == (len(reps), len(cycles))
             # with no reps and no boundaries A has no columns, and only 0 has a class
             A = [[v[r] for v in gens] for r in range(size)]
             for c, z in enumerate(cycles):
                 want = linalg.modp_solve(A, z, p)[:len(reps)]
-                assert [row[c] for row in got] == want
+                assert got[:, c].tolist() == want
             if linalg.modp_rank(A, p) < size:
                 # a vector outside span(reps, im) has no class
                 outside = next(e for e in ([int(r == k) for r in range(size)] for k in range(size))
                                if linalg.modp_solve(A, e, p) is None)
                 with pytest.raises(ShapeMismatch):
-                    dg.class_coordinates(Hq, p, cycles + [outside])
+                    dg.class_coordinates(Hq, p, np.array(cycles + [outside], dtype=np.int64).reshape(4, size))
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +449,15 @@ def test_modp_rref_empty_shapes():
 def corruptions(T, rng):
     """Copies of T with one matrix entry or one dimension changed."""
     slots = [(name, q) for name in ("f", "g", "h", "sf") for q in getattr(T, name)
-             if any(getattr(T, name)[q])]
+             if getattr(T, name)[q].any()]
     for _ in range(6):
         bent = tr.Triangle(T.p, T.n, T.window, dict(T.dims), dict(T.f), dict(T.g),
                            dict(T.h), dict(T.sf), T.third_generator_degrees)
         if slots and rng.random() < 0.7:
             name, q = rng.choice(slots)
-            mat = [list(row) for row in getattr(bent, name)[q]]
-            r, c = rng.randrange(len(mat)), rng.randrange(len(mat[0]))
-            mat[r][c] = (mat[r][c] + rng.randrange(1, T.p)) % T.p
+            mat = getattr(bent, name)[q].copy()
+            r, c = rng.randrange(mat.shape[0]), rng.randrange(mat.shape[1])
+            mat[r, c] = (mat[r, c] + rng.randrange(1, T.p)) % T.p
             getattr(bent, name)[q] = mat
         else:
             q = rng.choice(sorted(T.dims))

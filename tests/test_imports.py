@@ -182,3 +182,12 @@ def test_only_times_looks_up_products():
     # rings._times is the one loop that multiplies through GradedRing.products;
     # every other reader walks the whole table
     assert _stray(_product_lookups, {("rings", "_times")}) == []
+
+
+def test_dg_path_converts_no_array_to_lists():
+    # an F_p matrix on the DG path is an int64 array from slice matrix to
+    # triangle: no call to .tolist() in dga or triangles
+    calls = [f"{name}:{node.lineno}" for name in ("dga.py", "triangles.py")
+             for node in ast.walk(ast.parse((ROOT / "src" / "trimod" / name).read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "tolist"]
+    assert calls == []

@@ -203,9 +203,10 @@ def test_modp_matmul_shapes(rows, inner, cols):
     A = [[rng.randrange(-7, 7) for _ in range(inner)] for _ in range(rows)]
     B = [[rng.randrange(-7, 7) for _ in range(cols)] for _ in range(inner)]
     want = [[sum(A[r][k] * B[k][c] for k in range(inner)) % 5 for c in range(cols)] for r in range(rows)]
-    got = linalg.modp_matmul(A, B, 5)
-    # with no inner dimension B has no rows to carry its width
-    assert got == (want if inner else [[] for _ in range(rows)])
+    got = linalg.modp_matmul(np.array(A, dtype=np.int64).reshape(rows, inner),
+                             np.array(B, dtype=np.int64).reshape(inner, cols), 5)
+    # with no inner dimension the product is the zero array of shape (rows, cols)
+    assert got.dtype == np.int64 and got.shape == (rows, cols) and got.tolist() == want
 
 
 def test_is_prime_is_deterministic_miller_rabin():
@@ -244,9 +245,9 @@ def test_modp_overflow_guard():
         E.extend([[1, 0]])
     S = linalg.Subgroup([[q - 1, q - 1], [1, 1]], [q, q])
     assert S.size() == q and S.contains([2, 2]) and not S.contains([1, 2])
-    assert linalg.modp_matmul([[q - 1]], [[q - 1]], q) == [[1]]
+    assert linalg.modp_matmul(np.array([[q - 1]]), np.array([[q - 1]]), q).tolist() == [[1]]
     with pytest.raises(UnsupportedCoefficients):
-        linalg.modp_matmul([[q - 1, q - 1]], [[q - 1], [q - 1]], q)
+        linalg.modp_matmul(np.array([[q - 1, q - 1]]), np.array([[q - 1], [q - 1]]), q)
 
 
 @st.composite

@@ -36,8 +36,8 @@ def records():
                 "p": p, "source_degrees": src, "target_degrees": tgt,
                 "window": [lo, hi],
                 "third_generator_degrees": T.third_generator_degrees,
-                "slices": [{"q": q, "dims": list(T.dims[q]), "f": T.f[q], "g": T.g[q],
-                            "h": T.h[q], "sf": T.sf[q]} for q in range(lo, hi + 1)],
+                "slices": [{"q": q, "dims": list(T.dims[q]), "f": T.f[q].tolist(), "g": T.g[q].tolist(),
+                            "h": T.h[q].tolist(), "sf": T.sf[q].tolist()} for q in range(lo, hi + 1)],
             })
     return out
 
