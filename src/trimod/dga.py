@@ -38,19 +38,24 @@ representative cycles and yields the slice's coordinate map, so class
 coordinates and induced matrices on homology are products (`modp_matmul`).
 A module with zero differential (a free module, its shifts, the cone of a
 zero map) takes its homology from H(A): its slice complex is a direct sum
-of slices of A, whose homology each algebra eliminates once per degree mod
-|v| (`_algebra_homology`), and its record is assembled block-diagonally from
-those of H(A).
+of slices of A, whose homology each algebra eliminates once per residue
+class (`_algebra_homology`), and its record is assembled block-diagonally
+from those of H(A).
 
 Periodicity: when |v| != 0, the slice bases at q and q + k|v| differ only in
 the v-exponents t, shifted by k, because the basis of A_s depends on t only
 through s, products add t and the weight bound reads only m.  So the slice
 matrices at q + k|v| are those at q, except that d gains the sign
 (-1)^{n|v|k}, which is +1 in every model that builds (for odd p the parity
-check forces i and n odd, so |v| is even).  Homology is therefore eliminated
-once per residue class of degrees mod |v|, and the record of degree q is
-shared by every degree q + k|v|: a record holds arrays over the slice basis,
-not the basis itself, so transport is sharing.
+check forces i and n odd, so |v| is even; for p = 2 every sign is +1).
+Every slice-level object is therefore made once per module and residue
+class (`residue`: q mod |v|, or q when |v| = 0) and shared by every degree
+of the class: the slice differentials, which the d^2 = 0 check of a cone,
+the chain-map check of a DGMap and the elimination all read, and the
+homology records, eliminated or assembled.  So the records of M on the
+window shifted by n, which read as those of M[n], are the records of M on
+the window when it spans a period.  A record holds arrays over the slice
+basis, not the basis itself, so transport is sharing.
 """
 
 from __future__ import annotations
@@ -160,18 +165,25 @@ def build_two_generator_dga(p, i, n, weight=DEFAULT_WEIGHT):
 # slices of A and their matrices
 # ---------------------------------------------------------------------------
 
+def residue(alg, q):
+    """The residue class of degree q: q mod |v|, or q when |v| = 0.  Slices
+    and records of degrees in one class coincide (see the module docstring)."""
+    return q % abs(alg.vdeg) if alg.vdeg else q
+
+
 @rc.per_object
 def _algebra_basis(alg, s):
-    """Monomials (t, e, m) of A in degree s with m <= W, ordered by (e, m)."""
-    basis = []
+    """Monomials (t, e, m) of A in degree s with m <= W, ordered by (e, m),
+    as the map {monomial: row}."""
+    basis = {}
     for e in (0, 1):
         for m in range(alg.weight + 1):
             r = s - e * alg.adeg - m * alg.i
             if alg.vdeg != 0:
                 if r % alg.vdeg == 0:
-                    basis.append((r // alg.vdeg, e, m))
+                    basis[(r // alg.vdeg, e, m)] = len(basis)
             elif r == 0:
-                basis.append((0, e, m))
+                basis[(0, e, m)] = len(basis)
     return basis
 
 
@@ -187,7 +199,7 @@ def _algebra_matrix(alg, s, key=None, left=False):
     else:
         images = [alg._mul_monomials(key, k) if left else alg._mul_monomials(k, key) for k in src]
         target = s + alg.monomial_degree(*key)
-    pos = {k: r for r, k in enumerate(_algebra_basis(alg, target))}
+    pos = _algebra_basis(alg, target)
     mat = np.zeros((len(pos), len(src)), dtype=np.int64)
     for col, terms in enumerate(images):
         for k, c in terms.items():
@@ -254,12 +266,13 @@ def _check_degrees(matrix, col_degrees, row_degrees, what):
 def _column(M, q, entries):
     """Coordinates of sum_i entries[i] * gen_i in the degree-q slice of M, as
     a one-column array; terms past the weight bound are dropped."""
-    pos = {b: r for r, b in enumerate(slice_basis(M, q))}
-    col = np.zeros((len(pos), 1), dtype=np.int64)
+    bases = [_algebra_basis(M.alg, q - gd) for gd in M.gen_degrees]
+    at = list(itertools.accumulate(map(len, bases), initial=0))
+    col = np.zeros((at[-1], 1), dtype=np.int64)
     for i, x in enumerate(entries):
         for key, c in x.terms.items():
-            if (i, key) in pos:
-                col[pos[(i, key)], 0] = c
+            if key in bases[i]:
+                col[at[i] + bases[i][key], 0] = c
     return col
 
 
@@ -274,6 +287,8 @@ class DGModule:
     def __init__(self, alg, gen_degrees, diff=None, check=True):
         self.alg = alg
         self.gen_degrees = list(gen_degrees)
+        # slice differentials and homology records, see rings.per_object
+        self._cache = {}
         g = len(self.gen_degrees)
         if diff is None:
             diff = [[DGElement(alg, {}) for _ in range(g)] for _ in range(g)]
@@ -356,12 +371,16 @@ def slice_basis(M, q):
     return [(j, key) for j, gd in enumerate(M.gen_degrees) for key in _algebra_basis(M.alg, q - gd)]
 
 
+@rc.per_object
 def slice_differential(M, q):
     """Matrix of d from the degree-q slice of M to the slice q - n, as an
-    array of shape (target, source)."""
+    array of shape (target, source): the matrix of the residue class of q,
+    built once per module and shared read-only (see the module docstring)."""
     # terms truncated past the weight bound are dropped; the reliability
     # filter of the homology excludes the affected classes
-    alg = M.alg
+    alg, r = M.alg, residue(M.alg, q)
+    if r != q:
+        return slice_differential(M, r)
     cols = [q - gd for gd in M.gen_degrees]
 
     def block(i, j):
@@ -372,7 +391,9 @@ def slice_differential(M, q):
             out = d if out is None else (out + d) % alg.p
         return out
 
-    return _block_matrix(alg, [s - alg.n for s in cols], cols, block)
+    out = _block_matrix(alg, [s - alg.n for s in cols], cols, block)
+    out.flags.writeable = False
+    return out
 
 
 def map_slice(f, q, twist=0):
@@ -391,9 +412,10 @@ def map_slice(f, q, twist=0):
                                                             -1 if (twist * cols[j]) % 2 else 1))
 
 
-def _slice_homology(alg, basis, d_here, d_above):
-    """Homology record of one slice from d_here (to the slice n below) and
-    d_above (from the slice n above), both arrays of shape (target, source).
+def _slice_homology(M, q):
+    """Homology record of M in degree q from d_here, the slice differential
+    at q (to the slice n below), and d_above, that at q + n (from the slice
+    n above).
 
     Representatives are cycles supported on u-weights <= W - PADDING: the
     reduced-echelon kernel basis of d_here on the low-weight coordinates
@@ -406,7 +428,9 @@ def _slice_homology(alg, basis, d_here, d_above):
     and Z, the kernel basis of the rows x: z lies in span(reps, im) iff
     Z z = 0, and then P z holds its coordinates in the reps.
     """
+    alg, basis = M.alg, slice_basis(M, q)
     p, size = alg.p, len(basis)
+    d_here, d_above = slice_differential(M, q), slice_differential(M, q + alg.n)
     # reliability: the cycles supported on the low-weight coordinates
     low = [idx for idx, (_, (_, _, m)) in enumerate(basis) if m <= alg.weight - PADDING]
     ker = linalg.modp_kernel(d_here[:, low], p)
@@ -428,50 +452,30 @@ def _slice_homology(alg, basis, d_here, d_above):
     return {"dim": len(kept), "reps": ker_low[kept], "im": im, "coords": (P, Z)}
 
 
-def _slices(M, degrees):
-    """Homology records of M at the given degrees; every slice differential
-    is built once (d_above at q is d_here at q + n).  Only the first degree
-    of each residue class mod |v| is eliminated, and the others share its
-    record (see the module docstring)."""
-    alg, n, period = M.alg, M.alg.n, M.alg.vdeg
-    first = {}
-    for q in degrees:
-        first.setdefault(q % period if period else q, q)
-    diffs = {q: slice_differential(M, q) for q in {q + s for q in first.values() for s in (0, n)}}
-    out = {key: _slice_homology(alg, slice_basis(M, q), diffs[q], diffs[q + n])
-           for key, q in first.items()}
-    return {q: out[q % period if period else q] for q in degrees}
-
-
 @rc.per_object
 def _algebra_homology(alg, s):
     """Homology record of A as a module over itself in degree s: the record
-    of degree s mod |v| (see the module docstring)."""
-    r = s % alg.vdeg if alg.vdeg else s
-    if r != s:
-        return _algebra_homology(alg, r)
-    return _slices(DGModule(alg, [0], check=False), [s])[s]
+    of its residue class (see the module docstring)."""
+    r = residue(alg, s)
+    return _algebra_homology(alg, r) if r != s else _slice_homology(DGModule(alg, [0], check=False), s)
 
 
-def _free_homology(M, window):
-    """Homology of a module with zero differential: its slice complex is the
-    direct sum over generators j of A at degree q - deg(gen_j), so each
-    record is assembled block-diagonally from those of H(A)
-    (`_algebra_homology`).  The record |v| degrees above an assembled one is
-    that record (see the module docstring)."""
-    alg = M.alg
-    lo, hi = window
-    period = abs(alg.vdeg)
-    out = {}
-    for q in range(lo, hi + 1):
-        if period and q - period in out:
-            out[q] = out[q - period]
-            continue
-        blocks = [_algebra_homology(alg, q - gd) for gd in M.gen_degrees]
-        reps, im = (_block_diagonal([H[key] for H in blocks]) for key in ("reps", "im"))
-        coords = tuple(_block_diagonal([H["coords"][k] for H in blocks]) for k in (0, 1))
-        out[q] = {"dim": len(reps), "reps": reps, "im": im, "coords": coords}
-    return out
+@rc.per_object
+def _homology_record(M, q):
+    """Homology record of M in degree q: the record of its residue class,
+    made once per module (see the module docstring).  A module with zero
+    differential assembles it block-diagonally from those of H(A)
+    (`_algebra_homology`): its slice complex is the direct sum over
+    generators j of A at degree q - deg(gen_j)."""
+    alg, r = M.alg, residue(M.alg, q)
+    if r != q:
+        return _homology_record(M, r)
+    if any(not x.is_zero for row in M.diff for x in row):
+        return _slice_homology(M, q)
+    blocks = [_algebra_homology(alg, q - gd) for gd in M.gen_degrees]
+    reps, im = (_block_diagonal([H[key] for H in blocks]) for key in ("reps", "im"))
+    coords = tuple(_block_diagonal([H["coords"][k] for H in blocks]) for k in (0, 1))
+    return {"dim": len(reps), "reps": reps, "im": im, "coords": coords}
 
 
 def _block_diagonal(blocks):
@@ -501,9 +505,7 @@ def homology(M, window):
         raise WindowTooWideForWeightBound(
             f"weight bound {alg.weight} too small for window span {hi - lo}"
         )
-    if all(x.is_zero for row in M.diff for x in row):
-        return _free_homology(M, window)
-    return _slices(M, range(lo, hi + 1))
+    return {q: _homology_record(M, q) for q in range(lo, hi + 1)}
 
 
 def class_coordinates(Hq, p, cycles):
@@ -542,7 +544,7 @@ def homology_is_free_rank_one(M, window):
     # one exterior generator in degree 0: the classes 1 and u, each in its
     # degree mod |v|
     def expected(q):
-        return sum((q - d) % alg.vdeg == 0 if alg.vdeg else q == d for d in (0, alg.i))
+        return sum(residue(alg, q - d) == 0 for d in (0, alg.i))
 
     for q in range(lo, hi + 1):
         if H[q]["dim"] != expected(q):

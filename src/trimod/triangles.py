@@ -91,16 +91,16 @@ def _model(R, n, weight):
     return dg.build_two_generator_dga(*_check_lift_ring(R, n), n, weight)
 
 
-def _generator_degrees(Cmod, H, window, i, vdeg, p):
+def _generator_degrees(Cmod, H, window):
     """Degrees of module generators of H: classes not hit by the x-action."""
-    lo, hi = window
+    alg, (lo, hi) = Cmod.alg, window
     per_key = {}
     for q in range(lo, hi + 1):
-        key = q % vdeg if vdeg else q
-        if key in per_key or not H[q]["dim"] or not (lo <= q - i <= hi):
+        key = dg.residue(alg, q)
+        if key in per_key or not H[q]["dim"] or not (lo <= q - alg.i <= hi):
             continue
         # the count repeats with period |v|, also when it is 0
-        per_key[key] = (q, H[q]["dim"] - linalg.modp_rank(dg.u_action_matrix(Cmod, H, q - i), p))
+        per_key[key] = (q, H[q]["dim"] - linalg.modp_rank(dg.u_action_matrix(Cmod, H, q - alg.i), alg.p))
     out = []
     for q, count in sorted(per_key.values()):
         out.extend([q] * count)
@@ -141,7 +141,8 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
     HB = dg.homology(N, window)
     HC = dg.homology(C, window)
     # A[n] and B[n] at q are A and B at q - n; the window keeps its span,
-    # so the weight-bound check is the same
+    # so the weight-bound check is the same; when the window spans a
+    # period, these are the records just made for A and B
     HAs = dg.homology(M, (lo - n, hi - n))
     HBs = dg.homology(N, (lo - n, hi - n))
 
@@ -157,7 +158,9 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
         b = reps_b.shape[1]
         dims[q] = (HA[q]["dim"], HB[q]["dim"], HC[q]["dim"], HAs[q - n]["dim"], HBs[q - n]["dim"])
         fs[q] = dg.induced_matrix(dg.map_slice(fmap, q), HA[q], HB[q], p)
-        gs[q] = dg.class_coordinates(HC[q], p, np.pad(reps_b, ((0, 0), (0, reps_c.shape[1] - b))))
+        padded = np.zeros((len(reps_b), reps_c.shape[1]), dtype=np.int64)
+        padded[:, :b] = reps_b
+        gs[q] = dg.class_coordinates(HC[q], p, padded)
         hs[q] = dg.class_coordinates(HAs[q - n], p, reps_c[:, b:])
         # the connecting map H(A[n])_q -> H(B[n])_q: f with a (-1)^{n|y|}
         # twist on each coefficient y.  It differs from the naively suspended
@@ -165,7 +168,7 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
         # only this version makes consecutive composites vanish.
         sfs[q] = dg.induced_matrix(dg.map_slice(fmap, q - n, twist=n), HAs[q - n], HBs[q - n], p)
 
-    third = _generator_degrees(C, HC, window, i, alg.vdeg, p)
+    third = _generator_degrees(C, HC, window)
     return Triangle(p, n, window, dims, fs, gs, hs, sfs, third)
 
 
@@ -180,14 +183,15 @@ _DETAILS = {
 }
 
 
-def _exact_at(T, q, position, passed):
+def _exact_at(T, q, position, passed, ranks):
     """Report of the first failed exactness check at one position in degree
     q, or None.  A position is exact when the composite through it vanishes
     and the ranks of the maps in and out add up to its dimension.
 
     Past the first |v| degrees the triangle's matrices are the objects stored
     a period earlier, so a check is made once: `passed` holds the position,
-    dimension and matrix objects of each check passed so far."""
+    dimension and matrix objects of each check passed so far, and `ranks`
+    the rank of each matrix object ranked so far, by id."""
     p, n = T.p, T.n
     if position == "SB":
         # in by -f[n], out by g[n], which is conjugate to g at q - n; the
@@ -205,21 +209,24 @@ def _exact_at(T, q, position, passed):
     zero_detail, rank_detail = _DETAILS[position]
     if linalg.modp_matmul(left, right, p).any():
         detail = zero_detail
-    elif linalg.modp_rank(incoming, p) + linalg.modp_rank(outgoing, p) != dim:
-        detail = rank_detail
     else:
-        passed.add(key)
-        return None
+        for m in (incoming, outgoing):
+            if id(m) not in ranks:
+                ranks[id(m)] = linalg.modp_rank(m, p)
+        if ranks[id(incoming)] + ranks[id(outgoing)] == dim:
+            passed.add(key)
+            return None
+        detail = rank_detail
     return {"pass": False, "degree": q, "position": position, "detail": detail}
 
 
 def verify_triangle_exact(T):
     """Slicewise exactness at B, C and A[n]; report PASS or first failure."""
     lo, hi = T.window
-    passed = set()
+    passed, ranks = set(), {}
     for q in range(lo, hi + 1):
         for position in ("B", "C", "SA"):
-            failure = _exact_at(T, q, position, passed)
+            failure = _exact_at(T, q, position, passed, ranks)
             if failure:
                 return failure
     return {"pass": True, "degree": None, "position": None, "detail": "exact in window"}
@@ -232,12 +239,12 @@ def verify_rotation(T):
     only needs data already recorded on the original triangle.
     """
     lo, hi = T.window
-    passed = set()
+    passed, ranks = set(), {}
     for q in range(lo, hi + 1):
         if not (lo <= q - T.n <= hi):
             continue
         for position in ("C", "SA", "SB"):
-            failure = _exact_at(T, q, position, passed)
+            failure = _exact_at(T, q, position, passed, ranks)
             if failure:
                 return failure
     return {"pass": True, "degree": None, "position": None, "detail": "rotation exact in window"}

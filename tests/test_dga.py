@@ -39,18 +39,19 @@ def test_parity_obstruction():
 
 
 def test_models_that_build_have_even_n_times_period():
-    # homology is transported across periods of v without a sign because
-    # (-1)^{n|v|} = 1 in every model that builds
+    # slice matrices and homology records are shared across periods of v
+    # without a sign because (-1)^{n|v|} = 1 in every model that builds; in
+    # characteristic 2 every sign is 1
     built = 0
-    for p in (3, 5):
-        for i in range(-3, 4):
-            for n in range(-3, 4):
+    for p in (2, 3, 5):
+        for i in range(-4, 5):
+            for n in range(-4, 5):
                 try:
                     A = dg.build_two_generator_dga(p, i, n)
                 except ParityObstruction:
                     continue
-                built += 1
-                assert n * A.vdeg % 2 == 0, (p, i, n)
+                built += p != 2
+                assert p == 2 or n * A.vdeg % 2 == 0, (p, i, n)
     assert built
 
 

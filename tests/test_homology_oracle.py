@@ -9,8 +9,12 @@ cycles kept before it.  `homology` must return the same records: modules
 with zero differential take them from H(A), the others from one echelon
 basis per slice grown by insertion, and on windows spanning two periods of v, where
 `homology` eliminates one degree per residue class mod |v| and transports
-the records to the others, every degree must still match.  The class coordinates of a batch of cycles must be
-what one solve per cycle gives, `modp_rref` must agree with a pure-Python
+the records to the others, every degree must still match; so must the
+slice differential, which each module builds once per residue class.  One
+triangle must build each slice object once per module and residue class,
+and `_column` must place coordinates as a slice-basis lookup does.  The
+class coordinates of a batch of cycles must be what one solve per cycle
+gives, `modp_rref` must agree with a pure-Python
 Gauss-Jordan elimination over F_p and over Q, and the per-position exactness check of
 `verify_triangle_exact`/`verify_rotation` must report what two loops of
 explicit checks report, also on corrupted triangles.
@@ -306,6 +310,34 @@ def test_one_elimination_per_residue_class(monkeypatch):
     assert len(H) == 11 and len(calls) == abs(alg.vdeg)
 
 
+def cycle_map(alg, rng):
+    """A random map of free modules over alg, its entries sums of the cycles
+    v^t u^m; for the models with |v| < 0, which have no lifted ring."""
+    src, tgt = ([rng.randint(-2, 2) for _ in range(rng.randint(1, 3))] for _ in range(2))
+    return dg.DGMap(dg.DGModule(alg, src), dg.DGModule(alg, tgt), [
+        [dg.DGElement(alg, {key: rng.randrange(alg.p) for key in dg._algebra_basis(alg, sd - td) if not key[1]})
+         for sd in src] for td in tgt])
+
+
+@pytest.mark.parametrize("model", MODELS + [(3, -1, 1, 8, (-2, 2)), (2, -2, -1, 8, (-2, 2))])
+def test_shared_slice_matrices_are_exact(model):
+    # one slice differential per module and residue class mod |v|, which
+    # must be the matrix of d at each degree of the class, built from scratch
+    p, i, n, weight, _ = model
+    period = abs(3 * i + n)
+    rng = random.Random(sum(model[:4]))
+    alg = dg.build_two_generator_dga(p, i, n, weight)
+    for _ in range(3):
+        f = drawn_map(p, i, n, weight, rng) if 3 * i + n >= 0 else cycle_map(alg, rng)
+        for M in (dg.cone(f), dg.shift(f.target, rng.randint(-2, 2))):
+            for q in range(-period - 2, period + 3):
+                want = reference_slice_matrix(M, dg.slice_basis(M, q), dg.slice_basis(M, q - n))
+                assert dg.slice_differential(M, q).tolist() == want, f"degree {q}"
+                assert dg.slice_differential(M, q + period) is dg.slice_differential(M, q)
+            with pytest.raises(ValueError):
+                dg.slice_differential(M, 0)[:] = 0
+
+
 def test_transported_degrees_share_their_record():
     # a record holds arrays over the slice basis, not the basis, so the
     # degrees |v| apart share one record object
@@ -317,6 +349,70 @@ def test_transported_degrees_share_their_record():
         shared = [q for q in H if q + period in H]
         assert shared and all(H[q] is H[q + period] for q in shared)
         assert not any("basis" in record for record in H.values())
+
+
+def test_one_triangle_makes_slice_objects_once_per_residue_class(monkeypatch):
+    # per module and residue class mod |v|: one slice differential, read by
+    # the checks of DGMap and cone and by the elimination, and one record of
+    # a free module, which the shifted windows of A[n] and B[n] reuse
+    modules, assembled, windows = [], [], []
+    cone, homology, assemble = dg.cone, dg.homology, dg._block_diagonal
+
+    def spied_cone(f):
+        C = cone(f)
+        modules.extend((f.source, f.target, C))
+        return C
+
+    def spied_homology(M, window):
+        start = len(assembled)
+        H = homology(M, window)
+        windows.append((M, window, len(assembled) - start))
+        return H
+
+    monkeypatch.setattr(dg, "cone", spied_cone)
+    monkeypatch.setattr(dg, "homology", spied_homology)
+    monkeypatch.setattr(dg, "_block_diagonal", lambda blocks: assembled.append(blocks) or assemble(blocks))
+    R = con.laurent_exterior(3, 1, 4)
+    src, tgt, entries = tr.random_map(R, 1, random.Random(4), max_rank=3)
+    tr.triangle_from_map(R, 1, src, tgt, entries, window=(-5, 5))
+    M, N, C = modules
+    period = abs(C.alg.vdeg)
+
+    def built(X, name):
+        return len({id(value) for key, value in X._cache.items() if key[0] == name})
+
+    assert 0 < built(C, "slice_differential") <= period
+    assert all(built(X, "slice_differential") <= period for X in (M, N))
+    assert all(0 < built(X, "_homology_record") <= period for X in (M, N))
+    assert [(X, a > 0) for X, w, a in windows if w == (-5, 5) and X is not C] == [(M, True), (N, True)]
+    assert [(X, a) for X, w, a in windows if w == (-6, 4)] == [(M, 0), (N, 0)]
+
+
+def reference_column(M, q, entries):
+    """Coordinates of sum_i entries[i] * gen_i over the whole slice basis."""
+    pos = {b: r for r, b in enumerate(dg.slice_basis(M, q))}
+    col = [0] * len(pos)
+    for i, x in enumerate(entries):
+        for key, c in x.terms.items():
+            if (i, key) in pos:
+                col[pos[(i, key)]] = c
+    return col
+
+
+@pytest.mark.parametrize("p, i, n", [(3, 1, 1), (5, -1, -1), (2, 1, -3)])
+def test_column_matches_slice_basis_reference(p, i, n):
+    # generators of equal degree, and terms up to u-weight W + 3, those past
+    # the weight bound W dropped
+    alg = dg.build_two_generator_dga(p, i, n, 6)
+    M = dg.DGModule(alg, [0, 1, 1, -2])
+    wide = dg.build_two_generator_dga(p, i, n, alg.weight + 3)
+    rng, dropped = random.Random(p), 0
+    for q in range(-6, 7):
+        entries = [dg.DGElement(alg, {key: rng.randrange(1, p) for key in dg._algebra_basis(wide, q - gd)
+                                      if rng.random() < 0.6}) for gd in M.gen_degrees]
+        dropped += sum(m > alg.weight for x in entries for _, _, m in x.terms)
+        assert dg._column(M, q, entries)[:, 0].tolist() == reference_column(M, q, entries), f"degree {q}"
+    assert dropped
 
 
 def test_two_eliminations_per_slice_and_none_on_homology(monkeypatch):

@@ -184,6 +184,27 @@ def test_only_times_looks_up_products():
     assert _stray(_product_lookups, {("rings", "_times")}) == []
 
 
+def _degree_reductions(tree):
+    """(scope, line) of each `x % y` whose modulus y names `vdeg` or
+    `period`, unless it is a membership test `x % y == 0`."""
+    def names(node):
+        return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+
+    tests = {id(node.left) for _, node in _scoped_nodes(tree) if isinstance(node, ast.Compare)
+             and [type(op) for op in node.ops] == [ast.Eq]
+             and isinstance(node.comparators[0], ast.Constant) and node.comparators[0].value == 0}
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) \
+                and names(node.right) & {"vdeg", "period"} and id(node) not in tests:
+            yield scope, node.lineno
+
+
+def test_only_residue_reduces_degrees():
+    # slice objects are shared by the degrees of one residue class mod |v|,
+    # and dga.residue is the one place that names the class of a degree
+    assert _stray(_degree_reductions, {("dga", "residue")}) == []
+
+
 def test_dg_path_converts_no_array_to_lists():
     # an F_p matrix on the DG path is an int64 array from slice matrix to
     # triangle: no call to .tolist() in dga or triangles
