@@ -36,11 +36,18 @@ Homology is computed slice by slice.  One echelon basis per slice, grown by
 inserting the boundaries and then the low-weight cycles, picks the
 representative cycles and yields the slice's coordinate map, so class
 coordinates and induced matrices on homology are products (`modp_matmul`).
+Between the slice matrices and the record's arrays the elimination holds
+sparse rows only: the kernel rows, the tagged cycles and the held basis
+they fill the record from.
 A module with zero differential (a free module, its shifts, the cone of a
 zero map) takes its homology from H(A): its slice complex is a direct sum
 of slices of A, whose homology each algebra eliminates once per residue
-class (`_algebra_homology`), and its record is assembled block-diagonally
-from those of H(A).
+class (`_algebra_homology`).  A one-generator module's records are those of
+H(A), and a module on several generators assembles its records
+block-diagonally from them.  The slice differential of a cone holds its
+map as a block (`cone_map_slice`), so a triangle reads f and its
+connecting map there, and `map_slice` is left to the chain-map check of
+`DGMap`.
 
 Periodicity: when |v| != 0, the slice bases at q and q + k|v| differ only in
 the v-exponents t, shifted by k, because the basis of A_s depends on t only
@@ -362,6 +369,33 @@ def cone(f):
     return DGModule(alg, N.gen_degrees + Mn.gen_degrees, diff, check=True)
 
 
+def cone_map_slice(C, f, q, twist=0):
+    """map_slice(f, q, twist) read off the slice differential of C = cone(f)
+    at q + n, which the homology of C builds.
+
+    That slice is B_{q+n} followed by (A[n])_{q+n} = A_q, and its image
+    B_q followed by (A[n])_q, so the block from the A[n] columns to the B
+    rows is f on A_q with each source block j, of degree s_j = q -
+    deg(gen_j), multiplied by the Leibniz sign (-1)^{n s_j}.  That is
+    map_slice(f, q, twist=n), the connecting map of the cone sequence; for
+    another twist, block j is negated where (n + twist) s_j is odd.
+    """
+    alg = C.alg
+    target = [q - d for d in f.target.gen_degrees]
+    rows = sum(len(_algebra_basis(alg, s)) for s in target)
+    start = sum(len(_algebra_basis(alg, s + alg.n)) for s in target)
+    out = slice_differential(C, q + alg.n)[:rows, start:]
+    cols = [q - d for d in f.source.gen_degrees]
+    at = list(itertools.accumulate((len(_algebra_basis(alg, s)) for s in cols), initial=0))
+    # over F_2 every sign is +1
+    flip = [c for j, s in enumerate(cols) if alg.p != 2 and (alg.n + twist) * s % 2
+            for c in range(at[j], at[j + 1])]
+    if flip:
+        out = out.copy()
+        out[:, flip] = -out[:, flip] % alg.p
+    return out
+
+
 # ---------------------------------------------------------------------------
 # degree-slice matrices and homology
 # ---------------------------------------------------------------------------
@@ -404,6 +438,9 @@ def map_slice(f, q, twist=0):
     Because slice_basis(M[n], q) == slice_basis(M, q - n), map_slice(f,
     q - n, twist=n) is the connecting map (A[n])_q -> (B[n])_q of the cone
     sequence: lift a cycle of A[n] into the cone and apply its differential.
+    A triangle reads both f and this connecting map off the cone's slice
+    differentials (`cone_map_slice`), so this assembly serves the chain-map
+    check of `DGMap`.
     """
     alg = f.source.alg
     cols = [q - gd for gd in f.source.gen_degrees]
@@ -427,29 +464,32 @@ def _slice_homology(M, q):
     boundaries, so the coordinate map (P, Z) is P, the tags at the pivots,
     and Z, the kernel basis of the rows x: z lies in span(reps, im) iff
     Z z = 0, and then P z holds its coordinates in the reps.
+
+    Rows stay sparse, {column: entry}, from the kernel to the record: the
+    cycles are read off the kernel's held basis (`linalg._kernel_rows`) and
+    tagged in place, and reps, P (P[i, c] is the tag of kept cycle i in the
+    held row of pivot c) and Z are filled from the held rows' nonzeros.
     """
     alg, basis = M.alg, slice_basis(M, q)
     p, size = alg.p, len(basis)
     d_here, d_above = slice_differential(M, q), slice_differential(M, q + alg.n)
-    # reliability: the cycles supported on the low-weight coordinates
+    # reliability: the cycles supported on the low-weight coordinates, as
+    # sparse rows over the whole slice
     low = [idx for idx, (_, (_, _, m)) in enumerate(basis) if m <= alg.weight - PADDING]
-    ker = linalg.modp_kernel(d_here[:, low], p)
-    ker_low = np.zeros((len(ker), size), dtype=np.int64)
-    if ker:
-        ker_low[:, low] = ker
+    sub = linalg._kernel_rows(linalg._echelon_basis(d_here[:, low], p, len(low)), len(low), p)
+    ker = [{low[j]: x for j, x in row.items()} for row in sub.values()]
     im = d_above[:, d_above.any(axis=0)].T
-    held, kept = {}, []
-    for row in linalg._sparse_rows(im, p):
-        linalg._echelon_insert(held, row, p, size)
-    for k, row in enumerate(linalg._sparse_rows(np.hstack((ker_low, np.eye(len(ker), dtype=np.int64))), p)):
-        if linalg._echelon_insert(held, row, p, size) is not None:
+    held, kept = linalg._echelon_basis(im, p, size), []
+    for k, row in enumerate(ker):
+        if linalg._echelon_insert(held, row | {size + k: 1}, p, size) is not None:
             kept.append(k)
-    pivots, R = sorted(held), linalg._echelon_matrix(held, len(held), size + len(ker), p)
-    P = np.zeros((len(kept), size), dtype=np.int64)
-    P[:, pivots] = R[:, [size + k for k in kept]].T
-    K = linalg._kernel_basis(held, size, p)[0]
-    Z = np.array(K, dtype=np.int64).reshape(len(K), size)
-    return {"dim": len(kept), "reps": ker_low[kept], "im": im, "coords": (P, Z)}
+    tag = {size + k: i for i, k in enumerate(kept)}
+    reps = linalg._from_cells((len(kept), size), [(i, j, x) for i, k in enumerate(kept) for j, x in ker[k].items()])
+    P = linalg._from_cells((len(kept), size),
+                           [(tag[j], c, x) for c, row in held.items() for j, x in row.items() if j in tag])
+    K = linalg._kernel_rows(held, size, p).values()
+    Z = linalg._from_cells((len(K), size), [(r, j, x) for r, row in enumerate(K) for j, x in row.items()])
+    return {"dim": len(kept), "reps": reps, "im": im, "coords": (P, Z)}
 
 
 @rc.per_object
@@ -464,15 +504,18 @@ def _algebra_homology(alg, s):
 def _homology_record(M, q):
     """Homology record of M in degree q: the record of its residue class,
     made once per module (see the module docstring).  A module with zero
-    differential assembles it block-diagonally from those of H(A)
-    (`_algebra_homology`): its slice complex is the direct sum over
-    generators j of A at degree q - deg(gen_j)."""
+    differential takes it from those of H(A) (`_algebra_homology`): its
+    slice complex is the direct sum over generators j of A at degree
+    q - deg(gen_j).  With one generator that is the H(A) record itself, and
+    with several it is assembled block-diagonally."""
     alg, r = M.alg, residue(M.alg, q)
     if r != q:
         return _homology_record(M, r)
     if any(not x.is_zero for row in M.diff for x in row):
         return _slice_homology(M, q)
     blocks = [_algebra_homology(alg, q - gd) for gd in M.gen_degrees]
+    if len(blocks) == 1:
+        return blocks[0]
     reps, im = (_block_diagonal([H[key] for H in blocks]) for key in ("reps", "im"))
     coords = tuple(_block_diagonal([H["coords"][k] for H in blocks]) for k in (0, 1))
     return {"dim": len(reps), "reps": reps, "im": im, "coords": coords}

@@ -9,8 +9,9 @@ eliminations from the moduli for `Subgroup`, `congruence_kernel`,
   basis over F_p or Q, `_echelon_basis`: each row {column: nonzero entry}
   (Python ints mod p, or Fractions over Q, made in `_sparse_rows`) joins a
   reduced echelon basis {pivot: row} by `_echelon_insert`.  Ranks count its
-  pivots, and kernels and quotients are read off its rows as lists
-  (`_kernel_basis`, also for the homology of a DG slice); only `modp_rref`
+  pivots, and kernels are read off its rows as sparse rows
+  (`_kernel_rows`, which the homology of a DG slice reads directly), and
+  as lists for kernels and quotients (`_kernel_basis`); only `modp_rref`
   and the solves on it pad the rows into an array,
 * any other moduli                             -> integer normal forms:
   - `Subgroup`: the Hermite form `hnf_columns` of the preimage lattice,
@@ -168,12 +169,17 @@ def modp_rref(A, p):
 
 def _echelon_matrix(held, nr, nc, p):
     """nr rows: those held in pivot order, then zeros; int64 over F_p, object over Q."""
-    R = np.zeros((nr, nc), dtype=np.int64 if p else object)
-    cells = [(k, j, x) for k, c in enumerate(sorted(held)) for j, x in held[c].items()]
+    return _from_cells((nr, nc), [(k, j, x) for k, c in enumerate(sorted(held)) for j, x in held[c].items()],
+                       np.int64 if p else object)
+
+
+def _from_cells(shape, cells, dtype=np.int64):
+    """Array of the given shape, zero except at the (row, column, entry) cells."""
+    out = np.zeros(shape, dtype=dtype)
     if cells:
         rr, cc, vv = zip(*cells)
-        R[rr, cc] = vv
-    return R
+        out[rr, cc] = vv
+    return out
 
 
 def modp_matmul(A, B, p):
@@ -190,20 +196,31 @@ def modp_rank(A, p):
     return len(_echelon_basis(A, p, len(A[0]) if len(A) else 0))
 
 
-def _kernel_basis(held, nc, p):
-    """(K, free) for a reduced echelon basis held over F_p, or Q for p = 0,
-    with its pivots below nc: the rows of K, lists, are the reduced echelon
-    basis of the x in nc coordinates on which the held rows, cut to their
-    first nc entries, vanish; one per non-pivot column f in free, with 1 at
-    f and 0 at the other free columns."""
-    K = {f: [0] * nc for f in range(nc) if f not in held}
-    for f, row in K.items():
-        row[f] = 1
+def _kernel_rows(held, nc, p):
+    """The reduced echelon kernel basis of a reduced echelon basis held over
+    F_p, or Q for p = 0, with its pivots below nc, as sparse rows
+    {non-pivot column f: {column: nonzero entry}}, in the order of f: the x
+    in nc coordinates on which the held rows, cut to their first nc entries,
+    vanish, with 1 at f and 0 at the other non-pivot columns.  Its entries
+    at the pivots are the negated entries of the held rows in column f, so
+    the rows are read off held in one pass over its nonzeros."""
+    K = {f: {f: 1} for f in range(nc) if f not in held}
     for c, row in held.items():
         for j, x in row.items():
             if j in K:
                 K[j][c] = -x % p if p else -x
-    return list(K.values()), list(K)
+    return K
+
+
+def _kernel_basis(held, nc, p):
+    """(K, free): the rows of `_kernel_rows` as lists of nc entries, and
+    their non-pivot columns."""
+    K = _kernel_rows(held, nc, p)
+    dense = [[0] * nc for _ in K]
+    for out, row in zip(dense, K.values()):
+        for j, x in row.items():
+            out[j] = x
+    return dense, list(K)
 
 
 def modp_kernel(A, p):
@@ -343,9 +360,12 @@ class Subgroup:
     def __init__(self, cols, moduli):
         self.moduli = tuple(moduli)
         self._p = p = _lane(self.moduli)
-        self._held = {}
-        # the preimage lattice of the integer lane holds the moduli
-        self._insert(list(cols) + (_moduli_cols(self.moduli) if p is None else []))
+        # the preimage lattice of the integer lane holds the moduli: its
+        # Hermite basis starts from their diagonal, whose columns m_i e_i are
+        # already canonical
+        self._held = {} if p is not None else {
+            i: tuple(m * (i == j) for j in range(len(self.moduli))) for i, m in enumerate(self.moduli) if m}
+        self._insert(cols)
 
     def _insert(self, cols):
         """Insert cols into the held basis; canonical rows it leaves untouched are kept."""

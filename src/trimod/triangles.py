@@ -3,10 +3,11 @@
 A map f between finite free graded modules over k[x]/(x^2) lifts to the
 two-generator DG algebra (1 -> 1, x -> u); the third term of the triangle is
 the degreewise homology of the cone of the lift.  Only f is a constructed
-chain map: g and h are the cone's slice inclusion of B and projection onto
-A[n], and A[n], B[n] are read off A and B n degrees lower.  Everything is
-recorded as per-degree slice data over the prime field, which is what
-exactness checks consume.
+chain map, and every map is read off the cone: f and the connecting map
+f[n] are blocks of the cone's slice differentials, g and h are its slice
+inclusion of B and projection onto A[n], and A[n], B[n] are read off A and
+B n degrees lower.  Everything is recorded as per-degree slice data over
+the prime field, which is what exactness checks consume.
 """
 
 from __future__ import annotations
@@ -116,8 +117,11 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
     source_degrees[j] - target_degrees[i] (checked on the lift, as a chain
     map).  The cone's generators are B's followed by A's shifted by n, so its
     degree-q slice is B_q followed by (A[n])_q: g and h are read off the
-    cone's records as that slice inclusion and projection.  A[n] and B[n]
-    are free, so their records at q are those of A and B at q - n.
+    cone's records as that slice inclusion and projection.  The cone's
+    differential holds f as its block from A[n] to B, so f and f[n] are
+    read off the slice differentials its homology builds
+    (`dg.cone_map_slice`).  A[n] and B[n] are free, so their records at q
+    are those of A and B at q - n.
 
     With no weight, the model's weight is dg.DEFAULT_WEIGHT, raised where
     the window needs more (dg.homology bounds the window when |x| != 0).
@@ -157,16 +161,17 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
         reps_b, reps_c = HB[q]["reps"], HC[q]["reps"]
         b = reps_b.shape[1]
         dims[q] = (HA[q]["dim"], HB[q]["dim"], HC[q]["dim"], HAs[q - n]["dim"], HBs[q - n]["dim"])
-        fs[q] = dg.induced_matrix(dg.map_slice(fmap, q), HA[q], HB[q], p)
+        fs[q] = dg.induced_matrix(dg.cone_map_slice(C, fmap, q), HA[q], HB[q], p)
         padded = np.zeros((len(reps_b), reps_c.shape[1]), dtype=np.int64)
         padded[:, :b] = reps_b
         gs[q] = dg.class_coordinates(HC[q], p, padded)
         hs[q] = dg.class_coordinates(HAs[q - n], p, reps_c[:, b:])
         # the connecting map H(A[n])_q -> H(B[n])_q: f with a (-1)^{n|y|}
-        # twist on each coefficient y.  It differs from the naively suspended
-        # matrix by an invertible sign diagonal, so ranks agree with f, but
-        # only this version makes consecutive composites vanish.
-        sfs[q] = dg.induced_matrix(dg.map_slice(fmap, q - n, twist=n), HAs[q - n], HBs[q - n], p)
+        # twist on each coefficient y, the block of the cone's differential
+        # at q.  It differs from the naively suspended matrix by an
+        # invertible sign diagonal, so ranks agree with f, but only this
+        # version makes consecutive composites vanish.
+        sfs[q] = dg.induced_matrix(dg.cone_map_slice(C, fmap, q - n, twist=n), HAs[q - n], HBs[q - n], p)
 
     third = _generator_degrees(C, HC, window)
     return Triangle(p, n, window, dims, fs, gs, hs, sfs, third)

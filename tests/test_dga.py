@@ -279,6 +279,34 @@ def test_g_and_h_match_the_explicit_inclusion_and_projection(p, period, n):
             assert np.array_equal(T.h[q], dg.induced_matrix(dg.map_slice(hmap, q), HC[q], HAs[q], p))
 
 
+@pytest.mark.parametrize("p, period, n", [(2, 4, 1), (3, 4, 1), (5, 4, 1), (3, 2, -1)])
+def test_f_and_suspended_f_match_their_chain_map(p, period, n):
+    # reference: f and f[n] induced by the slice matrices of the lifted map;
+    # the triangle reads them off the cone's differential, which carries a
+    # Leibniz sign on each source block of odd n * degree
+    R = con.laurent_exterior(p, 1, period)
+    alg = tr._model(R, n, dg.DEFAULT_WEIGHT)
+    rng = random.Random(p * period + n)
+    for _ in range(4):
+        # sources with generators of both parities, so that the sign acts on
+        # some blocks and not on others
+        src = []
+        while len({d % 2 for d in src}) < 2:
+            src, tgt, entries = tr.random_map(R, n, rng, max_rank=4)
+        T = tr.triangle_from_map(R, n, src, tgt, entries, window=(-5, 5))
+        M, N = dg.DGModule(alg, src), dg.DGModule(alg, tgt)
+        fmap = dg.DGMap(M, N, [[tr._lift_entry(alg, R, x) for x in row] for row in entries])
+        C = dg.cone(fmap)
+        HA, HAs, HB, HBs = (dg.homology(X, w) for X in (M, N) for w in ((-5, 5), (-5 - n, 5 - n)))
+        for q in range(-5, 6):
+            assert np.array_equal(dg.cone_map_slice(C, fmap, q), dg.map_slice(fmap, q)), f"degree {q}"
+            assert np.array_equal(dg.cone_map_slice(C, fmap, q - n, twist=n),
+                                  dg.map_slice(fmap, q - n, twist=n)), f"degree {q}"
+            assert np.array_equal(T.f[q], dg.induced_matrix(dg.map_slice(fmap, q), HA[q], HB[q], p))
+            assert np.array_equal(T.sf[q], dg.induced_matrix(dg.map_slice(fmap, q - n, twist=n),
+                                                             HAs[q - n], HBs[q - n], p))
+
+
 def test_triangle_input_errors():
     R = lift_ring()
     x = R.basis_element(1)

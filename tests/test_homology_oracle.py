@@ -12,7 +12,9 @@ basis per slice grown by insertion, and on windows spanning two periods of v, wh
 the records to the others, every degree must still match; so must the
 slice differential, which each module builds once per residue class.  One
 triangle must build each slice object once per module and residue class,
-and `_column` must place coordinates as a slice-basis lookup does.  The
+and a one-generator free module must take H(A)'s records as they are; the
+elimination of a slice must keep its rows sparse, and `_column` must place
+coordinates as a slice-basis lookup does.  The
 class coordinates of a batch of cycles must be what one solve per cycle
 gives, `modp_rref` must agree with a pure-Python
 Gauss-Jordan elimination over F_p and over Q, and the per-position exactness check of
@@ -354,7 +356,9 @@ def test_transported_degrees_share_their_record():
 def test_one_triangle_makes_slice_objects_once_per_residue_class(monkeypatch):
     # per module and residue class mod |v|: one slice differential, read by
     # the checks of DGMap and cone and by the elimination, and one record of
-    # a free module, which the shifted windows of A[n] and B[n] reuse
+    # a free module, which the shifted windows of A[n] and B[n] reuse.  A
+    # one-generator free module takes its records from H(A) as they are, a
+    # module on more generators assembles each of them once
     modules, assembled, windows = [], [], []
     cone, homology, assemble = dg.cone, dg.homology, dg._block_diagonal
 
@@ -373,7 +377,8 @@ def test_one_triangle_makes_slice_objects_once_per_residue_class(monkeypatch):
     monkeypatch.setattr(dg, "homology", spied_homology)
     monkeypatch.setattr(dg, "_block_diagonal", lambda blocks: assembled.append(blocks) or assemble(blocks))
     R = con.laurent_exterior(3, 1, 4)
-    src, tgt, entries = tr.random_map(R, 1, random.Random(4), max_rank=3)
+    rng = random.Random(4)
+    src, tgt, entries = tr.random_map(R, 1, rng, max_rank=3)
     tr.triangle_from_map(R, 1, src, tgt, entries, window=(-5, 5))
     M, N, C = modules
     period = abs(C.alg.vdeg)
@@ -384,7 +389,24 @@ def test_one_triangle_makes_slice_objects_once_per_residue_class(monkeypatch):
     assert 0 < built(C, "slice_differential") <= period
     assert all(built(X, "slice_differential") <= period for X in (M, N))
     assert all(0 < built(X, "_homology_record") <= period for X in (M, N))
-    assert [(X, a > 0) for X, w, a in windows if w == (-5, 5) and X is not C] == [(M, True), (N, True)]
+    # the map is [-1] -> [2]: every record of A and B is one of H(A)
+    assert (M.gen_degrees, N.gen_degrees) == ([-1], [2])
+    assert all(dg._homology_record(X, q) is dg._algebra_homology(C.alg, q - X.gen_degrees[0])
+               for X in (M, N) for q in range(-6, 6))
+    assert [(X, a) for X, w, a in windows if w == (-5, 5) and X is not C] == [(M, 0), (N, 0)]
+    assert [(X, a) for X, w, a in windows if w == (-6, 4)] == [(M, 0), (N, 0)]
+
+    # free modules on several generators: four arrays per record, each
+    # record assembled once per residue class, none for the shifted window
+    while len(src) < 2 or len(tgt) < 2:
+        src, tgt, entries = tr.random_map(R, 1, rng, max_rank=3)
+    modules.clear()
+    windows.clear()
+    tr.triangle_from_map(R, 1, src, tgt, entries, window=(-5, 5))
+    M, N, C = modules
+    assert all(0 < built(X, "_homology_record") <= period for X in (M, N))
+    assert [(X, a) for X, w, a in windows if w == (-5, 5) and X is not C] == \
+        [(X, 4 * built(X, "_homology_record")) for X in (M, N)]
     assert [(X, a) for X, w, a in windows if w == (-6, 4)] == [(M, 0), (N, 0)]
 
 
@@ -445,6 +467,20 @@ def test_two_eliminations_per_slice_and_none_on_homology(monkeypatch):
             if q + 1 <= window[1]:
                 dg.u_action_matrix(X, H[X], q)
     assert bases == [] and inserts == []
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_slice_homology_keeps_its_rows_sparse(monkeypatch, model):
+    # kernel rows, tagged cycles, reps and the coordinate map are filled
+    # from sparse rows: no held basis is padded into an array
+    def refuse(*args):
+        raise AssertionError("a held basis was padded into an array")
+
+    monkeypatch.setattr(linalg, "_echelon_matrix", refuse)
+    p, i, n, weight, window = model
+    f = drawn_map(p, i, n, weight, random.Random(p + weight))
+    C = dg.cone(f)
+    same_records(dg.homology(C, window), reference_homology(C, window))
 
 
 @settings(max_examples=30, deadline=None)

@@ -197,6 +197,30 @@ def test_modp_kernel_zero_rows_keeps_width():
     assert linalg.modp_kernel([], 5) == []
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 0])
+def test_kernel_rows_match_modp_kernel(p):
+    # sparse rows read off the held basis: the rows of modp_kernel without
+    # their zeros, keyed by their non-pivot column, each a solution of A x = 0
+    rng = random.Random(p)
+
+    def entry():
+        if rng.random() < 0.5:
+            return 0
+        return rng.randrange(1, p) if p else Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    shapes = [(0, 4), (3, 0), (0, 0)] + [(rng.randint(1, 6), rng.randint(1, 8)) for _ in range(60)]
+    for nr, nc in shapes:
+        A = [[entry() for _ in range(nc)] for _ in range(nr)] if nr else np.zeros((0, nc), dtype=np.int64)
+        held = linalg._echelon_basis(A, p, nc)
+        rows = linalg._kernel_rows(held, nc, p)
+        assert list(rows) == [f for f in range(nc) if f not in held]
+        assert all(row[f] == 1 and all(row.values()) for f, row in rows.items())
+        assert [[row.get(j, 0) for j in range(nc)] for row in rows.values()] == linalg.modp_kernel(A, p)
+        for row, a in itertools.product(rows.values(), A):
+            value = sum(a[j] * x for j, x in row.items())
+            assert (value % p if p else value) == 0
+
+
 @pytest.mark.parametrize("rows,inner,cols", [(0, 2, 3), (2, 0, 3), (3, 2, 0), (0, 0, 0), (3, 4, 2)])
 def test_modp_matmul_shapes(rows, inner, cols):
     rng = random.Random(rows * 100 + inner * 10 + cols)
