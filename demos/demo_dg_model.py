@@ -30,12 +30,15 @@ def vector(s, key):
 
 
 def right_multiplication(s, key):
-    """Matrix of x -> x * key on A_s: the module map A[|key|] -> A sending its
-    generator to key, left unchecked, since it is a chain map only when
-    d(key) = 0."""
-    deg = alg.monomial_degree(*key)
-    f = dg.DGMap(dg.DGModule(alg, [deg]), A, [[dg.DGElement(alg, {key: 1})]], check=False)
-    return dg.map_slice(f, s + deg)
+    """Matrix of x -> x * key on A_s, read off the slice differential of the
+    module on g0, g1 with d(g1) = c * key * g0, left unchecked, since d^2 = 0
+    there only when d(key) = 0.  Its block from the A_s of g1 to g0 is
+    x -> (-1)^{ns} x * c * key (the Leibniz sign), so c = (-1)^{ns}."""
+    deg, n = alg.monomial_degree(*key), alg.n
+    zero, c = dg.DGElement(alg, {}), -1 if n * s % 2 else 1
+    X = dg.DGModule(alg, [0, deg + n], [[zero, dg.DGElement(alg, {key: c})], [zero, zero]], check=False)
+    q = s + deg + n
+    return dg.slice_differential(X, q)[:len(dg.slice_basis(A, q - n)), len(dg.slice_basis(A, q)):]
 
 
 def power(x, k):

@@ -136,8 +136,8 @@ def cmd_dg_verify(args):
         trial = tr.run_random_trials(R, args.n, args.trials, args.seed,
                                      window=window, weight=args.weight)
         triangles_ok = trial["pass"]
-        lines.append(f"random triangles ({args.trials}): "
-                     + ("PASS" if triangles_ok else "FAIL"))
+        lines.append(f"random triangles ({args.trials}): " + ("PASS" if triangles_ok else "FAIL")
+                     + (f" (rotation not checked: {trial['unchecked']})" if trial["unchecked"] else ""))
     report["triangles"] = triangles_ok
     report["lines"] = lines
     _emit(report, args.json)

@@ -20,8 +20,8 @@ The degree-q slice of a semifree module is the direct sum over generators j
 of A_{q - deg(gen_j)}, so its differential is a block matrix: d_A on the
 diagonal blocks, and in block (i, j) right multiplication by diff[i][j]
 times the Leibniz sign (-1)^{n s}, s being the degree of every coefficient
-in the block.  A chain map's slice matrix is the same assembly without the
-diagonal.  Terms past the weight bound are dropped.
+in the block.  Terms past the weight bound are dropped.  Its column of
+1 * gen_j at deg(gen_j) is d(gen_j), where d^2 = 0 is checked.
 
 `calculus_holds` checks the Leibniz rule and d^2 = 0 as identities of these
 matrices on one slice: D R_y = R_y D + (-1)^{ns} R_{dy} on A_s, R_y being
@@ -44,10 +44,9 @@ zero map) takes its homology from H(A): its slice complex is a direct sum
 of slices of A, whose homology each algebra eliminates once per residue
 class (`_algebra_homology`).  A one-generator module's records are those of
 H(A), and a module on several generators assembles its records
-block-diagonally from them.  The slice differential of a cone holds its
-map as a block (`cone_map_slice`), so a triangle reads f and its
-connecting map there, and `map_slice` is left to the chain-map check of
-`DGMap`.
+block-diagonally from them.  A map is checked by its cone, made once per
+map, which squares to zero exactly for a chain map, and its slice matrices
+are blocks of the cone's slice differentials (`map_slice`).
 
 Periodicity: when |v| != 0, the slice bases at q and q + k|v| differ only in
 the v-exponents t, shifted by k, because the basis of A_s depends on t only
@@ -57,8 +56,8 @@ matrices at q + k|v| are those at q, except that d gains the sign
 check forces i and n odd, so |v| is even; for p = 2 every sign is +1).
 Every slice-level object is therefore made once per module and residue
 class (`residue`: q mod |v|, or q when |v| = 0) and shared by every degree
-of the class: the slice differentials, which the d^2 = 0 check of a cone,
-the chain-map check of a DGMap and the elimination all read, and the
+of the class: the slice differentials, which the d^2 = 0 checks of a
+module and of a cone, the map slices and the elimination all read, and the
 homology records, eliminated or assembled.  So the records of M on the
 window shifted by n, which read as those of M[n], are the records of M on
 the window when it spans a period.  A record holds arrays over the slice
@@ -259,36 +258,39 @@ def _block_matrix(alg, rows, cols, block):
 # semifree DG modules
 # ---------------------------------------------------------------------------
 
-def _check_degrees(matrix, col_degrees, row_degrees, what):
-    """Every term of entry (i, j) must have degree col_degrees[j] - row_degrees[i]."""
+def _check_entries(matrix, alg, col_degrees, row_degrees, what):
+    """matrix must have a row per row degree and a column per column degree,
+    and entry (i, j) must lie over alg, with every term of degree
+    col_degrees[j] - row_degrees[i]."""
+    if len(matrix) != len(row_degrees) or any(len(row) != len(col_degrees) for row in matrix):
+        raise ShapeMismatch(f"{what} matrix shape mismatch")
     for i, row in enumerate(matrix):
         for j, x in enumerate(row):
+            if x.alg is not alg:
+                raise ShapeMismatch(f"{what} entry ({i},{j}) over another algebra")
             want = col_degrees[j] - row_degrees[i]
             for key in x.terms:
-                got = x.alg.monomial_degree(*key)
+                got = alg.monomial_degree(*key)
                 if got != want:
                     raise ShapeMismatch(f"{what} entry ({i},{j}) has a term of degree {got}, expected {want}")
 
 
-def _column(M, q, entries):
-    """Coordinates of sum_i entries[i] * gen_i in the degree-q slice of M, as
-    a one-column array; terms past the weight bound are dropped."""
-    bases = [_algebra_basis(M.alg, q - gd) for gd in M.gen_degrees]
-    at = list(itertools.accumulate(map(len, bases), initial=0))
-    col = np.zeros((at[-1], 1), dtype=np.int64)
-    for i, x in enumerate(entries):
-        for key, c in x.terms.items():
-            if key in bases[i]:
-                col[at[i] + bases[i][key], 0] = c
-    return col
+def _d_squared_nonzero(M, gens):
+    """The generators j among gens with d(d(gen_j)) != 0, d(gen_j) read as
+    the column of 1 * gen_j in the slice differential at deg(gen_j)."""
+    for j in gens:
+        if any(not row[j].is_zero for row in M.diff):
+            q = M.gen_degrees[j]
+            d_gen = slice_differential(M, q)[:, [slice_basis(M, q).index((j, (0, 0, 0)))]]
+            if linalg.modp_matmul(slice_differential(M, q - M.alg.n), d_gen, M.alg.p).any():
+                yield j
 
 
 class DGModule:
     """Free A-module on generators with integer degrees, plus a differential.
 
     d(gen_j) = sum_i diff[i][j] * gen_i with entries in A of the degree
-    forced by deg(gen_j) - n - deg(gen_i); d^2 = 0 is checked on each
-    generator through the slice differentials.
+    forced by deg(gen_j) - n - deg(gen_i), and d^2 = 0.
     """
 
     def __init__(self, alg, gen_degrees, diff=None, check=True):
@@ -301,16 +303,9 @@ class DGModule:
             diff = [[DGElement(alg, {}) for _ in range(g)] for _ in range(g)]
         self.diff = [list(row) for row in diff]
         if check:
-            self._validate()
-
-    def _validate(self):
-        alg = self.alg
-        _check_degrees(self.diff, self.gen_degrees, [gd + alg.n for gd in self.gen_degrees],
-                       "differential")
-        for j, gd in enumerate(self.gen_degrees):
-            # d applied to the column of d(gen_j); a zero column needs no slice matrix
-            d_gen = _column(self, gd - alg.n, [row[j] for row in self.diff])
-            if d_gen.any() and linalg.modp_matmul(slice_differential(self, gd - alg.n), d_gen, alg.p).any():
+            _check_entries(self.diff, alg, self.gen_degrees, [gd + alg.n for gd in self.gen_degrees],
+                           "differential")
+            for j in _d_squared_nonzero(self, range(g)):
                 raise ShapeMismatch(f"d^2 != 0 on generator {j}")
 
     def __repr__(self):
@@ -323,73 +318,72 @@ def algebra_module(alg):
 
 
 def shift(M, j):
-    """Degrees shifted by j; differential scaled by (-1)^j."""
-    sign = -1 if j % 2 else 1
-    diff = [[DGElement(M.alg, {k: c * sign for k, c in x.terms.items()}) for x in row] for row in M.diff]
-    return DGModule(M.alg, [d + j for d in M.gen_degrees], diff, check=False)
+    """Degrees shifted by j through the suspension x gen -> (-1)^{j|x|} x gen':
+    entry e = diff[i][k] is scaled by (-1)^{j(n + |e|)} = (-1)^{j(deg gen_k - deg gen_i)}."""
+    degs = M.gen_degrees
+    diff = [[DGElement(M.alg, {key: -c if j * (degs[k] - degs[i]) % 2 else c for key, c in x.terms.items()})
+             for k, x in enumerate(row)] for i, row in enumerate(M.diff)]
+    return DGModule(M.alg, [d + j for d in degs], diff, check=False)
 
 
 class DGMap:
-    """Degree-0 chain map between semifree modules, entries in A."""
+    """Degree-0 map between semifree modules, entries in A; with check, a
+    chain map, which its cone checks."""
 
     def __init__(self, source, target, matrix, check=True):
         self.source = source
         self.target = target
         self.matrix = [list(row) for row in matrix]
+        # the cone, see rings.per_object
+        self._cache = {}
         if check:
-            self._validate()
-
-    def _validate(self):
-        source, target, p = self.source, self.target, self.source.alg.p
-        gs = len(source.gen_degrees)
-        if len(self.matrix) != len(target.gen_degrees) or any(len(r) != gs for r in self.matrix):
-            raise ShapeMismatch("map matrix shape mismatch")
-        _check_degrees(self.matrix, source.gen_degrees, target.gen_degrees, "map")
-        for j, gd in enumerate(source.gen_degrees):
-            below = gd - source.alg.n
-            d_gen = _column(source, below, [row[j] for row in source.diff])
-            f_gen = _column(target, gd, [row[j] for row in self.matrix])
-            # f(d(gen_j)) and d(f(gen_j)); a zero column needs no slice matrix
-            fd = linalg.modp_matmul(map_slice(self, below), d_gen, p) if d_gen.any() else 0
-            df = linalg.modp_matmul(slice_differential(target, gd), f_gen, p) if f_gen.any() else 0
-            if np.any(fd != df):
-                raise NotChainMap(f"map does not commute with d on generator {j}")
+            cone(self)
 
 
+@rc.per_object
 def cone(f):
-    """Generators of the target followed by source generators shifted by n.
+    """Generators of the target followed by source generators shifted by n;
+    one module per map.
 
-    D(n', m) = (d_N n' + f(m), (-1)^n d_M m); reproduces the displayed
-    differential D(a, b) = (da + ub, (-1)^{i+n} db) for f = u: A[i] -> A.
+    D(n', m) = (d_N n' + f(m), d_{M[n]} m), M[n] as in `shift`; reproduces
+    the displayed differential D(a, b) = (da + ub, (-1)^{i+n} db) for
+    f = u: A[i] -> A.  Given d^2 = 0 on M and N, D^2 = 0 exactly when f is
+    a chain map, so f is checked here: one algebra, the shape and degrees
+    of its entries, then D^2 on the shifted source generators.
     """
     alg, N = f.source.alg, f.target
+    if N.alg is not alg:
+        raise ShapeMismatch("map source and target over different algebras")
+    _check_entries(f.matrix, alg, f.source.gen_degrees, N.gen_degrees, "map")
     Mn = shift(f.source, alg.n)
     zeros = [DGElement(alg, {})] * len(N.gen_degrees)
     diff = [dn + fn for dn, fn in zip(N.diff, f.matrix)] + [zeros + dm for dm in Mn.diff]
-    return DGModule(alg, N.gen_degrees + Mn.gen_degrees, diff, check=True)
+    C = DGModule(alg, N.gen_degrees + Mn.gen_degrees, diff, check=False)
+    for j in _d_squared_nonzero(C, range(len(N.gen_degrees), len(C.gen_degrees))):
+        raise NotChainMap(f"map does not commute with d on generator {j - len(N.gen_degrees)}")
+    return C
 
 
-def cone_map_slice(C, f, q, twist=0):
-    """map_slice(f, q, twist) read off the slice differential of C = cone(f)
-    at q + n, which the homology of C builds.
+def map_slice(f, q, twist=0):
+    """Matrix of f from the degree-q slice of its source to that of its
+    target, as an array of shape (target, source), read off the slice
+    differential of cone(f) at q + n; f must be a chain map.
 
-    That slice is B_{q+n} followed by (A[n])_{q+n} = A_q, and its image
-    B_q followed by (A[n])_q, so the block from the A[n] columns to the B
-    rows is f on A_q with each source block j, of degree s_j = q -
-    deg(gen_j), multiplied by the Leibniz sign (-1)^{n s_j}.  That is
-    map_slice(f, q, twist=n), the connecting map of the cone sequence; for
-    another twist, block j is negated where (n + twist) s_j is odd.
+    With twist, each coefficient y is first multiplied by (-1)^{twist |y|};
+    map_slice(f, q - n, twist=n) is the connecting map (A[n])_q -> (B[n])_q
+    of the cone sequence, as slice_basis(M[n], q) == slice_basis(M, q - n).
+    The cone's slice at q + n is B_{q+n} followed by (A[n])_{q+n} = A_q, so
+    its block from the A[n] columns to the B rows is f on A_q with each
+    source block j, of degree s_j = q - deg(gen_j), multiplied by the
+    Leibniz sign (-1)^{n s_j}: twist n.  For another twist, block j is
+    negated where (n + twist) s_j is odd.
     """
-    alg = C.alg
-    target = [q - d for d in f.target.gen_degrees]
-    rows = sum(len(_algebra_basis(alg, s)) for s in target)
-    start = sum(len(_algebra_basis(alg, s + alg.n)) for s in target)
-    out = slice_differential(C, q + alg.n)[:rows, start:]
-    cols = [q - d for d in f.source.gen_degrees]
-    at = list(itertools.accumulate((len(_algebra_basis(alg, s)) for s in cols), initial=0))
+    alg = f.source.alg
+    rows, start = len(slice_basis(f.target, q)), len(slice_basis(f.target, q + alg.n))
+    out = slice_differential(cone(f), q + alg.n)[:rows, start:]
     # over F_2 every sign is +1
-    flip = [c for j, s in enumerate(cols) if alg.p != 2 and (alg.n + twist) * s % 2
-            for c in range(at[j], at[j + 1])]
+    flip = [c for c, (j, _) in enumerate(slice_basis(f.source, q))
+            if alg.p != 2 and (alg.n + twist) * (q - f.source.gen_degrees[j]) % 2]
     if flip:
         out = out.copy()
         out[:, flip] = -out[:, flip] % alg.p
@@ -428,25 +422,6 @@ def slice_differential(M, q):
     out = _block_matrix(alg, [s - alg.n for s in cols], cols, block)
     out.flags.writeable = False
     return out
-
-
-def map_slice(f, q, twist=0):
-    """Matrix of f from the degree-q slice of its source to that of its
-    target, as an array of shape (target, source).
-
-    With twist, each coefficient y is first multiplied by (-1)^{twist |y|}.
-    Because slice_basis(M[n], q) == slice_basis(M, q - n), map_slice(f,
-    q - n, twist=n) is the connecting map (A[n])_q -> (B[n])_q of the cone
-    sequence: lift a cycle of A[n] into the cone and apply its differential.
-    A triangle reads both f and this connecting map off the cone's slice
-    differentials (`cone_map_slice`), so this assembly serves the chain-map
-    check of `DGMap`.
-    """
-    alg = f.source.alg
-    cols = [q - gd for gd in f.source.gen_degrees]
-    return _block_matrix(alg, [q - gd for gd in f.target.gen_degrees], cols,
-                         lambda i, j: _right_multiplication(alg, cols[j], f.matrix[i][j].terms,
-                                                            -1 if (twist * cols[j]) % 2 else 1))
 
 
 def _slice_homology(M, q):

@@ -3,11 +3,11 @@
 A map f between finite free graded modules over k[x]/(x^2) lifts to the
 two-generator DG algebra (1 -> 1, x -> u); the third term of the triangle is
 the degreewise homology of the cone of the lift.  Only f is a constructed
-chain map, and every map is read off the cone: f and the connecting map
-f[n] are blocks of the cone's slice differentials, g and h are its slice
-inclusion of B and projection onto A[n], and A[n], B[n] are read off A and
-B n degrees lower.  Everything is recorded as per-degree slice data over
-the prime field, which is what exactness checks consume.
+chain map, checked by its cone, and every map is read off the cone: f and
+f[n] are blocks of its slice differentials, g and h its slice inclusion of
+B and projection onto A[n]; A[n], B[n] are read off A and B n degrees
+lower.  Everything is recorded as per-degree slice data over the prime
+field, which is what exactness checks consume.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import dga as dg
 from . import linalg
 from . import rings as rc
-from .errors import LiftFailure
+from .errors import LiftFailure, WindowEmpty
 
 
 class Triangle:
@@ -115,13 +115,13 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
     source_degrees/target_degrees list generator degrees; entries is the
     matrix of f with entries[i][j] homogeneous of degree
     source_degrees[j] - target_degrees[i] (checked on the lift, as a chain
-    map).  The cone's generators are B's followed by A's shifted by n, so its
-    degree-q slice is B_q followed by (A[n])_q: g and h are read off the
-    cone's records as that slice inclusion and projection.  The cone's
-    differential holds f as its block from A[n] to B, so f and f[n] are
-    read off the slice differentials its homology builds
-    (`dg.cone_map_slice`).  A[n] and B[n] are free, so their records at q
-    are those of A and B at q - n.
+    map, by its cone).  The cone's generators are B's followed by A's
+    shifted by n, so its degree-q slice is B_q followed by (A[n])_q: g and h
+    are read off the cone's records as that slice inclusion and projection.
+    The cone's differential holds f as its block from A[n] to B, so f and
+    f[n] are read off the slice differentials its homology builds
+    (`dg.map_slice`).  A[n] and B[n] are free, so their records at q are
+    those of A and B at q - n.
 
     With no weight, the model's weight is dg.DEFAULT_WEIGHT, raised where
     the window needs more (dg.homology bounds the window when |x| != 0).
@@ -161,7 +161,7 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
         reps_b, reps_c = HB[q]["reps"], HC[q]["reps"]
         b = reps_b.shape[1]
         dims[q] = (HA[q]["dim"], HB[q]["dim"], HC[q]["dim"], HAs[q - n]["dim"], HBs[q - n]["dim"])
-        fs[q] = dg.induced_matrix(dg.cone_map_slice(C, fmap, q), HA[q], HB[q], p)
+        fs[q] = dg.induced_matrix(dg.map_slice(fmap, q), HA[q], HB[q], p)
         padded = np.zeros((len(reps_b), reps_c.shape[1]), dtype=np.int64)
         padded[:, :b] = reps_b
         gs[q] = dg.class_coordinates(HC[q], p, padded)
@@ -171,7 +171,7 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
         # at q.  It differs from the naively suspended matrix by an
         # invertible sign diagonal, so ranks agree with f, but only this
         # version makes consecutive composites vanish.
-        sfs[q] = dg.induced_matrix(dg.cone_map_slice(C, fmap, q - n, twist=n), HAs[q - n], HBs[q - n], p)
+        sfs[q] = dg.induced_matrix(dg.map_slice(fmap, q - n, twist=n), HAs[q - n], HBs[q - n], p)
 
     third = _generator_degrees(C, HC, window)
     return Triangle(p, n, window, dims, fs, gs, hs, sfs, third)
@@ -241,13 +241,15 @@ def verify_rotation(T):
     """Exactness of the rotated triangle B -> C -> A[n] -> B[n].
 
     The suspension of g is conjugate to g shifted by n, so the check at B[n]
-    only needs data already recorded on the original triangle.
+    only needs data already recorded on the original triangle.  WindowEmpty
+    when no degree q of the window has q - n in it.
     """
     lo, hi = T.window
+    degrees = range(max(lo, lo + T.n), min(hi, hi + T.n) + 1)
+    if not degrees:
+        raise WindowEmpty(f"window {lo}:{hi} holds no degree q with q - n in it, at n = {T.n}")
     passed, ranks = set(), {}
-    for q in range(lo, hi + 1):
-        if not (lo <= q - T.n <= hi):
-            continue
+    for q in degrees:
         for position in ("C", "SA", "SB"):
             failure = _exact_at(T, q, position, passed, ranks)
             if failure:
@@ -274,20 +276,25 @@ def _random_homogeneous(R, d, rng):
 
 
 def run_random_trials(R, n, trials, seed, window=None, weight=None):
-    """Build and verify `trials` seeded random triangles; returns a report."""
+    """Build and verify `trials` seeded random triangles; returns a report.
+    Where the window is too narrow for verify_rotation, each result's
+    rotation is None and "unchecked" holds the reason."""
     rng = random.Random(seed)
-    results = []
+    results, unchecked = [], None
     for k in range(trials):
         src, tgt, entries = random_map(R, n, rng)
         T = triangle_from_map(R, n, src, tgt, entries, window=window, weight=weight)
         rep = verify_triangle_exact(T)
-        rot = verify_rotation(T)
+        try:
+            rot = verify_rotation(T)
+        except WindowEmpty as e:
+            rot, unchecked = {"pass": None}, str(e)
         results.append({
             "trial": k,
             "exact": rep["pass"],
             "rotation": rot["pass"],
             "third_degrees": T.third_generator_degrees,
-            "detail": rep if not rep["pass"] else rot if not rot["pass"] else None,
+            "detail": rep if not rep["pass"] else rot if rot["pass"] is False else None,
         })
-    ok = all(r["exact"] and r["rotation"] for r in results)
-    return {"pass": ok, "trials": trials, "results": results}
+    ok = all(r["exact"] and r["rotation"] is not False for r in results)
+    return {"pass": ok, "trials": trials, "results": results, "unchecked": unchecked}

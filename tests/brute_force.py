@@ -13,14 +13,16 @@ their slices are.  Their ring elements are multiplied by
 `rings._times`.  The DG model's closed forms are checked against a
 generic word rewriter in the same way, and its elements are multiplied and
 differentiated here as term dicts {(t, e, m): c}, with no weight bound, for
-tests that compare the slice matrices with element arithmetic.
+tests that compare the slice matrices with element arithmetic; `map_slice`
+assembles a DG map's slice matrix block by block from the slice matrices of
+A, where the library reads it off the map's cone.
 """
 
 import itertools
 
 import numpy as np
 
-from trimod import linalg
+from trimod import dga, linalg
 from trimod.errors import ParityObstruction, ShapeMismatch, WeightOverflow
 from trimod.rings import Ideal, RingElement, maximal_ideal
 
@@ -208,6 +210,18 @@ def dg_leibniz_holds(alg, x, y):
     rhs = dg_add(alg, dg_multiply(alg, dg_differential(alg, x), y),
                  dg_multiply(alg, x, dg_differential(alg, y)), sign)
     return dg_differential(alg, dg_multiply(alg, x, y)) == rhs
+
+
+def map_slice(f, q, twist=0):
+    """The slice matrix of the DG map f, assembled block by block: block
+    (i, j) is right multiplication by f.matrix[i][j] on the slice of A at
+    s = q - deg(gen_j), times (-1)^{twist s}.  The reference for
+    `dga.map_slice`, which reads it off the cone's slice differential."""
+    alg = f.source.alg
+    cols = [q - gd for gd in f.source.gen_degrees]
+    return dga._block_matrix(alg, [q - gd for gd in f.target.gen_degrees], cols,
+                             lambda i, j: dga._right_multiplication(alg, cols[j], f.matrix[i][j].terms,
+                                                                    -1 if (twist * cols[j]) % 2 else 1))
 
 
 def dg_random_monomial(alg, rng, max_m=6, max_t=2):

@@ -189,6 +189,25 @@ def test_cone_of_identity_is_acyclic():
     assert all(H[q]["dim"] == 0 for q in range(-4, 5))
 
 
+def test_identity_of_a_module_with_odd_entries_is_a_chain_map():
+    # entries of odd degree change sign under the suspension: in the cone of
+    # f: [-4] -> [0, -1] with entries v^-1 and v^-1 u, and in the module with
+    # d g1 = -u^2 g0 and d g2 = a g0 + g1, which is no cone.  The cone of
+    # the identity of either is acyclic, and the suspension keeps d^2 = 0
+    A = dg.build_two_generator_dga(3, 1, 1)
+    f = dg.DGMap(dg.DGModule(A, [-4]), dg.DGModule(A, [0, -1]),
+                 [[element(A, (-1, 0, 0))], [element(A, (-1, 0, 1))]])
+    z, minus_u2 = element(A), dg.DGElement(A, {(0, 0, 2): -1})
+    M = dg.DGModule(A, [0, 3, 4], [[z, minus_u2, element(A, A_GEN)], [z, z, element(A, ONE)], [z, z, z]])
+    for X in (dg.cone(f), M):
+        g = len(X.gen_degrees)
+        ident = dg.DGMap(X, X, [[element(A, ONE if r == c else None) for c in range(g)] for r in range(g)])
+        H = dg.homology(dg.cone(ident), (-4, 4))
+        assert all(H[q]["dim"] == 0 for q in range(-4, 5))
+        S = dg.shift(X, 1)
+        dg.DGModule(A, S.gen_degrees, S.diff)
+
+
 def test_d_squared_nonzero_rejected():
     # d g2 = g1, d g1 = g0, so d^2 g2 = g0
     A = dg.build_two_generator_dga(3, 1, 1)
@@ -216,6 +235,43 @@ def test_not_chain_map():
         dg.DGMap(M, N, [[element(A, A_GEN)]])
 
 
+def test_map_is_checked_by_its_one_cone():
+    # the chain-map check is the cone's d^2 = 0 check, made once per map:
+    # the cone is one object, and a map built unchecked raises where its
+    # slices are read off the cone
+    A = dg.build_two_generator_dga(3, 1, 1)
+    M, N = dg.DGModule(A, [A.adeg]), dg.DGModule(A, [0])
+    f = dg.DGMap(dg.DGModule(A, [A.i]), N, [[element(A, U)]])
+    assert dg.cone(f) is dg.cone(f)
+    g = dg.DGMap(M, N, [[element(A, A_GEN)]], check=False)
+    with pytest.raises(NotChainMap, match="generator 0"):
+        dg.map_slice(g, A.adeg)
+    with pytest.raises(NotChainMap):
+        dg.cone(g)
+
+
+def test_differential_of_wrong_shape_rejected():
+    A = dg.build_two_generator_dga(3, 1, 1)
+    z = element(A)
+    for diff in ([[z, z]], [[z, z], [z]], [[z, z], [z, z, z]], [[z, z], [z, z], [z, z]]):
+        with pytest.raises(ShapeMismatch, match="shape"):
+            dg.DGModule(A, [0, 1], diff)
+    dg.DGModule(A, [0, 1], [[z, z], [z, z]])
+
+
+def test_one_algebra_per_module_and_map():
+    A3, A5 = dg.build_two_generator_dga(3, 1, 1), dg.build_two_generator_dga(5, 1, 1)
+    # an entry over another algebra, even one built with the same parameters
+    for other in (A5, dg.build_two_generator_dga(3, 1, 1)):
+        with pytest.raises(ShapeMismatch, match="another algebra"):
+            dg.DGModule(A3, [0, 0], [[element(A3), element(other)], [element(A3), element(A3)]])
+        with pytest.raises(ShapeMismatch, match="another algebra"):
+            dg.DGMap(dg.DGModule(A3, [0]), dg.DGModule(A3, [0]), [[element(other, ONE)]])
+    with pytest.raises(ShapeMismatch, match="different algebras"):
+        dg.DGMap(dg.DGModule(A3, [0]), dg.DGModule(A5, [0]), [[element(A3, ONE)]])
+    dg.DGMap(dg.DGModule(A3, [0]), dg.DGModule(A3, [0]), [[element(A3, ONE)]])
+
+
 def lift_ring():
     # k[x]/(x^2), |x| = 1, over F_3 with an invertible element of degree 4
     return con.laurent_exterior(3, 1, 4)
@@ -230,6 +286,26 @@ def test_triangle_of_x():
     rot = tr.verify_rotation(T)
     assert rot["pass"], rot
     assert len(T.third_generator_degrees) == 1
+
+
+@pytest.mark.parametrize("period, n", [(6, 3), (2, -1)])
+def test_rotation_check_needs_a_degree_and_its_shift(period, n):
+    # the rotated triangle is checked at the degrees q with q - n in the
+    # window; a window spanning fewer than |n| degrees holds none of them,
+    # and the check raises instead of passing vacuously
+    R = con.laurent_exterior(3, 1, period)
+    for hi in range(abs(n)):
+        T = tr.triangle_from_map(R, n, [0], [0], [[R.one()]], window=(0, hi))
+        assert tr.verify_triangle_exact(T)["pass"]
+        with pytest.raises(WindowEmpty):
+            tr.verify_rotation(T)
+    T = tr.triangle_from_map(R, n, [0], [0], [[R.one()]], window=(0, abs(n)))
+    assert tr.verify_rotation(T)["pass"]
+    # the command reports the rotation as not checked
+    report = tr.run_random_trials(R, n, 3, 1, window=(0, abs(n) - 1))
+    assert report["pass"] and "q - n" in report["unchecked"]
+    assert [r["rotation"] for r in report["results"]] == [None] * 3
+    assert tr.run_random_trials(R, n, 3, 1, window=(0, abs(n)))["unchecked"] is None
 
 
 def test_triangle_of_zero_map():
@@ -281,9 +357,10 @@ def test_g_and_h_match_the_explicit_inclusion_and_projection(p, period, n):
 
 @pytest.mark.parametrize("p, period, n", [(2, 4, 1), (3, 4, 1), (5, 4, 1), (3, 2, -1)])
 def test_f_and_suspended_f_match_their_chain_map(p, period, n):
-    # reference: f and f[n] induced by the slice matrices of the lifted map;
-    # the triangle reads them off the cone's differential, which carries a
-    # Leibniz sign on each source block of odd n * degree
+    # reference: f and f[n] induced by the slice matrices of the lifted map,
+    # assembled block by block; the triangle reads them off the cone's
+    # differential, which carries a Leibniz sign on each source block of odd
+    # n * degree
     R = con.laurent_exterior(p, 1, period)
     alg = tr._model(R, n, dg.DEFAULT_WEIGHT)
     rng = random.Random(p * period + n)
@@ -296,15 +373,13 @@ def test_f_and_suspended_f_match_their_chain_map(p, period, n):
         T = tr.triangle_from_map(R, n, src, tgt, entries, window=(-5, 5))
         M, N = dg.DGModule(alg, src), dg.DGModule(alg, tgt)
         fmap = dg.DGMap(M, N, [[tr._lift_entry(alg, R, x) for x in row] for row in entries])
-        C = dg.cone(fmap)
         HA, HAs, HB, HBs = (dg.homology(X, w) for X in (M, N) for w in ((-5, 5), (-5 - n, 5 - n)))
         for q in range(-5, 6):
-            assert np.array_equal(dg.cone_map_slice(C, fmap, q), dg.map_slice(fmap, q)), f"degree {q}"
-            assert np.array_equal(dg.cone_map_slice(C, fmap, q - n, twist=n),
-                                  dg.map_slice(fmap, q - n, twist=n)), f"degree {q}"
-            assert np.array_equal(T.f[q], dg.induced_matrix(dg.map_slice(fmap, q), HA[q], HB[q], p))
-            assert np.array_equal(T.sf[q], dg.induced_matrix(dg.map_slice(fmap, q - n, twist=n),
-                                                             HAs[q - n], HBs[q - n], p))
+            f, sf = brute_force.map_slice(fmap, q), brute_force.map_slice(fmap, q - n, twist=n)
+            assert np.array_equal(dg.map_slice(fmap, q), f), f"degree {q}"
+            assert np.array_equal(dg.map_slice(fmap, q - n, twist=n), sf), f"degree {q}"
+            assert np.array_equal(T.f[q], dg.induced_matrix(f, HA[q], HB[q], p))
+            assert np.array_equal(T.sf[q], dg.induced_matrix(sf, HAs[q - n], HBs[q - n], p))
 
 
 def test_triangle_input_errors():

@@ -13,8 +13,10 @@ the records to the others, every degree must still match; so must the
 slice differential, which each module builds once per residue class.  One
 triangle must build each slice object once per module and residue class,
 and a one-generator free module must take H(A)'s records as they are; the
-elimination of a slice must keep its rows sparse, and `_column` must place
-coordinates as a slice-basis lookup does.  The
+elimination of a slice must keep its rows sparse, and the column of 1 * gen
+in a slice differential must hold d(gen) as a slice-basis lookup does.  A
+map must raise NotChainMap exactly when element arithmetic finds
+f(d gen) != d(f gen) on a generator.  The
 class coordinates of a batch of cycles must be what one solve per cycle
 gives, `modp_rref` must agree with a pure-Python
 Gauss-Jordan elimination over F_p and over Q, and the per-position exactness check of
@@ -34,7 +36,7 @@ from trimod import constructions as con
 from trimod import dga as dg
 from trimod import linalg
 from trimod import triangles as tr
-from trimod.errors import ShapeMismatch
+from trimod.errors import NotChainMap, ShapeMismatch
 
 # ---------------------------------------------------------------------------
 # references
@@ -355,7 +357,7 @@ def test_transported_degrees_share_their_record():
 
 def test_one_triangle_makes_slice_objects_once_per_residue_class(monkeypatch):
     # per module and residue class mod |v|: one slice differential, read by
-    # the checks of DGMap and cone and by the elimination, and one record of
+    # the cone's check, the map slices and the elimination, and one record of
     # a free module, which the shifted windows of A[n] and B[n] reuse.  A
     # one-generator free module takes its records from H(A) as they are, a
     # module on more generators assembles each of them once
@@ -363,8 +365,10 @@ def test_one_triangle_makes_slice_objects_once_per_residue_class(monkeypatch):
     cone, homology, assemble = dg.cone, dg.homology, dg._block_diagonal
 
     def spied_cone(f):
+        # the map's check, the triangle and its map slices share one cone
         C = cone(f)
-        modules.extend((f.source, f.target, C))
+        if C not in modules:
+            modules.extend((f.source, f.target, C))
         return C
 
     def spied_homology(M, window):
@@ -423,18 +427,102 @@ def reference_column(M, q, entries):
 
 @pytest.mark.parametrize("p, i, n", [(3, 1, 1), (5, -1, -1), (2, 1, -3)])
 def test_column_matches_slice_basis_reference(p, i, n):
-    # generators of equal degree, and terms up to u-weight W + 3, those past
-    # the weight bound W dropped
+    # the d^2 = 0 checks read d(gen) as the column of 1 * gen in the slice
+    # differential at deg(gen): here a fifth generator, of degree q + n, over
+    # generators of equal degree, with d(gen) holding terms up to u-weight
+    # W + 3, those past the weight bound W dropped
     alg = dg.build_two_generator_dga(p, i, n, 6)
     M = dg.DGModule(alg, [0, 1, 1, -2])
     wide = dg.build_two_generator_dga(p, i, n, alg.weight + 3)
-    rng, dropped = random.Random(p), 0
+    rng, dropped, zero = random.Random(p), 0, dg.DGElement(alg, {})
     for q in range(-6, 7):
         entries = [dg.DGElement(alg, {key: rng.randrange(1, p) for key in dg._algebra_basis(wide, q - gd)
                                       if rng.random() < 0.6}) for gd in M.gen_degrees]
         dropped += sum(m > alg.weight for x in entries for _, _, m in x.terms)
-        assert dg._column(M, q, entries)[:, 0].tolist() == reference_column(M, q, entries), f"degree {q}"
+        X = dg.DGModule(alg, M.gen_degrees + [q + n], [[zero] * 4 + [x] for x in entries] + [[zero] * 5],
+                        check=False)
+        col = dg.slice_differential(X, q + n)[:, dg.slice_basis(X, q + n).index((4, (0, 0, 0)))]
+        assert col.tolist() == reference_column(X, q, entries + [zero]), f"degree {q}"
     assert dropped
+
+
+# (p, i, n): p = 2 with |v| = 0, odd n at p = 2, 3 and 5, and a negative
+# period at p = 5
+CHAIN_MODELS = [(2, 1, -3), (2, 1, 1), (3, 1, 1), (5, -1, -1)]
+
+
+def low_weight_matrix(source, target, rng, cycles):
+    """Random entries of the right degrees with u-weights at most 2, so that
+    no product or differential of the check reaches the weight bound.  When
+    cycles, a chain map: sums of the cycles v^t u^m, zero on the rows of the
+    target generators with d(gen) != 0 and on the columns of the source
+    generators that a differential hits."""
+    alg = source.alg
+    closed = [not cycles or all(x.is_zero for x in col) for col in zip(*target.diff)]
+    unhit = [not cycles or all(x.is_zero for x in row) for row in source.diff]
+
+    def entry(deg, keep):
+        keys = [key for key in dg._algebra_basis(alg, deg) if keep and key[2] <= 2 and not (cycles and key[1])]
+        return dg.DGElement(alg, {key: rng.randrange(alg.p) for key in keys if rng.random() < 0.5})
+
+    return [[entry(sd - td, closed[i] and unhit[j]) for j, sd in enumerate(source.gen_degrees)]
+            for i, td in enumerate(target.gen_degrees)]
+
+
+def drawn_chain_module(alg, rng):
+    """A free module, or the cone of a map of free modules with cycle entries."""
+    free = [dg.DGModule(alg, [rng.randint(-2, 2) for _ in range(rng.randint(1, 3))]) for _ in range(2)]
+    if rng.random() < 0.5:
+        return free[0]
+    return dg.cone(dg.DGMap(*free, low_weight_matrix(*free, rng, cycles=True)))
+
+
+def commutes_with_d(f):
+    """f(d gen_j) == d(f gen_j) on every source generator, by term
+    arithmetic with no weight bound."""
+    def nonzero(elem):
+        return {i: x for i, x in elem.items() if x}
+
+    for j in range(len(f.source.gen_degrees)):
+        gen = {j: {(0, 0, 0): 1}}
+        fd = reference_apply_map(f, nonzero(reference_apply_diff(f.source, gen)))
+        df = reference_apply_diff(f.target, nonzero(reference_apply_map(f, gen)))
+        if nonzero(fd) != nonzero(df):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("model", CHAIN_MODELS)
+def test_not_chain_map_exactly_when_brute_force_finds_one(model):
+    # the chain-map check of DGMap is the d^2 = 0 check of its cone; both
+    # outcomes are drawn, and chain maps that are nonzero with a cone on
+    # one side.  A unit times the identity, one entry of it sometimes
+    # redrawn, is nonzero on the generators that a differential hits
+    alg = dg.build_two_generator_dga(*model)
+    rng, outcomes = random.Random(sum(model)), []
+    for _ in range(80):
+        M, N = drawn_chain_module(alg, rng), drawn_chain_module(alg, rng)
+        mode = rng.random()
+        if mode < 0.25:
+            N, c, g = M, rng.randrange(1, alg.p), len(M.gen_degrees)
+            matrix = [[dg.DGElement(alg, {(0, 0, 0): c * (i == j)}) for j in range(g)] for i in range(g)]
+            if mode < 0.1:
+                i, j = rng.randrange(g), rng.randrange(g)
+                matrix[i][j] = low_weight_matrix(M, M, rng, cycles=False)[i][j]
+        else:
+            matrix = low_weight_matrix(M, N, rng, cycles=mode < 0.5)
+        commutes = commutes_with_d(dg.DGMap(M, N, matrix, check=False))
+        try:
+            dg.DGMap(M, N, matrix)
+        except NotChainMap:
+            assert not commutes
+        else:
+            assert commutes
+        nonzero = any(not x.is_zero for X in (M, N) for row in X.diff for x in row) and \
+            any(not x.is_zero for row in matrix for x in row)
+        outcomes.append((commutes, nonzero))
+    assert sum(not c for c, _ in outcomes) >= 10 and sum(c for c, _ in outcomes) >= 10
+    assert outcomes.count((True, True)) >= 3
 
 
 def test_two_eliminations_per_slice_and_none_on_homology(monkeypatch):

@@ -184,6 +184,20 @@ def test_only_times_looks_up_products():
     assert _stray(_product_lookups, {("rings", "_times")}) == []
 
 
+def _right_multiplications(tree):
+    """(scope, line) of each reference to `_right_multiplication`."""
+    for scope, node in _scoped_nodes(tree):
+        if (getattr(node, "id", None) or getattr(node, "attr", None)) == "_right_multiplication":
+            yield scope, node.lineno
+
+
+def test_only_slice_differential_and_calculus_multiply_by_entries():
+    # a module's slice differential is the one assembly of right
+    # multiplications by its entries (a map's slices are read off its cone),
+    # and the calculus check tests the rule they obey
+    assert _stray(_right_multiplications, {("dga", "slice_differential"), ("dga", "calculus_holds")}) == []
+
+
 def _degree_reductions(tree):
     """(scope, line) of each `x % y` whose modulus y names `vdeg` or
     `period`, unless it is a membership test `x % y == 0`."""

@@ -321,6 +321,19 @@ def test_cli_dg_verify_calculus_at_the_smallest_weight(argv, capsys):
     assert "differential calculus (20 random pairs): PASS" in out
 
 
+def test_cli_dg_verify_names_an_unchecked_rotation(capsys):
+    # a window spanning fewer than |n| degrees holds no degree of the
+    # rotation check: the line says so instead of a bare PASS
+    code, out, err = _run(["dg-verify", "--p", "3", "--i", "1", "--n", "3", "--window", "0:1",
+                           "--trials", "3", "--seed", "1"], capsys)
+    assert code == 0, err
+    assert "random triangles (3): PASS (rotation not checked: window 0:1 holds no degree q" in out
+    code, out, err = _run(["dg-verify", "--p", "3", "--i", "1", "--n", "3", "--window", "0:3",
+                           "--trials", "3", "--seed", "1"], capsys)
+    assert code == 0, err
+    assert "random triangles (3): PASS\n" in out
+
+
 def test_cli_dg_verify_triangles_keep_the_window(capsys):
     # the random triangles use the command's window: at n = 3 a map spanning
     # degrees -3..3 would otherwise widen it past the default weight bound
