@@ -116,6 +116,8 @@ class FiniteModule:
         if ring.periodicity is not None or ring.char == 0 or any(ring.degrees):
             raise ShapeMismatch("modules require a finite ungraded coefficient ring")
         g = int(generators)
+        if g * ring.dim > rc.MAX_TABLE_DIM ** 2:
+            raise SizeCapExceeded(f"{g} generators times ring dimension {ring.dim} above {rc.MAX_TABLE_DIM ** 2}")
         relations = [list(col) for col in relations]
         if any(len(col) != g for col in relations):
             raise ShapeMismatch("relation column length must match generator count")

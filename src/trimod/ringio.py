@@ -6,6 +6,10 @@ Ring files carry `characteristic`, `basis` (name/degree, optional additive
 products are zero.  The multiplicative unit is not stored: it is recovered by
 solving u * b = b over the degree-0 slice, a system whose products are taken
 by `rings._times`, the one loop that multiplies through the table.
+
+`RING_SCHEMA` and `MODULE_SCHEMA` are the file formats.  `_check` walks a
+file against its schema before any field is read, naming the place of the
+first offending value; checks across fields (names, unit, axioms) follow.
 """
 
 from __future__ import annotations
@@ -20,52 +24,105 @@ from .errors import ParseError
 from .modules import FiniteModule
 from .rings import _NAME_RE, GradedRing, _times, validate_ring
 
-RING_KEYS = {"characteristic", "basis", "periodicity", "products"}
-MODULE_KEYS = {"ring", "generators", "relations"}
-
 
 def _fail(msg, path=None):
     raise ParseError(msg, path)
 
 
+def _is_int(x):
+    # a JSON boolean is no integer
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_rational(x):
+    """A string that reads as a rational, such as "1/2"."""
+    try:
+        return isinstance(x, str) and Fraction(x) is not None
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+# A schema is a check (predicate, what it wants), a one-entry list for a
+# JSON array of that schema, or a dict for a JSON object, whose keys ending
+# in "?" are optional.
+INT = (_is_int, "an integer")
+NATURAL = (lambda x: _is_int(x) and x >= 0, "a nonnegative integer")
+NAME = (lambda x: isinstance(x, str) and _NAME_RE.match(x) is not None, "an identifier")
+TERMS = [{"coeff": (lambda x: _is_int(x) or _is_rational(x), "an integer or a rational string"),
+          "basis": NAME, "vpow?": INT}]
+RING_SCHEMA = {
+    "characteristic": NATURAL,
+    "basis": [{"name": NAME, "degree": INT, "order?": NATURAL}],
+    "periodicity?": {"unit": NAME, "degree": (lambda x: _is_int(x) and x > 0, "a positive integer")},
+    "products": [{"left": NAME, "right": NAME, "terms": TERMS}],
+}
+MODULE_SCHEMA = {
+    "ring": (lambda x: isinstance(x, (str, dict)), "a path or an object"),
+    "generators": NATURAL,
+    "relations": [[TERMS]],
+}
+_ARRAY = (lambda x: isinstance(x, list), "an array")
+_OBJECT = (lambda x: isinstance(x, dict), "an object")
+
+
+def _check(value, schema, path, where):
+    """Check the type of value and of everything in it against schema; the
+    ParseError names the place of the first offending value, such as
+    `products[3] terms`."""
+    ok, what = _ARRAY if isinstance(schema, list) else _OBJECT if isinstance(schema, dict) else schema
+    if not ok(value):
+        _fail(f"{where or 'spec'} must be {what}", path)
+    if isinstance(schema, list):
+        for i, item in enumerate(value):
+            _check(item, schema[0], path, f"{where}[{i}]")
+    elif isinstance(schema, dict):
+        keys = {key.rstrip("?"): key for key in schema}
+        within = f" in {where}" if where else ""
+        if unknown := set(value) - set(keys):
+            _fail(f"unknown keys {sorted(unknown)}{within}", path)
+        for name, key in keys.items():
+            if name in value:
+                _check(value[name], schema[key], path, f"{where} {name}".lstrip())
+            elif key == name:
+                _fail(f"missing key {name!r}{within}", path)
+
+
 def _load_json(text, path=None):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
-        _fail(f"{e.msg} (line {e.lineno}, column {e.colno})", path)
+    except ValueError as e:
+        # a JSONDecodeError, which names line and column, or an integer
+        # with more digits than int() may convert
+        _fail(str(e), path)
 
 
-def _coeff_in(raw, char, path):
-    """An integer, or a rational written as a string (characteristic 0 only)."""
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return raw
-    if isinstance(raw, str):
-        try:
-            c = Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            _fail(f"bad coefficient {raw!r}", path)
-        if char and c.denominator != 1:
-            _fail(f"non-integer coefficient {raw!r} in characteristic {char}", path)
-        return c
-    _fail(f"bad coefficient {raw!r}", path)
+def _read(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        _fail(str(e), path)
+
+
+def _basis_index(index, name, path):
+    if name not in index:
+        _fail(f"unknown basis name {name!r}", path)
+    return index[name]
 
 
 def _element_terms(raw, index, char, path, vpow_error):
-    """(coeff, basis index, vpow) for each term of an element; vpow_error is
-    the message for a nonzero vpow, or None where one is allowed."""
+    """(coeff, basis index, vpow) for each checked term of an element;
+    vpow_error is the message for a nonzero vpow, or None where one is
+    allowed.  A rational coefficient needs characteristic 0."""
     out = []
     for term in raw:
-        if not isinstance(term, dict) or not {"coeff", "basis"} <= set(term) \
-                or not set(term) <= {"coeff", "basis", "vpow"}:
-            _fail("terms need coeff and basis (optional vpow)", path)
-        if term["basis"] not in index:
-            _fail(f"unknown basis name {term['basis']!r}", path)
-        vpow = term.get("vpow", 0)
-        if vpow != 0 and vpow_error:
+        coeff, vpow = term["coeff"], term.get("vpow", 0)
+        c = Fraction(coeff) if isinstance(coeff, str) else coeff
+        if char and c.denominator != 1:
+            _fail(f"non-integer coefficient {coeff!r} in characteristic {char}", path)
+        if vpow and vpow_error:
             _fail(vpow_error, path)
-        if not isinstance(vpow, int):
-            _fail("vpow must be an integer", path)
-        out.append((_coeff_in(term["coeff"], char, path), index[term["basis"]], vpow))
+        out.append((c, _basis_index(index, term["basis"], path), vpow))
     return out
 
 
@@ -76,60 +133,23 @@ def _coeff_out(c):
 
 
 def ring_from_obj(obj, path=None):
-    if not isinstance(obj, dict):
-        _fail("ring spec must be an object", path)
-    unknown = set(obj) - RING_KEYS
-    if unknown:
-        _fail(f"unknown keys {sorted(unknown)}", path)
-    for key in ("characteristic", "basis", "products"):
-        if key not in obj:
-            _fail(f"missing key {key!r}", path)
-    char = obj["characteristic"]
-    if not isinstance(char, int) or isinstance(char, bool) or char < 0:
-        _fail("characteristic must be a nonnegative integer", path)
-
-    periodicity = None
-    if "periodicity" in obj and obj["periodicity"] is not None:
-        per = obj["periodicity"]
-        if not isinstance(per, dict) or set(per) != {"unit", "degree"}:
-            _fail("periodicity needs exactly the keys unit and degree", path)
-        if not isinstance(per["unit"], str) or not _NAME_RE.match(per["unit"]):
-            _fail(f"bad periodicity unit name {per['unit']!r}", path)
-        if not isinstance(per["degree"], int) or per["degree"] <= 0:
-            _fail("periodicity degree must be a positive integer", path)
-        periodicity = (per["unit"], per["degree"])
-
-    basis = []
-    orders = []
-    index = {}
-    for entry in obj["basis"]:
-        if not isinstance(entry, dict) or not {"name", "degree"} <= set(entry) \
-                or not set(entry) <= {"name", "degree", "order"}:
-            _fail("basis entries need name and degree (optional order)", path)
-        name = entry["name"]
-        if not isinstance(name, str) or not _NAME_RE.match(name):
-            _fail(f"bad basis name {name!r}", path)
-        if name in index or (periodicity and name == periodicity[0]):
-            _fail(f"duplicate name {name!r}", path)
-        if not isinstance(entry["degree"], int):
-            _fail(f"bad degree for {name!r}", path)
-        order = entry.get("order", char)
-        if not isinstance(order, int) or order < 0:
-            _fail(f"bad order for {name!r}", path)
-        index[name] = len(basis)
-        basis.append((name, entry["degree"]))
-        orders.append(order)
+    # a null periodicity is an absent one
+    if isinstance(obj, dict) and "periodicity" in obj and obj["periodicity"] is None:
+        obj = {key: value for key, value in obj.items() if key != "periodicity"}
+    _check(obj, RING_SCHEMA, path, "")
+    char, per = obj["characteristic"], obj.get("periodicity")
+    periodicity = (per["unit"], per["degree"]) if per else None
+    basis = [(entry["name"], entry["degree"]) for entry in obj["basis"]]
+    orders = [entry.get("order", char) for entry in obj["basis"]]
     if not basis:
         _fail("basis must be nonempty", path)
-
+    names = collections.Counter([name for name, _ in basis] + ([per["unit"]] if per else []))
+    if twice := [name for name, count in names.items() if count > 1]:
+        _fail(f"duplicate name {twice[0]!r}", path)
+    index = {name: i for i, (name, _) in enumerate(basis)}
     products = {}
     for entry in obj["products"]:
-        if not isinstance(entry, dict) or set(entry) != {"left", "right", "terms"}:
-            _fail("products need left, right and terms", path)
-        for side in ("left", "right"):
-            if entry[side] not in index:
-                _fail(f"unknown basis name {entry[side]!r}", path)
-        key = (index[entry["left"]], index[entry["right"]])
+        key = (_basis_index(index, entry["left"], path), _basis_index(index, entry["right"], path))
         if key in products:
             _fail(f"duplicate product {entry['left']} * {entry['right']}", path)
         products[key] = _element_terms(entry["terms"], index, char, path,
@@ -172,12 +192,7 @@ def parse_ring(text, path=None):
 
 
 def load_ring(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        _fail(str(e), path)
-    return parse_ring(text, path)
+    return parse_ring(_read(path), path)
 
 
 def ring_to_obj(R):
@@ -211,14 +226,7 @@ def save_ring(R, path):
 
 
 def module_from_obj(obj, path=None, base_dir=None):
-    if not isinstance(obj, dict):
-        _fail("module spec must be an object", path)
-    unknown = set(obj) - MODULE_KEYS
-    if unknown:
-        _fail(f"unknown keys {sorted(unknown)}", path)
-    for key in MODULE_KEYS:
-        if key not in obj:
-            _fail(f"missing key {key!r}", path)
+    _check(obj, MODULE_SCHEMA, path, "")
     if isinstance(obj["ring"], str):
         ring_path = obj["ring"]
         if base_dir is not None and not os.path.isabs(ring_path):
@@ -227,12 +235,10 @@ def module_from_obj(obj, path=None, base_dir=None):
     else:
         R = ring_from_obj(obj["ring"], path)
     gens = obj["generators"]
-    if not isinstance(gens, int) or isinstance(gens, bool) or gens < 0:
-        _fail("generators must be a nonnegative integer", path)
     index = {name: i for i, name in enumerate(R.basis_names)}
     rels = []
     for row in obj["relations"]:
-        if not isinstance(row, list) or len(row) != gens:
+        if len(row) != gens:
             _fail("each relation must list one element per generator", path)
         col = []
         for raw in row:
@@ -246,9 +252,4 @@ def module_from_obj(obj, path=None, base_dir=None):
 
 
 def load_module(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        _fail(str(e), path)
-    return module_from_obj(_load_json(text, path), path, base_dir=os.path.dirname(path))
+    return module_from_obj(_load_json(_read(path), path), path, base_dir=os.path.dirname(path))

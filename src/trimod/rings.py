@@ -114,6 +114,8 @@ class GradedRing:
         if orders is None:
             orders = [self.char] * len(basis)
         self.orders = tuple(int(o) for o in orders)
+        if bad := [k for terms in (unit, *products.values()) for _, k, _ in terms if not 0 <= k < self.dim]:
+            raise RingSpecError(f"term index {bad[0]} out of range")
         self.products = {(int(i), int(j)): ts for (i, j), terms in products.items() if (ts := self._terms(terms))}
         self.unit_terms = self._terms(unit)
         self._cache = {}
@@ -402,8 +404,6 @@ def validate_ring(ring):
             raise RingSpecError(f"product index ({i}, {j}) out of range")
         want = R.degrees[i] + R.degrees[j]
         for c, k, t in terms:
-            if not 0 <= k < R.dim:
-                raise RingSpecError(f"product term index {k} out of range")
             have = R.degrees[k] + (t * R.periodicity[1] if R.periodicity else 0)
             if have != want:
                 raise DegreeMismatch(f"product of basis {i},{j}: term {k} has degree {have}, expected {want}")
@@ -878,8 +878,11 @@ def socle_is_simple(R):
 
 @per_object
 def is_quasi_frobenius(R):
-    """Self-injectivity test: each local factor must have simple socle."""
+    """Self-injectivity test: each local factor must have simple socle; a
+    graded field is self-injective (over Q, locality is not decided)."""
     for factor in decompose_product(R):
+        if is_graded_field(factor):
+            continue
         if not is_local(factor):
             raise NotSemiperfect("factor of the decomposition is not local")
         if not socle_is_simple(factor):

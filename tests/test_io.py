@@ -1,15 +1,18 @@
+import functools
 import glob
 import json
+import operator
 import os
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trimod import cli, ringio
 from trimod import constructions as con
-from trimod.errors import DegreeMismatch, ParseError
+from trimod.errors import DegreeMismatch, ParseError, RingSpecError, SizeCapExceeded
 from trimod.rings import GradedRing
 
 HERE = os.path.dirname(__file__)
@@ -74,7 +77,7 @@ def test_reject_vpow_without_periodicity():
         ringio.ring_from_obj(obj)
 
 
-@pytest.mark.parametrize("degree", [0, -2])
+@pytest.mark.parametrize("degree", [0, -2, True, None, "2"])
 def test_reject_nonpositive_periodicity_degree(degree):
     # a negative period is a parse error, not a RingSpecError from validation
     obj = {
@@ -206,6 +209,15 @@ def test_cli_qf_periodic_nonlocal_is_input_error(tmp_path, capsys):
     assert json.loads(out)["quasi_frobenius"] is True
 
 
+def test_cli_qf_and_classify_agree_on_the_rationals(tmp_path, capsys):
+    path = tmp_path / "q.ring"
+    ringio.save_ring(GradedRing(0, [("e", 0)], {(0, 0): [(1, 0, 0)]}, [(1, 0, 0)]), str(path))
+    code, out, _ = _run(["classify", str(path)], capsys)
+    assert code == 0 and "factor 0: GradedField" in out
+    code, out, err = _run(["qf", str(path)], capsys)
+    assert (code, out, err) == (0, "quasi_frobenius: true\n", "")
+
+
 @pytest.mark.parametrize("name", ["f3_laurent_x1_y2.ring", "f3_laurent_x1_y3.ring",
                                   "f3_laurent_x1_y4.ring"])
 def test_cli_qf_periodic_exterior(name, capsys):
@@ -239,6 +251,9 @@ def test_cli_missing_file_exits_2(capsys):
     code, _, err = _run(["classify", os.path.join(RINGS, "missing.ring")], capsys)
     assert code == 2
     assert "input error" in err
+    code, _, err = _run(["heller", os.path.join(RINGS, "z4.ring"), os.path.join(MODULES, "missing.module")], capsys)
+    assert code == 2
+    assert "input error" in err and "missing.module" in err
 
 
 def test_cli_malformed_file_exits_2(tmp_path, capsys):
@@ -247,6 +262,11 @@ def test_cli_malformed_file_exits_2(tmp_path, capsys):
     code, _, err = _run(["classify", str(bad)], capsys)
     assert code == 2
     assert "line 1" in err
+    # an integer too long for int() is an input error, not a ValueError
+    bad.write_text('{"characteristic": ' + "7" * 5000 + "}")
+    code, _, err = _run(["classify", str(bad)], capsys)
+    assert code == 2
+    assert "input error" in err and "digits" in err
 
 
 def test_cli_non_integer_coefficient_exits_2(tmp_path, capsys):
@@ -454,3 +474,172 @@ def test_python_dash_m_runs_the_cli(capsys):
                           capture_output=True, text=True, env=env, timeout=120)
     code, out, _ = _run(["selftest", "--json"], capsys)
     assert (proc.returncode, proc.stdout) == (code, out)
+
+
+# -- the file schema ---------------------------------------------------------
+
+_DELETE = object()
+
+
+def _spec(name):
+    """A committed ring or module file as JSON, a module's ring path made absolute."""
+    folder = RINGS if name.endswith(".ring") else MODULES
+    with open(os.path.join(folder, name), "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    if "ring" in obj:
+        obj["ring"] = os.path.abspath(os.path.join(MODULES, obj["ring"]))
+    return obj
+
+
+def _edited(name, place, value):
+    """The file `name` with the value at `place` (a path of keys and
+    indices) replaced by value, or deleted for _DELETE."""
+    obj = _spec(name)
+    if not place:
+        return value
+    *head, last = place
+    parent = functools.reduce(operator.getitem, head, obj)
+    if value is _DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    return obj
+
+
+@pytest.mark.parametrize("name, place, value, error, message", [
+    # the type of every field, named by its place in the file
+    ("z4.ring", (), [], ParseError, "spec must be an object"),
+    ("z4.ring", ("basis",), True, ParseError, "basis must be an array"),
+    ("z4.ring", ("basis",), 0.5, ParseError, "basis must be an array"),
+    ("z4.ring", ("products",), 3, ParseError, "products must be an array"),
+    ("z4.ring", ("products", 0, "terms"), None, ParseError, "products[0] terms must be an array"),
+    ("z4.ring", ("products", 0, "terms"), "", ParseError, "products[0] terms must be an array"),
+    ("z4.ring", ("products", 0, "left"), [], ParseError, "products[0] left must be an identifier"),
+    ("z4.ring", ("products", 0, "terms", 0, "basis"), {}, ParseError,
+     "products[0] terms[0] basis must be an identifier"),
+    ("z4.ring", ("products", 0, "terms", 0, "coeff"), 0.5, ParseError,
+     "products[0] terms[0] coeff must be an integer or a rational string"),
+    ("z4.ring", ("products", 0, "terms", 0, "coeff"), "1/0", ParseError,
+     "products[0] terms[0] coeff must be an integer or a rational string"),
+    ("z4.ring", ("products", 0, "terms", 0, "vpow"), None, ParseError,
+     "products[0] terms[0] vpow must be an integer"),
+    ("z4.ring", ("characteristic",), True, ParseError, "characteristic must be a nonnegative integer"),
+    ("z4.ring", ("characteristic",), -4, ParseError, "characteristic must be a nonnegative integer"),
+    ("z4.ring", ("basis", 0, "degree"), False, ParseError, "basis[0] degree must be an integer"),
+    ("z4.ring", ("basis", 0, "order"), None, ParseError, "basis[0] order must be a nonnegative integer"),
+    ("z4.ring", ("basis", 0, "name"), "2e", ParseError, "basis[0] name must be an identifier"),
+    ("f3_laurent_x1_y2.ring", ("periodicity",), [], ParseError, "periodicity must be an object"),
+    ("f3_laurent_x1_y2.ring", ("periodicity", "unit"), 3, ParseError, "periodicity unit must be an identifier"),
+    ("z4.ring", ("flavour",), "sour", ParseError, "unknown keys ['flavour']"),
+    ("z4.ring", ("basis", 0, "colour"), "red", ParseError, "unknown keys ['colour'] in basis[0]"),
+    ("z4.ring", ("characteristic",), _DELETE, ParseError, "missing key 'characteristic'"),
+    ("z4.ring", ("products", 0, "right"), _DELETE, ParseError, "missing key 'right' in products[0]"),
+    # checks across fields, after the walk
+    ("z4.ring", ("basis",), [], ParseError, "basis must be nonempty"),
+    ("z4.ring", ("basis",), [{"name": "e", "degree": 0}] * 2, ParseError, "duplicate name 'e'"),
+    ("f3_laurent_x1_y2.ring", ("periodicity", "unit"), "x", ParseError, "duplicate name 'x'"),
+    ("z4.ring", ("products", 0, "left"), "f", ParseError, "unknown basis name 'f'"),
+    ("z4.ring", ("products", 0, "terms", 0, "basis"), "f", ParseError, "unknown basis name 'f'"),
+    ("z4.ring", ("products",), [{"left": "e", "right": "e", "terms": []}] * 2, ParseError,
+     "duplicate product e * e"),
+    ("z4.ring", ("characteristic",), 1, RingSpecError, "characteristic 1 not supported"),
+    ("f5.ring", ("basis", 0, "degree"), 1, ParseError, "degree-0 slice is empty: no unit"),
+    # module files
+    ("k_z4.module", ("relations",), 2, ParseError, "relations must be an array"),
+    ("k_z4.module", ("relations",), None, ParseError, "relations must be an array"),
+    ("k_z4.module", ("relations",), {}, ParseError, "relations must be an array"),
+    ("k_z4.module", ("relations",), [[True]], ParseError, "relations[0][0] must be an array"),
+    ("k_z4.module", ("relations",), [[0.5]], ParseError, "relations[0][0] must be an array"),
+    ("k_z4.module", ("relations",), [[{}]], ParseError, "relations[0][0] must be an array"),
+    ("k_z4.module", ("relations", 0, 0, 0, "basis"), {}, ParseError,
+     "relations[0][0][0] basis must be an identifier"),
+    ("k_z4.module", ("relations", 0, 0, 0, "basis"), [], ParseError,
+     "relations[0][0][0] basis must be an identifier"),
+    ("k_z4.module", ("relations", 0, 0, 0, "basis"), "f", ParseError, "unknown basis name 'f'"),
+    ("k_z4.module", ("generators",), True, ParseError, "generators must be a nonnegative integer"),
+    ("k_z4.module", ("ring",), 3, ParseError, "ring must be a path or an object"),
+    ("k_z4.module", ("ring",), {"characteristic": 4}, ParseError, "missing key 'basis'"),
+    ("k_z4.module", ("ring",), "no_such.ring", ParseError, "no_such.ring"),
+    ("k_z4.module", ("relations",), [[[], []]], ParseError,
+     "each relation must list one element per generator"),
+    # generator counts past what a module can represent, refused before
+    # anything is allocated
+    ("free_z4.module", ("generators",), 2 ** 31, SizeCapExceeded, "2147483648 generators"),
+    ("free_z4.module", ("generators",), 2 ** 63, SizeCapExceeded, "9223372036854775808 generators"),
+])
+def test_malformed_spec_names_its_fault(name, place, value, error, message, tmp_path, capsys):
+    obj = _edited(name, place, value)
+    parse = ringio.ring_from_obj if name.endswith(".ring") else ringio.module_from_obj
+    with pytest.raises(error) as info:
+        parse(obj)
+    assert message in str(info.value)
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    argv = ["classify", str(path)] if name.endswith(".ring") else ["heller", os.path.join(RINGS, "z4.ring"), str(path)]
+    code, out, err = _run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: " if error is ParseError else f"error: {error.__name__}: ")
+    assert message in err
+
+
+def test_null_periodicity_is_no_periodicity():
+    assert ringio.ring_from_obj(_edited("z4.ring", ("periodicity",), None)) == con.z_mod(4)
+
+
+_ATOMS = [None, True, 0, -1, 0.5, "", "2e", [], {}, [[]], 2 ** 31, 2 ** 63, "1/0"]
+_SPECS = [os.path.basename(p) for p in RING_FILES] + sorted(os.listdir(MODULES))
+
+
+def _places(value, place=()):
+    """Every place in a JSON value, its root first."""
+    yield place
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _places(child, place + (key,))
+
+
+@st.composite
+def _mutated_spec(draw):
+    """A committed file after one or two mutations: a value replaced by an
+    atom, a key or entry deleted, an entry duplicated or an integer bumped."""
+    name = draw(st.sampled_from(_SPECS))
+    obj = _spec(name)
+    for _ in range(draw(st.integers(1, 2))):
+        op = draw(st.sampled_from(["atom", "delete", "duplicate", "bump"]))
+        places = [p for p in _places(obj) if p or op == "atom"]
+        if op == "duplicate":
+            places = [p for p in places if isinstance(p[-1], int)]
+        elif op == "bump":
+            places = [p for p in places if type(functools.reduce(operator.getitem, p, obj)) is int]
+        if not places:
+            continue
+        place = draw(st.sampled_from(places))
+        if not place:
+            obj = draw(st.sampled_from(_ATOMS))
+            continue
+        *head, last = place
+        parent = functools.reduce(operator.getitem, head, obj)
+        if op == "atom":
+            parent[last] = draw(st.sampled_from(_ATOMS))
+        elif op == "delete":
+            del parent[last]
+        elif op == "duplicate":
+            parent.insert(last, json.loads(json.dumps(parent[last])))
+        else:
+            parent[last] += draw(st.sampled_from([-2, -1, 1, 2]))
+    return name, obj
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mutated_spec())
+def test_mutated_specs_exit_with_a_code(tmp_path, capsys, spec):
+    # whatever a file holds, each command ends in an exit code, not a traceback
+    name, obj = spec
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    if name.endswith(".ring"):
+        runs = [["classify", str(path)], ["qf", str(path)]]
+    else:
+        runs = [["heller", os.path.join(RINGS, "f2x.ring" if "f2x" in name else "z4.ring"), str(path)]]
+    for argv in runs:
+        assert _run(argv, capsys)[0] in (0, 1, 2)

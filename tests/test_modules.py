@@ -324,6 +324,15 @@ def test_brute_force_iso_ranges_over_hom_orders():
         iso_test(C, C)
 
 
+@pytest.mark.parametrize("rank", [2 ** 31, 2 ** 63])
+def test_free_module_past_the_coordinate_cap(rank):
+    # refused before any array is allocated; the cap itself is allowed
+    Z4 = con.z_mod(4)
+    assert free_module(Z4, rc.MAX_TABLE_DIM ** 2).generators == rc.MAX_TABLE_DIM ** 2
+    with pytest.raises(SizeCapExceeded, match=f"{rank} generators"):
+        free_module(Z4, rank)
+
+
 def test_stable_hom_examples():
     R = f2x()
     k = residue_module(R)

@@ -30,6 +30,7 @@ from trimod.errors import (
     CommutativityViolation,
     NoUnit,
     NotLocal,
+    NotLocalInput,
     RingSpecError,
     SizeCapExceeded,
     UnsupportedCoefficients,
@@ -145,6 +146,47 @@ def test_validate_rings_over_a_prime_too_large_for_the_spin():
 def test_validate_rejects_bad_orders():
     with pytest.raises(RingSpecError):
         validate_ring(GradedRing(4, [("e", 0)], {(0, 0): [(1, 0, 0)]}, [(1, 0, 0)], orders=[3]))
+
+
+_E = {(0, 0): [(1, 0, 0)]}
+
+
+@pytest.mark.parametrize("ring, error, message", [
+    (GradedRing(1, [("e", 0)], _E, [(1, 0, 0)]), RingSpecError, "characteristic 1 not supported"),
+    (GradedRing(-2, [("e", 0)], _E, [(1, 0, 0)]), RingSpecError, "characteristic -2 not supported"),
+    (GradedRing(2, [("2e", 0)], _E, [(1, 0, 0)]), RingSpecError, "bad identifier '2e'"),
+    (GradedRing(3, [("e", 0)], _E, [(1, 0, 0)], periodicity=("1v", 2)), RingSpecError, "bad identifier '1v'"),
+    (GradedRing(2, [("e", 0), ("e", 0)], _E, [(1, 0, 0)]), RingSpecError, "duplicate basis names"),
+    (GradedRing(4, [("e", 0)], _E, [(1, 0, 0)], orders=[2]), RingSpecError, "lcm of the additive orders"),
+    (GradedRing(3, [("e", 0)], _E, [(1, 0, 0)], periodicity=("y", 0)), RingSpecError, "period must be positive"),
+    (GradedRing(4, [("e", 0)], _E, [(1, 0, 0)], periodicity=("y", 2)), UnsupportedCoefficients,
+     "periodic rings need field coefficients"),
+    (GradedRing(2, [("e", 0)], {(0, 0): [(1, 0, 1)]}, [(1, 0, 0)]), RingSpecError,
+     "v powers require a periodicity declaration"),
+    (GradedRing(2, [("e", 0)], {**_E, (0, 3): [(1, 0, 0)]}, [(1, 0, 0)]), RingSpecError,
+     "product index (0, 3) out of range"),
+    # f has order 2, so 2 (f f) = 2 e must vanish in Z/4
+    (GradedRing(4, [("e", 0), ("f", 0)], {**_E, (0, 1): [(1, 1, 0)], (1, 0): [(1, 1, 0)], (1, 1): [(1, 0, 0)]},
+                [(1, 0, 0)], orders=[4, 2]), RingSpecError, "product of basis 1,1 incompatible with additive orders"),
+    (GradedRing(2, [("e", 0), ("x", 1)], _E, [(1, 1, 0)]), NoUnit, "unit element must have degree 0"),
+    (GradedRing(2, [("e", 0), ("x", 1)], _E, [(1, 0, 0), (1, 1, 0)]), NoUnit,
+     "unit element must be homogeneous of degree 0"),
+    (GradedRing(2, [("e", 0)], _E, [(1, 0, 1)]), NoUnit, "unit element has v powers but the ring has no periodicity"),
+])
+def test_validate_names_what_is_wrong(ring, error, message):
+    with pytest.raises(error) as info:
+        validate_ring(ring)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("products, unit", [({(0, 0): [(1, 5, 0)]}, [(1, 0, 0)]),
+                                            ({(0, 0): [(1, -1, 0)]}, [(1, 0, 0)]),
+                                            (_E, [(1, 4, 0)])])
+def test_term_index_out_of_range_is_a_ring_spec_error(products, unit):
+    # a term names a basis element by its index, which the ring checks
+    # before it reduces the term modulo that element's order
+    with pytest.raises(RingSpecError, match="term index -?[0-9] out of range"):
+        GradedRing(2, [("e", 0)], products, unit)
 
 
 def test_units_z4():
@@ -385,6 +427,19 @@ def test_periodic_odd_period():
 def test_rational_idempotents():
     R = validate_ring(GradedRing(0, [("e", 0)], {(0, 0): [(1, 0, 0)]}, [(1, 0, 0)]))
     assert [sum(e.terms.values(), Fraction(0)) for e in idempotents(R)] == [1]
+
+
+def test_rational_field_is_quasi_frobenius():
+    # Q is a graded field, and a graded field is self-injective, so qf
+    # agrees with classify at either suspension
+    Q = validate_ring(GradedRing(0, [("e", 0)], _E, [(1, 0, 0)]))
+    assert is_graded_field(Q) and is_quasi_frobenius(Q)
+    for n in (0, 1):
+        verdict = classify(Q, n)
+        assert verdict.is_delta and [lv.kind for _, lv in verdict.factors] == [GRADED_FIELD]
+    # Q[x]/(x^2) with |x| = 2 is no field, and over Q nothing else is classified
+    with pytest.raises(NotLocalInput, match="rational non-field"):
+        classify(validate_ring(_unital(0, [("one", 0), ("x", 2)], {})), 0)
 
 
 def test_duplicate_unit_terms_are_summed():
