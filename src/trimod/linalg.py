@@ -14,21 +14,22 @@ eliminations from the moduli for `Subgroup`, `congruence_kernel`,
   as lists for kernels and quotients (`_kernel_basis`); only `modp_rref`
   and the solves on it pad the rows into an array,
 * any other moduli                             -> integer normal forms:
-  - `Subgroup`: the Hermite form `hnf_columns` of the preimage lattice,
-  - `congruence_kernel`: the Hermite columns of the graph {(A x, x)} that
-    vanish on the A block,
-  - `congruence_solve`: the remainder of (b, 0) against that graph, which
-    is (0, -x) exactly when A x = b,
+  - `Subgroup`, `congruence_kernel` and `congruence_solve`: one sparse
+    reduced Hermite basis {pivot row: column} of the preimage lattice in
+    Z^D, `hnf_columns`, with the moduli implicit: a row with no held column
+    has the column m_i e_i, so reducing by it is x % m_i.  A kernel is the
+    held columns of the graph {(A x, x)} that vanish on the A block
+    (`_graph`), and a solve the remainder of (b, 0) against that graph,
+    which is (0, -x) exactly when A x = b,
   - `quotient_presentation`: the Smith form `smith_normal_form`, the one
     elimination that splits a quotient into cyclic factors.
 
 A `Subgroup` is the span of some vectors in such a group, held in the
-canonical form of its lane (sparse reduced echelon rows over a field, the
-Hermite basis of the preimage lattice otherwise), so equal spans compare
-equal.  It grows by insertion into that basis, `hnf_columns(cols, dim,
-start)` on the integer lane: `extend` reduces only the new vectors, and
-shares untouched rows with the span it extends.  Over a field it holds no
-dense rows; `cols()` makes them.
+canonical form of its lane (sparse reduced echelon rows over a field,
+sparse Hermite columns otherwise), so equal spans compare equal.  It grows
+by insertion into that basis: `extend` reduces only the new vectors, and
+shares the rows or columns it leaves untouched with the span it extends.
+It holds no dense vectors; `cols()` makes them.
 
 Matrices are lists of rows or arrays; "columns" arguments are lists of
 coordinate vectors.  All integer results are reduced into [0, m_i)
@@ -295,43 +296,76 @@ def smith_normal_form(A):
     return [S[i][i] for i in range(min(nr, nc))], U, [list(col) for col in zip(*Uit)]
 
 
-def hnf_columns(cols, dim, start=()):
-    """Canonical column Hermite form of the lattice spanned by cols and by
-    start, a form this function returned, in Z^dim.
+def _axpy(c, q, a, moduli):
+    """c + q a as a new sparse column, reduced mod the nonzero moduli."""
+    c = dict(c)
+    for j, x in a.items():
+        y = c.get(j, 0) + q * x
+        if m := moduli[j]:
+            y %= m
+        if y:
+            c[j] = y
+        else:
+            c.pop(j, None)
+    return c
 
-    Returns a tuple of pivot columns (each a tuple), in echelon order with
-    positive pivots and reduced off-pivot entries; usable as a canonical key.
-    Each column is inserted row by row: Euclid steps at a pivot row leave
-    the gcd in the pivot column, and a row without one takes the column.
+
+def hnf_columns(cols, moduli, held=()):
+    """The reduced column Hermite basis of the preimage lattice in Z^D of
+    the span of cols in +Z/moduli, each column an iterable of (row, entry)
+    pairs, inserted into held, a basis this function returned.
+
+    Returns {pivot row: sparse column {row: nonzero entry}} in pivot order,
+    unique and so a canonical key: each column is zero above its positive
+    pivot and reduced at the later pivot rows.  A row i without a column has
+    the implicit column m_i e_i of the reduced form (reducing by it is
+    x % m_i), so held pivots are below their moduli and held columns are
+    reduced mod the moduli.  Euclid steps at a pivot row leave the gcd
+    there; a row of modulus 0 without a column takes the inserted column.
+    Held columns are replaced, never changed in place, so the result shares
+    its untouched columns with held.
     """
-    basis = {prow: list(col) for prow, col in start}
+    held, changed = dict(held), False
     for c in cols:
-        c = list(map(int, c))
-        for row in range(dim):
-            if not c[row]:
-                continue
-            a = basis.get(row)
+        c = {j: y for j, x in c if (y := int(x) % moduli[j] if moduli[j] else int(x))}
+        while c:
+            r = min(c)
+            a = held.get(r) or ({r: moduli[r]} if moduli[r] else None)
             if a is None:
-                basis[row] = c if c[row] > 0 else [-x for x in c]
+                held[r] = c if c[r] > 0 else _axpy({}, -1, c, moduli)
+                changed = True
                 break
-            # floor division leaves 0 <= c[row] < a[row], so pivots stay positive
+            # floor division leaves 0 <= c[r] < a[r], so pivots stay positive
             while True:
-                q = c[row] // a[row]
-                if q:
-                    c = [x - q * y for x, y in zip(c, a)]
-                if not c[row]:
+                if q := c[r] // a[r]:
+                    c = _axpy(c, -q, a, moduli)
+                if r not in c:
                     break
                 a, c = c, a
-            basis[row] = a
-    # final reduction: entries of each pivot column at later pivot rows mod pivot
-    fixed = sorted(basis.items())
-    for idx, (prow, pcol) in enumerate(fixed):
-        for jdx in range(idx):
-            qrow, qcol = fixed[jdx]
-            q = qcol[prow] // pcol[prow]
-            if q:
-                fixed[jdx] = (qrow, [x - q * y for x, y in zip(qcol, pcol)])
-    return tuple((prow, tuple(col)) for prow, col in fixed)
+            if a is not held.get(r):
+                held[r] = a
+                changed = True
+    # reduce each column at the later pivot rows; a column already reduced
+    # there is kept, so untouched columns stay shared
+    order = sorted(held)
+    for k in reversed(range(len(order) - 1) if changed else ()):
+        c = held[order[k]]
+        for r in order[k + 1:]:
+            if q := c.get(r, 0) // held[r][r]:
+                c = _axpy(c, -q, held[r], moduli)
+        held[order[k]] = c
+    return {i: held[i] for i in order}
+
+
+def _hermite_remainder(held, v, moduli):
+    """The list v reduced by the Hermite basis held of `hnf_columns` and by
+    the moduli: zero exactly when v is in the span.  A held column leaves a
+    remainder at its pivot row when v is outside the lattice."""
+    for r, c in held.items():
+        if q := v[r] // c[r]:
+            for j, x in c.items():
+                v[j] -= q * x
+    return _reduce_vec(v, moduli)
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +385,17 @@ class Subgroup:
 
     Held in the canonical form of its lane, so equality of two Subgroups is
     equality of the spans (over the same moduli): `_held` maps each pivot
-    to its row, a sparse reduced echelon row {column: entry} over a field
-    and a Hermite column of the preimage lattice otherwise.
+    to a sparse row or column {coordinate: entry}, a reduced echelon row
+    over a field and otherwise a Hermite column of the preimage lattice,
+    whose moduli columns stay implicit (`hnf_columns`).
     """
 
     __slots__ = ("moduli", "_p", "_held")
 
     def __init__(self, cols, moduli):
         self.moduli = tuple(moduli)
-        self._p = p = _lane(self.moduli)
-        # the preimage lattice of the integer lane holds the moduli: its
-        # Hermite basis starts from their diagonal, whose columns m_i e_i are
-        # already canonical
-        self._held = {} if p is not None else {
-            i: tuple(m * (i == j) for j in range(len(self.moduli))) for i, m in enumerate(self.moduli) if m}
+        self._p = _lane(self.moduli)
+        self._held = {}
         self._insert(cols)
 
     def _insert(self, cols):
@@ -375,7 +406,7 @@ class Subgroup:
         if not cols:
             return
         if p is None:
-            self._held = dict(hnf_columns(cols, D, self._held.items()))
+            self._held = hnf_columns(map(enumerate, cols), self.moduli, self._held)
         else:
             self._held = _echelon_basis(cols, p, D, self._held)
 
@@ -390,20 +421,14 @@ class Subgroup:
         self._check([v])
         p = self._p
         if p is None:
-            for piv, row in self._held.items():
-                # a Hermite column leaves a remainder at its pivot row when
-                # v is outside the lattice
-                q = v[piv] // row[piv]
-                if q:
-                    v = [a - q * b for a, b in zip(v, row)]
-        else:
-            # in exact numbers: an echelon row over a field has pivot 1 and
-            # zeros at the other pivots, so v's entry there is its factor
-            v = [int(x) % p if p else x.item() if isinstance(x, np.generic) else x for x in v]
-            for c, row in self._held.items():
-                if f := v[c]:
-                    for j, y in row.items():
-                        v[j] -= f * y
+            return _hermite_remainder(self._held, v, self.moduli)
+        # in exact numbers: an echelon row over a field has pivot 1 and
+        # zeros at the other pivots, so v's entry there is its factor
+        v = [int(x) % p if p else x.item() if isinstance(x, np.generic) else x for x in v]
+        for c, row in self._held.items():
+            if f := v[c]:
+                for j, y in row.items():
+                    v[j] -= f * y
         return _reduce_vec(v, self.moduli)
 
     def contains(self, v):
@@ -416,28 +441,24 @@ class Subgroup:
         p, held = self._p, self._held
         if p:
             return p ** len(held)
-        free = [i for i, m in enumerate(self.moduli) if not m]
-        if held and (p == 0 or any(row[i] for row in held.values() for i in free)):
+        if held and (p == 0 or any(not self.moduli[i] for col in held.values() for i in col)):
             raise UnsupportedCoefficients("a span nonzero at a coordinate of modulus 0 is infinite")
-        # the lattice holds the columns of the nonzero moduli and lies in
-        # their coordinates, where its index is the product of the pivots
-        index = math.prod(row[piv] for piv, row in held.items())
-        return math.prod(m for m in self.moduli if m) // index
+        # the lattice has index m_i // pivot in coordinate i; rows without a
+        # held column have the pivot m_i
+        return math.prod(self.moduli[i] // col[i] for i, col in held.items())
 
     def cols(self):
-        """Canonical generators: echelon rows over a field (in pivot order,
-        dense), otherwise the Hermite columns that are nonzero modulo the
-        moduli."""
-        if self._p is None:
-            return [c for c in (_reduce_vec(row, self.moduli) for row in self._held.values()) if any(c)]
-        zero = 0 if self._p else Fraction(0)
+        """Canonical generators, dense, in pivot order: echelon rows over a
+        field, otherwise the held Hermite columns, which are the ones nonzero
+        modulo the moduli."""
+        zero = Fraction(0) if self._p == 0 else 0
         return [[row.get(j, zero) for j in range(len(self.moduli))] for _, row in sorted(self._held.items())]
 
     @property
     def rank(self):
         """Number of canonical generators (the dimension over a field); 0
         exactly for the zero subgroup."""
-        return len(self._held) if self._p is not None else len(self.cols())
+        return len(self._held)
 
     def extend(self, cols):
         """The span of this subgroup together with the given columns."""
@@ -456,11 +477,19 @@ class Subgroup:
         return f"Subgroup({self.cols()}, moduli={list(self.moduli)})"
 
 
-def _graph(A, nc, row_moduli, col_moduli):
-    """The graph {(A x, x)} of the nc-column matrix A, a subgroup of
-    +Z/row_moduli x +Z/col_moduli."""
-    cols = [[row[j] for row in A] + [int(i == j) for i in range(nc)] for j in range(nc)]
-    return Subgroup(cols, list(row_moduli) + list(col_moduli))
+def _graph(A, nc, moduli):
+    """The Hermite basis `hnf_columns` of the graph {(A x, x)} of the
+    nc-column matrix A in +Z/moduli, its row moduli first; no columns hold
+    none."""
+    if not nc:
+        return {}
+    nr = len(A)
+    cols = [{nr + j: 1} for j in range(nc)]
+    for i, row in enumerate(A):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+    return hnf_columns((c.items() for c in cols), moduli)
 
 
 def _check_system(A, nc, *per_row):
@@ -478,9 +507,8 @@ def congruence_kernel(A, row_moduli, col_moduli):
         return _kernel_basis(_echelon_basis(A, p, nc), nc, p)[0]
     # the Hermite columns of the graph that vanish on the A block span the
     # kernel, since each column is zero above its pivot
-    G = _graph(A, nc, row_moduli, col_moduli)
-    gens = [_reduce_vec(row[nr:], col_moduli) for piv, row in G._held.items() if piv >= nr]
-    return [g for g in gens if any(g)]
+    G = _graph(A, nc, list(row_moduli) + list(col_moduli))
+    return [[col.get(j, 0) for j in range(nr, nr + nc)] for piv, col in G.items() if piv >= nr]
 
 
 def congruence_solve(A, b, row_moduli):
@@ -499,7 +527,8 @@ def congruence_solve(A, b, row_moduli):
     # A x depends on x only modulo N; (b, 0) reduces by the graph to (0, -x)
     # exactly when A x = b
     N = math.lcm(*row_moduli)
-    r = _graph(A, nc, row_moduli, [N] * nc).remainder(list(b) + [0] * nc)
+    moduli = list(row_moduli) + [N] * nc
+    r = _hermite_remainder(_graph(A, nc, moduli), list(b) + [0] * nc, moduli)
     if any(r[:nr]):
         return None
     return [-x % N if N else -x for x in r[nr:]]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import collections
 import json
 import os
+import re
 from fractions import Fraction
 
 from . import linalg
@@ -34,12 +35,15 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# [+-]digits[/digits] with a nonzero denominator, each part no longer than
+# the 4300 digits int() converts by default, as for integers in the JSON
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]{1,4300}(/(?=0*[1-9])[0-9]{1,4300})?")
+
+
 def _is_rational(x):
-    """A string that reads as a rational, such as "1/2"."""
-    try:
-        return isinstance(x, str) and Fraction(x) is not None
-    except (ValueError, ZeroDivisionError):
-        return False
+    """A rational string such as "1/2" or "-3/4", checked before `Fraction`
+    reads it: no exponents, decimals, underscores or spaces."""
+    return isinstance(x, str) and _RATIONAL_RE.fullmatch(x) is not None
 
 
 # A schema is a check (predicate, what it wants), a one-entry list for a

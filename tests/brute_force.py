@@ -15,10 +15,15 @@ generic word rewriter in the same way, and its elements are multiplied and
 differentiated here as term dicts {(t, e, m): c}, with no weight bound, for
 tests that compare the slice matrices with element arithmetic; `map_slice`
 assembles a DG map's slice matrix block by block from the slice matrices of
-A, where the library reads it off the map's cone.
+A, where the library reads it off the map's cone.  Congruence systems over
+Z/m have a dense reference too: `dense_congruence_kernel`,
+`dense_congruence_solve` and `dense_remainder` read their answers off the
+batch Hermite form `batch_hnf_columns` with the moduli columns m_i e_i
+written out, where the library keeps a sparse basis with the moduli implicit.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -352,3 +357,52 @@ def batch_hnf_columns(cols, dim):
                 q = qcol[prow] // pcol[prow]
                 fixed[jdx] = (qrow, [x - q * y for x, y in zip(qcol, pcol)])
     return tuple((prow, tuple(col)) for prow, col in fixed)
+
+
+def _moduli_cols(moduli):
+    return [[m * (i == j) for i in range(len(moduli))] for j, m in enumerate(moduli) if m]
+
+
+def _reduce(v, moduli):
+    return [x % m if m else x for x, m in zip(v, moduli)]
+
+
+def _graph_cols(A, nc):
+    """The columns (A e_j, e_j) spanning the graph of A."""
+    return [[row[j] for row in A] + [int(i == j) for i in range(nc)] for j in range(nc)]
+
+
+def dense_remainder(cols, v, moduli):
+    """v reduced by the dense Hermite basis of the span of cols in +Z/moduli
+    and by the moduli: zero exactly when v is in the span."""
+    v = list(v)
+    for piv, col in batch_hnf_columns(list(cols) + _moduli_cols(moduli), len(moduli)):
+        q = v[piv] // col[piv]
+        if q:
+            v = [a - q * b for a, b in zip(v, col)]
+    return _reduce(v, moduli)
+
+
+def dense_congruence_kernel(A, row_moduli, col_moduli):
+    """Generators of {x : A x = 0}: the dense Hermite columns of the graph
+    {(A x, x)} that vanish on the A block and are nonzero mod col_moduli."""
+    nr, nc = len(A), len(col_moduli)
+    moduli = list(row_moduli) + list(col_moduli)
+    G = batch_hnf_columns(_graph_cols(A, nc) + _moduli_cols(moduli), nr + nc)
+    gens = [_reduce(col[nr:], col_moduli) for piv, col in G if piv >= nr]
+    return [g for g in gens if any(g)]
+
+
+def dense_congruence_solve(A, b, row_moduli):
+    """One x with A x = b in +Z/row_moduli, or None: (b, 0) reduces by the
+    graph of A, over x taken mod N = lcm(row_moduli), to (0, -x) exactly
+    when A x = b."""
+    nr = len(A)
+    nc = len(A[0]) if nr else 0
+    if nr == 0:
+        return [0] * nc
+    N = math.lcm(*row_moduli)
+    r = dense_remainder(_graph_cols(A, nc), list(b) + [0] * nc, list(row_moduli) + [N] * nc)
+    if any(r[:nr]):
+        return None
+    return [-x % N if N else -x for x in r[nr:]]

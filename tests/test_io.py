@@ -1,3 +1,4 @@
+import copy
 import functools
 import glob
 import json
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -286,6 +288,31 @@ def test_cli_non_integer_coefficient_exits_2(tmp_path, capsys):
     code, _, err = _run(["heller", os.path.join(RINGS, "z4.ring"), str(module)], capsys)
     assert code == 2
     assert "non-integer coefficient" in err
+
+
+def _rational_ring(coeff):
+    """Q with basis e and e * e = coeff e, its unit 1/coeff e."""
+    return {"characteristic": 0, "basis": [{"name": "e", "degree": 0}],
+            "products": [{"left": "e", "right": "e", "terms": [{"coeff": coeff, "basis": "e"}]}]}
+
+
+@pytest.mark.parametrize("coeff", ["1e10000000", "1.5", " 3 ", "1_0/3", "3/ 4", "1/2\n", "0x10", "1" * 4301])
+def test_coefficient_outside_the_rational_grammar_exits_2_at_once(coeff, tmp_path, capsys):
+    # only [+-]digits[/digits] is read; an exponent used to stall the parse
+    # for some 20 s while Fraction built 10**(10**7)
+    path = tmp_path / "q.ring"
+    path.write_text(json.dumps(_rational_ring(coeff)))
+    start = time.perf_counter()
+    code, out, err = _run(["classify", str(path)], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "input error" in err and "products[0] terms[0] coeff must be an integer or a rational string" in err
+
+
+@pytest.mark.parametrize("coeff, unit", [("1/2", Fraction(2)), ("-3/4", Fraction(-4, 3)), ("+6/3", Fraction(1, 2))])
+def test_rational_coefficient_strings_parse(coeff, unit):
+    R = ringio.ring_from_obj(_rational_ring(coeff))
+    assert R.unit_terms == ((unit, 0, 0),)
 
 
 @pytest.mark.parametrize("vpow", [1, "0", 0.5])
@@ -615,12 +642,13 @@ def _mutated_spec(draw):
             continue
         place = draw(st.sampled_from(places))
         if not place:
-            obj = draw(st.sampled_from(_ATOMS))
+            obj = copy.deepcopy(draw(st.sampled_from(_ATOMS)))
             continue
         *head, last = place
         parent = functools.reduce(operator.getitem, head, obj)
         if op == "atom":
-            parent[last] = draw(st.sampled_from(_ATOMS))
+            # a copy, so that a later mutation leaves _ATOMS as it was
+            parent[last] = copy.deepcopy(draw(st.sampled_from(_ATOMS)))
         elif op == "delete":
             del parent[last]
         elif op == "duplicate":

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute_force import batch_hnf_columns
+from brute_force import batch_hnf_columns, dense_congruence_kernel, dense_congruence_solve, dense_remainder
 from trimod import linalg
 from trimod.errors import ShapeMismatch, UnsupportedCoefficients
 
@@ -46,11 +46,11 @@ def test_solves_on_numpy_array_rows():
 
 
 def _diagonal_column_lattice(diag, nr):
-    return linalg.hnf_columns([[d * (i == j) for i in range(nr)] for j, d in enumerate(diag)], nr)
+    return linalg.hnf_columns([[(j, d)] for j, d in enumerate(diag)], [0] * nr)
 
 
 def _column_lattice(UA, nc):
-    return linalg.hnf_columns([[row[j] for row in UA] for j in range(nc)], len(UA))
+    return linalg.hnf_columns([enumerate([row[j] for row in UA]) for j in range(nc)], [0] * len(UA))
 
 
 def test_smith_diagonalizes():
@@ -388,6 +388,19 @@ def test_subgroup_against_brute_force(data):
 INSERTION_MODULI = [[2] * 4, [5] * 3, [0] * 3, [4, 2, 8], [6, 0, 9], [0, 4], [12, 18, 3]]
 
 
+def _written_out(held, moduli):
+    """A Hermite basis of `hnf_columns` in the form of `batch_hnf_columns`:
+    dense columns, with m_i e_i at each row i of nonzero modulus that holds
+    no column.  Held columns are explicit: nonzero entries, pivots below
+    their moduli."""
+    D = len(moduli)
+    assert list(held) == sorted(held)
+    assert all(0 not in col.values() and 0 < col[r] and not 0 < moduli[r] <= col[r] for r, col in held.items())
+    cols = {i: tuple(m * (i == j) for j in range(D)) for i, m in enumerate(moduli) if m}
+    cols.update((r, tuple(col.get(j, 0) for j in range(D))) for r, col in held.items())
+    return tuple(sorted(cols.items()))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_insertion_matches_batch_elimination(data):
@@ -395,11 +408,13 @@ def test_insertion_matches_batch_elimination(data):
     D, p = len(moduli), linalg._lane(moduli)
     vec = st.lists(st.integers(-20, 20), min_size=D, max_size=D)
     a, b, c = (data.draw(st.lists(vec, max_size=4)) for _ in range(3))
-    # Hermite insertion into a returned form is the batch form of all columns
-    assert linalg.hnf_columns(b, D, linalg.hnf_columns(a, D)) == batch_hnf_columns(a + b, D)
+    # Hermite insertion into a returned form is the batch form of all
+    # columns and the moduli columns, which it holds implicitly
+    held = linalg.hnf_columns(map(enumerate, b), moduli, linalg.hnf_columns(map(enumerate, a), moduli))
+    assert _written_out(held, moduli) == batch_hnf_columns(a + b + linalg._moduli_cols(moduli), D)
     S = linalg.Subgroup(a + b + c, moduli)
     if p is None:
-        assert tuple(S._held.items()) == batch_hnf_columns(a + b + c + linalg._moduli_cols(moduli), D)
+        assert _written_out(S._held, moduli) == batch_hnf_columns(a + b + c + linalg._moduli_cols(moduli), D)
     else:
         R, pivots = linalg.modp_rref(a + b + c, p)
         assert (S.cols(), sorted(S._held)) == (R[:len(pivots)].tolist(), pivots)
@@ -410,6 +425,29 @@ def test_insertion_matches_batch_elimination(data):
     for v in a + b + c:
         T = T.extend([v])
     assert T == S and hash(T) == hash(S)
+
+
+# moduli of the integer lane only: some mixed, one with a modulus 0, one cyclic
+CONGRUENCE_MODULI = [[4, 2, 8], [6, 0, 9], [12, 18, 3], [16]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_congruence_systems_match_the_dense_hermite_reference(data):
+    # the generator lists module presentations are built from, byte for byte
+    rm, cm = (data.draw(st.sampled_from(CONGRUENCE_MODULI)) for _ in range(2))
+    entry = st.integers(-40, 40)
+    vec = st.lists(entry, min_size=len(cm), max_size=len(cm))
+    A = data.draw(st.lists(vec, min_size=len(rm), max_size=len(rm)))
+    x = data.draw(vec)
+    # a right-hand side in the image half of the time, so both answers occur
+    b = data.draw(st.one_of(st.just([sum(a * y for a, y in zip(row, x)) for row in A]),
+                            st.lists(entry, min_size=len(rm), max_size=len(rm))))
+    assert repr(linalg.congruence_kernel(A, rm, cm)) == repr(dense_congruence_kernel(A, rm, cm))
+    assert repr(linalg.congruence_solve(A, b, rm)) == repr(dense_congruence_solve(A, b, rm))
+    gens = data.draw(st.lists(vec, max_size=5))
+    for v in (x, *gens[:1]):
+        assert repr(linalg.Subgroup(gens, cm).remainder(v)) == repr(dense_remainder(gens, v, cm))
 
 
 def test_extend_inserts_into_the_held_basis(monkeypatch):
@@ -425,13 +463,12 @@ def test_extend_inserts_into_the_held_basis(monkeypatch):
         T = S.extend([[0, 1, 1], [1, 3, 1]])
         assert calls == [] and T.rank == 2
     S = linalg.Subgroup([[2, 0, 1]], [4, 4, 2])
-    held = tuple(S._held.items())
     calls.clear()
     T = S.extend([[0, 2, 0]])
     assert len(calls) == 1
     name, args, kw = calls[0]
-    start = kw["start"] if "start" in kw else args[2] if len(args) > 2 else None
-    assert name == "hnf" and start is not None and tuple(start) == held
+    start = kw["held"] if "held" in kw else args[2] if len(args) > 2 else None
+    assert name == "hnf" and start is S._held
     assert T == linalg.Subgroup([[2, 0, 1], [0, 2, 0]], [4, 4, 2])
 
 
@@ -494,14 +531,14 @@ def test_extension_leaves_its_parent_alone(moduli, data):
 
 
 def test_extension_that_clears_held_columns_leaves_its_parent_alone():
-    # the new vectors take pivots where the held rows are nonzero, so the
-    # extension replaces those rows; it shares the rows at the pivots in shared
+    # the new vectors take pivots where the held rows (columns, on the
+    # integer lane) are nonzero, so the extension replaces those; it shares
+    # the ones at the pivots in shared, on every lane
     for gens, vs, shared in (([[1, 2, 0, 1], [0, 0, 1, 2]], [[0, 1, 0, 0], [0, 0, 0, 1]], set()),
                              ([[1, 1, 1, 1], [0, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 1, 0], [2, 0, 1, 3]], {1})):
         for moduli in PARENT_MODULI:
             S, T = _extend_leaves_parent_alone(gens, vs, moduli)
-            if linalg._lane(moduli) is not None:
-                assert {c for c, row in S._held.items() if T._held[c] is row} == shared
+            assert {c for c, row in S._held.items() if T._held[c] is row} == shared
 
 
 def test_modp_solve_refuses_mismatched_shapes():
