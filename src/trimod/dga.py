@@ -34,8 +34,9 @@ Every F_p matrix here, from a slice matrix to a homology record and the
 matrices induced on homology, is a 2-D int64 array with entries in [0, p).
 Homology is computed slice by slice.  One echelon basis per slice, grown by
 inserting the boundaries and then the low-weight cycles, picks the
-representative cycles and yields the slice's coordinate map, so class
-coordinates and induced matrices on homology are products (`modp_matmul`).
+representative cycles and yields the slice's coordinate map [P; Z], one
+array, so class coordinates are one product (`modp_matmul`) and an induced
+matrix on homology two.  A record's arrays are read-only, as it is shared.
 Between the slice matrices and the record's arrays the elimination holds
 sparse rows only: the kernel rows, the tagged cycles and the held basis
 they fill the record from.
@@ -436,14 +437,14 @@ def _slice_homology(M, q):
     (`linalg._echelon_insert`), and keeps it when it gets a pivot below
     size: when it lies outside the span of the boundaries and the cycles
     kept before it.  A held row (x, t) has x = sum_k t_k cycle_k modulo the
-    boundaries, so the coordinate map (P, Z) is P, the tags at the pivots,
-    and Z, the kernel basis of the rows x: z lies in span(reps, im) iff
-    Z z = 0, and then P z holds its coordinates in the reps.
+    boundaries, so the coordinate map coords = [P; Z] stacks P, the tags at
+    the pivots, over Z, the kernel basis of the rows x: z lies in
+    span(reps, im) iff Z z = 0, and then P z holds its coordinates in the reps.
 
     Rows stay sparse, {column: entry}, from the kernel to the record: the
     cycles are read off the kernel's held basis (`linalg._kernel_rows`) and
-    tagged in place, and reps, P (P[i, c] is the tag of kept cycle i in the
-    held row of pivot c) and Z are filled from the held rows' nonzeros.
+    tagged in place, and reps and coords (P[i, c] is the tag of kept cycle i
+    in the held row of pivot c) are filled from the held rows' nonzeros.
     """
     alg, basis = M.alg, slice_basis(M, q)
     p, size = alg.p, len(basis)
@@ -458,13 +459,20 @@ def _slice_homology(M, q):
     for k, row in enumerate(ker):
         if linalg._echelon_insert(held, row | {size + k: 1}, p, size) is not None:
             kept.append(k)
-    tag = {size + k: i for i, k in enumerate(kept)}
-    reps = linalg._from_cells((len(kept), size), [(i, j, x) for i, k in enumerate(kept) for j, x in ker[k].items()])
-    P = linalg._from_cells((len(kept), size),
-                           [(tag[j], c, x) for c, row in held.items() for j, x in row.items() if j in tag])
+    dim, tag = len(kept), {size + k: i for i, k in enumerate(kept)}
+    reps = linalg._from_cells((dim, size), [(i, j, x) for i, k in enumerate(kept) for j, x in ker[k].items()])
     K = linalg._kernel_rows(held, size, p).values()
-    Z = linalg._from_cells((len(K), size), [(r, j, x) for r, row in enumerate(K) for j, x in row.items()])
-    return {"dim": len(kept), "reps": reps, "im": im, "coords": (P, Z)}
+    coords = linalg._from_cells((dim + len(K), size),
+                                [(tag[j], c, x) for c, row in held.items() for j, x in row.items() if j in tag]
+                                + [(dim + r, j, x) for r, row in enumerate(K) for j, x in row.items()])
+    return _read_only({"dim": dim, "reps": reps, "im": im, "coords": coords})
+
+
+def _read_only(record):
+    """The record with its arrays made read-only, as shared objects are."""
+    for key in ("reps", "im", "coords"):
+        record[key].setflags(write=False)
+    return record
 
 
 @rc.per_object
@@ -482,7 +490,8 @@ def _homology_record(M, q):
     differential takes it from those of H(A) (`_algebra_homology`): its
     slice complex is the direct sum over generators j of A at degree
     q - deg(gen_j).  With one generator that is the H(A) record itself, and
-    with several it is assembled block-diagonally."""
+    with several it is assembled block-diagonally, coords as the blocks' P's
+    over their Z's."""
     alg, r = M.alg, residue(M.alg, q)
     if r != q:
         return _homology_record(M, r)
@@ -492,17 +501,20 @@ def _homology_record(M, q):
     if len(blocks) == 1:
         return blocks[0]
     reps, im = (_block_diagonal([H[key] for H in blocks]) for key in ("reps", "im"))
-    coords = tuple(_block_diagonal([H["coords"][k] for H in blocks]) for k in (0, 1))
-    return {"dim": len(reps), "reps": reps, "im": im, "coords": coords}
+    coords = np.vstack([_block_diagonal([H["coords"][:H["dim"]] for H in blocks]),
+                        _block_diagonal([H["coords"][H["dim"]:] for H in blocks])])
+    return _read_only({"dim": len(reps), "reps": reps, "im": im, "coords": coords})
 
 
 def _block_diagonal(blocks):
     """The arrays of blocks along the diagonal of one array."""
-    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=np.int64)
+    shapes = [b.shape for b in blocks]
+    out = np.zeros((sum(h for h, _ in shapes), sum(w for _, w in shapes)), dtype=np.int64)
     r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r, c = r + b.shape[0], c + b.shape[1]
+    for b, (h, w) in zip(blocks, shapes):
+        if h:
+            out[r:r + h, c:c + w] = b
+        r, c = r + h, c + w
     return out
 
 
@@ -512,8 +524,9 @@ def homology(M, window):
     Returns {q: {"dim", "reps", "im", "coords"}}.  reps, of shape
     (dim, size) for size = len(slice_basis(M, q)), holds representative
     cycles supported on reliable u-weights as rows, and im, of width size,
-    rows spanning the boundaries; coords is the coordinate map (P, Z) of
-    class_coordinates.  Degrees |v| apart share one record.
+    rows spanning the boundaries; coords, of width size, is the coordinate
+    map [P; Z] of class_coordinates, P its first dim rows.  The arrays are
+    read-only, and degrees |v| apart share one record.
     """
     alg = M.alg
     lo, hi = window
@@ -523,19 +536,18 @@ def homology(M, window):
         raise WindowTooWideForWeightBound(
             f"weight bound {alg.weight} too small for window span {hi - lo}"
         )
-    return {q: _homology_record(M, q) for q in range(lo, hi + 1)}
+    return {q: _homology_record(M, residue(alg, q)) for q in range(lo, hi + 1)}
 
 
 def class_coordinates(Hq, p, cycles):
     """Array of shape (dim, len(cycles)) whose column c holds the
     coordinates of the cycle cycles[c], a row of the array cycles, in the
-    representative basis of H_q: P C for the record's coordinate map (P, Z)
-    and C = cycles.T, after checking Z C = 0."""
-    P, Z = Hq["coords"]
-    C = cycles.T
-    if linalg.modp_matmul(Z, C, p).any():
+    representative basis of H_q: P C, read off the one product [P; Z] C of
+    the record's coordinates and C = cycles.T, after checking Z C = 0."""
+    out = linalg.modp_matmul(Hq["coords"], cycles.T, p)
+    if out[Hq["dim"]:].any():
         raise ShapeMismatch("cycle is not in the span of representatives and boundaries")
-    return linalg.modp_matmul(P, C, p)
+    return out[:Hq["dim"]]
 
 
 def induced_matrix(mat, Hsrc, Htgt, p):
@@ -548,9 +560,7 @@ def induced_matrix(mat, Hsrc, Htgt, p):
 def u_action_matrix(M, H, q):
     """Matrix of left multiplication by u: H_q -> H_{q+i}."""
     alg = M.alg
-    cols = [q - gd for gd in M.gen_degrees]
-    mat = _block_matrix(alg, [s + alg.i for s in cols], cols,
-                        lambda i, j: _algebra_matrix(alg, cols[j], (0, 0, 1), True) if i == j else None)
+    mat = _block_diagonal([_algebra_matrix(alg, q - gd, (0, 0, 1), True) for gd in M.gen_degrees])
     return induced_matrix(mat, H[q], H[q + alg.i], alg.p)
 
 

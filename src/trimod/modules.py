@@ -176,7 +176,9 @@ class FiniteModule:
     def act_coords(self, C):
         """Matrices of multiplication by the ring elements whose full
         coordinates are the rows of C, from one product: shape (len(C), r, r)."""
-        return _reduce(np.tensordot(C, self.action(), 1), self.quotient()[0])
+        A = self.action()
+        r = A.shape[1]
+        return _reduce((C @ A.reshape(len(A), r * r)).reshape(len(C), r, r), self.quotient()[0])
 
     def act_all(self, xs):
         """Matrices of multiplication by each ring element of xs on quotient

@@ -3,11 +3,12 @@
 A map f between finite free graded modules over k[x]/(x^2) lifts to the
 two-generator DG algebra (1 -> 1, x -> u); the third term of the triangle is
 the degreewise homology of the cone of the lift.  Only f is a constructed
-chain map, checked by its cone, and every map is read off the cone: f and
-f[n] are blocks of its slice differentials, g and h its slice inclusion of
-B and projection onto A[n]; A[n], B[n] are read off A and B n degrees
-lower.  Everything is recorded as per-degree slice data over the prime
-field, which is what exactness checks consume.
+chain map, checked by its cone, and every map is read off the cone: f is
+a block of its slice differentials, g and h its slice inclusion of B and
+projection onto A[n]; A[n], B[n] are read off A and B n degrees lower, and
+f[n] off f there by one sign per source generator.  Everything is recorded
+as read-only per-degree slice data over the prime field, which is what the
+exactness checks consume, sharing one record of checks per triangle.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ class Triangle:
       sf[q]: (A[n])_q -> (B[n])_q  (the suspended map, used for exactness),
     of shapes (b, a), (c, b), (sa, c) and (sb, sa) for the homology
     dimensions dims[q] = (a, b, c, sa, sb), sa = dim (A[n])_q, sb = dim (B[n])_q.
+    The arrays are read-only, and verify_triangle_exact and verify_rotation
+    share one record of the checks passed and the ranks made on them.
     """
 
     def __init__(self, p, n, window, dims, f, g, h, sf, third_generator_degrees):
@@ -43,6 +46,8 @@ class Triangle:
         self.h = h
         self.sf = sf
         self.third_generator_degrees = third_generator_degrees
+        # the checks passed and the ranks made, shared by both verifiers
+        self._checks = ({}, {})
 
 
 def _lift_entry(alg, R, x):
@@ -118,10 +123,11 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
     map, by its cone).  The cone's generators are B's followed by A's
     shifted by n, so its degree-q slice is B_q followed by (A[n])_q: g and h
     are read off the cone's records as that slice inclusion and projection.
-    The cone's differential holds f as its block from A[n] to B, so f and
-    f[n] are read off the slice differentials its homology builds
-    (`dg.map_slice`).  A[n] and B[n] are free, so their records at q are
-    those of A and B at q - n.
+    The cone's differential holds f as its block from A[n] to B, so f is
+    read off the slice differentials its homology builds (`dg.map_slice`),
+    once per residue class.  A[n] and B[n] are free, so their records at q
+    are those of A and B at q - n, and f[n] at q is f at q - n with a sign
+    on each source block.  The maps are read-only.
 
     With no weight, the model's weight is dg.DEFAULT_WEIGHT, raised where
     the window needs more (dg.homology bounds the window when |x| != 0).
@@ -150,6 +156,16 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
     HAs = dg.homology(M, (lo - n, hi - n))
     HBs = dg.homology(N, (lo - n, hi - n))
 
+    # f on homology once per residue class, whose degrees share their
+    # slices and records
+    f_at = {}
+
+    def induced_f(q, HX, HY):
+        r = dg.residue(alg, q)
+        if r not in f_at:
+            f_at[r] = dg.induced_matrix(dg.map_slice(fmap, q), HX[q], HY[q], p)
+        return f_at[r]
+
     dims, fs, gs, hs, sfs = {}, {}, {}, {}, {}
     period = abs(alg.vdeg)
     for q in range(lo, hi + 1):
@@ -161,17 +177,25 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
         reps_b, reps_c = HB[q]["reps"], HC[q]["reps"]
         b = reps_b.shape[1]
         dims[q] = (HA[q]["dim"], HB[q]["dim"], HC[q]["dim"], HAs[q - n]["dim"], HBs[q - n]["dim"])
-        fs[q] = dg.induced_matrix(dg.map_slice(fmap, q), HA[q], HB[q], p)
+        fs[q] = induced_f(q, HA, HB)
         padded = np.zeros((len(reps_b), reps_c.shape[1]), dtype=np.int64)
         padded[:, :b] = reps_b
         gs[q] = dg.class_coordinates(HC[q], p, padded)
         hs[q] = dg.class_coordinates(HAs[q - n], p, reps_c[:, b:])
-        # the connecting map H(A[n])_q -> H(B[n])_q: f with a (-1)^{n|y|}
-        # twist on each coefficient y, the block of the cone's differential
-        # at q.  It differs from the naively suspended matrix by an
-        # invertible sign diagonal, so ranks agree with f, but only this
-        # version makes consecutive composites vanish.
-        sfs[q] = dg.induced_matrix(dg.map_slice(fmap, q - n, twist=n), HAs[q - n], HBs[q - n], p)
+        # the connecting map H(A[n])_q -> H(B[n])_q: map_slice's twist n
+        # negates each source block j where n (q - n - deg gen_j) is odd, and
+        # the reps of a free module lie each in one block, so it is f at
+        # q - n with those reps' columns negated.  It differs from the naively
+        # suspended matrix by an invertible sign diagonal, so ranks agree
+        # with f, but only this version makes consecutive composites vanish.
+        # Over F_2 every sign is +1, and f[n] is f's own array
+        sfs[q] = f = induced_f(q - n, HAs, HBs)
+        if p != 2:
+            cols = [c for c, (j, _) in enumerate(dg.slice_basis(M, q - n)) if n * (q - n - source_degrees[j]) % 2]
+            flip = HAs[q - n]["reps"][:, cols].any(axis=1)
+            sfs[q] = f * np.where(flip, p - 1, 1) % p if flip.any() else f
+        for m in (fs[q], gs[q], hs[q], sfs[q]):
+            m.setflags(write=False)
 
     third = _generator_degrees(C, HC, window)
     return Triangle(p, n, window, dims, fs, gs, hs, sfs, third)
@@ -188,25 +212,32 @@ _DETAILS = {
 }
 
 
-def _exact_at(T, q, position, passed, ranks):
+# position -> (map in, map out, index of its dimension in dims); SB reads
+# its maps n degrees lower and is handled on its own
+_MAPS = {"B": ("f", "g", 1), "C": ("g", "h", 2), "SA": ("h", "sf", 3)}
+
+
+def _exact_at(T, q, position):
     """Report of the first failed exactness check at one position in degree
     q, or None.  A position is exact when the composite through it vanishes
     and the ranks of the maps in and out add up to its dimension.
 
     Past the first |v| degrees the triangle's matrices are the objects stored
-    a period earlier, so a check is made once: `passed` holds the position,
-    dimension and matrix objects of each check passed so far, and `ranks`
-    the rank of each matrix object ranked so far, by id."""
+    a period earlier, so a check is made once per triangle, whichever
+    verifier asks: T's check record holds each check passed, keyed by
+    position, dimension and matrix ids, and each rank made, keyed by id.
+    Its entries keep their matrices, so no id is reused while it lives, and
+    the matrices are read-only, so no result goes stale."""
     p, n = T.p, T.n
+    passed, ranks = T._checks
     if position == "SB":
         # in by -f[n], out by g[n], which is conjugate to g at q - n; the
         # composite is checked on the unsuspended maps
         incoming, outgoing, dim = T.sf[q], T.g[q - n], T.dims[q - n][1]
         left, right = T.g[q - n], T.f[q - n]
     else:
-        incoming, outgoing, dim = {"B": (T.f[q], T.g[q], T.dims[q][1]),
-                                   "C": (T.g[q], T.h[q], T.dims[q][2]),
-                                   "SA": (T.h[q], T.sf[q], T.dims[q][3])}[position]
+        first, second, k = _MAPS[position]
+        incoming, outgoing, dim = getattr(T, first)[q], getattr(T, second)[q], T.dims[q][k]
         left, right = outgoing, incoming
     key = (position, dim, id(incoming), id(outgoing), id(left), id(right))
     if key in passed:
@@ -217,9 +248,9 @@ def _exact_at(T, q, position, passed, ranks):
     else:
         for m in (incoming, outgoing):
             if id(m) not in ranks:
-                ranks[id(m)] = linalg.modp_rank(m, p)
-        if ranks[id(incoming)] + ranks[id(outgoing)] == dim:
-            passed.add(key)
+                ranks[id(m)] = (linalg.modp_rank(m, p), m)
+        if ranks[id(incoming)][0] + ranks[id(outgoing)][0] == dim:
+            passed[key] = (incoming, outgoing, left, right)
             return None
         detail = rank_detail
     return {"pass": False, "degree": q, "position": position, "detail": detail}
@@ -228,10 +259,9 @@ def _exact_at(T, q, position, passed, ranks):
 def verify_triangle_exact(T):
     """Slicewise exactness at B, C and A[n]; report PASS or first failure."""
     lo, hi = T.window
-    passed, ranks = set(), {}
     for q in range(lo, hi + 1):
         for position in ("B", "C", "SA"):
-            failure = _exact_at(T, q, position, passed, ranks)
+            failure = _exact_at(T, q, position)
             if failure:
                 return failure
     return {"pass": True, "degree": None, "position": None, "detail": "exact in window"}
@@ -248,10 +278,9 @@ def verify_rotation(T):
     degrees = range(max(lo, lo + T.n), min(hi, hi + T.n) + 1)
     if not degrees:
         raise WindowEmpty(f"window {lo}:{hi} holds no degree q with q - n in it, at n = {T.n}")
-    passed, ranks = set(), {}
     for q in degrees:
         for position in ("C", "SA", "SB"):
-            failure = _exact_at(T, q, position, passed, ranks)
+            failure = _exact_at(T, q, position)
             if failure:
                 return failure
     return {"pass": True, "degree": None, "position": None, "detail": "rotation exact in window"}

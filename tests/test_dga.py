@@ -382,6 +382,63 @@ def test_f_and_suspended_f_match_their_chain_map(p, period, n):
             assert np.array_equal(T.sf[q], dg.induced_matrix(sf, HAs[q - n], HBs[q - n], p))
 
 
+@pytest.mark.parametrize("p, i, n, window", [
+    (2, 1, 1, (-5, 5)), (3, 1, 1, (-5, 5)), (5, 1, 1, (-5, 5)),
+    # windows narrower than |v|, as at the rotation check's limits
+    (3, 1, 3, (0, 2)), (3, 1, -1, (0, 0)),
+    # |v| = 0: every degree is its own residue class
+    (2, 1, -3, (-5, 5))])
+def test_suspended_f_is_read_off_f(p, i, n, window):
+    # reference: f[n] induced from the connecting map's slice matrix on the
+    # records of A[n] and B[n]; the triangle reads it off f at q - n with a
+    # sign per source generator block
+    R = con.exterior_on_field(con.finite_field(p), i) if 3 * i + n == 0 else con.laurent_exterior(p, i, 3 * i + n)
+    alg = tr._model(R, n, dg.DEFAULT_WEIGHT)
+    rng = random.Random(p * 7 + n)
+    lo, hi = window
+    for _ in range(4):
+        src = []
+        while len({d % 2 for d in src}) < 2:
+            src, tgt, entries = tr.random_map(R, n, rng, max_rank=4)
+        T = tr.triangle_from_map(R, n, src, tgt, entries, window=window)
+        M, N = dg.DGModule(alg, src), dg.DGModule(alg, tgt)
+        fmap = dg.DGMap(M, N, [[tr._lift_entry(alg, R, x) for x in row] for row in entries])
+        HAs, HBs = (dg.homology(X, (lo - n, hi - n)) for X in (M, N))
+        for q in range(lo, hi + 1):
+            want = dg.induced_matrix(dg.map_slice(fmap, q - n, twist=n), HAs[q - n], HBs[q - n], p)
+            assert T.sf[q].shape == want.shape and np.array_equal(T.sf[q], want), f"degree {q}"
+            if p == 2 and lo <= q - n <= hi:
+                # over F_2 every sign is +1
+                assert T.sf[q] is T.f[q - n]
+
+
+def test_one_product_per_class_coordinates_and_one_rank_per_matrix(monkeypatch):
+    # class coordinates are one product with the record's [P; Z], and the two
+    # verifiers share one record of checks and ranks per triangle
+    products, ranked, per_call = [], [], []
+    matmul, rank, coordinates = linalg.modp_matmul, linalg.modp_rank, dg.class_coordinates
+
+    def counted(*args):
+        start = len(products)
+        out = coordinates(*args)
+        per_call.append(len(products) - start)
+        return out
+
+    monkeypatch.setattr(linalg, "modp_matmul", lambda *args: products.append(args) or matmul(*args))
+    # the ranked matrices are kept, so no id is reused
+    monkeypatch.setattr(linalg, "modp_rank", lambda A, p: ranked.append(A) or rank(A, p))
+    monkeypatch.setattr(dg, "class_coordinates", counted)
+    for p in (2, 3, 5):
+        R = con.laurent_exterior(p, 1, 4)
+        rng = random.Random(p)
+        for _ in range(3):
+            T = tr.triangle_from_map(R, 1, *tr.random_map(R, 1, rng, max_rank=4), window=(-5, 5))
+            ranked.clear()
+            assert tr.verify_triangle_exact(T)["pass"] and tr.verify_rotation(T)["pass"]
+            assert ranked and len({id(A) for A in ranked}) == len(ranked)
+    assert per_call and set(per_call) == {1}
+
+
 def test_triangle_input_errors():
     R = lift_ring()
     x = R.basis_element(1)

@@ -689,11 +689,64 @@ def corruptions(T, rng):
 
 
 def test_shared_position_check_reports_like_reference():
+    # both verifiers share one record of passed checks per triangle, so each
+    # must report like its reference whichever runs first; corruptions
+    # replace the read-only arrays of a copy rather than writing into them
     R = con.laurent_exterior(3, 1, 4)
     rng = random.Random(11)
     for _ in range(6):
         src, tgt, entries = tr.random_map(R, 1, rng)
         T = tr.triangle_from_map(R, 1, src, tgt, entries)
+        state = rng.getstate()
         for X in [T] + list(corruptions(T, rng)):
             assert tr.verify_triangle_exact(X) == reference_verify_exact(X)
             assert tr.verify_rotation(X) == reference_verify_rotation(X)
+        # the same corruptions of a fresh triangle, rotation first
+        again = random.Random()
+        again.setstate(state)
+        T = tr.triangle_from_map(R, 1, src, tgt, entries)
+        for X in [T] + list(corruptions(T, again)):
+            assert tr.verify_rotation(X) == reference_verify_rotation(X)
+            assert tr.verify_triangle_exact(X) == reference_verify_exact(X)
+
+
+def test_records_and_triangle_maps_are_read_only():
+    # records and maps are shared by degrees, triangles and the check record,
+    # so none can be written in place
+    R = con.laurent_exterior(3, 1, 4)
+    src, tgt, entries = tr.random_map(R, 1, random.Random(2), max_rank=3)
+    T = tr.triangle_from_map(R, 1, src, tgt, entries, window=(-5, 5))
+    alg = tr._model(R, 1, dg.DEFAULT_WEIGHT)
+    f = drawn_map(3, 1, 1, dg.DEFAULT_WEIGHT, random.Random(3))
+    records = [Hq for M in (dg.cone(f), dg.DGModule(alg, [-1, 0, 2]), dg.algebra_module(alg))
+               for Hq in dg.homology(M, (-3, 3)).values()]
+    arrays = [Hq[key] for Hq in records for key in ("reps", "im", "coords")] + \
+        [m for mats in (T.f, T.g, T.h, T.sf) for m in mats.values()]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_class_coordinates_refuse_a_vector_outside_the_span():
+    # the rows of coords past dim are the span check, on an eliminated record
+    # and on one assembled for a free module on several generators
+    alg = dg.build_two_generator_dga(3, 1, 1)
+    u = dg.DGElement(alg, {(0, 0, 1): 1})
+    C = dg.cone(dg.DGMap(dg.DGModule(alg, [1]), dg.DGModule(alg, [0]), [[u]]))
+    F = dg.DGModule(alg, [-1, 0, 2])
+    refused = {C: 0, F: 0}
+    for M in refused:
+        for q, Hq in dg.homology(M, (-3, 3)).items():
+            assert Hq["coords"].shape[0] >= Hq["dim"]
+            span = np.vstack((Hq["reps"], Hq["im"]))
+            rank = linalg.modp_rank(span, 3)
+            for k in range(span.shape[1]):
+                e = np.zeros((1, span.shape[1]), dtype=np.int64)
+                e[0, k] = 1
+                if linalg.modp_rank(np.vstack((span, e)), 3) > rank:
+                    with pytest.raises(ShapeMismatch):
+                        dg.class_coordinates(Hq, 3, np.vstack((Hq["reps"], e)))
+                    refused[M] += 1
+                else:
+                    assert dg.class_coordinates(Hq, 3, e).shape == (Hq["dim"], 1)
+    assert all(refused.values())
