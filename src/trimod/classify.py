@@ -102,7 +102,7 @@ def classify_local(R, n):
         # itself is recognizable without enumeration
         if rc.is_graded_field(R):
             return LocalVerdict(GRADED_FIELD)
-        raise NotLocalInput("rational non-field input needs a periodic presentation")
+        raise NotLocalInput(f"rational non-field input: {rc.RATIONAL_SCOPE}")
     if not rc.is_local(R):
         raise NotLocalInput("classify_local expects a local ring")
     m = rc.maximal_ideal(R)

@@ -1,61 +1,72 @@
-"""Builders for the stock rings used in tests, demos, and the bundled corpus."""
+"""Builders for the stock rings used in tests, demos, and the bundled corpus:
+monomial rings through `_monomial_ring`, the others from the rings given."""
 
 from __future__ import annotations
 
 import math
+import operator
 
 from . import linalg
 from .errors import RingSpecError, SizeCapExceeded, UnsupportedCoefficients
 from .rings import MAX_TABLE_DIM, GradedRing, is_graded_field, validate_ring
 
 
+def _monomial_ring(char, basis, rewrite=None, periodicity=None):
+    """The ring mod char (Q for char 0) on monomials (name, degree, exponents),
+    unit first, exponents closed under division: b_i b_j is the monomial at the
+    exponent sum, or else the terms (coeff, index, vpow) of rewrite(sum), or 0."""
+    index = {e: k for k, (_, _, e) in enumerate(basis)}
+    products = {}
+    for i, (_, _, a) in enumerate(basis):
+        for j, (_, _, b) in enumerate(basis):
+            s = tuple(map(operator.add, a, b))
+            if s in index:
+                products[i, j] = [(1, index[s], 0)]
+            elif rewrite:
+                products[i, j] = rewrite(s)
+    R = GradedRing(char, [(name, d) for name, d, _ in basis], products, [(1, 0, 0)], periodicity=periodicity)
+    return validate_ring(R)
+
+
+# one, g with g*g = -g - 1: F_4 over F_2, GR(4, 2) over Z/4
+_G_BASIS = [("one", 0, (0,)), ("g", 0, (1,))]
+
+
+def _g_squared(_):
+    return [(-1, 0, 0), (-1, 1, 0)]
+
+
 def z_mod(m: int) -> GradedRing:
     """The ring of integers modulo m."""
     if m < 2:
         raise RingSpecError("modulus must be at least 2")
-    R = GradedRing(m, [("e", 0)], {(0, 0): [(1, 0, 0)]}, [(1, 0, 0)])
-    return validate_ring(R)
+    return _monomial_ring(m, [("e", 0, ())])
 
 
-def truncated_polynomial(p: int, e: int, name: str = "t", degree: int = 0) -> GradedRing:
+def truncated_polynomial(p: int, e: int, degree: int = 0) -> GradedRing:
     """k[t]/(t**e) over the prime field of order p, with |t| = degree."""
     if not linalg.is_prime(p) or e < 1:
         raise RingSpecError(f"need a prime p and e >= 1, got p={p}, e={e}")
     if e > MAX_TABLE_DIM:
         raise SizeCapExceeded(f"k[t]/(t**{e}) has dimension above {MAX_TABLE_DIM}")
-    basis = [(f"{name}{j}" if j else "one", j * degree) for j in range(e)]
-    products = {}
-    for i in range(e):
-        for j in range(e):
-            if i + j < e:
-                products[(i, j)] = [(1, i + j, 0)]
-    R = GradedRing(p, basis, products, [(1, 0, 0)])
-    return validate_ring(R)
+    return _monomial_ring(p, [(f"t{j}" if j else "one", j * degree, (j,)) for j in range(e)])
 
 
 def finite_field(q: int) -> GradedRing:
     """The field with q elements, for q prime or 4."""
     if q == 4:
-        # F_2[g] with g*g = g + 1
-        products = {
-            (0, 0): [(1, 0, 0)],
-            (0, 1): [(1, 1, 0)],
-            (1, 0): [(1, 1, 0)],
-            (1, 1): [(1, 1, 0), (1, 0, 0)],
-        }
-        R = GradedRing(2, [("one", 0), ("g", 0)], products, [(1, 0, 0)])
-        return validate_ring(R)
+        return _monomial_ring(2, _G_BASIS, _g_squared)
     if not linalg.is_prime(q):
         raise RingSpecError(f"need q prime or 4, got q={q}")
     return z_mod(q)
 
 
-def exterior_on_field(k: GradedRing, x_degree: int = 0, name: str = "x") -> GradedRing:
+def exterior_on_field(k: GradedRing, x_degree: int = 0) -> GradedRing:
     """k[x]/(x**2) on an ungraded finite field k, with |x| = x_degree."""
     if not k.is_finite or k.char == 0 or any(k.degrees) or not is_graded_field(k):
         raise UnsupportedCoefficients("base must be an ungraded finite field")
     n = k.dim
-    basis = [(f"c{i}", 0) for i in range(n)] + [(f"{name}{i}" if i else name, x_degree) for i in range(n)]
+    basis = [(f"c{i}", 0) for i in range(n)] + [(f"x{i}" if i else "x", x_degree) for i in range(n)]
     products = {}
     for (i, j), terms in k.products.items():
         base = [(c, t, 0) for c, t, _ in terms]
@@ -72,27 +83,12 @@ def square_zero_two_vars(p: int) -> GradedRing:
     """k[x, y]/(x**2, x*y, y**2) over the prime field of order p."""
     if not linalg.is_prime(p):
         raise RingSpecError(f"need a prime p, got p={p}")
-    products = {
-        (0, 0): [(1, 0, 0)],
-        (0, 1): [(1, 1, 0)],
-        (1, 0): [(1, 1, 0)],
-        (0, 2): [(1, 2, 0)],
-        (2, 0): [(1, 2, 0)],
-    }
-    R = GradedRing(p, [("one", 0), ("x", 0), ("y", 0)], products, [(1, 0, 0)])
-    return validate_ring(R)
+    return _monomial_ring(p, [("one", 0, (0, 0)), ("x", 0, (1, 0)), ("y", 0, (0, 1))])
 
 
 def galois_ring_4_2() -> GradedRing:
     """Z/4[g]/(g**2 + g + 1), the unramified degree-2 extension of Z/4."""
-    products = {
-        (0, 0): [(1, 0, 0)],
-        (0, 1): [(1, 1, 0)],
-        (1, 0): [(1, 1, 0)],
-        (1, 1): [(3, 1, 0), (3, 0, 0)],
-    }
-    R = GradedRing(4, [("one", 0), ("g", 0)], products, [(1, 0, 0)])
-    return validate_ring(R)
+    return _monomial_ring(4, _G_BASIS, _g_squared)
 
 
 def product_ring(A: GradedRing, B: GradedRing) -> GradedRing:
@@ -114,33 +110,14 @@ def product_ring(A: GradedRing, B: GradedRing) -> GradedRing:
     return validate_ring(R)
 
 
-def laurent_field(p: int, degree: int, unit_name: str = "y") -> GradedRing:
+def laurent_field(p: int, degree: int) -> GradedRing:
     """F_p[y, y**-1] with |y| = degree."""
-    R = GradedRing(
-        p,
-        [("one", 0)],
-        {(0, 0): [(1, 0, 0)]},
-        [(1, 0, 0)],
-        periodicity=(unit_name, degree),
-    )
-    return validate_ring(R)
+    return _monomial_ring(p, [("one", 0, ())], periodicity=("y", degree))
 
 
-def laurent_exterior(p: int, x_degree: int, y_degree: int, unit_name: str = "y") -> GradedRing:
+def laurent_exterior(p: int, x_degree: int, y_degree: int) -> GradedRing:
     """F_p[y, y**-1][x]/(x**2) with |x| = x_degree and |y| = y_degree."""
-    products = {
-        (0, 0): [(1, 0, 0)],
-        (0, 1): [(1, 1, 0)],
-        (1, 0): [(1, 1, 0)],
-    }
-    R = GradedRing(
-        p,
-        [("one", 0), ("x", x_degree)],
-        products,
-        [(1, 0, 0)],
-        periodicity=(unit_name, y_degree),
-    )
-    return validate_ring(R)
+    return _monomial_ring(p, [("one", 0, (0,)), ("x", x_degree, (1,))], periodicity=("y", y_degree))
 
 
 def group_algebra_cyclic(p: int, n: int) -> GradedRing:

@@ -365,26 +365,23 @@ def cone(f):
     return C
 
 
-def map_slice(f, q, twist=0):
+def map_slice(f, q):
     """Matrix of f from the degree-q slice of its source to that of its
     target, as an array of shape (target, source), read off the slice
     differential of cone(f) at q + n; f must be a chain map.
 
-    With twist, each coefficient y is first multiplied by (-1)^{twist |y|};
-    map_slice(f, q - n, twist=n) is the connecting map (A[n])_q -> (B[n])_q
-    of the cone sequence, as slice_basis(M[n], q) == slice_basis(M, q - n).
     The cone's slice at q + n is B_{q+n} followed by (A[n])_{q+n} = A_q, so
     its block from the A[n] columns to the B rows is f on A_q with each
     source block j, of degree s_j = q - deg(gen_j), multiplied by the
-    Leibniz sign (-1)^{n s_j}: twist n.  For another twist, block j is
-    negated where (n + twist) s_j is odd.
+    Leibniz sign (-1)^{n s_j}; the blocks where n s_j is odd are negated
+    back.
     """
     alg = f.source.alg
     rows, start = len(slice_basis(f.target, q)), len(slice_basis(f.target, q + alg.n))
     out = slice_differential(cone(f), q + alg.n)[:rows, start:]
     # over F_2 every sign is +1
     flip = [c for c, (j, _) in enumerate(slice_basis(f.source, q))
-            if alg.p != 2 and (alg.n + twist) * (q - f.source.gen_degrees[j]) % 2]
+            if alg.p != 2 and alg.n * (q - f.source.gen_degrees[j]) % 2]
     if flip:
         out = out.copy()
         out[:, flip] = -out[:, flip] % alg.p

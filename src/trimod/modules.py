@@ -237,18 +237,18 @@ class ModuleMap:
     is the image of source generator j in the target's quotient coordinates.
 
     The constructor takes a g_target x g_source matrix over the ring and
-    converts it once; with check, it must map the source relations into the
-    target relations.
+    converts it once; it must map the source relations into the target
+    relations.
     """
 
-    def __init__(self, source, target, matrix, check=True):
+    def __init__(self, source, target, matrix):
         rows = [list(row) for row in matrix]
         if len(rows) != target.generators or any(len(row) != source.generators for row in rows):
             raise ShapeMismatch("map matrix shape must be g_target x g_source")
         images = [target.coords([row[j] for row in rows]) for j in range(source.generators)]
-        self._hold(source, target, np.array(images).reshape(source.generators, len(target.quotient()[0])).T, check)
+        self._hold(source, target, np.array(images).reshape(source.generators, len(target.quotient()[0])).T)
 
-    def _hold(self, source, target, images, check):
+    def _hold(self, source, target, images, check=True):
         """Take the image array (r_target x g_source), reduced to the target's dtype."""
         self.source = source
         self.target = target

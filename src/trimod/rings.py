@@ -73,6 +73,8 @@ MAX_TABLE_DIM = 256
 # `_prime_powers` takes a prime cofactor at once, and refuses a composite
 # one with no prime factor below this bound
 TRIAL_BOUND = 2 ** 16
+# locality and idempotents over Q are decided only on Q itself
+RATIONAL_SCOPE = "over Q, only the field Q in degree 0 is classified"
 
 
 def per_object(fn):
@@ -617,7 +619,7 @@ def _degree_zero_mod_p(R):
     degree-0 basis elements whose additive order p divides, with R's
     products mod p; its elements are lists of exact coordinates on them."""
     if R.char == 0:
-        raise UnsupportedCoefficients("locality over Q is not supported")
+        raise UnsupportedCoefficients(RATIONAL_SCOPE)
     zero = [i for i, _ in R.slice_terms(0)]
     out = []
     for p, pk in _prime_powers(R.char):
@@ -692,7 +694,7 @@ def idempotents(R):
         # a one-dimensional degree-0 slice is Q * 1, whose only nonzero
         # idempotent is 1
         if len(R.slice_terms(0)) != 1:
-            raise UnsupportedCoefficients("rational idempotents need a one-dimensional degree-0 slice")
+            raise UnsupportedCoefficients(RATIONAL_SCOPE)
         return [R.one()]
     out, terms = [], R.slice_terms(0)
     for p, pk, pos, _, lines in _degree_zero_mod_p(R):

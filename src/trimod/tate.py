@@ -98,12 +98,12 @@ def cofiber_stmod(f):
     inc_mat = [[R.zero()] * N.generators for _ in range(g_total)]
     for i in range(N.generators):
         inc_mat[I.generators + i][i] = R.one()
-    n_to_c = md.ModuleMap(N, C, inc_mat, check=True)
+    n_to_c = md.ModuleMap(N, C, inc_mat)
     # C -> Omega^-1 M: forget N, land in I(M)/M
     out_mat = [[R.zero()] * g_total for _ in range(I.generators)]
     for i in range(I.generators):
         out_mat[i][i] = R.one()
-    c_to_omega = md.ModuleMap(C, md.heller_inverse(M), out_mat, check=True)
+    c_to_omega = md.ModuleMap(C, md.heller_inverse(M), out_mat)
     return C, n_to_c, c_to_omega
 
 

@@ -182,7 +182,7 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
         padded[:, :b] = reps_b
         gs[q] = dg.class_coordinates(HC[q], p, padded)
         hs[q] = dg.class_coordinates(HAs[q - n], p, reps_c[:, b:])
-        # the connecting map H(A[n])_q -> H(B[n])_q: map_slice's twist n
+        # the connecting map H(A[n])_q -> H(B[n])_q: the cone's Leibniz sign
         # negates each source block j where n (q - n - deg gen_j) is odd, and
         # the reps of a free module lie each in one block, so it is f at
         # q - n with those reps' columns negated.  It differs from the naively

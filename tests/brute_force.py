@@ -221,7 +221,9 @@ def map_slice(f, q, twist=0):
     """The slice matrix of the DG map f, assembled block by block: block
     (i, j) is right multiplication by f.matrix[i][j] on the slice of A at
     s = q - deg(gen_j), times (-1)^{twist s}.  The reference for
-    `dga.map_slice`, which reads it off the cone's slice differential."""
+    `dga.map_slice`, which reads it off the cone's slice differential, and
+    with twist n for the connecting map (A[n])_{q+n} -> (B[n])_{q+n} of the
+    cone sequence, which a triangle reads off f."""
     alg = f.source.alg
     cols = [q - gd for gd in f.source.gen_degrees]
     return dga._block_matrix(alg, [q - gd for gd in f.target.gen_degrees], cols,

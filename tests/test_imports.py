@@ -184,6 +184,24 @@ def test_only_times_looks_up_products():
     assert _stray(_product_lookups, {("rings", "_times")}) == []
 
 
+def _product_tables(tree):
+    """(scope, line) of each dict display or comprehension with a tuple key,
+    and of each subscript store: a product table written out."""
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.Dict) and any(isinstance(key, ast.Tuple) for key in node.keys) \
+                or isinstance(node, ast.DictComp) and isinstance(node.key, ast.Tuple) \
+                or isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            yield scope, node.lineno
+
+
+def test_only_the_monomial_builder_writes_stock_tables():
+    # the stock rings on a monomial basis build through one builder;
+    # exterior_on_field and product_ring derive theirs from the rings they take
+    allowed = {("constructions", name) for name in ("_monomial_ring", "exterior_on_field", "product_ring")}
+    stray = _stray(_product_tables, allowed)
+    assert [line for line in stray if line.startswith("constructions.py:")] == []
+
+
 def _right_multiplications(tree):
     """(scope, line) of each reference to `_right_multiplication`."""
     for scope, node in _scoped_nodes(tree):

@@ -14,8 +14,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trimod import cli, ringio
 from trimod import constructions as con
-from trimod.errors import DegreeMismatch, ParseError, RingSpecError, SizeCapExceeded
-from trimod.rings import GradedRing
+from trimod.classify import classify
+from trimod.errors import DegreeMismatch, ParseError, RingSpecError, SizeCapExceeded, TrimodError
+from trimod.rings import GradedRing, is_quasi_frobenius, validate_ring
 
 HERE = os.path.dirname(__file__)
 RINGS = os.path.join(HERE, os.pardir, "rings")
@@ -38,6 +39,28 @@ def test_corpus_round_trip(path):
     assert ringio.serialize_ring(R2) == text
     with open(path, "r", encoding="utf-8") as fh:
         assert fh.read() == text
+
+
+def _stock_rings():
+    """Each committed ring file's name, with the constructor call that made it."""
+    f2, f3 = con.finite_field(2), con.finite_field(3)
+    rings = {f"z{m}": con.z_mod(m) for m in (4, 6, 8, 9, 16)}
+    rings.update({f"f{p}": con.z_mod(p) for p in (2, 3, 5)})
+    rings.update({f"f3_laurent_x1_y{d}": con.laurent_exterior(3, 1, d) for d in (2, 3, 4)})
+    rings.update(f4=con.finite_field(4), f5t3=con.truncated_polynomial(5, 3), f2xy=con.square_zero_two_vars(2),
+                 gr42=con.galois_ring_4_2(), f2x=con.exterior_on_field(f2), f3x=con.exterior_on_field(f3),
+                 f2_x_z4=con.product_ring(f2, con.z_mod(4)),
+                 f3_x_f2x=con.product_ring(f3, con.exterior_on_field(f2)))
+    return {f"{name}.ring": R for name, R in rings.items()}
+
+
+def test_ring_files_are_their_constructors():
+    # the corpus is the stock constructors' output, byte for byte
+    rings = _stock_rings()
+    assert sorted(rings) == [os.path.basename(path) for path in RING_FILES]
+    for path in RING_FILES:
+        with open(path, "r", encoding="utf-8") as fh:
+            assert fh.read() == ringio.serialize_ring(rings[os.path.basename(path)]), path
 
 
 def test_constructed_ring_round_trip():
@@ -218,6 +241,33 @@ def test_cli_qf_and_classify_agree_on_the_rationals(tmp_path, capsys):
     assert code == 0 and "factor 0: GradedField" in out
     code, out, err = _run(["qf", str(path)], capsys)
     assert (code, out, err) == (0, "quasi_frobenius: true\n", "")
+
+
+_SQUARE_ZERO = {(0, 0): [(1, 0, 0)], (0, 1): [(1, 1, 0)], (1, 0): [(1, 1, 0)]}
+RATIONAL_RINGS = {
+    "Q[x]/(x^2), |x| = 0": GradedRing(0, [("one", 0), ("x", 0)], _SQUARE_ZERO, [(1, 0, 0)]),
+    "Q[x]/(x^2), |x| = 2": GradedRing(0, [("one", 0), ("x", 2)], _SQUARE_ZERO, [(1, 0, 0)]),
+    "Q x Q": GradedRing(0, [("e", 0), ("f", 0)], {(0, 0): [(1, 0, 0)], (1, 1): [(1, 1, 0)]},
+                        [(1, 0, 0), (1, 1, 0)]),
+    "Q[y, 1/y], |y| = 2": con.laurent_field(0, 2),
+    "Q[y, 1/y][x]/(x^2)": con.laurent_exterior(0, 1, 4),
+}
+
+
+@pytest.mark.parametrize("ring", RATIONAL_RINGS.values(), ids=RATIONAL_RINGS)
+def test_rational_rings_past_the_field_name_the_limit(ring, tmp_path, capsys):
+    # over Q only the field Q in degree 0 is classified: both verdicts and
+    # both commands refuse every other ring with that message
+    limit = "over Q, only the field Q in degree 0 is classified"
+    R = validate_ring(ring)
+    for verdict in (lambda: classify(R, 0), lambda: is_quasi_frobenius(R)):
+        with pytest.raises(TrimodError, match=limit):
+            verdict()
+    path = tmp_path / "q.ring"
+    ringio.save_ring(R, str(path))
+    for command in ("classify", "qf"):
+        code, _, err = _run([command, str(path)], capsys)
+        assert code == 2 and limit in err, command
 
 
 @pytest.mark.parametrize("name", ["f3_laurent_x1_y2.ring", "f3_laurent_x1_y3.ring",
