@@ -377,15 +377,21 @@ def map_slice(f, q):
     back.
     """
     alg = f.source.alg
-    rows, start = len(slice_basis(f.target, q)), len(slice_basis(f.target, q + alg.n))
+    rows, start = (sum(len(_algebra_basis(alg, s - gd)) for gd in f.target.gen_degrees) for s in (q, q + alg.n))
     out = slice_differential(cone(f), q + alg.n)[:rows, start:]
     # over F_2 every sign is +1
-    flip = [c for c, (j, _) in enumerate(slice_basis(f.source, q))
-            if alg.p != 2 and alg.n * (q - f.source.gen_degrees[j]) % 2]
-    if flip:
+    if alg.p != 2 and (flip := odd_blocks(f.source, q, alg.n)).any():
         out = out.copy()
         out[:, flip] = -out[:, flip] % alg.p
     return out
+
+
+def odd_blocks(M, q, n):
+    """The columns of the degree-q slice of M in the blocks of the
+    generators j with n (q - deg gen_j) odd, as a mask: those the Leibniz
+    sign of a cone on M[n] negates."""
+    return np.repeat(np.array([n * (q - gd) % 2 for gd in M.gen_degrees], dtype=bool),
+                     [len(_algebra_basis(M.alg, q - gd)) for gd in M.gen_degrees])
 
 
 # ---------------------------------------------------------------------------

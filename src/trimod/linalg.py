@@ -28,8 +28,9 @@ A `Subgroup` is the span of some vectors in such a group, held in the
 canonical form of its lane (sparse reduced echelon rows over a field,
 sparse Hermite columns otherwise), so equal spans compare equal.  It grows
 by insertion into that basis: `extend` reduces only the new vectors, and
-shares the rows or columns it leaves untouched with the span it extends.
-It holds no dense vectors; `cols()` makes them.
+shares the rows or columns it leaves untouched with the span it extends;
+`_grow` inserts in place into a span that nothing else holds yet.  It
+holds no dense vectors; `cols()` makes them.
 
 Matrices are lists of rows or arrays; "columns" arguments are lists of
 coordinate vectors.  All integer results are reduced into [0, m_i)
@@ -381,7 +382,8 @@ def _moduli_cols(moduli):
 
 
 class Subgroup:
-    """The subgroup of +Z/m_i generated by some columns; immutable.
+    """The subgroup of +Z/m_i generated by some columns; immutable once
+    shared (only its builder grows it in place, by `_grow`).
 
     Held in the canonical form of its lane, so equality of two Subgroups is
     equality of the spans (over the same moduli): `_held` maps each pivot
@@ -459,6 +461,17 @@ class Subgroup:
         """Number of canonical generators (the dimension over a field); 0
         exactly for the zero subgroup."""
         return len(self._held)
+
+    def _grow(self, v):
+        """Insert the vector v into this span in place; whether the span
+        grew.  Only for a span that nothing else holds yet, such as the
+        spin of `rings.algebra_generators`: shared Subgroups are immutable."""
+        self._check([v])
+        if self._p is None:
+            held, self._held = self._held, hnf_columns([enumerate(v)], self.moduli, self._held)
+            return held != self._held
+        (row,) = _sparse_rows([v], self._p)
+        return _echelon_insert(self._held, row, self._p, len(self.moduli)) is not None
 
     def extend(self, cols):
         """The span of this subgroup together with the given columns."""

@@ -34,12 +34,14 @@ and 0 mod char/p**k, it lifts by Newton's step e <- 3e**2 - 2e**3 to the
 unique idempotent of R above it.  R is local when one prime divides the
 characteristic and B is a line, and then m0 is pR0 plus the lift of the
 nilradical of R0 mod p.  A homogeneous x of degree q is a unit exactly when
-x*y is a unit of R0 for some y of degree -q, so m_q = {x : x R_{-q} in m0}.
-Graded fields (m = 0), homogeneous units and the residue characteristic are
-read from m.  A product R splits into the rings R/ann(e), periodic rings
-included.  The local conditions are sizes, counted over one period of
-degrees: m is principal when one generator spans an ideal as large as m, and
-the socle is simple when it is as large as R/m.
+x*y is a unit of R0 for some y of degree -q, so m_q = {x : x R_{-q} in m0}:
+m0 itself at q = 0, the whole slice at q != 0 on a finite ring (x is then
+nilpotent), and a congruence kernel only on a periodic ring.  Graded fields
+(m = 0), homogeneous units and the residue characteristic are read from m.
+A product R splits into the rings R/ann(e), periodic rings included.  The
+local conditions are sizes, counted over one period of degrees: m is
+principal when one generator spans an ideal as large as m, and the socle is
+simple when it is as large as R/m.
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ class GradedRing:
         if orders is None:
             orders = [self.char] * len(basis)
         self.orders = tuple(int(o) for o in orders)
-        if bad := [k for terms in (unit, *products.values()) for _, k, _ in terms if not 0 <= k < self.dim]:
+        n = len(basis)
+        if bad := [k for terms in (unit, *products.values()) for _, k, _ in terms if not 0 <= k < n]:
             raise RingSpecError(f"term index {bad[0]} out of range")
         self.products = {(int(i), int(j)): ts for (i, j), terms in products.items() if (ts := self._terms(terms))}
         self.unit_terms = self._terms(unit)
@@ -135,6 +138,9 @@ class GradedRing:
     def _terms(self, terms):
         """Terms (c, k, t) summed by (k, t), reduced, without zeros and
         sorted by (k, t), so that equal elements give equal keys."""
+        if len(terms) == 1:
+            ((c, k, t),) = terms
+            return ((c, int(k), int(t)),) if (c := self._coeff(c, k)) else ()
         out = collections.defaultdict(int)
         for c, k, t in terms:
             out[int(k), int(t)] += self._coeff(c, k)
@@ -373,7 +379,10 @@ def validate_ring(ring):
     with [a, ., .] = 0 hold the spin of 1, all of R.  All three checks sum
     over the nonzero products only; after a generator fails, every b_i
     is checked, so failures come in the order of a loop over i, then
-    (i, j), then (i, j, k).
+    (i, j), then (i, j, k).  When every sign is +1, commutativity is one
+    comparison of the table with its transpose, exact because the terms
+    are normalized and zero products dropped; when it fails, or some
+    product has an odd sign, the signed diff names the first pair.
     """
     R = ring
     if R.char < 0 or R.char == 1:
@@ -400,23 +409,21 @@ def validate_ring(ring):
             raise UnsupportedCoefficients("periodic rings need field coefficients")
     elif any(t for terms in R.products.values() for _, _, t in terms):
         raise RingSpecError("v powers require a periodicity declaration")
+    n, deg, orders = R.dim, R.degrees, R.orders
+    period = R.periodicity[1] if R.periodicity else 0
+    # when every order is char, o c = 0 for every coefficient c
+    mixed = R.char != 0 and any(o != R.char for o in orders)
     # indices and degree homogeneity of the product table
     for (i, j), terms in R.products.items():
-        if not (0 <= i < R.dim and 0 <= j < R.dim):
+        if not (0 <= i < n and 0 <= j < n):
             raise RingSpecError(f"product index ({i}, {j}) out of range")
-        want = R.degrees[i] + R.degrees[j]
+        want = deg[i] + deg[j]
         for c, k, t in terms:
-            have = R.degrees[k] + (t * R.periodicity[1] if R.periodicity else 0)
-            if have != want:
+            if (have := deg[k] + t * period) != want:
                 raise DegreeMismatch(f"product of basis {i},{j}: term {k} has degree {have}, expected {want}")
-        if R.char != 0:
-            # additive order of b_i kills b_i * b_j
-            for o in (R.orders[i], R.orders[j]):
-                for c, k, t in terms:
-                    if (o * c) % R.orders[k] != 0:
-                        raise RingSpecError(
-                            f"product of basis {i},{j} incompatible with additive orders"
-                        )
+        # additive order of b_i kills b_i * b_j
+        if mixed and any(o * c % orders[k] for o in (orders[i], orders[j]) for c, k, _ in terms):
+            raise RingSpecError(f"product of basis {i},{j} incompatible with additive orders")
     one = R.one()
     try:
         if one.degree not in (0, None):
@@ -426,7 +433,6 @@ def validate_ring(ring):
     if R.periodicity is None and any(t for _, t in one.terms):
         raise NoUnit("unit element has v powers but the ring has no periodicity")
     # 1 b_i and b_i 1 less b_i, named (i, 0) and (i, 1)
-    n = R.dim
     diff = collections.defaultdict(int, {((i, side), i): -1 for i in range(n) for side in (0, 1)})
     for c, k, _ in R.unit_terms:
         _times(R, k, (((i, 0), i, c) for i in range(n)), diff)
@@ -434,14 +440,17 @@ def validate_ring(ring):
         _times(R, i, (((i, 1), k, c) for c, k, _ in R.unit_terms), diff)
     if bad := _first_nonzero(R, diff):
         raise NoUnit(f"1 * basis[{bad[0]}] != basis[{bad[0]}]")
-    # b_i b_j less the signed b_j b_i, named (i, j)
-    diff = collections.defaultdict(int)
-    for (i, j), terms in R.products.items():
-        for c, k, _ in terms:
-            diff[(i, j), k] += c
-            diff[(j, i), k] -= (1 - 2 * (R.degrees[i] * R.degrees[j] % 2)) * c
-    if bad := _first_nonzero(R, diff):
-        raise CommutativityViolation(*bad)
+    # with every sign +1, the normalized table is its own transpose;
+    # otherwise b_i b_j less the signed b_j b_i, named (i, j)
+    if any(deg[i] * deg[j] % 2 for i, j in R.products) \
+            or {(j, i): terms for (i, j), terms in R.products.items()} != R.products:
+        diff = collections.defaultdict(int)
+        for (i, j), terms in R.products.items():
+            for c, k, _ in terms:
+                diff[(i, j), k] += c
+                diff[(j, i), k] -= (1 - 2 * (deg[i] * deg[j] % 2)) * c
+        if bad := _first_nonzero(R, diff):
+            raise CommutativityViolation(*bad)
     try:
         gens = algebra_generators(R)
     except UnsupportedCoefficients:
@@ -486,8 +495,8 @@ def algebra_generators(R):
     """Basis indices S whose left multiplications spin the unit to the
     whole additive group, greedy: b_i joins S when the spin under the
     earlier ones misses it (S is [] for Z/m, [1] for F_p[t]/(t^e)).  The
-    spin grows in one Subgroup over the additive orders, which refuses a
-    prime p with p * p >= 2**63 (UnsupportedCoefficients)."""
+    spin grows in place in one private Subgroup over the additive orders,
+    which refuses a prime p with p * p >= 2**63 (UnsupportedCoefficients)."""
     n = R.dim
 
     def times(s, y):
@@ -502,8 +511,7 @@ def algebra_generators(R):
     for i in range(n):
         while todo:
             y = times(*todo.pop())
-            if any(y) and (grown := span.extend([y])) != span:
-                span = grown
+            if span._grow(y):
                 kept.append(y)
                 todo += [(s, y) for s in gens]
         if not span.contains([int(a == i) for a in range(n)]):
@@ -768,8 +776,10 @@ def maximal_ideal(R):
     """The ideal of nonunits of a local ring.
 
     A homogeneous x of degree q is a nonunit exactly when x*y lies in m0 for
-    every y of degree -q, so m_q = {x : x R_{-q} in m0}: one congruence
-    kernel per slice, into R0/m0.
+    every y of degree -q, so m_q = {x : x R_{-q} in m0}.  m0 is an ideal of
+    R0 without units, so m_0 is m0 itself; on a finite ring an x of degree
+    q != 0 is nilpotent, so m_q is the whole slice.  Only a periodic ring
+    solves for m_q, q != 0: one congruence kernel per slice, into R0/m0.
     """
     if not is_local(R):
         raise NotLocal("ring is not local")
@@ -783,22 +793,26 @@ def maximal_ideal(R):
         Fk, reach = Fk @ F % p, reach * p
     m0 = linalg.modp_kernel(Fk.tolist(), p)
     m0 += [[p * (a == j) for a in range(n)] for j in range(n) if R.orders[zero[j]] > p]
-    qm, proj, _ = linalg.quotient_presentation(m0, R.slice_moduli(R.slice_terms(0)))
-    # column k of proj is b_k in R0/m0, a vector space over F_p
-    proj = dict(zip(zero, zip(*proj)))
-    gens, slices = [], {}
+    gens, slices, proj = [], {}, None
     for q in R.degree_support():
         terms = R.slice_terms(q)
-        dual = R.slice_terms(-q)
-        # row (s, r), column a: coordinate r in R0/m0 of b_a * b_s, |b_s| = -q
-        rows, cells = [[0] * len(terms) for _ in range(len(dual) * len(qm))], collections.defaultdict(int)
-        for a, (i, _) in enumerate(terms):
-            _times(R, i, (((s, a), l, 1) for s, (l, _) in enumerate(dual)), cells)
-        for ((s, a), k), x in cells.items():
-            for r, y in enumerate(proj[k]):
-                rows[s * len(qm) + r][a] = (rows[s * len(qm) + r][a] + x * y) % p
-        slices[q] = _slice_span(R, q, linalg.congruence_kernel(rows, qm * len(dual), R.slice_moduli(terms)))
-        gens += [R.from_slice_coords(q, v) for v in slices[q].cols()]
+        if q == 0 or R.is_finite:
+            slices[q] = _slice_span(R, q, m0 if q == 0 else [[int(a == b) for a in terms] for b in terms])
+        else:
+            if proj is None:
+                qm, proj, _ = linalg.quotient_presentation(m0, R.slice_moduli(R.slice_terms(0)))
+                # column k of proj is b_k in R0/m0, a vector space over F_p
+                proj = dict(zip(zero, zip(*proj)))
+            dual = R.slice_terms(-q)
+            # row (s, r), column a: coordinate r in R0/m0 of b_a * b_s, |b_s| = -q
+            rows, cells = [[0] * len(terms) for _ in range(len(dual) * len(qm))], collections.defaultdict(int)
+            for a, (i, _) in enumerate(terms):
+                _times(R, i, (((s, a), l, 1) for s, (l, _) in enumerate(dual)), cells)
+            for ((s, a), k), x in cells.items():
+                for r, y in enumerate(proj[k]):
+                    rows[s * len(qm) + r][a] = (rows[s * len(qm) + r][a] + x * y) % p
+            slices[q] = _slice_span(R, q, linalg.congruence_kernel(rows, qm * len(dual), R.slice_moduli(terms)))
+        gens += [R.element(zip(terms, v)) for v in slices[q].cols()]
     return Ideal(R, _minimal_gen_subset(R, gens, slices), slices)
 
 

@@ -191,8 +191,7 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
         # Over F_2 every sign is +1, and f[n] is f's own array
         sfs[q] = f = induced_f(q - n, HAs, HBs)
         if p != 2:
-            cols = [c for c, (j, _) in enumerate(dg.slice_basis(M, q - n)) if n * (q - n - source_degrees[j]) % 2]
-            flip = HAs[q - n]["reps"][:, cols].any(axis=1)
+            flip = HAs[q - n]["reps"][:, dg.odd_blocks(M, q - n, n)].any(axis=1)
             sfs[q] = f * np.where(flip, p - 1, 1) % p if flip.any() else f
         for m in (fs[q], gs[q], hs[q], sfs[q]):
             m.setflags(write=False)

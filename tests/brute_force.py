@@ -20,6 +20,11 @@ Z/m have a dense reference too: `dense_congruence_kernel`,
 `dense_congruence_solve` and `dense_remainder` read their answers off the
 batch Hermite form `batch_hnf_columns` with the moduli columns m_i e_i
 written out, where the library keeps a sparse basis with the moduli implicit.
+Two ring structures have their earlier forms here: `reference_maximal_ideal`
+solves m_q = {x : x R_{-q} in m0} as a congruence kernel at every degree q,
+where the library reads m_0 off m0 and takes a finite ring's other slices
+whole, and `reference_algebra_generators` grows its spin by `extend`, a new
+Subgroup per product kept, where the library grows one in place.
 """
 
 import itertools
@@ -27,8 +32,8 @@ import math
 
 import numpy as np
 
-from trimod import dga, linalg
-from trimod.errors import ParityObstruction, ShapeMismatch, WeightOverflow
+from trimod import dga, linalg, rings
+from trimod.errors import NotLocal, ParityObstruction, ShapeMismatch, WeightOverflow
 from trimod.rings import Ideal, RingElement, maximal_ideal
 
 
@@ -408,3 +413,62 @@ def dense_congruence_solve(A, b, row_moduli):
     if any(r[:nr]):
         return None
     return [-x % N if N else -x for x in r[nr:]]
+
+
+def reference_maximal_ideal(R):
+    """The maximal ideal of a local ring R, each slice m_q = {x : x R_{-q}
+    in m0} one congruence kernel into R0/m0, q = 0 and finite rings
+    included; m0 is pR0 plus the lift of the nilradical ker F**j of R0/p."""
+    if not rings.is_local(R):
+        raise NotLocal("ring is not local")
+    ((p, _, _, F, _),) = rings._degree_zero_mod_p(R)
+    zero = [i for i, _ in R.slice_terms(0)]
+    n = len(zero)
+    Fk, reach = F, p
+    while reach < n:
+        Fk, reach = Fk @ F % p, reach * p
+    m0 = linalg.modp_kernel(Fk.tolist(), p)
+    m0 += [[p * (a == j) for a in range(n)] for j in range(n) if R.orders[zero[j]] > p]
+    qm, proj, _ = linalg.quotient_presentation(m0, R.slice_moduli(R.slice_terms(0)))
+    proj = dict(zip(zero, zip(*proj)))
+    gens, slices = [], {}
+    for q in R.degree_support():
+        terms, dual = R.slice_terms(q), R.slice_terms(-q)
+        rows = [[0] * len(terms) for _ in range(len(dual) * len(qm))]
+        for a, (i, _) in enumerate(terms):
+            for s, (l, _) in enumerate(dual):
+                # coordinate r in R0/m0 of b_i b_l, |b_l| = -q
+                for (k, _), x in ring_multiply(R.basis_element(i), R.basis_element(l)).terms.items():
+                    for r, y in enumerate(proj[k]):
+                        rows[s * len(qm) + r][a] = (rows[s * len(qm) + r][a] + x * y) % p
+        moduli = R.slice_moduli(terms)
+        slices[q] = linalg.Subgroup(linalg.congruence_kernel(rows, qm * len(dual), moduli), moduli)
+        gens += [R.from_slice_coords(q, v) for v in slices[q].cols()]
+    return Ideal(R, rings._minimal_gen_subset(R, gens, slices), slices)
+
+
+def reference_algebra_generators(R):
+    """`rings.algebra_generators` with its spin grown by `Subgroup.extend`:
+    b_i joins when the spin of 1 under the earlier generators misses it."""
+    n = R.dim
+
+    def times(s, y):
+        x = ring_multiply(R.basis_element(s), RingElement(R, {(l, 0): c for l, c in enumerate(y) if c}))
+        out = [0] * n
+        for (m, _), c in x.terms.items():
+            out[m] = R._coeff(out[m] + c, m)
+        return out
+
+    u = [sum(c for c, k, _ in R.unit_terms if k == i) for i in range(n)]
+    gens, kept, span, todo = [], [u], linalg.Subgroup([u], R.orders), []
+    for i in range(n):
+        while todo:
+            y = times(*todo.pop())
+            if any(y) and (grown := span.extend([y])) != span:
+                span = grown
+                kept.append(y)
+                todo += [(s, y) for s in gens]
+        if not span.contains([int(a == i) for a in range(n)]):
+            gens.append(i)
+            todo = [(i, y) for y in kept]
+    return gens

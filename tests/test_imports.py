@@ -184,6 +184,19 @@ def test_only_times_looks_up_products():
     assert _stray(_product_lookups, {("rings", "_times")}) == []
 
 
+def _grow_calls(tree):
+    """(scope, line) of each reference to an attribute named `_grow`."""
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_grow":
+            yield scope, node.lineno
+
+
+def test_only_the_spin_grows_a_subgroup_in_place():
+    # Subgroup._grow changes its span in place: only the spin of
+    # algebra_generators, on a span it made and shares with nothing, calls it
+    assert _stray(_grow_calls, {("rings", "algebra_generators")}) == []
+
+
 def _product_tables(tree):
     """(scope, line) of each dict display or comprehension with a tuple key,
     and of each subscript store: a product table written out."""

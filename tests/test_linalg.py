@@ -384,6 +384,20 @@ def test_subgroup_against_brute_force(data):
         assert T.contains(v) == _rational_contains(gens + more, v)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_grow_in_place_matches_extend(data):
+    # the spin's in-place insertion: it grows exactly when the vector lies
+    # outside, to the span that extend builds
+    moduli, r = data.draw(st.sampled_from(SMALL_GROUPS + [([4, 2, 8], 8), ([12, 18, 3], 12), ([0, 0, 0], 2)]))
+    vec = st.lists(st.integers(-r + 1, r - 1), min_size=len(moduli), max_size=len(moduli))
+    S = linalg.Subgroup(data.draw(st.lists(vec, max_size=2)), moduli)
+    for v in data.draw(st.lists(vec, max_size=5)):
+        outside, T = not S.contains(v), S.extend([v])
+        assert S._grow(v) == outside
+        assert S == T and S.cols() == T.cols()
+
+
 # moduli of the F_p, Q and integer lanes, the last with moduli 0 among others
 INSERTION_MODULI = [[2] * 4, [5] * 3, [0] * 3, [4, 2, 8], [6, 0, 9], [0, 4], [12, 18, 3]]
 

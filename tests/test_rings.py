@@ -1,3 +1,5 @@
+import glob
+import os
 import random
 import time
 import tracemalloc
@@ -12,6 +14,8 @@ from brute_force import (
     oracle_is_delta,
     primitive_idempotents,
     principal_ideal,
+    reference_algebra_generators,
+    reference_maximal_ideal,
     ring_multiply,
     same_ideal,
     socle,
@@ -36,7 +40,7 @@ from trimod.errors import (
     UnsupportedCoefficients,
 )
 from trimod.classify import ANN_NOT_EQUAL, EXTERIOR, GRADED_FIELD, classify, has_unit_in_degree
-from trimod.ringio import parse_ring, serialize_ring
+from trimod.ringio import load_ring, parse_ring, serialize_ring
 from trimod.rings import (
     GradedRing,
     Ideal,
@@ -535,6 +539,8 @@ def _spin_by_elements(R, gens):
 def test_algebra_generators_spin_the_unit_to_the_ring(seed, data):
     R = data.draw(st.sampled_from(VALIDATE_RINGS)) if data.draw(st.booleans()) else _random_ring(random.Random(seed))
     gens = algebra_generators(R)
+    # the spin grown in place keeps the generators of one grown by extend
+    assert gens == reference_algebra_generators(R)
     # R is a ring, so every generator check passes without the full loop
     assert all(rings._associator(R, s) is None for s in gens)
     products = [_coords(ring_multiply(R.basis_element(i), R.basis_element(j)))
@@ -544,6 +550,17 @@ def test_algebra_generators_spin_the_unit_to_the_ring(seed, data):
     for i in range(R.dim):
         earlier = _spin_by_elements(R, [s for s in gens if s < i])
         assert (i in gens) == (not earlier.contains(_coords(R.basis_element(i))))
+
+
+# Z/m-lane spins: mixed or composite orders
+HERMITE_SPINS = [con.z_mod(8), con.galois_ring_4_2(), con.product_ring(con.z_mod(4), con.finite_field(2)),
+                 con.product_ring(con.z_mod(8), con.galois_ring_4_2()), con.product_ring(con.z_mod(9), con.z_mod(4))]
+
+
+def test_algebra_generators_match_the_extended_spin():
+    # the spin grown in place keeps the generators of one grown by extend
+    for R in VALIDATE_RINGS + HERMITE_SPINS:
+        assert algebra_generators(R) == reference_algebra_generators(R), R
 
 
 def test_ring_equality_ignores_the_order_of_unit_terms():
@@ -626,12 +643,64 @@ def test_locality_matches_enumeration(seed):
         with pytest.raises(NotLocal):
             maximal_ideal(R)
         return
-    assert maximal_ideal(R).slices == spans
+    m, ref = maximal_ideal(R), reference_maximal_ideal(R)
+    assert m.slices == spans == ref.slices and m.generators == ref.generators
     assert residue_characteristic(R) == next(k for k in range(1, R.char + 1) if not is_unit(elem(R, k)))
     assert idempotents(R) == [R.one()]
     assert [e for e in enumerate_slice(R, 0) if ring_multiply(e, e) == e] == [R.zero(), R.one()]
     for d in range(-4, 5):
         assert has_unit_in_degree(R, d) == any(is_unit(x) for x in enumerate_slice(R, d))
+
+
+RING_FILES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "rings", "*.ring")))
+
+
+def _maximal_ideal_rings():
+    """Factors of the ring files, the group algebras of the generation
+    verdicts, Laurent rings over F_2, F_3, F_5 and further small rings,
+    among them periodic ones with units in nonzero degrees."""
+    rings_ = [F for path in RING_FILES for F in decompose_product(load_ring(path))]
+    rings_ += [con.group_algebra_cyclic(p, n) for p, top in ((2, 5), (3, 3), (5, 1)) for n in range(1, top + 1)]
+    rings_ += [con.laurent_exterior(p, i, d) for p in (2, 3, 5) for i in range(-2, 3) for d in (1, 2, 3, 4, 5, 7)]
+    rings_ += [con.z_mod(m) for m in (2, 4, 8, 9, 16, 25, 27)]
+    rings_ += [con.truncated_polynomial(p, e, degree) for p, e in ((2, 4), (3, 3), (5, 2)) for degree in (0, 2, -2)]
+    return rings_ + [con.galois_ring_4_2(), con.finite_field(4), con.square_zero_two_vars(2),
+                     con.square_zero_two_vars(3), con.laurent_field(3, 2), con.exterior_on_field(con.finite_field(4), 1),
+                     *FINITE, *PERIODIC]
+
+
+def _maximal_ideal_outcome(find, R):
+    try:
+        m = find(R)
+    except NotLocal as e:
+        return str(e)
+    return m.slices, m.generators
+
+
+def test_maximal_ideal_matches_the_per_slice_system():
+    # m_0 = m0 and a finite ring's whole slices agree with solving
+    # x R_{-q} in m0 at every degree
+    for R in _maximal_ideal_rings():
+        assert _maximal_ideal_outcome(maximal_ideal, R) == _maximal_ideal_outcome(reference_maximal_ideal, R), R
+
+
+@pytest.mark.parametrize("build, calls", [
+    (lambda: con.group_algebra_cyclic(2, 3), 0),
+    (lambda: con.z_mod(8), 0),
+    (lambda: con.truncated_polynomial(3, 3, 2), 0),
+    (lambda: con.exterior_on_field(con.finite_field(4), 1), 0),
+    # one degree of one period: m0 alone
+    (lambda: con.laurent_field(3, 2), 0),
+    # |x| = 1 and |y| = 2: the slice of degree 1 solves its system
+    (lambda: con.laurent_exterior(3, 1, 2), 2),
+], ids=["F2[C8]", "Z/8", "F3[t]/t3", "F4[x]/x2", "F3[y, 1/y]", "F3[y, 1/y][x]/x2"])
+def test_maximal_ideal_solves_systems_only_on_periodic_rings(monkeypatch, build, calls):
+    R, seen = build(), []
+    for name in ("quotient_presentation", "congruence_kernel"):
+        inner = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *a, inner=inner, name=name: seen.append(name) or inner(*a))
+    maximal_ideal(R)
+    assert len(seen) == calls
 
 
 def test_periodic_exterior_past_the_enumeration_cap():

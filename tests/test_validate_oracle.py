@@ -11,6 +11,7 @@ the same error and the same first indices.
 import math
 import re
 
+import pytest
 from brute_force import ring_multiply
 from hypothesis import given, settings, strategies as st
 
@@ -172,3 +173,27 @@ def test_group_algebra_validates_on_its_one_generator(monkeypatch):
     monkeypatch.setattr(rings, "_associator", lambda R, s: checks.append((s, inner(R, s))) or checks[-1][1])
     con.group_algebra_cyclic(3, 4)
     assert checks == [(1, None)]
+
+
+def _corrupted(R, key, terms):
+    """R with the product at key replaced by terms."""
+    products = {**R.products, key: terms}
+    return GradedRing(R.char, list(zip(R.basis_names, R.degrees)), products, R.unit_terms, R.periodicity, R.orders)
+
+
+@pytest.mark.parametrize("R, key, terms, error, message", [
+    # orders 4 and 2: b_e b_e = a_e is not killed by 2
+    (con.product_ring(con.z_mod(4), con.finite_field(2)), (1, 1), [(1, 0, 0)], RingSpecError,
+     "product of basis 1,1 incompatible with additive orders"),
+    # |x| = 1, an odd sign: x x = y would have to equal -x x, through the
+    # fallback's signed diff
+    (con.laurent_exterior(3, 1, 2), (1, 1), [(1, 0, 1)], CommutativityViolation, "(1, 1)"),
+    # every sign +1, g x = x but x g is still g x: the table differs from
+    # its transpose, and the fallback names the pair
+    (con.exterior_on_field(con.finite_field(4)), (1, 2), [(1, 2, 0)], CommutativityViolation, "(1, 2)"),
+], ids=["mixed-orders", "odd-sign", "transpose"])
+def test_corrupted_tables_name_the_first_violation(R, key, terms, error, message):
+    corrupted = _corrupted(R, key, terms)
+    with pytest.raises(error, match=re.escape(message)):
+        validate_ring(corrupted)
+    assert _outcome(validate_ring, corrupted) == _outcome(reference_validate, corrupted)
