@@ -133,8 +133,7 @@ def cmd_dg_verify(args):
     vdeg = 3 * args.i + args.n
     if vdeg != 0:
         R = con.laurent_exterior(args.p, args.i, abs(vdeg))
-        trial = tr.run_random_trials(R, args.n, args.trials, args.seed,
-                                     window=window, weight=args.weight)
+        trial = tr.run_random_trials(R, args.n, args.trials, args.seed, window=window)
         triangles_ok = trial["pass"]
         lines.append(f"random triangles ({args.trials}): " + ("PASS" if triangles_ok else "FAIL")
                      + (f" (rotation not checked: {trial['unchecked']})" if trial["unchecked"] else ""))
@@ -217,7 +216,8 @@ def build_parser():
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--window", default="-6:6")
-    p.add_argument("--weight", type=int, default=dg.DEFAULT_WEIGHT)
+    p.add_argument("--weight", type=int, default=dg.DEFAULT_WEIGHT,
+                   help="weight bound of the calculus and homology checks (triangles derive theirs)")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")

@@ -20,34 +20,20 @@ The degree-q slice of a semifree module is the direct sum over generators j
 of A_{q - deg(gen_j)}, so its differential is a block matrix: d_A on the
 diagonal blocks, and in block (i, j) right multiplication by diff[i][j]
 times the Leibniz sign (-1)^{n s}, s being the degree of every coefficient
-in the block.  Terms past the weight bound are dropped.  Its column of
-1 * gen_j at deg(gen_j) is d(gen_j), where d^2 = 0 is checked.
-
-`calculus_holds` checks the Leibniz rule and d^2 = 0 as identities of these
-matrices on one slice: D R_y = R_y D + (-1)^{ns} R_{dy} on A_s, R_y being
-right multiplication by a monomial y.  Truncation drops the terms of d(x)
-past W, and multiplying by y lowers the u-weight by at most 1, through
-u^m a = -a u^m - v u^{m-1}; so both sides are exact on the target monomials
-of weight below W, and only there.
+in the block.  Its column of 1 * gen_j at deg(gen_j) is d(gen_j), where
+d^2 = 0 is checked.
 
 Every F_p matrix here, from a slice matrix to a homology record and the
 matrices induced on homology, is a 2-D int64 array with entries in [0, p).
-Homology is computed slice by slice.  One echelon basis per slice, grown by
-inserting the boundaries and then the low-weight cycles, picks the
-representative cycles and yields the slice's coordinate map [P; Z], one
-array, so class coordinates are one product (`modp_matmul`) and an induced
-matrix on homology two.  A record's arrays are read-only, as it is shared.
-Between the slice matrices and the record's arrays the elimination holds
-sparse rows only: the kernel rows, the tagged cycles and the held basis
-they fill the record from.
-A module with zero differential (a free module, its shifts, the cone of a
-zero map) takes its homology from H(A): its slice complex is a direct sum
-of slices of A, whose homology each algebra eliminates once per residue
-class (`_algebra_homology`).  A one-generator module's records are those of
-H(A), and a module on several generators assembles its records
-block-diagonally from them.  A map is checked by its cone, made once per
-map, which squares to zero exactly for a chain map, and its slice matrices
-are blocks of the cone's slice differentials (`map_slice`).
+Homology is computed slice by slice, by one echelon basis that picks the
+representative cycles and yields the coordinate map [P; Z], one array
+(`_slice_homology`), so class coordinates are one product (`modp_matmul`)
+and an induced matrix on homology two.  A record is shared, so its arrays
+are read-only.  A module with zero differential (a free module, its shifts,
+the cone of a zero map) assembles its records from those of H(A)
+(`_homology_record`).  A map is checked by its cone, made once per map,
+which squares to zero exactly for a chain map, and its slice matrices are
+blocks of the cone's slice differentials (`map_slice`).
 
 Periodicity: when |v| != 0, the slice bases at q and q + k|v| differ only in
 the v-exponents t, shifted by k, because the basis of A_s depends on t only
@@ -60,9 +46,23 @@ class (`residue`: q mod |v|, or q when |v| = 0) and shared by every degree
 of the class: the slice differentials, which the d^2 = 0 checks of a
 module and of a cone, the map slices and the elimination all read, and the
 homology records, eliminated or assembled.  So the records of M on the
-window shifted by n, which read as those of M[n], are the records of M on
-the window when it spans a period.  A record holds arrays over the slice
-basis, not the basis itself, so transport is sharing.
+window shifted by n, which read as those of M[n], are those of M on the
+window when it spans a period: a record holds no basis, only arrays over
+it, so transport is sharing.
+
+Weight: slices keep u-weights m <= W, dropping the terms past it.  A
+product lowers the weight by at most 1 (u^m a = -a u^m - v u^{m-1}), so
+`calculus_holds` compares below weight W, where truncated products are
+exact.  Lifted entries (`triangles`) have weight <= 1 and no a, so on free
+modules and their cones d raises the weight by 0, 1 or 2: truncation is a
+quotient complex, and a cycle of weight <= W - PADDING is one before it.
+Every class has a cycle of weight <= 1 (in a cone, z of A[n] plus b of
+weight 0 with d(b) = -f(z)), and a cycle of weight >= 4 bounds (u^m =
+d(a u^{m-2}); a cone's, up to that, lies in B at weight >= 2), so for
+W >= 3 `homology` keeps exactly the true classes.  Periodic slices hold
+every weight, so triangles build a periodic model at MIN_WEIGHT = 4, the
+builder's floor, for every window (the tests' records oracle pins the
+echelon's choices); when |v| = 0 and |x| != 0, `homology` bounds the window.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ from .errors import (
 )
 
 DEFAULT_WEIGHT = 16
+MIN_WEIGHT = 4
 PADDING = 2
 
 
@@ -155,7 +156,7 @@ class DGAlgebra:
 def build_two_generator_dga(p, i, n, weight=DEFAULT_WEIGHT):
     """Validated algebra; raises ParityObstruction when d is ill-defined (see
     the module docstring), and WeightOverflow when the weight bound is below
-    4, so that every product of four generators, up to u^4, is kept."""
+    MIN_WEIGHT, so that every product of four generators, up to u^4, is kept."""
     if p < 2 or not linalg.is_prime(p):
         raise ShapeMismatch("coefficient field must be a prime field")
     where = f"differential not well-defined at (p={p}, i={i}, n={n})"
@@ -163,7 +164,7 @@ def build_two_generator_dga(p, i, n, weight=DEFAULT_WEIGHT):
         raise ParityObstruction(f"{where}: d(a*a) != 0")
     if p != 2 and n * i % 2 == 0:
         raise ParityObstruction(f"{where}: d(ua+au+v) != 0")
-    if weight < 4:
+    if weight < MIN_WEIGHT:
         raise WeightOverflow(f"u-exponent {max(weight + 1, 0)} exceeds bound {weight}")
     return DGAlgebra(p, i, n, weight)
 
@@ -229,8 +230,7 @@ def calculus_holds(alg, s, key):
     """The Leibniz rule d(xy) = d(x) y + (-1)^{ns} x d(y) for every x in A_s
     and y the monomial key, and d(d(x)) = 0, as identities of slice matrices:
     D R_y = R_y D + (-1)^{ns} R_{dy}, and D D = 0.  Leibniz is compared on the
-    target monomials of u-weight below W, where truncated products are exact
-    (see the module docstring)."""
+    target monomials of u-weight below W (see the module docstring)."""
     p, n, deg = alg.p, alg.n, alg.monomial_degree(*key)
     d = _algebra_matrix(alg, s)
     gap = _algebra_matrix(alg, s + deg) @ _algebra_matrix(alg, s, key) - _algebra_matrix(alg, s - n, key) @ d
@@ -535,10 +535,8 @@ def homology(M, window):
     lo, hi = window
     if lo > hi:
         raise WindowEmpty("empty degree window")
-    if alg.i != 0 and alg.weight < (hi - lo) + 2 * PADDING:
-        raise WindowTooWideForWeightBound(
-            f"weight bound {alg.weight} too small for window span {hi - lo}"
-        )
+    if not alg.vdeg and alg.i and alg.weight < (hi - lo) + 2 * PADDING:
+        raise WindowTooWideForWeightBound(f"weight bound {alg.weight} too small for window span {hi - lo}")
     return {q: _homology_record(M, residue(alg, q)) for q in range(lo, hi + 1)}
 
 

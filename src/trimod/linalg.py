@@ -437,6 +437,10 @@ class Subgroup:
         """Is the coordinate vector v in the subgroup?"""
         return not any(self.remainder(v))
 
+    def is_whole(self):
+        """Is this all of +Z/m_i?  Its canonical form is then the unit vectors."""
+        return len(self._held) == len(self.moduli) and all(row == {c: 1} for c, row in self._held.items())
+
     def size(self):
         """Number of elements; raises for an infinite span, one nonzero at a
         coordinate of modulus 0 (over Q, any nonzero span)."""

@@ -494,9 +494,9 @@ def _associator(R, s):
 def algebra_generators(R):
     """Basis indices S whose left multiplications spin the unit to the
     whole additive group, greedy: b_i joins S when the spin under the
-    earlier ones misses it (S is [] for Z/m, [1] for F_p[t]/(t^e)).  The
-    spin grows in place in one private Subgroup over the additive orders,
-    which refuses a prime p with p * p >= 2**63 (UnsupportedCoefficients)."""
+    earlier ones misses it, until it is whole (S is [] for Z/m, [1] for
+    F_p[t]/(t^e)).  It grows in place in one private Subgroup over the
+    additive orders, which refuses p * p >= 2**63 (UnsupportedCoefficients)."""
     n = R.dim
 
     def times(s, y):
@@ -514,6 +514,8 @@ def algebra_generators(R):
             if span._grow(y):
                 kept.append(y)
                 todo += [(s, y) for s in gens]
+        if span.is_whole():
+            break
         if not span.contains([int(a == i) for a in range(n)]):
             gens.append(i)
             todo = [(i, y) for y in kept]

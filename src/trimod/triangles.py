@@ -92,8 +92,7 @@ def _check_lift_ring(R, n):
 
 @rc.per_object
 def _model(R, n, weight):
-    """The validated DG model of R at (n, weight), built once per ring and
-    cached with its slice bases, slice matrices and H(A)."""
+    """The validated DG model of R at (n, weight), cached with its slices and H(A)."""
     return dg.build_two_generator_dga(*_check_lift_ring(R, n), n, weight)
 
 
@@ -113,8 +112,7 @@ def _generator_degrees(Cmod, H, window):
     return out
 
 
-def triangle_from_map(R, n, source_degrees, target_degrees, entries,
-                      window=None, weight=None):
+def triangle_from_map(R, n, source_degrees, target_degrees, entries, window=None):
     """Complete f: A -> B between free graded modules to a triangle.
 
     source_degrees/target_degrees list generator degrees; entries is the
@@ -127,10 +125,9 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
     read off the slice differentials its homology builds (`dg.map_slice`),
     once per residue class.  A[n] and B[n] are free, so their records at q
     are those of A and B at q - n, and f[n] at q is f at q - n with a sign
-    on each source block.  The maps are read-only.
-
-    With no weight, the model's weight is dg.DEFAULT_WEIGHT, raised where
-    the window needs more (dg.homology bounds the window when |x| != 0).
+    on each source block.  The maps are read-only.  A periodic model is
+    built at dg.MIN_WEIGHT whatever the window (see dga), and one with
+    |v| = 0 at dg.DEFAULT_WEIGHT, raised where the window needs more.
     """
     p, i = _check_lift_ring(R, n)
     if window is None:
@@ -138,9 +135,10 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries,
         margin = abs(n) + max(abs(i), 1)
         window = (min(degs) - margin, max(degs) + margin)
     lo, hi = window
-    if weight is None:
-        weight = max(dg.DEFAULT_WEIGHT, hi - lo + 2 * dg.PADDING) if i else dg.DEFAULT_WEIGHT
-    alg = _model(R, n, weight)
+    # a periodic model's records are those at its least weight, whatever the
+    # window; with |v| = 0 the window sets the weight (see dga)
+    weight = max(dg.DEFAULT_WEIGHT, hi - lo + 2 * dg.PADDING) if i else dg.DEFAULT_WEIGHT
+    alg = _model(R, n, dg.MIN_WEIGHT if 3 * i + n else weight)
     M = dg.DGModule(alg, source_degrees)
     N = dg.DGModule(alg, target_degrees)
     lifted = [[_lift_entry(alg, R, x) for x in row] for row in entries]
@@ -303,7 +301,7 @@ def _random_homogeneous(R, d, rng):
     return R.from_slice_coords(d, [rng.randint(0, R.char - 1) for _ in terms])
 
 
-def run_random_trials(R, n, trials, seed, window=None, weight=None):
+def run_random_trials(R, n, trials, seed, window=None):
     """Build and verify `trials` seeded random triangles; returns a report.
     Where the window is too narrow for verify_rotation, each result's
     rotation is None and "unchecked" holds the reason."""
@@ -311,7 +309,7 @@ def run_random_trials(R, n, trials, seed, window=None, weight=None):
     results, unchecked = [], None
     for k in range(trials):
         src, tgt, entries = random_map(R, n, rng)
-        T = triangle_from_map(R, n, src, tgt, entries, window=window, weight=weight)
+        T = triangle_from_map(R, n, src, tgt, entries, window=window)
         rep = verify_triangle_exact(T)
         try:
             rot = verify_rotation(T)

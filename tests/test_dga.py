@@ -148,9 +148,18 @@ def test_homology_of_algebra_is_exterior():
 
 
 def test_window_guard():
+    # with |v| = 0 the slice in degree q holds one weight per a-exponent, so
+    # the window is bounded by the weight
+    A0 = dg.build_two_generator_dga(2, 1, -3, weight=8)
+    with pytest.raises(WindowTooWideForWeightBound, match="weight bound 8 too small for window span 10"):
+        dg.homology(dg.algebra_module(A0), (-5, 5))
+    assert dg.homology_is_free_rank_one(dg.algebra_module(A0), (-2, 2))
+    # a periodic model's records repeat with period |v|: any window holds,
+    # with the classes 1 and u in the degrees 0 and 1 mod 4
     A = dg.build_two_generator_dga(3, 1, 1, weight=8)
-    with pytest.raises(WindowTooWideForWeightBound):
-        dg.homology(dg.algebra_module(A), (-10, 10))
+    H = dg.homology(dg.algebra_module(A), (-10, 10))
+    assert [H[q]["dim"] for q in range(-10, 11)] == [int(q % 4 in (0, 1)) for q in range(-10, 11)]
+    assert dg.homology_is_free_rank_one(dg.algebra_module(A), (-10, 10))
 
 
 def test_empty_window():
@@ -481,7 +490,7 @@ def triangle_record(T):
     return T.window, T.dims, *maps, T.third_generator_degrees
 
 
-def test_dg_model_built_once_per_ring_and_weight(monkeypatch):
+def test_dg_model_built_once_per_ring_and_suspension(monkeypatch):
     R = lift_ring()
     rng = random.Random(8)
     target, *others = [tr.random_map(R, 1, rng) for _ in range(7)]
@@ -493,15 +502,67 @@ def test_dg_model_built_once_per_ring_and_weight(monkeypatch):
     for other in others:
         tr.triangle_from_map(R, 1, *other)
     records.append(triangle_record(tr.triangle_from_map(R, 1, *target)))
-    tr.triangle_from_map(R, 1, *target, weight=20)
+    # a wider window reads the same model, and its records at the default
+    # window's degrees are the default window's
+    wide = tr.triangle_from_map(R, 1, *target, window=(-30, 30))
     records.append(triangle_record(tr.triangle_from_map(R, 1, *target)))
     assert records == [fresh] * 3
-    # one model per (n, weight) on the ring
-    assert builds == [(3, 1, 1, dg.DEFAULT_WEIGHT), (3, 1, 1, 20)]
-    assert tr._model(R, 1, 20) is not tr._model(R, 1, dg.DEFAULT_WEIGHT)
+    lo, hi = fresh[0]
+    assert {q: wide.dims[q] for q in range(lo, hi + 1)} == fresh[1]
+    # another suspension with the same period is another model on the ring
+    tr.triangle_from_map(R, -7, *tr.random_map(R, -7, rng))
+    # one model per (n, weight) on the ring, periodic ones at the least weight
+    assert builds == [(3, 1, 1, dg.MIN_WEIGHT), (3, 1, -7, dg.MIN_WEIGHT)]
 
 
-def test_default_weight_holds_the_default_window():
+# the 120 models of test_build_matches_the_word_rewriter's grid that build
+# with |v| != 0, |x| = 0 among them at p = 2, each over its lifted ring
+# laurent_exterior(p, i, |v|)
+PERIODIC_MODELS = [(p, i, n) for p in (2, 3, 5, 7) for i in range(-4, 5) for n in range(-4, 5)
+                   if 3 * i + n and _outcome(dg.build_two_generator_dga, p, i, n) is None]
+
+
+@pytest.mark.parametrize("p, i, n", PERIODIC_MODELS)
+def test_periodic_records_do_not_depend_on_the_weight(p, i, n, monkeypatch):
+    # records oracle: a periodic model's triangle records at its own weight
+    # equal those at W = max(16, span + 4), the weight a window of that span
+    # asks for when |v| = 0; one window of +-30, the others narrow and placed
+    # anywhere in it
+    model = tr._model
+    R = con.laurent_exterior(p, i, abs(3 * i + n))
+    rng = random.Random(100 * p + 10 * i + n)
+    for k in range(20):
+        src, tgt, entries = tr.random_map(R, n, rng)
+        lo = rng.randint(-30, 26)
+        window = (-30, 30) if k == 0 else (lo, lo + rng.randint(0, 4))
+        T = tr.triangle_from_map(R, n, src, tgt, entries, window)
+        weight = max(dg.DEFAULT_WEIGHT, window[1] - window[0] + 2 * dg.PADDING)
+        monkeypatch.setattr(tr, "_model", lambda R, n, _: model(R, n, weight))
+        reference = tr.triangle_from_map(R, n, src, tgt, entries, window)
+        monkeypatch.setattr(tr, "_model", model)
+        assert triangle_record(T) == triangle_record(reference), k
+
+
+def test_a_wide_window_eliminates_what_one_period_does(monkeypatch):
+    # a periodic model's weight does not follow the window, and its records
+    # are made once per residue class: a triangle on +-80 eliminates the
+    # same slices, of the same sizes, as one on +-5, and both verifiers pass
+    R = lift_ring()
+    src, tgt, entries = tr.random_map(R, 1, random.Random(13))
+    tr.triangle_from_map(R, 1, src, tgt, entries, window=(-80, 80))  # H(A) on the model
+    sizes = []
+    eliminate = dg._slice_homology
+    monkeypatch.setattr(dg, "_slice_homology", lambda M, q: sizes.append(len(dg.slice_basis(M, q))) or eliminate(M, q))
+    made = []
+    for window in ((-5, 5), (-80, 80)):
+        sizes.clear()
+        T = tr.triangle_from_map(R, 1, src, tgt, entries, window=window)
+        assert tr.verify_triangle_exact(T)["pass"] and tr.verify_rotation(T)["pass"]
+        made.append(sorted(sizes))
+    assert made[0] and made[0] == made[1]
+
+
+def test_default_weight_holds_the_default_window(monkeypatch):
     # at n = -3 the default window pads the map's degrees by 4 on each side,
     # wider than the default weight holds
     R = con.exterior_on_field(con.finite_field(2), 1)
@@ -512,9 +573,16 @@ def test_default_weight_holds_the_default_window():
         assert tr.verify_triangle_exact(T)["pass"] and tr.verify_rotation(T)["pass"]
         spans.append(T.window[1] - T.window[0])
     assert max(spans) + 2 * dg.PADDING > dg.DEFAULT_WEIGHT
-    # an explicit weight too small for the window still raises
-    with pytest.raises(WindowTooWideForWeightBound, match="weight bound 16 too small for window span 13"):
-        tr.triangle_from_map(R, -3, [0], [0], [[R.one()]], window=(-6, 7), weight=dg.DEFAULT_WEIGHT)
+    # with |v| = 0 the model's weight follows the window, wider than any
+    # default one here: span 15 builds it at 19
+    builds = []
+    build = dg.build_two_generator_dga
+    monkeypatch.setattr(dg, "build_two_generator_dga", lambda *args: builds.append(args) or build(*args))
+    tr.triangle_from_map(R, -3, [0], [0], [[R.one()]], window=(-7, 8))
+    assert builds == [(2, 1, -3, 15 + 2 * dg.PADDING)]
+    # and a model at the default weight refuses that window
+    with pytest.raises(WindowTooWideForWeightBound, match="weight bound 16 too small for window span 15"):
+        dg.homology(dg.algebra_module(tr._model(R, -3, dg.DEFAULT_WEIGHT)), (-7, 8))
 
 
 def _free_slice(R, degs, q):

@@ -190,9 +190,11 @@ def reference_verify_rotation(T):
 
 # (p, i, n, weight, window); the models with |v| = 3i + n = 0 only exist in
 # characteristic 2, and at (i, n) = (1, -3) some slices hold only cycles of
-# unreliable weight and no boundaries
+# unreliable weight and no boundaries.  Periodic models at the least weight
+# take windows wider than W - 2 PADDING, which only |v| = 0 bounds
 MODELS = [(2, 1, 1, 8, (-2, 2)), (3, 1, 1, 8, (-2, 2)), (5, 1, 1, 8, (-2, 2)),
-          (2, 0, 0, 4, (-2, 2)), (2, 1, -3, 8, (-2, 2))]
+          (2, 0, 0, 4, (-2, 2)), (2, 1, -3, 8, (-2, 2)),
+          (2, 1, 1, 4, (-3, 3)), (3, 1, 1, 4, (-3, 3)), (2, 0, 1, 4, (-2, 2))]
 
 
 def lift_ring(p, i, n):

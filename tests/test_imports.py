@@ -197,6 +197,21 @@ def test_only_the_spin_grows_a_subgroup_in_place():
     assert _stray(_grow_calls, {("rings", "algebra_generators")}) == []
 
 
+def _weight_parameters(tree):
+    """(scope, line) of each function parameter named `weight`."""
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.arg) and node.arg == "weight":
+            yield scope, node.lineno
+
+
+def test_only_the_model_builders_take_a_weight():
+    # a DG model works out its own weight bound: only the constructors of a
+    # model and the cache of triangles' models take one, so no caller of a
+    # triangle can set it
+    allowed = {("dga", "DGAlgebra", "__init__"), ("dga", "build_two_generator_dga"), ("triangles", "_model")}
+    assert _stray(_weight_parameters, allowed) == []
+
+
 def _product_tables(tree):
     """(scope, line) of each dict display or comprehension with a tuple key,
     and of each subscript store: a product table written out."""

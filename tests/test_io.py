@@ -441,6 +441,18 @@ def test_cli_dg_verify_triangles_keep_the_window(capsys):
     assert report["window"] == [-6, 6] and report["triangles"] is True
 
 
+def test_cli_dg_verify_window_wider_than_the_weight_on_a_periodic_model(capsys):
+    # --weight sets the model of the calculus and homology checks, whose
+    # periodic records hold any window; the random triangles build their
+    # model at its own weight
+    code, out, err = _run(["dg-verify", "--p", "3", "--i", "1", "--n", "1", "--weight", "8",
+                           "--window", "-10:10", "--trials", "5", "--json"], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["weight"] == 8 and report["window"] == [-10, 10]
+    assert report["calculus"] and report["homology_free_rank_one"] and report["triangles"]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_cli_dg_verify_negative_period(p, capsys):
     # 3i + n = -2: the random triangles run over the ring with |y| = 2,

@@ -398,6 +398,19 @@ def test_grow_in_place_matches_extend(data):
         assert S == T and S.cols() == T.cols()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_whole_span_contains_every_unit_vector(data):
+    # the spin stops on is_whole, which reads the canonical form: the whole
+    # group is the span that holds each unit vector
+    moduli, r = data.draw(st.sampled_from(SMALL_GROUPS + [([4, 2, 8], 8), ([12, 18, 3], 12), ([0, 0, 0], 2)]))
+    vec = st.lists(st.integers(-r + 1, r - 1), min_size=len(moduli), max_size=len(moduli))
+    S = linalg.Subgroup(data.draw(st.lists(vec, max_size=5)), moduli)
+    units = [[int(a == b) for a in range(len(moduli))] for b in range(len(moduli))]
+    assert S.is_whole() == all(S.contains(e) for e in units)
+    assert linalg.Subgroup(units, moduli).is_whole()
+
+
 # moduli of the F_p, Q and integer lanes, the last with moduli 0 among others
 INSERTION_MODULI = [[2] * 4, [5] * 3, [0] * 3, [4, 2, 8], [6, 0, 9], [0, 4], [12, 18, 3]]
 

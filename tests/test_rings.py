@@ -563,6 +563,16 @@ def test_algebra_generators_match_the_extended_spin():
         assert algebra_generators(R) == reference_algebra_generators(R), R
 
 
+def test_algebra_generators_stop_once_the_spin_is_whole(monkeypatch):
+    # t spins 1 to all of F_2[t]/t^16: membership is asked of b_0 and b_1
+    # only, in the one spin that validating the ring makes
+    calls = []
+    contains = linalg.Subgroup.contains
+    monkeypatch.setattr(linalg.Subgroup, "contains", lambda S, v: calls.append(v) or contains(S, v))
+    R = con.truncated_polynomial(2, 16)
+    assert len(calls) == 2 and algebra_generators(R) == [1]
+
+
 def test_ring_equality_ignores_the_order_of_unit_terms():
     # F_2 x F_2 on e, f with the unit e + f listed both ways
     table = {(0, 0): [(1, 0, 0)], (1, 1): [(1, 1, 0)]}
