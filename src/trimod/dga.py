@@ -15,25 +15,29 @@ u-weights m <= W, where W >= 4.  Elements appear only as term dicts
 {(t, eps, m): c} (`DGElement`), the entries of module differentials and
 maps; every product and differential acts through slice matrices.  Each
 algebra caches the monomial basis of its slice A_s and, per slice, the
-matrices of d_A and of multiplication by a monomial (`rings.per_object`).
-The degree-q slice of a semifree module is the direct sum over generators j
-of A_{q - deg(gen_j)}, so its differential is a block matrix: d_A on the
-diagonal blocks, and in block (i, j) right multiplication by diff[i][j]
-times the Leibniz sign (-1)^{n s}, s being the degree of every coefficient
-in the block.  Its column of 1 * gen_j at deg(gen_j) is d(gen_j), where
-d^2 = 0 is checked.
+matrices of d_A and of multiplication by a monomial, also as their nonzero
+cells (`rings.per_object`).  The degree-q slice of a semifree module is the
+direct sum over generators j of A_{q - deg(gen_j)}, so its differential is
+a block matrix: d_A on the diagonal blocks, and in block (i, j) right
+multiplication by diff[i][j] times the Leibniz sign (-1)^{n s}, s being the
+degree of every coefficient in the block.  It is built as sparse rows from
+its nonzero cells, those of d_A and of each term of each nonzero entry,
+added at their block's offsets (`_slice_rows`), and its array from them.
+Its column of 1 * gen_j at deg(gen_j), the first of block j, is d(gen_j),
+where d^2 = 0 is checked.
 
 Every F_p matrix here, from a slice matrix to a homology record and the
 matrices induced on homology, is a 2-D int64 array with entries in [0, p).
-Homology is computed slice by slice, by one echelon basis that picks the
-representative cycles and yields the coordinate map [P; Z], one array
-(`_slice_homology`), so class coordinates are one product (`modp_matmul`)
-and an induced matrix on homology two.  A record is shared, so its arrays
-are read-only.  A module with zero differential (a free module, its shifts,
-the cone of a zero map) assembles its records from those of H(A)
-(`_homology_record`).  A map is checked by its cone, made once per map,
-which squares to zero exactly for a chain map, and its slice matrices are
-blocks of the cone's slice differentials (`map_slice`).
+Homology is computed slice by slice from the sparse rows of the slice
+differentials, by one echelon basis that picks the representative cycles
+and yields the coordinate map [P; Z], one array (`_slice_homology`), so
+class coordinates are one product (`modp_matmul`) and an induced matrix on
+homology two.  A record is shared, so its arrays are read-only.  A module
+with zero differential (a free module, its shifts, the cone of a zero map)
+assembles its records from those of H(A), in one pass (`_free_record`).
+A map is checked by its cone, made once per map, which squares to zero
+exactly for a chain map, and its slice matrices are blocks of the cone's
+slice differentials (`map_slice`).
 
 Periodicity: when |v| != 0, the slice bases at q and q + k|v| differ only in
 the v-exponents t, shifted by k, because the basis of A_s depends on t only
@@ -216,16 +220,6 @@ def _algebra_matrix(alg, s, key=None, left=False):
     return mat % alg.p
 
 
-def _right_multiplication(alg, s, terms, sign=1):
-    """sign times the matrix of y -> y * x on A_s for x the term dict terms,
-    or None when x = 0."""
-    out = None
-    for k, c in terms.items():
-        term = c * sign * _algebra_matrix(alg, s, k)
-        out = term if out is None else out + term
-    return None if out is None else out % alg.p
-
-
 def calculus_holds(alg, s, key):
     """The Leibniz rule d(xy) = d(x) y + (-1)^{ns} x d(y) for every x in A_s
     and y the monomial key, and d(d(x)) = 0, as identities of slice matrices:
@@ -234,25 +228,17 @@ def calculus_holds(alg, s, key):
     p, n, deg = alg.p, alg.n, alg.monomial_degree(*key)
     d = _algebra_matrix(alg, s)
     gap = _algebra_matrix(alg, s + deg) @ _algebra_matrix(alg, s, key) - _algebra_matrix(alg, s - n, key) @ d
-    dy = _right_multiplication(alg, s, alg._diff_monomial(key), -1 if (n * s) % 2 else 1)
-    if dy is not None:
-        gap -= dy
+    for k, c in alg._diff_monomial(key).items():
+        gap -= (-c if n * s % 2 else c) * _algebra_matrix(alg, s, k)
     low = [r for r, (_, _, m) in enumerate(_algebra_basis(alg, s + deg - n)) if m < alg.weight]
     return not (gap[low] % p).any() and not (_algebra_matrix(alg, s - n) @ d % p).any()
 
 
-def _block_matrix(alg, rows, cols, block):
-    """Block matrix from the sum of A_s over s in cols to the sum over rows;
-    block(i, j) is the array of block (i, j), or None for a zero block."""
-    row_at = list(itertools.accumulate((len(_algebra_basis(alg, r)) for r in rows), initial=0))
-    col_at = list(itertools.accumulate((len(_algebra_basis(alg, s)) for s in cols), initial=0))
-    out = np.zeros((row_at[-1], col_at[-1]), dtype=np.int64)
-    for i in range(len(rows)):
-        for j in range(len(cols)):
-            b = block(i, j)
-            if b is not None:
-                out[row_at[i]:row_at[i + 1], col_at[j]:col_at[j + 1]] = b
-    return out
+@rc.per_object
+def _algebra_cells(alg, s, key=None):
+    """`_algebra_matrix` of d_A, or of x -> x * key, as its nonzero cells (row, column, entry)."""
+    return [(r, k, x) for r, row in enumerate(linalg._sparse_rows(_algebra_matrix(alg, s, key), alg.p))
+            for k, x in row.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +266,10 @@ def _d_squared_nonzero(M, gens):
     """The generators j among gens with d(d(gen_j)) != 0, d(gen_j) read as
     the column of 1 * gen_j in the slice differential at deg(gen_j)."""
     for j in gens:
-        if any(not row[j].is_zero for row in M.diff):
+        if any(row[j].terms for row in M.diff):
             q = M.gen_degrees[j]
-            d_gen = slice_differential(M, q)[:, [slice_basis(M, q).index((j, (0, 0, 0)))]]
+            # 1 = (0, 0, 0) leads the basis of A_0, block j of the slice
+            d_gen = slice_differential(M, q)[:, [_slice_offsets(M, q)[j]]]
             if linalg.modp_matmul(slice_differential(M, q - M.alg.n), d_gen, M.alg.p).any():
                 yield j
 
@@ -301,7 +288,7 @@ class DGModule:
         self._cache = {}
         g = len(self.gen_degrees)
         if diff is None:
-            diff = [[DGElement(alg, {}) for _ in range(g)] for _ in range(g)]
+            diff = [[DGElement(alg, {})] * g] * g
         self.diff = [list(row) for row in diff]
         if check:
             _check_entries(self.diff, alg, self.gen_degrees, [gd + alg.n for gd in self.gen_degrees],
@@ -323,7 +310,7 @@ def shift(M, j):
     entry e = diff[i][k] is scaled by (-1)^{j(n + |e|)} = (-1)^{j(deg gen_k - deg gen_i)}."""
     degs = M.gen_degrees
     diff = [[DGElement(M.alg, {key: -c if j * (degs[k] - degs[i]) % 2 else c for key, c in x.terms.items()})
-             for k, x in enumerate(row)] for i, row in enumerate(M.diff)]
+             if x.terms else x for k, x in enumerate(row)] for i, row in enumerate(M.diff)]
     return DGModule(M.alg, [d + j for d in degs], diff, check=False)
 
 
@@ -377,7 +364,7 @@ def map_slice(f, q):
     back.
     """
     alg = f.source.alg
-    rows, start = (sum(len(_algebra_basis(alg, s - gd)) for gd in f.target.gen_degrees) for s in (q, q + alg.n))
+    rows, start = _slice_offsets(f.target, q)[-1], _slice_offsets(f.target, q + alg.n)[-1]
     out = slice_differential(cone(f), q + alg.n)[:rows, start:]
     # over F_2 every sign is +1
     if alg.p != 2 and (flip := odd_blocks(f.source, q, alg.n)).any():
@@ -390,8 +377,7 @@ def odd_blocks(M, q, n):
     """The columns of the degree-q slice of M in the blocks of the
     generators j with n (q - deg gen_j) odd, as a mask: those the Leibniz
     sign of a cone on M[n] negates."""
-    return np.repeat(np.array([n * (q - gd) % 2 for gd in M.gen_degrees], dtype=bool),
-                     [len(_algebra_basis(M.alg, q - gd)) for gd in M.gen_degrees])
+    return np.repeat(np.array([n * (q - gd) % 2 for gd in M.gen_degrees], dtype=bool), np.diff(_slice_offsets(M, q)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,34 +390,60 @@ def slice_basis(M, q):
 
 
 @rc.per_object
-def slice_differential(M, q):
-    """Matrix of d from the degree-q slice of M to the slice q - n, as an
-    array of shape (target, source): the matrix of the residue class of q,
-    built once per module and shared read-only (see the module docstring)."""
+def _slice_offsets(M, q):
+    """Where each generator's block starts in the degree-q slice of M, then its size."""
+    r = residue(M.alg, q)
+    return _slice_offsets(M, r) if r != q else \
+        list(itertools.accumulate((len(_algebra_basis(M.alg, q - gd)) for gd in M.gen_degrees), initial=0))
+
+
+@rc.per_object
+def _slice_rows(M, q):
+    """The slice differential at q as sparse rows {column: nonzero entry}, made once per
+    residue class from the nonzero cells (see the module docstring): per term c * key of
+    diff[i][j], the cells of y -> y * key on A_s times c (-1)^{n s}, s = q - deg(gen_j)."""
     # terms truncated past the weight bound are dropped; the reliability
     # filter of the homology excludes the affected classes
     alg, r = M.alg, residue(M.alg, q)
     if r != q:
+        return _slice_rows(M, r)
+    p, row_at, col_at = alg.p, _slice_offsets(M, q - alg.n), _slice_offsets(M, q)
+    rows = [{} for _ in range(row_at[-1])]
+    cells = [(j, j, 1, None) for j in range(len(M.gen_degrees))] + \
+        [(i, j, c, key) for i, row in enumerate(M.diff) for j, x in enumerate(row) if x.terms
+         for key, c in x.terms.items()]
+    for i, j, c, key in cells:
+        s, r0, c0 = q - M.gen_degrees[j], row_at[i], col_at[j]
+        if key and alg.n * s % 2:
+            c = -c
+        for r, k, x in _algebra_cells(alg, s, key):
+            out, k = rows[r0 + r], k + c0
+            if y := (out.get(k, 0) + c * x) % p:
+                out[k] = y
+            else:
+                del out[k]
+    return rows
+
+
+@rc.per_object
+def slice_differential(M, q):
+    """Matrix of d from the degree-q slice of M to the slice q - n, as an
+    array of shape (target, source): the matrix of the residue class of q,
+    built once per module and shared read-only (see the module docstring)."""
+    alg, r = M.alg, residue(M.alg, q)
+    if r != q:
         return slice_differential(M, r)
-    cols = [q - gd for gd in M.gen_degrees]
-
-    def block(i, j):
-        s = cols[j]
-        out = _right_multiplication(alg, s, M.diff[i][j].terms, -1 if (alg.n * s) % 2 else 1)
-        if i == j:
-            d = _algebra_matrix(alg, s)
-            out = d if out is None else (out + d) % alg.p
-        return out
-
-    out = _block_matrix(alg, [s - alg.n for s in cols], cols, block)
+    rows = _slice_rows(M, q)
+    out = linalg._from_cells((len(rows), _slice_offsets(M, q)[-1]),
+                             [(r, c, x) for r, row in enumerate(rows) for c, x in row.items()])
     out.flags.writeable = False
     return out
 
 
 def _slice_homology(M, q):
-    """Homology record of M in degree q from d_here, the slice differential
-    at q (to the slice n below), and d_above, that at q + n (from the slice
-    n above).
+    """Homology record of M in degree q from the sparse rows of d_here, the
+    slice differential at q (to the slice n below), and the nonzero columns
+    of d_above, that at q + n (from the slice n above).
 
     Representatives are cycles supported on u-weights <= W - PADDING: the
     reduced-echelon kernel basis of d_here on the low-weight coordinates
@@ -451,14 +463,20 @@ def _slice_homology(M, q):
     """
     alg, basis = M.alg, slice_basis(M, q)
     p, size = alg.p, len(basis)
-    d_here, d_above = slice_differential(M, q), slice_differential(M, q + alg.n)
     # reliability: the cycles supported on the low-weight coordinates, as
     # sparse rows over the whole slice
     low = [idx for idx, (_, (_, _, m)) in enumerate(basis) if m <= alg.weight - PADDING]
-    sub = linalg._kernel_rows(linalg._echelon_basis(d_here[:, low], p, len(low)), len(low), p)
+    at = {c: k for k, c in enumerate(low)}
+    cut = ({at[c]: x for c, x in row.items() if c in at} for row in _slice_rows(M, q))
+    sub = linalg._kernel_rows(linalg._echelon_of_rows(cut, p, len(low)), len(low), p)
     ker = [{low[j]: x for j, x in row.items()} for row in sub.values()]
-    im = d_above[:, d_above.any(axis=0)].T
-    held, kept = linalg._echelon_basis(im, p, size), []
+    cols = {}
+    for r, row in enumerate(_slice_rows(M, q + alg.n)):
+        for c, x in row.items():
+            cols.setdefault(c, {})[r] = x
+    above = [cols[c] for c in sorted(cols)]
+    im = linalg._from_cells((len(above), size), [(k, r, x) for k, col in enumerate(above) for r, x in col.items()])
+    held, kept = linalg._echelon_of_rows(above, p, size), []
     for k, row in enumerate(ker):
         if linalg._echelon_insert(held, row | {size + k: 1}, p, size) is not None:
             kept.append(k)
@@ -498,27 +516,26 @@ def _homology_record(M, q):
     alg, r = M.alg, residue(M.alg, q)
     if r != q:
         return _homology_record(M, r)
-    if any(not x.is_zero for row in M.diff for x in row):
+    if any(x.terms for row in M.diff for x in row):
         return _slice_homology(M, q)
     blocks = [_algebra_homology(alg, q - gd) for gd in M.gen_degrees]
-    if len(blocks) == 1:
-        return blocks[0]
-    reps, im = (_block_diagonal([H[key] for H in blocks]) for key in ("reps", "im"))
-    coords = np.vstack([_block_diagonal([H["coords"][:H["dim"]] for H in blocks]),
-                        _block_diagonal([H["coords"][H["dim"]:] for H in blocks])])
-    return _read_only({"dim": len(reps), "reps": reps, "im": im, "coords": coords})
+    return blocks[0] if len(blocks) == 1 else _free_record(blocks)
 
 
-def _block_diagonal(blocks):
-    """The arrays of blocks along the diagonal of one array."""
-    shapes = [b.shape for b in blocks]
-    out = np.zeros((sum(h for h, _ in shapes), sum(w for _, w in shapes)), dtype=np.int64)
-    r = c = 0
-    for b, (h, w) in zip(blocks, shapes):
-        if h:
-            out[r:r + h, c:c + w] = b
-        r, c = r + h, c + w
-    return out
+def _free_record(blocks):
+    """The record of the direct sum of the records blocks, in one pass:
+    reps and im block-diagonal, coords the blocks' P's over their Z's."""
+    dim, size = sum(H["dim"] for H in blocks), sum(H["reps"].shape[1] for H in blocks)
+    reps, im, coords = (np.zeros((sum(len(H[key]) for H in blocks), size), dtype=np.int64)
+                        for key in ("reps", "im", "coords"))
+    # the next row of reps (and of P in coords), of im and of Z; the next column
+    r, b, z, c = 0, 0, dim, 0
+    for H in blocks:
+        (d, w), k, PZ = H["reps"].shape, len(H["im"]), H["coords"]
+        reps[r:r + d, c:c + w], coords[r:r + d, c:c + w] = H["reps"], PZ[:d]
+        im[b:b + k, c:c + w], coords[z:z + len(PZ) - d, c:c + w] = H["im"], PZ[d:]
+        r, b, z, c = r + d, b + k, z + len(PZ) - d, c + w
+    return _read_only({"dim": dim, "reps": reps, "im": im, "coords": coords})
 
 
 def homology(M, window):
@@ -537,7 +554,10 @@ def homology(M, window):
         raise WindowEmpty("empty degree window")
     if not alg.vdeg and alg.i and alg.weight < (hi - lo) + 2 * PADDING:
         raise WindowTooWideForWeightBound(f"weight bound {alg.weight} too small for window span {hi - lo}")
-    return {q: _homology_record(M, residue(alg, q)) for q in range(lo, hi + 1)}
+    H, period = {}, abs(alg.vdeg)
+    for q in range(lo, hi + 1):
+        H[q] = H[q - period] if period and q - period >= lo else _homology_record(M, residue(alg, q))
+    return H
 
 
 def class_coordinates(Hq, p, cycles):
@@ -560,8 +580,10 @@ def induced_matrix(mat, Hsrc, Htgt, p):
 
 def u_action_matrix(M, H, q):
     """Matrix of left multiplication by u: H_q -> H_{q+i}."""
-    alg = M.alg
-    mat = _block_diagonal([_algebra_matrix(alg, q - gd, (0, 0, 1), True) for gd in M.gen_degrees])
+    alg, rows, cols = M.alg, _slice_offsets(M, q + M.alg.i), _slice_offsets(M, q)
+    mat = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
+    for j, gd in enumerate(M.gen_degrees):
+        mat[rows[j]:rows[j + 1], cols[j]:cols[j + 1]] = _algebra_matrix(alg, q - gd, (0, 0, 1), True)
     return induced_matrix(mat, H[q], H[q + alg.i], alg.p)
 
 

@@ -35,9 +35,10 @@ holds no dense vectors; `cols()` makes them.
 Matrices are lists of rows or arrays; "columns" arguments are lists of
 coordinate vectors.  All integer results are reduced into [0, m_i)
 coordinatewise.  `modp_rref` returns arrays (int64 over F_p, object over
-Q), and `modp_matmul`, the one F_p product, takes and returns 2-D int64
-arrays; the field lane refuses to eliminate or multiply over primes for
-which its int64 arithmetic could overflow.
+Q), and `modp_matmul`, the one F_p product, takes 2-D int64 arrays with
+entries in [0, p) and reduces only their product; `_sparse_rows` reads a
+small F_p array through one tolist().  The field lane refuses to eliminate
+or multiply over primes for which its int64 arithmetic could overflow.
 """
 
 from __future__ import annotations
@@ -89,6 +90,11 @@ def _lane(moduli):
 # field lane: F_p (numpy int64) and Q (p = 0, object arrays)
 # ---------------------------------------------------------------------------
 
+# up to this many cells, an F_p array is read through one tolist(), past it
+# through its nonzero indices
+SMALL_CELLS = 32
+
+
 def _sparse_rows(A, p):
     """The rows of A as {column: nonzero entry} in exact Python numbers: ints
     mod p, or Fractions over Q, where int64 products would wrap."""
@@ -97,7 +103,9 @@ def _sparse_rows(A, p):
         raise UnsupportedCoefficients(f"prime {p} too large for int64 elimination")
     if isinstance(A, np.ndarray):
         # reduced into int64 over F_p, whose tolist gives Python ints
-        B = (A % p).astype(np.int64) if p else A
+        B = (A % p).astype(np.int64, copy=False) if p else A
+        if p and B.size <= SMALL_CELLS:
+            return [{j: x for j, x in enumerate(row) if x} for row in B.tolist()]
         rows = [{} for _ in range(len(B))]
         ii, jj = B.nonzero()
         for i, j, x in zip(ii.tolist(), jj.tolist(), B[ii, jj].tolist()):
@@ -152,10 +160,14 @@ def _echelon_basis(A, p, nc, held=()):
     """The reduced echelon basis {pivot: row} of the rows of the nc-column
     matrix A over F_p, or Q for p = 0, inserted into a copy of held.  A
     matrix with no rows or no columns is not eliminated."""
+    return _echelon_of_rows(_sparse_rows(A, p) if len(A) and nc else (), p, nc, held)
+
+
+def _echelon_of_rows(rows, p, nc, held=()):
+    """`_echelon_basis` of sparse rows {column < nc: entry}, reduced in place and held."""
     held = dict(held)
-    if len(A) and nc:
-        for row in filter(None, _sparse_rows(A, p)):
-            _echelon_insert(held, row, p, nc)
+    for row in filter(None, rows):
+        _echelon_insert(held, row, p, nc)
     return held
 
 
@@ -179,18 +191,18 @@ def _from_cells(shape, cells, dtype=np.int64):
     """Array of the given shape, zero except at the (row, column, entry) cells."""
     out = np.zeros(shape, dtype=dtype)
     if cells:
-        rr, cc, vv = zip(*cells)
-        out[rr, cc] = vv
+        out.put([r * shape[1] + c for r, c, _ in cells], [x for _, _, x in cells])
     return out
 
 
 def modp_matmul(A, B, p):
     """A B mod p as an int64 array, for 2-D int64 arrays A and B with A as
-    wide as B is tall; either may have no rows or no columns."""
+    wide as B is tall and entries in [0, p), as every F_p array of the
+    library has, so only the product is reduced; either may be empty."""
     k = B.shape[0]
     if k * (p - 1) ** 2 >= 2 ** 63:
         raise UnsupportedCoefficients(f"prime {p} too large for int64 products of length {k}")
-    return A % p @ (B % p) % p
+    return A @ B % p
 
 
 def modp_rank(A, p):

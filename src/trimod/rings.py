@@ -77,6 +77,8 @@ MAX_TABLE_DIM = 256
 TRIAL_BOUND = 2 ** 16
 # locality and idempotents over Q are decided only on Q itself
 RATIONAL_SCOPE = "over Q, only the field Q in degree 0 is classified"
+# the value of a key that `per_object` has not stored
+_MISSING = object()
 
 
 def per_object(fn):
@@ -86,10 +88,12 @@ def per_object(fn):
     stored already, and returns the stored result."""
     @functools.wraps(fn)
     def once(obj, *args):
+        # one lookup on a hit
         key = (fn.__name__, *args)
-        if key not in obj._cache:
-            obj._cache[key] = fn(obj, *args)
-        return obj._cache[key]
+        out = obj._cache.get(key, _MISSING)
+        if out is _MISSING:
+            out = obj._cache[key] = fn(obj, *args)
+        return out
 
     def seed(obj, value, *args):
         return obj._cache.setdefault((fn.__name__, *args), value)

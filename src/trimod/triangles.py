@@ -32,11 +32,11 @@ class Triangle:
       sf[q]: (A[n])_q -> (B[n])_q  (the suspended map, used for exactness),
     of shapes (b, a), (c, b), (sa, c) and (sb, sa) for the homology
     dimensions dims[q] = (a, b, c, sa, sb), sa = dim (A[n])_q, sb = dim (B[n])_q.
-    The arrays are read-only, and verify_triangle_exact and verify_rotation
-    share one record of the checks passed and the ranks made on them.
+    The arrays are read-only, and the verifiers share one record of the
+    checks passed and the ranks made.  period: |v| if periodic, else 0.
     """
 
-    def __init__(self, p, n, window, dims, f, g, h, sf, third_generator_degrees):
+    def __init__(self, p, n, window, dims, f, g, h, sf, third_generator_degrees, period=0):
         self.p = p
         self.n = n
         self.window = window
@@ -46,6 +46,7 @@ class Triangle:
         self.h = h
         self.sf = sf
         self.third_generator_degrees = third_generator_degrees
+        self.period = period
         # the checks passed and the ranks made, shared by both verifiers
         self._checks = ({}, {})
 
@@ -97,19 +98,18 @@ def _model(R, n, weight):
 
 
 def _generator_degrees(Cmod, H, window):
-    """Degrees of module generators of H: classes not hit by the x-action."""
+    """Degrees of module generators of H, classes not hit by x: per residue class, at its first
+    degree q with q - |x| in the window, else, if periodic, its first, reading H at q - |x|."""
     alg, (lo, hi) = Cmod.alg, window
     per_key = {}
-    for q in range(lo, hi + 1):
+    for q in sorted(range(lo, hi + 1), key=lambda q: not lo <= q - alg.i <= hi):
         key = dg.residue(alg, q)
-        if key in per_key or not H[q]["dim"] or not (lo <= q - alg.i <= hi):
+        if key in per_key or not H[q]["dim"] or not (lo <= q - alg.i <= hi or alg.vdeg):
             continue
+        below = H if lo <= q - alg.i <= hi else dg.homology(Cmod, (q - alg.i, q - alg.i)) | {q: H[q]}
         # the count repeats with period |v|, also when it is 0
-        per_key[key] = (q, H[q]["dim"] - linalg.modp_rank(dg.u_action_matrix(Cmod, H, q - alg.i), alg.p))
-    out = []
-    for q, count in sorted(per_key.values()):
-        out.extend([q] * count)
-    return out
+        per_key[key] = (q, H[q]["dim"] - linalg.modp_rank(dg.u_action_matrix(Cmod, below, q - alg.i), alg.p))
+    return [q for q, count in sorted(per_key.values()) for _ in range(count)]
 
 
 def triangle_from_map(R, n, source_degrees, target_degrees, entries, window=None):
@@ -195,7 +195,7 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries, window=None
             m.setflags(write=False)
 
     third = _generator_degrees(C, HC, window)
-    return Triangle(p, n, window, dims, fs, gs, hs, sfs, third)
+    return Triangle(p, n, window, dims, fs, gs, hs, sfs, third, period)
 
 
 # position -> (detail when the composite is nonzero, detail when the ranks
@@ -219,12 +219,11 @@ def _exact_at(T, q, position):
     q, or None.  A position is exact when the composite through it vanishes
     and the ranks of the maps in and out add up to its dimension.
 
-    Past the first |v| degrees the triangle's matrices are the objects stored
-    a period earlier, so a check is made once per triangle, whichever
-    verifier asks: T's check record holds each check passed, keyed by
-    position, dimension and matrix ids, and each rank made, keyed by id.
-    Its entries keep their matrices, so no id is reused while it lives, and
-    the matrices are read-only, so no result goes stale."""
+    A check is made once per triangle, whichever verifier asks: T's check
+    record holds each check passed, keyed by position, dimension and matrix
+    ids, and each rank made, keyed by id.  Its entries keep their matrices,
+    so no id is reused while it lives, and the matrices are read-only, so
+    no result goes stale."""
     p, n = T.p, T.n
     passed, ranks = T._checks
     if position == "SB":
@@ -253,10 +252,24 @@ def _exact_at(T, q, position):
     return {"pass": False, "degree": q, "position": position, "detail": detail}
 
 
+def _unrepeated(T, degrees, shift):
+    """The degrees of the range less each q whose checks repeat those at
+    q - |v| in it: dims and maps at q and at q - shift the same objects."""
+    P, (dims, f, g, h, sf) = T.period, (T.dims, T.f, T.g, T.h, T.sf)
+
+    def repeats(x):
+        return dims[x] == dims[x - P] and f[x] is f[x - P] and g[x] is g[x - P] and h[x] is h[x - P] \
+            and sf[x] is sf[x - P]
+
+    for q in degrees:
+        if not (P and q - P >= degrees.start and repeats(q) and repeats(q - shift)):
+            yield q
+
+
 def verify_triangle_exact(T):
     """Slicewise exactness at B, C and A[n]; report PASS or first failure."""
     lo, hi = T.window
-    for q in range(lo, hi + 1):
+    for q in _unrepeated(T, range(lo, hi + 1), 0):
         for position in ("B", "C", "SA"):
             failure = _exact_at(T, q, position)
             if failure:
@@ -275,7 +288,7 @@ def verify_rotation(T):
     degrees = range(max(lo, lo + T.n), min(hi, hi + T.n) + 1)
     if not degrees:
         raise WindowEmpty(f"window {lo}:{hi} holds no degree q with q - n in it, at n = {T.n}")
-    for q in degrees:
+    for q in _unrepeated(T, degrees, T.n):
         for position in ("C", "SA", "SB"):
             failure = _exact_at(T, q, position)
             if failure:

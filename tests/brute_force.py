@@ -15,7 +15,9 @@ generic word rewriter in the same way, and its elements are multiplied and
 differentiated here as term dicts {(t, e, m): c}, with no weight bound, for
 tests that compare the slice matrices with element arithmetic; `map_slice`
 assembles a DG map's slice matrix block by block from the slice matrices of
-A, where the library reads it off the map's cone.  Congruence systems over
+A, where the library reads it off the map's cone, and `slice_differential`
+a module's, one callback per block, where the library adds the nonzero
+cells of its entries' terms.  Congruence systems over
 Z/m have a dense reference too: `dense_congruence_kernel`,
 `dense_congruence_solve` and `dense_remainder` read their answers off the
 batch Hermite form `batch_hnf_columns` with the moduli columns m_i e_i
@@ -231,9 +233,53 @@ def map_slice(f, q, twist=0):
     cone sequence, which a triangle reads off f."""
     alg = f.source.alg
     cols = [q - gd for gd in f.source.gen_degrees]
-    return dga._block_matrix(alg, [q - gd for gd in f.target.gen_degrees], cols,
-                             lambda i, j: dga._right_multiplication(alg, cols[j], f.matrix[i][j].terms,
-                                                                    -1 if (twist * cols[j]) % 2 else 1))
+    return block_matrix(alg, [q - gd for gd in f.target.gen_degrees], cols,
+                        lambda i, j: right_multiplication(alg, cols[j], f.matrix[i][j].terms,
+                                                          -1 if (twist * cols[j]) % 2 else 1))
+
+
+def right_multiplication(alg, s, terms, sign=1):
+    """sign times the matrix of y -> y * x on A_s for x the term dict terms,
+    summed from the slice matrices of its monomials, or None when x = 0."""
+    out = None
+    for k, c in terms.items():
+        term = c * sign * dga._algebra_matrix(alg, s, k)
+        out = term if out is None else out + term
+    return None if out is None else out % alg.p
+
+
+def block_matrix(alg, rows, cols, block):
+    """Block matrix from the sum of A_s over s in cols to the sum over rows;
+    block(i, j) is the array of block (i, j), or None for a zero block."""
+    row_at = list(itertools.accumulate((len(dga._algebra_basis(alg, r)) for r in rows), initial=0))
+    col_at = list(itertools.accumulate((len(dga._algebra_basis(alg, s)) for s in cols), initial=0))
+    out = np.zeros((row_at[-1], col_at[-1]), dtype=np.int64)
+    for i in range(len(rows)):
+        for j in range(len(cols)):
+            b = block(i, j)
+            if b is not None:
+                out[row_at[i]:row_at[i + 1], col_at[j]:col_at[j + 1]] = b
+    return out
+
+
+def slice_differential(M, q):
+    """The slice differential of M at q assembled block by block: d_A on
+    the diagonal blocks, and in block (i, j) right multiplication by
+    diff[i][j] on the slice of A at s = q - deg(gen_j), times the Leibniz
+    sign (-1)^{n s}.  The reference for `dga.slice_differential`, which
+    builds it from the nonzero cells of its entries' terms."""
+    alg = M.alg
+    cols = [q - gd for gd in M.gen_degrees]
+
+    def block(i, j):
+        s = cols[j]
+        out = right_multiplication(alg, s, M.diff[i][j].terms, -1 if (alg.n * s) % 2 else 1)
+        if i == j:
+            d = dga._algebra_matrix(alg, s)
+            out = d if out is None else (out + d) % alg.p
+        return out
+
+    return block_matrix(alg, [s - alg.n for s in cols], cols, block)
 
 
 def dg_random_monomial(alg, rng, max_m=6, max_t=2):

@@ -13,6 +13,7 @@ from trimod.errors import (
     NotChainMap,
     ParityObstruction,
     ShapeMismatch,
+    UnsupportedCoefficients,
     WindowEmpty,
     WindowTooWideForWeightBound,
 )
@@ -136,6 +137,42 @@ def test_build_matches_the_word_rewriter():
                 for weight in (-2, -1, 0, 1, 2, 3, 4, 8):
                     args = (p, i, n, weight)
                     assert _outcome(dg.build_two_generator_dga, *args) == _outcome(reference, *args), args
+
+
+def _random_entry(alg, rng, deg, cycles):
+    """A random element of A of degree deg with u-weight <= W, several terms
+    where the slice holds several, or only the cycles v^t u^m when cycles."""
+    return dg.DGElement(alg, {key: rng.randrange(alg.p) for key in dg._algebra_basis(alg, deg)
+                              if not (cycles and key[1])})
+
+
+def test_slice_differential_matches_the_block_reference():
+    # the slices built from the nonzero cells of the entries' terms
+    # against the block-by-block assembly, one callback per block, on every
+    # model of the rewriter's grid that builds: a module with random entries
+    # everywhere, diagonal blocks included (d^2 = 0 is not needed to read a
+    # slice), its shift, and the cone of a map whose entries are cycles, a
+    # chain map over any model.  The odd primes have odd Leibniz signs, and
+    # (2, 1, -3) and (2, 0, 0) have |v| = 0
+    models = [(p, i, n, weight) for p in (2, 3, 5, 7) for i in range(-4, 5) for n in range(-4, 5)
+              for weight in (-2, -1, 0, 1, 2, 3, 4, 8) if _outcome(dg.build_two_generator_dga, p, i, n, weight) is None]
+    assert {(2, 1, -3, 4), (2, 0, 0, 8), (3, 1, 1, 4), (7, -1, 1, 8)} <= set(models)
+    odd_signs = 0
+    for p, i, n, weight in models:
+        alg = dg.build_two_generator_dga(p, i, n, weight)
+        rng = random.Random(1000 * p + 100 * i + 10 * n + weight)
+        degrees = [[rng.randint(-3, 3) for _ in range(rng.randint(1, 4))] for _ in range(3)]
+        X = dg.DGModule(alg, degrees[0], [[_random_entry(alg, rng, dj - n - di, False) for dj in degrees[0]]
+                                          for di in degrees[0]], check=False)
+        f = dg.DGMap(dg.DGModule(alg, degrees[1]), dg.DGModule(alg, degrees[2]),
+                     [[_random_entry(alg, rng, dj - di, True) for dj in degrees[1]] for di in degrees[2]])
+        for M in (X, dg.shift(X, 1), dg.cone(f)):
+            for q in range(-3, 4):
+                got, want = dg.slice_differential(M, q), brute_force.slice_differential(M, q)
+                assert got.shape == want.shape and np.array_equal(got, want), (p, i, n, weight, M.gen_degrees, q)
+                odd_signs += p != 2 and sum(n * (q - gd) % 2 and any(row[j].terms for row in M.diff)
+                                            for j, gd in enumerate(M.gen_degrees))
+    assert odd_signs
 
 
 def test_homology_of_algebra_is_exterior():
@@ -448,6 +485,38 @@ def test_one_product_per_class_coordinates_and_one_rank_per_matrix(monkeypatch):
     assert per_call and set(per_call) == {1}
 
 
+def test_modp_matmul_takes_reduced_operands(monkeypatch):
+    # every product on the triangle path multiplies int64 arrays whose
+    # entries lie in [0, p), so modp_matmul reduces only the product: at
+    # p = 2, 3, 5, 7 and on the |v| = 0 model (2, 1, -3)
+    matmul, primes = linalg.modp_matmul, set()
+
+    def checked(A, B, p):
+        for X in (A, B):
+            assert X.dtype == np.int64 and X.ndim == 2 and (X.size == 0 or 0 <= X.min() <= X.max() < p)
+        primes.add(p)
+        return matmul(A, B, p)
+
+    monkeypatch.setattr(linalg, "modp_matmul", checked)
+    cases = [(con.laurent_exterior(p, 1, 4), 1) for p in (2, 3, 5, 7)] + \
+        [(con.exterior_on_field(con.finite_field(2), 1), -3)]
+    for R, n in cases:
+        rng = random.Random(R.char + n)
+        for _ in range(5):
+            T = tr.triangle_from_map(R, n, *tr.random_map(R, n, rng, max_rank=4))
+            assert tr.verify_triangle_exact(T)["pass"] and tr.verify_rotation(T)["pass"]
+    assert primes == {2, 3, 5, 7}
+    # the overflow guard still refuses k (p - 1)^2 >= 2^63 on reduced operands
+    q = 3037000493
+    assert (q - 1) ** 2 < 2 ** 63 <= 2 * (q - 1) ** 2
+    top = np.full((1, 1), q - 1, dtype=np.int64)
+    assert matmul(top, top, q).tolist() == [[1]]
+    with pytest.raises(UnsupportedCoefficients):
+        matmul(np.full((1, 2), q - 1, dtype=np.int64), np.full((2, 1), q - 1, dtype=np.int64), q)
+    with pytest.raises(UnsupportedCoefficients):
+        matmul(np.ones((1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64), 4294967311)
+
+
 def test_triangle_input_errors():
     R = lift_ring()
     x = R.basis_element(1)
@@ -541,6 +610,44 @@ def test_periodic_records_do_not_depend_on_the_weight(p, i, n, monkeypatch):
         reference = tr.triangle_from_map(R, n, src, tgt, entries, window)
         monkeypatch.setattr(tr, "_model", model)
         assert triangle_record(T) == triangle_record(reference), k
+
+
+@pytest.mark.parametrize("p, i, n", PERIODIC_MODELS[::8])
+def test_narrow_windows_count_every_generator_class(p, i, n):
+    # a residue class of H(C) with a degree in the window has its generators
+    # counted there, also where no degree q of it has q - |x| in the
+    # window: H at q - |x| is then read off its residue record.  Residues and
+    # counts are those of a window spanning two periods
+    period = abs(3 * i + n)
+    R = con.laurent_exterior(p, i, period)
+    rng = random.Random(1000 * p + 10 * i + n)
+    for _ in range(6):
+        src, tgt, entries = tr.random_map(R, n, rng)
+        lo = rng.randint(-10, 10)
+        wide = tr.triangle_from_map(R, n, src, tgt, entries, window=(lo, lo + 2 * period + abs(i)))
+        counts = {}
+        for q in wide.third_generator_degrees:
+            counts[q % period] = counts.get(q % period, 0) + 1
+        for width in range(4):
+            a = rng.randint(-10, 10)
+            third = tr.triangle_from_map(R, n, src, tgt, entries, window=(a, a + width)).third_generator_degrees
+            assert all(a <= q <= a + width for q in third)
+            classes = {q % period for q in range(a, a + width + 1)}
+            assert sorted(q % period for q in third) == \
+                sorted(r for r, c in counts.items() if r in classes for _ in range(c)), (src, tgt, a, width)
+
+
+def test_narrow_window_repro():
+    # the map [0, 3] -> [0] of the second draw at seed 5: H(C)_0 has one
+    # class not hit by x, which the window (0, 3) holds without degree -1
+    R = lift_ring()
+    rng = random.Random(5)
+    tr.random_map(R, 1, rng)
+    src, tgt, entries = tr.random_map(R, 1, rng)
+    assert (src, tgt) == ([0, 3], [0])
+    third = {w: tr.triangle_from_map(R, 1, src, tgt, entries, window=w).third_generator_degrees
+             for w in ((0, 3), (0, 0), (-1, 3), (-8, 8))}
+    assert third == {(0, 3): [0], (0, 0): [0], (-1, 3): [0], (-8, 8): [-4]}
 
 
 def test_a_wide_window_eliminates_what_one_period_does(monkeypatch):

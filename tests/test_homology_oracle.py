@@ -21,7 +21,8 @@ class coordinates of a batch of cycles must be what one solve per cycle
 gives, `modp_rref` must agree with a pure-Python
 Gauss-Jordan elimination over F_p and over Q, and the per-position exactness check of
 `verify_triangle_exact`/`verify_rotation` must report what two loops of
-explicit checks report, also on corrupted triangles.
+explicit checks report, also on corrupted triangles, while checking one
+period of degrees where the later ones repeat it.
 """
 
 import random
@@ -353,13 +354,14 @@ def test_transported_degrees_share_their_record():
 
 
 def test_one_triangle_makes_slice_objects_once_per_residue_class(monkeypatch):
-    # per module and residue class mod |v|: one slice differential, read by
-    # the cone's check, the map slices and the elimination, and one record of
-    # a free module, which the shifted windows of A[n] and B[n] reuse.  A
+    # per module and residue class mod |v|: one set of sparse slice rows,
+    # read by the elimination, and one slice differential made from them,
+    # read by the cone's check and the map slices, and one record of a free
+    # module, which the shifted windows of A[n] and B[n] reuse.  A
     # one-generator free module takes its records from H(A) as they are, a
-    # module on more generators assembles each of them once
+    # module on more generators assembles each of them once, in one pass
     modules, assembled, windows = [], [], []
-    cone, homology, assemble = dg.cone, dg.homology, dg._block_diagonal
+    cone, homology, assemble = dg.cone, dg.homology, dg._free_record
 
     def spied_cone(f):
         # the map's check, the triangle and its map slices share one cone
@@ -376,7 +378,7 @@ def test_one_triangle_makes_slice_objects_once_per_residue_class(monkeypatch):
 
     monkeypatch.setattr(dg, "cone", spied_cone)
     monkeypatch.setattr(dg, "homology", spied_homology)
-    monkeypatch.setattr(dg, "_block_diagonal", lambda blocks: assembled.append(blocks) or assemble(blocks))
+    monkeypatch.setattr(dg, "_free_record", lambda blocks: assembled.append(blocks) or assemble(blocks))
     R = con.laurent_exterior(3, 1, 4)
     rng = random.Random(4)
     src, tgt, entries = tr.random_map(R, 1, rng, max_rank=3)
@@ -387,8 +389,8 @@ def test_one_triangle_makes_slice_objects_once_per_residue_class(monkeypatch):
     def built(X, name):
         return len({id(value) for key, value in X._cache.items() if key[0] == name})
 
-    assert 0 < built(C, "slice_differential") <= period
-    assert all(built(X, "slice_differential") <= period for X in (M, N))
+    assert 0 < built(C, "slice_differential") <= period and 0 < built(C, "_slice_rows") <= period
+    assert all(built(X, name) <= period for X in (M, N) for name in ("slice_differential", "_slice_rows"))
     assert all(0 < built(X, "_homology_record") <= period for X in (M, N))
     # the map is [-1] -> [2]: every record of A and B is one of H(A)
     assert (M.gen_degrees, N.gen_degrees) == ([-1], [2])
@@ -397,7 +399,7 @@ def test_one_triangle_makes_slice_objects_once_per_residue_class(monkeypatch):
     assert [(X, a) for X, w, a in windows if w == (-5, 5) and X is not C] == [(M, 0), (N, 0)]
     assert [(X, a) for X, w, a in windows if w == (-6, 4)] == [(M, 0), (N, 0)]
 
-    # free modules on several generators: four arrays per record, each
+    # free modules on several generators: one assembly per record, each
     # record assembled once per residue class, none for the shifted window
     while len(src) < 2 or len(tgt) < 2:
         src, tgt, entries = tr.random_map(R, 1, rng, max_rank=3)
@@ -407,7 +409,7 @@ def test_one_triangle_makes_slice_objects_once_per_residue_class(monkeypatch):
     M, N, C = modules
     assert all(0 < built(X, "_homology_record") <= period for X in (M, N))
     assert [(X, a) for X, w, a in windows if w == (-5, 5) and X is not C] == \
-        [(X, 4 * built(X, "_homology_record")) for X in (M, N)]
+        [(X, built(X, "_homology_record")) for X in (M, N)]
     assert [(X, a) for X, w, a in windows if w == (-6, 4)] == [(M, 0), (N, 0)]
 
 
@@ -705,6 +707,49 @@ def test_shared_position_check_reports_like_reference():
         for X in [T] + list(corruptions(T, again)):
             assert tr.verify_rotation(X) == reference_verify_rotation(X)
             assert tr.verify_triangle_exact(X) == reference_verify_exact(X)
+
+
+def test_verifiers_check_one_period_and_report_corruptions_past_it(monkeypatch):
+    # at +-30 each verifier checks one period of degrees, whose dims and maps
+    # the later degrees repeat as the same objects.  A copy with one array
+    # replaced past the first period, by zeros, by an equal copy or by a
+    # copy with one entry changed, is checked at that degree, and both
+    # verifiers report like the references
+    R = con.laurent_exterior(3, 1, 4)
+    rng = random.Random(30)
+
+    def bumped(a):
+        a = a.copy()
+        if a.size:
+            a[rng.randrange(a.shape[0]), rng.randrange(a.shape[1])] += 1
+        return a % 3
+
+    calls, exact_at = [], tr._exact_at
+    monkeypatch.setattr(tr, "_exact_at", lambda T, q, position: calls.append((q, position)) or exact_at(T, q, position))
+    failures = 0
+    for _ in range(3):
+        T = tr.triangle_from_map(R, 1, *tr.random_map(R, 1, rng, max_rank=4), window=(-30, 30))
+        period = T.period
+        assert period == 4
+        calls.clear()
+        assert tr.verify_triangle_exact(T)["pass"]
+        assert calls == [(q, pos) for q in range(-30, -30 + period) for pos in ("B", "C", "SA")]
+        calls.clear()
+        assert tr.verify_rotation(T)["pass"]
+        assert calls == [(q, pos) for q in range(-29, -29 + period) for pos in ("C", "SA", "SB")]
+        for name, q in [(name, rng.randint(-30 + period, 30)) for name in ("f", "g", "h", "sf") for _ in range(3)]:
+            for replace in (np.zeros_like, np.copy, bumped):
+                bent = tr.Triangle(T.p, T.n, T.window, dict(T.dims), dict(T.f), dict(T.g), dict(T.h),
+                                   dict(T.sf), T.third_generator_degrees, T.period)
+                getattr(bent, name)[q] = replace(getattr(T, name)[q])
+                calls.clear()
+                exact = tr.verify_triangle_exact(bent)
+                assert exact == reference_verify_exact(bent) and any(d == q for d, _ in calls)
+                assert tr.verify_rotation(bent) == reference_verify_rotation(bent)
+                if replace is np.zeros_like and getattr(T, name)[q].any():
+                    assert exact["degree"] == q
+                    failures += 1
+    assert failures
 
 
 def test_records_and_triangle_maps_are_read_only():

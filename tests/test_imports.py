@@ -230,18 +230,21 @@ def test_only_the_monomial_builder_writes_stock_tables():
     assert [line for line in stray if line.startswith("constructions.py:")] == []
 
 
-def _right_multiplications(tree):
-    """(scope, line) of each reference to `_right_multiplication`."""
+def _entry_multiplications(tree):
+    """(scope, line) of each reference to `_algebra_cells`, the nonzero cells
+    of the slice matrices through which a module's entries multiply."""
     for scope, node in _scoped_nodes(tree):
-        if (getattr(node, "id", None) or getattr(node, "attr", None)) == "_right_multiplication":
+        if (getattr(node, "id", None) or getattr(node, "attr", None)) == "_algebra_cells":
             yield scope, node.lineno
 
 
 def test_only_slice_differential_and_calculus_multiply_by_entries():
     # a module's slice differential is the one assembly of right
-    # multiplications by its entries (a map's slices are read off its cone),
-    # and the calculus check tests the rule they obey
-    assert _stray(_right_multiplications, {("dga", "slice_differential"), ("dga", "calculus_holds")}) == []
+    # multiplications by its entries (a map's slices are read off its cone):
+    # its sparse rows, `_slice_rows`, add the cells of each term's slice
+    # matrix, and the calculus check tests the rule those matrices obey
+    assert _stray(_entry_multiplications, set()) != []
+    assert _stray(_entry_multiplications, {("dga", "_slice_rows"), ("dga", "calculus_holds")}) == []
 
 
 def _degree_reductions(tree):
