@@ -32,9 +32,10 @@ Homology is computed slice by slice from the sparse rows of the slice
 differentials, by one echelon basis that picks the representative cycles
 and yields the coordinate map [P; Z], one array (`_slice_homology`), so
 class coordinates are one product (`modp_matmul`) and an induced matrix on
-homology two.  A record is shared, so its arrays are read-only.  A module
-with zero differential (a free module, its shifts, the cone of a zero map)
-assembles its records from those of H(A), in one pass (`_free_record`).
+homology two; Z decides span(reps, boundaries).  A record {"dim", "reps",
+"coords"} is shared, so its arrays are read-only.  A module with zero
+differential (a free module, its shifts, the cone of a zero map) assembles
+its records from those of H(A), in one pass (`_free_record`).
 A map is checked by its cone, made once per map, which squares to zero
 exactly for a chain map, and its slice matrices are blocks of the cone's
 slice differentials (`map_slice`).
@@ -63,10 +64,11 @@ quotient complex, and a cycle of weight <= W - PADDING is one before it.
 Every class has a cycle of weight <= 1 (in a cone, z of A[n] plus b of
 weight 0 with d(b) = -f(z)), and a cycle of weight >= 4 bounds (u^m =
 d(a u^{m-2}); a cone's, up to that, lies in B at weight >= 2), so for
-W >= 3 `homology` keeps exactly the true classes.  Periodic slices hold
-every weight, so triangles build a periodic model at MIN_WEIGHT = 4, the
-builder's floor, for every window (the tests' records oracle pins the
-echelon's choices); when |v| = 0 and |x| != 0, `homology` bounds the window.
+W >= 3 `homology` keeps exactly the true classes.  So triangles build a
+model at MIN_WEIGHT = 4, the builder's floor, for every window (the tests'
+records oracles pin the echelon's choices), but when |v| = 0 and |x| != 0
+a slice holds one weight per a-exponent: `homology` bounds the window by
+W - 2 PADDING, and triangles build at W = span + 2 PADDING.
 """
 
 from __future__ import annotations
@@ -446,15 +448,15 @@ def _slice_homology(M, q):
     of d_above, that at q + n (from the slice n above).
 
     Representatives are cycles supported on u-weights <= W - PADDING: the
-    reduced-echelon kernel basis of d_here on the low-weight coordinates
-    (unique, so that of the low-weight cycles).  One echelon basis takes the
-    boundaries, then each cycle k tagged by a 1 at column size + k
-    (`linalg._echelon_insert`), and keeps it when it gets a pivot below
-    size: when it lies outside the span of the boundaries and the cycles
-    kept before it.  A held row (x, t) has x = sum_k t_k cycle_k modulo the
-    boundaries, so the coordinate map coords = [P; Z] stacks P, the tags at
-    the pivots, over Z, the kernel basis of the rows x: z lies in
-    span(reps, im) iff Z z = 0, and then P z holds its coordinates in the reps.
+    reduced-echelon kernel basis, in the slice's own columns, of d_here cut
+    to the low-weight ones (unique, so that of the low-weight cycles).  One
+    echelon basis takes the boundaries, then each cycle k tagged by a 1 at
+    column size + k (`linalg._echelon_insert`), and keeps it when it gets a
+    pivot below size: when it lies outside the span of the boundaries and
+    the cycles kept before it.  A held row (x, t) has x = sum_k t_k cycle_k
+    modulo the boundaries, so the coordinate map coords = [P; Z] stacks P,
+    the tags at the pivots, over Z, the kernel basis of the rows x: z lies
+    in span(reps, boundaries) iff Z z = 0, and then P z holds its coordinates.
 
     Rows stay sparse, {column: entry}, from the kernel to the record: the
     cycles are read off the kernel's held basis (`linalg._kernel_rows`) and
@@ -463,20 +465,17 @@ def _slice_homology(M, q):
     """
     alg, basis = M.alg, slice_basis(M, q)
     p, size = alg.p, len(basis)
-    # reliability: the cycles supported on the low-weight coordinates, as
-    # sparse rows over the whole slice
-    low = [idx for idx, (_, (_, _, m)) in enumerate(basis) if m <= alg.weight - PADDING]
-    at = {c: k for k, c in enumerate(low)}
-    cut = ({at[c]: x for c, x in row.items() if c in at} for row in _slice_rows(M, q))
-    sub = linalg._kernel_rows(linalg._echelon_of_rows(cut, p, len(low)), len(low), p)
-    ker = [{low[j]: x for j, x in row.items()} for row in sub.values()]
+    # reliability: the cycles supported on the low-weight coordinates.  d_here
+    # cut to those columns vanishes on the others, whose kernel rows are their
+    # unit vectors
+    low = {idx for idx, (_, (_, _, m)) in enumerate(basis) if m <= alg.weight - PADDING}
+    cut = ({c: x for c, x in row.items() if c in low} for row in _slice_rows(M, q))
+    ker = [row for f, row in linalg._kernel_rows(linalg._echelon_of_rows(cut, p, size), size, p).items() if f in low]
     cols = {}
     for r, row in enumerate(_slice_rows(M, q + alg.n)):
         for c, x in row.items():
             cols.setdefault(c, {})[r] = x
-    above = [cols[c] for c in sorted(cols)]
-    im = linalg._from_cells((len(above), size), [(k, r, x) for k, col in enumerate(above) for r, x in col.items()])
-    held, kept = linalg._echelon_of_rows(above, p, size), []
+    held, kept = linalg._echelon_of_rows(cols.values(), p, size), []
     for k, row in enumerate(ker):
         if linalg._echelon_insert(held, row | {size + k: 1}, p, size) is not None:
             kept.append(k)
@@ -486,12 +485,12 @@ def _slice_homology(M, q):
     coords = linalg._from_cells((dim + len(K), size),
                                 [(tag[j], c, x) for c, row in held.items() for j, x in row.items() if j in tag]
                                 + [(dim + r, j, x) for r, row in enumerate(K) for j, x in row.items()])
-    return _read_only({"dim": dim, "reps": reps, "im": im, "coords": coords})
+    return _read_only({"dim": dim, "reps": reps, "coords": coords})
 
 
 def _read_only(record):
     """The record with its arrays made read-only, as shared objects are."""
-    for key in ("reps", "im", "coords"):
+    for key in ("reps", "coords"):
         record[key].setflags(write=False)
     return record
 
@@ -524,29 +523,28 @@ def _homology_record(M, q):
 
 def _free_record(blocks):
     """The record of the direct sum of the records blocks, in one pass:
-    reps and im block-diagonal, coords the blocks' P's over their Z's."""
+    reps block-diagonal, coords the blocks' P's over their Z's."""
     dim, size = sum(H["dim"] for H in blocks), sum(H["reps"].shape[1] for H in blocks)
-    reps, im, coords = (np.zeros((sum(len(H[key]) for H in blocks), size), dtype=np.int64)
-                        for key in ("reps", "im", "coords"))
-    # the next row of reps (and of P in coords), of im and of Z; the next column
-    r, b, z, c = 0, 0, dim, 0
+    reps, coords = (np.zeros((sum(len(H[key]) for H in blocks), size), dtype=np.int64) for key in ("reps", "coords"))
+    # the next row of reps (and of P in coords) and of Z; the next column
+    r, z, c = 0, dim, 0
     for H in blocks:
-        (d, w), k, PZ = H["reps"].shape, len(H["im"]), H["coords"]
+        (d, w), PZ = H["reps"].shape, H["coords"]
         reps[r:r + d, c:c + w], coords[r:r + d, c:c + w] = H["reps"], PZ[:d]
-        im[b:b + k, c:c + w], coords[z:z + len(PZ) - d, c:c + w] = H["im"], PZ[d:]
-        r, b, z, c = r + d, b + k, z + len(PZ) - d, c + w
-    return _read_only({"dim": dim, "reps": reps, "im": im, "coords": coords})
+        coords[z:z + len(PZ) - d, c:c + w] = PZ[d:]
+        r, z, c = r + d, z + len(PZ) - d, c + w
+    return _read_only({"dim": dim, "reps": reps, "coords": coords})
 
 
 def homology(M, window):
     """Per-degree homology data in the window.
 
-    Returns {q: {"dim", "reps", "im", "coords"}}.  reps, of shape
-    (dim, size) for size = len(slice_basis(M, q)), holds representative
-    cycles supported on reliable u-weights as rows, and im, of width size,
-    rows spanning the boundaries; coords, of width size, is the coordinate
-    map [P; Z] of class_coordinates, P its first dim rows.  The arrays are
-    read-only, and degrees |v| apart share one record.
+    Returns {q: {"dim", "reps", "coords"}}.  reps, of shape (dim, size)
+    for size = len(slice_basis(M, q)), holds representative cycles
+    supported on reliable u-weights as rows; coords, of width size, is the
+    coordinate map [P; Z] of class_coordinates, P its first dim rows and Z
+    vanishing exactly on span(reps, boundaries).  The arrays are read-only,
+    and degrees |v| apart share one record.
     """
     alg = M.alg
     lo, hi = window

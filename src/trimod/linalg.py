@@ -36,8 +36,8 @@ Matrices are lists of rows or arrays; "columns" arguments are lists of
 coordinate vectors.  All integer results are reduced into [0, m_i)
 coordinatewise.  `modp_rref` returns arrays (int64 over F_p, object over
 Q), and `modp_matmul`, the one F_p product, takes 2-D int64 arrays with
-entries in [0, p) and reduces only their product; `_sparse_rows` reads a
-small F_p array through one tolist().  The field lane refuses to eliminate
+entries in [0, p) and reduces only their product; `_sparse_rows` reads
+every array through one tolist().  The field lane refuses to eliminate
 or multiply over primes for which its int64 arithmetic could overflow.
 """
 
@@ -90,34 +90,17 @@ def _lane(moduli):
 # field lane: F_p (numpy int64) and Q (p = 0, object arrays)
 # ---------------------------------------------------------------------------
 
-# up to this many cells, an F_p array is read through one tolist(), past it
-# through its nonzero indices
-SMALL_CELLS = 32
-
-
 def _sparse_rows(A, p):
-    """The rows of A as {column: nonzero entry} in exact Python numbers: ints
-    mod p, or Fractions over Q, where int64 products would wrap."""
+    """The rows of A, a list of rows or an array, read through one tolist(),
+    as {column: nonzero entry} in exact Python numbers: ints mod p, or
+    Fractions over Q, where int64 products would wrap."""
     # int64 arrays of the lane's results keep a product of two entries exact
     if p * p >= 2 ** 63:
         raise UnsupportedCoefficients(f"prime {p} too large for int64 elimination")
-    if isinstance(A, np.ndarray):
-        # reduced into int64 over F_p, whose tolist gives Python ints
-        B = (A % p).astype(np.int64, copy=False) if p else A
-        if p and B.size <= SMALL_CELLS:
-            return [{j: x for j, x in enumerate(row) if x} for row in B.tolist()]
-        rows = [{} for _ in range(len(B))]
-        ii, jj = B.nonzero()
-        for i, j, x in zip(ii.tolist(), jj.tolist(), B[ii, jj].tolist()):
-            rows[i][j] = x
-        if p:
-            return rows
-        pairs = [row.items() for row in rows]
-    else:
-        pairs = map(enumerate, A)
+    rows = A.tolist() if isinstance(A, np.ndarray) else A
     if p:
-        return [{j: y for j, x in row if x and (y := int(x) % p)} for row in pairs]
-    return [{j: Fraction(x.item() if isinstance(x, np.generic) else x) for j, x in row if x} for row in pairs]
+        return [{j: y for j, x in enumerate(row) if x and (y := int(x) % p)} for row in rows]
+    return [{j: Fraction(x.item() if isinstance(x, np.generic) else x) for j, x in enumerate(row) if x} for row in rows]
 
 
 def _subtract(target, f, row, p):

@@ -125,9 +125,9 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries, window=None
     read off the slice differentials its homology builds (`dg.map_slice`),
     once per residue class.  A[n] and B[n] are free, so their records at q
     are those of A and B at q - n, and f[n] at q is f at q - n with a sign
-    on each source block.  The maps are read-only.  A periodic model is
-    built at dg.MIN_WEIGHT whatever the window (see dga), and one with
-    |v| = 0 at dg.DEFAULT_WEIGHT, raised where the window needs more.
+    on each source block.  The maps are read-only.  The model is built at
+    dg.MIN_WEIGHT, except when |v| = 0 and |x| != 0: a slice then holds one
+    weight, and the window sets W = span + 2 PADDING (see dga).
     """
     p, i = _check_lift_ring(R, n)
     if window is None:
@@ -135,10 +135,7 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries, window=None
         margin = abs(n) + max(abs(i), 1)
         window = (min(degs) - margin, max(degs) + margin)
     lo, hi = window
-    # a periodic model's records are those at its least weight, whatever the
-    # window; with |v| = 0 the window sets the weight (see dga)
-    weight = max(dg.DEFAULT_WEIGHT, hi - lo + 2 * dg.PADDING) if i else dg.DEFAULT_WEIGHT
-    alg = _model(R, n, dg.MIN_WEIGHT if 3 * i + n else weight)
+    alg = _model(R, n, hi - lo + 2 * dg.PADDING if i and not 3 * i + n else dg.MIN_WEIGHT)
     M = dg.DGModule(alg, source_degrees)
     N = dg.DGModule(alg, target_degrees)
     lifted = [[_lift_entry(alg, R, x) for x in row] for row in entries]
@@ -198,20 +195,19 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries, window=None
     return Triangle(p, n, window, dims, fs, gs, hs, sfs, third, period)
 
 
-# position -> (detail when the composite is nonzero, detail when the ranks
-# do not add up); the last map is -f[n], and the sign changes neither
-# kernels, images nor whether a composite vanishes
-_DETAILS = {
-    "B": ("g*f != 0", "im f != ker g"),
-    "C": ("h*g != 0", "im g != ker h"),
-    "SA": ("(-f[n])*h != 0", "im h != ker f[n]"),
-    "SB": ("g[n]*f[n] != 0", "im(-f[n]) != ker g[n]"),
+# position -> (its maps in and out, its dimension and the two factors of the
+# composite through it, at degree q; detail when the composite is nonzero,
+# detail when the ranks do not add up).  The last map is -f[n], and the sign
+# changes neither kernels, images nor whether a composite vanishes; at SB,
+# g[n] is conjugate to g at q - n, and the composite is checked on the
+# unsuspended maps
+_POSITIONS = {
+    "B": (lambda T, q: (T.f[q], T.g[q], T.dims[q][1], T.g[q], T.f[q]), "g*f != 0", "im f != ker g"),
+    "C": (lambda T, q: (T.g[q], T.h[q], T.dims[q][2], T.h[q], T.g[q]), "h*g != 0", "im g != ker h"),
+    "SA": (lambda T, q: (T.h[q], T.sf[q], T.dims[q][3], T.sf[q], T.h[q]), "(-f[n])*h != 0", "im h != ker f[n]"),
+    "SB": (lambda T, q: (T.sf[q], T.g[q - T.n], T.dims[q - T.n][1], T.g[q - T.n], T.f[q - T.n]),
+           "g[n]*f[n] != 0", "im(-f[n]) != ker g[n]"),
 }
-
-
-# position -> (map in, map out, index of its dimension in dims); SB reads
-# its maps n degrees lower and is handled on its own
-_MAPS = {"B": ("f", "g", 1), "C": ("g", "h", 2), "SA": ("h", "sf", 3)}
 
 
 def _exact_at(T, q, position):
@@ -224,27 +220,18 @@ def _exact_at(T, q, position):
     ids, and each rank made, keyed by id.  Its entries keep their matrices,
     so no id is reused while it lives, and the matrices are read-only, so
     no result goes stale."""
-    p, n = T.p, T.n
     passed, ranks = T._checks
-    if position == "SB":
-        # in by -f[n], out by g[n], which is conjugate to g at q - n; the
-        # composite is checked on the unsuspended maps
-        incoming, outgoing, dim = T.sf[q], T.g[q - n], T.dims[q - n][1]
-        left, right = T.g[q - n], T.f[q - n]
-    else:
-        first, second, k = _MAPS[position]
-        incoming, outgoing, dim = getattr(T, first)[q], getattr(T, second)[q], T.dims[q][k]
-        left, right = outgoing, incoming
+    maps, zero_detail, rank_detail = _POSITIONS[position]
+    incoming, outgoing, dim, left, right = maps(T, q)
     key = (position, dim, id(incoming), id(outgoing), id(left), id(right))
     if key in passed:
         return None
-    zero_detail, rank_detail = _DETAILS[position]
-    if linalg.modp_matmul(left, right, p).any():
+    if linalg.modp_matmul(left, right, T.p).any():
         detail = zero_detail
     else:
         for m in (incoming, outgoing):
             if id(m) not in ranks:
-                ranks[id(m)] = (linalg.modp_rank(m, p), m)
+                ranks[id(m)] = (linalg.modp_rank(m, T.p), m)
         if ranks[id(incoming)][0] + ranks[id(outgoing)][0] == dim:
             passed[key] = (incoming, outgoing, left, right)
             return None
@@ -266,15 +253,22 @@ def _unrepeated(T, degrees, shift):
             yield q
 
 
-def verify_triangle_exact(T):
-    """Slicewise exactness at B, C and A[n]; report PASS or first failure."""
-    lo, hi = T.window
-    for q in _unrepeated(T, range(lo, hi + 1), 0):
-        for position in ("B", "C", "SA"):
+def _verify(T, degrees, positions, shift):
+    """The first failure of `_exact_at` at the positions, degree by degree
+    over the range less its repeats (`_unrepeated`), or None."""
+    for q in _unrepeated(T, degrees, shift):
+        for position in positions:
             failure = _exact_at(T, q, position)
             if failure:
                 return failure
-    return {"pass": True, "degree": None, "position": None, "detail": "exact in window"}
+    return None
+
+
+def verify_triangle_exact(T):
+    """Slicewise exactness at B, C and A[n]; report PASS or first failure."""
+    lo, hi = T.window
+    return _verify(T, range(lo, hi + 1), ("B", "C", "SA"), 0) or \
+        {"pass": True, "degree": None, "position": None, "detail": "exact in window"}
 
 
 def verify_rotation(T):
@@ -288,12 +282,8 @@ def verify_rotation(T):
     degrees = range(max(lo, lo + T.n), min(hi, hi + T.n) + 1)
     if not degrees:
         raise WindowEmpty(f"window {lo}:{hi} holds no degree q with q - n in it, at n = {T.n}")
-    for q in _unrepeated(T, degrees, T.n):
-        for position in ("C", "SA", "SB"):
-            failure = _exact_at(T, q, position)
-            if failure:
-                return failure
-    return {"pass": True, "degree": None, "position": None, "detail": "rotation exact in window"}
+    return _verify(T, degrees, ("C", "SA", "SB"), T.n) or \
+        {"pass": True, "degree": None, "position": None, "detail": "rotation exact in window"}
 
 
 def random_map(R, n, rng, max_rank=3, deg_lo=-3, deg_hi=3):

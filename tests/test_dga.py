@@ -612,6 +612,44 @@ def test_periodic_records_do_not_depend_on_the_weight(p, i, n, monkeypatch):
         assert triangle_record(T) == triangle_record(reference), k
 
 
+def verifier_reports(T):
+    """Both verifiers' reports; the rotation's WindowEmpty message where the
+    window holds no degree q with q - n in it."""
+    try:
+        rotation = tr.verify_rotation(T)
+    except WindowEmpty as e:
+        rotation = str(e)
+    return tr.verify_triangle_exact(T), rotation
+
+
+# the models with |v| = 0: exterior_on_field(F_p, i) at n = -3i, and
+# F_2[x]/(x^2) with |x| = 0 at n = 0
+FLAT_MODELS = [(2, 1, -3), (2, -1, 3), (2, 2, -6), (2, 3, -9), (3, 1, -3), (3, -1, 3), (5, 1, -3), (7, -1, 3),
+               (2, 0, 0)]
+
+
+@pytest.mark.parametrize("p, i, n", FLAT_MODELS)
+def test_flat_records_do_not_depend_on_the_weight(p, i, n, monkeypatch):
+    # records oracle: with |v| = 0 a triangle's records and verifier reports
+    # at its own weight, span + 4 (MIN_WEIGHT when |x| = 0), equal those at
+    # W = max(16, span + 4), on windows of span at most 12 placed around the
+    # maps' degrees
+    model = tr._model
+    R = con.exterior_on_field(con.finite_field(p), i)
+    rng = random.Random(100 * p + 10 * i + n)
+    for k in range(20):
+        src, tgt, entries = tr.random_map(R, n, rng)
+        lo = rng.randint(-8, 4)
+        window = (lo, lo + rng.randint(0, 12))
+        T = tr.triangle_from_map(R, n, src, tgt, entries, window)
+        weight = max(16, window[1] - window[0] + 2 * dg.PADDING)
+        monkeypatch.setattr(tr, "_model", lambda R, n, _: model(R, n, weight))
+        reference = tr.triangle_from_map(R, n, src, tgt, entries, window)
+        monkeypatch.setattr(tr, "_model", model)
+        assert triangle_record(T) == triangle_record(reference), k
+        assert verifier_reports(T) == verifier_reports(reference), k
+
+
 @pytest.mark.parametrize("p, i, n", PERIODIC_MODELS[::8])
 def test_narrow_windows_count_every_generator_class(p, i, n):
     # a residue class of H(C) with a degree in the window has its generators
@@ -687,6 +725,13 @@ def test_default_weight_holds_the_default_window(monkeypatch):
     monkeypatch.setattr(dg, "build_two_generator_dga", lambda *args: builds.append(args) or build(*args))
     tr.triangle_from_map(R, -3, [0], [0], [[R.one()]], window=(-7, 8))
     assert builds == [(2, 1, -3, 15 + 2 * dg.PADDING)]
+    # span 4 builds it at 8, below the default weight, and F_2[x]/(x^2) with
+    # |x| = 0 at n = 0, whose slices hold every weight, builds at the least
+    builds.clear()
+    tr.triangle_from_map(R, -3, [0], [0], [[R.one()]], window=(-2, 2))
+    F = con.exterior_on_field(con.finite_field(2), 0)
+    tr.triangle_from_map(F, 0, [0], [0], [[F.one()]], window=(-2, 2))
+    assert builds == [(2, 1, -3, 4 + 2 * dg.PADDING), (2, 0, 0, dg.MIN_WEIGHT)]
     # and a model at the default weight refuses that window
     with pytest.raises(WindowTooWideForWeightBound, match="weight bound 16 too small for window span 15"):
         dg.homology(dg.algebra_module(tr._model(R, -3, dg.DEFAULT_WEIGHT)), (-7, 8))

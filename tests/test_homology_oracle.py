@@ -114,7 +114,7 @@ def reference_homology(M, window):
             if not span.contains(v):
                 reps.append(v)
                 span = span.extend([v])
-        out[q] = {"dim": len(reps), "reps": reps, "basis": basis, "im": im}
+        out[q] = {"dim": len(reps), "reps": reps, "basis": basis, "boundaries": im}
     return out
 
 
@@ -220,14 +220,24 @@ def drawn_modules(p, i, n, weight, seed):
     return [f.source, dg.shift(f.target, rng.randint(-2, 2)), dg.cone(f)]
 
 
-def same_records(H, ref):
+def same_records(H, ref, p):
+    """dim and reps as the reference's, and coords = [P; Z] the coordinate
+    map of span(reps, boundaries): the reps have the unit coordinates, every
+    reference boundary b has P b = 0 and Z b = 0, and Z has full rank
+    size - dim - rank(boundaries), so its kernel is no larger than that span."""
     assert H.keys() == ref.keys()
     for q in ref:
-        got = H[q]
-        assert (got["dim"], got["reps"].tolist(), got["im"].tolist()) == \
-            (ref[q]["dim"], ref[q]["reps"], ref[q]["im"]), f"degree {q}"
-        # reps and im are coordinate rows over the slice basis
-        assert got["reps"].shape[1] == got["im"].shape[1] == len(ref[q]["basis"]), f"degree {q}"
+        got, dim, size = H[q], ref[q]["dim"], len(ref[q]["basis"])
+        assert (got["dim"], got["reps"].tolist()) == (dim, ref[q]["reps"]), f"degree {q}"
+        # reps and coords are coordinate rows over the slice basis
+        assert got["reps"].shape[1] == got["coords"].shape[1] == size, f"degree {q}"
+        coords, boundaries = got["coords"], ref[q]["boundaries"]
+        bounds = np.array(boundaries, dtype=np.int64).reshape(len(boundaries), size)
+        assert linalg.modp_matmul(coords, got["reps"].T, p).tolist() == \
+            np.eye(len(coords), dim, dtype=np.int64).tolist(), f"degree {q}"
+        assert not linalg.modp_matmul(coords, bounds.T, p).any(), f"degree {q}"
+        assert len(coords) - dim == size - dim - linalg.modp_rank(bounds, p) == \
+            linalg.modp_rank(coords[dim:], p), f"degree {q}"
 
 
 @settings(max_examples=40, deadline=None)
@@ -235,7 +245,7 @@ def same_records(H, ref):
 def test_homology_matches_reference(model, seed):
     p, i, n, weight, window = model
     for M in drawn_modules(p, i, n, weight, seed):
-        same_records(dg.homology(M, window), reference_homology(M, window))
+        same_records(dg.homology(M, window), reference_homology(M, window), p)
         for q in range(window[0] - 1, window[1] + 2):
             want = reference_slice_matrix(M, dg.slice_basis(M, q), dg.slice_basis(M, q - n))
             assert dg.slice_differential(M, q).tolist() == want, f"degree {q}"
@@ -267,7 +277,7 @@ def test_homology_of_triangle_modules_matches_reference():
         M, N = dg.DGModule(alg, src), dg.DGModule(alg, tgt)
         f = dg.DGMap(M, N, [[tr._lift_entry(alg, R, x) for x in row] for row in entries])
         for X in (M, N, dg.shift(M, 1), dg.shift(N, 1), dg.cone(f)):
-            same_records(dg.homology(X, (-5, 5)), reference_homology(X, (-5, 5)))
+            same_records(dg.homology(X, (-5, 5)), reference_homology(X, (-5, 5)), 3)
 
 
 # (p, i, n) with |v| = 3i + n > 0, which have a lifted ring, and with |v| < 0,
@@ -290,7 +300,7 @@ def test_transported_homology_matches_reference(model):
     window, weight = two_periods(i, n)
     for seed in range(4):
         for M in drawn_modules(p, i, n, weight, seed):
-            same_records(dg.homology(M, window), reference_homology(M, window))
+            same_records(dg.homology(M, window), reference_homology(M, window), p)
 
 
 @pytest.mark.parametrize("model", NEGATIVE_PERIODS)
@@ -300,7 +310,7 @@ def test_transported_homology_matches_reference_negative_period(model):
     alg = dg.build_two_generator_dga(p, i, n, weight)
     A = dg.algebra_module(alg)
     for M in (A, dg.DGModule(alg, [-1, 0, 2]), dg.shift(A, 3), dg.shift(dg.DGModule(alg, [1, 1]), -2)):
-        same_records(dg.homology(M, window), reference_homology(M, window))
+        same_records(dg.homology(M, window), reference_homology(M, window), p)
 
 
 def test_one_elimination_per_residue_class(monkeypatch):
@@ -550,7 +560,8 @@ def test_two_eliminations_per_slice_and_none_on_homology(monkeypatch):
     for q in range(window[0], window[1] + 1):
         dg.induced_matrix(dg.map_slice(f, q), H[f.source][q], H[f.target][q], 3)
         for X in (f.source, f.target, C):
-            dg.class_coordinates(H[X][q], 3, np.vstack((H[X][q]["reps"], H[X][q]["im"])))
+            # the reps and the boundaries, the columns of the slice differential from q + n
+            dg.class_coordinates(H[X][q], 3, np.vstack((H[X][q]["reps"], dg.slice_differential(X, q + 1).T)))
             if q + 1 <= window[1]:
                 dg.u_action_matrix(X, H[X], q)
     assert bases == [] and inserts == []
@@ -567,7 +578,7 @@ def test_slice_homology_keeps_its_rows_sparse(monkeypatch, model):
     p, i, n, weight, window = model
     f = drawn_map(p, i, n, weight, random.Random(p + weight))
     C = dg.cone(f)
-    same_records(dg.homology(C, window), reference_homology(C, window))
+    same_records(dg.homology(C, window), reference_homology(C, window), p)
 
 
 @settings(max_examples=30, deadline=None)
@@ -576,8 +587,9 @@ def test_class_coordinates_match_per_vector_solve(model, seed):
     p, i, n, weight, window = model
     rng = random.Random(seed)
     for M in drawn_modules(p, i, n, weight, seed):
-        for Hq in dg.homology(M, window).values():
-            reps, im = Hq["reps"].tolist(), Hq["im"].tolist()
+        for q, Hq in dg.homology(M, window).items():
+            # the boundaries: the columns of the slice differential from q + n
+            reps, im = Hq["reps"].tolist(), dg.slice_differential(M, q + n).T.tolist()
             size = Hq["reps"].shape[1]
             gens = reps + im
             cycles = []
@@ -762,7 +774,7 @@ def test_records_and_triangle_maps_are_read_only():
     f = drawn_map(3, 1, 1, dg.DEFAULT_WEIGHT, random.Random(3))
     records = [Hq for M in (dg.cone(f), dg.DGModule(alg, [-1, 0, 2]), dg.algebra_module(alg))
                for Hq in dg.homology(M, (-3, 3)).values()]
-    arrays = [Hq[key] for Hq in records for key in ("reps", "im", "coords")] + \
+    arrays = [Hq[key] for Hq in records for key in ("reps", "coords")] + \
         [m for mats in (T.f, T.g, T.h, T.sf) for m in mats.values()]
     for a in arrays:
         with pytest.raises(ValueError):
@@ -780,7 +792,7 @@ def test_class_coordinates_refuse_a_vector_outside_the_span():
     for M in refused:
         for q, Hq in dg.homology(M, (-3, 3)).items():
             assert Hq["coords"].shape[0] >= Hq["dim"]
-            span = np.vstack((Hq["reps"], Hq["im"]))
+            span = np.vstack((Hq["reps"], dg.slice_differential(M, q + 1).T))
             rank = linalg.modp_rank(span, 3)
             for k in range(span.shape[1]):
                 e = np.zeros((1, span.shape[1]), dtype=np.int64)

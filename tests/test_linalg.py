@@ -275,6 +275,41 @@ def test_modp_overflow_guard():
 
 
 @st.composite
+def sparse_row_inputs(draw):
+    """(A, p, cells): a matrix of 0 to 400 cells, about a third of them
+    nonzero, as an int64 array over F_p, an object array of Fractions over
+    Q, or a list of rows of numpy ints over Q, and its cells as Python
+    numbers."""
+    kind = draw(st.sampled_from(["int64", "fractions", "numpy ints"]))
+    p = draw(st.sampled_from([2, 3, 7, 3037000493])) if kind == "int64" else 0
+    nr, nc = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+    big = 3 * p if p else 10 ** 12
+    value = st.fractions(-5, 5, max_denominator=4) if kind == "fractions" else st.integers(-big, big)
+    cells = draw(st.lists(st.lists(st.one_of(st.just(0), st.just(0), value), min_size=nc, max_size=nc),
+                          min_size=nr, max_size=nr))
+    A = np.empty((nr, nc), dtype=np.int64 if p else object)
+    for r, c in itertools.product(range(nr), range(nc)):
+        A[r, c] = cells[r][c]
+    if kind == "numpy ints":
+        A = [[np.int64(x) for x in row] for row in cells]
+    return A, p, cells
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_row_inputs())
+def test_sparse_rows_match_a_pure_python_reading(case):
+    # every array is read through one tolist(), on either side of 32 cells;
+    # entries come back as Python ints in [0, p), or exact Fractions over Q
+    A, p, cells = case
+    want = [{c: x % p if p else Fraction(x) for c, x in enumerate(row) if (x % p if p else x)} for row in cells]
+    got = linalg._sparse_rows(A, p)
+    assert got == want
+    assert all(type(x) is (int if p else Fraction) for row in got for x in row.values())
+    with pytest.raises(UnsupportedCoefficients):
+        linalg._sparse_rows(A, 4294967311)
+
+
+@st.composite
 def rational_systems(draw):
     """(A, b): a small matrix of fractions, often of deficient rank, and a
     right-hand side that is either A y for a drawn y or arbitrary."""
