@@ -30,6 +30,7 @@ from .dga import (
     cone,
     homology,
     homology_is_free_rank_one,
+    slice_differential,
 )
 from .errors import (
     LiftFailure,

@@ -15,19 +15,20 @@ u-weights m <= W, where W >= 4.  Elements appear only as term dicts
 {(t, eps, m): c} (`DGElement`), the entries of module differentials and
 maps; every product and differential acts through slice matrices.  Each
 algebra caches the monomial basis of its slice A_s and, per slice, the
-matrices of d_A and of multiplication by a monomial, also as their nonzero
-cells (`rings.per_object`).  The degree-q slice of a semifree module is the
-direct sum over generators j of A_{q - deg(gen_j)}, so its differential is
-a block matrix: d_A on the diagonal blocks, and in block (i, j) right
+matrices of d_A and of multiplication by a monomial, held only as their
+nonzero cells, read off the closed forms (`_algebra_cells`,
+`rings.per_object`).  The degree-q slice of a semifree module is the direct
+sum over generators j of A_{q - deg(gen_j)}, so its differential is a block
+matrix: d_A on the diagonal blocks, and in block (i, j) right
 multiplication by diff[i][j] times the Leibniz sign (-1)^{n s}, s being the
-degree of every coefficient in the block.  It is built as sparse rows from
-its nonzero cells, those of d_A and of each term of each nonzero entry,
-added at their block's offsets (`_slice_rows`), and its array from them.
-Its column of 1 * gen_j at deg(gen_j), the first of block j, is d(gen_j),
-where d^2 = 0 is checked.
+degree of every coefficient in the block.  It is held only as sparse rows,
+added from its nonzero cells, those of d_A and of each term of each nonzero
+entry, at their block's offsets (`_slice_rows`); `slice_differential` makes
+its array from them on demand.  Its column of 1 * gen_j at deg(gen_j), the
+first of block j, is d(gen_j), and d^2 = 0 is checked on the rows.
 
-Every F_p matrix here, from a slice matrix to a homology record and the
-matrices induced on homology, is a 2-D int64 array with entries in [0, p).
+Every F_p array here, from a map slice to a homology record and an induced
+matrix, is 2-D int64 with entries in [0, p), multiplied by `modp_matmul`.
 Homology is computed slice by slice from the sparse rows of the slice
 differentials, by one echelon basis that picks the representative cycles
 and yields the coordinate map [P; Z], one array (`_slice_homology`), so
@@ -37,8 +38,8 @@ homology two; Z decides span(reps, boundaries).  A record {"dim", "reps",
 differential (a free module, its shifts, the cone of a zero map) assembles
 its records from those of H(A), in one pass (`_free_record`).
 A map is checked by its cone, made once per map, which squares to zero
-exactly for a chain map, and its slice matrices are blocks of the cone's
-slice differentials (`map_slice`).
+exactly for a chain map, and its slice matrices are filled from blocks of
+the cone's slice rows (`map_slice`).
 
 Periodicity: when |v| != 0, the slice bases at q and q + k|v| differ only in
 the v-exponents t, shifted by k, because the basis of A_s depends on t only
@@ -48,8 +49,8 @@ matrices at q + k|v| are those at q, except that d gains the sign
 check forces i and n odd, so |v| is even; for p = 2 every sign is +1).
 Every slice-level object is therefore made once per module and residue
 class (`residue`: q mod |v|, or q when |v| = 0) and shared by every degree
-of the class: the slice differentials, which the d^2 = 0 checks of a
-module and of a cone, the map slices and the elimination all read, and the
+of the class: the sparse slice rows, which the d^2 = 0 checks of a module
+and of a cone, the map slices and the elimination all read, and the
 homology records, eliminated or assembled.  So the records of M on the
 window shifted by n, which read as those of M[n], are those of M on the
 window when it spans a period: a record holds no basis, only arrays over
@@ -83,6 +84,7 @@ from .errors import (
     NotChainMap,
     ParityObstruction,
     ShapeMismatch,
+    UnsupportedCoefficients,
     WeightOverflow,
     WindowEmpty,
     WindowTooWideForWeightBound,
@@ -119,7 +121,7 @@ class DGAlgebra:
         self.weight = weight
         self.vdeg = 3 * i + n
         self.adeg = 2 * i + n
-        # slice bases, slice matrices and H(A), see rings.per_object
+        # slice bases, slice cells and H(A), see rings.per_object
         self._cache = {}
 
     def monomial_degree(self, t, e, m):
@@ -161,10 +163,13 @@ class DGAlgebra:
 
 def build_two_generator_dga(p, i, n, weight=DEFAULT_WEIGHT):
     """Validated algebra; raises ParityObstruction when d is ill-defined (see
-    the module docstring), and WeightOverflow when the weight bound is below
-    MIN_WEIGHT, so that every product of four generators, up to u^4, is kept."""
+    the module docstring), WeightOverflow when the weight bound is below
+    MIN_WEIGHT, so that every product of four generators, up to u^4, is kept,
+    and UnsupportedCoefficients when p^2 overflows the int64 lane."""
     if p < 2 or not linalg.is_prime(p):
         raise ShapeMismatch("coefficient field must be a prime field")
+    if p * p >= 2 ** 63:
+        raise UnsupportedCoefficients(f"prime {p} too large for int64 elimination")
     where = f"differential not well-defined at (p={p}, i={i}, n={n})"
     if p != 2 and n % 2 == 0:
         raise ParityObstruction(f"{where}: d(a*a) != 0")
@@ -202,10 +207,10 @@ def _algebra_basis(alg, s):
 
 
 @rc.per_object
-def _algebra_matrix(alg, s, key=None, left=False):
-    """Matrix on A_s over F_p, as an array of shape (target, source): d_A
-    when key is None, else x -> x * key, or key * x when left.  Terms past
-    the weight bound are dropped."""
+def _algebra_cells(alg, s, key=None, left=False):
+    """Matrix on A_s over F_p as its nonzero cells (row, column, entry), in
+    the basis of its target slice: d_A when key is None, else x -> x * key,
+    or key * x when left.  Terms past the weight bound are dropped."""
     src = _algebra_basis(alg, s)
     if key is None:
         images = [alg._diff_monomial(k) for k in src]
@@ -214,12 +219,8 @@ def _algebra_matrix(alg, s, key=None, left=False):
         images = [alg._mul_monomials(key, k) if left else alg._mul_monomials(k, key) for k in src]
         target = s + alg.monomial_degree(*key)
     pos = _algebra_basis(alg, target)
-    mat = np.zeros((len(pos), len(src)), dtype=np.int64)
-    for col, terms in enumerate(images):
-        for k, c in terms.items():
-            if k in pos:
-                mat[pos[k], col] += c
-    return mat % alg.p
+    return [(pos[k], col, x) for col, terms in enumerate(images) for k, c in terms.items()
+            if k in pos and (x := c % alg.p)]
 
 
 def calculus_holds(alg, s, key):
@@ -228,19 +229,19 @@ def calculus_holds(alg, s, key):
     D R_y = R_y D + (-1)^{ns} R_{dy}, and D D = 0.  Leibniz is compared on the
     target monomials of u-weight below W (see the module docstring)."""
     p, n, deg = alg.p, alg.n, alg.monomial_degree(*key)
-    d = _algebra_matrix(alg, s)
-    gap = _algebra_matrix(alg, s + deg) @ _algebra_matrix(alg, s, key) - _algebra_matrix(alg, s - n, key) @ d
+
+    def matrix(s, key=None):
+        # the array of `_algebra_cells`, of shape (target, source)
+        target = s - n if key is None else s + alg.monomial_degree(*key)
+        return linalg._from_cells((len(_algebra_basis(alg, target)), len(_algebra_basis(alg, s))),
+                                  _algebra_cells(alg, s, key))
+
+    d = matrix(s)
+    gap = linalg.modp_matmul(matrix(s + deg), matrix(s, key), p) - linalg.modp_matmul(matrix(s - n, key), d, p)
     for k, c in alg._diff_monomial(key).items():
-        gap -= (-c if n * s % 2 else c) * _algebra_matrix(alg, s, k)
+        gap -= (-c if n * s % 2 else c) * matrix(s, k)
     low = [r for r, (_, _, m) in enumerate(_algebra_basis(alg, s + deg - n)) if m < alg.weight]
-    return not (gap[low] % p).any() and not (_algebra_matrix(alg, s - n) @ d % p).any()
-
-
-@rc.per_object
-def _algebra_cells(alg, s, key=None):
-    """`_algebra_matrix` of d_A, or of x -> x * key, as its nonzero cells (row, column, entry)."""
-    return [(r, k, x) for r, row in enumerate(linalg._sparse_rows(_algebra_matrix(alg, s, key), alg.p))
-            for k, x in row.items()]
+    return not (gap[low] % p).any() and not linalg.modp_matmul(matrix(s - n), d, p).any()
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +266,15 @@ def _check_entries(matrix, alg, col_degrees, row_degrees, what):
 
 
 def _d_squared_nonzero(M, gens):
-    """The generators j among gens with d(d(gen_j)) != 0, d(gen_j) read as
-    the column of 1 * gen_j in the slice differential at deg(gen_j)."""
+    """The generators j among gens with d(d(gen_j)) != 0: d(gen_j), the column
+    of 1 * gen_j in the slice rows at deg(gen_j), times the rows n below."""
     for j in gens:
         if any(row[j].terms for row in M.diff):
             q = M.gen_degrees[j]
             # 1 = (0, 0, 0) leads the basis of A_0, block j of the slice
-            d_gen = slice_differential(M, q)[:, [_slice_offsets(M, q)[j]]]
-            if linalg.modp_matmul(slice_differential(M, q - M.alg.n), d_gen, M.alg.p).any():
+            c = _slice_offsets(M, q)[j]
+            d_gen = {r: row[c] for r, row in enumerate(_slice_rows(M, q)) if c in row}
+            if any(sum(x * d_gen.get(k, 0) for k, x in row.items()) % M.alg.p for row in _slice_rows(M, q - M.alg.n)):
                 yield j
 
 
@@ -286,7 +288,7 @@ class DGModule:
     def __init__(self, alg, gen_degrees, diff=None, check=True):
         self.alg = alg
         self.gen_degrees = list(gen_degrees)
-        # slice differentials and homology records, see rings.per_object
+        # sparse slice rows and homology records, see rings.per_object
         self._cache = {}
         g = len(self.gen_degrees)
         if diff is None:
@@ -356,30 +358,29 @@ def cone(f):
 
 def map_slice(f, q):
     """Matrix of f from the degree-q slice of its source to that of its
-    target, as an array of shape (target, source), read off the slice
-    differential of cone(f) at q + n; f must be a chain map.
+    target, as an array of shape (target, source), filled from the sparse
+    slice rows of cone(f) at q + n; f must be a chain map.
 
     The cone's slice at q + n is B_{q+n} followed by (A[n])_{q+n} = A_q, so
-    its block from the A[n] columns to the B rows is f on A_q with each
-    source block j, of degree s_j = q - deg(gen_j), multiplied by the
-    Leibniz sign (-1)^{n s_j}; the blocks where n s_j is odd are negated
-    back.
+    the block of its rows from the A[n] columns to the B rows is f on A_q
+    with each source block j, of degree s_j = q - deg(gen_j), multiplied by
+    the Leibniz sign (-1)^{n s_j}; the entries of the blocks where n s_j is
+    odd are negated back as they are read.
     """
     alg = f.source.alg
     rows, start = _slice_offsets(f.target, q)[-1], _slice_offsets(f.target, q + alg.n)[-1]
-    out = slice_differential(cone(f), q + alg.n)[:rows, start:]
-    # over F_2 every sign is +1
-    if alg.p != 2 and (flip := odd_blocks(f.source, q, alg.n)).any():
-        out = out.copy()
-        out[:, flip] = -out[:, flip] % alg.p
-    return out
+    odd = odd_blocks(f.source, q, alg.n)
+    cells = [(r, c - start, -x % alg.p if odd[c - start] else x)
+             for r, row in zip(range(rows), _slice_rows(cone(f), q + alg.n)) for c, x in row.items() if c >= start]
+    return linalg._from_cells((rows, len(odd)), cells)
 
 
 def odd_blocks(M, q, n):
-    """The columns of the degree-q slice of M in the blocks of the
-    generators j with n (q - deg gen_j) odd, as a mask: those the Leibniz
+    """Per column of the degree-q slice of M, whether it lies in the block
+    of a generator j with n (q - deg gen_j) odd: the columns the Leibniz
     sign of a cone on M[n] negates."""
-    return np.repeat(np.array([n * (q - gd) % 2 for gd in M.gen_degrees], dtype=bool), np.diff(_slice_offsets(M, q)))
+    at = _slice_offsets(M, q)
+    return [n * (q - gd) % 2 == 1 for j, gd in enumerate(M.gen_degrees) for _ in range(at[j], at[j + 1])]
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +428,10 @@ def _slice_rows(M, q):
     return rows
 
 
-@rc.per_object
 def slice_differential(M, q):
-    """Matrix of d from the degree-q slice of M to the slice q - n, as an
-    array of shape (target, source): the matrix of the residue class of q,
-    built once per module and shared read-only (see the module docstring)."""
-    alg, r = M.alg, residue(M.alg, q)
-    if r != q:
-        return slice_differential(M, r)
+    """Matrix of d from the degree-q slice of M to the slice q - n, as a
+    read-only array of shape (target, source), made on demand from the
+    slice's sparse rows (`_slice_rows`)."""
     rows = _slice_rows(M, q)
     out = linalg._from_cells((len(rows), _slice_offsets(M, q)[-1]),
                              [(r, c, x) for r, row in enumerate(rows) for c, x in row.items()])
@@ -579,10 +576,9 @@ def induced_matrix(mat, Hsrc, Htgt, p):
 def u_action_matrix(M, H, q):
     """Matrix of left multiplication by u: H_q -> H_{q+i}."""
     alg, rows, cols = M.alg, _slice_offsets(M, q + M.alg.i), _slice_offsets(M, q)
-    mat = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
-    for j, gd in enumerate(M.gen_degrees):
-        mat[rows[j]:rows[j + 1], cols[j]:cols[j + 1]] = _algebra_matrix(alg, q - gd, (0, 0, 1), True)
-    return induced_matrix(mat, H[q], H[q + alg.i], alg.p)
+    cells = [(rows[j] + r, cols[j] + c, x) for j, gd in enumerate(M.gen_degrees)
+             for r, c, x in _algebra_cells(alg, q - gd, (0, 0, 1), True)]
+    return induced_matrix(linalg._from_cells((rows[-1], cols[-1]), cells), H[q], H[q + alg.i], alg.p)
 
 
 def homology_is_free_rank_one(M, window):

@@ -122,7 +122,7 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries, window=None
     shifted by n, so its degree-q slice is B_q followed by (A[n])_q: g and h
     are read off the cone's records as that slice inclusion and projection.
     The cone's differential holds f as its block from A[n] to B, so f is
-    read off the slice differentials its homology builds (`dg.map_slice`),
+    read off the slice rows its homology builds (`dg.map_slice`),
     once per residue class.  A[n] and B[n] are free, so their records at q
     are those of A and B at q - n, and f[n] at q is f at q - n with a sign
     on each source block.  The maps are read-only.  The model is built at

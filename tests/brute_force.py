@@ -13,11 +13,14 @@ their slices are.  Their ring elements are multiplied by
 `rings._times`.  The DG model's closed forms are checked against a
 generic word rewriter in the same way, and its elements are multiplied and
 differentiated here as term dicts {(t, e, m): c}, with no weight bound, for
-tests that compare the slice matrices with element arithmetic; `map_slice`
-assembles a DG map's slice matrix block by block from the slice matrices of
-A, where the library reads it off the map's cone, and `slice_differential`
-a module's, one callback per block, where the library adds the nonzero
-cells of its entries' terms.  Congruence systems over
+tests that compare the slice matrices with element arithmetic: the slice
+matrices of A are built column by column from `dg_multiply` and
+`dg_differential` on the monomials of a slice (`algebra_matrix`), never from
+the library's cells.  From them `map_slice` assembles a DG map's slice
+matrix block by block, where the library reads it off the map's cone,
+`slice_differential` a module's, one callback per block, where the library
+adds the nonzero cells of its entries' terms, and `u_action` the block
+diagonal left multiplication by u.  Congruence systems over
 Z/m have a dense reference too: `dense_congruence_kernel`,
 `dense_congruence_solve` and `dense_remainder` read their answers off the
 batch Hermite form `batch_hnf_columns` with the moduli columns m_i e_i
@@ -29,6 +32,7 @@ whole, and `reference_algebra_generators` grows its spin by `extend`, a new
 Subgroup per product kept, where the library grows one in place.
 """
 
+import functools
 import itertools
 import math
 
@@ -238,14 +242,46 @@ def map_slice(f, q, twist=0):
                                                           -1 if (twist * cols[j]) % 2 else 1))
 
 
+@functools.cache
+def algebra_matrix(alg, s, key=None, left=False):
+    """The matrix over F_p on A_s of d when key is None, else of y -> y * key,
+    or key * y when left, built column by column by element arithmetic:
+    `dg_differential` or `dg_multiply` on each monomial of the slice, with
+    the terms past the weight bound dropped.  Cached, so read-only."""
+    src = dga._algebra_basis(alg, s)
+    if key is None:
+        images, target = [dg_differential(alg, {k: 1}) for k in src], s - alg.n
+    else:
+        images = [dg_multiply(alg, {key: 1}, {k: 1}) if left else dg_multiply(alg, {k: 1}, {key: 1}) for k in src]
+        target = s + alg.monomial_degree(*key)
+    pos = dga._algebra_basis(alg, target)
+    out = np.zeros((len(pos), len(src)), dtype=np.int64)
+    for col, image in enumerate(images):
+        for k, c in image.items():
+            if k in pos:
+                out[pos[k], col] = c
+    out.setflags(write=False)
+    return out
+
+
 def right_multiplication(alg, s, terms, sign=1):
     """sign times the matrix of y -> y * x on A_s for x the term dict terms,
-    summed from the slice matrices of its monomials, or None when x = 0."""
+    summed from the matrices of its monomials, or None when x = 0."""
     out = None
     for k, c in terms.items():
-        term = c * sign * dga._algebra_matrix(alg, s, k)
+        term = c * sign * algebra_matrix(alg, s, k)
         out = term if out is None else out + term
     return None if out is None else out % alg.p
+
+
+def u_action(M, q):
+    """The matrix of left multiplication by u from the degree-q slice of M
+    to the slice q + i, block diagonal: y -> u y on each A_{q - deg(gen_j)}.
+    The reference for the slice matrix of `dga.u_action_matrix`."""
+    alg = M.alg
+    cols = [q - gd for gd in M.gen_degrees]
+    return block_matrix(alg, [s + alg.i for s in cols], cols,
+                        lambda i, j: algebra_matrix(alg, cols[j], (0, 0, 1), True) if i == j else None)
 
 
 def block_matrix(alg, rows, cols, block):
@@ -266,8 +302,9 @@ def slice_differential(M, q):
     """The slice differential of M at q assembled block by block: d_A on
     the diagonal blocks, and in block (i, j) right multiplication by
     diff[i][j] on the slice of A at s = q - deg(gen_j), times the Leibniz
-    sign (-1)^{n s}.  The reference for `dga.slice_differential`, which
-    builds it from the nonzero cells of its entries' terms."""
+    sign (-1)^{n s}, every block from `dg_differential` and `dg_multiply`.
+    The reference for `dga.slice_differential`, which adds the nonzero cells
+    of its entries' terms."""
     alg = M.alg
     cols = [q - gd for gd in M.gen_degrees]
 
@@ -275,7 +312,7 @@ def slice_differential(M, q):
         s = cols[j]
         out = right_multiplication(alg, s, M.diff[i][j].terms, -1 if (alg.n * s) % 2 else 1)
         if i == j:
-            d = dga._algebra_matrix(alg, s)
+            d = algebra_matrix(alg, s)
             out = d if out is None else (out + d) % alg.p
         return out
 

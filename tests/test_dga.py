@@ -146,6 +146,13 @@ def _random_entry(alg, rng, deg, cycles):
                               if not (cycles and key[1])})
 
 
+def _whole_record(size):
+    """A homology record whose classes are the whole slice: reps and coords
+    the identity, so a matrix induced on it is the slice matrix itself."""
+    eye = np.eye(size, dtype=np.int64)
+    return {"dim": size, "reps": eye, "coords": eye}
+
+
 def test_slice_differential_matches_the_block_reference():
     # the slices built from the nonzero cells of the entries' terms
     # against the block-by-block assembly, one callback per block, on every
@@ -153,11 +160,14 @@ def test_slice_differential_matches_the_block_reference():
     # everywhere, diagonal blocks included (d^2 = 0 is not needed to read a
     # slice), its shift, and the cone of a map whose entries are cycles, a
     # chain map over any model.  The odd primes have odd Leibniz signs, and
-    # (2, 1, -3) and (2, 0, 0) have |v| = 0
+    # (2, 1, -3) and (2, 0, 0) have |v| = 0.  On each slice too, the cells
+    # of left multiplication by u that u_action_matrix places at the slice
+    # offsets, read on records whose classes are the whole slice, against
+    # y -> u y by dg_multiply
     models = [(p, i, n, weight) for p in (2, 3, 5, 7) for i in range(-4, 5) for n in range(-4, 5)
               for weight in (-2, -1, 0, 1, 2, 3, 4, 8) if _outcome(dg.build_two_generator_dga, p, i, n, weight) is None]
     assert {(2, 1, -3, 4), (2, 0, 0, 8), (3, 1, 1, 4), (7, -1, 1, 8)} <= set(models)
-    odd_signs = 0
+    odd_signs = u_actions = 0
     for p, i, n, weight in models:
         alg = dg.build_two_generator_dga(p, i, n, weight)
         rng = random.Random(1000 * p + 100 * i + 10 * n + weight)
@@ -172,7 +182,11 @@ def test_slice_differential_matches_the_block_reference():
                 assert got.shape == want.shape and np.array_equal(got, want), (p, i, n, weight, M.gen_degrees, q)
                 odd_signs += p != 2 and sum(n * (q - gd) % 2 and any(row[j].terms for row in M.diff)
                                             for j, gd in enumerate(M.gen_degrees))
-    assert odd_signs
+                H = {r: _whole_record(len(dg.slice_basis(M, r))) for r in (q, q + i)}
+                got, want = dg.u_action_matrix(M, H, q), brute_force.u_action(M, q)
+                assert got.shape == want.shape and np.array_equal(got, want), (p, i, n, weight, M.gen_degrees, q)
+                u_actions += want.any()
+    assert odd_signs and u_actions
 
 
 def test_homology_of_algebra_is_exterior():
@@ -515,6 +529,17 @@ def test_modp_matmul_takes_reduced_operands(monkeypatch):
         matmul(np.full((1, 2), q - 1, dtype=np.int64), np.full((2, 1), q - 1, dtype=np.int64), q)
     with pytest.raises(UnsupportedCoefficients):
         matmul(np.ones((1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64), 4294967311)
+    # the builder refuses p^2 >= 2^63 before any slice is made, so neither a
+    # model nor a triangle over such a prime reaches int64 arithmetic: the
+    # least primes past 2^63 and past 2^32; q, with q^2 < 2^63, builds
+    assert dg.build_two_generator_dga(q, 1, 1).p == q
+    for big in (9223372036854775837, 4294967311):
+        assert big ** 2 >= 2 ** 63 and linalg.is_prime(big)
+        with pytest.raises(UnsupportedCoefficients, match=f"^prime {big} too large for int64 elimination$"):
+            dg.build_two_generator_dga(big, 1, 1)
+        R = con.laurent_exterior(big, 1, 4)
+        with pytest.raises(UnsupportedCoefficients, match=f"^prime {big} too large for int64 elimination$"):
+            tr.triangle_from_map(R, 1, *tr.random_map(R, 1, random.Random(big)))
 
 
 def test_triangle_input_errors():

@@ -333,8 +333,9 @@ def cycle_map(alg, rng):
 
 @pytest.mark.parametrize("model", MODELS + [(3, -1, 1, 8, (-2, 2)), (2, -2, -1, 8, (-2, 2))])
 def test_shared_slice_matrices_are_exact(model):
-    # one slice differential per module and residue class mod |v|, which
-    # must be the matrix of d at each degree of the class, built from scratch
+    # one set of sparse slice rows per module and residue class mod |v|,
+    # whose array, made on demand, must be the matrix of d at each degree of
+    # the class, built from scratch, and read-only
     p, i, n, weight, _ = model
     period = abs(3 * i + n)
     rng = random.Random(sum(model[:4]))
@@ -344,10 +345,11 @@ def test_shared_slice_matrices_are_exact(model):
         for M in (dg.cone(f), dg.shift(f.target, rng.randint(-2, 2))):
             for q in range(-period - 2, period + 3):
                 want = reference_slice_matrix(M, dg.slice_basis(M, q), dg.slice_basis(M, q - n))
-                assert dg.slice_differential(M, q).tolist() == want, f"degree {q}"
-                assert dg.slice_differential(M, q + period) is dg.slice_differential(M, q)
-            with pytest.raises(ValueError):
-                dg.slice_differential(M, 0)[:] = 0
+                got = dg.slice_differential(M, q)
+                assert got.tolist() == want, f"degree {q}"
+                assert dg._slice_rows(M, q + period) is dg._slice_rows(M, q)
+                with pytest.raises(ValueError):
+                    got[:] = 0
 
 
 def test_transported_degrees_share_their_record():
@@ -365,8 +367,9 @@ def test_transported_degrees_share_their_record():
 
 def test_one_triangle_makes_slice_objects_once_per_residue_class(monkeypatch):
     # per module and residue class mod |v|: one set of sparse slice rows,
-    # read by the elimination, and one slice differential made from them,
-    # read by the cone's check and the map slices, and one record of a free
+    # read by the elimination, the cone's check and the map slices, and no
+    # slice differential array; the cells of A's slice matrices only at the
+    # degrees that the rows of one period read; and one record of a free
     # module, which the shifted windows of A[n] and B[n] reuse.  A
     # one-generator free module takes its records from H(A) as they are, a
     # module on more generators assembles each of them once, in one pass
@@ -399,8 +402,17 @@ def test_one_triangle_makes_slice_objects_once_per_residue_class(monkeypatch):
     def built(X, name):
         return len({id(value) for key, value in X._cache.items() if key[0] == name})
 
-    assert 0 < built(C, "slice_differential") <= period and 0 < built(C, "_slice_rows") <= period
-    assert all(built(X, name) <= period for X in (M, N) for name in ("slice_differential", "_slice_rows"))
+    assert 0 < built(C, "_slice_rows") <= period and all(built(X, "_slice_rows") <= period for X in (M, N))
+    assert not [key for X in (M, N, C) for key in X._cache if key[0] == "slice_differential"]
+    # the rows read the cells of d_A and of right multiplication by each term
+    # of the cone's entries at the degrees r - deg(gen_j), r in one period
+    # (A itself has its generator in degree 0); the u-action reads the left
+    # multiplications by u
+    reach = {r - gd for r in range(period) for gd in C.gen_degrees + [0]}
+    keys = {None} | {key for row in C.diff for x in row for key in x.terms}
+    right = [key[1:] for key in C.alg._cache if key[0] == "_algebra_cells" and key[3:] != (True,)]
+    assert all(s in reach and key in keys for s, key in right)
+    assert 0 < len(right) <= len(reach) * len(keys)
     assert all(0 < built(X, "_homology_record") <= period for X in (M, N))
     # the map is [-1] -> [2]: every record of A and B is one of H(A)
     assert (M.gen_degrees, N.gen_degrees) == ([-1], [2])

@@ -242,9 +242,31 @@ def test_only_slice_differential_and_calculus_multiply_by_entries():
     # a module's slice differential is the one assembly of right
     # multiplications by its entries (a map's slices are read off its cone):
     # its sparse rows, `_slice_rows`, add the cells of each term's slice
-    # matrix, and the calculus check tests the rule those matrices obey
+    # matrix; the calculus check makes arrays of those cells, in its array
+    # maker, to test the rule they obey; and the u-action places the cells
+    # of left multiplication by u at the slice offsets
     assert _stray(_entry_multiplications, set()) != []
-    assert _stray(_entry_multiplications, {("dga", "_slice_rows"), ("dga", "calculus_holds")}) == []
+    allowed = {("dga", "_slice_rows"), ("dga", "calculus_holds", "matrix"), ("dga", "u_action_matrix")}
+    assert _stray(_entry_multiplications, allowed) == []
+    assert not hasattr(importlib.import_module("trimod.dga"), "_algebra_matrix")
+
+
+def _dense_products(tree):
+    """(scope, line) of each `@` product and each reference to an attribute
+    named matmul, dot or tensordot."""
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult) \
+                or isinstance(node, ast.Attribute) and node.attr in {"matmul", "dot", "tensordot"}:
+            yield scope, node.lineno
+
+
+def test_dg_path_multiplies_only_through_modp_matmul():
+    # linalg.modp_matmul is the one F_p product of the DG path, and its
+    # guard refuses the primes whose int64 products could overflow; the
+    # finder sees the product inside it
+    stray = _stray(_dense_products, set())
+    assert [line for line in stray if line.startswith(("dga.py:", "triangles.py:"))] == []
+    assert [line for line in stray if line.startswith("linalg.py:")]
 
 
 def _degree_reductions(tree):

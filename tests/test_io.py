@@ -463,12 +463,18 @@ def test_cli_dg_verify_negative_period(p, capsys):
 
 
 @pytest.mark.parametrize("argv", [["--p", "4", "--i", "1", "--n", "1"],
-                                  ["--p", "3", "--i", "1", "--n", "1", "--weight", "2"]])
+                                  ["--p", "3", "--i", "1", "--n", "1", "--weight", "2"],
+                                  ["--p", "9223372036854775837", "--i", "1", "--n", "1"],
+                                  ["--p", "4294967311", "--i", "1", "--n", "1"]])
 def test_cli_dg_verify_input_errors_exit_2(argv, capsys):
-    # a composite p or a too small weight bound is no parity obstruction
+    # a composite p, a too small weight bound or a prime whose square
+    # overflows the int64 lane (the least primes past 2^63 and 2^32) is no
+    # parity obstruction; the large primes get the typed refusal, no traceback
     code, out, err = _run(["dg-verify", *argv, "--trials", "2"], capsys)
     assert code == 2
     assert out == "" and "error:" in err
+    if int(argv[1]) ** 2 >= 2 ** 63:
+        assert err == f"error: UnsupportedCoefficients: prime {argv[1]} too large for int64 elimination\n"
 
 
 def test_cli_dg_verify_negative_trials_exit_2(capsys):
