@@ -38,7 +38,9 @@ coordinatewise.  `modp_rref` returns arrays (int64 over F_p, object over
 Q), and `modp_matmul`, the one F_p product, takes 2-D int64 arrays with
 entries in [0, p) and reduces only their product; `_sparse_rows` reads
 every array through one tolist().  The field lane refuses to eliminate
-or multiply over primes for which its int64 arithmetic could overflow.
+over primes p with p * p >= 2**63, where int64 products of its results
+could overflow; `modp_matmul` multiplies past its int64 bound in Python
+integers.
 """
 
 from __future__ import annotations
@@ -181,11 +183,13 @@ def _from_cells(shape, cells, dtype=np.int64):
 def modp_matmul(A, B, p):
     """A B mod p as an int64 array, for 2-D int64 arrays A and B with A as
     wide as B is tall and entries in [0, p), as every F_p array of the
-    library has, so only the product is reduced; either may be empty."""
-    k = B.shape[0]
-    if k * (p - 1) ** 2 >= 2 ** 63:
-        raise UnsupportedCoefficients(f"prime {p} too large for int64 products of length {k}")
-    return A @ B % p
+    library has, so only the product is reduced; either may be empty.  The
+    product is taken in int64 while its sums, k (p - 1)**2 for k = the
+    height of B, stay below 2**63, and in Python integers past that; its
+    reduced entries, below p, fit int64 again."""
+    if B.shape[0] * (p - 1) ** 2 < 2 ** 63:
+        return A @ B % p
+    return (A.astype(object) @ B.astype(object) % p).astype(np.int64)
 
 
 def modp_rank(A, p):
@@ -396,11 +400,12 @@ class Subgroup:
         self._insert(cols)
 
     def _insert(self, cols):
-        """Insert cols into the held basis; canonical rows it leaves untouched are kept."""
-        cols = [list(c) for c in cols]
+        """Insert cols, a list of vectors, into the held basis; canonical
+        rows it leaves untouched are kept.  Each lane reads the vectors into
+        rows of its own, so they are not copied here."""
         self._check(cols)
         p, D = self._p, len(self.moduli)
-        if not cols:
+        if not len(cols):
             return
         if p is None:
             self._held = hnf_columns(map(enumerate, cols), self.moduli, self._held)
@@ -512,15 +517,27 @@ def _check_system(A, nc, *per_row):
 
 def congruence_kernel(A, row_moduli, col_moduli):
     """Generators of {x in +Z/col_moduli : A x = 0 in +Z/row_moduli}."""
+    return congruence_kernel_order(A, row_moduli, col_moduli)[0]
+
+
+def congruence_kernel_order(A, row_moduli, col_moduli):
+    """(`congruence_kernel`, its number of elements), from one elimination:
+    p**k for k generators over F_p, and otherwise the product of m_i / c_i
+    over the pivots i of the generators, c_i their entries there.  The
+    number is None when a modulus is 0."""
     nr, nc = len(A), len(col_moduli)
     _check_system(A, nc, row_moduli)
     p = _lane(list(row_moduli) + list(col_moduli))
     if p is not None:
-        return _kernel_basis(_echelon_basis(A, p, nc), nc, p)[0]
+        K = _kernel_basis(_echelon_basis(A, p, nc), nc, p)[0]
+        return K, p ** len(K) if p else None
     # the Hermite columns of the graph that vanish on the A block span the
-    # kernel, since each column is zero above its pivot
+    # kernel, since each column is zero above its pivot; as in
+    # `Subgroup.size`, coordinate i has index m_i / c_i in their lattice
     G = _graph(A, nc, list(row_moduli) + list(col_moduli))
-    return [[col.get(j, 0) for j in range(nr, nr + nc)] for piv, col in G.items() if piv >= nr]
+    held = {piv - nr: col for piv, col in G.items() if piv >= nr}
+    order = None if 0 in col_moduli else math.prod(col_moduli[i] // col[i + nr] for i, col in held.items())
+    return [[col.get(j, 0) for j in range(nr, nr + nc)] for col in held.values()], order
 
 
 def congruence_solve(A, b, row_moduli):

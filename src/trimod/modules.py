@@ -1,8 +1,11 @@
 """Finite modules over finite ungraded commutative rings.
 
 A module is presented as R^g / (R-span of the relation columns): the public
-form is `generators`, `relations` and `ring`.  Next to it each module caches
-one additive form, from which every module computation is made:
+form is `generators`, `relations` and `ring`.  It holds the constants of that
+presentation, set once when it is made: `dtype`, `ambient_moduli` (the
+orders of the g * dim(R) flattened coordinates) and the flattened
+`relation_array`.  Next to them each module caches one additive form, from
+which every module computation is made:
 
 * `quotient()` = (qmoduli, proj, lift): the additive group as Z/q_1 x ... x
   Z/q_r, with proj taking the flattened coordinates of R^g (g * dim(R)
@@ -17,9 +20,12 @@ applied to those images, is zero in N", with no further unknowns.
 Composition, kernels, images and factorizations are products and congruence
 systems on these arrays.  A matrix over the ring enters only through the
 `ModuleMap` constructor, and is lifted back from the images only for the
-relation columns of a presentation.  Each array has its module's
-`rings.int_dtype`, and each product sums over one module's coordinates with
-an operand of that module's dtype, so int64 sums cannot overflow.
+relation columns of a presentation.  Each array has its module's dtype,
+the `rings.int_dtype` of (g + 1) * dim(R) terms, and each product sums over
+one module's coordinates with an operand of that module's dtype, so int64
+sums cannot overflow.  Arrays are reduced (`_reduce`) by columns of the
+ambient and quotient moduli that the module holds in its dtype, the second
+set with its quotient form, so a reduced array keeps its own dtype.
 
 Submodule spans are `linalg.Subgroup`s extended under the action matrices,
 each extension reducing only the new vectors against the basis held.
@@ -34,9 +40,16 @@ module spans the same maps through projectives: stable homs are unchanged.
 
 Over a chain ring (local, with principal maximal ideal m) a module is a sum
 of cyclic modules R/m^a, and the lengths a are read off the radical
-filtration M m^j.  Isomorphism compares them, and stable isomorphism those
+filtration M m^j, from the action of m's generators on M, made once per
+module (`_radical_rows`) for its cover and its filtration.  Isomorphism compares them, and stable isomorphism those
 below the Loewy length of R, since R/m^e is free.  Elsewhere isomorphism is a
 search capped at SIZE_CAP maps, and stable isomorphism a typed limit.
+
+A stable Hom group is Hom(M, N) modulo the maps through the injective
+envelope of M.  Its representatives are the Hom generators that the span of
+those maps and the generators kept before misses, and the scan stops once
+that span has |Hom(M, N)| elements, the order that the elimination of Hom
+returns with its generators (`linalg.congruence_kernel_order`).
 
 A module is its presentation.  Constructing one with the ring, generator
 count and relation columns of an existing module returns that object, from a
@@ -70,9 +83,16 @@ from .errors import (
 SIZE_CAP = 4096
 
 
-def _reduce(X, moduli):
-    """Reduce the rows (axis -2) of an integer array modulo the given moduli."""
-    return X % np.array(moduli, dtype=X.dtype).reshape(-1, 1)
+def _column(moduli, dtype):
+    """The moduli as a column, by which `_reduce` reduces an array's rows."""
+    return np.array(moduli, dtype=dtype).reshape(-1, 1)
+
+
+def _reduce(X, column):
+    """Reduce the rows (axis -2) of an integer array modulo a `_column` of
+    moduli; the column has the dtype of a module X is made from, so X keeps
+    its own."""
+    return X % column
 
 
 @rc.per_object
@@ -86,7 +106,7 @@ def _ring_action(R):
     for (i, j), terms in R.products.items():
         for c, k, _ in terms:
             A[i, k, j] += c
-    A = _reduce(A, R.orders)
+    A = _reduce(A, _column(R.orders, A.dtype))
     A.flags.writeable = False
     return A
 
@@ -126,21 +146,17 @@ class FiniteModule:
         if (g, flat) not in table:
             M = table[g, flat] = super().__new__(cls)
             M.ring, M.generators, M.relations, M._cache = ring, g, relations, {}
+            # the integer dtype of this module's arrays, and the moduli of its
+            # flattened coordinates (see the module docstring)
+            M.dtype = rc.int_dtype(ring, (g + 1) * ring.dim)
+            M.ambient_moduli = tuple(ring.orders) * g
+            M._ambient_column = _column(M.ambient_moduli, M.dtype)
             # the flattened relation columns, one row each
             M.relation_array = np.array(flat, dtype=M.dtype).reshape(len(flat), g * ring.dim)
             M.relation_array.setflags(write=False)
         return table[g, flat]
 
     # -- coordinates -----------------------------------------------------
-
-    @property
-    def ambient_moduli(self):
-        return list(self.ring.orders) * self.generators
-
-    @property
-    def dtype(self):
-        """The integer dtype of this module's arrays (see the module docstring)."""
-        return rc.int_dtype(self.ring, (self.generators + 1) * self.ring.dim)
 
     def flatten(self, col):
         """Column of g ring elements -> integer vector of length g*dim."""
@@ -156,29 +172,31 @@ class FiniteModule:
     @rc.per_object
     def quotient(self):
         """(qmoduli, proj, lift) for the underlying additive group, proj and
-        lift as integer arrays reduced modulo qmoduli and the ambient moduli."""
+        lift as integer arrays reduced modulo qmoduli and the ambient moduli.
+        Sets `_quotient_column`, the column of qmoduli."""
         amb = self.ambient_moduli
         qm, proj, lift = linalg.quotient_presentation(
             _closure(_ring_action(self.ring), self.relation_array), amb)
         # reduced before conversion: Smith transforms can exceed int64
         P = np.array([[x % m for x in row] for row, m in zip(proj, qm)], dtype=self.dtype)
         L = np.array([[x % m for x in row] for row, m in zip(lift, amb)], dtype=self.dtype)
+        self._quotient_column = _column(qm, self.dtype)
         return qm, P.reshape(len(qm), len(amb)), L.reshape(len(amb), len(qm))
 
     @rc.per_object
     def action(self):
         """Array of shape (dim R, r, r): how each ring basis element acts on
         the r quotient coordinates."""
-        qm, P, L = self.quotient()
-        moved = _reduce(_blockwise(_ring_action(self.ring).astype(L.dtype), L), self.ambient_moduli)
-        return _reduce(np.matmul(P, moved), qm)
+        _, P, L = self.quotient()
+        moved = _reduce(_blockwise(_ring_action(self.ring).astype(L.dtype), L), self._ambient_column)
+        return _reduce(np.matmul(P, moved), self._quotient_column)
 
     def act_coords(self, C):
         """Matrices of multiplication by the ring elements whose full
         coordinates are the rows of C, from one product: shape (len(C), r, r)."""
         A = self.action()
         r = A.shape[1]
-        return _reduce((C @ A.reshape(len(A), r * r)).reshape(len(C), r, r), self.quotient()[0])
+        return _reduce((C @ A.reshape(len(A), r * r)).reshape(len(C), r, r), self._quotient_column)
 
     def act_all(self, xs):
         """Matrices of multiplication by each ring element of xs on quotient
@@ -188,8 +206,9 @@ class FiniteModule:
 
     def coords(self, col):
         """Quotient coordinates of a column of g ring elements."""
-        qm, P, _ = self.quotient()
-        return _reduce(P @ np.array(self.flatten(col), dtype=self.dtype).reshape(P.shape[1], 1), qm)[:, 0].tolist()
+        P = self.quotient()[1]
+        return _reduce(P @ np.array(self.flatten(col), dtype=self.dtype).reshape(P.shape[1], 1),
+                       self._quotient_column)[:, 0].tolist()
 
     def column(self, v):
         """A column of g ring elements with the quotient coordinates v."""
@@ -229,7 +248,7 @@ def _generator_images(M):
     R = M.ring
     one = np.array(R.full_coords(R.one()), dtype=M.dtype)
     qm, P, _ = M.quotient()
-    return _reduce(P.reshape(len(qm), M.generators, R.dim) @ one, qm)
+    return _reduce(P.reshape(len(qm), M.generators, R.dim) @ one, M._quotient_column)
 
 
 class ModuleMap:
@@ -254,12 +273,12 @@ class ModuleMap:
         self.target = target
         qm, X = target.quotient()[0], np.asarray(images)
         # reduced in a dtype that holds the target's moduli and the images
-        X = _reduce(X.astype(np.result_type(X.dtype, target.dtype)).reshape(len(qm), source.generators), qm)
-        X = X.astype(target.dtype)
+        X = X.astype(np.result_type(X.dtype, target.dtype)).reshape(len(qm), source.generators)
+        X = _reduce(X, target._quotient_column).astype(target.dtype)
         X.setflags(write=False)
         self.images = X
         self._cache = {}
-        if check and not _kills_relations(_free_matrix(self), source, qm):
+        if check and not _kills_relations(_free_matrix(self), source, target):
             raise IllFormedMap("matrix does not map source relations into target relations")
 
     @property
@@ -279,7 +298,7 @@ class ModuleMap:
             raise ShapeMismatch("composition shape mismatch")
         X = other.images
         if other.target is not M:  # the same relation span: change to M's coordinates
-            X = _reduce(M.quotient()[1] @ _lifted(other), M.quotient()[0])
+            X = _reduce(M.quotient()[1] @ _lifted(other), M._quotient_column)
         return _map_from_images(other.source, self.target, _map_matrix(self) @ X)
 
     def __repr__(self):
@@ -302,13 +321,13 @@ def _lifted(f):
     """Flattened ambient coordinates of representatives of f's images, one
     column per source generator."""
     N = f.target
-    return _reduce(N.quotient()[2] @ f.images, N.ambient_moduli)
+    return _reduce(N.quotient()[2] @ f.images, N._ambient_column)
 
 
-def _kills_relations(F, M, moduli):
-    """Whether F, a matrix on M's flattened coordinates, sends every relation
-    of M to zero modulo the moduli of its rows."""
-    return not _reduce(F @ M.relation_array.T, moduli).any()
+def _kills_relations(F, M, N):
+    """Whether F, a matrix from M's flattened coordinates to N's quotient
+    coordinates, sends every relation of M to zero."""
+    return not _reduce(F @ M.relation_array.T, N._quotient_column).any()
 
 
 def _same_module(M, N):
@@ -318,7 +337,7 @@ def _same_module(M, N):
         return True
     if M.ring != N.ring or M.generators != N.generators:
         return False
-    return all(_kills_relations(B.quotient()[1], A, B.quotient()[0]) for A, B in ((M, N), (N, M)))
+    return all(_kills_relations(B.quotient()[1], A, B) for A, B in ((M, N), (N, M)))
 
 
 def identity_map(M):
@@ -349,7 +368,7 @@ def _free_matrix(f):
     N = f.target
     A = N.action()
     r, n = A.shape[1], len(f.source.ambient_moduli)
-    return _reduce(np.matmul(A, f.images).transpose(1, 2, 0).reshape(r, n), N.quotient()[0])
+    return _reduce(np.matmul(A, f.images).transpose(1, 2, 0).reshape(r, n), N._quotient_column)
 
 
 @rc.per_object
@@ -358,7 +377,7 @@ def _map_matrix(f):
     additive generators (its quotient unit vectors) in the target's.
     Computed once per map (maps are not changed after construction) and
     returned read-only."""
-    X = _reduce(_free_matrix(f) @ f.source.quotient()[2], f.target.quotient()[0])
+    X = _reduce(_free_matrix(f) @ f.source.quotient()[2], f.target._quotient_column)
     X.setflags(write=False)
     return X
 
@@ -373,11 +392,17 @@ def _combination_rows(C, N):
     return blocks.transpose(0, 2, 1, 3).reshape(k * r, g * r)
 
 
-def _hom_vectors(M, N):
-    """Additive generators of Hom(M, N) as hom coordinates: the images of M's
-    generators in N's quotient coordinates that every relation of M kills."""
+def _hom_group(M, N):
+    """(additive generators of Hom(M, N) as hom coordinates, |Hom(M, N)|):
+    the images of M's generators in N's quotient coordinates that every
+    relation of M kills, and their number, from one elimination."""
     rows = _combination_rows(M.relation_array, N).tolist()
-    return linalg.congruence_kernel(rows, list(N.quotient()[0]) * len(M.relations), _hom_moduli(M, N))
+    return linalg.congruence_kernel_order(rows, list(N.quotient()[0]) * len(M.relations), _hom_moduli(M, N))
+
+
+def _hom_vectors(M, N):
+    """Additive generators of Hom(M, N) as hom coordinates (`_hom_group`)."""
+    return _hom_group(M, N)[0]
 
 
 def hom_group(M, N):
@@ -464,12 +489,21 @@ def _factor_through(g, f):
 # projectivity, covers and envelopes (local rings)
 # ---------------------------------------------------------------------------
 
+@rc.per_object
+def _radical_rows(M):
+    """The rows (x v)^T for x a generator of the maximal ideal and v a unit
+    vector of M's quotient coordinates: shape (generators, r, r), read-only."""
+    rows = M.act_all(rc.maximal_ideal(M.ring).generators).transpose(0, 2, 1)
+    rows.setflags(write=False)
+    return rows
+
+
 def _radical(M, span=None):
     """span * maximal ideal, for span a submodule of M (all of M by default),
     as a subgroup of M's quotient coordinates."""
     qm = M.quotient()[0]
-    # rows (x v)^T for x a generator of m and v a unit vector or a row of span
-    rows = M.act_all(rc.maximal_ideal(M.ring).generators).transpose(0, 2, 1)
+    # rows (x v)^T for v a unit vector or a row of span
+    rows = _radical_rows(M)
     if span is not None:
         cols = span.cols()
         rows = np.array(cols, dtype=rows.dtype).reshape(len(cols), len(qm)) @ rows
@@ -688,19 +722,24 @@ def stable_hom(M, N):
     """(dimension over the residue field, tuple of representatives).
 
     The stable group is Hom(M, N) modulo maps factoring through the fixed
-    embedding of M into a free module.
+    embedding of M into a free module.  A Hom generator is kept when the
+    span of those maps and the kept generators misses it; the scan stops
+    once that span is all of Hom(M, N), after which none would be kept.
     """
     R = M.ring
     if not rc.is_quasi_frobenius(R):
         raise NotQuasiFrobenius("stable homs need a quasi-Frobenius ring")
     P = stable_projective_span(M, N)
-    reps = []
-    span = P
-    for v in _hom_vectors(M, N):
+    homs, order = _hom_group(M, N)
+    reps, span, size = [], P, P.size()
+    for v in homs:
+        if size == order:
+            break
         if not span.contains(v):
             reps.append(_map_from_hom(M, N, v))
             span = span.extend([v])
-    quot = span.size() // P.size()
+            size = span.size()
+    quot = size // P.size()
     # the group order when no single residue field applies
     dim = _log(rc.residue_size(R), quot) if rc.is_local(R) else quot
     return dim, tuple(reps)

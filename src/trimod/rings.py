@@ -639,15 +639,22 @@ def _degree_zero_mod_p(R):
     for p, pk in _prime_powers(R.char):
         pos = [j for j, i in enumerate(zero) if R.orders[i] % p == 0]
         idx = [zero[j] for j in pos]
+        spanned = set(idx)
+
+        def product(u, w):
+            """u w in R0/p, for sparse terms {basis index: coefficient}."""
+            cells = collections.defaultdict(int)
+            for i, a in u.items():
+                _times(R, i, ((0, l, a * b) for l, b in w.items()), cells)
+            return {m: y for (_, m), x in cells.items() if m in spanned and (y := x % p)}
 
         def times(u, w):
-            cells = collections.defaultdict(int)
-            for i, a in zip(idx, u):
-                if a:
-                    _times(R, i, ((0, l, a * b) for l, b in zip(idx, w) if b), cells)
-            return [cells[0, m] % p for m in idx]
+            """The product on lists of coordinates on idx."""
+            y = product({i: a for i, a in zip(idx, u) if a}, {l: b for l, b in zip(idx, w) if b})
+            return [y.get(m, 0) for m in idx]
 
-        F = [_power(times, [int(l == i) for l in idx], p) for i in idx]
+        # the p-power map, each basis element powered on its sparse terms
+        F = [[y.get(m, 0) for m in idx] for y in (_power(product, {i: 1}, p) for i in idx)]
         fixed = linalg.modp_kernel([[x - (a == j) for j, x in enumerate(row)] for a, row in enumerate(zip(*F))], p)
         lines = _split_into_lines(times, [sum(c for c, k, _ in R.unit_terms if k == i) % p for i in idx], fixed, p)
         out.append(_ModP(p, pk, pos, np.array(F, dtype=int_dtype(R, len(idx))).T, lines))

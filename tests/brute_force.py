@@ -30,6 +30,16 @@ solves m_q = {x : x R_{-q} in m0} as a congruence kernel at every degree q,
 where the library reads m_0 off m0 and takes a finite ring's other slices
 whole, and `reference_algebra_generators` grows its spin by `extend`, a new
 Subgroup per product kept, where the library grows one in place.
+
+The cyclic modules R/t^i of R = F_p[t]/(t^N) have closed forms at every
+order, where enumeration stops at a few thousand elements: R is a Nakayama
+algebra, so every module is a sum of the uniserial R/t^i (Auslander, Reiten
+and Smalo, Representation Theory of Artin Algebras, ch. VI; Benson,
+Representations and Cohomology I, 2.1).  `cyclic_hom_size`,
+`cyclic_syzygy_length`, `cyclic_stable_hom_dim` and
+`cyclic_power_is_stably_zero` give the Hom groups, Heller shifts and stable
+Hom groups of these modules, for 1 <= i, j < N, and `cyclic_sum_syzygy` the
+Heller shift of a sum of them.
 """
 
 import functools
@@ -555,3 +565,38 @@ def reference_algebra_generators(R):
             gens.append(i)
             todo = [(i, y) for y in kept]
     return gens
+
+
+# ---------------------------------------------------------------------------
+# closed forms for the cyclic modules R/t^i of R = F_p[t]/(t^N), 1 <= i, j < N
+# ---------------------------------------------------------------------------
+
+def cyclic_hom_size(p, i, j):
+    """|Hom(R/t^i, R/t^j)|: 1 goes to a multiple of t^max(0, j - i), which
+    leaves min(i, j) coefficients free."""
+    return p ** min(i, j)
+
+
+def cyclic_syzygy_length(n, i):
+    """The length of Omega(R/t^i) = t^i R = R/t^(N - i), for N = n."""
+    return n - i
+
+
+def cyclic_stable_hom_dim(n, i, j):
+    """The dimension of the stable Hom(R/t^i, R/t^j) over F_p, for N = n:
+    of the min(i, j) free coefficients, those of t^a with a >= N - i give
+    maps through R, and there are max(0, i + j - N) of them."""
+    return min(i, j) - max(0, i + j - n)
+
+
+def cyclic_power_is_stably_zero(n, i, a):
+    """Whether t^a: R/t^i -> R/t^j, for a >= max(0, j - i), factors through
+    a projective, for N = n: exactly when it factors through R/t^N -> R/t^j,
+    that is, when a >= N - i."""
+    return a >= n - i
+
+
+def cyclic_sum_syzygy(n, lengths):
+    """The lengths of the non-free summands of Omega(sum of R/t^a), for N =
+    n and 1 <= a <= N: R/t^N is free, and Omega(R/t^a) = R/t^(N - a)."""
+    return sorted(n - a for a in lengths if a < n)

@@ -520,15 +520,17 @@ def test_modp_matmul_takes_reduced_operands(monkeypatch):
             T = tr.triangle_from_map(R, n, *tr.random_map(R, n, rng, max_rank=4))
             assert tr.verify_triangle_exact(T)["pass"] and tr.verify_rotation(T)["pass"]
     assert primes == {2, 3, 5, 7}
-    # the overflow guard still refuses k (p - 1)^2 >= 2^63 on reduced operands
+    # products with k (p - 1)^2 >= 2^63 on reduced operands are taken in
+    # Python integers, exactly, and come back as int64
     q = 3037000493
     assert (q - 1) ** 2 < 2 ** 63 <= 2 * (q - 1) ** 2
     top = np.full((1, 1), q - 1, dtype=np.int64)
     assert matmul(top, top, q).tolist() == [[1]]
-    with pytest.raises(UnsupportedCoefficients):
-        matmul(np.full((1, 2), q - 1, dtype=np.int64), np.full((2, 1), q - 1, dtype=np.int64), q)
-    with pytest.raises(UnsupportedCoefficients):
-        matmul(np.ones((1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64), 4294967311)
+    for A, B, p in (([[q - 1, q - 1]], [[q - 1], [q - 1]], q), ([[1]], [[1]], 4294967311),
+                    ([[q - 1, 2, q - 3]], [[q - 1, 1], [q - 2, 0], [5, q - 1]], q)):
+        got = matmul(np.array(A, dtype=np.int64), np.array(B, dtype=np.int64), p)
+        want = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)] for row in A]
+        assert got.dtype == np.int64 and got.tolist() == want
     # the builder refuses p^2 >= 2^63 before any slice is made, so neither a
     # model nor a triangle over such a prime reaches int64 arithmetic: the
     # least primes past 2^63 and past 2^32; q, with q^2 < 2^63, builds

@@ -431,6 +431,15 @@ def test_cli_dg_verify_names_an_unchecked_rotation(capsys):
     assert "random triangles (3): PASS\n" in out
 
 
+def test_cli_dg_verify_past_the_int64_product_bound(capsys):
+    # the least prime the builder admits past the int64 bound of a length-9
+    # product: such products are taken in Python integers
+    code, out, err = _run(["dg-verify", "--p", "3037000493", "--i", "1", "--n", "1", "--json"], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["calculus"] and report["homology_free_rank_one"] and report["triangles"] is True
+
+
 def test_cli_dg_verify_triangles_keep_the_window(capsys):
     # the random triangles use the command's window: at n = 3 a map spanning
     # degrees -3..3 would otherwise widen it past the default weight bound

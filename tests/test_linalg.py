@@ -270,8 +270,15 @@ def test_modp_overflow_guard():
     S = linalg.Subgroup([[q - 1, q - 1], [1, 1]], [q, q])
     assert S.size() == q and S.contains([2, 2]) and not S.contains([1, 2])
     assert linalg.modp_matmul(np.array([[q - 1]]), np.array([[q - 1]]), q).tolist() == [[1]]
-    with pytest.raises(UnsupportedCoefficients):
-        linalg.modp_matmul(np.array([[q - 1, q - 1]]), np.array([[q - 1], [q - 1]]), q)
+    # past its int64 bound the product is exact, in Python integers
+    for A, B, r in (([[q - 1, q - 1]], [[q - 1], [q - 1]], q), ([[1, p - 1, 2]], [[p - 1], [p - 2], [3]], p)):
+        got = linalg.modp_matmul(np.array(A, dtype=np.int64), np.array(B, dtype=np.int64), r)
+        assert got.dtype == np.int64 and got.tolist() == python_product(A, B, r)
+
+
+def python_product(A, B, p):
+    """A B mod p for lists of rows, in Python integers."""
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)] for row in A]
 
 
 @st.composite
@@ -510,6 +517,22 @@ def test_congruence_systems_match_the_dense_hermite_reference(data):
     gens = data.draw(st.lists(vec, max_size=5))
     for v in (x, *gens[:1]):
         assert repr(linalg.Subgroup(gens, cm).remainder(v)) == repr(dense_remainder(gens, v, cm))
+
+
+ORDER_MODULI = CONGRUENCE_MODULI + [[3, 3, 3], [3, 3], [0, 0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_congruence_kernel_order_is_the_size_of_its_span(data):
+    # read off the kernel's own elimination, on both lanes: p**k over F_p,
+    # and the index of the Hermite columns of the graph over Z/m
+    rm, cm = (data.draw(st.sampled_from(ORDER_MODULI)) for _ in range(2))
+    vec = st.lists(st.integers(-40, 40), min_size=len(cm), max_size=len(cm))
+    A = data.draw(st.lists(vec, min_size=len(rm), max_size=len(rm)))
+    K, order = linalg.congruence_kernel_order(A, rm, cm)
+    assert K == linalg.congruence_kernel(A, rm, cm)
+    assert order == (None if 0 in cm else linalg.Subgroup(K, cm).size())
 
 
 def test_extend_inserts_into_the_held_basis(monkeypatch):

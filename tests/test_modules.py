@@ -1,3 +1,5 @@
+import collections
+import functools
 import itertools
 import random
 import time
@@ -602,3 +604,60 @@ def test_per_object_caches_nothing_when_the_call_raises():
     with pytest.raises(NotQuasiFrobenius):
         md.stable_hom(k, k)
     assert ("stable_hom", k) not in k._cache
+
+
+def _seeded_chain_modules(R, e, seed):
+    """Two each of the sums of 1, 2 and 3 cyclic modules R/m^a, 1 <= a <= e,
+    on generators changed by a random unitriangular matrix, as in the
+    corpus benchmark."""
+    rng, pi, mods = random.Random(seed), rc.chain_generator(R), []
+    for g in (1, 2, 3) * 2:
+        exps = [rng.randint(1, e) for _ in range(g)]
+        U = [[R.one() if r == c else R.from_full_coords([rng.randrange(m) for m in R.orders]) if r < c
+              else R.zero() for c in range(g)] for r in range(g)]
+        cyclic = [functools.reduce(lambda x, _: x * pi, range(a), R.one()) for a in exps]
+        mods.append(FiniteModule(R, g, [[U[r][c] * cyclic[c] for r in range(g)] for c in range(g)]))
+    return mods
+
+
+# chain rings and their Loewy lengths: two over F_p, and Z/8 and GR(4, 2) on
+# the integer lane
+CHAIN_RINGS = {"F3[t]/t^9": (lambda: con.truncated_polynomial(3, 9), 9),
+               "F2[t]/t^8": (lambda: con.truncated_polynomial(2, 8), 8),
+               "Z/8": (lambda: con.z_mod(8), 3), "GR(4, 2)": (con.galois_ring_4_2, 2)}
+
+
+@pytest.mark.parametrize("name", CHAIN_RINGS)
+def test_radical_rows_are_made_once_per_module(name, monkeypatch):
+    # the action of the maximal ideal is made once per module, across the
+    # covers of both shifts and the radical filtrations of the lengths
+    build, e = CHAIN_RINGS[name]
+    acted, act_all = collections.Counter(), FiniteModule.act_all
+    monkeypatch.setattr(FiniteModule, "act_all", lambda M, xs: acted.update([M]) or act_all(M, xs))
+    for M in _seeded_chain_modules(build(), e, len(name)):
+        assert stable_iso_test(heller_power(M, 2), M)
+    assert acted and max(acted.values()) == 1
+
+
+@pytest.mark.parametrize("name", CHAIN_RINGS)
+def test_stable_hom_scan_stops_at_the_whole_group(name, monkeypatch):
+    # a Hom generator is tested against the span only until the span is all
+    # of Hom(M, N): at most once per generator up to the one after which the
+    # span is whole
+    build, e = CHAIN_RINGS[name]
+    R = build()
+    mods, cut = _seeded_chain_modules(R, e, len(name)), 0
+    # the ring's predicates are answered before any call is counted
+    assert rc.is_quasi_frobenius(R) and rc.is_local(R)
+    contains, asked = linalg.Subgroup.contains, []
+    for M, N in itertools.product(mods, repeat=2):
+        P, homs = md.stable_projective_span(M, N), md._hom_vectors(M, N)
+        until = next(k for k in range(len(homs) + 1) if P.extend(homs[:k]) == P.extend(homs))
+        cut += until < len(homs)
+        asked.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg.Subgroup, "contains", lambda S, v: asked.append(v) or contains(S, v))
+            stable_hom(M, N)
+        assert asked == homs[:len(asked)] and len(asked) <= until, (M, N)
+    # the span is whole before the last generator on some pairs
+    assert cut

@@ -1,3 +1,4 @@
+import functools
 import glob
 import os
 import random
@@ -512,6 +513,33 @@ def _random_ring(rng):
     small = [R for R in FINITE if R.size() <= 16]
     R = con.product_ring(rng.choice(small), rng.choice(small)) if kind == 1 else rng.choice(FINITE)
     return _permuted_rescaled(R, rng) if rng.random() < 0.5 else R
+
+
+def _frobenius_by_elements(R, p, pos):
+    """b**p for the degree-0 basis elements b at the slice positions pos, by
+    RingElement products: their coordinates at pos, mod p."""
+    n, out = len(R.slice_terms(0)), []
+    for j in pos:
+        b = R.from_slice_coords(0, [int(k == j) for k in range(n)])
+        power = R.slice_coords(functools.reduce(lambda x, _: x * b, range(p - 1), b), 0)
+        out.append([power[k] % p for k in pos])
+    return out
+
+
+def _frobenius_matches_element_powers(R):
+    for p, _, pos, F, _ in rings._degree_zero_mod_p(R):
+        assert F.T.tolist() == _frobenius_by_elements(R, p, pos)
+
+
+@pytest.mark.parametrize("R", FINITE + PERIODIC, ids=repr)
+def test_frobenius_matches_element_powers_on_the_constructors(R):
+    _frobenius_matches_element_powers(R)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_frobenius_matches_element_powers_on_random_rings(seed):
+    _frobenius_matches_element_powers(_random_ring(random.Random(seed)))
 
 
 def _coords(x):
