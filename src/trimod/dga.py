@@ -165,7 +165,9 @@ def build_two_generator_dga(p, i, n, weight=DEFAULT_WEIGHT):
     """Validated algebra; raises ParityObstruction when d is ill-defined (see
     the module docstring), WeightOverflow when the weight bound is below
     MIN_WEIGHT, so that every product of four generators, up to u^4, is kept,
-    and UnsupportedCoefficients when p^2 overflows the int64 lane."""
+    and UnsupportedCoefficients when p^2 overflows int64: the DG path
+    multiplies its int64 entries elementwise, as `triangles` flips the sign
+    of f[n] by f * (p - 1), and such a product must not wrap."""
     if p < 2 or not linalg.is_prime(p):
         raise ShapeMismatch("coefficient field must be a prime field")
     if p * p >= 2 ** 63:

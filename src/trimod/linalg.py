@@ -34,13 +34,12 @@ holds no dense vectors; `cols()` makes them.
 
 Matrices are lists of rows or arrays; "columns" arguments are lists of
 coordinate vectors.  All integer results are reduced into [0, m_i)
-coordinatewise.  `modp_rref` returns arrays (int64 over F_p, object over
-Q), and `modp_matmul`, the one F_p product, takes 2-D int64 arrays with
-entries in [0, p) and reduces only their product; `_sparse_rows` reads
-every array through one tolist().  The field lane refuses to eliminate
-over primes p with p * p >= 2**63, where int64 products of its results
-could overflow; `modp_matmul` multiplies past its int64 bound in Python
-integers.
+coordinatewise.  The field lane eliminates in exact Python numbers, so it
+answers at every prime.  `modp_rref` returns arrays: int64 over F_p below
+2**63, where its entries fit, and object over Q and past that.
+`modp_matmul`, the one F_p product, takes 2-D int64 arrays with entries in
+[0, p), reduces only their product, and multiplies past its int64 bound in
+Python integers; `_sparse_rows` reads every array through one tolist().
 """
 
 from __future__ import annotations
@@ -89,16 +88,13 @@ def _lane(moduli):
 
 
 # ---------------------------------------------------------------------------
-# field lane: F_p (numpy int64) and Q (p = 0, object arrays)
+# field lane: F_p and Q (p = 0), on sparse rows of exact numbers
 # ---------------------------------------------------------------------------
 
 def _sparse_rows(A, p):
     """The rows of A, a list of rows or an array, read through one tolist(),
     as {column: nonzero entry} in exact Python numbers: ints mod p, or
-    Fractions over Q, where int64 products would wrap."""
-    # int64 arrays of the lane's results keep a product of two entries exact
-    if p * p >= 2 ** 63:
-        raise UnsupportedCoefficients(f"prime {p} too large for int64 elimination")
+    Fractions over Q, so that no product of two entries wraps at any p."""
     rows = A.tolist() if isinstance(A, np.ndarray) else A
     if p:
         return [{j: y for j, x in enumerate(row) if x and (y := int(x) % p)} for row in rows]
@@ -167,9 +163,10 @@ def modp_rref(A, p):
 
 
 def _echelon_matrix(held, nr, nc, p):
-    """nr rows: those held in pivot order, then zeros; int64 over F_p, object over Q."""
+    """nr rows: those held in pivot order, then zeros; int64 over F_p for
+    p < 2**63, where the entries fit, and object over Q and past that."""
     return _from_cells((nr, nc), [(k, j, x) for k, c in enumerate(sorted(held)) for j, x in held[c].items()],
-                       np.int64 if p else object)
+                       np.int64 if 0 < p < 2 ** 63 else object)
 
 
 def _from_cells(shape, cells, dtype=np.int64):

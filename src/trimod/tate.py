@@ -17,6 +17,8 @@ window gives the same verdict.  The shifts Omega x and Omega^2 x come from
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import constructions as con
 from .classify import EXTERIOR, classify
 from . import modules as md
@@ -89,21 +91,15 @@ def cofiber_stmod(f):
     R = M.ring
     emb = md.injective_envelope(M)
     I = emb.target
-    g_total = I.generators + N.generators
     # the relations of I(M) + N, then the columns of (emb, f)
     rels = [[R.zero()] * I.generators + col for col in N.relations]
     rels += [a + b for a, b in zip(emb.columns(), f.columns())]
-    C = md.FiniteModule(R, g_total, rels)
-    # N -> C: include into the sum, then project
-    inc_mat = [[R.zero()] * N.generators for _ in range(g_total)]
-    for i in range(N.generators):
-        inc_mat[I.generators + i][i] = R.one()
-    n_to_c = md.ModuleMap(N, C, inc_mat)
+    C = md.FiniteModule(R, I.generators + N.generators, rels)
+    # N -> C: the generators of C after those of I(M)
+    n_to_c = md._map_from_images(N, C, md._generator_images(C)[:, I.generators:], check=True)
     # C -> Omega^-1 M: forget N, land in I(M)/M
-    out_mat = [[R.zero()] * g_total for _ in range(I.generators)]
-    for i in range(I.generators):
-        out_mat[i][i] = R.one()
-    c_to_omega = md.ModuleMap(C, md.heller_inverse(M), out_mat)
+    Om = md.heller_inverse(M)
+    c_to_omega = md._map_from_images(C, Om, np.pad(md._generator_images(Om), ((0, 0), (0, N.generators))), check=True)
     return C, n_to_c, c_to_omega
 
 

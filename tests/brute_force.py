@@ -20,7 +20,9 @@ the library's cells.  From them `map_slice` assembles a DG map's slice
 matrix block by block, where the library reads it off the map's cone,
 `slice_differential` a module's, one callback per block, where the library
 adds the nonzero cells of its entries' terms, and `u_action` the block
-diagonal left multiplication by u.  Congruence systems over
+diagonal left multiplication by u.  Over F_p,
+`dense_rref` eliminates dense rows of Python integers at any prime, where
+the library keeps sparse rows.  Congruence systems over
 Z/m have a dense reference too: `dense_congruence_kernel`,
 `dense_congruence_solve` and `dense_remainder` read their answers off the
 batch Hermite form `batch_hnf_columns` with the moduli columns m_i e_i
@@ -457,6 +459,27 @@ def batch_hnf_columns(cols, dim):
                 q = qcol[prow] // pcol[prow]
                 fixed[jdx] = (qrow, [x - q * y for x, y in zip(qcol, pcol)])
     return tuple((prow, tuple(col)) for prow, col in fixed)
+
+
+def dense_rref(A, p):
+    """(rows, pivots): Gauss-Jordan elimination of the list of rows A over
+    F_p on dense rows of Python integers, the reduced echelon rows in pivot
+    order followed by zero rows to the height of A."""
+    rows = [[x % p for x in row] for row in A]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for k, row in enumerate(rows):
+            if k != r and row[c]:
+                rows[k] = [(x - row[c] * y) % p for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return rows, pivots
 
 
 def _moduli_cols(moduli):

@@ -197,6 +197,25 @@ def test_only_the_spin_grows_a_subgroup_in_place():
     assert _stray(_grow_calls, {("rings", "algebra_generators")}) == []
 
 
+def _int64_refusals(tree):
+    """(scope, line) of each raise of UnsupportedCoefficients whose message
+    names int64."""
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                and getattr(node.exc.func, "id", None) == "UnsupportedCoefficients" \
+                and any(isinstance(c, ast.Constant) and "int64" in str(c.value)
+                        for arg in node.exc.args for c in ast.walk(arg)):
+            yield scope, node.lineno
+
+
+def test_only_the_dg_model_refuses_a_prime_for_int64():
+    # the field lane eliminates in Python integers at every prime; the DG
+    # model, which multiplies int64 entries elementwise, refuses p * p >= 2**63
+    assert _stray(_int64_refusals, {("dga", "build_two_generator_dga")}) == []
+    dga = ast.parse((ROOT / "src" / "trimod" / "dga.py").read_text(encoding="utf-8"))
+    assert [scope for scope, _ in _int64_refusals(dga)] == [("build_two_generator_dga",)]
+
+
 def _weight_parameters(tree):
     """(scope, line) of each function parameter named `weight`."""
     for scope, node in _scoped_nodes(tree):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute_force import batch_hnf_columns, dense_congruence_kernel, dense_congruence_solve, dense_remainder
+from brute_force import batch_hnf_columns, dense_congruence_kernel, dense_congruence_solve, dense_remainder, dense_rref
 from trimod import linalg
 from trimod.errors import ShapeMismatch, UnsupportedCoefficients
 
@@ -252,25 +252,25 @@ def test_is_prime_is_deterministic_miller_rabin():
 
 
 def test_modp_overflow_guard():
-    # p*p overflows int64, where elimination would return a wrong (empty) kernel
-    p = 4294967311
-    with pytest.raises(UnsupportedCoefficients):
-        linalg.modp_kernel([[p - 1, p - 1], [1, 1]], p)
-    with pytest.raises(UnsupportedCoefficients):
-        linalg.Subgroup([[p - 1, p - 1], [1, 1]], [p, p])
-    # a prime just below the bound is still exact
+    # past p * p >= 2**63 the field lane is exact: it eliminates in Python
+    # integers, so kernels, spans and sizes are those of a pure-Python reading
     q = 3037000493
-    assert linalg.modp_kernel([[q - 1, q - 1], [1, 1]], q) == [[q - 1, 1]]
-    # a span that holds nothing answers exactly also where insertion refuses
-    E = linalg.Subgroup([], [p, p])
-    assert not E.contains([1, 0]) and E.contains([p, 0]) and E.remainder([1, p + 2]) == [1, 2]
-    assert E.size() == 1 and E == linalg.Subgroup([], [p, p]) == E.extend([])
-    with pytest.raises(UnsupportedCoefficients):
-        E.extend([[1, 0]])
-    S = linalg.Subgroup([[q - 1, q - 1], [1, 1]], [q, q])
-    assert S.size() == q and S.contains([2, 2]) and not S.contains([1, 2])
+    for p in (q, 4294967311, 9223372036854775837):
+        A = [[p - 1, p - 1], [1, 1]]
+        assert linalg.modp_kernel(A, p) == [[p - 1, 1]]
+        assert python_product(A, [[p - 1], [1]], p) == [[0], [0]]
+        S = linalg.Subgroup(A, [p, p])
+        assert S.cols() == dense_rref(A, p)[0][:1] == [[1, 1]]
+        assert S.size() == p and S.contains([2, 2]) and not S.contains([1, 2])
+        assert S.remainder([1, p + 2]) == dense_remainder(A, [1, p + 2], [p, p]) == [0, 1]
+        E = linalg.Subgroup([], [p, p])
+        assert not E.contains([1, 0]) and E.contains([p, 0]) and E.remainder([1, p + 2]) == [1, 2]
+        assert E.size() == 1 and E == linalg.Subgroup([], [p, p]) == E.extend([])
+        assert E.extend([[1, 0]]).size() == p and E.extend([[1, 0]]).extend(A).size() == p * p
+        assert linalg.modp_rank([[2, 3], [p - 4, p - 6]], p) == 1
     assert linalg.modp_matmul(np.array([[q - 1]]), np.array([[q - 1]]), q).tolist() == [[1]]
     # past its int64 bound the product is exact, in Python integers
+    p = 4294967311
     for A, B, r in (([[q - 1, q - 1]], [[q - 1], [q - 1]], q), ([[1, p - 1, 2]], [[p - 1], [p - 2], [3]], p)):
         got = linalg.modp_matmul(np.array(A, dtype=np.int64), np.array(B, dtype=np.int64), r)
         assert got.dtype == np.int64 and got.tolist() == python_product(A, B, r)
@@ -312,8 +312,10 @@ def test_sparse_rows_match_a_pure_python_reading(case):
     got = linalg._sparse_rows(A, p)
     assert got == want
     assert all(type(x) is (int if p else Fraction) for row in got for x in row.values())
-    with pytest.raises(UnsupportedCoefficients):
-        linalg._sparse_rows(A, 4294967311)
+    # a prime whose square passes int64 reads integer cells exactly too
+    P = 4294967311
+    if all(Fraction(x).denominator == 1 for row in cells for x in row):
+        assert linalg._sparse_rows(A, P) == [{c: x % P for c, x in enumerate(row) if x % P} for row in cells]
 
 
 @st.composite

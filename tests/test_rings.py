@@ -135,14 +135,15 @@ def test_generator_check_sums_modulo_the_orders():
     assert [rings._associator(R, s) for s in (1, 2)] == [None, None]
 
 
-def test_validate_rings_over_a_prime_too_large_for_the_spin():
-    # Subgroup refuses p * p >= 2**63, so every basis element is checked
+def test_validate_rings_over_a_prime_whose_square_passes_int64():
+    # the spin is exact at every prime, so t alone generates F_p[t]/(t^3)
     p = 2 ** 61 - 1
     assert con.z_mod(p).dim == 1 and con.truncated_polynomial(p, 2).dim == 2
-    with pytest.raises(UnsupportedCoefficients):
-        algebra_generators(con.truncated_polynomial(p, 3))
-    # a a = b, b b = a and a b = 0: (a a) b = a, but a (a b) = 0
+    assert algebra_generators(con.truncated_polynomial(p, 3)) == [1]
+    # a a = b, b b = a and a b = 0: (a a) b = a, but a (a b) = 0; a spins 1
+    # to the whole ring, and its associator names the failure
     R = _unital(p, [("one", 0), ("a", 0), ("b", 0)], {(1, 1): [(1, 2, 0)], (2, 2): [(1, 1, 0)]})
+    assert algebra_generators(R) == reference_algebra_generators(R) == [1]
     with pytest.raises(AssociativityViolation) as e:
         validate_ring(R)
     assert e.value.indices == (1, 1, 2)
