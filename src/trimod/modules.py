@@ -3,9 +3,10 @@
 A module is presented as R^g / (R-span of the relation columns): the public
 form is `generators`, `relations` and `ring`.  It holds the constants of that
 presentation, set once when it is made: `dtype`, `ambient_moduli` (the
-orders of the g * dim(R) flattened coordinates) and the flattened
-`relation_array`.  Next to them each module caches one additive form, from
-which every module computation is made:
+orders of the g * dim(R) flattened coordinates) and `relation_array`, one
+row of flattened coordinates per relation column, from which `relations`
+reads the columns back over the ring.  Next to them each module caches one
+additive form, from which every module computation is made:
 
 * `quotient()` = (qmoduli, proj, lift): the additive group as Z/q_1 x ... x
   Z/q_r, with proj taking the flattened coordinates of R^g (g * dim(R)
@@ -18,10 +19,13 @@ N's quotient coordinates, and the columns concatenated are its hom
 coordinates.  Hom(M, N) is the congruence kernel of "every relation of M,
 applied to those images, is zero in N", with no further unknowns.
 Composition, kernels, images and factorizations are products and congruence
-systems on these arrays.  A matrix over the ring enters only through the
-`ModuleMap` constructor, and is lifted back from the images only for the
-relation columns of a presentation.  Each array has its module's dtype,
-the `rings.int_dtype` of (g + 1) * dim(R) terms, and each product sums over
+systems on these arrays.  Ring elements enter the layer only at the public
+`FiniteModule` constructor, which flattens the relation columns once, and as
+the multipliers of `act_all`; they leave it only through `relations`.  The
+library builds kernels, cokernels and cofibers from integer relation rows
+(`_presented`), and every map from its image array (`ModuleMap`).  Each
+array has its module's dtype, the `rings.int_dtype` of (g + 1) * dim(R)
+terms, and each product sums over
 one module's coordinates with an operand of that module's dtype, so int64
 sums cannot overflow.  Arrays are reduced (`_reduce`) by columns of the
 ambient and quotient moduli that the module holds in its dtype, the second
@@ -52,9 +56,9 @@ that span has |Hom(M, N)| elements, the order that the elimination of Hom
 returns with its generators (`linalg.congruence_kernel_order`).
 
 A module is its presentation.  Constructing one with the ring, generator
-count and relation columns of an existing module returns that object, from a
-table in the ring's cache that is freed with the ring; so equal
-presentations share one cache per ring.  The quotient form, covers,
+count and relation rows of an existing module returns that object, from a
+table in the ring's cache that is freed with the ring (`_presented`); so
+equal presentations share one cache per ring.  The quotient form, covers,
 syzygies, envelopes and stable homs are computed once per presentation
 (`rings.per_object`, keyed by the function and its further arguments), so
 the Heller shifts of a module with Omega^2 k = k (as over F_p[t]/(t^{p^n}))
@@ -67,6 +71,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -129,45 +134,29 @@ def _closure(mats, vecs):
 
 
 class FiniteModule:
-    """R^g modulo the R-span of a relations matrix over R, one object per
-    presentation (see the module docstring)."""
+    """R^g modulo the R-span of relation columns, each g elements of R; one
+    object per presentation (see the module docstring)."""
 
     def __new__(cls, ring, generators, relations):
         if ring.periodicity is not None or ring.char == 0 or any(ring.degrees):
             raise ShapeMismatch("modules require a finite ungraded coefficient ring")
         g = int(generators)
-        if g * ring.dim > rc.MAX_TABLE_DIM ** 2:
-            raise SizeCapExceeded(f"{g} generators times ring dimension {ring.dim} above {rc.MAX_TABLE_DIM ** 2}")
+        if g < 0:
+            raise ShapeMismatch(f"generator count must be nonnegative, got {g}")
         relations = [list(col) for col in relations]
         if any(len(col) != g for col in relations):
             raise ShapeMismatch("relation column length must match generator count")
-        flat = tuple(tuple(c for x in col for c in ring.full_coords(x)) for col in relations)
-        table = ring._cache.setdefault("modules", {})
-        if (g, flat) not in table:
-            M = table[g, flat] = super().__new__(cls)
-            M.ring, M.generators, M.relations, M._cache = ring, g, relations, {}
-            # the integer dtype of this module's arrays, and the moduli of its
-            # flattened coordinates (see the module docstring)
-            M.dtype = rc.int_dtype(ring, (g + 1) * ring.dim)
-            M.ambient_moduli = tuple(ring.orders) * g
-            M._ambient_column = _column(M.ambient_moduli, M.dtype)
-            # the flattened relation columns, one row each
-            M.relation_array = np.array(flat, dtype=M.dtype).reshape(len(flat), g * ring.dim)
-            M.relation_array.setflags(write=False)
-        return table[g, flat]
+        if not all(isinstance(x, rc.RingElement) and x.ring is ring for col in relations for x in col):
+            raise ShapeMismatch("relation entries must be elements of the module's ring")
+        return _presented(ring, g, [[c for x in col for c in ring.full_coords(x)] for col in relations])
 
-    # -- coordinates -----------------------------------------------------
-
-    def flatten(self, col):
-        """Column of g ring elements -> integer vector of length g*dim."""
-        out = []
-        for x in col:
-            out.extend(self.ring.full_coords(x))
-        return out
-
-    def unflatten(self, vec):
-        D = self.ring.dim
-        return [self.ring.from_full_coords(vec[i * D:(i + 1) * D]) for i in range(self.generators)]
+    @property
+    def relations(self):
+        """The relation columns as lists of ring elements, read off
+        `relation_array`."""
+        R, D = self.ring, self.ring.dim
+        return [[R.from_full_coords(row[i * D:(i + 1) * D]) for i in range(self.generators)]
+                for row in self.relation_array.tolist()]
 
     @rc.per_object
     def quotient(self):
@@ -204,17 +193,6 @@ class FiniteModule:
         C = np.array([self.ring.full_coords(x) for x in xs], dtype=self.dtype)
         return self.act_coords(C.reshape(len(xs), self.ring.dim))
 
-    def coords(self, col):
-        """Quotient coordinates of a column of g ring elements."""
-        P = self.quotient()[1]
-        return _reduce(P @ np.array(self.flatten(col), dtype=self.dtype).reshape(P.shape[1], 1),
-                       self._quotient_column)[:, 0].tolist()
-
-    def column(self, v):
-        """A column of g ring elements with the quotient coordinates v."""
-        L = self.quotient()[2]
-        return self.unflatten((L @ np.array(v, dtype=L.dtype).reshape(L.shape[1])).tolist())
-
     def canonical_additive(self):
         """The elementary divisors of the additive group, sorted: each cyclic
         order split into its prime-power parts, since the Smith form of the
@@ -225,7 +203,31 @@ class FiniteModule:
         return math.prod(self.quotient()[0])
 
     def __repr__(self):
-        return f"FiniteModule(g={self.generators}, rel={len(self.relations)}, over {self.ring!r})"
+        return f"FiniteModule(g={self.generators}, rel={len(self.relation_array)}, over {self.ring!r})"
+
+
+def _presented(ring, g, rows):
+    """R^g modulo the R-span of the rows, each a relation column's reduced
+    flattened coordinates: the module made before from the same ring, g and
+    rows, else a new one, entered in the ring's table once complete."""
+    if g * ring.dim > rc.MAX_TABLE_DIM ** 2:
+        raise SizeCapExceeded(f"{g} generators times ring dimension {ring.dim} above {rc.MAX_TABLE_DIM ** 2}")
+    flat = tuple(map(tuple, np.asarray(rows, dtype=object).tolist()))
+    table = ring._cache.setdefault("modules", {})
+    M = table.get((g, flat))
+    if M is None:
+        M = object.__new__(FiniteModule)
+        M.ring, M.generators, M._cache = ring, g, {}
+        # the integer dtype of this module's arrays, and the moduli of its
+        # flattened coordinates (see the module docstring)
+        M.dtype = rc.int_dtype(ring, (g + 1) * ring.dim)
+        M.ambient_moduli = tuple(ring.orders) * g
+        M._ambient_column = _column(M.ambient_moduli, M.dtype)
+        # the flattened relation columns, one row each
+        M.relation_array = np.array(flat, dtype=M.dtype).reshape(len(flat), g * ring.dim)
+        M.relation_array.setflags(write=False)
+        table[g, flat] = M
+    return M
 
 
 def free_module(R, rank):
@@ -255,41 +257,33 @@ class ModuleMap:
     """A map of presented modules, held as its image array `images`: column j
     is the image of source generator j in the target's quotient coordinates.
 
-    The constructor takes a g_target x g_source matrix over the ring and
-    converts it once; it must map the source relations into the target
-    relations.
+    The constructor takes that array (r_target x g_source, integers) and
+    reduces it into the target's dtype.  Anything else raises ShapeMismatch;
+    with check, images that do not send every source relation to zero raise
+    IllFormedMap.  The library's builders of maps that hold by construction
+    pass check=False.
     """
 
-    def __init__(self, source, target, matrix):
-        rows = [list(row) for row in matrix]
-        if len(rows) != target.generators or any(len(row) != source.generators for row in rows):
-            raise ShapeMismatch("map matrix shape must be g_target x g_source")
-        images = [target.coords([row[j] for row in rows]) for j in range(source.generators)]
-        self._hold(source, target, np.array(images).reshape(source.generators, len(target.quotient()[0])).T)
-
-    def _hold(self, source, target, images, check=True):
-        """Take the image array (r_target x g_source), reduced to the target's dtype."""
+    def __init__(self, source, target, images, check=True):
         self.source = source
         self.target = target
-        qm, X = target.quotient()[0], np.asarray(images)
-        # reduced in a dtype that holds the target's moduli and the images
-        X = X.astype(np.result_type(X.dtype, target.dtype)).reshape(len(qm), source.generators)
-        X = _reduce(X, target._quotient_column).astype(target.dtype)
+        shape = (len(target.quotient()[0]), source.generators)
+        try:
+            X = np.asarray(images)
+        except ValueError:  # a ragged nesting of lists
+            X = np.empty(0)
+        integral = X.dtype.kind in "iu" or X.dtype == object and all(isinstance(x, numbers.Integral) for x in X.flat)
+        if X.shape != shape or X.size and not integral:
+            raise ShapeMismatch(f"images must be an integer array of shape {shape}")
+        # reduced in a dtype that holds the target's moduli and the images;
+        # uint64 and int64 meet in float64, so uint64 goes through Python integers
+        wide = object if X.dtype == np.uint64 else np.result_type(X.dtype, target.dtype)
+        X = _reduce(X.astype(wide), target._quotient_column).astype(target.dtype)
         X.setflags(write=False)
         self.images = X
         self._cache = {}
         if check and not _kills_relations(_free_matrix(self), source, target):
-            raise IllFormedMap("matrix does not map source relations into target relations")
-
-    @property
-    def matrix(self):
-        """A g_target x g_source matrix over the ring with these images."""
-        cols = self.columns()
-        return [[col[i] for col in cols] for i in range(self.target.generators)]
-
-    def columns(self):
-        """Columns over the ring lifted from the images, one per source generator."""
-        return [self.target.unflatten(v) for v in _lifted(self).T.tolist()]
+            raise IllFormedMap("images do not send the source relations to zero")
 
     def compose(self, other):
         """self . other (apply other first)."""
@@ -299,22 +293,15 @@ class ModuleMap:
         X = other.images
         if other.target is not M:  # the same relation span: change to M's coordinates
             X = _reduce(M.quotient()[1] @ _lifted(other), M._quotient_column)
-        return _map_from_images(other.source, self.target, _map_matrix(self) @ X)
+        return ModuleMap(other.source, self.target, _map_matrix(self) @ X, check=False)
 
     def __repr__(self):
         return f"ModuleMap({self.source.generators} -> {self.target.generators})"
 
 
-def _map_from_images(M, N, X, check=False):
-    """The map M -> N with the image array X (r_N x g_M)."""
-    f = ModuleMap.__new__(ModuleMap)
-    f._hold(M, N, X, check)
-    return f
-
-
 def _map_from_hom(M, N, v):
     """The map M -> N with hom coordinates v (the images concatenated)."""
-    return _map_from_images(M, N, np.asarray(v).reshape(M.generators, len(N.quotient()[0])).T)
+    return ModuleMap(M, N, np.asarray(v).reshape(M.generators, len(N.quotient()[0])).T, check=False)
 
 
 def _lifted(f):
@@ -341,11 +328,11 @@ def _same_module(M, N):
 
 
 def identity_map(M):
-    return _map_from_images(M, M, _generator_images(M))
+    return ModuleMap(M, M, _generator_images(M), check=False)
 
 
 def zero_map(M, N):
-    return _map_from_images(M, N, np.zeros((len(N.quotient()[0]), M.generators), dtype=N.dtype))
+    return ModuleMap(M, N, np.zeros((len(N.quotient()[0]), M.generators), dtype=N.dtype), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +384,7 @@ def _hom_group(M, N):
     the images of M's generators in N's quotient coordinates that every
     relation of M kills, and their number, from one elimination."""
     rows = _combination_rows(M.relation_array, N).tolist()
-    return linalg.congruence_kernel_order(rows, list(N.quotient()[0]) * len(M.relations), _hom_moduli(M, N))
+    return linalg.congruence_kernel_order(rows, list(N.quotient()[0]) * len(M.relation_array), _hom_moduli(M, N))
 
 
 def _hom_vectors(M, N):
@@ -449,8 +436,11 @@ def submodule_from_additive(M, vecs):
     cover = _map_from_hom(free_module(M.ring, len(keep)), M, [x for i in keep for x in vecs[i]])
     F = cover.source
     ker = _kernel_vectors(cover)
-    K = FiniteModule(M.ring, len(keep), [F.column(ker[i]) for i in _module_generators(F, ker)])
-    return K, _map_from_images(K, M, cover.images)
+    kept, (qm, _, L) = [ker[i] for i in _module_generators(F, ker)], F.quotient()
+    # the kept kernel vectors lifted to F's flattened coordinates, one row each
+    rels = _reduce(L @ np.array(kept, dtype=F.dtype).reshape(len(kept), len(qm)).T, F._ambient_column).T
+    K = _presented(M.ring, len(keep), rels)
+    return K, ModuleMap(K, M, cover.images, check=False)
 
 
 def _kernel_vectors(f):
@@ -471,8 +461,8 @@ def image(f):
 def cokernel(f):
     """(C, project) with target -> C the quotient by im f."""
     N = f.target
-    C = FiniteModule(N.ring, N.generators, N.relations + f.columns())
-    return C, _map_from_images(N, C, _generator_images(C))
+    C = _presented(N.ring, N.generators, np.vstack([N.relation_array, _lifted(f).T]))
+    return C, ModuleMap(N, C, _generator_images(C), check=False)
 
 
 def _factor_through(g, f):
@@ -515,7 +505,7 @@ def projective_cover(M):
     """Minimal surjection from a free module, kernel inside P*m."""
     gens = _generator_images(M)
     keep = _module_generators(M, gens.T.tolist(), _radical(M))
-    cover = _map_from_images(free_module(M.ring, len(keep)), M, gens[:, keep])
+    cover = ModuleMap(free_module(M.ring, len(keep)), M, gens[:, keep], check=False)
     if _image_size(cover) != M.size():
         raise ShapeMismatch("cover is not surjective")
     return cover
@@ -566,7 +556,7 @@ def injective_envelope(M):
     # the kept homs, lifted to R, are the rows of the embedding into R^len(keep)
     rows = np.array([_lifted(_map_from_hom(M, Rmod, homs[i])) for i in keep], dtype=Rmod.dtype)
     F = free_module(R, len(keep))
-    emb = _map_from_images(M, F, F.quotient()[1] @ rows.reshape(len(keep) * R.dim, M.generators), check=True)
+    emb = ModuleMap(M, F, F.quotient()[1] @ rows.reshape(len(keep) * R.dim, M.generators))
     if _image_size(emb) != M.size():
         raise NotQuasiFrobenius("module does not embed into a free module")
     return emb
@@ -607,7 +597,7 @@ def omega_inverse_of_map(f):
         raise IllFormedMap("no extension over the free embeddings")
     C_N, project = _cosyzygy(N)
     g = project.compose(_map_from_hom(injective_envelope(M).target, IN, sol))
-    return _map_from_images(heller_inverse(M), C_N, g.images, check=True)
+    return ModuleMap(heller_inverse(M), C_N, g.images)
 
 
 @rc.per_object

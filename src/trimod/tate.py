@@ -91,15 +91,16 @@ def cofiber_stmod(f):
     R = M.ring
     emb = md.injective_envelope(M)
     I = emb.target
-    # the relations of I(M) + N, then the columns of (emb, f)
-    rels = [[R.zero()] * I.generators + col for col in N.relations]
-    rels += [a + b for a, b in zip(emb.columns(), f.columns())]
-    C = md.FiniteModule(R, I.generators + N.generators, rels)
+    # the relation rows of I(M) + N: those of N after zeros on I(M), then the
+    # lifted images of (emb, f), one row per generator of M
+    rels = np.vstack([np.pad(N.relation_array, ((0, 0), (I.generators * R.dim, 0))),
+                      np.hstack([md._lifted(emb).T, md._lifted(f).T])])
+    C = md._presented(R, I.generators + N.generators, rels)
     # N -> C: the generators of C after those of I(M)
-    n_to_c = md._map_from_images(N, C, md._generator_images(C)[:, I.generators:], check=True)
+    n_to_c = md.ModuleMap(N, C, md._generator_images(C)[:, I.generators:])
     # C -> Omega^-1 M: forget N, land in I(M)/M
     Om = md.heller_inverse(M)
-    c_to_omega = md._map_from_images(C, Om, np.pad(md._generator_images(Om), ((0, 0), (0, N.generators))), check=True)
+    c_to_omega = md.ModuleMap(C, Om, np.pad(md._generator_images(Om), ((0, 0), (0, N.generators))))
     return C, n_to_c, c_to_omega
 
 

@@ -42,6 +42,17 @@ Representations and Cohomology I, 2.1).  `cyclic_hom_size`,
 `cyclic_power_is_stably_zero` give the Hom groups, Heller shifts and stable
 Hom groups of these modules, for 1 <= i, j < N, and `cyclic_sum_syzygy` the
 Heller shift of a sum of them.
+
+The module layer holds integer arrays only: a map is its image array, and a
+presentation its flattened relation rows.  Its earlier ring-element forms are
+references here: `flatten`, `unflatten`, `coords` and `column` convert a
+column of ring elements to and from a module's coordinates, `map_from_matrix`
+makes a map from a g_target x g_source matrix over the ring, and
+`map_columns` and `map_matrix` lift a map's images back to ring elements.
+`kernel_presentation`, `cokernel_presentation` and `cofiber_presentation`
+give the generator count and relation columns, over the ring, of the
+presentations the library built from ring elements before it built them
+from integer rows.
 """
 
 import functools
@@ -51,6 +62,7 @@ import math
 import numpy as np
 
 from trimod import dga, linalg, rings
+from trimod import modules as md
 from trimod.errors import NotLocal, ParityObstruction, ShapeMismatch, WeightOverflow
 from trimod.rings import Ideal, RingElement, maximal_ideal
 
@@ -133,6 +145,81 @@ def module_elements(M):
     qm, _, L = M.quotient()
     for combo in itertools.product(*[range(m) for m in qm]):
         yield (L @ np.array(combo, dtype=L.dtype).reshape(len(qm))).tolist()
+
+
+def flatten(M, col):
+    """A column of M.generators ring elements as its flattened full
+    coordinates, g * dim(R) integers."""
+    return [c for x in col for c in M.ring.full_coords(x)]
+
+
+def unflatten(M, vec):
+    """Flattened full coordinates as a column of M.generators ring elements."""
+    D = M.ring.dim
+    return [M.ring.from_full_coords(vec[i * D:(i + 1) * D]) for i in range(M.generators)]
+
+
+def coords(M, col):
+    """The quotient coordinates of a column of ring elements."""
+    qm, P, _ = M.quotient()
+    v = P @ np.array(flatten(M, col), dtype=P.dtype).reshape(P.shape[1])
+    return [x % m for x, m in zip(v.tolist(), qm)]
+
+
+def column(M, v):
+    """A column of ring elements with the quotient coordinates v."""
+    L = M.quotient()[2]
+    return unflatten(M, (L @ np.array(v, dtype=L.dtype).reshape(L.shape[1])).tolist())
+
+
+def map_from_matrix(M, N, matrix):
+    """The map M -> N of a g_N x g_M matrix over the ring: column j, read in
+    N's quotient coordinates, is the image of generator j.  Refused with
+    IllFormedMap unless it sends the relations of M to zero."""
+    images = [coords(N, [row[j] for row in matrix]) for j in range(M.generators)]
+    return md.ModuleMap(M, N, np.array(images, dtype=N.dtype).reshape(M.generators, len(N.quotient()[0])).T)
+
+
+def map_columns(f):
+    """Columns over the ring lifted from f's images, one per source generator."""
+    return [column(f.target, v) for v in f.images.T.tolist()]
+
+
+def map_matrix(f):
+    """A g_target x g_source matrix over the ring with f's images."""
+    cols = map_columns(f)
+    return [[col[i] for col in cols] for i in range(f.target.generators)]
+
+
+def kernel_presentation(f):
+    """(generators, relation columns over the ring) of ker f, on the greedy
+    generators and relations that `modules.kernel` keeps, with the cover of
+    the kernel made from ring elements."""
+    M = f.source
+    vecs = md._kernel_vectors(f)
+    keep = md._module_generators(M, vecs)
+    F = md.free_module(M.ring, len(keep))
+    cols = [column(M, vecs[i]) for i in keep]
+    cover = map_from_matrix(F, M, [[col[r] for col in cols] for r in range(M.generators)])
+    ker = md._kernel_vectors(cover)
+    return len(keep), [column(F, ker[i]) for i in md._module_generators(F, ker)]
+
+
+def cokernel_presentation(f):
+    """(generators, relation columns over the ring) of coker f: the
+    relations of the target, then the lifted images of f."""
+    return f.target.generators, f.target.relations + map_columns(f)
+
+
+def cofiber_presentation(f):
+    """(generators, relation columns over the ring) of the cofiber of f: the
+    cokernel of (emb, f): M -> I(M) + N, for emb the injective envelope of M."""
+    M, N = f.source, f.target
+    R, emb = M.ring, md.injective_envelope(M)
+    I = emb.target
+    rels = [[R.zero()] * I.generators + col for col in N.relations]
+    rels += [a + b for a, b in zip(map_columns(emb), map_columns(f))]
+    return I.generators + N.generators, rels
 
 
 class Factor:

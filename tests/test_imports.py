@@ -162,8 +162,26 @@ def _cache_writes(tree):
 
 def test_only_per_object_writes_caches():
     # a memo entry is written by rings.per_object (a call or its seed), and
-    # a module is interned by FiniteModule.__new__; nothing else writes a cache
-    assert _stray(_cache_writes, {("rings", "per_object"), ("modules", "FiniteModule", "__new__")}) == []
+    # a module is interned by modules._presented; nothing else writes a cache
+    assert _stray(_cache_writes, {("rings", "per_object"), ("modules", "_presented")}) == []
+
+
+def _coordinate_conversions(tree):
+    """(scope, line) of each reference to an attribute named `full_coords`
+    or `from_full_coords`: a ring element read into integers, or back."""
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("full_coords", "from_full_coords"):
+            yield scope, node.lineno
+
+
+def test_ring_elements_enter_and_leave_modules_at_four_sites():
+    # the module layer works in integer coordinates: ring elements enter at
+    # the public constructor, the ring action and the generators' images,
+    # and leave only through the relations property
+    tree = ast.parse((ROOT / "src" / "trimod" / "modules.py").read_text(encoding="utf-8"))
+    assert {scope for scope, _ in _coordinate_conversions(tree)} == {
+        ("FiniteModule", "__new__"), ("FiniteModule", "relations"), ("FiniteModule", "act_all"),
+        ("_generator_images",)}
 
 
 def _product_lookups(tree):

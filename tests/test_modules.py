@@ -8,12 +8,25 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from brute_force import module_elements
+from brute_force import (
+    cofiber_presentation,
+    cokernel_presentation,
+    column,
+    coords,
+    flatten,
+    kernel_presentation,
+    map_columns,
+    map_from_matrix,
+    map_matrix,
+    module_elements,
+    unflatten,
+)
 
 from trimod import constructions as con
 from trimod import linalg
 from trimod import modules as md
 from trimod import rings as rc
+from trimod import tate
 from trimod.errors import IllFormedMap, NotQuasiFrobenius, ShapeMismatch, SizeCapExceeded
 from trimod.modules import (
     FiniteModule,
@@ -72,15 +85,15 @@ def unit_columns(M):
 
 def compose(R, g, f):
     """Reference: the columns of g . f over R, g's matrix times each column of f."""
-    G = g.matrix
-    return [apply_column(R, G, col) for col in f.columns()]
+    G = map_matrix(g)
+    return [apply_column(R, G, col) for col in map_columns(f)]
 
 
 def test_mult_by_two_on_z4():
     R = z4()
     M = free_module(R, 1)
     two = R.one() + R.one()
-    f = ModuleMap(M, M, [[two]])
+    f = map_from_matrix(M, M, [[two]])
     K, _ = kernel(f)
     I, _ = image(f)
     C, _ = cokernel(f)
@@ -104,7 +117,7 @@ def test_augmentation_kernel_f3t3():
     R = f3t3()
     M = free_module(R, 1)
     k = residue_module(R)
-    proj = ModuleMap(M, k, [[R.one()]])
+    proj = map_from_matrix(M, k, [[R.one()]])
     K, _ = kernel(proj)
     assert K.size() == 9
 
@@ -114,7 +127,7 @@ def test_exactness_count_random_maps():
     M = free_module(R, 1)
     two = R.one() + R.one()
     for mat in ([[R.zero()]], [[R.one()]], [[two]]):
-        f = ModuleMap(M, M, mat)
+        f = map_from_matrix(M, M, mat)
         K, _ = kernel(f)
         I, _ = image(f)
         assert K.size() * I.size() == M.size()
@@ -125,24 +138,66 @@ def test_ill_formed_map_rejected():
     M = quotient_module(R, [R.one() + R.one()])  # Z/2
     N = free_module(R, 1)
     with pytest.raises(IllFormedMap):
-        ModuleMap(M, N, [[R.one()]])  # 1 does not kill the relation 2
+        map_from_matrix(M, N, [[R.one()]])  # 1 does not kill the relation 2
+    # the constructor takes image arrays: integers of shape r_target x g_source
+    assert ModuleMap(N, M, [[1]]).images.tolist() == [[1]]
+    # images reduced into the target's coordinates, whatever their integers;
+    # 2**63 + 1 comes in as uint64, which meets int64 in float64
+    assert ModuleMap(N, N, np.array([[-1]], dtype=object)).images.tolist() == [[3]]
+    assert ModuleMap(N, N, [[2 ** 63 + 1]]).images.tolist() == [[1]]
+    for images in ([1], [[1, 0]], [[1], [0]], np.zeros((1, 1, 1), dtype=np.int64), [], [[1], [0, 1]],
+                   [[1.5]], [[True]], [[R.one()]], np.array([[1.0]], dtype=object)):
+        with pytest.raises(ShapeMismatch):
+            ModuleMap(N, M, images)
+        with pytest.raises(ShapeMismatch):
+            ModuleMap(N, M, images, check=False)
+    # 1 and 3 do not kill the relation 2; 2 does
+    for x in (1, 3):
+        with pytest.raises(IllFormedMap):
+            ModuleMap(M, N, [[x]])
+    assert ModuleMap(M, N, [[2]]).images.tolist() == [[2]]
+    # a builder of maps that hold by construction skips the relation check
+    assert ModuleMap(M, N, [[1]], check=False).images.tolist() == [[1]]
+
+
+def test_a_refused_presentation_is_not_interned():
+    R = z4()
+    for _ in range(2):
+        with pytest.raises(ShapeMismatch, match="nonnegative"):
+            FiniteModule(R, -1, [])
+    assert all(g >= 0 for g, _ in R._cache.get("modules", {}))
+    with pytest.raises(SizeCapExceeded):
+        FiniteModule(R, rc.MAX_TABLE_DIM ** 2 + 1, [])
+    assert all(0 <= g <= rc.MAX_TABLE_DIM ** 2 for g, _ in R._cache.get("modules", {}))
+    assert free_module(R, 1).size() == 4
+
+
+def test_relation_entries_lie_over_the_modules_ring():
+    R, S = z4(), f2x()
+    # z4() builds an equal ring apart from R, whose elements are not R's
+    for entry in (S.basis_element(1), S.one(), z4().one(), 2, None):
+        with pytest.raises(ShapeMismatch, match="ring"):
+            FiniteModule(R, 1, [[entry]])
+        with pytest.raises(ShapeMismatch, match="ring"):
+            FiniteModule(R, 2, [[R.one(), R.zero()], [R.zero(), entry]])
+    assert FiniteModule(R, 1, [[R.one() * 2]]).size() == 2
 
 
 def test_compose_checks_the_middle_module():
     R = f3t3()
     t = t_elem(R)
     F1, F2 = free_module(R, 1), free_module(R, 2)
-    f = ModuleMap(F1, F2, [[R.one()], [t]])
+    f = map_from_matrix(F1, F2, [[R.one()], [t]])
     # same ring, other generator count: used to return a 1 -> 1 map
     with pytest.raises(ShapeMismatch):
         identity_map(F1).compose(f)
     # same ring and generator count, other relation span
     Q, Q_unit, Q_t = (quotient_module(R, [x]) for x in (t * t, t * t * (R.one() + t), t))
     with pytest.raises(ShapeMismatch):
-        identity_map(Q_t).compose(ModuleMap(Q, Q, [[R.one()]]))
+        identity_map(Q_t).compose(map_from_matrix(Q, Q, [[R.one()]]))
     # an equal presentation in another object composes
-    g = identity_map(Q_unit).compose(ModuleMap(Q, Q, [[t]]))
-    assert g.source is Q and g.target is Q_unit and g.matrix == [[t]]
+    g = identity_map(Q_unit).compose(map_from_matrix(Q, Q, [[t]]))
+    assert g.source is Q and g.target is Q_unit and map_matrix(g) == [[t]]
     # over Z/4 an equal presentation can carry other quotient coordinates,
     # which the composite must be read in
     Z = z4()
@@ -150,8 +205,8 @@ def test_compose_checks_the_middle_module():
     A = FiniteModule(Z, 2, [[one * 3, one * 3]])
     B = FiniteModule(Z, 2, [[one * 3, one * 3], [one * 2, one * 2]])
     assert A.quotient()[1].tolist() != B.quotient()[1].tolist()
-    h = identity_map(B).compose(ModuleMap(A, A, [[one, zero], [zero, one]]))
-    assert h.target is B and h.images.T.tolist() == [B.coords([one, zero]), B.coords([zero, one])]
+    h = identity_map(B).compose(map_from_matrix(A, A, [[one, zero], [zero, one]]))
+    assert h.target is B and h.images.T.tolist() == [coords(B, [one, zero]), coords(B, [zero, one])]
 
 
 def test_act_all_matches_per_element_products():
@@ -180,7 +235,7 @@ def test_act_all_matches_per_element_products():
             old = [row for c in cols for row in np.hstack(
                 [np.zeros((r, 0), dtype=A.dtype)] + [act_one(x) for x in c]).tolist()]
             width = len(cols[0]) * R.dim if cols else 0
-            C = np.array([M.flatten(c) for c in cols], dtype=A.dtype).reshape(len(cols), width)
+            C = np.array([flatten(M, c) for c in cols], dtype=A.dtype).reshape(len(cols), width)
             assert md._combination_rows(C, M).tolist() == old
 
 
@@ -200,7 +255,7 @@ def test_action_matches_ring_multiplication():
             x = R.from_full_coords([rng.randrange(o) for o in R.orders])
             v = [rng.randrange(m) for m in qm]
             got = [a % m for a, m in zip(linalg.apply_matrix(M.act_all([x])[0].tolist(), v), qm)]
-            assert got == M.coords([x * y for y in M.column(v)])
+            assert got == coords(M, [x * y for y in column(M, v)])
 
 
 def is_projective(M):
@@ -271,7 +326,7 @@ def test_iso_test_examples():
     S = f3t3()
     t = t_elem(S)
     sub = quotient_module(S, [t * t])
-    aug = ModuleMap(free_module(S, 1), residue_module(S), [[S.one()]])
+    aug = map_from_matrix(free_module(S, 1), residue_module(S), [[S.one()]])
     K, _ = kernel(aug)
     assert iso_test(K, sub)
     # cyclic against split: the Smith form may give Z/6 or Z/2 x Z/3
@@ -398,15 +453,15 @@ def test_heller_cube_random_sums(seed):
 def _draw_module(data, R):
     """A cyclic or two-generator module with up to three random relations."""
     g = data.draw(st.integers(1, 2))
-    coords = st.tuples(*[st.integers(0, o - 1) for o in R.orders])
-    rels = data.draw(st.lists(st.lists(coords, min_size=g, max_size=g), max_size=3))
+    entries = st.tuples(*[st.integers(0, o - 1) for o in R.orders])
+    rels = data.draw(st.lists(st.lists(entries, min_size=g, max_size=g), max_size=3))
     return FiniteModule(R, g, [[R.from_full_coords(list(c)) for c in col] for col in rels])
 
 
 def _relation_span(N):
     """The relations of N times every ring basis element, as one subgroup."""
     R = N.ring
-    cols = [N.flatten([x * R.basis_element(l) for x in col]) for col in N.relations for l in range(R.dim)]
+    cols = [flatten(N, [x * R.basis_element(l) for x in col]) for col in N.relations for l in range(R.dim)]
     return linalg.Subgroup(cols, N.ambient_moduli)
 
 
@@ -421,18 +476,18 @@ def test_hom_group_against_brute_force(ring, data):
     # every returned map sends each relation of M into the relations of N
     for F in homs:
         for col in M.relations:
-            assert rel_N.contains(N.flatten(apply_column(R, F.matrix, col)))
+            assert rel_N.contains(flatten(N, apply_column(R, map_matrix(F), col)))
     # the span of the maps, as generator images modulo the relations of N
     g, width = M.generators, len(N.ambient_moduli)
-    images = [[x for col in unit_columns(M) for x in N.flatten(apply_column(R, F.matrix, col))] for F in homs]
+    images = [[x for col in unit_columns(M) for x in flatten(N, apply_column(R, map_matrix(F), col))] for F in homs]
     rels = [[0] * (j * width) + c + [0] * ((g - 1 - j) * width) for j in range(g) for c in rel_N.cols()]
     span_size = linalg.Subgroup(images + rels, N.ambient_moduli * g).size() // rel_N.size() ** g
     # |Hom(M, N)|: every choice of generator images that kills each relation
-    elements = [N.unflatten(v) for v in module_elements(N)]
+    elements = [unflatten(N, v) for v in module_elements(N)]
     count = 0
     for images in itertools.product(elements, repeat=M.generators):
         count += all(
-            rel_N.contains(N.flatten([
+            rel_N.contains(flatten(N, [
                 sum((c * n[i] for c, n in zip(col, images)), R.zero()) for i in range(N.generators)
             ]))
             for col in M.relations
@@ -450,7 +505,7 @@ def _random_hom(data, M, N):
 
 def _images(N, cols):
     """Columns over the ring in N's quotient coordinates, one list each."""
-    return [N.coords(col) for col in cols]
+    return [coords(N, col) for col in cols]
 
 
 @settings(max_examples=60, deadline=None)
@@ -458,21 +513,21 @@ def _images(N, cols):
 def test_map_arrays_against_ring_arithmetic(ring, data):
     R = ring()
     M, N, P = (_draw_module(data, R) for _ in range(3))
-    coords = st.tuples(*[st.integers(0, o - 1) for o in R.orders])
+    entries = st.tuples(*[st.integers(0, o - 1) for o in R.orders])
     # a matrix over the ring is a map exactly when it sends the relations of
     # M into those of N, and then its images are those of its columns
-    mat = [[R.from_full_coords(list(data.draw(coords))) for _ in range(M.generators)] for _ in range(N.generators)]
+    mat = [[R.from_full_coords(list(data.draw(entries))) for _ in range(M.generators)] for _ in range(N.generators)]
     cols = [[row[j] for row in mat] for j in range(M.generators)]
-    if all(not any(N.coords(apply_column(R, mat, col))) for col in M.relations):
-        assert ModuleMap(M, N, mat).images.T.tolist() == _images(N, cols)
+    if all(not any(coords(N, apply_column(R, mat, col))) for col in M.relations):
+        assert map_from_matrix(M, N, mat).images.T.tolist() == _images(N, cols)
     else:
         with pytest.raises(IllFormedMap):
-            ModuleMap(M, N, mat)
+            map_from_matrix(M, N, mat)
     f, g = _random_hom(data, M, N), _random_hom(data, N, P)
     assert g.compose(f).images.T.tolist() == _images(P, compose(R, g, f))
     # g . f factors through g, and the factor h has g . h = g . f
     gf_cols = compose(R, g, f)
-    gf = ModuleMap(M, P, [[col[i] for col in gf_cols] for i in range(P.generators)])
+    gf = map_from_matrix(M, P, [[col[i] for col in gf_cols] for i in range(P.generators)])
     h = md._factor_through(gf, g)
     assert h.source is M and h.target is N
     assert _images(P, compose(R, g, h)) == _images(P, gf_cols)
@@ -481,9 +536,9 @@ def test_map_arrays_against_ring_arithmetic(ring, data):
     try:
         h = md._factor_through(k, g)
     except IllFormedMap:
-        homs = [H.columns() for H in md.hom_group(M, N)]
+        homs = [map_columns(H) for H in md.hom_group(M, N)]
         assume(R.char ** len(homs) <= 256)
-        G = g.matrix
+        G = map_matrix(g)
         for combo in itertools.product(range(R.char), repeat=len(homs)):
             cols = [[sum((H[j][i] * c for c, H in zip(combo, homs)), R.zero()) for i in range(N.generators)]
                     for j in range(M.generators)]
@@ -661,3 +716,43 @@ def test_stable_hom_scan_stops_at_the_whole_group(name, monkeypatch):
         assert asked == homs[:len(asked)] and len(asked) <= until, (M, N)
     # the span is whole before the last generator on some pairs
     assert cut
+
+
+def _seeded_modules(R, seed):
+    """Six modules on 1 to 3 generators with up to three seeded relations."""
+    rng, mods = random.Random(seed), []
+    for g in (1, 2, 3) * 2:
+        rels = [[R.from_full_coords([rng.randrange(o) for o in R.orders]) for _ in range(g)]
+                for _ in range(rng.randint(0, 3))]
+        mods.append(FiniteModule(R, g, rels))
+    return mods
+
+
+def _seeded_maps(mods, seed, count=8):
+    """count maps between seeded pairs of the modules, each a seeded
+    combination of the Hom generators."""
+    rng, maps = random.Random(seed), []
+    for _ in range(count):
+        M, N = rng.choice(mods), rng.choice(mods)
+        homs, moduli = md._hom_vectors(M, N), md._hom_moduli(M, N)
+        coeffs = [rng.randrange(M.ring.char) for _ in homs]
+        maps.append(md._map_from_hom(M, N, [sum(c * h[i] for c, h in zip(coeffs, homs)) % m
+                                            for i, m in enumerate(moduli)]))
+    return maps
+
+
+PINNED_RINGS = {name: build for name, (build, _) in CHAIN_RINGS.items()} | {
+    "Z/4": z4, "Z/4 x F3": lambda: con.product_ring(con.z_mod(4), con.finite_field(3))}
+
+
+@pytest.mark.parametrize("name", PINNED_RINGS)
+def test_integer_presentations_are_the_ring_element_ones(name):
+    # kernels, cokernels and cofibers, built from integer relation rows, are
+    # the very modules interned from the relation columns over the ring
+    R = PINNED_RINGS[name]()
+    e = CHAIN_RINGS[name][1] if name in CHAIN_RINGS else None
+    mods = _seeded_chain_modules(R, e, len(name)) if e else _seeded_modules(R, len(name))
+    for f in _seeded_maps(mods, len(name)):
+        assert kernel(f)[0] is FiniteModule(R, *kernel_presentation(f)), f
+        assert cokernel(f)[0] is FiniteModule(R, *cokernel_presentation(f)), f
+        assert tate.cofiber_stmod(f)[0] is FiniteModule(R, *cofiber_presentation(f)), f

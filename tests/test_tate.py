@@ -107,7 +107,7 @@ def _class_coords(f, reps, p):
         return []
     for coeffs in product(range(p), repeat=len(reps)):
         images = f.images - sum(c * r.images for c, r in zip(coeffs, reps))
-        if md.stable_class_is_zero(md._map_from_images(f.source, f.target, images)):
+        if md.stable_class_is_zero(md.ModuleMap(f.source, f.target, images)):
             return list(coeffs)
     raise AssertionError("class outside the span of representatives")
 
