@@ -19,17 +19,21 @@ N's quotient coordinates, and the columns concatenated are its hom
 coordinates.  Hom(M, N) is the congruence kernel of "every relation of M,
 applied to those images, is zero in N", with no further unknowns.
 Composition, kernels, images and factorizations are products and congruence
-systems on these arrays.  Ring elements enter the layer only at the public
-`FiniteModule` constructor, which flattens the relation columns once, and as
-the multipliers of `act_all`; they leave it only through `relations`.  The
-library builds kernels, cokernels and cofibers from integer relation rows
-(`_presented`), and every map from its image array (`ModuleMap`).  Each
-array has its module's dtype, the `rings.int_dtype` of (g + 1) * dim(R)
-terms, and each product sums over
-one module's coordinates with an operand of that module's dtype, so int64
-sums cannot overflow.  Arrays are reduced (`_reduce`) by columns of the
-ambient and quotient moduli that the module holds in its dtype, the second
-set with its quotient form, so a reduced array keeps its own dtype.
+systems on these arrays.  A map, and a Hom group, lie over one ring; maps
+compose, and factor, only through one module object (see below), so the
+middle coordinates are always that object's.  Ring elements enter the layer
+only at the public `FiniteModule` constructor, which flattens the relation
+columns once, and as the multipliers of `act_all`; they leave it only
+through `relations`.  Presentations are built here and nowhere else:
+kernels, cokernels and the stable cofiber (`stable_cofiber`, the cone of a
+map in the stable category) come from integer relation rows (`_presented`),
+and every map from its image array (`ModuleMap`).  Each array has its
+module's dtype, the `rings.int_dtype` of (g + 1) * dim(R) terms, and each
+product sums over one module's coordinates with an operand of that module's
+dtype, so int64 sums cannot overflow.  Arrays are reduced (`_reduce`) by
+columns of the ambient and quotient moduli that the module holds in its
+dtype, the second set with its quotient form, so a reduced array keeps its
+own dtype.
 
 Submodule spans are `linalg.Subgroup`s extended under the action matrices,
 each extension reducing only the new vectors against the basis held.
@@ -58,7 +62,9 @@ returns with its generators (`linalg.congruence_kernel_order`).
 A module is its presentation.  Constructing one with the ring, generator
 count and relation rows of an existing module returns that object, from a
 table in the ring's cache that is freed with the ring (`_presented`); so
-equal presentations share one cache per ring.  The quotient form, covers,
+equal presentations share one cache per ring, and the object is the
+module's only identity: two objects with equal relation spans are two
+modules, whose quotient coordinates may differ.  The quotient form, covers,
 syzygies, envelopes and stable homs are computed once per presentation
 (`rings.per_object`, keyed by the function and its further arguments), so
 the Heller shifts of a module with Omega^2 k = k (as over F_p[t]/(t^{p^n}))
@@ -140,6 +146,8 @@ class FiniteModule:
     def __new__(cls, ring, generators, relations):
         if ring.periodicity is not None or ring.char == 0 or any(ring.degrees):
             raise ShapeMismatch("modules require a finite ungraded coefficient ring")
+        if isinstance(generators, bool) or not isinstance(generators, numbers.Integral):
+            raise ShapeMismatch(f"generator count must be an integer, got {generators!r}")
         g = int(generators)
         if g < 0:
             raise ShapeMismatch(f"generator count must be nonnegative, got {g}")
@@ -265,6 +273,7 @@ class ModuleMap:
     """
 
     def __init__(self, source, target, images, check=True):
+        _one_ring(source, target)
         self.source = source
         self.target = target
         shape = (len(target.quotient()[0]), source.generators)
@@ -286,14 +295,10 @@ class ModuleMap:
             raise IllFormedMap("images do not send the source relations to zero")
 
     def compose(self, other):
-        """self . other (apply other first)."""
-        M = self.source
-        if not _same_module(other.target, M):
-            raise ShapeMismatch("composition shape mismatch")
-        X = other.images
-        if other.target is not M:  # the same relation span: change to M's coordinates
-            X = _reduce(M.quotient()[1] @ _lifted(other), M._quotient_column)
-        return ModuleMap(other.source, self.target, _map_matrix(self) @ X, check=False)
+        """self . other (apply other first), through one module object."""
+        if other.target is not self.source:
+            raise ShapeMismatch("composition through two module objects")
+        return ModuleMap(other.source, self.target, _map_matrix(self) @ other.images, check=False)
 
     def __repr__(self):
         return f"ModuleMap({self.source.generators} -> {self.target.generators})"
@@ -317,14 +322,10 @@ def _kills_relations(F, M, N):
     return not _reduce(F @ M.relation_array.T, N._quotient_column).any()
 
 
-def _same_module(M, N):
-    """M is N, or the same ring, generator count and relation span: the
-    projection of each one kills the relations of the other."""
-    if M is N:
-        return True
-    if M.ring != N.ring or M.generators != N.generators:
-        return False
-    return all(_kills_relations(B.quotient()[1], A, B) for A, B in ((M, N), (N, M)))
+def _one_ring(M, N):
+    """Refuse a map or a Hom between modules over rings that differ as in `iso_test`."""
+    if M.ring is not N.ring and M.ring != N.ring:
+        raise ShapeMismatch("modules over different rings")
 
 
 def identity_map(M):
@@ -383,6 +384,7 @@ def _hom_group(M, N):
     """(additive generators of Hom(M, N) as hom coordinates, |Hom(M, N)|):
     the images of M's generators in N's quotient coordinates that every
     relation of M kills, and their number, from one elimination."""
+    _one_ring(M, N)
     rows = _combination_rows(M.relation_array, N).tolist()
     return linalg.congruence_kernel_order(rows, list(N.quotient()[0]) * len(M.relation_array), _hom_moduli(M, N))
 
@@ -466,13 +468,28 @@ def cokernel(f):
 
 
 def _factor_through(g, f):
-    """h with f . h = g, solved generator by generator on the matrix of f
-    (any h when the target of f is zero)."""
+    """h with f . h = g, for g and f into one module object (any h when that
+    module is zero).  Solved generator by generator on the matrix of f, and
+    when those images do not kill the relations of g's source, once more on
+    hom coordinates with the relations imposed."""
+    if g.target is not f.target:
+        raise ShapeMismatch("factorization through a map into another module object")
+    M, B = g.source, f.source
     A, qm = _map_matrix(f), f.target.quotient()[0]
     sols = [linalg.congruence_solve(A, b, qm) for b in g.images.T.tolist()]
     if None in sols:
         raise IllFormedMap("map does not factor through the given map")
-    return _map_from_hom(g.source, f.source, [x for sol in sols for x in sol])
+    h = _map_from_hom(M, B, [x for sol in sols for x in sol])
+    if not M.relation_array.size or _kills_relations(_free_matrix(h), M, B):
+        return h
+    # rows: the relations of M applied to h, then f . h generator by generator
+    rows = np.vstack([_combination_rows(M.relation_array, B), np.kron(np.eye(M.generators, dtype=A.dtype), A)])
+    qB = list(B.quotient()[0])
+    sol = linalg.congruence_solve(rows, [0] * len(qB) * len(M.relation_array) + _hom_coordinates(g),
+                                  qB * len(M.relation_array) + list(qm) * M.generators)
+    if sol is None:
+        raise IllFormedMap("map does not factor through the given map by a module map")
+    return _map_from_hom(M, B, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +588,26 @@ def _cosyzygy(M):
 def heller_inverse(M):
     """Cokernel of an embedding into a free module."""
     return _cosyzygy(M)[0]
+
+
+def stable_cofiber(f):
+    """The cofiber of f: M -> N in the stable category, the cokernel C of
+    (emb, f): M -> I(M) + N, with the maps N -> C -> Omega^-1 M."""
+    M, N = f.source, f.target
+    R = M.ring
+    emb = injective_envelope(M)
+    I = emb.target
+    # the relation rows of I(M) + N: those of N after zeros on I(M), then the
+    # lifted images of (emb, f), one row per generator of M
+    rels = np.vstack([np.pad(N.relation_array, ((0, 0), (I.generators * R.dim, 0))),
+                      np.hstack([_lifted(emb).T, _lifted(f).T])])
+    C = _presented(R, I.generators + N.generators, rels)
+    # N -> C: the generators of C after those of I(M)
+    n_to_c = ModuleMap(N, C, _generator_images(C)[:, I.generators:])
+    # C -> Omega^-1 M: forget N, land in I(M)/M
+    Om = heller_inverse(M)
+    c_to_omega = ModuleMap(C, Om, np.pad(_generator_images(Om), ((0, 0), (0, N.generators))))
+    return C, n_to_c, c_to_omega
 
 
 def _through_envelope(M, N):
@@ -740,6 +777,7 @@ def stable_projective_span(M, N):
     """Subgroup of hom coordinates of the maps factoring through the
     embedding: the column span of `_through_envelope`, psi running over the
     maps from the free module."""
+    _one_ring(M, N)
     return linalg.Subgroup(_through_envelope(M, N).T.tolist(), _hom_moduli(M, N))
 
 

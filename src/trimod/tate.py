@@ -12,12 +12,12 @@ of the cofiber depend on j mod 2 only, and the verdict holds in every degree.
 The window only sets the printed range, over which `TateRing.omegas`,
 `TateRing.dims` and the x-action report are laid out by parity; any nonempty
 window gives the same verdict.  The shifts Omega x and Omega^2 x come from
-`omega_power_of_map`, cached on the map x.
+`omega_power_of_map`, cached on the map x.  Every module and map here is
+built through the public functions of `modules`, the cofiber of x included
+(`cofiber_stmod` is `modules.stable_cofiber`).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from . import constructions as con
 from .classify import EXTERIOR, classify
@@ -85,23 +85,8 @@ def tate_ring(p, n, window=DEFAULT_WINDOW):
     return TateRing(p, n, window, ring, period, x_rep, y_rep)
 
 
-def cofiber_stmod(f):
-    """Cokernel of (emb, f): M -> I(M) + N, with the maps N -> C -> Omega^-1 M."""
-    M, N = f.source, f.target
-    R = M.ring
-    emb = md.injective_envelope(M)
-    I = emb.target
-    # the relation rows of I(M) + N: those of N after zeros on I(M), then the
-    # lifted images of (emb, f), one row per generator of M
-    rels = np.vstack([np.pad(N.relation_array, ((0, 0), (I.generators * R.dim, 0))),
-                      np.hstack([md._lifted(emb).T, md._lifted(f).T])])
-    C = md._presented(R, I.generators + N.generators, rels)
-    # N -> C: the generators of C after those of I(M)
-    n_to_c = md.ModuleMap(N, C, md._generator_images(C)[:, I.generators:])
-    # C -> Omega^-1 M: forget N, land in I(M)/M
-    Om = md.heller_inverse(M)
-    c_to_omega = md.ModuleMap(C, Om, np.pad(md._generator_images(Om), ((0, 0), (0, N.generators))))
-    return C, n_to_c, c_to_omega
+# the package exports the stable cofiber under this name, and perfbench's tracer wraps it
+cofiber_stmod = md.stable_cofiber
 
 
 def x_action_report(T, C):

@@ -307,7 +307,9 @@ def _random_homogeneous(R, d, rng):
 def run_random_trials(R, n, trials, seed, window=None):
     """Build and verify `trials` seeded random triangles; returns a report.
     Where the window is too narrow for verify_rotation, each result's
-    rotation is None and "unchecked" holds the reason."""
+    rotation is None and "unchecked" holds the reason.  The ring is checked
+    first, since random entries need a finite field."""
+    _check_lift_ring(R, n)
     rng = random.Random(seed)
     results, unchecked = [], None
     for k in range(trials):

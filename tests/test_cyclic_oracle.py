@@ -2,7 +2,10 @@
 cyclic modules R/t^i (`brute_force.cyclic_*`), at orders that enumeration
 cannot reach: the Hom groups, Heller shifts, stable Hom groups and stable
 zero classes of every pair i, j at N <= 16, and of 50 seeded pairs at N = 27
-and N = 32, and the stable Heller shifts and cube checks of seeded sums."""
+and N = 32, and the stable Heller shifts and cube checks of seeded sums.  At
+N = 243 one seeded pair per seed runs under the `slow` marker (`pytest -m
+slow`), which the default run deselects: each takes 10-25 s and 540-660 MB,
+nearly all of it the module action table."""
 
 import random
 
@@ -26,17 +29,17 @@ EVERY_PAIR = [(2, 2), (2, 4), (2, 8), (2, 16), (3, 3), (3, 9), (5, 5), (7, 7), (
 SEEDED_PAIRS = [(3, 27), (2, 32)]
 
 
-def _pairs(n, sample):
+def _pairs(n, sample, seed=None):
+    """Every pair i, j, or `sample` of them drawn at the seed (N by default)."""
     pairs = [(i, j) for i in range(1, n) for j in range(1, n)]
-    return random.Random(n).sample(pairs, sample) if sample else pairs
+    return random.Random(n if seed is None else seed).sample(pairs, sample) if sample else pairs
 
 
-@pytest.mark.parametrize("p, n, sample", [(p, n, 0) for p, n in EVERY_PAIR] + [(p, n, 50) for p, n in SEEDED_PAIRS])
-def test_cyclic_modules_match_their_closed_forms(p, n, sample):
+def _check_closed_forms(p, n, pairs):
     R = con.truncated_polynomial(p, n)
     t = [R.basis_element(a) for a in range(n)]  # t[a] = t^a
     cyclic = {i: md.quotient_module(R, [t[i]]) for i in range(1, n)}
-    for i, j in _pairs(n, sample):
+    for i, j in pairs:
         M, N = cyclic[i], cyclic[j]
         where = (p, n, i, j)
         homs = md._hom_vectors(M, N)
@@ -49,6 +52,18 @@ def test_cyclic_modules_match_their_closed_forms(p, n, sample):
         for a in range(max(0, j - i), j):
             f = map_from_matrix(M, N, [[t[a]]])
             assert md.stable_class_is_zero(f) == cyclic_power_is_stably_zero(n, i, a), (*where, a)
+
+
+@pytest.mark.parametrize("p, n, sample", [(p, n, 0) for p, n in EVERY_PAIR] + [(p, n, 50) for p, n in SEEDED_PAIRS])
+def test_cyclic_modules_match_their_closed_forms(p, n, sample):
+    _check_closed_forms(p, n, _pairs(n, sample))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [1, 2])
+def test_order_243_matches_the_closed_forms(seed):
+    # the pair drawn at each seed, (37, 94) and (234, 179), chosen by seed only
+    _check_closed_forms(3, 243, _pairs(243, 1, seed))
 
 
 def _cyclic_sum(R, lengths):

@@ -393,6 +393,14 @@ def test_triangle_scope_limits_raise_lift_failure(ring, n, message):
         tr.triangle_from_map(R, n, [0], [0], [[R.one()]])
 
 
+def test_random_trials_check_the_ring_before_drawing():
+    # Q[y^+-1][x]/(x^2): random entries have no finite field to be drawn
+    # from, whichever map the seed would draw first
+    for seed in range(6):
+        with pytest.raises(LiftFailure, match="prime field"):
+            tr.run_random_trials(con.laurent_exterior(0, 1, 4), 1, 3, seed)
+
+
 @pytest.mark.parametrize("p, period, n", [(2, 4, 1), (3, 4, 1), (5, 4, 1), (3, 2, -1)])
 def test_g_and_h_match_the_explicit_inclusion_and_projection(p, period, n):
     # reference: g and h as checked chain maps B -> C(f) and C(f) -> A[n]

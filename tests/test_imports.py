@@ -202,6 +202,22 @@ def test_only_times_looks_up_products():
     assert _stray(_product_lookups, {("rings", "_times")}) == []
 
 
+def _presentation_names(tree):
+    """(scope, line) of each name or attribute that builds or reads a
+    presentation: `_presented`, `_lifted`, `_generator_images` or
+    `relation_array`."""
+    names = {"_presented", "_lifted", "_generator_images", "relation_array"}
+    for scope, node in _scoped_nodes(tree):
+        if (getattr(node, "id", None) or getattr(node, "attr", None)) in names:
+            yield scope, node.lineno
+
+
+def test_only_modules_builds_presentations():
+    # a module is its interned presentation: kernels, cokernels and the
+    # stable cofiber are all presented inside modules
+    assert _stray(_presentation_names, {("modules",)}) == []
+
+
 def _grow_calls(tree):
     """(scope, line) of each reference to an attribute named `_grow`."""
     for scope, node in _scoped_nodes(tree):

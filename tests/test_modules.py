@@ -195,18 +195,19 @@ def test_compose_checks_the_middle_module():
     Q, Q_unit, Q_t = (quotient_module(R, [x]) for x in (t * t, t * t * (R.one() + t), t))
     with pytest.raises(ShapeMismatch):
         identity_map(Q_t).compose(map_from_matrix(Q, Q, [[R.one()]]))
-    # an equal presentation in another object composes
+    # t^2 (1 + t) reduces to t^2: one presentation, one object, which composes
+    assert Q_unit is Q
     g = identity_map(Q_unit).compose(map_from_matrix(Q, Q, [[t]]))
     assert g.source is Q and g.target is Q_unit and map_matrix(g) == [[t]]
-    # over Z/4 an equal presentation can carry other quotient coordinates,
-    # which the composite must be read in
+    # over Z/4 an equal relation span in another object is another module:
+    # maps compose only through one module object
     Z = z4()
     one, zero = Z.one(), Z.zero()
     A = FiniteModule(Z, 2, [[one * 3, one * 3]])
     B = FiniteModule(Z, 2, [[one * 3, one * 3], [one * 2, one * 2]])
-    assert A.quotient()[1].tolist() != B.quotient()[1].tolist()
-    h = identity_map(B).compose(map_from_matrix(A, A, [[one, zero], [zero, one]]))
-    assert h.target is B and h.images.T.tolist() == [coords(B, [one, zero]), coords(B, [zero, one])]
+    assert A is not B and A.size() == B.size()
+    with pytest.raises(ShapeMismatch):
+        identity_map(B).compose(map_from_matrix(A, A, [[one, zero], [zero, one]]))
 
 
 def test_act_all_matches_per_element_products():
@@ -530,6 +531,7 @@ def test_map_arrays_against_ring_arithmetic(ring, data):
     gf = map_from_matrix(M, P, [[col[i] for col in gf_cols] for i in range(P.generators)])
     h = md._factor_through(gf, g)
     assert h.source is M and h.target is N
+    ModuleMap(M, N, h.images)  # IllFormedMap unless h kills M's relations
     assert _images(P, compose(R, g, h)) == _images(P, gf_cols)
     # a map that does not factor through g is not g . h for any h
     k = _random_hom(data, M, P)
@@ -544,7 +546,69 @@ def test_map_arrays_against_ring_arithmetic(ring, data):
                     for j in range(M.generators)]
             assert _images(P, [apply_column(R, G, col) for col in cols]) != k.images.T.tolist()
     else:
+        ModuleMap(M, N, h.images)
         assert _images(P, compose(R, g, h)) == k.images.T.tolist()
+
+
+def _seeded_module(rng, R, relations):
+    """A cyclic or two-generator module with the given number of random
+    relations."""
+    g = rng.randint(1, 2)
+    return FiniteModule(R, g, [[R.from_full_coords([rng.randrange(o) for o in R.orders]) for _ in range(g)]
+                               for _ in range(relations)])
+
+
+def _seeded_hom(rng, M, N):
+    """A random combination of the generators of Hom(M, N)."""
+    homs, moduli = md._hom_vectors(M, N), md._hom_moduli(M, N)
+    coeffs = [rng.randrange(M.ring.char) for _ in homs]
+    return md._map_from_hom(M, N, [sum(c * h[i] for c, h in zip(coeffs, homs)) % m for i, m in enumerate(moduli)])
+
+
+def test_factorizations_are_module_maps():
+    # g = f . h0 with M carrying relations and f leaving a free module: the
+    # generator-by-generator solve alone returned images breaking M's
+    # relations on 3 of these 280 triples
+    rings = [z4(), f3t3(), f2x()]
+    for seed in range(280):
+        rng = random.Random(seed)
+        R = rings[seed % 3]
+        M = _seeded_module(rng, R, rng.randint(1, 3))
+        N = free_module(R, rng.randint(1, 2))
+        P = _seeded_module(rng, R, rng.randint(0, 3))
+        f, h0 = _seeded_hom(rng, N, P), _seeded_hom(rng, M, N)
+        g = f.compose(h0)
+        h = md._factor_through(g, f)
+        assert h.source is M and h.target is N, seed
+        ModuleMap(M, N, h.images)  # IllFormedMap unless h kills M's relations
+        assert f.compose(h).images.tolist() == g.images.tolist(), seed
+
+
+def test_factor_through_needs_one_target_object():
+    R = z4()
+    with pytest.raises(ShapeMismatch):
+        md._factor_through(identity_map(free_module(R, 1)), identity_map(residue_module(R)))
+
+
+def test_maps_and_homs_stay_over_one_ring():
+    Z4, Z9 = z4(), con.z_mod(9)
+    F4, F9 = free_module(Z4, 1), free_module(Z9, 1)
+    with pytest.raises(ShapeMismatch, match="rings"):
+        ModuleMap(F4, F9, [[1]])
+    with pytest.raises(ShapeMismatch, match="rings"):
+        md.hom_group(F4, F9)
+    k4, k9 = residue_module(Z4), residue_module(Z9)
+    with pytest.raises(ShapeMismatch, match="rings"):
+        stable_hom(k4, k9)
+    assert not iso_test(k4, k9) and not stable_iso_test(k4, k9)
+    # an equal ring in another object is the same ring
+    assert len(md.hom_group(F4, free_module(z4(), 1))) == 1
+
+
+@pytest.mark.parametrize("count", [2.5, True, False, "2", None])
+def test_generator_count_is_an_integer(count):
+    with pytest.raises(ShapeMismatch, match="integer"):
+        FiniteModule(z4(), count, [])
 
 
 def f2_klein():
