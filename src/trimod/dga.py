@@ -28,7 +28,8 @@ its array from them on demand.  Its column of 1 * gen_j at deg(gen_j), the
 first of block j, is d(gen_j), and d^2 = 0 is checked on the rows.
 
 Every F_p array here, from a map slice to a homology record and an induced
-matrix, is 2-D int64 with entries in [0, p), multiplied by `modp_matmul`.
+matrix, is 2-D int64 with entries in [0, p) (the builder admits only primes
+whose entries fit, `linalg.int_dtype`), multiplied only by `modp_matmul`.
 Homology is computed slice by slice from the sparse rows of the slice
 differentials, by one echelon basis that picks the representative cycles
 and yields the coordinate map [P; Z], one array (`_slice_homology`), so
@@ -165,12 +166,11 @@ def build_two_generator_dga(p, i, n, weight=DEFAULT_WEIGHT):
     """Validated algebra; raises ParityObstruction when d is ill-defined (see
     the module docstring), WeightOverflow when the weight bound is below
     MIN_WEIGHT, so that every product of four generators, up to u^4, is kept,
-    and UnsupportedCoefficients when p^2 overflows int64: the DG path
-    multiplies its int64 entries elementwise, as `triangles` flips the sign
-    of f[n] by f * (p - 1), and such a product must not wrap."""
+    and UnsupportedCoefficients when the entries of F_p, which the DG path
+    holds in int64 arrays, do not fit int64 (`linalg.int_dtype`)."""
     if p < 2 or not linalg.is_prime(p):
         raise ShapeMismatch("coefficient field must be a prime field")
-    if p * p >= 2 ** 63:
+    if linalg.int_dtype(p) is not np.int64:
         raise UnsupportedCoefficients(f"prime {p} too large for int64 elimination")
     where = f"differential not well-defined at (p={p}, i={i}, n={n})"
     if p != 2 and n % 2 == 0:
@@ -239,9 +239,10 @@ def calculus_holds(alg, s, key):
                                   _algebra_cells(alg, s, key))
 
     d = matrix(s)
-    gap = linalg.modp_matmul(matrix(s + deg), matrix(s, key), p) - linalg.modp_matmul(matrix(s - n, key), d, p)
+    # every term is reduced before it is subtracted, so no entry leaves (-p, p)
+    gap = (linalg.modp_matmul(matrix(s + deg), matrix(s, key), p) - linalg.modp_matmul(matrix(s - n, key), d, p)) % p
     for k, c in alg._diff_monomial(key).items():
-        gap -= (-c if n * s % 2 else c) * matrix(s, k)
+        gap -= (-c if n * s % 2 else c) * matrix(s, k) % p
     low = [r for r, (_, _, m) in enumerate(_algebra_basis(alg, s + deg - n)) if m < alg.weight]
     return not (gap[low] % p).any() and not linalg.modp_matmul(matrix(s - n), d, p).any()
 

@@ -35,11 +35,11 @@ holds no dense vectors; `cols()` makes them.
 Matrices are lists of rows or arrays; "columns" arguments are lists of
 coordinate vectors.  All integer results are reduced into [0, m_i)
 coordinatewise.  The field lane eliminates in exact Python numbers, so it
-answers at every prime.  `modp_rref` returns arrays: int64 over F_p below
-2**63, where its entries fit, and object over Q and past that.
-`modp_matmul`, the one F_p product, takes 2-D int64 arrays with entries in
-[0, p), reduces only their product, and multiplies past its int64 bound in
-Python integers; `_sparse_rows` reads every array through one tolist().
+answers at every prime.  Arrays with entries in [0, p), as `modp_rref`
+returns, are held in `int_dtype(p)`: int64 below 2**63, and object over Q
+and past that.  `modp_matmul` is the library's one integer product, in int64
+while no sum can wrap and in Python integers past that; `_sparse_rows`
+reads every array through one tolist().
 """
 
 from __future__ import annotations
@@ -163,10 +163,9 @@ def modp_rref(A, p):
 
 
 def _echelon_matrix(held, nr, nc, p):
-    """nr rows: those held in pivot order, then zeros; int64 over F_p for
-    p < 2**63, where the entries fit, and object over Q and past that."""
+    """nr rows: those held in pivot order, then zeros, in `int_dtype(p)`."""
     return _from_cells((nr, nc), [(k, j, x) for k, c in enumerate(sorted(held)) for j, x in held[c].items()],
-                       np.int64 if 0 < p < 2 ** 63 else object)
+                       int_dtype(p))
 
 
 def _from_cells(shape, cells, dtype=np.int64):
@@ -177,16 +176,24 @@ def _from_cells(shape, cells, dtype=np.int64):
     return out
 
 
-def modp_matmul(A, B, p):
-    """A B mod p as an int64 array, for 2-D int64 arrays A and B with A as
-    wide as B is tall and entries in [0, p), as every F_p array of the
-    library has, so only the product is reduced; either may be empty.  The
-    product is taken in int64 while its sums, k (p - 1)**2 for k = the
-    height of B, stay below 2**63, and in Python integers past that; its
-    reduced entries, below p, fit int64 again."""
-    if B.shape[0] * (p - 1) ** 2 < 2 ** 63:
-        return A @ B % p
-    return (A.astype(object) @ B.astype(object) % p).astype(np.int64)
+def int_dtype(p):
+    """The dtype of an array with entries in [0, p): int64 for 0 < p < 2**63,
+    where they fit, and object (Python integers) from there and over Q."""
+    return np.int64 if 0 < p < 2 ** 63 else object
+
+
+def modp_matmul(A, B, p, moduli=None):
+    """A B reduced mod p, or mod the array moduli broadcast against it (one
+    modulus, a column or a row, each at most p), in `int_dtype(p)`: the
+    library's one integer product.  A and B are integer arrays, 2-D or
+    stacks as for np.matmul, either may be empty, with entries in [0, p), so
+    only the product is reduced: in int64 while its sums, k (p - 1)**2 for k
+    the width of A, stay below 2**63, and in Python integers past that (the
+    delayed reduction of Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008)."""
+    m = p if moduli is None else moduli
+    if A.shape[-1] * (p - 1) ** 2 < 2 ** 63:
+        return A.astype(np.int64, copy=False) @ B.astype(np.int64, copy=False) % m
+    return (A.astype(object) @ B.astype(object) % np.asarray(m).astype(object)).astype(int_dtype(p))
 
 
 def modp_rank(A, p):

@@ -2,11 +2,12 @@
 
 A module is presented as R^g / (R-span of the relation columns): the public
 form is `generators`, `relations` and `ring`.  It holds the constants of that
-presentation, set once when it is made: `dtype`, `ambient_moduli` (the
-orders of the g * dim(R) flattened coordinates) and `relation_array`, one
-row of flattened coordinates per relation column, from which `relations`
-reads the columns back over the ring.  Next to them each module caches one
-additive form, from which every module computation is made:
+presentation, set once when it is made: `dtype` (`linalg.int_dtype` of char
+R, that of all its arrays), `ambient_moduli` (the orders of the g * dim(R)
+flattened coordinates) and `relation_array`, one row of flattened
+coordinates per relation column, from which `relations` reads the columns
+back over the ring.  Next to them each module caches one additive form,
+from which every module computation is made:
 
 * `quotient()` = (qmoduli, proj, lift): the additive group as Z/q_1 x ... x
   Z/q_r, with proj taking the flattened coordinates of R^g (g * dim(R)
@@ -27,13 +28,10 @@ columns once, and as the multipliers of `act_all`; they leave it only
 through `relations`.  Presentations are built here and nowhere else:
 kernels, cokernels and the stable cofiber (`stable_cofiber`, the cone of a
 map in the stable category) come from integer relation rows (`_presented`),
-and every map from its image array (`ModuleMap`).  Each array has its
-module's dtype, the `rings.int_dtype` of (g + 1) * dim(R) terms, and each
-product sums over one module's coordinates with an operand of that module's
-dtype, so int64 sums cannot overflow.  Arrays are reduced (`_reduce`) by
-columns of the ambient and quotient moduli that the module holds in its
-dtype, the second set with its quotient form, so a reduced array keeps its
-own dtype.
+and every map from its image array (`ModuleMap`).  Every product is
+`linalg.modp_matmul`, bounded by char R and reduced by the ambient or
+quotient moduli that the module holds as columns, the second with its
+quotient form.
 
 Submodule spans are `linalg.Subgroup`s extended under the action matrices,
 each extension reducing only the new vectors against the basis held.
@@ -95,15 +93,8 @@ SIZE_CAP = 4096
 
 
 def _column(moduli, dtype):
-    """The moduli as a column, by which `_reduce` reduces an array's rows."""
+    """The moduli as a column, by which a product's rows are reduced."""
     return np.array(moduli, dtype=dtype).reshape(-1, 1)
-
-
-def _reduce(X, column):
-    """Reduce the rows (axis -2) of an integer array modulo a `_column` of
-    moduli; the column has the dtype of a module X is made from, so X keeps
-    its own."""
-    return X % column
 
 
 @rc.per_object
@@ -113,30 +104,32 @@ def _ring_action(R):
     n = R.dim
     if n > rc.MAX_TABLE_DIM:
         raise SizeCapExceeded(f"ring dimension {n} above {rc.MAX_TABLE_DIM} for a module action table")
-    A = np.zeros((n, n, n), dtype=rc.int_dtype(R, n))
+    # a finite ring's product terms have distinct indices and reduced
+    # coefficients, so the table is reduced as it is filled
+    A = np.zeros((n, n, n), dtype=linalg.int_dtype(R.char))
     for (i, j), terms in R.products.items():
         for c, k, _ in terms:
             A[i, k, j] += c
-    A = _reduce(A, _column(R.orders, A.dtype))
     A.flags.writeable = False
     return A
 
 
-def _blockwise(mats, V):
-    """mats[l] applied to every block of the columns of V, for each l; the
-    block length is the size of the matrices.  Shape (len(mats), *V.shape)."""
+def _blockwise(mats, V, column, p):
+    """mats[l] applied to every block of the columns of V, for each l, reduced
+    by the column of one block's moduli; p bounds the entries, and the block
+    length is the size of the matrices.  Shape (len(mats), *V.shape)."""
     b = mats.shape[1]
     n, m = V.shape
-    return np.matmul(mats[:, None], V.reshape(n // b, b, m)[None]).reshape(len(mats), n, m)
+    return linalg.modp_matmul(mats[:, None], V.reshape(n // b, b, m)[None], p, column).reshape(len(mats), n, m)
 
 
-def _closure(mats, vecs):
+def _closure(mats, vecs, column, p):
     """Additive generators of the R-span of the rows of vecs, vectors made of
-    blocks on which the ring basis acts by mats: every vector times every
-    basis element."""
+    blocks on which the ring basis acts by mats (as in `_blockwise`): every
+    vector times every basis element."""
     V = np.asarray(vecs, dtype=mats.dtype)
     k, n = V.shape
-    return _blockwise(mats, V.T).transpose(0, 2, 1).reshape(len(mats) * k, n).tolist()
+    return _blockwise(mats, V.T, column, p).transpose(0, 2, 1).reshape(len(mats) * k, n).tolist()
 
 
 class FiniteModule:
@@ -171,9 +164,9 @@ class FiniteModule:
         """(qmoduli, proj, lift) for the underlying additive group, proj and
         lift as integer arrays reduced modulo qmoduli and the ambient moduli.
         Sets `_quotient_column`, the column of qmoduli."""
-        amb = self.ambient_moduli
+        R, amb = self.ring, self.ambient_moduli
         qm, proj, lift = linalg.quotient_presentation(
-            _closure(_ring_action(self.ring), self.relation_array), amb)
+            _closure(_ring_action(R), self.relation_array, _column(R.orders, self.dtype), R.char), amb)
         # reduced before conversion: Smith transforms can exceed int64
         P = np.array([[x % m for x in row] for row, m in zip(proj, qm)], dtype=self.dtype)
         L = np.array([[x % m for x in row] for row, m in zip(lift, amb)], dtype=self.dtype)
@@ -184,16 +177,18 @@ class FiniteModule:
     def action(self):
         """Array of shape (dim R, r, r): how each ring basis element acts on
         the r quotient coordinates."""
-        _, P, L = self.quotient()
-        moved = _reduce(_blockwise(_ring_action(self.ring).astype(L.dtype), L), self._ambient_column)
-        return _reduce(np.matmul(P, moved), self._quotient_column)
+        R, (_, P, L) = self.ring, self.quotient()
+        moved = _blockwise(_ring_action(R), L, _column(R.orders, self.dtype), R.char)
+        return linalg.modp_matmul(P, moved, R.char, self._quotient_column)
 
     def act_coords(self, C):
         """Matrices of multiplication by the ring elements whose full
         coordinates are the rows of C, from one product: shape (len(C), r, r)."""
         A = self.action()
         r = A.shape[1]
-        return _reduce((C @ A.reshape(len(A), r * r)).reshape(len(C), r, r), self._quotient_column)
+        # entry (i, j) of a matrix, flattened to i * r + j, has modulus q_i
+        row = self._quotient_column.repeat(r)
+        return linalg.modp_matmul(C, A.reshape(len(A), r * r), self.ring.char, row).reshape(len(C), r, r)
 
     def act_all(self, xs):
         """Matrices of multiplication by each ring element of xs on quotient
@@ -226,9 +221,9 @@ def _presented(ring, g, rows):
     if M is None:
         M = object.__new__(FiniteModule)
         M.ring, M.generators, M._cache = ring, g, {}
-        # the integer dtype of this module's arrays, and the moduli of its
+        # the dtype of this module's arrays, and the moduli of its
         # flattened coordinates (see the module docstring)
-        M.dtype = rc.int_dtype(ring, (g + 1) * ring.dim)
+        M.dtype = linalg.int_dtype(ring.char)
         M.ambient_moduli = tuple(ring.orders) * g
         M._ambient_column = _column(M.ambient_moduli, M.dtype)
         # the flattened relation columns, one row each
@@ -258,7 +253,7 @@ def _generator_images(M):
     R = M.ring
     one = np.array(R.full_coords(R.one()), dtype=M.dtype)
     qm, P, _ = M.quotient()
-    return _reduce(P.reshape(len(qm), M.generators, R.dim) @ one, M._quotient_column)
+    return linalg.modp_matmul(P.reshape(len(qm), M.generators, R.dim), one, R.char, M._quotient_column)
 
 
 class ModuleMap:
@@ -266,10 +261,10 @@ class ModuleMap:
     is the image of source generator j in the target's quotient coordinates.
 
     The constructor takes that array (r_target x g_source, integers) and
-    reduces it into the target's dtype.  Anything else raises ShapeMismatch;
-    with check, images that do not send every source relation to zero raise
-    IllFormedMap.  The library's builders of maps that hold by construction
-    pass check=False.
+    reduces it into the target's dtype, in Python integers unless it has that
+    dtype already.  Anything else raises ShapeMismatch; with check, images
+    that do not send every source relation to zero raise IllFormedMap.  The
+    library's builders of maps that hold by construction pass check=False.
     """
 
     def __init__(self, source, target, images, check=True):
@@ -284,10 +279,8 @@ class ModuleMap:
         integral = X.dtype.kind in "iu" or X.dtype == object and all(isinstance(x, numbers.Integral) for x in X.flat)
         if X.shape != shape or X.size and not integral:
             raise ShapeMismatch(f"images must be an integer array of shape {shape}")
-        # reduced in a dtype that holds the target's moduli and the images;
-        # uint64 and int64 meet in float64, so uint64 goes through Python integers
-        wide = object if X.dtype == np.uint64 else np.result_type(X.dtype, target.dtype)
-        X = _reduce(X.astype(wide), target._quotient_column).astype(target.dtype)
+        # reduced in the target's dtype when X has it, else in Python integers
+        X = ((X if X.dtype == target.dtype else X.astype(object)) % target._quotient_column).astype(target.dtype)
         X.setflags(write=False)
         self.images = X
         self._cache = {}
@@ -298,7 +291,8 @@ class ModuleMap:
         """self . other (apply other first), through one module object."""
         if other.target is not self.source:
             raise ShapeMismatch("composition through two module objects")
-        return ModuleMap(other.source, self.target, _map_matrix(self) @ other.images, check=False)
+        X = linalg.modp_matmul(_map_matrix(self), other.images, self.target.ring.char, self.target._quotient_column)
+        return ModuleMap(other.source, self.target, X, check=False)
 
     def __repr__(self):
         return f"ModuleMap({self.source.generators} -> {self.target.generators})"
@@ -313,13 +307,13 @@ def _lifted(f):
     """Flattened ambient coordinates of representatives of f's images, one
     column per source generator."""
     N = f.target
-    return _reduce(N.quotient()[2] @ f.images, N._ambient_column)
+    return linalg.modp_matmul(N.quotient()[2], f.images, N.ring.char, N._ambient_column)
 
 
 def _kills_relations(F, M, N):
     """Whether F, a matrix from M's flattened coordinates to N's quotient
     coordinates, sends every relation of M to zero."""
-    return not _reduce(F @ M.relation_array.T, N._quotient_column).any()
+    return not linalg.modp_matmul(F, M.relation_array.T, N.ring.char, N._quotient_column).any()
 
 
 def _one_ring(M, N):
@@ -356,7 +350,7 @@ def _free_matrix(f):
     N = f.target
     A = N.action()
     r, n = A.shape[1], len(f.source.ambient_moduli)
-    return _reduce(np.matmul(A, f.images).transpose(1, 2, 0).reshape(r, n), N._quotient_column)
+    return linalg.modp_matmul(A, f.images, N.ring.char, N._quotient_column).transpose(1, 2, 0).reshape(r, n)
 
 
 @rc.per_object
@@ -365,7 +359,7 @@ def _map_matrix(f):
     additive generators (its quotient unit vectors) in the target's.
     Computed once per map (maps are not changed after construction) and
     returned read-only."""
-    X = _reduce(_free_matrix(f) @ f.source.quotient()[2], f.target._quotient_column)
+    X = linalg.modp_matmul(_free_matrix(f), f.source.quotient()[2], f.target.ring.char, f.target._quotient_column)
     X.setflags(write=False)
     return X
 
@@ -418,7 +412,7 @@ def _module_generators(N, vecs, span=None):
             break
         if not span.contains(v):
             keep.append(i)
-            span = span.extend(_closure(N.action(), [v]))
+            span = span.extend(_closure(N.action(), [v], N._quotient_column, N.ring.char))
     return keep
 
 
@@ -440,7 +434,8 @@ def submodule_from_additive(M, vecs):
     ker = _kernel_vectors(cover)
     kept, (qm, _, L) = [ker[i] for i in _module_generators(F, ker)], F.quotient()
     # the kept kernel vectors lifted to F's flattened coordinates, one row each
-    rels = _reduce(L @ np.array(kept, dtype=F.dtype).reshape(len(kept), len(qm)).T, F._ambient_column).T
+    rels = linalg.modp_matmul(L, np.array(kept, dtype=F.dtype).reshape(len(kept), len(qm)).T, M.ring.char,
+                              F._ambient_column).T
     K = _presented(M.ring, len(keep), rels)
     return K, ModuleMap(K, M, cover.images, check=False)
 
@@ -513,7 +508,8 @@ def _radical(M, span=None):
     rows = _radical_rows(M)
     if span is not None:
         cols = span.cols()
-        rows = np.array(cols, dtype=rows.dtype).reshape(len(cols), len(qm)) @ rows
+        rows = linalg.modp_matmul(np.array(cols, dtype=rows.dtype).reshape(len(cols), len(qm)), rows,
+                                  M.ring.char, M._quotient_column.T)
     return linalg.Subgroup(rows.reshape(rows.shape[0] * rows.shape[1], len(qm)).tolist(), qm)
 
 
@@ -573,7 +569,8 @@ def injective_envelope(M):
     # the kept homs, lifted to R, are the rows of the embedding into R^len(keep)
     rows = np.array([_lifted(_map_from_hom(M, Rmod, homs[i])) for i in keep], dtype=Rmod.dtype)
     F = free_module(R, len(keep))
-    emb = ModuleMap(M, F, F.quotient()[1] @ rows.reshape(len(keep) * R.dim, M.generators))
+    emb = ModuleMap(M, F, linalg.modp_matmul(F.quotient()[1], rows.reshape(len(keep) * R.dim, M.generators),
+                                             R.char, F._quotient_column))
     if _image_size(emb) != M.size():
         raise NotQuasiFrobenius("module does not embed into a free module")
     return emb

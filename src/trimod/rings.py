@@ -102,12 +102,6 @@ def per_object(fn):
     return once
 
 
-def int_dtype(R, terms):
-    """int64 when sums of `terms` products of residues below char cannot
-    overflow it, exact Python numbers otherwise (always over Q)."""
-    return np.int64 if 0 < R.char ** 2 * terms < 2 ** 62 else object
-
-
 class GradedRing:
     """Immutable after construction; validate() checks all ring axioms."""
 
@@ -653,7 +647,7 @@ def _degree_zero_mod_p(R):
         F = [[y.get(m, 0) for m in idx] for y in (_power(product, {i: 1}, p) for i in idx)]
         fixed = linalg.modp_kernel([[x - (a == j) for j, x in enumerate(row)] for a, row in enumerate(zip(*F))], p)
         lines = _split_into_lines(times, [sum(c for c, k, _ in R.unit_terms if k == i) % p for i in idx], fixed, p)
-        out.append(_ModP(p, pk, pos, np.array(F, dtype=int_dtype(R, len(idx))).T, lines))
+        out.append(_ModP(p, pk, pos, np.array(F, dtype=linalg.int_dtype(p)).T, lines))
     return tuple(out)
 
 
@@ -676,7 +670,7 @@ def _split_into_lines(times, one, fixed, p):
             # (b + c)**((p-1)/2), or b + c itself for p = 2: eigenvalues 0, 1, -1
             w = _power(times, [(x + c * y) % p for x, y in zip(b, one)], (p - 1) // 2 or 1)
             image = np.array([times(v, w) for v in P], dtype=object)
-            parts = [np.array(z, dtype=object) @ P % p for lam in sorted({0, 1, p - 1})
+            parts = [linalg.modp_matmul(np.asarray(z, object), P, p).astype(object) for lam in sorted({0, 1, p - 1})
                      if (z := linalg.modp_kernel(((image - lam * P) % p).T.tolist(), p))]
             if len(parts) > 1:
                 pieces += parts
@@ -799,7 +793,7 @@ def maximal_ideal(R):
     n = len(zero)
     Fk, reach = F, p
     while reach < n:
-        Fk, reach = Fk @ F % p, reach * p
+        Fk, reach = linalg.modp_matmul(Fk, F, p), reach * p
     m0 = linalg.modp_kernel(Fk.tolist(), p)
     m0 += [[p * (a == j) for a in range(n)] for j in range(n) if R.orders[zero[j]] > p]
     gens, slices, proj = [], {}, None

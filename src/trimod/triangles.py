@@ -187,7 +187,7 @@ def triangle_from_map(R, n, source_degrees, target_degrees, entries, window=None
         sfs[q] = f = induced_f(q - n, HAs, HBs)
         if p != 2:
             flip = HAs[q - n]["reps"][:, dg.odd_blocks(M, q - n, n)].any(axis=1)
-            sfs[q] = f * np.where(flip, p - 1, 1) % p if flip.any() else f
+            sfs[q] = np.where(flip, -f % p, f) if flip.any() else f
         for m in (fs[q], gs[q], hs[q], sfs[q]):
             m.setflags(write=False)
 

@@ -139,12 +139,18 @@ def double_annihilator_holds(R):
     return True, None
 
 
+def times_vector(X, v):
+    """The array X times the vector v, in Python integers, so that no sum
+    wraps whatever the dtype of X."""
+    return [sum(a * x for a, x in zip(row, v)) for row in X.tolist()]
+
+
 def module_elements(M):
     """All elements of a finite module, as flattened ambient representatives:
     the lifts of every quotient coordinate vector."""
     qm, _, L = M.quotient()
     for combo in itertools.product(*[range(m) for m in qm]):
-        yield (L @ np.array(combo, dtype=L.dtype).reshape(len(qm))).tolist()
+        yield times_vector(L, combo)
 
 
 def flatten(M, col):
@@ -162,14 +168,12 @@ def unflatten(M, vec):
 def coords(M, col):
     """The quotient coordinates of a column of ring elements."""
     qm, P, _ = M.quotient()
-    v = P @ np.array(flatten(M, col), dtype=P.dtype).reshape(P.shape[1])
-    return [x % m for x, m in zip(v.tolist(), qm)]
+    return [x % m for x, m in zip(times_vector(P, flatten(M, col)), qm)]
 
 
 def column(M, v):
     """A column of ring elements with the quotient coordinates v."""
-    L = M.quotient()[2]
-    return unflatten(M, (L @ np.array(v, dtype=L.dtype).reshape(L.shape[1])).tolist())
+    return unflatten(M, times_vector(M.quotient()[2], v))
 
 
 def map_from_matrix(M, N, matrix):
@@ -627,6 +631,8 @@ def reference_maximal_ideal(R):
     ((p, _, _, F, _),) = rings._degree_zero_mod_p(R)
     zero = [i for i, _ in R.slice_terms(0)]
     n = len(zero)
+    # in Python integers, so that no sum wraps
+    F = F.astype(object)
     Fk, reach = F, p
     while reach < n:
         Fk, reach = Fk @ F % p, reach * p

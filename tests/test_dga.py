@@ -539,17 +539,18 @@ def test_modp_matmul_takes_reduced_operands(monkeypatch):
         got = matmul(np.array(A, dtype=np.int64), np.array(B, dtype=np.int64), p)
         want = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)] for row in A]
         assert got.dtype == np.int64 and got.tolist() == want
-    # the builder refuses p^2 >= 2^63 before any slice is made, so neither a
-    # model nor a triangle over such a prime reaches int64 arithmetic: the
-    # least primes past 2^63 and past 2^32; q, with q^2 < 2^63, builds
-    assert dg.build_two_generator_dga(q, 1, 1).p == q
-    for big in (9223372036854775837, 4294967311):
-        assert big ** 2 >= 2 ** 63 and linalg.is_prime(big)
-        with pytest.raises(UnsupportedCoefficients, match=f"^prime {big} too large for int64 elimination$"):
-            dg.build_two_generator_dga(big, 1, 1)
-        R = con.laurent_exterior(big, 1, 4)
-        with pytest.raises(UnsupportedCoefficients, match=f"^prime {big} too large for int64 elimination$"):
-            tr.triangle_from_map(R, 1, *tr.random_map(R, 1, random.Random(big)))
+    # the builder refuses exactly the primes whose entries do not fit int64,
+    # before any slice is made: the least prime past 2^63 is refused, and
+    # q, the least prime past 2^32 and the largest below 2^63 build
+    for p in (q, 4294967311, 9223372036854775783):
+        assert linalg.is_prime(p) and dg.build_two_generator_dga(p, 1, 1).p == p
+    big = 9223372036854775837
+    assert linalg.is_prime(big) and linalg.int_dtype(big) is object
+    with pytest.raises(UnsupportedCoefficients, match=f"^prime {big} too large for int64 elimination$"):
+        dg.build_two_generator_dga(big, 1, 1)
+    R = con.laurent_exterior(big, 1, 4)
+    with pytest.raises(UnsupportedCoefficients, match=f"^prime {big} too large for int64 elimination$"):
+        tr.triangle_from_map(R, 1, *tr.random_map(R, 1, random.Random(big)))
 
 
 def test_triangle_input_errors():

@@ -306,20 +306,36 @@ def test_only_slice_differential_and_calculus_multiply_by_entries():
 
 def _dense_products(tree):
     """(scope, line) of each `@` product and each reference to an attribute
-    named matmul, dot or tensordot."""
+    named matmul, dot, tensordot or einsum."""
     for scope, node in _scoped_nodes(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult) \
-                or isinstance(node, ast.Attribute) and node.attr in {"matmul", "dot", "tensordot"}:
+                or isinstance(node, ast.Attribute) and node.attr in {"matmul", "dot", "tensordot", "einsum"}:
             yield scope, node.lineno
 
 
-def test_dg_path_multiplies_only_through_modp_matmul():
-    # linalg.modp_matmul is the one F_p product of the DG path, and its
-    # guard refuses the primes whose int64 products could overflow; the
-    # finder sees the product inside it
-    stray = _stray(_dense_products, set())
-    assert [line for line in stray if line.startswith(("dga.py:", "triangles.py:"))] == []
-    assert [line for line in stray if line.startswith("linalg.py:")]
+def test_every_product_goes_through_modp_matmul():
+    # linalg.modp_matmul is the library's one integer product, and its
+    # bound keeps every int64 sum from wrapping; the finder sees the
+    # products inside it, and no other in any file
+    assert [line for line in _stray(_dense_products, set()) if line.startswith("linalg.py:")]
+    assert _stray(_dense_products, {("linalg", "modp_matmul")}) == []
+
+
+def _wide_thresholds(tree):
+    """(scope, line) of each constant 2 ** 62 or 2 ** 63."""
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) \
+                and [getattr(n, "value", None) for n in (node.left, node.right)] in ([2, 62], [2, 63]):
+            yield scope, node.lineno
+
+
+def test_only_linalg_names_the_int64_bound():
+    # one int64 rule, `int_dtype`, and the product's bound; the builder of
+    # the DG model asks the rule instead of restating it
+    assert _stray(_wide_thresholds, set()) != []
+    assert _stray(_wide_thresholds, {("linalg", "int_dtype"), ("linalg", "modp_matmul")}) == []
+    assert not hasattr(importlib.import_module("trimod.rings"), "int_dtype")
+    assert not hasattr(importlib.import_module("trimod.modules"), "_reduce")
 
 
 def _degree_reductions(tree):

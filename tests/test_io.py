@@ -505,16 +505,25 @@ def test_cli_dg_verify_negative_period(p, capsys):
 @pytest.mark.parametrize("argv", [["--p", "4", "--i", "1", "--n", "1"],
                                   ["--p", "3", "--i", "1", "--n", "1", "--weight", "2"],
                                   ["--p", "9223372036854775837", "--i", "1", "--n", "1"],
-                                  ["--p", "4294967311", "--i", "1", "--n", "1"]])
+                                  ["--p", "18446744073709551629", "--i", "1", "--n", "1"]])
 def test_cli_dg_verify_input_errors_exit_2(argv, capsys):
-    # a composite p, a too small weight bound or a prime whose square
-    # overflows the int64 lane (the least primes past 2^63 and 2^32) is no
-    # parity obstruction; the large primes get the typed refusal, no traceback
+    # a composite p, a too small weight bound or a prime whose entries do not
+    # fit int64 (the least primes past 2^63 and 2^64) is no parity
+    # obstruction; the large primes get the typed refusal, no traceback
     code, out, err = _run(["dg-verify", *argv, "--trials", "2"], capsys)
     assert code == 2
     assert out == "" and "error:" in err
-    if int(argv[1]) ** 2 >= 2 ** 63:
+    if int(argv[1]) >= 2 ** 63:
         assert err == f"error: UnsupportedCoefficients: prime {argv[1]} too large for int64 elimination\n"
+
+
+def test_cli_dg_verify_answers_past_2_to_the_32(capsys):
+    # p^2 >= 2^63 at the least prime past 2^32: the one product takes such
+    # sums in Python integers, so the model builds and its triangles pass
+    code, out, err = _run(["dg-verify", "--p", "4294967311", "--i", "1", "--n", "1", "--trials", "2", "--json"],
+                          capsys)
+    assert code == 0, err
+    assert json.loads(out)["triangles"] is True
 
 
 def test_cli_dg_verify_negative_trials_exit_2(capsys):

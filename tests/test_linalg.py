@@ -281,6 +281,73 @@ def python_product(A, B, p):
     return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)] for row in A]
 
 
+def python_matmul(A, B, moduli):
+    """np.matmul's A B for integer arrays, each entry summed in Python
+    integers, then reduced by the moduli broadcast against it."""
+    shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1])
+    A, B = (np.broadcast_to(X, shape[:-2] + X.shape[-2:]).tolist() for X in (A, B))
+    out = np.zeros(shape, dtype=object)
+    for *s, i, j in np.ndindex(shape):
+        a, b = A, B
+        for k in s:
+            a, b = a[k], b[k]
+        out[(*s, i, j)] = sum(x * row[j] for x, row in zip(a[i], b))
+    return (out % np.broadcast_to(np.asarray(moduli).astype(object), shape)).tolist()
+
+
+# (bound p, width k): near 2**31, k = 2 is the last int64 width and k = 3
+# the first past it; 3037000493 is the largest prime with (p - 1)**2 < 2**63
+# and 3037000507 the next, so width 1 falls on either side of the switch;
+# 2**61 - 1, with int64 entries, and 10**20 + 39, with object entries,
+# multiply past it at every width
+@pytest.mark.parametrize("p,k", [(2 ** 31 - 1, 2), (2 ** 31 - 1, 3), (2 ** 31 + 11, 2), (3037000493, 1),
+                                 (3037000493, 2), (3037000507, 1), (2 ** 61 - 1, 1), (2 ** 61 - 1, 4),
+                                 (10 ** 20 + 39, 3)])
+def test_modp_matmul_at_the_int64_boundary(p, k):
+    rng = random.Random(p + k)
+
+    def operand(*shape):
+        # entries in [0, p), a third of them p - 1, so sums reach k (p - 1)**2
+        return np.array([rng.choice((p - 1, rng.randrange(p))) for _ in range(math.prod(shape))],
+                        dtype=linalg.int_dtype(p)).reshape(shape)
+
+    # 2-D, a stack against a matrix and against a stack, broadcast stacks
+    # (as in a module's blockwise action), and empty operands
+    cases = [(operand(3, k), operand(k, 2)), (operand(2, 3, k), operand(k, 2)),
+             (operand(2, 3, k), operand(2, k, 2)), (operand(2, 1, 3, k), operand(1, 2, k, 4)),
+             (operand(0, k), operand(k, 2)), (operand(2, 0, k), operand(k, 0))]
+    for A, B in cases:
+        rows, cols = A.shape[-2], B.shape[-1]
+        # one modulus, a column and a row of mixed moduli, each at most p
+        for moduli in (None, p - 2, np.array([p, p // 3 + 1, 2][:rows], dtype=linalg.int_dtype(p)).reshape(-1, 1),
+                       np.array([p // 5 + 7, p, p - 1, 3][:cols], dtype=linalg.int_dtype(p))):
+            got = linalg.modp_matmul(A, B, p, moduli)
+            assert got.dtype == linalg.int_dtype(p)
+            assert got.tolist() == python_matmul(A, B, p if moduli is None else moduli)
+    # the largest sum, k (p - 1)**2: int64 holds it exactly when the product
+    # takes the int64 lane, and past the bound an int64 product would wrap
+    top = np.full((1, k), p - 1, dtype=linalg.int_dtype(p))
+    assert linalg.modp_matmul(top, top.T, p).tolist() == [[k * (p - 1) ** 2 % p]]
+    if linalg.int_dtype(p) is np.int64:
+        assert ((top @ top.T).tolist() == [[k * (p - 1) ** 2]]) == (k * (p - 1) ** 2 < 2 ** 63)
+
+
+def test_modp_matmul_with_the_moduli_of_a_sum():
+    # Z/8 + Z/4, the quotient coordinates of z_mod(8) + z_mod(4): a bound of 8
+    # on every entry, and the moduli as a column, and as a row over 2 x 2
+    # matrices flattened so that entry (i, j), at 2 i + j, has modulus q_i
+    rng = random.Random(84)
+    column = np.array([[8], [4]], dtype=np.int64)
+    A = np.array([[rng.randrange(m) for _ in range(5)] for m in (8, 4)], dtype=np.int64)
+    B = np.array([[rng.randrange(8) for _ in range(3)] for _ in range(5)], dtype=np.int64)
+    mats = np.array([[[rng.randrange(m) for _ in range(2)] for m in (8, 4)] for _ in range(3)], dtype=np.int64)
+    C = np.array([[rng.randrange(8) for _ in range(3)] for _ in range(4)], dtype=np.int64)
+    row = np.repeat(column, 2)
+    for X, Y, moduli in ((A, B, column), (C, mats.reshape(3, 4), row), (mats, B[:2], column)):
+        got = linalg.modp_matmul(X, Y, 8, moduli)
+        assert got.dtype == np.int64 and got.tolist() == python_matmul(X, Y, moduli)
+
+
 @st.composite
 def sparse_row_inputs(draw):
     """(A, p, cells): a matrix of 0 to 400 cells, about a third of them

@@ -211,20 +211,24 @@ def test_compose_checks_the_middle_module():
 
 
 def test_act_all_matches_per_element_products():
-    # the int64 path and, with char 3**30, the exact Python-integer path
+    # int64 sums, and at char 3**30 sums taken in Python integers and stored
+    # in int64; at char 2**63 the arrays hold Python integers
     rng = random.Random(1)
-    S, Z = f3t3(), con.z_mod(3 ** 30)
+    S, Z, B = f3t3(), con.z_mod(3 ** 30), con.z_mod(2 ** 63)
     t = t_elem(S)
-    cases = [FiniteModule(S, 2, [[t, t * t]]), FiniteModule(Z, 2, [[Z.one() * 3 ** 15, Z.one() * 6]])]
-    assert [M.action().dtype for M in cases] == [np.int64, object]
+    cases = [FiniteModule(S, 2, [[t, t * t]]), FiniteModule(Z, 2, [[Z.one() * 3 ** 15, Z.one() * 6]]),
+             FiniteModule(B, 2, [[B.one() * 2 ** 40, B.one() * 6]])]
+    assert [M.action().dtype for M in cases] == [np.int64, np.int64, object]
     for M in cases:
         R, A, qm = M.ring, M.action(), M.quotient()[0]
         r = len(qm)
 
         def act_one(x):
-            # one product per element, as `act` was made before `act_all`
-            c = np.array(R.full_coords(x), dtype=A.dtype)
-            return np.tensordot(c, A, 1) % np.array(qm, dtype=A.dtype).reshape(-1, 1)
+            # one product per element, as `act` was made before `act_all`,
+            # in Python integers
+            c, T = R.full_coords(x), A.tolist()
+            return np.array([[sum(a * m[i][j] for a, m in zip(c, T)) % qm[i] for j in range(r)] for i in range(r)],
+                            dtype=object).reshape(r, r)
 
         xs = [R.from_full_coords([rng.randrange(o) for o in R.orders]) for _ in range(6)]
         got = M.act_all(xs)
@@ -242,14 +246,16 @@ def test_act_all_matches_per_element_products():
 
 def test_action_matches_ring_multiplication():
     # the cached action matrices against ring arithmetic on lifted columns;
-    # char 3**30 takes the exact Python-integer path instead of int64, and
-    # the Smith transforms of the Z/(3 * 2**28) presentation exceed int64
+    # at char 3**30 the products' sums are taken in Python integers, the
+    # Smith transforms of the Z/(3 * 2**28) presentation exceed int64, and
+    # at char 2**63 the arrays hold Python integers
     rng = random.Random(0)
-    S, Z, W = f3t3(), con.z_mod(3 ** 30), con.z_mod(3 * 2 ** 28)
+    S, Z, W, B = f3t3(), con.z_mod(3 ** 30), con.z_mod(3 * 2 ** 28), con.z_mod(2 ** 63)
     t = t_elem(S)
     cases = [FiniteModule(S, 2, [[t, t * t]]), FiniteModule(Z, 2, [[Z.one() * 3 ** 15, Z.one() * 6]]),
-             FiniteModule(W, 2, [[W.one() * 21, W.one() * 2051]])]
-    assert [M.action().dtype for M in cases] == [np.int64, object, np.int64]
+             FiniteModule(W, 2, [[W.one() * 21, W.one() * 2051]]),
+             FiniteModule(B, 2, [[B.one() * 2 ** 40, B.one() * 6]])]
+    assert [M.action().dtype for M in cases] == [np.int64, np.int64, np.int64, object]
     for M in cases:
         R, qm = M.ring, M.quotient()[0]
         for _ in range(20):
