@@ -17,8 +17,9 @@ from which every module computation is made:
 
 A map M -> N is its image array: column j is the image of M's generator j in
 N's quotient coordinates, and the columns concatenated are its hom
-coordinates.  Hom(M, N) is the congruence kernel of "every relation of M,
-applied to those images, is zero in N", with no further unknowns.
+coordinates.  The relations of M applied to a map are one matrix on them
+per pair (`_relation_rows`): Hom(M, N) is its congruence kernel, with no
+further unknowns, and the check of a map and a factorization solve on it.
 Composition, kernels, images and factorizations are products and congruence
 systems on these arrays.  A map, and a Hom group, lie over one ring; maps
 compose, and factor, only through one module object (see below), so the
@@ -263,8 +264,9 @@ class ModuleMap:
     The constructor takes that array (r_target x g_source, integers) and
     reduces it into the target's dtype, in Python integers unless it has that
     dtype already.  Anything else raises ShapeMismatch; with check, images
-    that do not send every source relation to zero raise IllFormedMap.  The
-    library's builders of maps that hold by construction pass check=False.
+    on which the pair's relation matrix (`_relation_rows`) is not zero raise
+    IllFormedMap.  The library's builders of maps that hold by construction
+    pass check=False.
     """
 
     def __init__(self, source, target, images, check=True):
@@ -284,7 +286,8 @@ class ModuleMap:
         X.setflags(write=False)
         self.images = X
         self._cache = {}
-        if check and not _kills_relations(_free_matrix(self), source, target):
+        if check and linalg.modp_matmul(_relation_rows(source, target), X.T.reshape(-1, 1), target.ring.char,
+                                        np.tile(target._quotient_column, (len(source.relation_array), 1))).any():
             raise IllFormedMap("images do not send the source relations to zero")
 
     def compose(self, other):
@@ -308,12 +311,6 @@ def _lifted(f):
     column per source generator."""
     N = f.target
     return linalg.modp_matmul(N.quotient()[2], f.images, N.ring.char, N._ambient_column)
-
-
-def _kills_relations(F, M, N):
-    """Whether F, a matrix from M's flattened coordinates to N's quotient
-    coordinates, sends every relation of M to zero."""
-    return not linalg.modp_matmul(F, M.relation_array.T, N.ring.char, N._quotient_column).any()
 
 
 def _one_ring(M, N):
@@ -344,22 +341,18 @@ def _hom_moduli(M, N):
     return list(N.quotient()[0]) * M.generators
 
 
-def _free_matrix(f):
-    """The matrix of f on the flattened coordinates of the source's free
-    cover: the image of b_l e_j in column j*dim + l."""
-    N = f.target
-    A = N.action()
-    r, n = A.shape[1], len(f.source.ambient_moduli)
-    return linalg.modp_matmul(A, f.images, N.ring.char, N._quotient_column).transpose(1, 2, 0).reshape(r, n)
-
-
 @rc.per_object
 def _map_matrix(f):
     """The matrix of f on quotient coordinates: images of the source's
-    additive generators (its quotient unit vectors) in the target's.
-    Computed once per map (maps are not changed after construction) and
-    returned read-only."""
-    X = linalg.modp_matmul(_free_matrix(f), f.source.quotient()[2], f.target.ring.char, f.target._quotient_column)
+    additive generators (its quotient unit vectors) in the target's, as the
+    matrix of f on the source's free cover (the image of b_l e_j in column
+    j*dim + l) times their lifts.  Computed once per map (maps are not
+    changed after construction) and returned read-only."""
+    N = f.target
+    A = N.action()
+    r, n = A.shape[1], len(f.source.ambient_moduli)
+    free = linalg.modp_matmul(A, f.images, N.ring.char, N._quotient_column).transpose(1, 2, 0).reshape(r, n)
+    X = linalg.modp_matmul(free, f.source.quotient()[2], N.ring.char, N._quotient_column)
     X.setflags(write=False)
     return X
 
@@ -374,12 +367,22 @@ def _combination_rows(C, N):
     return blocks.transpose(0, 2, 1, 3).reshape(k * r, g * r)
 
 
+@rc.per_object
+def _relation_rows(M, N):
+    """The relations of M applied to a map M -> N, on its hom coordinates,
+    one block of N's quotient coordinates each: zero exactly on Hom(M, N).
+    Made once per pair and returned read-only."""
+    rows = _combination_rows(M.relation_array, N)
+    rows.setflags(write=False)
+    return rows
+
+
 def _hom_group(M, N):
     """(additive generators of Hom(M, N) as hom coordinates, |Hom(M, N)|):
-    the images of M's generators in N's quotient coordinates that every
-    relation of M kills, and their number, from one elimination."""
+    the congruence kernel of the relation matrix, and its number of
+    elements, from one elimination."""
     _one_ring(M, N)
-    rows = _combination_rows(M.relation_array, N).tolist()
+    rows = _relation_rows(M, N).tolist()
     return linalg.congruence_kernel_order(rows, list(N.quotient()[0]) * len(M.relation_array), _hom_moduli(M, N))
 
 
@@ -464,24 +467,17 @@ def cokernel(f):
 
 def _factor_through(g, f):
     """h with f . h = g, for g and f into one module object (any h when that
-    module is zero).  Solved generator by generator on the matrix of f, and
-    when those images do not kill the relations of g's source, once more on
-    hom coordinates with the relations imposed."""
+    module is zero): one congruence solve on the relation matrix of h's pair
+    stacked over f . h = g generator by generator, so h is always a module
+    map.  IllFormedMap when that system has no solution."""
     if g.target is not f.target:
         raise ShapeMismatch("factorization through a map into another module object")
     M, B = g.source, f.source
-    A, qm = _map_matrix(f), f.target.quotient()[0]
-    sols = [linalg.congruence_solve(A, b, qm) for b in g.images.T.tolist()]
-    if None in sols:
-        raise IllFormedMap("map does not factor through the given map")
-    h = _map_from_hom(M, B, [x for sol in sols for x in sol])
-    if not M.relation_array.size or _kills_relations(_free_matrix(h), M, B):
-        return h
-    # rows: the relations of M applied to h, then f . h generator by generator
-    rows = np.vstack([_combination_rows(M.relation_array, B), np.kron(np.eye(M.generators, dtype=A.dtype), A)])
-    qB = list(B.quotient()[0])
-    sol = linalg.congruence_solve(rows, [0] * len(qB) * len(M.relation_array) + _hom_coordinates(g),
-                                  qB * len(M.relation_array) + list(qm) * M.generators)
+    qB, qm, k = list(B.quotient()[0]), list(f.target.quotient()[0]), len(M.relation_array)
+    # f . h = g generator by generator: the matrix of f in each diagonal block
+    blocks = np.eye(M.generators, dtype=B.dtype)[:, None, :, None] * _map_matrix(f)[:, None]
+    rows = np.vstack([_relation_rows(M, B), blocks.reshape(M.generators * len(qm), M.generators * len(qB))])
+    sol = linalg.congruence_solve(rows, [0] * len(qB) * k + _hom_coordinates(g), qB * k + qm * M.generators)
     if sol is None:
         raise IllFormedMap("map does not factor through the given map by a module map")
     return _map_from_hom(M, B, sol)

@@ -52,7 +52,11 @@ makes a map from a g_target x g_source matrix over the ring, and
 `kernel_presentation`, `cokernel_presentation` and `cofiber_presentation`
 give the generator count and relation columns, over the ring, of the
 presentations the library built from ring elements before it built them
-from integer rows.
+from integer rows.  The library checks a map, and factors one through
+another, on the relation matrix of the pair of modules; `kills_relations`
+checks it as the library did before, through the map's matrix on the free
+cover of its source, and `generator_solve` solves a factorization as it did
+before, generator by generator on dense rows, with no relation imposed.
 """
 
 import functools
@@ -193,6 +197,32 @@ def map_matrix(f):
     """A g_target x g_source matrix over the ring with f's images."""
     cols = map_columns(f)
     return [[col[i] for col in cols] for i in range(f.target.generators)]
+
+
+def kills_relations(M, N, images):
+    """Whether the image array (r_N x g_M) sends every relation of M to
+    zero: the matrix of the map on the flattened coordinates of M's free
+    cover, the image of b_l e_j in column j * dim + l, times M's relation
+    rows, in Python integers, reduced by N's quotient moduli."""
+    A = N.action().astype(object)
+    r, n = A.shape[1], M.generators * M.ring.dim
+    free = (A @ np.asarray(images, dtype=object).reshape(r, M.generators)).transpose(1, 2, 0).reshape(r, n)
+    moduli = np.array(N.quotient()[0], dtype=object).reshape(r, 1)
+    return not (free @ M.relation_array.astype(object).reshape(-1, n).T % moduli).any()
+
+
+def generator_solve(A, b, p):
+    """One x with A x = b over F_p, for A a 2-D integer array, or None: the
+    solution of the reduced echelon form of [A | b] (`dense_rref`) with
+    zeros at its non-pivot columns."""
+    nc = A.shape[1]
+    rows, pivots = dense_rref([row + [x] for row, x in zip(A.tolist(), b)], p)
+    if nc in pivots:
+        return None
+    x = [0] * nc
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][nc]
+    return x
 
 
 def kernel_presentation(f):

@@ -366,3 +366,30 @@ def test_dg_path_converts_no_array_to_lists():
              for node in ast.walk(ast.parse((ROOT / "src" / "trimod" / name).read_text(encoding="utf-8")))
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "tolist"]
     assert calls == []
+
+
+def _relation_row_builds(tree):
+    """(scope, line) of each call of `_combination_rows` with an argument
+    that reads an attribute named `relation_array`: the relations of a
+    module applied to a map."""
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_combination_rows" \
+                and any(isinstance(n, ast.Attribute) and n.attr == "relation_array"
+                        for arg in node.args for n in ast.walk(arg)):
+            yield scope, node.lineno
+
+
+def test_hom_check_and_factorization_share_one_relation_matrix():
+    # modules._relation_rows is the one builder of "the relations of M sent
+    # to zero" on hom coordinates: Hom eliminates it, the check of a map
+    # multiplies it, and a factorization solves it stacked over f . h = g in
+    # one congruence solve
+    assert _stray(_relation_row_builds, set()) != []
+    assert _stray(_relation_row_builds, {("modules", "_relation_rows")}) == []
+    tree = ast.parse((ROOT / "src" / "trimod" / "modules.py").read_text(encoding="utf-8"))
+    (factor,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_factor_through"]
+    solves = [node for node in ast.walk(factor) if isinstance(node, ast.Call)
+              and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "congruence_solve"]
+    assert len(solves) == 1
+    modules = importlib.import_module("trimod.modules")
+    assert not hasattr(modules, "_kills_relations") and not hasattr(modules, "_free_matrix")

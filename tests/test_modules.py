@@ -14,7 +14,9 @@ from brute_force import (
     column,
     coords,
     flatten,
+    generator_solve,
     kernel_presentation,
+    kills_relations,
     map_columns,
     map_from_matrix,
     map_matrix,
@@ -572,9 +574,10 @@ def _seeded_hom(rng, M, N):
 
 
 def test_factorizations_are_module_maps():
-    # g = f . h0 with M carrying relations and f leaving a free module: the
-    # generator-by-generator solve alone returned images breaking M's
-    # relations on 3 of these 280 triples
+    # g = f . h0 with M carrying relations and f leaving a free module: a
+    # solve of f . h = g alone, with M's relations not imposed, returns
+    # images breaking them on 3 of these 280 triples; the factorization
+    # solves the relation matrix of (M, N) stacked over f . h = g, once
     rings = [z4(), f3t3(), f2x()]
     for seed in range(280):
         rng = random.Random(seed)
@@ -588,6 +591,65 @@ def test_factorizations_are_module_maps():
         assert h.source is M and h.target is N, seed
         ModuleMap(M, N, h.images)  # IllFormedMap unless h kills M's relations
         assert f.compose(h).images.tolist() == g.images.tolist(), seed
+
+
+def test_factorization_is_the_generator_solve_when_that_is_a_module_map():
+    # over F_p the one solve returns the reduced echelon solution, zero at
+    # every non-pivot column; the relation rows stacked over f . h = g only
+    # add pivots, so whenever the solution generator by generator is a module
+    # map, it is the factorization, entry for entry
+    rings = [f3t3(), f2x(), con.truncated_polynomial(2, 8)]
+    outcomes = collections.Counter()
+    for seed in range(240):
+        rng = random.Random(seed)
+        R = rings[seed % 3]
+        M = _seeded_module(rng, R, rng.randint(1, 3))
+        N = free_module(R, rng.randint(1, 2))
+        P = _seeded_module(rng, R, rng.randint(0, 3))
+        f, h0 = _seeded_hom(rng, N, P), _seeded_hom(rng, M, N)
+        g = f.compose(h0)
+        h = md._factor_through(g, f)
+        A = md._map_matrix(f)
+        ref = np.array([generator_solve(A, b, R.char) for b in g.images.T.tolist()], dtype=np.int64)
+        ref = ref.reshape(M.generators, A.shape[1]).T
+        kills = kills_relations(M, N, ref)
+        if kills:
+            assert h.images.tolist() == ref.tolist(), seed
+        else:
+            ModuleMap(M, N, h.images)  # IllFormedMap unless h kills M's relations
+            assert f.compose(h).images.tolist() == g.images.tolist(), seed
+        outcomes[kills] += 1
+    # 233 and 7 of the 240
+    assert outcomes[True] > 200 and outcomes[False] > 0
+
+
+@pytest.mark.parametrize("name", ["Z/4", "GR(4, 2)", "F3[t]/(t^3)", "Z/2 x Z/4"])
+def test_map_check_is_the_free_cover_reference(name):
+    # the check on the pair's relation matrix accepts exactly the images
+    # whose matrix on the free cover of M sends M's relations to zero;
+    # Z/2 x Z/4 mixes additive orders
+    R = {"Z/4": z4, "GR(4, 2)": con.galois_ring_4_2, "F3[t]/(t^3)": f3t3,
+         "Z/2 x Z/4": lambda: con.product_ring(con.z_mod(2), con.z_mod(4))}[name]()
+    outcomes = collections.Counter()
+    for seed in range(80):
+        rng = random.Random(seed)
+        M = _seeded_module(rng, R, seed % 4)
+        N = _seeded_module(rng, R, rng.randint(0, 2))
+        qm = N.quotient()[0]
+        # a Hom element, or a random image array
+        X = _seeded_hom(rng, M, N).images if seed % 8 < 4 else \
+            np.array([[rng.randrange(q) for _ in range(M.generators)] for q in qm], dtype=np.int64)
+        X = X.reshape(len(qm), M.generators)
+        expected = kills_relations(M, N, X)
+        try:
+            ModuleMap(M, N, X)
+        except IllFormedMap:
+            assert not expected, seed
+        else:
+            assert expected, seed
+        outcomes[len(M.relation_array), expected] += 1
+    assert {k for k, _ in outcomes} == {0, 1, 2, 3}
+    assert all(outcomes[k, True] and outcomes[k, False] for k in (1, 2, 3))
 
 
 def test_factor_through_needs_one_target_object():
